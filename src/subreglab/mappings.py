@@ -50,7 +50,9 @@ __all__ = [
     "inverse",
     "catalog",
     "resolve_map_spec",
+    "batch_func",
     "preimage_distance_fallback",
+    "preimage_distances_fallback",
 ]
 
 
@@ -86,6 +88,11 @@ class SetValuedMap:
     the unit-y* restriction, so purely horizontal normals (y* = 0) are
     expressible. feature_points(base_x, r_inner, r_outer, cap) enumerates
     structural graph points per annulus.
+
+    func_batch(z), for scalar function graphs only, evaluates f on a (n,)
+    array of points at once. Element k must equal
+    float(func(np.array([z[k]]))[0]) bit for bit; batch_func supplies the
+    per-point loop for a map without one.
     """
 
     dim_x: int
@@ -98,6 +105,7 @@ class SetValuedMap:
     analytic_normals: Callable | None = None
     feature_points: Callable | None = None
     func: Callable | None = None
+    func_batch: Callable | None = None
     grad: Callable | None = None
     closed_graph: bool = True
     name: str = "map"
@@ -121,11 +129,13 @@ def make_function_graph(
     name: str = "function",
     preimage: Callable | None = None,
     features: Callable | None = None,
+    f_batch: Callable | None = None,
 ) -> SetValuedMap:
     """Wrap a single-valued function as a set-valued map via its graph.
 
     grad(x) returns the Jacobian as a (dim_y, dim_x) array, or None where f
-    is not differentiable; the analytic oracles skip such points.
+    is not differentiable; the analytic oracles skip such points. f_batch is
+    the optional batch form of a scalar f (see SetValuedMap.func_batch).
     """
 
     def fv(x):
@@ -175,10 +185,25 @@ def make_function_graph(
         analytic_normals=normals,
         feature_points=features,
         func=fv,
+        func_batch=f_batch,
         grad=gv,
         name=name,
         kind=kind,
     )
+
+
+def _pointwise(func: Callable) -> Callable:
+    """The batch form of a scalar func: func applied point by point."""
+
+    def each(z):
+        return np.array([float(func(np.array([v]))[0]) for v in np.asarray(z, dtype=float).tolist()])
+
+    return each
+
+
+def batch_func(F: SetValuedMap) -> Callable:
+    """F.func_batch, or F.func applied point by point for a map without one."""
+    return F.func_batch if F.func_batch is not None else _pointwise(F.func)
 
 
 def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMap:
@@ -199,6 +224,14 @@ def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMa
                 return math.inf
         return norm(x - z, kind)
 
+    f_batch = None
+    if A.shape == (1, 1):
+        a00 = float(A[0, 0])
+
+        def f_batch(z):
+            # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
+            return a00 * z + 0.0
+
     m = make_function_graph(
         lambda x: A @ x,
         grad=lambda x: A,
@@ -207,6 +240,7 @@ def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMa
         kind=kind,
         name=name or "linear",
         preimage=preimage,
+        f_batch=f_batch,
     )
     return m
 
@@ -251,6 +285,7 @@ def make_square(kind: str = "l1") -> SetValuedMap:
         kind=kind,
         name="square",
         preimage=preimage,
+        f_batch=lambda z: z * z,
     )
 
 
@@ -343,7 +378,14 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
                     pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
         return pts
 
-    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features)
+    def f_batch(z):
+        nz = z != 0.0
+        u = np.divide(1.0, z, out=np.zeros_like(z), where=nz)
+        # np.sin agrees with math.sin bit for bit (tests/test_mappings.py)
+        return np.where(nz, z * np.sin(u), 0.0)
+
+    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features,
+                               f_batch=f_batch)
 
 
 def make_oscillating(kind: str = "l1") -> SetValuedMap:
@@ -385,7 +427,16 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
                     pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
         return pts
 
-    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features)
+    def f_batch(z):
+        out = np.zeros_like(z)
+        nz = z != 0.0
+        # math.log per point: np.log may round differently from math.log
+        logs = np.fromiter(map(math.log, np.abs(z[nz]).tolist()), dtype=float)
+        out[nz] = z[nz] * np.sin(logs)
+        return out
+
+    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features,
+                               f_batch=f_batch)
 
 
 def make_spiral(kind: str = "l2") -> SetValuedMap:
@@ -656,14 +707,16 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
 
 
 def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
-                      anchors: list[GraphPoint] | None = None) -> SetValuedMap:
+                      anchors: list[GraphPoint] | None = None,
+                      f_batch: Callable | None = None) -> SetValuedMap:
     """The map x -> F(x) + f(x) for a single-valued f.
 
     f may be a callable or a perturbation object carrying .eval and
     .derivative; coderivative oracles are shifted by the gradient of f at
     points where it exists (the shift is exact there). anchors are extra
     graph points injected into the sampler, used to keep constructed
-    witness points visible to the estimators.
+    witness points visible to the estimators. f_batch is the optional batch
+    form of a scalar f (see SetValuedMap.func_batch).
     """
     if hasattr(f, "eval") and callable(getattr(f, "eval")):
         fe = f.eval
@@ -733,6 +786,11 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
     def func(x):
         return F.func(x) + fv(x) if F.func is not None else None
 
+    f_each = f_batch if f_batch is not None else _pointwise(fv)
+
+    def func_batch(z):
+        return batch_func(F)(z) + f_each(z)
+
     def grad_total(x):
         if F.grad is None:
             return None
@@ -753,6 +811,7 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
         analytic_normals=normals,
         feature_points=features if F.feature_points is not None else None,
         func=func if F.func is not None else None,
+        func_batch=func_batch if F.func is not None else None,
         grad=grad_total if F.grad is not None else None,
         name=name or f"{F.name}+perturbation",
         kind=F.kind,
@@ -819,101 +878,217 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     )
 
 
-def _nearest_root_1d(g, xv: float, r0: float, n_grid: int,
-                     max_doublings: int, tol: float) -> float:
-    """Distance from xv to the nearest zero of a scalar g, or inf.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Scans a grid of doubling width for sign changes (bisected to machine
-    accuracy) and for interior minima of |g| (golden-section refined, which
-    catches even-order touches like z**2). Once a root is found the grid is
-    re-centered on the remaining interval so a closer crossing between two
-    same-sign grid points is not missed.
+
+def _grids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Row p is np.linspace(lo[p], hi[p], n), bit for bit.
+
+    np.linspace with array endpoints switches every row to its zero-step
+    formula as soon as one row has a zero step, so those rows are made apart.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    grid = np.empty((len(lo), n))
+    flat = (hi - lo) / (n - 1) == 0
+    for rows in (flat, ~flat):
+        if rows.any():
+            grid[rows] = np.linspace(lo[rows], hi[rows], n, axis=1)
+    return grid
 
-    def scan(half_width: float) -> float:
-        grid = np.linspace(xv - half_width, xv + half_width, n_grid)
-        vals = [g(z) for z in grid]
-        found = math.inf
-        for j in range(len(grid) - 1):
-            z0, z1, g0, g1 = grid[j], grid[j + 1], vals[j], vals[j + 1]
-            if g0 == 0.0:
-                found = min(found, abs(xv - z0))
-                continue
-            if g0 * g1 < 0.0:
-                lo, hi, glo = z0, z1, g0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    gm = g(mid)
-                    if gm == 0.0 or (glo < 0.0) == (gm < 0.0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                found = min(found, abs(xv - 0.5 * (lo + hi)))
-        if vals and vals[-1] == 0.0:
-            found = min(found, abs(xv - grid[-1]))
-        for j in range(1, len(grid) - 1):
-            if abs(vals[j]) < abs(vals[j - 1]) and abs(vals[j]) <= abs(vals[j + 1]):
-                a, b = grid[j - 1], grid[j + 1]
-                c = b - invphi * (b - a)
-                d = a + invphi * (b - a)
-                gc, gd = abs(g(c)), abs(g(d))
-                for _ in range(90):
-                    if gc < gd:
-                        b, d, gd = d, c, gc
-                        c = b - invphi * (b - a)
-                        gc = abs(g(c))
-                    else:
-                        a, c, gc = c, d, gd
-                        d = a + invphi * (b - a)
-                        gd = abs(g(d))
-                zm = 0.5 * (a + b)
-                if abs(g(zm)) <= tol:
-                    found = min(found, abs(xv - zm))
-        return found
 
-    r = r0
-    for _ in range(max_doublings):
-        best = scan(r)
-        if best < math.inf:
-            for _ in range(3):
-                closer = scan(best)
-                if closer < best * (1.0 - 1e-9):
-                    best = closer
-                else:
-                    break
-            return best
-        r *= 2.0
-    return math.inf
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise bit equality (so -0.0 differs from 0.0 and a NaN equals itself)."""
+    return a.view(np.int64) == b.view(np.int64)
+
+
+def _bisect(g: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] after 80 bisection steps each.
+
+    g(z, k) is the residual of brackets k at points z; glo = g(lo). A step
+    whose midpoint equals the end it replaces leaves (lo, hi) unchanged, a
+    fixed point (glo stays g(lo)), so the bracket stops there with the
+    result it would end with.
+    """
+    out = np.empty(len(lo))
+    idx = np.arange(len(lo))
+    for _ in range(80):
+        if not idx.size:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid, idx)
+        up = (gm == 0.0) | ((glo < 0.0) == (gm < 0.0))
+        moved = ~_same(mid, np.where(up, lo, hi))
+        lo, hi, glo = np.where(up, mid, lo), np.where(up, hi, mid), np.where(up, gm, glo)
+        if not moved.all():
+            out[idx[~moved]] = 0.5 * (lo[~moved] + hi[~moved])
+            idx, lo, hi, glo = idx[moved], lo[moved], hi[moved], glo[moved]
+    out[idx] = 0.5 * (lo + hi)
+    return out
+
+
+def _golden(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Midpoints of [a, b] after 90 golden-section steps on |g| each.
+
+    g(z, k) is the residual of intervals k at points z. The state (a, b, c,
+    d) fixes |g| at c and d, so a step that leaves it unchanged is a fixed
+    point and the interval stops there.
+    """
+    out = np.empty(len(a))
+    idx = np.arange(len(a))
+    state = np.stack((a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a)))
+    gc, gd = np.abs(g(state[2], idx)), np.abs(g(state[3], idx))
+    for _ in range(90):
+        if not idx.size:
+            break
+        a, b, c, d = state
+        left = gc < gd  # keep [a, d], else [c, b]; one new probe p either way
+        a1, b1 = np.where(left, a, c), np.where(left, d, b)
+        w = _INVPHI * (b1 - a1)
+        p = np.where(left, b1 - w, a1 + w)
+        new = np.stack((a1, b1, np.where(left, p, d), np.where(left, c, p)))
+        gp = np.abs(g(p, idx))
+        gc, gd = np.where(left, gp, gd), np.where(left, gc, gp)
+        moved = ~_same(new, state).all(axis=0)
+        state = new
+        if not moved.all():
+            out[idx[~moved]] = 0.5 * (state[0, ~moved] + state[1, ~moved])
+            idx, state, gc, gd = idx[moved], state[:, moved], gc[moved], gd[moved]
+    out[idx] = 0.5 * (state[0] + state[1])
+    return out
+
+
+def _reach(xv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on |xv - z| as computed in floating point, over z in [lo, hi]."""
+    dlo, dhi = np.abs(xv - lo), np.abs(xv - hi)
+    inside = (lo <= xv) & (xv <= hi)
+    return np.where(inside, 0.0, np.minimum(dlo, dhi)), np.maximum(dlo, dhi)
+
+
+def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
+          tol: np.ndarray, n_grid: int) -> np.ndarray:
+    """Per row p, the distance from xv[p] to the nearest zero of
+    g(z) = fb(z) - yv[p] found on a grid of half width half[p], or inf.
+
+    Grid zeros count as they are; sign changes are bisected to machine
+    accuracy; interior minima of |g| are golden-section refined and count
+    when |g| <= tol[p] there, which catches even-order touches like z**2.
+    The result is a minimum: a bracket or minimum whose points all lie
+    farther from xv[p] than a distance already assured cannot change it, so
+    it is not refined.
+    """
+    m = len(xv)
+    grid = _grids(xv - half, xv + half, n_grid)
+    vals = fb(grid.ravel()).reshape(m, n_grid) - yv[:, None]
+    found = np.full(m, math.inf)
+
+    rows, cols = np.nonzero(vals == 0.0)
+    np.fmin.at(found, rows, np.abs(xv[rows] - grid[rows, cols]))
+
+    g0, g1 = vals[:, :-1], vals[:, 1:]
+    rows, cols = np.nonzero((g0 != 0.0) & (g0 * g1 < 0.0))
+    near, far = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 1])
+    assured = found.copy()
+    np.fmin.at(assured, rows, far)
+    keep = near <= assured[rows]
+    rows, cols = rows[keep], cols[keep]
+    y_br = yv[rows]
+    mids = _bisect(lambda z, k: fb(z) - y_br[k], grid[rows, cols], grid[rows, cols + 1],
+                   g0[rows, cols])
+    np.fmin.at(found, rows, np.abs(xv[rows] - mids))
+
+    mag = np.abs(vals)
+    rows, cols = np.nonzero((mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:]))
+    near, _ = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 2])
+    keep = near <= found[rows]
+    rows, cols = rows[keep], cols[keep]
+    y_min = yv[rows]
+    zm = _golden(lambda z, k: fb(z) - y_min[k], grid[rows, cols], grid[rows, cols + 2])
+    hit = np.abs(fb(zm) - y_min) <= tol[rows]
+    np.fmin.at(found, rows[hit], np.abs(xv[rows[hit]] - zm[hit]))
+    return found
+
+
+def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarray,
+                      tol: np.ndarray, n_grid: int, max_doublings: int) -> np.ndarray:
+    """Per pair p, the distance from xv[p] to the nearest zero of
+    z -> fb(z) - yv[p], or inf when none is found.
+
+    Each pair scans grids of doubling half width from r0[p] (see _scan).
+    Once a root is found the grid is re-centered on the remaining interval,
+    up to three times, so a closer crossing between two same-sign grid
+    points is not missed. Every round advances each unfinished pair by one
+    scan, and the scans of a round run together.
+    """
+    out = np.full(len(xv), math.inf)
+    half = np.array(r0, dtype=float)
+    best = np.full(len(xv), math.inf)
+    doublings = np.zeros(len(xv), dtype=int)
+    refines = np.zeros(len(xv), dtype=int)
+    live = np.arange(len(xv) if max_doublings > 0 else 0)
+    while live.size:
+        found = _scan(fb, xv[live], yv[live], half[live], tol[live], n_grid)
+        searching = np.isinf(best[live])
+        grow = searching & np.isinf(found)
+        closer = found < best[live] * (1.0 - 1e-9)  # the first root is closer than inf
+        half[live[grow]] *= 2.0
+        doublings[live[grow]] += 1
+        best[live[closer]] = half[live[closer]] = found[closer]
+        refines[live[closer & ~searching]] += 1
+        done = ((grow & (doublings[live] == max_doublings)) | ~(grow | closer)
+                | (refines[live] == 3))
+        out[live[done]] = best[live[done]]
+        live = live[~done]
+    return out
+
+
+def _scalar_graph(F: SetValuedMap) -> bool:
+    return F.func is not None and F.dim_x == 1 and F.dim_y == 1
+
+
+def preimage_distances_fallback(F: SetValuedMap, xs, ys, n_starts: int = 48,
+                                max_doublings: int = 8) -> np.ndarray:
+    """d(x, F^{-1}(y)) for every pair (x, y) of a scalar function graph at once.
+
+    The crossings of f - y are exactly the fiber, so a grid scan with
+    sign-change bisection and golden-section touch refinement resolves
+    accumulating fibers (reciprocal zero families and the like) to machine
+    accuracy. All pairs' evaluations of f go through one batch form of f
+    (batch_func), yet each result depends on its own pair alone, so it has
+    the bits that preimage_distance_fallback(F, x, y) gives.
+    """
+    if not _scalar_graph(F):
+        raise ValueError(f"{F.name}: the batched preimage fallback needs a scalar function graph")
+    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    tol = np.array([1e-10 * max(1.0, norm(y, F.kind)) for y in ys])
+    # pairs with x off the preimage of y; the others are at distance 0
+    off = np.array([not F.image_distance(x, y) <= t for x, y, t in zip(xs, ys, tol)], dtype=bool)
+    xv = np.array([float(x[0]) for x in xs])
+    yv = np.array([float(y[0]) for y in ys])
+    r0 = np.array([max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6)) for x in xs])
+    out = np.zeros(len(xs))
+    out[off] = _nearest_roots_1d(batch_func(F), xv[off], yv[off], r0[off], tol[off],
+                                 max(n_starts, 16), max_doublings)
+    return out
 
 
 def preimage_distance_fallback(F: SetValuedMap, x, y, n_starts: int = 48,
                                seed: int = 0x9E11, max_doublings: int = 8) -> float:
     """d(x, F^{-1}(y)) without an analytic preimage oracle.
 
-    Scalar function graphs get a grid scan with sign-change bisection and
-    golden-section touch refinement; the crossings of f - y are exactly the
-    fiber, so accumulating fibers (reciprocal zero families and the like)
-    are resolved to machine accuracy. Everything else falls back to seeded
+    Scalar function graphs are the one-pair case of
+    preimage_distances_fallback. Everything else falls back to seeded
     multi-start acceptance: lattice starts on balls of doubling radius
     around x, near-zero residuals bisected toward x. Returns inf when no
     approximate preimage point is found.
     """
+    if _scalar_graph(F):
+        return float(preimage_distances_fallback(F, [x], [y], n_starts, max_doublings)[0])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     tol = 1e-10 * max(1.0, norm(y, F.kind))
     if F.image_distance(x, y) <= tol:
         return 0.0
     r = max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6))
-    if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
-        xv = float(x[0])
-        yv = float(y[0])
-
-        def residual(z: float) -> float:
-            return float(F.func(np.array([z]))[0]) - yv
-
-        return _nearest_root_1d(residual, xv, r, max(n_starts, 16),
-                                max_doublings, tol)
     best = math.inf
     for i in range(max_doublings):
         starts = sample_annulus(x, 0.0, r, n_starts, derive_seed(seed, i), F.kind)
@@ -1109,7 +1284,8 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
             fn_map, _ = resolve_id(comb["fn"], {}, visited + (mid,))
             if not fn_map.single_valued:
                 raise ValueError(f"sum combinator needs a single-valued fn, got {comb['fn']!r}")
-            return sum_with_function(base_map, fn_map.func, grad=fn_map.grad, name=entry.id), entry
+            return sum_with_function(base_map, fn_map.func, grad=fn_map.grad, name=entry.id,
+                                     f_batch=fn_map.func_batch), entry
         raise ValueError(f"unknown combinator op {comb['op']!r}")
 
     mid = spec.get("id")
@@ -1127,7 +1303,7 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
             fn_map, _ = resolve_map_spec(fn_spec, kind=kind, registry=registry)
             if not fn_map.single_valued:
                 raise ValueError("sum wrap step needs a single-valued fn")
-            m = sum_with_function(m, fn_map.func, grad=fn_map.grad)
+            m = sum_with_function(m, fn_map.func, grad=fn_map.grad, f_batch=fn_map.func_batch)
         else:
             raise ValueError(f"unknown wrap op {op!r}")
     return m, entry

@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import NormContext, ScaleLadder, derive_seed, sample_annulus
-from .mappings import GraphPoint, SetValuedMap, preimage_distance_fallback
+from .mappings import (
+    GraphPoint,
+    SetValuedMap,
+    preimage_distance_fallback,
+    preimage_distances_fallback,
+)
 from .variational import CoderivElement, element_quotient, elements_at_point
 
 __all__ = [
@@ -208,6 +213,16 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
     return est.finalize()
 
 
+def _preimage_distances(F: SetValuedMap, xs: list, ys: list) -> list[float]:
+    """d(x, F^{-1}(y)) for each pair: the map's oracle if it has one, else
+    the batched fallback for scalar function graphs, else the per-pair one."""
+    if F.preimage_distance is not None:
+        return [F.preimage_distance(x, y) for x, y in zip(xs, ys)]
+    if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
+        return preimage_distances_fallback(F, xs, ys).tolist()
+    return [preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)]
+
+
 def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
                 pairs_per_scale: int | None = None) -> Estimate:
     """Metric regularity: liminf of d(y, F(x)) / d(x, F^{-1}(y)).
@@ -217,31 +232,27 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     contributes 0 (such maps are not regular at any rate).
     """
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
-    per_annulus: list[list[float]] = []
-    excluded = 0
+    pairs = []  # (annulus, d(y, F(x)), x, y) of the admissible pairs, in sampling order
     for j, (inner, outer) in enumerate(ladder.annuli()):
         xs = sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind)
         ys = sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind)
-        vals = []
         for x, y in zip(xs, ys):
             dimg = F.image_distance(x, y)
-            if dimg <= 1e-13 * outer:
-                excluded += 1
-                continue
-            if F.preimage_distance is not None:
-                dpre = F.preimage_distance(x, y)
-            else:
-                dpre = preimage_distance_fallback(F, x, y)
-            if dpre == 0.0:
-                excluded += 1
-                continue
-            if math.isinf(dpre):
-                vals.append(0.0 if not math.isinf(dimg) else math.nan)
-                continue
-            if math.isinf(dimg):
-                continue
-            vals.append(dimg / dpre)
-        per_annulus.append([v for v in vals if not math.isnan(v)])
+            if not dimg <= 1e-13 * outer:
+                pairs.append((j, dimg, x, y))
+    dpres = _preimage_distances(F, [p[2] for p in pairs], [p[3] for p in pairs])
+    per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
+    for (j, dimg, _, _), dpre in zip(pairs, dpres):
+        if dpre == 0.0:
+            continue
+        if math.isinf(dpre):
+            if not math.isinf(dimg):
+                per_annulus[j].append(0.0)
+            continue
+        if math.isinf(dimg):
+            continue
+        per_annulus[j].append(dimg / dpre)
+    per_annulus = [[v for v in vals if not math.isnan(v)] for vals in per_annulus]
     est = Estimate(name="rg")
     _fill_suffix_min(est, per_annulus, ladder)
     if all(len(v) == 0 for v in per_annulus):
@@ -258,22 +269,18 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
     maps like the zero map whose preimage has interior).
     """
     n = points_per_scale or min(ladder.samples_per_scale, 96)
-    per_annulus: list[list[float]] = []
+    points = []  # (annulus, d(yb, F(x)), x) of the x off the preimage, in sampling order
     for j, (inner, outer) in enumerate(ladder.annuli()):
-        xs = sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind)
-        vals = []
-        for x in xs:
+        for x in sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind):
             dimg = F.image_distance(x, base.y)
-            if dimg <= 1e-13 * outer:
-                continue  # x is in (or numerically on) the preimage
-            if F.preimage_distance is not None:
-                dpre = F.preimage_distance(x, base.y)
-            else:
-                dpre = preimage_distance_fallback(F, x, base.y)
-            if dpre == 0.0 or math.isinf(dimg):
-                continue
-            vals.append(dimg / dpre if not math.isinf(dpre) else 0.0)
-        per_annulus.append(vals)
+            if not dimg <= 1e-13 * outer:  # x at or numerically on the preimage is left out
+                points.append((j, dimg, x))
+    dpres = _preimage_distances(F, [p[2] for p in points], [base.y] * len(points))
+    per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
+    for (j, dimg, _), dpre in zip(points, dpres):
+        if dpre == 0.0 or math.isinf(dimg):
+            continue
+        per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
     est = Estimate(name="srg")
     _fill_suffix_min(est, per_annulus, ladder, empty_value=math.inf)
     if all(len(v) == 0 for v in per_annulus):

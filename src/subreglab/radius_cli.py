@@ -29,6 +29,7 @@ import time
 import numpy as np
 import yaml
 
+from . import __version__
 from .geometry import NormContext, ScaleLadder, derive_seed
 from .mappings import GraphPoint, catalog, resolve_map_spec, sum_with_function
 from .moduli import (
@@ -65,6 +66,7 @@ _TOP_KEYS = {"map", "task", "seed", "norm", "base_point", "ladder", "gamma",
 _LADDER_KEYS = {"r0", "theta", "depth", "samples"}
 _BUILD_KINDS = ("lip", "fclm", "ss", "ssr")
 _PIPELINE_MAPS = ("identity", "xsin", "interval", "zero")
+PAYLOAD_SCHEMA = 1  # raise when the payload's layout or meaning changes
 
 
 class ConfigError(ValueError):
@@ -652,24 +654,20 @@ def _summary_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(report: RunReport, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    payload = report.payload()
-    full = dict(payload)
-    full["timings"] = _sanitize(report.timings)
-    paths = {
-        "report": os.path.join(out_dir, "report.json"),
-        "csv": os.path.join(out_dir, "per_scale.csv"),
-        "summary": os.path.join(out_dir, "summary.txt"),
-    }
-    _atomic_write(paths["report"], json.dumps(full, indent=2, sort_keys=True) + "\n")
-    _atomic_write(paths["csv"], _csv_text(payload))
-    _atomic_write(paths["summary"], _summary_text(payload))
-    return paths
-
-
 def _cache_path(config: ExperimentConfig) -> str:
-    return os.path.join(config.output, "cache", config.digest() + ".json")
+    # the code version and payload schema keep payloads of other code apart
+    name = f"{config.digest()}-v{__version__}-p{PAYLOAD_SCHEMA}.json"
+    return os.path.join(config.output, "cache", name)
+
+
+def _read_cache(path: str) -> dict | None:
+    """The cached payload, or None for a missing, unreadable or corrupt file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def run_with_cache(config: ExperimentConfig) -> tuple[dict, bool]:
@@ -677,21 +675,19 @@ def run_with_cache(config: ExperimentConfig) -> tuple[dict, bool]:
 
     The three output files are (re)written on every call, cached or not, so
     the artifacts always reflect the requested config. Timings appear in
-    report.json only for fresh runs; a cache hit did no numeric work.
+    report.json only for fresh runs; a cache hit did no numeric work. A
+    cache file that cannot be read as a payload is recomputed and rewritten.
     """
     cpath = _cache_path(config)
     timings = None
-    if config.cache and os.path.exists(cpath):
-        with open(cpath) as fh:
-            payload = json.load(fh)
-        hit = True
-    else:
+    payload = _read_cache(cpath) if config.cache else None
+    hit = payload is not None
+    if not hit:
         report = run(config)
         payload = report.payload()
         timings = _sanitize(report.timings)
         os.makedirs(os.path.dirname(cpath), exist_ok=True)
         _atomic_write(cpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        hit = False
     full = dict(payload)
     if timings is not None:
         full["timings"] = timings

@@ -7,12 +7,14 @@ from conftest import setup_map
 from subreglab.geometry import NormContext, ScaleLadder
 from subreglab.mappings import (
     GraphPoint,
-    _nearest_root_1d,
+    _nearest_roots_1d,
+    batch_func,
     catalog,
     inverse,
     make_function_graph,
     make_square,
     preimage_distance_fallback,
+    preimage_distances_fallback,
     resolve_map_spec,
     sum_with_function,
 )
@@ -75,22 +77,96 @@ def test_square_preimage_closed_form():
     assert d == pytest.approx(0.4, abs=1e-9)
 
 
+def _roots(fb, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12):
+    """The batched root finder on pairs (xv[p], yv[p]) with common settings."""
+    xv = np.asarray(xv, dtype=float)
+    return _nearest_roots_1d(fb, xv, np.asarray(yv, dtype=float), np.full(len(xv), r0),
+                             np.full(len(xv), tol), n_grid, max_doublings)
+
+
+def _sin_recip(z):
+    nz = z != 0.0
+    return np.where(nz, np.sin(np.divide(1.0, z, out=np.zeros_like(z), where=nz)), 0.0)
+
+
 def test_nearest_root_linear_and_even_touch():
-    d = _nearest_root_1d(lambda z: z - 0.75, 0.5, 0.1, 64, 24, 1e-12)
+    d = _roots(lambda z: z, [0.5], [0.75], 0.1)[0]
     assert d == pytest.approx(0.25, abs=1e-10)
     # (z - 0.3)^2 never changes sign; the minimum search must still find it
-    d = _nearest_root_1d(lambda z: (z - 0.3) ** 2, 0.1, 0.05, 64, 24, 1e-12)
+    d = _roots(lambda z: (z - 0.3) ** 2, [0.1], [0.0], 0.05)[0]
     assert d == pytest.approx(0.2, abs=1e-8)
 
 
 def test_nearest_root_accumulating_zeros():
     # zeros of sin(1/z) at 1/(k pi); nearest to 1.5e-4 is the k below or above
     xv = 1.5e-4
-    g = lambda z: math.sin(1.0 / z) if z != 0.0 else 0.0
-    d = _nearest_root_1d(g, xv, 1e-5, 64, 24, 1e-12)
+    d = _roots(_sin_recip, [xv], [0.0], 1e-5)[0]
     ks = range(1, 100001)
     exact = min(abs(xv - 1.0 / (k * math.pi)) for k in ks)
     assert d == pytest.approx(exact, rel=1e-9)
+
+
+def _scalar_function_ids():
+    ids = []
+    for mid in ALL_IDS:
+        F, _ = resolve_map_spec({"id": mid})
+        if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
+            ids.append(mid)
+    return ids
+
+
+@pytest.mark.parametrize("mid", _scalar_function_ids())
+def test_batch_evaluator_matches_the_scalar_func_bit_for_bit(mid):
+    F, _ = resolve_map_spec({"id": mid})
+    mags = 10.0 ** np.random.default_rng(20260).uniform(-11.0, 1.0, 4000)
+    z = np.concatenate([mags, -mags, [0.0]])
+    scalar = np.array([float(F.func(np.array([v]))[0]) for v in z])
+    batch = batch_func(F)(z)
+    assert batch.shape == z.shape
+    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+def test_root_finder_gives_each_pair_the_result_it_gets_alone():
+    fb = lambda z: (z - 0.3) ** 2
+    # a pair whose zero is a grid point of its first scan
+    n_grid, r0, x_grid = 48, 0.05, 0.9
+    z0 = np.linspace(x_grid - r0, x_grid + r0, n_grid)[5]
+    xv = [0.1, 0.1, 0.1, x_grid, 5.0]
+    yv = [0.0,          # even touch at 0.3
+          -1.0,         # no root anywhere: inf
+          0.01,         # sign changes at 0.2 and 0.4
+          fb(z0),       # exact zero on the grid
+          0.0]          # the touch lies beyond many doublings
+    together = _roots(fb, xv, yv, r0, n_grid=n_grid)
+    alone = [_roots(fb, [x], [y], r0, n_grid=n_grid)[0] for x, y in zip(xv, yv)]
+    assert together.tolist() == alone
+    assert together[0] == pytest.approx(0.2, abs=1e-8)
+    assert together[1] == math.inf
+    assert together[2] == pytest.approx(0.1, abs=1e-12)
+    assert together[3] == abs(x_grid - z0)
+    assert together[4] == pytest.approx(4.7, abs=1e-8)
+
+
+@pytest.mark.parametrize("mid", ["xsin", "oscillating"])
+def test_map_without_a_batch_form_gives_the_same_distances(mid):
+    F, _ = resolve_map_spec({"id": mid})
+    assert F.func_batch is not None
+    user = make_function_graph(lambda x: F.func(x), name=f"user-{mid}")
+    assert user.func_batch is None
+    rng = np.random.default_rng(11)
+    xs = [np.array([v]) for v in rng.uniform(-0.3, 0.3, 40)]
+    ys = [np.array([v]) for v in rng.uniform(-0.05, 0.05, 40)]
+    ours = preimage_distances_fallback(F, xs, ys)
+    theirs = preimage_distances_fallback(user, xs, ys)
+    assert ours.tolist() == theirs.tolist()
+    assert [preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)] == ours.tolist()
+    assert (np.isfinite(ours) & (ours > 0.0)).sum() > 30
+
+
+def test_batched_fallback_refuses_maps_that_are_not_scalar_graphs():
+    F, _, _ = setup_map("spiral")
+    with pytest.raises(ValueError):
+        preimage_distances_fallback(F, [np.zeros(2)], [np.ones(2)])
 
 
 def test_xsin_fallback_resolves_the_reciprocal_fiber():

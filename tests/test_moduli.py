@@ -211,3 +211,78 @@ def test_eckart_young_check_on_a_random_matrix():
     sig = np.linalg.svd(A, compute_uv=False)[-1]
     assert out["sigma_min"] == pytest.approx(sig, rel=1e-12)
     assert out["ok"], out
+
+
+# per_scale values of rg and srg on the maps without a preimage oracle, as
+# hex floats, at ladder depth 8, 16 samples, seed 7. They pin the bits of
+# the preimage root finder (mappings._nearest_roots_1d) across code changes.
+_FALLBACK_PIN = {
+    ('xsin', 'rg'): [
+        '0x0.0p+0',
+        '0x0.0p+0',
+        '0x1.a6353a91ab894p-2',
+        '0x1.a6353a91ab894p-2',
+        '0x1.7bbbe2089aa11p-1',
+        '0x1.9ba3559f56bc6p-1',
+        '0x1.9ba3559f56bc6p-1',
+        '0x1.9ba3559f56bc6p-1',
+    ],
+    ('xsin', 'srg'): [
+        '0x1.42e5e8d966708p+1',
+        '0x1.80bf32bf4af04p+1',
+        '0x1.d6e98c399fa6fp+2',
+        '0x1.cc5d2002083c8p+3',
+        '0x1.b41bfa832c3a2p+4',
+        '0x1.a301ca3e47132p+5',
+        '0x1.c0653d282309ep+6',
+        '0x1.d52e293c71c90p+7',
+    ],
+    ('oscillating', 'rg'): [
+        '0x1.f95381e08a0c8p-6',
+        '0x1.0254d540cf52dp-5',
+        '0x1.0254d540cf52dp-5',
+        '0x1.0254d540cf52dp-5',
+        '0x1.0254d540cf52dp-5',
+        '0x1.5c9c39611c64cp-4',
+        '0x1.a0ec2198b62bdp-2',
+        '0x1.a0ec2198b62bdp-2',
+    ],
+    ('oscillating', 'srg'): [
+        '0x1.5be30a4b1377ap-1',
+        '0x1.5be30a4b1377ap-1',
+        '0x1.5be30a4b1377ap-1',
+        '0x1.5be30a4b1377ap-1',
+        '0x1.5be30a4b1377ap-1',
+        '0x1.0264f7f69cb9ap+0',
+        '0x1.18a1033f6c64dp+0',
+        '0x1.18a1033f6c64dp+0',
+    ],
+    ('square_plus_identity', 'rg'): [
+        '0x0.0p+0',
+        '0x1.8bac683dc7fe3p-2',
+        '0x1.7e30d40e06e77p-1',
+        '0x1.c69caf83b8c38p-1',
+        '0x1.e477aa15ce56fp-1',
+        '0x1.f361caca2ac6fp-1',
+        '0x1.f865a25eace6ep-1',
+        '0x1.fc55898227f29p-1',
+    ],
+    ('square_plus_identity', 'srg'): [
+        '0x1.04f8f80af3688p-1',
+        '0x1.8b376fdf8bc3dp-1',
+        '0x1.c315f8748f028p-1',
+        '0x1.e035772bad3e2p-1',
+        '0x1.f0c561456636fp-1',
+        '0x1.f88d1c3ba88fcp-1',
+        '0x1.fc596b31ff8d2p-1',
+        '0x1.fe0ea7109907bp-1',
+    ],
+}
+
+
+@pytest.mark.parametrize("mid,name", sorted(_FALLBACK_PIN))
+def test_fallback_moduli_bits_are_pinned(mid, name):
+    F, base, ctx = setup_map(mid)
+    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+    est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder, ctx)
+    assert [float(v).hex() for _, v in est.per_scale] == _FALLBACK_PIN[(mid, name)]

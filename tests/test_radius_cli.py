@@ -187,6 +187,43 @@ def test_cache_hit_skips_recomputation(tmp_path, capsys):
     assert "timings" in again
 
 
+def _fresh(tmp_path, path):
+    """Run the config; True when the run computed (report.json has timings)."""
+    assert cli.main(["run", path, "--format", "summary"]) == 0
+    return "timings" in json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+def test_cache_key_includes_the_code_version_and_payload_schema(tmp_path, capsys, monkeypatch):
+    cfg = {"map": "abs", "task": "moduli", "seed": 7,
+           "ladder": {"depth": 6, "samples": 64}, "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    assert _fresh(tmp_path, path)
+    assert not _fresh(tmp_path, path)
+    (name,) = os.listdir(tmp_path / "out" / "cache")
+    assert f"-v{cli.__version__}-p{cli.PAYLOAD_SCHEMA}." in name
+    # a payload cached by another version of the code is not served
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".other")
+    assert _fresh(tmp_path, path)
+    monkeypatch.setattr(cli, "PAYLOAD_SCHEMA", cli.PAYLOAD_SCHEMA + 1)
+    assert _fresh(tmp_path, path)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("junk", [b"{truncated", b"\xff\xfe not text", b"[1, 2]"])
+def test_corrupt_cache_file_is_recomputed_and_rewritten(tmp_path, capsys, junk):
+    cfg = {"map": "abs", "task": "moduli", "seed": 7,
+           "ladder": {"depth": 6, "samples": 64}, "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    assert _fresh(tmp_path, path)
+    (cache_file,) = (tmp_path / "out" / "cache").iterdir()
+    good = json.loads(cache_file.read_text())
+    cache_file.write_bytes(junk)
+    assert _fresh(tmp_path, path)
+    assert json.loads(cache_file.read_text()) == good
+    assert not _fresh(tmp_path, path)
+    capsys.readouterr()
+
+
 def test_payload_is_deterministic_across_fresh_runs(tmp_path, capsys):
     base = {"map": "xsin", "task": "moduli", "seed": 7,
             "ladder": {"depth": 8, "samples": 128}}
