@@ -286,3 +286,148 @@ def test_fallback_moduli_bits_are_pinned(mid, name):
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder, ctx)
     assert [float(v).hex() for _, v in est.per_scale] == _FALLBACK_PIN[(mid, name)]
+
+
+# per_scale values of the graph-sampled moduli clm, lip and ssrg, as hex
+# floats, at ladder depth 8, 16 samples, seed 7: xsin and oscillating are 1-D
+# maps with feature points, spiral (l2) takes lip's stride-pair branch. They
+# pin the per-annulus graph sampler and the suffix pooling across code changes.
+_GRAPH_PIN = {
+    ('oscillating', 'clm'): [
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.f64971a1a16f5p-1',
+        '0x1.557fdfcd55281p-1',
+    ],
+    ('oscillating', 'lip'): [
+        '0x1.6a08c9f7fb8bbp+0',
+        '0x1.6a08c9f7fb8bbp+0',
+        '0x1.6a08c9f7fb8bbp+0',
+        '0x1.69c8391bd5277p+0',
+        '0x1.69c8391bd5277p+0',
+        '0x1.69c8391bd5277p+0',
+        '0x1.69c8391bd5277p+0',
+        '0x1.677395cfcb5bcp+0',
+    ],
+    ('oscillating', 'ssrg'): [
+        '0x1.1a62633145c07p-53',
+        '0x1.1a62633145c07p-53',
+        '0x1.1a62633145c07p-53',
+        '0x1.1a62633145c07p-53',
+        '0x1.19ac51fd123c9p-3',
+        '0x1.19ac51fd123c9p-3',
+        '0x1.19ac51fd123c9p-3',
+        '0x1.19ac51fd123c9p-3',
+    ],
+    ('spiral', 'clm'): [
+        '0x1.fd556ac6ba9edp-2',
+        '0x1.f590950149e08p-3',
+        '0x1.f98bfa48059f5p-4',
+        '0x1.ffb9fac9a34c4p-5',
+        '0x1.eff2ff5a6e4c2p-6',
+        '0x1.f048c275d1857p-7',
+        '0x1.f70b67a9a5a36p-8',
+        '0x1.f2714f01b1d5ap-9',
+    ],
+    ('spiral', 'lip'): [
+        '0x1.cc41fc9dbaf68p-1',
+        '0x1.93bdeccc595e4p-2',
+        '0x1.a595489dae760p-3',
+        '0x1.9cb6e816d7b9ap-4',
+        '0x1.b1950345c2c57p-5',
+        '0x1.7561c6ded496fp-6',
+        '0x1.4faffbc516c67p-7',
+        '0x1.88cd3d0cf0296p-8',
+    ],
+    ('spiral', 'ssrg'): [
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+        '0x1.14b778c3e8c20p-9',
+    ],
+    ('xsin', 'clm'): [
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+    ],
+    ('xsin', 'lip'): [
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+        '0x1.4467675b33dc7p+8',
+    ],
+    ('xsin', 'ssrg'): [
+        '0x1.1a62633145c07p-53',
+        '0x1.1a62633145c07p-52',
+        '0x1.a79394c9e8a0ap-52',
+        '0x1.a79394c9e8a0ap-51',
+        '0x1.1abdbb9ea8e6ep-50',
+        '0x1.1abdbb9ea8e6ep-50',
+        '0x1.a7eeed374bc71p-48',
+        '0x1.1a7383c5c857ap-45',
+    ],
+}
+
+
+@pytest.mark.parametrize("mid,name", sorted(_GRAPH_PIN))
+def test_graph_moduli_bits_are_pinned(mid, name):
+    F, base, ctx = setup_map(mid, "l2" if mid == "spiral" else "l1")
+    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+    fn = {"clm": estimate_clm, "lip": estimate_lip, "ssrg": estimate_ssrg}[name]
+    est = fn(F, base, ladder, ctx)
+    assert [float(v).hex() for _, v in est.per_scale] == _GRAPH_PIN[(mid, name)]
+
+
+# ssrg witnesses as hex floats (x, then y, then ratio) at the same ladder: on
+# interval the exact zero quotients of the reciprocal fibers, up to four per
+# annulus; on spiral no quotient vanishes, so the one witness is the pooled
+# minimizer, the first one met from the innermost annulus outward
+_SSRG_WITNESS_PIN = {
+    ("interval", "l1"): [
+        ('0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.5555555555555p-2', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.999999999999ap-3', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.5555555555555p-3', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.2492492492492p-3', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p-3', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.c71c71c71c71cp-4', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.999999999999ap-4', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.745d1745d1746p-4', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p-4', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.e1e1e1e1e1e1ep-5', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.af286bca1af28p-5', '0x0.0p+0', '0x0.0p+0'),
+        ('0x1.999999999999ap-5', '0x0.0p+0', '0x0.0p+0'),
+    ],
+    ("spiral", "l2"): [
+        ('-0x1.e34a81467b521p-10', '-0x1.0da9cb65e0badp-10', '0x1.3a29f9b6557c8p-19', '0x1.fd15d602d0466p-19', '0x1.14b778c3e8c20p-9'),
+    ],
+}
+
+
+@pytest.mark.parametrize("mid,kind", sorted(_SSRG_WITNESS_PIN))
+def test_ssrg_witness_bits_are_pinned(mid, kind):
+    F, base, ctx = setup_map(mid, kind)
+    est = estimate_ssrg(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7), ctx)
+    got = [tuple(float(c).hex() for c in w["x"] + w["y"] + [w["ratio"]])
+           for w in est.witnesses]
+    assert got == _SSRG_WITNESS_PIN[(mid, kind)]

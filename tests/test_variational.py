@@ -139,3 +139,24 @@ def test_semismooth_star_on_a_smooth_graph_sees_curvature_decay():
     ctx = NormContext(kind="l1", dim_x=1, dim_y=1)
     rep = semismooth_star_test(F, base, ladder12(), ctx)
     assert rep.verdict == "pass"
+
+
+# semismooth_star_test rows on xsin as hex floats (delta, worst quotient,
+# element count) at ladder depth 8, 16 samples, seed 7
+_XSIN_SEMISMOOTH_PIN = [
+    ('0x1.0000000000000p-1', '0x1.ffffffffffffep-1', 500),
+    ('0x1.0000000000000p-2', '0x1.ffffffffffffep-1', 448),
+    ('0x1.0000000000000p-3', '0x1.ffffffffffffcp-1', 398),
+    ('0x1.0000000000000p-4', '0x1.ffffffffffff8p-1', 330),
+    ('0x1.0000000000000p-5', '0x1.ffffffffffff6p-1', 258),
+    ('0x1.0000000000000p-6', '0x1.ffffffffffff6p-1', 174),
+    ('0x1.0000000000000p-7', '0x1.fffffffffffcap-1', 104),
+    ('0x1.0000000000000p-8', '0x1.ffffffffffee2p-1', 22),
+]
+
+
+def test_semismooth_star_scales_are_pinned_on_xsin():
+    F, base, ctx = setup_map("xsin")
+    rep = semismooth_star_test(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7), ctx)
+    got = [(float(d).hex(), float(w).hex(), n) for d, w, n in rep.scales]
+    assert got == _XSIN_SEMISMOOTH_PIN
