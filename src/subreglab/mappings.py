@@ -16,13 +16,13 @@ still computed from the map's own oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .geometry import (
-    NormContext,
+    ScaleLadder,
     derive_seed,
     dual_sphere_grid,
     norm,
@@ -50,6 +50,7 @@ __all__ = [
     "inverse",
     "catalog",
     "resolve_map_spec",
+    "graph_annuli",
     "batch_func",
     "preimage_distance_fallback",
     "preimage_distances_fallback",
@@ -107,13 +108,27 @@ class SetValuedMap:
     func: Callable | None = None
     func_batch: Callable | None = None
     grad: Callable | None = None
-    closed_graph: bool = True
     name: str = "map"
     kind: str = "l1"
 
     @property
     def single_valued(self) -> bool:
         return self.func is not None
+
+
+def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int):
+    """Yield (j, inner, outer, points) for each annulus of the ladder, outermost first.
+
+    points is the map's graph sample of the annulus, drawn with seed
+    ladder.scale_seed(j, tag), followed by its feature points. One annulus
+    is held at a time.
+    """
+    for j, (inner, outer) in enumerate(ladder.annuli()):
+        pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
+                                  ladder.scale_seed(j, tag)))
+        if F.feature_points is not None:
+            pts.extend(F.feature_points(base.x, inner, outer))
+        yield j, inner, outer, pts
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +807,6 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
         return batch_func(F)(z) + f_each(z)
 
     def grad_total(x):
-        if F.grad is None:
-            return None
         a = F.grad(x)
         b = gv(x)
         if a is None or b is None:

@@ -31,10 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NormContext, ScaleLadder, derive_seed, sample_annulus
+from .geometry import NormContext, ScaleLadder, norm, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
+    graph_annuli,
     preimage_distance_fallback,
     preimage_distances_fallback,
 )
@@ -123,23 +124,36 @@ def _converged(vals: list[float]) -> bool:
 
 def _graph_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
                 extra_points: list[GraphPoint] | None = None) -> list[list[GraphPoint]]:
-    """Graph points per annulus (outermost first), features included."""
-    ctxn = F.kind
-    pools: list[list[GraphPoint]] = []
+    """Graph points per annulus (outermost first), features and extras included."""
     extras = list(extra_points or [])
-    from .geometry import norm
-
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                                  ladder.scale_seed(j, tag)))
-        if F.feature_points is not None:
-            pts.extend(F.feature_points(base.x, inner, outer))
-        for p in extras:
-            t = norm(p.x - base.x, ctxn)
-            if inner < t <= outer:
-                pts.append(p)
+    pools: list[list[GraphPoint]] = []
+    for _, inner, outer, pts in graph_annuli(F, base, ladder, tag):
+        pts.extend(p for p in extras if inner < norm(p.x - base.x, F.kind) <= outer)
         pools.append(pts)
     return pools
+
+
+def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: bool = False,
+                 empty: float = math.nan) -> tuple[list[tuple[float, float]], tuple | None]:
+    """Nested pooling: scale j takes the min (max when largest) over annuli j and inward.
+
+    The running value is carried from the innermost annulus outward. NaN
+    never wins a comparison and the first value met keeps a tie. A scale
+    reads empty until a value has been met; for a max, only a value that
+    raised it counts as met. Returns the (radius, value) pairs, outermost
+    first, and the (annulus, index) of the overall winner, or None.
+    """
+    acc = -math.inf if largest else math.inf
+    met, win = False, None
+    pooled = [empty] * ladder.depth
+    for j in range(ladder.depth - 1, -1, -1):
+        for i, v in enumerate(per_annulus[j]):
+            if (v > acc) if largest else (v < acc):
+                acc, win = v, (j, i)
+            met = met or not largest or win is not None
+        if met:
+            pooled[j] = acc
+    return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], win
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +174,7 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
             vals.append(F.image_distance(base.x, p.y) / t)
         per_annulus.append(vals)
     est = Estimate(name="clm")
-    suffix_max: list[float] = [math.nan] * ladder.depth
-    acc = -math.inf
-    for j in range(ladder.depth - 1, -1, -1):
-        for v in per_annulus[j]:
-            acc = max(acc, v)
-        suffix_max[j] = acc if acc > -math.inf else math.nan
-    for j in range(ladder.depth):
-        est.per_scale.append((ladder.radius(j), suffix_max[j]))
+    est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
 
 
@@ -199,17 +206,9 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
                 continue
             vals.append(F.image_distance(q.x, p.y) / sep)
             vals.append(F.image_distance(p.x, q.y) / sep)
-        per_annulus.append(vals)
+        per_annulus.append([v for v in vals if not math.isinf(v)])
     est = Estimate(name="lip")
-    acc = -math.inf
-    suffix = [math.nan] * ladder.depth
-    for j in range(ladder.depth - 1, -1, -1):
-        for v in per_annulus[j]:
-            if not math.isinf(v):
-                acc = max(acc, v)
-        suffix[j] = acc if acc > -math.inf else math.nan
-    for j in range(ladder.depth):
-        est.per_scale.append((ladder.radius(j), suffix[j]))
+    est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
 
 
@@ -254,7 +253,7 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
         per_annulus[j].append(dimg / dpre)
     per_annulus = [[v for v in vals if not math.isnan(v)] for vals in per_annulus]
     est = Estimate(name="rg")
-    _fill_suffix_min(est, per_annulus, ladder)
+    est.per_scale, _ = _pool_scales(per_annulus, ladder)
     if all(len(v) == 0 for v in per_annulus):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
     return est.finalize()
@@ -282,7 +281,7 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
             continue
         per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
     est = Estimate(name="srg")
-    _fill_suffix_min(est, per_annulus, ladder, empty_value=math.inf)
+    est.per_scale, _ = _pool_scales(per_annulus, ladder, empty=math.inf)
     if all(len(v) == 0 for v in per_annulus):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     return est.finalize()
@@ -295,53 +294,29 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: N
     A zero value is reported together with the witnessing graph points
     (distinct x with yb in F(x) arbitrarily close to the base).
     """
-    pools = _graph_pool(F, base, ladder, 53, extra_points)
-    per_annulus: list[list[tuple[float, GraphPoint]]] = []
-    for pts in pools:
-        vals = []
+    points: list[list[GraphPoint]] = []  # the graph points off the base, per annulus
+    per_annulus: list[list[float]] = []
+    for pts in _graph_pool(F, base, ladder, 53, extra_points):
+        points.append([])
+        per_annulus.append([])
         for p in pts:
             t = ctx.norm(p.x - base.x)
             if t == 0.0:
                 continue
-            vals.append((ctx.norm(p.y - base.y) / t, p))
-        per_annulus.append(vals)
+            points[-1].append(p)
+            per_annulus[-1].append(ctx.norm(p.y - base.y) / t)
     est = Estimate(name="ssrg")
-    acc = math.inf
-    best: GraphPoint | None = None
-    suffix: list[float] = [math.nan] * ladder.depth
-    keepers: list[list] = [[] for _ in range(ladder.depth)]
-    for j in range(ladder.depth - 1, -1, -1):
-        for v, p in per_annulus[j]:
-            if v < acc:
-                acc, best = v, p
-        suffix[j] = acc
-        keepers[j] = [p for v, p in per_annulus[j] if v <= 1e-12]
-    for j in range(ladder.depth):
-        est.per_scale.append((ladder.radius(j), suffix[j]))
+    est.per_scale, win = _pool_scales(per_annulus, ladder, empty=math.inf)
     est = est.finalize()
     wits = []
-    for j in range(ladder.depth):
-        for p in keepers[j][:4]:
-            wits.append({"x": p.x.tolist(), "y": p.y.tolist(), "ratio": 0.0})
-    if best is not None and not wits:
+    for pts, vals in zip(points, per_annulus):
+        keepers = [p for p, v in zip(pts, vals) if v <= 1e-12]
+        wits += [{"x": p.x.tolist(), "y": p.y.tolist(), "ratio": 0.0} for p in keepers[:4]]
+    if win is not None and not wits:
+        best = points[win[0]][win[1]]
         wits.append({"x": best.x.tolist(), "y": best.y.tolist(), "ratio": est.reported})
     est.witnesses = wits[:16]
     return est
-
-
-def _fill_suffix_min(est: Estimate, per_annulus: list[list[float]], ladder: ScaleLadder,
-                     empty_value: float = math.nan):
-    acc = math.inf
-    seen = False
-    suffix = [empty_value] * ladder.depth
-    for j in range(ladder.depth - 1, -1, -1):
-        for v in per_annulus[j]:
-            seen = True
-            if v < acc:
-                acc = v
-        suffix[j] = acc if seen else empty_value
-    for j in range(ladder.depth):
-        est.per_scale.append((ladder.radius(j), suffix[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +354,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, m_ystar)).encode())
     extras = list(extra_elements or [])
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                                  ladder.scale_seed(j, 61)))
-        if F.feature_points is not None:
-            pts.extend(F.feature_points(base.x, inner, outer))
+    for j, inner, outer, pts in graph_annuli(F, base, ladder, 61):
         recs: list[ElementRecord] = []
         elems: list[CoderivElement] = []
         for gp in pts:
@@ -400,8 +371,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
             if ysn == 0.0:
                 continue
             if abs(ysn - 1.0) > 1e-12:
-                e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn,
-                                   eps=e.eps, source=e.source, cert_radius=e.cert_radius)
+                e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
             recs.append(ElementRecord(
                 t=t,
                 ratio=ctx.norm(e.y - base.y) / t,

@@ -44,7 +44,7 @@ from .geometry import (
     norming_vector,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, make_function_graph, sum_with_function
+from .mappings import GraphPoint, SetValuedMap, graph_annuli, make_function_graph, sum_with_function
 from .moduli import (
     build_element_pool,
     estimate_clm,
@@ -52,7 +52,12 @@ from .moduli import (
     estimate_lip,
     estimate_ssrg,
 )
-from .variational import CoderivElement, positive_homogeneity_test, semismooth_star_test
+from .variational import (
+    CoderivElement,
+    element_quotient,
+    positive_homogeneity_test,
+    semismooth_star_test,
+)
 
 __all__ = [
     "WitnessError",
@@ -145,11 +150,7 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     cut = gamma * (1.0 - 1e-9)
     cands: list[dict] = []
     if kind == "ssr":
-        for j, (inner, outer) in enumerate(ladder.annuli()):
-            pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                                      ladder.scale_seed(j, 71)))
-            if F.feature_points is not None:
-                pts.extend(F.feature_points(base.x, inner, outer))
+        for j, inner, outer, pts in graph_annuli(F, base, ladder, 71):
             best: dict[tuple, dict] = {}
             for p in pts:
                 t = ctx.norm(p.x - base.x)
@@ -401,7 +402,12 @@ def _choose_mode(cands: list[dict], direction_mode: str) -> tuple[str, list[dict
 
 
 def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> list[str]:
-    """Check the witness invariants; returns human-readable violations."""
+    """Check the witness invariants; returns human-readable violations.
+
+    Each entry's t, ratio and xn (and q for the ss kind) are recomputed from
+    its points and the base; a stored value below the recomputed one is a
+    violation.
+    """
     ctx = ctx or seq.context()
     out: list[str] = []
     es = seq.entries
@@ -435,6 +441,15 @@ def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> li
         # entry's t can sit a factor 2 below r, hence 16 t here
         if seq.kind == "ss" and e.q > min(0.5, 16.0 * e.t) * (1.0 + 1e-12):
             out.append("ss entry defect exceeds its scale bound")
+        t = ctx.norm(e.x - seq.base.x)
+        actual = {"t": t, "ratio": ctx.norm(e.y - seq.base.y) / t if t > 0.0 else math.inf,
+                  "xn": ctx.dual_norm(e.x_star)}
+        if seq.kind == "ss":
+            actual["q"] = element_quotient(CoderivElement(e.x, e.y, e.y_star, e.x_star),
+                                           seq.base, ctx)
+        out += [f"entry {e.index} stores {name} {getattr(e, name):g} below the {v:g} "
+                f"its points give" for name, v in actual.items()
+                if not v <= getattr(e, name) * (1.0 + 1e-12)]
     if es and abs(worst - seq.gamma_prime) > 1e-12 * max(1.0, worst):
         out.append("gamma_prime is not the supremum of entry objectives")
     if not seq.gamma_prime < seq.gamma:
@@ -460,12 +475,11 @@ class Perturbation:
 
     eval(xb) = 0 and eval(x_k) = yb - y_k hold exactly; at most one bump or
     cone is active at any point (component_count counts them by brute
-    force, active_locator resolves the unique index or None). derivative
-    returns the Jacobian where f is differentiable; on the measure-zero
-    seams of the cap factors it returns None, except at case-2 cell
-    boundaries where it returns the one-sided (from coarser scale)
-    Jacobian, which is a genuine limiting derivative there. anchors are the
-    graph points (x_k, yb) of F + f; anchor_eps bounds the one-sided
+    force). derivative returns the Jacobian where f is differentiable; on
+    the measure-zero seams of the cap factors it returns None, except at
+    case-2 cell boundaries where it returns the one-sided (from coarser
+    scale) Jacobian, which is a genuine limiting derivative there. anchors
+    are the graph points (x_k, yb) of F + f; anchor_eps bounds the one-sided
     derivative gap at each anchor (zero for bump and case-1 builds).
     """
 
@@ -476,12 +490,10 @@ class Perturbation:
     gamma_prime: float
     gamma_dp: float
     witness: WitnessSequence
-    active_locator: Callable
     component_count: Callable
     anchors: list = field(default_factory=list)
     anchor_targets: list = field(default_factory=list)
     anchor_eps: list = field(default_factory=list)
-    probe_scales: list = field(default_factory=list)
     probes: list = field(default_factory=list)
     floor_radius: float = 0.0
     case: int | None = None
@@ -525,7 +537,9 @@ def load_perturbation(desc: dict) -> "Perturbation":
     """Rebuild a perturbation from describe() output.
 
     The builders are pure functions of the witness table and gamma, so the
-    reloaded perturbation evaluates bit-identically.
+    reloaded perturbation evaluates bit-identically. A description that
+    fails validate_witness (for example one whose stored stats understate
+    what its points give) raises WitnessError.
     """
     wd = desc["witness"]
     entries = [
@@ -548,6 +562,9 @@ def load_perturbation(desc: dict) -> "Perturbation":
         base=GraphPoint(_unhex_vec(wd["base_x"]), _unhex_vec(wd["base_y"])),
         norm_kind=wd["norm_kind"],
     )
+    problems = validate_witness(w)
+    if problems:
+        raise WitnessError("invalid witness: " + "; ".join(problems))
     gamma = float.fromhex(desc["gamma"])
     tag = desc["class_tag"]
     if tag == "lip":
@@ -625,11 +642,8 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
             jac -= np.outer(g, ds * (x - xs[k]) / d)
         return jac
 
-    probe_scales = []
     probes = []
     for k in range(len(es)):
-        ulp = float(np.max(np.spacing(np.abs(xs[k]) + ts[k])))
-        probe_scales.append(max(rho[k] * 1e-6, 16.0 * ulp))
         if rho[k] > 0.0:
             for frac in (0.35, 0.8):
                 for i in range(min(dim_x, 2)):
@@ -641,11 +655,11 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        active_locator=locate, component_count=count,
+        component_count=count,
         anchors=[(xs[k], base.y.copy()) for k in range(len(es))],
         anchor_targets=[base.y - e.y for e in es],
         anchor_eps=[0.0] * len(es),
-        probe_scales=probe_scales, probes=probes, floor_radius=0.0, case=None,
+        probes=probes, floor_radius=0.0, case=None,
         name=f"{tag} destabilizer", dim_x=dim_x, dim_y=dim_y, norm_kind=ctx.kind,
     )
 
@@ -792,12 +806,6 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         m = _l2(dx - alpha * cones[k]["w"]) / alpha
         return (dx, alpha, m) if m < _DEAD_ZONE + tau else None
 
-    def locate(x) -> int | None:
-        for k in range(len(cones)):
-            if _membership(x, k) is not None:
-                return k
-        return None
-
     def count(x) -> int:
         return sum(1 for k in range(len(cones)) if _membership(x, k) is not None)
 
@@ -835,23 +843,19 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
             return jac
         return np.zeros((dim_y, dim_x))
 
-    probe_scales = []
     probes = []
     for cone in cones:
-        e = cone["entry"]
-        ulp = float(np.max(np.spacing(np.abs(e.x) + cone["a"])))
-        probe_scales.append(max(tau * cone["a"] * 1e-5, 32.0 * ulp))
         for cfac in (0.6, 0.85, 1.3):
-            probes.append(base.x + cfac * (e.x - base.x))
+            probes.append(base.x + cfac * (cone["entry"].x - base.x))
 
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        active_locator=locate, component_count=count,
+        component_count=count,
         anchors=[(c["entry"].x, base.y.copy()) for c in cones],
         anchor_targets=[base.y - c["entry"].y for c in cones],
         anchor_eps=[0.0] * len(cones),
-        probe_scales=probe_scales, probes=probes, floor_radius=0.0, case=1,
+        probes=probes, floor_radius=0.0, case=1,
         name=f"{tag} destabilizer (cones)", dim_x=dim_x, dim_y=dim_y,
         norm_kind=ctx.kind,
     )
@@ -912,12 +916,6 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         if m >= _DEAD_ZONE + tau:
             return None
         return dx, alpha, m
-
-    def locate(x) -> int | None:
-        hit = _membership(x)
-        if hit is None:
-            return None
-        return min(_cell(hit[1]), len(bs) - 1)
 
     def count(x) -> int:
         return 0 if _membership(x) is None else 1
@@ -988,25 +986,20 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         gap = payload(i - 1, dxk, s["a"]) - payload(i, dxk, s["a"])
         anchor_eps.append(ctx.norm(gap) / (s["a"] * math.log(bs[i - 1] / bs[i])))
 
-    probe_scales = []
     probes = []
-    for i, s in enumerate(shells):
-        e = s["entry"]
-        ulp = float(np.max(np.spacing(np.abs(e.x) + s["a"])))
-        probe_scales.append(max(s["a"] * 1e-7, 32.0 * ulp))
-        if i + 1 < len(shells):
-            probes.append(base.x + math.sqrt(s["a"] * shells[i + 1]["a"]) * w_dir)
+    for s, s_next in zip(shells, shells[1:]):
+        probes.append(base.x + math.sqrt(s["a"] * s_next["a"]) * w_dir)
     probes.append(base.x + 1.3 * bs[0] * w_dir)
     probes.append(base.x + math.sqrt(floor * bs[-1]) * w_dir)
 
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        active_locator=locate, component_count=count,
+        component_count=count,
         anchors=[(s["entry"].x, base.y.copy()) for s in shells],
         anchor_targets=[base.y - s["entry"].y for s in shells],
         anchor_eps=anchor_eps,
-        probe_scales=probe_scales, probes=probes, floor_radius=floor, case=2,
+        probes=probes, floor_radius=floor, case=2,
         name=f"{tag} destabilizer (log cone)", dim_x=dim_x, dim_y=dim_y,
         norm_kind=ctx.kind,
     )
@@ -1195,34 +1188,27 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     if p.class_tag in ("fclm", "fclm_ss", "ssr"):
         fc = firmly_calm_test(p.eval, base.x, vlad, ctx, extra_points=extra)
         rep.firmly_calm_ok = fc["ok"]
-    if p.class_tag == "fclm_ss":
-        if p.case == 1:
-            ok, err = positive_homogeneity_test(p.eval, base.x, radius=1.0,
-                                                n_probes=1000, seed=11,
-                                                lambdas=(0.5, 2.0, 5.0),
-                                                rel_tol=1e-12, kind=ctx.kind)
-            rep.homogeneity_ok = ok
-            if not ok:
-                rep.notes.append(f"positive homogeneity violated at {err:.3e}")
-        else:
-            # the log-interpolation cells carry an O(1) defect at every
-            # scale between the anchors; the construction is semismooth*
-            # at the base because f vanishes identically below the floor,
-            # so the decay test has to sample that region before its tail
-            ss_lad = vlad
-            if p.floor_radius > 0.0:
-                extra = 0
-                while (vlad.radius(vlad.depth - 1 + extra) > 0.125 * p.floor_radius
-                       and vlad.depth + extra < 96):
-                    extra += 1
-                ss_lad = vlad.deepen(extra)
-            ss = semismooth_star_test(fgraph, fbase, ss_lad, ctx)
-            rep.semismooth_verdict = ss.verdict
-    if p.class_tag == "ssr" and p.case == 1:
+    if p.class_tag in ("fclm_ss", "ssr") and p.case == 1:
         ok, err = positive_homogeneity_test(p.eval, base.x, radius=1.0, n_probes=1000,
                                             seed=11, lambdas=(0.5, 2.0, 5.0),
                                             rel_tol=1e-12, kind=ctx.kind)
         rep.homogeneity_ok = ok
+        if not ok:
+            rep.notes.append(f"positive homogeneity violated at {err:.3e}")
+    elif p.class_tag == "fclm_ss":
+        # the log-interpolation cells carry an O(1) defect at every
+        # scale between the anchors; the construction is semismooth*
+        # at the base because f vanishes identically below the floor,
+        # so the decay test has to sample that region before its tail
+        ss_lad = vlad
+        if p.floor_radius > 0.0:
+            deeper = 0
+            while (vlad.radius(vlad.depth - 1 + deeper) > 0.125 * p.floor_radius
+                   and vlad.depth + deeper < 96):
+                deeper += 1
+            ss_lad = vlad.deepen(deeper)
+        ss = semismooth_star_test(fgraph, fbase, ss_lad, ctx)
+        rep.semismooth_verdict = ss.verdict
 
     # (e) destabilization of the sum
     G = sum_with_function(F, p, name=f"{F.name}+{p.class_tag}")
@@ -1242,7 +1228,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
             e = p.witness.entries[min(k, len(p.witness.entries) - 1)]
             shifted.append(CoderivElement(
                 np.asarray(xk, dtype=float).copy(), base.y.copy(), e.y_star.copy(),
-                e.x_star + jac.T @ e.y_star, eps=p.anchor_eps[k], source="analytic"))
+                e.x_star + jac.T @ e.y_star, eps=p.anchor_eps[k]))
         pool, pid = build_element_pool(G, base, vlad, ctx, extra_elements=shifted)
         est = estimate_constant("srg1p", pool, vlad, ctx, pid, base=base)
         rep.destabilization = list(est.per_scale)

@@ -56,8 +56,7 @@ from .perturb import (
 )
 from .variational import semismooth_star_test
 
-__all__ = ["ExperimentConfig", "RunReport", "ConfigError", "run",
-           "verify_radius_pipeline", "list_catalog", "main"]
+__all__ = ["ExperimentConfig", "RunReport", "ConfigError", "run", "list_catalog", "main"]
 
 TASKS = ("moduli", "constants", "relations", "semismooth", "build_perturbation",
          "verify_radius", "eckart_young")
@@ -65,7 +64,6 @@ _TOP_KEYS = {"map", "task", "seed", "norm", "base_point", "ladder", "gamma",
              "kind", "direction_mode", "matrices", "output", "cache", "format"}
 _LADDER_KEYS = {"r0", "theta", "depth", "samples"}
 _BUILD_KINDS = ("lip", "fclm", "ss", "ssr")
-_PIPELINE_MAPS = ("identity", "xsin", "interval", "zero")
 PAYLOAD_SCHEMA = 1  # raise when the payload's layout or meaning changes
 
 
@@ -193,9 +191,14 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"invalid direction_mode {direction_mode!r}")
     if task == "verify_radius":
         mid = (map_spec or {}).get("id")
-        if mid not in _PIPELINE_MAPS:
+        if mid not in _PIPELINES:
             raise ConfigError(
-                f"verify_radius supports maps {', '.join(_PIPELINE_MAPS)}; got {mid!r}")
+                f"verify_radius supports maps {', '.join(_PIPELINES)}; got {mid!r}")
+        # the checks judge the catalog map's reference values, so they run on
+        # that map alone
+        if "wrap" in map_spec or "params" in map_spec:
+            raise ConfigError("verify_radius checks the bare catalog map; "
+                              "'wrap' and 'params' are not allowed")
 
     matrices = raw.get("matrices", 50)
     if not isinstance(matrices, int) or matrices < 1:
@@ -338,7 +341,7 @@ def run(config: ExperimentConfig) -> RunReport:
     elif config.task == "build_perturbation":
         _task_build(config, F, base, ctx, ladder, report)
     elif config.task == "verify_radius":
-        _pipeline(config, F, entry, base, ctx, ladder, report)
+        _PIPELINES[entry.id](config, F, base, ctx, ladder, report)
         if any(not c["passed"] for c in report.checks):
             report.status = "verification_fail"
     timings["task_s"] = time.perf_counter() - t1
@@ -416,33 +419,6 @@ def _check(report: RunReport, inequality: str, passed: bool, slack: float, detai
     report.checks.append({"inequality": inequality, "passed": bool(passed),
                           "slack": float(slack), "detail": detail,
                           "marker": "exact"})
-
-
-def _pipeline(config: ExperimentConfig, F, entry, base, ctx, ladder, report: RunReport):
-    mid = entry.id if entry is not None else ""
-    if mid == "identity":
-        _pipeline_identity(config, F, base, ctx, ladder, report)
-    elif mid == "xsin":
-        _pipeline_xsin(config, F, base, ctx, ladder, report)
-    elif mid == "interval":
-        _pipeline_interval(config, F, base, ctx, ladder, report)
-    elif mid == "zero":
-        _pipeline_zero(config, F, base, ctx, ladder, report)
-
-
-def verify_radius_pipeline(config: ExperimentConfig) -> RunReport:
-    """Radius checks for a catalog entry with known reference values.
-
-    Every PASS/FAIL line names the inequality it instantiates and the
-    measured slack. The identity suite exercises the strong subregularity
-    equality (destabilizer just above the radius succeeds, below is
-    refused, calm perturbations below keep the quotient positive); xsin
-    contrasts the collapsed plain-fclm radius with the unit fclm+ss*
-    radius; the interval map pins the fclm radius at 1 through srg2; the
-    zero map pins the lip radius at 0.
-    """
-    cfg = dataclasses.replace(config, task="verify_radius")
-    return run(cfg)
 
 
 def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
@@ -573,6 +549,16 @@ def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
     except WitnessError as err:
         _check(report, "lip radius equals 0: destabilizer builds at gamma = 0.01",
                False, 0.01, f"refused: {err}")
+
+
+# the radius checks of each catalog map with known reference values; every
+# PASS/FAIL line names the inequality it instantiates and the measured slack
+_PIPELINES = {
+    "identity": _pipeline_identity,
+    "xsin": _pipeline_xsin,
+    "interval": _pipeline_interval,
+    "zero": _pipeline_zero,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Elements are pairs: a graph point (x, y) together with a dual pair
 (x*, y*) such that (x*, -y*) is an eps-normal to the graph at (x, y).
-Analytic oracles produce elements with eps = 0; sampled certification
-produces a finite-scale eps bound. All dual norms are the product dual
-max norm of the ambient context.
+Analytic oracles produce elements with eps = 0; transporting an element
+through a perturbation (coderivative_shift) inflates eps. All dual norms
+are the product dual max norm of the ambient context.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import numpy as np
 from .geometry import (
     NormContext,
     ScaleLadder,
-    derive_seed,
     dual_sphere_grid,
     norm,
     operator_norm,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap
+from .mappings import GraphPoint, SetValuedMap, graph_annuli
 
 __all__ = [
     "CoderivElement",
@@ -31,25 +30,19 @@ __all__ = [
     "eps_normal_quotient",
     "element_quotient",
     "elements_at_point",
-    "sample_coderivative_elements",
     "coderivative_shift",
     "calm_shift_bound",
     "semismooth_star_test",
-    "directional_ss_criterion",
     "positive_homogeneity_test",
 ]
 
-_MAGS = tuple(2.0**p for p in range(-8, 9))
-
-
 @dataclass
 class CoderivElement:
-    """A certified coderivative element at a graph point.
+    """A coderivative element at a graph point.
 
     eps bounds the normal defect: the pair (x*, -y*) supports the graph at
     (x, y) up to eps * ||(x*, y*)|| * ||(u, v) - (x, y)||. Analytic elements
-    carry eps = 0; sampled ones carry the certified bound together with the
-    radius it was checked on.
+    carry eps = 0.
     """
 
     x: np.ndarray
@@ -57,8 +50,6 @@ class CoderivElement:
     y_star: np.ndarray
     x_star: np.ndarray
     eps: float = 0.0
-    source: str = "analytic"
-    cert_radius: float = math.inf
 
 
 @dataclass
@@ -144,60 +135,6 @@ def elements_at_point(F: SetValuedMap, gp: GraphPoint, ctx: NormContext,
     return out
 
 
-def sample_coderivative_elements(F: SetValuedMap, center: GraphPoint, r_inner: float,
-                                 r_outer: float, n: int, seed: int, ctx: NormContext,
-                                 m_ystar: int = 8, m_xdir: int = 6,
-                                 eps_budget: float = 0.25, cert_samples: int = 128,
-                                 use_oracle: bool = True) -> list[CoderivElement]:
-    """Elements at sampled graph points in an annulus around the center.
-
-    Analytic oracles are used where available. Otherwise candidate x* on a
-    direction grid across a dyadic magnitude ladder are certified by
-    eps_normal_quotient at radius t/2 and kept when the defect is within
-    eps_budget. Sampled certification is expensive; estimator pipelines
-    normally run on oracle-backed maps and use this path only as a check.
-    """
-    pts = list(F.sample_graph(center, r_inner, r_outer, n, seed))
-    if F.feature_points is not None:
-        pts.extend(F.feature_points(center.x, r_inner, r_outer))
-    out: list[CoderivElement] = []
-    for i, gp in enumerate(pts):
-        t = ctx.norm(gp.x - center.x)
-        if use_oracle:
-            got = elements_at_point(F, gp, ctx, m_ystar)
-            if got:
-                out.extend(got)
-                continue
-            if F.analytic_normals is not None or F.analytic_coderivative is not None:
-                # oracle answered with an empty coderivative
-                oracle_known = _oracle_claims_empty(F, gp, ctx, m_ystar)
-                if oracle_known:
-                    continue
-        radius = max(t / 2.0, r_inner / 4.0, 1e-12)
-        for ys in dual_sphere_grid(ctx.dual, F.dim_y, m_ystar):
-            for d in dual_sphere_grid(ctx.dual, F.dim_x, m_xdir):
-                for mag in _MAGS:
-                    xs = mag * d
-                    q, cnt = eps_normal_quotient(F, gp, xs, ys, radius, ctx,
-                                                 cert_samples, derive_seed(seed, i, 5))
-                    if cnt and q <= eps_budget:
-                        out.append(CoderivElement(gp.x, gp.y, ys.copy(), xs, eps=q,
-                                                  source="sampled", cert_radius=radius))
-    return out
-
-
-def _oracle_claims_empty(F: SetValuedMap, gp: GraphPoint, ctx: NormContext, m_ystar: int) -> bool:
-    if F.analytic_normals is not None and F.analytic_normals(gp.x, gp.y, m_ystar) is not None:
-        return True
-    if F.analytic_coderivative is None:
-        return False
-    answered = False
-    for ys in dual_sphere_grid(ctx.dual, F.dim_y, m_ystar):
-        if F.analytic_coderivative(gp.x, gp.y, ys) is not None:
-            answered = True
-    return answered
-
-
 def coderivative_shift(elem: CoderivElement, grad: np.ndarray, f_x: np.ndarray,
                        ctx: NormContext, sign: float = 1.0) -> CoderivElement:
     """Transport an element of F to an element of F + f (sign=+1) or back.
@@ -211,7 +148,7 @@ def coderivative_shift(elem: CoderivElement, grad: np.ndarray, f_x: np.ndarray,
     x_star = elem.x_star + sign * (grad.T @ elem.y_star)
     eps = (operator_norm(grad, ctx.kind) + 1.0) * elem.eps
     return CoderivElement(elem.x.copy(), elem.y + sign * f_x, elem.y_star.copy(), x_star,
-                          eps=eps, source=elem.source, cert_radius=elem.cert_radius)
+                          eps=eps)
 
 
 def calm_shift_bound(eps: float, calm_const: float, y_star_norm: float = 1.0) -> float:
@@ -242,11 +179,7 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     elems: list[CoderivElement] = []
     quots: list[float] = []
     dists: list[float] = []
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                                  ladder.scale_seed(j, 17)))
-        if F.feature_points is not None:
-            pts.extend(F.feature_points(base.x, inner, outer))
+    for _, _, _, pts in graph_annuli(F, base, ladder, 17):
         for gp in pts:
             for e in elements_at_point(F, gp, ctx, m_ystar):
                 d = ctx.product_norm(e.x - base.x, e.y - base.y)
@@ -286,46 +219,6 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
             "x_star": e.x_star.tolist(), "y_star": e.y_star.tolist(),
             "quotient": quots[worst_idx_finest],
         }
-    return report
-
-
-def directional_ss_criterion(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                             ctx: NormContext, fd_step: float = 1e-7) -> SemismoothReport:
-    """One-sided directional check for single-valued maps.
-
-    Compares increments f(x) - f(xb) against one-sided directional
-    derivatives taken at x toward and away from the base; the defect decays
-    with scale exactly for graphically semismooth single-valued maps.
-    """
-    if not F.single_valued:
-        raise ValueError("the directional criterion applies to single-valued maps")
-    report = SemismoothReport()
-    fb = F.func(base.x)
-    pooled: list[tuple[float, float]] = []
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        xs = sample_annulus(base.x, inner, outer, ladder.samples_per_scale,
-                            ladder.scale_seed(j, 23), ctx.kind)
-        for x in xs:
-            d = x - base.x
-            t = ctx.norm(d)
-            if t == 0.0:
-                continue
-            fx = F.func(x)
-            tau = fd_step
-            der_to = (F.func(x + tau * d) - fx) / tau
-            der_from = (F.func(x - tau * d) - fx) / tau
-            num = max(ctx.norm(fx - fb - der_to), ctx.norm(fx - fb + der_from))
-            den = ctx.norm(fx - fb) + t
-            pooled.append((t, num / den))
-    for j in range(ladder.depth):
-        r = ladder.radius(j)
-        vals = [q for t, q in pooled if t <= r]
-        report.scales.append((r, max(vals) if vals else math.nan, len(vals)))
-    usable = [w for _, w, c in report.scales if c > 0]
-    if len(usable) < 3:
-        report.verdict = "inconclusive"
-        return report
-    report.verdict = "pass" if (usable[-1] <= 0.05 and usable[-2] <= 0.05) else "fail"
     return report
 
 

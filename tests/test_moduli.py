@@ -8,6 +8,7 @@ from subreglab.geometry import NormContext, ScaleLadder
 from subreglab.mappings import GraphPoint, make_linear_map
 from subreglab.moduli import (
     Estimate,
+    _pool_scales,
     check_relations,
     eckart_young_check,
     estimate_all_constants,
@@ -431,3 +432,68 @@ def test_ssrg_witness_bits_are_pinned(mid, kind):
     got = [tuple(float(c).hex() for c in w["x"] + w["y"] + [w["ratio"]])
            for w in est.witnesses]
     assert got == _SSRG_WITNESS_PIN[(mid, kind)]
+
+
+# the five suffix loops that _pool_scales replaced, as they were written in
+# estimate_clm, estimate_lip, _fill_suffix_min (rg, srg) and estimate_ssrg
+def _loop_max(per_annulus, skip_inf):
+    acc, out = -math.inf, []
+    for vals in reversed(per_annulus):
+        for v in vals:
+            if not (skip_inf and math.isinf(v)):
+                acc = max(acc, v)
+        out.append(acc if acc > -math.inf else math.nan)
+    return out[::-1]
+
+
+def _loop_min(per_annulus, empty):
+    acc, seen, out = math.inf, False, []
+    for vals in reversed(per_annulus):
+        for v in vals:
+            seen = True
+            if v < acc:
+                acc = v
+        out.append(acc if seen else empty)
+    return out[::-1]
+
+
+def _loop_ssrg(per_annulus):
+    acc, best, out = math.inf, None, []
+    for j in range(len(per_annulus) - 1, -1, -1):
+        for i, v in enumerate(per_annulus[j]):
+            if v < acc:
+                acc, best = v, (j, i)
+        out.append(acc)
+    return out[::-1], best
+
+
+def _random_annuli(rng):
+    atoms = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 1.0, 2.0]
+    return [[atoms[k] for k in rng.integers(0, len(atoms), rng.integers(0, 4))]
+            for _ in range(int(rng.integers(1, 6)))]
+
+
+def _check_pool_scales(per_annulus):
+    depth = len(per_annulus)
+    ladder = ScaleLadder(depth=depth, samples_per_scale=1, seed=0)
+    no_inf = [[v for v in vals if not math.isinf(v)] for vals in per_annulus]
+    ssrg, ssrg_win = _loop_ssrg(per_annulus)
+    cases = [
+        (dict(largest=True), per_annulus, _loop_max(per_annulus, False)),  # clm
+        (dict(largest=True), no_inf, _loop_max(per_annulus, True)),  # lip
+        ({}, per_annulus, _loop_min(per_annulus, math.nan)),  # rg
+        (dict(empty=math.inf), per_annulus, _loop_min(per_annulus, math.inf)),  # srg
+        (dict(empty=math.inf), per_annulus, ssrg),  # ssrg
+    ]
+    for kwargs, vals, want in cases:
+        got, win = _pool_scales(vals, ladder, **kwargs)
+        assert [r for r, _ in got] == [ladder.radius(j) for j in range(depth)]
+        assert [float(v).hex() for _, v in got] == [float(v).hex() for v in want], \
+            (per_annulus, kwargs)
+    assert win == ssrg_win
+
+
+def test_pool_scales_matches_the_loops_it_replaced():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        _check_pool_scales(_random_annuli(rng))

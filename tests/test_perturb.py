@@ -194,6 +194,31 @@ def test_tampered_description_is_rejected():
         load_perturbation(desc)
 
 
+def test_description_with_understated_stats_is_rejected():
+    # halved ratios and dual norms would certify a lip constant half the
+    # true one; the stored points give the real values back
+    F, base, ctx = setup_map("identity")
+    lad = ScaleLadder(depth=12, samples_per_scale=128, seed=7)
+    p = build_lip_perturbation(extract_witness(F, base, "lip", 2.5, lad, ctx), 2.5)
+    desc = json.loads(json.dumps(p.describe()))
+    for d in desc["witness"]["entries"]:
+        for key in ("ratio", "xn"):
+            d[key] = (0.5 * float.fromhex(d[key])).hex()
+    desc["witness"]["gamma_prime"] = (0.5 * float.fromhex(desc["witness"]["gamma_prime"])).hex()
+    desc["gamma"] = float(1.3).hex()
+    with pytest.raises(WitnessError, match="ratio"):
+        load_perturbation(desc)
+
+
+def test_description_violating_a_witness_invariant_is_rejected():
+    F, base, ctx, lad, p = _build("identity", "lip", 2.5)
+    desc = json.loads(json.dumps(p.describe()))
+    d = desc["witness"]["entries"][0]
+    d["y_star"] = [(2.0 * float.fromhex(c)).hex() for c in d["y_star"]]
+    with pytest.raises(WitnessError, match="unit sphere"):
+        load_perturbation(desc)
+
+
 def test_firmly_calm_accepts_a_kinked_but_calm_function():
     f = lambda x: np.array([abs(x[0])])
     out = firmly_calm_test(f, np.zeros(1), ladder12(),

@@ -163,6 +163,22 @@ def test_verify_radius_pipeline_zero_map(tmp_path, capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("spec", [
+    {"id": "zero", "wrap": [{"op": "sum", "fn": {"id": "identity"}}]},
+    {"id": "identity", "params": {"dim": 1}},
+])
+def test_verify_radius_refuses_a_wrapped_or_parametrized_map(tmp_path, capsys, spec):
+    # the checks judge the catalog map's own reference values
+    code, out = _run(tmp_path, capsys, {
+        "map": spec, "task": "verify_radius", "seed": 7,
+        "ladder": {"depth": 10, "samples": 64},
+    })
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "config"
+    assert "bare catalog map" in err["message"]
+
+
 def test_cache_hit_skips_recomputation(tmp_path, capsys):
     cfg = {"map": "abs", "task": "moduli", "seed": 7,
            "ladder": {"depth": 8, "samples": 128},
