@@ -19,8 +19,10 @@ with objectives max(ratio, ||x*||) for srg1/srg3, ratio for srg2/srg4 and
 their plus variants, and ratio + ||x*|| for srg1p. On analytic pools
 (eps = 0) the guards are vacuous, so the plus variants coincide with their
 base forms except srg1p, whose objective genuinely differs. hatsrg and
-hatsrgp recompute srg1/srg1p per direction bucket and take the worst-case
-direction, cross-checking the unbucketed values.
+hatsrgp are srg1 and srg1p, bit for bit: they were meant to cross-check
+them direction by direction, but the min over primal-direction buckets of
+each bucket's min is the overall min, so the |srg1 - hatsrg| and
+|srg1p - hatsrgp| consistency rows of check_relations always read 0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,15 @@ from .mappings import (
     preimage_distance_fallback,
     preimage_distances_fallback,
 )
-from .variational import CoderivElement, element_quotient, elements_at_point
+# element_quotient is not called here (build_element_pool shares its
+# per-point parts through defect_quotient); it stays importable from moduli
+# because perfbench's layer trace counts calls through moduli.element_quotient
+from .variational import (  # noqa: F401
+    CoderivElement,
+    defect_quotient,
+    element_quotient,
+    elements_at_point,
+)
 
 __all__ = [
     "Estimate",
@@ -345,6 +355,11 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     cannot be, and are excluded: the constants quantify over unit y*).
     Estimates computed from the same pool share the pool id, which is what
     check_relations uses to refuse cross-pool comparisons.
+
+    The elements of one graph point share x and y, so t, the ratio and the
+    product distance of the quotient are computed once per point; every
+    value comes from the same geometry call on the same operands as a
+    per-element computation would make.
     """
     pools: list[list[ElementRecord]] = []
     h = hashlib.sha256()
@@ -355,105 +370,85 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                    ladder.seed, m_ystar)).encode())
     extras = list(extra_elements or [])
     for j, inner, outer, pts in graph_annuli(F, base, ladder, 61):
+        # (x, y, elements at (x, y)) in record order: sampled points, then extras
+        groups = [(gp.x, gp.y, elements_at_point(F, gp, ctx, m_ystar)) for gp in pts]
+        groups += [(e.x, e.y, [e]) for e in extras if inner < ctx.norm(e.x - base.x) <= outer]
         recs: list[ElementRecord] = []
-        elems: list[CoderivElement] = []
-        for gp in pts:
-            elems.extend(elements_at_point(F, gp, ctx, m_ystar))
-        for e in extras:
-            t = ctx.norm(e.x - base.x)
-            if inner < t <= outer:
-                elems.append(e)
-        for e in elems:
-            t = ctx.norm(e.x - base.x)
+        for x, y, elems in groups:
+            du = x - base.x
+            t = ctx.norm(du)
             if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
                 continue
-            ysn = ctx.dual_norm(e.y_star)
-            if ysn == 0.0:
-                continue
-            if abs(ysn - 1.0) > 1e-12:
-                e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
-            recs.append(ElementRecord(
-                t=t,
-                ratio=ctx.norm(e.y - base.y) / t,
-                xn=ctx.dual_norm(e.x_star),
-                q=element_quotient(e, base, ctx),
-                eps=e.eps,
-                annulus=j,
-                elem=e,
-            ))
+            dv = y - base.y
+            yn = ctx.norm(dv)
+            ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
+            for e in elems:
+                ysn = ctx.dual_norm(e.y_star)
+                if ysn == 0.0:
+                    continue
+                if abs(ysn - 1.0) > 1e-12:
+                    e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
+                    ysn = ctx.dual_norm(e.y_star)
+                xn = ctx.dual_norm(e.x_star)
+                # max(xn, ysn) is ctx.product_norm_dual(e.x_star, e.y_star)
+                q = defect_quotient(e.x_star, e.y_star, du, dv, max(xn, ysn), dist)
+                recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps,
+                                          annulus=j, elem=e))
         pools.append(recs)
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
 
-def _eligible(rec: ElementRecord, kind: str, r: float) -> bool:
-    if rec.eps > r:
-        return False
-    if kind in ("srg3", "srg4", "srg4p") and rec.q > r:
-        return False
-    if kind in ("srg2p", "srg4p") and rec.eps * rec.xn > r:
-        return False
-    return True
-
-
-def _objective(rec: ElementRecord, kind: str) -> float:
-    if kind in ("srg1", "srg3", "hatsrg"):
-        return max(rec.ratio, rec.xn)
-    if kind in ("srg1p", "hatsrgp"):
-        return rec.ratio + rec.xn
-    return rec.ratio
-
-
-def _bucket_key(rec: ElementRecord, base: GraphPoint, width: float = 0.25) -> tuple:
-    u = (rec.elem.x - base.x) / rec.t
-    return tuple(int(round(float(c) / width)) for c in u)
-
-
 def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleLadder,
-                      ctx: NormContext, pool_id: str = "",
-                      base: GraphPoint | None = None) -> Estimate:
+                      ctx: NormContext, pool_id: str = "") -> Estimate:
     """One primal-dual constant from a prebuilt element pool.
 
-    Scale-j pools every annulus k >= j, restricted by the kind's
-    eligibility filters at radius r_j; an empty pool yields +inf at that
-    scale. hatsrg/hatsrgp additionally bucket by primal direction and take
-    the min over buckets of the bucket's innermost pooled value.
+    Scale j takes the min of the kind's objective over the records of
+    annuli k >= j with t <= r_j (1 + 1e-12) that pass the kind's filters at
+    r_j; with no such record the value is +inf. A NaN objective never wins,
+    and a tie keeps the first record in pool order. hatsrg and hatsrgp are
+    srg1 and srg1p: the min over direction buckets of each bucket's min is
+    the overall min.
+
+    The witness is the record that wins the largest scale j whose min over
+    annuli max(j, depth-2) and inward is strictly below its min over annuli
+    j .. depth-3 (the first record in pool order at that value); there is
+    none when no scale has one, and none for hatsrg and hatsrgp.
     """
     if kind not in CONSTANT_KINDS:
         raise ValueError(f"unknown constant kind {kind!r}")
     est = Estimate(name=kind, pool_id=pool_id)
     depth = ladder.depth
-    bucketed = kind in ("hatsrg", "hatsrgp")
-    if bucketed and base is None:
-        raise ValueError("bucketed constants need the base point")
-    witness: ElementRecord | None = None
+    recs = [rec for annulus in pool[:depth] for rec in annulus]
+    t, ratio, xn, q, eps = (np.fromiter((getattr(rec, a) for rec in recs), float, len(recs))
+                            for a in ("t", "ratio", "xn", "q", "eps"))
+    start = np.cumsum([0] + [len(annulus) for annulus in pool[:depth]]).tolist()
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN, as floats do
+        if kind in ("srg1", "srg3", "hatsrg"):
+            obj = np.where(xn > ratio, xn, ratio)  # max(ratio, xn): ratio unless xn is larger
+        elif kind in ("srg1p", "hatsrgp"):
+            obj = ratio + xn
+        else:
+            obj = ratio
+        eps_xn = eps * xn
+    valid = ~np.isnan(obj)
+    witness = None
     for j in range(depth):
         r = ladder.radius(j)
-        if not bucketed:
-            best = math.inf
-            for k in range(j, depth):
-                for rec in pool[k]:
-                    if rec.t > r * (1 + 1e-12) or not _eligible(rec, kind, r):
-                        continue
-                    v = _objective(rec, kind)
-                    if v < best:
-                        best = v
-                        if j == depth - 1 or k >= depth - 2:
-                            witness = rec
-            est.per_scale.append((r, best))
-        else:
-            buckets: dict[tuple, float] = {}
-            for k in range(j, depth):
-                for rec in pool[k]:
-                    if rec.t > r * (1 + 1e-12) or not _eligible(rec, kind, r):
-                        continue
-                    key = _bucket_key(rec, base)
-                    v = _objective(rec, kind)
-                    if key not in buckets or v < buckets[key]:
-                        buckets[key] = v
-            est.per_scale.append((r, min(buckets.values()) if buckets else math.inf))
+        # each test negates a rejection, so a NaN t, q or eps passes it
+        ok = valid & ~(t > r * (1 + 1e-12)) & ~(eps > r)
+        if kind in ("srg3", "srg4", "srg4p"):
+            ok &= ~(q > r)
+        if kind in ("srg2p", "srg4p"):
+            ok &= ~(eps_xn > r)
+        best, _ = _first_min(obj, ok, start[j], len(recs))
+        est.per_scale.append((r, best))
+        cut = start[max(j, depth - 2)]
+        inner, i = _first_min(obj, ok, cut, len(recs))
+        if inner < _first_min(obj, ok, start[j], cut)[0]:
+            witness = recs[i]
     est = est.finalize()
-    if witness is not None:
+    if witness is not None and kind not in ("hatsrg", "hatsrgp"):
         e = witness.elem
         est.witnesses = [{
             "x": e.x.tolist(), "y": e.y.tolist(), "x_star": e.x_star.tolist(),
@@ -463,12 +458,22 @@ def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleL
     return est
 
 
+def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
+    """(value, index) of the first minimum of obj[lo:hi] where ok, or (inf, -1)."""
+    sel = ok[lo:hi]
+    if not sel.any():
+        return math.inf, -1
+    vals = obj[lo:hi]
+    i = lo + int(np.argmax(sel & (vals == vals[sel].min())))
+    return float(obj[i]), i
+
+
 def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                            ctx: NormContext, m_ystar: int = 8) -> dict[str, Estimate]:
     pool, pool_id = build_element_pool(F, base, ladder, ctx, m_ystar)
     out = {}
     for kind in CONSTANT_KINDS:
-        out[kind] = estimate_constant(kind, pool, ladder, ctx, pool_id, base=base)
+        out[kind] = estimate_constant(kind, pool, ladder, ctx, pool_id)
     return out
 
 

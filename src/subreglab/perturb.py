@@ -1230,7 +1230,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
                 np.asarray(xk, dtype=float).copy(), base.y.copy(), e.y_star.copy(),
                 e.x_star + jac.T @ e.y_star, eps=p.anchor_eps[k]))
         pool, pid = build_element_pool(G, base, vlad, ctx, extra_elements=shifted)
-        est = estimate_constant("srg1p", pool, vlad, ctx, pid, base=base)
+        est = estimate_constant("srg1p", pool, vlad, ctx, pid)
         rep.destabilization = list(est.per_scale)
         # the estimate pools suffix minima, so the per-scale sequence is
         # structurally non-decreasing toward the finest annulus; the decay

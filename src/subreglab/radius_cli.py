@@ -421,6 +421,24 @@ def _check(report: RunReport, inequality: str, passed: bool, slack: float, detai
                           "marker": "exact"})
 
 
+def _check_build(report: RunReport, inequality: str, slack: float, build, detail,
+                 F, base, ctx, ladder, keep: bool = False, refused: str = "refused",
+                 refused_slack: float | None = None):
+    """Check that build() gives a perturbation that verify_builder passes.
+
+    detail(rep) words a finished build; keep puts it in report.builder. A
+    WitnessError is a failed check whose detail starts with refused.
+    """
+    try:
+        rep = verify_builder(build(), F, base, ladder, ctx)
+        _check(report, inequality, rep.passed, slack, detail(rep))
+        if keep:
+            report.builder = _builder_dict(rep)
+    except WitnessError as err:
+        _check(report, inequality, False, slack if refused_slack is None else refused_slack,
+               f"{refused}: {err}")
+
+
 def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg, {"value": 1.0, "provenance": "closed form"}))
@@ -428,17 +446,12 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
     _check(report, "strong subregularity radius = ssrg = srg (equality, estimate side)",
            slack <= 0.02, slack, f"estimated srg {srg.reported:.4f} against the exact 1")
 
-    try:
-        p = build_ssr_destabilizer(F, base, 1.1, ladder, ctx)
-        rep = verify_builder(p, F, base, ladder, ctx)
-        _check(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
-               rep.passed, 1.1 - 1.0,
-               f"clm estimate {rep.modulus_estimate:.4f} < 1.1; "
-               f"perturbed ssrg per-scale min {min(v for _, v in rep.destabilization):.1e}")
-        report.builder = _builder_dict(rep)
-    except WitnessError as err:
-        _check(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
-               False, 0.1, f"build refused: {err}")
+    _check_build(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
+                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx),
+                 lambda rep: (f"clm estimate {rep.modulus_estimate:.4f} < 1.1; "
+                              f"perturbed ssrg per-scale min "
+                              f"{min(v for _, v in rep.destabilization):.1e}"),
+                 F, base, ctx, ladder, keep=True, refused="build refused", refused_slack=0.1)
 
     refused = False
     detail = "a witness below gamma was found"
@@ -474,27 +487,15 @@ def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
     _check(report, "plain fclm radius collapses: srg2 = 0",
            slack2 <= 0.02, slack2, f"srg2 {slack2:.2e} with witnesses near 1/(k pi)")
 
-    try:
-        w = extract_witness(F, base, "fclm", 0.1, ladder, ctx)
-        p = build_fclm_perturbation(w, 0.1)
-        rep = verify_builder(p, F, base, ladder, ctx)
-        _check(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies",
-               rep.passed, 0.1, f"clm estimate {rep.modulus_estimate:.2e}")
-    except WitnessError as err:
-        _check(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies",
-               False, 0.1, f"refused: {err}")
-
-    try:
-        w = extract_witness(F, base, "ss", 1.05, ladder, ctx)
-        p = build_ss_perturbation(w, 1.05)
-        rep = verify_builder(p, F, base, ladder, ctx)
-        _check(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p",
-               rep.passed, 0.05,
-               f"case {rep.case} build, semismooth verdict {rep.semismooth_verdict}")
-        report.builder = _builder_dict(rep)
-    except WitnessError as err:
-        _check(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p",
-               False, 0.05, f"refused: {err}")
+    _check_build(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies", 0.1,
+                 lambda: build_fclm_perturbation(
+                     extract_witness(F, base, "fclm", 0.1, ladder, ctx), 0.1),
+                 lambda rep: f"clm estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
+    _check_build(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p", 0.05,
+                 lambda: build_ss_perturbation(
+                     extract_witness(F, base, "ss", 1.05, ladder, ctx), 1.05),
+                 lambda rep: f"case {rep.case} build, semismooth verdict {rep.semismooth_verdict}",
+                 F, base, ctx, ladder, keep=True)
 
 
 def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
@@ -512,15 +513,10 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
            ssrg.reported <= 0.02 and len(ssrg.witnesses) > 0, ssrg.reported,
            f"ssrg {ssrg.reported:.2e} with {len(ssrg.witnesses)} exact witnesses")
 
-    try:
-        w = extract_witness(F, base, "fclm", 1.2, ladder, ctx)
-        p = build_fclm_perturbation(w, 1.2)
-        rep = verify_builder(p, F, base, ladder, ctx)
-        _check(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p",
-               rep.passed, 0.2, f"clm estimate {rep.modulus_estimate:.4f}")
-    except WitnessError as err:
-        _check(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p",
-               False, 0.2, f"refused: {err}")
+    _check_build(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p", 0.2,
+                 lambda: build_fclm_perturbation(
+                     extract_witness(F, base, "fclm", 1.2, ladder, ctx), 1.2),
+                 lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ctx, ladder)
 
     refused = False
     detail = "a witness below gamma was found"
@@ -540,15 +536,10 @@ def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
     _check(report, "subregularity degenerates: srg = +inf on an empty quotient set",
            flagged, 0.0, srg.note or "no flag")
 
-    try:
-        w = extract_witness(F, base, "lip", 0.01, ladder, ctx)
-        p = build_lip_perturbation(w, 0.01)
-        rep = verify_builder(p, F, base, ladder, ctx)
-        _check(report, "lip radius equals 0: destabilizer builds at gamma = 0.01",
-               rep.passed, 0.01, f"lip estimate {rep.modulus_estimate:.2e}")
-    except WitnessError as err:
-        _check(report, "lip radius equals 0: destabilizer builds at gamma = 0.01",
-               False, 0.01, f"refused: {err}")
+    _check_build(report, "lip radius equals 0: destabilizer builds at gamma = 0.01", 0.01,
+                 lambda: build_lip_perturbation(
+                     extract_witness(F, base, "lip", 0.01, ladder, ctx), 0.01),
+                 lambda rep: f"lip estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
 
 
 # the radius checks of each catalog map with known reference values; every

@@ -28,6 +28,7 @@ __all__ = [
     "CoderivElement",
     "SemismoothReport",
     "eps_normal_quotient",
+    "defect_quotient",
     "element_quotient",
     "elements_at_point",
     "coderivative_shift",
@@ -102,10 +103,21 @@ def element_quotient(elem: CoderivElement, base: GraphPoint, ctx: NormContext) -
     dist = ctx.product_norm(du, dv)
     if dist == 0.0:
         return 0.0
-    den = ctx.product_norm_dual(elem.x_star, elem.y_star)
+    return defect_quotient(elem.x_star, elem.y_star, du, dv,
+                           ctx.product_norm_dual(elem.x_star, elem.y_star), dist)
+
+
+def defect_quotient(x_star, y_star, du, dv, den: float, dist: float) -> float:
+    """element_quotient from its parts: den = ||(x*, y*)|| and dist = ||(du, dv)||.
+
+    Callers that share du, dv and dist between the elements of one graph
+    point compute them once and get element_quotient's bits.
+    """
+    if dist == 0.0:
+        return 0.0
     if den == 0.0:
         return math.inf
-    return abs(float(elem.x_star @ du) - float(elem.y_star @ dv)) / (den * dist)
+    return abs(float(x_star @ du) - float(y_star @ dv)) / (den * dist)
 
 
 def elements_at_point(F: SetValuedMap, gp: GraphPoint, ctx: NormContext,

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,18 +10,23 @@ from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder
 from subreglab.mappings import GraphPoint, make_linear_map
 from subreglab.moduli import (
+    CONSTANT_KINDS,
+    ElementRecord,
     Estimate,
     _pool_scales,
     check_relations,
     eckart_young_check,
     estimate_all_constants,
     estimate_clm,
+    estimate_constant,
     estimate_lip,
     estimate_rg,
     estimate_srg,
     estimate_ssrg,
     subregularity_consistency,
 )
+from subreglab.perturb import _collect_candidates
+from subreglab.variational import CoderivElement
 
 
 def _finalized(vals, radii=None):
@@ -497,3 +505,176 @@ def test_pool_scales_matches_the_loops_it_replaced():
     rng = np.random.default_rng(5)
     for _ in range(400):
         _check_pool_scales(_random_annuli(rng))
+
+
+# per_scale and witnesses of the nine constants as hex floats, at ladder
+# depth 8, 16 samples, seed 7, kept in constant_pins.json. They pin the
+# element pool build and the constant reductions across code changes.
+_PIN_LADDER = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+_CONSTANT_PIN = json.loads((Path(__file__).parent / "constant_pins.json").read_text())
+
+
+def _hexes(vals):
+    return [float(v).hex() for v in vals]
+
+
+def _constants_dump(mid, kind):
+    F, base, ctx = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
+    return {name: {"per_scale": _hexes(v for _, v in est.per_scale),
+                   "witnesses": [_hexes(w["x"] + w["y"] + w["x_star"] + w["y_star"]
+                                        + [w["t"], w["ratio"], w["xn"], w["q"]])
+                                 for w in est.witnesses]}
+            for name, est in consts.items()}
+
+
+@pytest.mark.parametrize("key", sorted(_CONSTANT_PIN))
+def test_constant_bits_are_pinned(key):
+    mid, kind = key.split("/")
+    got = _constants_dump(mid, kind)
+    for name in CONSTANT_KINDS:
+        assert got[name] == _CONSTANT_PIN[key][name], name
+
+
+# perturb._collect_candidates on the element pool at the same ladder: the
+# candidate count and the sha256 of the candidates with every float field
+# hexed (annulus kept as an int), in order
+_CANDIDATE_PIN = {
+    ("spiral", "l2", "lip", 0.05):
+        (360, "14e679eab85bdcd565abd4e2ac77bd7b0a2d289dac910e39d5f60b1e897c11d7"),
+    ("interval", "l1", "fclm", 1.2):
+        (40, "362d0e6e83d01ba709831e465e54fb532edb80a25a87c748b9bbb1c4838d02c4"),
+}
+
+
+def _candidates_digest(mid, kind, wkind, gamma):
+    F, base, ctx = setup_map(mid, kind)
+    cands = _collect_candidates(F, base, wkind, gamma, _PIN_LADDER, ctx)
+    dump = [{k: c[k] if k == "annulus" else _hexes(np.atleast_1d(c[k])) for k in sorted(c)}
+            for c in cands]
+    return len(cands), hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_CANDIDATE_PIN))
+def test_pool_candidate_bits_are_pinned(case):
+    assert _candidates_digest(*case) == _CANDIDATE_PIN[case]
+
+
+# estimate_constant as it was written with per-record loops: the reference
+# for the masked reduction
+def _ref_eligible(rec, kind, r):
+    if rec.eps > r:
+        return False
+    if kind in ("srg3", "srg4", "srg4p") and rec.q > r:
+        return False
+    if kind in ("srg2p", "srg4p") and rec.eps * rec.xn > r:
+        return False
+    return True
+
+
+def _ref_objective(rec, kind):
+    if kind in ("srg1", "srg3", "hatsrg"):
+        return max(rec.ratio, rec.xn)
+    if kind in ("srg1p", "hatsrgp"):
+        return rec.ratio + rec.xn
+    return rec.ratio
+
+
+def _ref_bucket_key(rec, base, width=0.25):
+    u = (rec.elem.x - base.x) / rec.t
+    return tuple(int(round(float(c) / width)) for c in u)
+
+
+def _ref_constant(kind, pool, ladder, base):
+    depth = ladder.depth
+    bucketed = kind in ("hatsrg", "hatsrgp")
+    per_scale, witness = [], None
+    for j in range(depth):
+        r = ladder.radius(j)
+        if not bucketed:
+            best = math.inf
+            for k in range(j, depth):
+                for rec in pool[k]:
+                    if rec.t > r * (1 + 1e-12) or not _ref_eligible(rec, kind, r):
+                        continue
+                    v = _ref_objective(rec, kind)
+                    if v < best:
+                        best = v
+                        if j == depth - 1 or k >= depth - 2:
+                            witness = rec
+            per_scale.append((r, best))
+        else:
+            buckets = {}
+            for k in range(j, depth):
+                for rec in pool[k]:
+                    if rec.t > r * (1 + 1e-12) or not _ref_eligible(rec, kind, r):
+                        continue
+                    key = _ref_bucket_key(rec, base)
+                    v = _ref_objective(rec, kind)
+                    if key not in buckets or v < buckets[key]:
+                        buckets[key] = v
+            per_scale.append((r, min(buckets.values()) if buckets else math.inf))
+    return per_scale, witness
+
+
+def _random_pool(rng, ladder, base):
+    """Records with ties, empty annuli, +-inf and NaN fields, and t one ulp
+    on either side of the cut r_j (1 + 1e-12) of some scale j."""
+    values = [0.0, -0.0, 0.25, 0.5, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan]
+    small = [0.0, 0.0, 1e-3, 0.5, 2.0, math.inf, math.nan]
+    pool = []
+    for k in range(ladder.depth):
+        recs = []
+        for _ in range(int(rng.integers(0, 6)) * int(rng.integers(0, 2))):
+            cut = ladder.radius(int(rng.integers(0, ladder.depth))) * (1 + 1e-12)
+            t = [math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf),
+                 ladder.radius(k), 0.7 * ladder.radius(k)][int(rng.integers(0, 5))]
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            x = base.x + t * np.array([math.cos(a), math.sin(a)])
+            recs.append(ElementRecord(
+                t=t, ratio=values[rng.integers(0, len(values))],
+                xn=values[rng.integers(0, len(values))], q=small[rng.integers(0, len(small))],
+                eps=small[rng.integers(0, len(small))], annulus=k,
+                elem=CoderivElement(x, np.zeros(1), np.ones(1), np.zeros(2))))
+        pool.append(recs)
+    return pool
+
+
+def _check_constant(kind, pool, ladder, base):
+    want, witness = _ref_constant(kind, pool, ladder, base)
+    est = estimate_constant(kind, pool, ladder, NormContext("l2", 2, 1))
+    assert [r for r, _ in est.per_scale] == [r for r, _ in want]
+    assert _hexes(v for _, v in est.per_scale) == _hexes(v for _, v in want), (kind, pool)
+    if witness is None or kind in ("hatsrg", "hatsrgp"):
+        assert est.witnesses == []
+    else:
+        assert len(est.witnesses) == 1
+        w = est.witnesses[0]
+        assert w["x"] == witness.elem.x.tolist()
+        assert _hexes([w["t"], w["ratio"], w["xn"], w["q"]]) == \
+            _hexes([witness.t, witness.ratio, witness.xn, witness.q])
+
+
+def test_estimate_constant_matches_the_loops_it_replaced():
+    """The masked minima give the per-record loops' values and witness.
+
+    The bucketed kinds see no NaN and no -0.0 objective: the old bucket dict
+    could let a NaN poison min(buckets.values()), where the masked minimum
+    ignores it, and it broke a tie of -0.0 with 0.0 by bucket order, where
+    the masked minimum takes the first record. Pools built from a map hold
+    neither (ratio and xn are norms of finite vectors).
+    """
+    rng = np.random.default_rng(11)
+    base = GraphPoint(np.array([0.25, -0.5]), np.zeros(1))
+    for _ in range(300):
+        ladder = ScaleLadder(depth=int(rng.integers(1, 6)), samples_per_scale=1, seed=0)
+        pool = _random_pool(rng, ladder, base)
+        for kind in CONSTANT_KINDS:
+            if kind in ("hatsrg", "hatsrgp"):
+                kept = [[rec for rec in recs
+                         if not (math.isnan(v := _ref_objective(rec, kind))
+                                 or v == 0.0 and math.copysign(1.0, v) < 0.0)]
+                        for recs in pool]
+                _check_constant(kind, kept, ladder, base)
+            else:
+                _check_constant(kind, pool, ladder, base)

@@ -275,3 +275,36 @@ def test_internal_failure_exits_4(tmp_path, capsys, monkeypatch):
     err = json.loads(out)["error"]
     assert err["kind"] == "internal"
     assert err["type"] == "RuntimeError"
+
+
+_REFUSED_BUILDS = {
+    "identity": [("radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg", 0.1,
+                  "build refused: synthetic refusal")],
+    "xsin": [("fclm destabilizer with modulus gamma = 0.1 builds and verifies", 0.1,
+              "refused: synthetic refusal"),
+             ("fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p", 0.05,
+              "refused: synthetic refusal")],
+    "interval": [("fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p", 0.2,
+                  "refused: synthetic refusal")],
+    "zero": [("lip radius equals 0: destabilizer builds at gamma = 0.01", 0.01,
+              "refused: synthetic refusal")],
+}
+
+
+@pytest.mark.parametrize("mid", sorted(_REFUSED_BUILDS))
+def test_verify_radius_reports_a_refused_build_as_a_failed_check(tmp_path, capsys,
+                                                                 monkeypatch, mid):
+    def refuse(*args, **kwargs):
+        raise cli.WitnessError("synthetic refusal")
+
+    monkeypatch.setattr(cli, "extract_witness", refuse)
+    monkeypatch.setattr(cli, "build_ssr_destabilizer", refuse)
+    _, out = _run(tmp_path, capsys, {
+        "map": mid, "task": "verify_radius", "seed": 7,
+        "ladder": {"depth": 6, "samples": 16},
+    }, "--format", "full")
+    payload = json.loads(out)
+    got = [(c["inequality"], c["slack"], c["detail"]) for c in payload["checks"]
+           if c["detail"].endswith("refused: synthetic refusal") and not c["passed"]]
+    assert got == _REFUSED_BUILDS[mid]
+    assert payload.get("builder") is None
