@@ -116,14 +116,16 @@ class SetValuedMap:
         return self.func is not None
 
 
-def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int):
-    """Yield (j, inner, outer, points) for each annulus of the ladder, outermost first.
+def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
+                 start: int = 0):
+    """Yield (j, inner, outer, points) for each annulus j >= start of the ladder, outermost first.
 
     points is the map's graph sample of the annulus, drawn with seed
-    ladder.scale_seed(j, tag), followed by its feature points. One annulus
-    is held at a time.
+    ladder.scale_seed(j, tag), followed by its feature points. Neither
+    depends on the ladder's depth, so a deepened ladder yields the same
+    annuli first. One annulus is held at a time.
     """
-    for j, (inner, outer) in enumerate(ladder.annuli()):
+    for j, (inner, outer) in enumerate(ladder.annuli()[start:], start):
         pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
                                   ladder.scale_seed(j, tag)))
         if F.feature_points is not None:

@@ -54,6 +54,7 @@ from .variational import (  # noqa: F401
 __all__ = [
     "Estimate",
     "ElementRecord",
+    "ElementPool",
     "CONSTANT_KINDS",
     "build_element_pool",
     "estimate_clm",
@@ -344,9 +345,92 @@ class ElementRecord:
     elem: CoderivElement
 
 
+def _annulus_records(groups, j: int, inner: float, outer: float, base: GraphPoint,
+                     ctx: NormContext) -> list[ElementRecord]:
+    """The records of annulus j from (x, y, elements at (x, y)) groups, in group order.
+
+    The elements of one graph point share x and y, so t, the ratio and the
+    product distance of the quotient are computed once per point; every
+    value comes from the same geometry call on the same operands as a
+    per-element computation would make.
+    """
+    recs: list[ElementRecord] = []
+    for x, y, elems in groups:
+        du = x - base.x
+        t = ctx.norm(du)
+        if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
+            continue
+        dv = y - base.y
+        yn = ctx.norm(dv)
+        ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
+        for e in elems:
+            ysn = ctx.dual_norm(e.y_star)
+            if ysn == 0.0:
+                continue
+            if abs(ysn - 1.0) > 1e-12:
+                e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
+                ysn = ctx.dual_norm(e.y_star)
+            xn = ctx.dual_norm(e.x_star)
+            # max(xn, ysn) is ctx.product_norm_dual(e.x_star, e.y_star)
+            q = defect_quotient(e.x_star, e.y_star, du, dv, max(xn, ysn), dist)
+            recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps,
+                                      annulus=j, elem=e))
+    return recs
+
+
+class ElementPool:
+    """Graph samples and element records of one map, base point and norm, per annulus.
+
+    Annulus j of a ladder depends on r0, theta, the samples per scale, the
+    seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
+    So the pool computes each annulus once, the first time a ladder reaches
+    it, and serves every shallower or deeper ladder with the same r0,
+    theta, samples and seed from that memo. One pool lives for one run
+    (radius_cli makes it): maps are closures without value identity, so a
+    memo that outlived the run could not tell whether it still held the
+    same map. The lists it returns are shared; do not mutate them.
+    """
+
+    def __init__(self, F: SetValuedMap, base: GraphPoint, ctx: NormContext):
+        self.F, self.base, self.ctx = F, base, ctx
+        self._annuli: dict[tuple, list] = {}  # (ladder, tag, what) -> its annuli so far
+
+    def check(self, F: SetValuedMap, base: GraphPoint, ctx: NormContext) -> "ElementPool":
+        """self, after checking that it was made for this map, base point and norm."""
+        if not (F is self.F and ctx == self.ctx and base.x.tobytes() == self.base.x.tobytes()
+                and base.y.tobytes() == self.base.y.tobytes()):
+            raise ValueError("the element pool was made for another map, base point or norm")
+        return self
+
+    def _grown(self, ladder: ScaleLadder, tag: int, what, make) -> list:
+        """The memo of what on the tag's graph sample, grown to the ladder's depth
+        by make(j, inner, outer, points) for each annulus it lacks."""
+        done = self._annuli.setdefault(
+            (ladder.r0, ladder.theta, ladder.samples_per_scale, ladder.seed, tag, what), [])
+        for j, inner, outer, pts in graph_annuli(self.F, self.base, ladder, tag,
+                                                 start=len(done)):
+            done.append(make(j, inner, outer, pts))
+        return done[:ladder.depth]
+
+    def graph_annuli(self, ladder: ScaleLadder, tag: int) -> list[tuple]:
+        """mappings.graph_annuli(F, base, ladder, tag) as a list, each annulus drawn once."""
+        return self._grown(ladder, tag, "graph", lambda *annulus: annulus)
+
+    def records(self, ladder: ScaleLadder, m_ystar: int) -> list[list[ElementRecord]]:
+        """The records of the sampled graph points and feature points, per annulus."""
+        F, base, ctx = self.F, self.base, self.ctx
+
+        def make(j, inner, outer, pts):
+            groups = [(gp.x, gp.y, elements_at_point(F, gp, ctx, m_ystar)) for gp in pts]
+            return _annulus_records(groups, j, inner, outer, base, ctx)
+
+        return self._grown(ladder, 61, ("records", m_ystar), make)
+
+
 def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                        ctx: NormContext, m_ystar: int = 8,
-                       extra_elements: list[CoderivElement] | None = None
+                       extra_elements: list[CoderivElement] | None = None,
+                       pool: ElementPool | None = None
                        ) -> tuple[list[list[ElementRecord]], str]:
     """Coderivative element records per annulus, plus a pool identifier.
 
@@ -354,47 +438,28 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     feature points; pairs are normalized to unit dual y* (pairs with y* = 0
     cannot be, and are excluded: the constants quantify over unit y*).
     Estimates computed from the same pool share the pool id, which is what
-    check_relations uses to refuse cross-pool comparisons.
+    check_relations uses to refuse cross-pool comparisons. The id is hashed
+    over the full ladder, depth included.
 
-    The elements of one graph point share x and y, so t, the ratio and the
-    product distance of the quotient are computed once per point; every
-    value comes from the same geometry call on the same operands as a
-    per-element computation would make.
+    The sampled records come from pool (a new ElementPool when None), which
+    builds each annulus once per run. An annulus's records are its shared
+    records followed by the records of the extra elements that fall in it;
+    the extras are never memoized.
     """
-    pools: list[list[ElementRecord]] = []
+    pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
     h = hashlib.sha256()
     h.update(F.name.encode())
     h.update(ctx.kind.encode())
     h.update(base.x.tobytes() + base.y.tobytes())
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, m_ystar)).encode())
+    pools = pool.records(ladder, m_ystar)  # a new list of the shared annuli
     extras = list(extra_elements or [])
-    for j, inner, outer, pts in graph_annuli(F, base, ladder, 61):
-        # (x, y, elements at (x, y)) in record order: sampled points, then extras
-        groups = [(gp.x, gp.y, elements_at_point(F, gp, ctx, m_ystar)) for gp in pts]
-        groups += [(e.x, e.y, [e]) for e in extras if inner < ctx.norm(e.x - base.x) <= outer]
-        recs: list[ElementRecord] = []
-        for x, y, elems in groups:
-            du = x - base.x
-            t = ctx.norm(du)
-            if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
-                continue
-            dv = y - base.y
-            yn = ctx.norm(dv)
-            ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
-            for e in elems:
-                ysn = ctx.dual_norm(e.y_star)
-                if ysn == 0.0:
-                    continue
-                if abs(ysn - 1.0) > 1e-12:
-                    e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
-                    ysn = ctx.dual_norm(e.y_star)
-                xn = ctx.dual_norm(e.x_star)
-                # max(xn, ysn) is ctx.product_norm_dual(e.x_star, e.y_star)
-                q = defect_quotient(e.x_star, e.y_star, du, dv, max(xn, ysn), dist)
-                recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps,
-                                          annulus=j, elem=e))
-        pools.append(recs)
+    if extras:
+        for j, (inner, outer) in enumerate(ladder.annuli()):
+            groups = [(e.x, e.y, [e]) for e in extras
+                      if inner < ctx.norm(e.x - base.x) <= outer]
+            pools[j] = pools[j] + _annulus_records(groups, j, inner, outer, base, ctx)
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
@@ -469,11 +534,12 @@ def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float
 
 
 def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                           ctx: NormContext, m_ystar: int = 8) -> dict[str, Estimate]:
-    pool, pool_id = build_element_pool(F, base, ladder, ctx, m_ystar)
+                           ctx: NormContext, m_ystar: int = 8,
+                           pool: ElementPool | None = None) -> dict[str, Estimate]:
+    records, pool_id = build_element_pool(F, base, ladder, ctx, m_ystar, pool=pool)
     out = {}
     for kind in CONSTANT_KINDS:
-        out[kind] = estimate_constant(kind, pool, ladder, ctx, pool_id)
+        out[kind] = estimate_constant(kind, records, ladder, ctx, pool_id)
     return out
 
 

@@ -44,8 +44,9 @@ from .geometry import (
     norming_vector,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, graph_annuli, make_function_graph, sum_with_function
+from .mappings import GraphPoint, SetValuedMap, make_function_graph, sum_with_function
 from .moduli import (
+    ElementPool,
     build_element_pool,
     estimate_clm,
     estimate_constant,
@@ -140,17 +141,22 @@ def _cand_order(c: dict) -> tuple:
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                        ladder: ScaleLadder, ctx: NormContext) -> list[dict]:
-    """Per-annulus candidates with objective strictly below gamma.
+                        ladder: ScaleLadder, ctx: NormContext, pool: ElementPool | None = None,
+                        start: int = 0) -> list[dict]:
+    """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
     Each annulus keeps its best candidate per coarse (direction, payload,
     y*) orientation key, so that both the stationary clustering and the
-    distinct-direction selection see every available family.
+    distinct-direction selection see every available family. An annulus's
+    candidates depend only on gamma, its radius and its graph sample or
+    records, which come from pool (a new ElementPool when None).
     """
+    if pool is None:
+        pool = ElementPool(F, base, ctx)
     cut = gamma * (1.0 - 1e-9)
     cands: list[dict] = []
     if kind == "ssr":
-        for j, inner, outer, pts in graph_annuli(F, base, ladder, 71):
+        for j, inner, outer, pts in pool.graph_annuli(ladder, 71)[start:]:
             best: dict[tuple, dict] = {}
             for p in pts:
                 t = ctx.norm(p.x - base.x)
@@ -178,11 +184,11 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
             cands.extend(sorted(best.values(), key=_cand_order))
         return cands
 
-    pool, _ = build_element_pool(F, base, ladder, ctx)
-    for j, recs in enumerate(pool):
+    records, _ = build_element_pool(F, base, ladder, ctx, pool=pool)
+    for j in range(start, ladder.depth):
         r_j = ladder.radius(j)
         best: dict[tuple, dict] = {}
-        for rec in recs:
+        for rec in records[j]:
             obj = _objective(kind, rec.ratio, rec.xn)
             if obj > cut:
                 continue
@@ -207,7 +213,8 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                     ladder: ScaleLadder, ctx: NormContext | None = None,
                     direction_mode: str = "auto", min_entries: int = 4,
-                    max_entries: int = 6) -> WitnessSequence:
+                    max_entries: int = 6, pool: ElementPool | None = None
+                    ) -> WitnessSequence:
     """Extract a thinning witness sequence certifying the kind's constant < gamma.
 
     The kinds pair with constants: lip with srg1p objectives (ratio plus
@@ -217,6 +224,11 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
     candidate beats gamma at any scale, and WitnessError("insufficient
     depth ...") when thinning cannot assemble min_entries entries above the
     scale floor; the ladder is deepened internally before giving up.
+
+    Graph samples and element records come from pool (a new ElementPool
+    when None). Each deepening collects candidates from the new annuli
+    only and appends them, in the order a collection over the whole
+    deepened ladder gives.
     """
     if kind not in ("lip", "fclm", "ss", "ssr"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -226,17 +238,17 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
         raise ValueError("gamma must be positive")
     if ctx is None:
         ctx = NormContext(kind=F.kind, dim_x=F.dim_x, dim_y=F.dim_y)
+    pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
 
     work = ladder
-    while True:
-        cands = _collect_candidates(F, base, kind, gamma, work, ctx)
-        if cands:
-            break
+    cands = _collect_candidates(F, base, kind, gamma, work, ctx, pool)
+    while not cands:
         if work.radius(work.depth) < _T_FLOOR:
             raise WitnessError(
                 f"no witness below gamma: no {kind} candidate beats {gamma:g} "
                 f"down to radius {work.radius(work.depth):.3e}")
-        work = work.deepen(8)
+        start, work = work.depth, work.deepen(8)
+        cands = _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
 
     seq = _try_select(cands, kind, gamma, direction_mode, min_entries, max_entries, ctx)
     while seq is None:
@@ -244,8 +256,8 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
             raise WitnessError(
                 f"insufficient depth: fewer than {min_entries} thinned {kind} "
                 f"entries above the scale floor {_T_FLOOR:g}")
-        work = work.deepen(8)
-        cands = _collect_candidates(F, base, kind, gamma, work, ctx)
+        start, work = work.depth, work.deepen(8)
+        cands += _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
         seq = _try_select(cands, kind, gamma, direction_mode, min_entries, max_entries, ctx)
     seq.base = GraphPoint(base.x.copy(), base.y.copy())
     seq.norm_kind = ctx.kind
@@ -741,6 +753,27 @@ def _smooth_cap_slope(m: float, tau: float) -> float:
     return -2.0 * (m - _DEAD_ZONE) / (tau * tau)
 
 
+def _cone_tau(tau: float, seq: WitnessSequence, gamma_dp: float, xn_max: float,
+              with_dual: bool) -> float:
+    """The cap width beyond the dead zone: tau, kept to tau ||x*|| <= (gamma'' - gamma')/8."""
+    if with_dual and xn_max > 0.0:
+        tau = min(tau, (gamma_dp - seq.gamma_prime) / (8.0 * xn_max))
+    return max(tau - _DEAD_ZONE, 1e-7)
+
+
+def _cap_slope_term(jac: np.ndarray, pay: np.ndarray, dx: np.ndarray, alpha: float,
+                    m: float, tau: float, w_dir: np.ndarray, u_star: np.ndarray) -> np.ndarray:
+    """jac minus pay times the gradient of the cap factor, where the cap slopes."""
+    sl = _smooth_cap_slope(m, tau)
+    r = dx - alpha * w_dir
+    nr = _l2(r)
+    if sl != 0.0 and nr > 0.0:
+        rhat = r / nr
+        grad_m = (rhat - float(w_dir @ rhat) * u_star) / alpha - (m / alpha) * u_star
+        jac -= np.outer(pay, sl * grad_m)
+    return jac
+
+
 def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
                 u_star: np.ndarray, w_dir: np.ndarray, with_dual: bool) -> dict:
     """Per-entry payload data: P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v.
@@ -779,11 +812,8 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
             dmin = min(dmin, _l2(a.u - b.u))
-    xn_max = max(e.xn for e in entries)
-    tau = min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45
-    if with_dual and xn_max > 0.0:
-        tau = min(tau, (gamma_dp - seq.gamma_prime) / (8.0 * xn_max))
-    tau = max(tau - _DEAD_ZONE, 1e-7)
+    tau = _cone_tau(min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45, seq, gamma_dp,
+                    max(e.xn for e in entries), with_dual)
 
     cones = []
     for e in entries:
@@ -832,15 +862,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
             pay = (alpha / cone["a"]) * cone["dy"] + (float(cone["xh"] @ dx) - cone["c"]) * cone["v"]
             jac = -s * (np.outer(cone["dy"] / cone["a"], cone["u_star"])
                         + np.outer(cone["v"], cone["xh"]))
-            sl = _smooth_cap_slope(m, tau)
-            r = dx - alpha * cone["w"]
-            nr = _l2(r)
-            if sl != 0.0 and nr > 0.0:
-                rhat = r / nr
-                grad_m = (rhat - float(cone["w"] @ rhat) * cone["u_star"]) / alpha \
-                    - (m / alpha) * cone["u_star"]
-                jac -= np.outer(pay, sl * grad_m)
-            return jac
+            return _cap_slope_term(jac, pay, dx, alpha, m, tau, cone["w"], cone["u_star"])
         return np.zeros((dim_y, dim_x))
 
     probes = []
@@ -878,11 +900,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     u_star = norming_functional(fin.x - base.x, ctx.kind)
     a_fin = float(u_star @ (fin.x - base.x))
     w_dir = (fin.x - base.x) / a_fin
-    xn_max = max(e.xn for e in es)
-    tau = 0.45
-    if with_dual and xn_max > 0.0:
-        tau = min(tau, (gamma_dp - seq.gamma_prime) / (8.0 * xn_max))
-    tau = max(tau - _DEAD_ZONE, 1e-7)
+    tau = _cone_tau(0.45, seq, gamma_dp, max(e.xn for e in es), with_dual)
 
     shells = [_cone_shell(e, base, ctx, u_star, w_dir, with_dual) for e in es]
     shells.sort(key=lambda s: -s["a"])
@@ -966,15 +984,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
             pk = payload(len(bs) - 1, dx, alpha)
             t_val = lam * pk
             grad_t = lam * payload_grad(len(bs) - 1) + np.outer(pk, u_star / (alpha * big_l))
-        jac = -s * grad_t
-        sl = _smooth_cap_slope(m, tau)
-        r = dx - alpha * w_dir
-        nr = _l2(r)
-        if sl != 0.0 and nr > 0.0:
-            rhat = r / nr
-            grad_m = (rhat - float(w_dir @ rhat) * u_star) / alpha - (m / alpha) * u_star
-            jac -= np.outer(t_val, sl * grad_m)
-        return jac
+        return _cap_slope_term(-s * grad_t, t_val, dx, alpha, m, tau, w_dir, u_star)
 
     # one-sided derivative gap at each anchor: the log-interpolation kink
     anchor_eps = []
@@ -1034,17 +1044,19 @@ def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
 
 def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
                            ladder: ScaleLadder, ctx: NormContext | None = None,
-                           direction_mode: str = "auto") -> Perturbation:
+                           direction_mode: str = "auto",
+                           pool: ElementPool | None = None) -> Perturbation:
     """Calm destabilizer of strong subregularity at the base point.
 
     Extracts graph points with quotient ||y - yb||/||x - xb|| below gamma
     and interpolates f(x_k) = yb - y_k along the witness cone, so that
     yb lies in (F + f)(x_k) and the strong subregularity quotient of the
     sum vanishes. Raises "no destabilizer below gamma" when the quotient
-    stays at or above gamma at every scale (the stability side).
+    stays at or above gamma at every scale (the stability side). The graph
+    samples come from pool, as in extract_witness.
     """
     try:
-        w = extract_witness(F, base, "ssr", gamma, ladder, ctx, direction_mode)
+        w = extract_witness(F, base, "ssr", gamma, ladder, ctx, direction_mode, pool=pool)
     except WitnessError as err:
         if "no witness below gamma" in str(err):
             raise WitnessError(
@@ -1111,7 +1123,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     (computed over a pool with the shifted witness elements injected)
     ends at or below the threshold at its finest scales; the ssr class
     instead requires the strong subregularity estimate of F + f to
-    report exactly zero.
+    report exactly zero. Each failed check leaves a line in the notes.
     """
     if ctx is None:
         ctx = NormContext(kind=F.kind, dim_x=F.dim_x, dim_y=F.dim_y)
@@ -1247,13 +1259,23 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         if not rep.destabilization_ok:
             rep.notes.append("srg1p of the perturbed map does not collapse")
 
-    class_ok = all(v is not False for v in (rep.firmly_calm_ok, rep.homogeneity_ok)) \
-        and rep.semismooth_verdict in (None, "pass")
-    rep.passed = (rep.interpolation_max_err <= 1e-14 * target_scale
-                  and rep.base_value_err == 0.0
-                  and rep.gradient_max_relerr <= 1e-5
-                  and rep.modulus_ok and class_ok and rep.destabilization_ok
-                  and p.gamma_dp < p.gamma)
+    # a note for each failed check that has not noted itself above
+    clauses = [
+        (rep.interpolation_max_err <= 1e-14 * target_scale,
+         f"interpolation error {rep.interpolation_max_err:.3e} exceeds "
+         f"1e-14 * {target_scale:g}"),
+        (rep.base_value_err == 0.0, f"value at the base is {rep.base_value_err:.3e}, not 0"),
+        (rep.gradient_max_relerr <= 1e-5,
+         f"Jacobian relative error {rep.gradient_max_relerr:.3e} exceeds 1e-05"),
+        (rep.modulus_ok, f"sampled modulus {rep.modulus_estimate:.6g} exceeds "
+                         f"gamma - margin = {p.gamma - margin:.6g}"),
+        (rep.firmly_calm_ok is not False, "firm calmness test failed"),
+        (rep.semismooth_verdict in (None, "pass"),
+         f"semismooth* verdict is {rep.semismooth_verdict!r}, not 'pass'"),
+    ]
+    rep.notes += [note for ok, note in clauses if not ok]
+    rep.passed = (all(ok for ok, _ in clauses) and rep.homogeneity_ok is not False
+                  and rep.destabilization_ok and p.gamma_dp < p.gamma)
     return rep
 
 

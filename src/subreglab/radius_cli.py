@@ -33,6 +33,7 @@ from . import __version__
 from .geometry import NormContext, ScaleLadder, derive_seed
 from .mappings import GraphPoint, catalog, resolve_map_spec, sum_with_function
 from .moduli import (
+    ElementPool,
     Estimate,
     check_relations,
     eckart_young_check,
@@ -341,7 +342,9 @@ def run(config: ExperimentConfig) -> RunReport:
     elif config.task == "build_perturbation":
         _task_build(config, F, base, ctx, ladder, report)
     elif config.task == "verify_radius":
-        _PIPELINES[entry.id](config, F, base, ctx, ladder, report)
+        # one element pool per run: the constants, every witness extraction
+        # and its deepening read the same annuli
+        _PIPELINES[entry.id](config, F, base, ctx, ladder, report, ElementPool(F, base, ctx))
         if any(not c["passed"] for c in report.checks):
             report.status = "verification_fail"
     timings["task_s"] = time.perf_counter() - t1
@@ -439,7 +442,7 @@ def _check_build(report: RunReport, inequality: str, slack: float, build, detail
                f"{refused}: {err}")
 
 
-def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
+def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg, {"value": 1.0, "provenance": "closed form"}))
     slack = abs(srg.reported - 1.0)
@@ -447,7 +450,7 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
            slack <= 0.02, slack, f"estimated srg {srg.reported:.4f} against the exact 1")
 
     _check_build(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
-                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx),
+                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx, pool=pool),
                  lambda rep: (f"clm estimate {rep.modulus_estimate:.4f} < 1.1; "
                               f"perturbed ssrg per-scale min "
                               f"{min(v for _, v in rep.destabilization):.1e}"),
@@ -456,7 +459,7 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
     refused = False
     detail = "a witness below gamma was found"
     try:
-        build_ssr_destabilizer(F, base, 0.9, ladder, ctx)
+        build_ssr_destabilizer(F, base, 0.9, ladder, ctx, pool=pool)
     except WitnessError as err:
         refused = "no destabilizer below gamma" in str(err)
         detail = str(err)
@@ -474,8 +477,8 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
            f"5 seeded calm perturbations with |a|+|b| <= 0.85; min perturbed ssrg {worst:.4f}")
 
 
-def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
-    consts = estimate_all_constants(F, base, ladder, ctx)
+def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
+    consts = estimate_all_constants(F, base, ladder, ctx, pool=pool)
     for name in ("srg2", "srg2p", "srg4", "srg4p"):
         report.estimates.append(_est_row(consts[name]))
     slack = abs(consts["srg4p"].reported - 1.0)
@@ -489,17 +492,17 @@ def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies", 0.1,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 0.1, ladder, ctx), 0.1),
+                     extract_witness(F, base, "fclm", 0.1, ladder, ctx, pool=pool), 0.1),
                  lambda rep: f"clm estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
     _check_build(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p", 0.05,
                  lambda: build_ss_perturbation(
-                     extract_witness(F, base, "ss", 1.05, ladder, ctx), 1.05),
+                     extract_witness(F, base, "ss", 1.05, ladder, ctx, pool=pool), 1.05),
                  lambda rep: f"case {rep.case} build, semismooth verdict {rep.semismooth_verdict}",
                  F, base, ctx, ladder, keep=True)
 
 
-def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
-    consts = estimate_all_constants(F, base, ladder, ctx)
+def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
+    consts = estimate_all_constants(F, base, ladder, ctx, pool=pool)
     for name in ("srg2", "srg2p"):
         report.estimates.append(_est_row(consts[name]))
     slack = max(abs(consts["srg2"].reported - 1.0), abs(consts["srg2p"].reported - 1.0))
@@ -515,13 +518,13 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p", 0.2,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 1.2, ladder, ctx), 1.2),
+                     extract_witness(F, base, "fclm", 1.2, ladder, ctx, pool=pool), 1.2),
                  lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ctx, ladder)
 
     refused = False
     detail = "a witness below gamma was found"
     try:
-        extract_witness(F, base, "fclm", 0.8, ladder, ctx)
+        extract_witness(F, base, "fclm", 0.8, ladder, ctx, pool=pool)
     except WitnessError as err:
         refused = "no witness below gamma" in str(err)
         detail = str(err)
@@ -529,7 +532,7 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
            refused, 1.0 - 0.8, detail)
 
 
-def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
+def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg))
     flagged = math.isinf(srg.reported) and "empty quotient set" in srg.note
@@ -538,7 +541,7 @@ def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "lip radius equals 0: destabilizer builds at gamma = 0.01", 0.01,
                  lambda: build_lip_perturbation(
-                     extract_witness(F, base, "lip", 0.01, ladder, ctx), 0.01),
+                     extract_witness(F, base, "lip", 0.01, ladder, ctx, pool=pool), 0.01),
                  lambda rep: f"lip estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
 
 

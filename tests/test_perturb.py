@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
+import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed
 from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
@@ -289,3 +292,53 @@ def test_sampled_modulus_stays_below_gamma():
     fbase = GraphPoint(base.x, np.zeros(1))
     est = estimate_clm(fgraph, fbase, lad, ctx)
     assert est.reported <= 0.1
+
+
+def _build128(mid, kind, gamma):
+    F, base, ctx = setup_map(mid)
+    lad = ScaleLadder(depth=12, samples_per_scale=128, seed=7)
+    return F, base, ctx, lad, BUILDERS[kind](extract_witness(F, base, kind, gamma, lad, ctx), gamma)
+
+
+def _shifted_eval(p, dy):
+    return lambda x: p.eval(x) + dy
+
+
+def _doubled_derivative(p):
+    return lambda x: None if (d := p.derivative(x)) is None else 2.0 * d
+
+
+@pytest.mark.parametrize("tamper,note", [
+    # gamma and gamma'' lowered below the modulus 1.83 the bumps have
+    pytest.param(lambda p: dataclasses.replace(p, gamma=1.5, gamma_dp=1.4),
+                 "sampled modulus 1.83331 exceeds gamma - margin = 1.45", id="modulus"),
+    pytest.param(lambda p: dataclasses.replace(
+                     p, anchor_targets=[t + 1e-3 for t in p.anchor_targets]),
+                 "interpolation error 1.000e-03 exceeds 1e-14 * 1", id="interpolation"),
+    pytest.param(lambda p: dataclasses.replace(p, eval=_shifted_eval(p, 1e-3)),
+                 "value at the base is 1.000e-03, not 0", id="base_value"),
+    pytest.param(lambda p: dataclasses.replace(p, derivative=_doubled_derivative(p)),
+                 "Jacobian relative error 5.000e-01 exceeds 1e-05", id="jacobian"),
+])
+def test_a_failed_build_names_each_failed_check(tamper, note):
+    F, base, ctx, lad, p = _build128("identity", "lip", 2.5)
+    assert verify_builder(p, F, base, lad, ctx).notes == []
+    rep = verify_builder(tamper(p), F, base, lad, ctx)
+    assert not rep.passed
+    assert note in rep.notes, rep.notes
+
+
+def test_a_failed_class_check_is_named(monkeypatch):
+    F, base, ctx, lad, p = _build128("xsin", "fclm", 0.1)
+    monkeypatch.setattr(perturb, "firmly_calm_test", lambda *a, **k: {"ok": False})
+    rep = verify_builder(p, F, base, lad, ctx)
+    assert not rep.passed
+    assert rep.notes == ["firm calmness test failed"]
+
+    F, base, ctx, lad, p = _build128("square", "ss", 0.5)
+    assert p.case == 2
+    monkeypatch.setattr(perturb, "semismooth_star_test",
+                        lambda *a, **k: types.SimpleNamespace(verdict="fail"))
+    rep = verify_builder(p, F, base, lad, ctx)
+    assert not rep.passed
+    assert "semismooth* verdict is 'fail', not 'pass'" in rep.notes
