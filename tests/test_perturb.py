@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import types
@@ -342,3 +343,59 @@ def test_a_failed_class_check_is_named(monkeypatch):
     rep = verify_builder(p, F, base, lad, ctx)
     assert not rep.passed
     assert "semismooth* verdict is 'fail', not 'pass'" in rep.notes
+
+
+# extract_witness on a small ladder: the sha256 of the hexed sequence
+# (direction mode, k_hat, gamma', u, every entry field, in order), or the
+# exact refusal text
+_WITNESS_LADDER = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+_WITNESS_PIN = {
+    ('identity', 'l1', 'lip', 2.5, 'auto'):
+        'fb98db0e8facaf04523bb7cfb72b8a2f494a599227f7b958d32416f21b64dffc',
+    ('zero', 'l1', 'lip', 0.01, 'auto'):
+        'fb868a6da9d0fbcf44e7b787bdd9cabb2c9b79387e6e700e1a02a3399d4ab462',
+    ('spiral', 'l1', 'lip', 0.05, 'auto'):
+        'e7f60499f7820fcde7944e02a44eae843b7b879bea763e4c74dd556964b7be40',
+    ('xsin', 'l1', 'fclm', 0.1, 'auto'):
+        '6078b12c49b3dc560195c1ce564212b6778221e18d7837cd8704a840fb87d57d',
+    ('interval', 'l1', 'fclm', 1.2, 'auto'):
+        '4a53ecd965eee4919ff48a1ba50612cd7bc209034599c9ab4e93131113d81b7e',
+    ('interval', 'l1', 'fclm', 0.8, 'auto'):
+        'insufficient depth: fewer than 4 thinned fclm entries above the scale floor 1e-11',
+    ('xsin', 'l1', 'ss', 1.05, 'auto'):
+        '8ae18edf50367274d4835fe95f02e4ccfc12a0fba7679f07cae4bf71818535bf',
+    ('spiral', 'l2', 'ss', 0.5, 'auto'):
+        '1c5097530e4bf3af3ca0a6745af787622e5b16668169e9e43539dcb80b618870',
+    ('square', 'l1', 'ss', 0.5, 'stationary'):
+        'b67d30d5bdad3b4ac67ee01765f63b9b83fa10e854e4741fa47a1469587c942b',
+    ('abs', 'l1', 'ss', 1.5, 'distinct'):
+        'insufficient depth: fewer than 4 thinned ss entries above the scale floor 1e-11',
+    ('compl_angle', 'l1', 'ss', 0.5, 'auto'):
+        '68a48a58abe4cb183e3c3a8b1b46d76f37a712eeae36f92c8b615b59b15625ec',
+    ('identity', 'l1', 'ssr', 1.1, 'auto'):
+        '46722e189fd942a60db7abed85e41589ee6e3f294872cd746de61b23d3d549da',
+    ('identity', 'l1', 'ssr', 0.9, 'auto'):
+        'no witness below gamma: no ssr candidate beats 0.9 down to radius 4.547e-13',
+    ('square', 'l1', 'ssr', 0.6, 'auto'):
+        '667b2d1dee8791103be871048d44c53d9fa31f4f21de7abc2bf8c5241f8ae453',
+}
+
+
+def _witness_digest(mid, norm_kind, kind, gamma, mode):
+    F, base, ctx = setup_map(mid, norm_kind)
+    try:
+        w = extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx, mode)
+    except WitnessError as err:
+        return str(err)
+    hexes = perturb._hex_vec
+    dump = [w.direction_mode, w.k_hat, float(w.gamma_prime).hex(),
+            None if w.u is None else hexes(w.u),
+            [[e.index] + [hexes(getattr(e, name)) for name in
+                          ("t", "x", "y", "x_star", "y_star", "eps", "ratio", "xn", "q", "u")]
+             for e in w.entries]]
+    return hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_PIN))
+def test_witness_bits_are_pinned(case):
+    assert _witness_digest(*case) == _WITNESS_PIN[case]
