@@ -1,8 +1,8 @@
 """Set-valued maps as records of closures, plus a catalog of test maps.
 
 A SetValuedMap bundles membership, image/preimage distances, a deterministic
-graph sampler, and optional analytic oracles (coderivative, graph normals,
-feature points). Constructors build these records for function graphs,
+graph sampler, and optional analytic oracles (graph normals, feature
+points). Constructors build these records for function graphs,
 linear maps, and the structured maps used throughout: the reciprocal
 interval map, the complementarity angle, and oscillating graphs.
 
@@ -81,14 +81,12 @@ class SetValuedMap:
     (maps with vertical structure also return same-x points with y in the
     annulus around center.y).
 
-    analytic_coderivative(x, y, y_star) returns the list of x* with
-    (x*, -y*) normal to the graph at (x, y); an empty list means the
-    coderivative is empty there (e.g. a constant set-valued map with
-    y* != 0), None means no oracle information at that point.
-    analytic_normals(x, y, m) returns representative (x*, y*) pairs without
-    the unit-y* restriction, so purely horizontal normals (y* = 0) are
-    expressible. feature_points(base_x, r_inner, r_outer, cap) enumerates
-    structural graph points per annulus.
+    analytic_normals(x, y, m) returns representative (x*, y*) pairs with
+    (x*, -y*) normal to the graph at (x, y), or None where the oracle has
+    no information; y* is not restricted to the unit sphere, so purely
+    horizontal normals (y* = 0) are expressible. It is the only source of
+    coderivative elements. feature_points(base_x, r_inner, r_outer, cap)
+    enumerates structural graph points per annulus.
 
     func_batch(z), for scalar function graphs only, evaluates f on a (n,)
     array of points at once. Element k must equal
@@ -102,7 +100,6 @@ class SetValuedMap:
     image_distance: Callable
     sample_graph: Callable
     preimage_distance: Callable | None = None
-    analytic_coderivative: Callable | None = None
     analytic_normals: Callable | None = None
     feature_points: Callable | None = None
     func: Callable | None = None
@@ -176,12 +173,6 @@ def make_function_graph(
         xs = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
         return [GraphPoint(x, fv(x)) for x in xs]
 
-    def coderivative(x, y, y_star):
-        g = gv(x)
-        if g is None:
-            return None
-        return [g.T @ np.atleast_1d(y_star)]
-
     def normals(x, y, m=8):
         g = gv(x)
         if g is None:
@@ -198,7 +189,6 @@ def make_function_graph(
         image_distance=image_distance,
         preimage_distance=preimage,
         sample_graph=sample,
-        analytic_coderivative=coderivative,
         analytic_normals=normals,
         feature_points=features,
         func=fv,
@@ -590,27 +580,6 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
                 pts.append(GraphPoint(np.array([xk]), np.array([yv])))
         return pts
 
-    def coderivative(x, y, y_star):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        ys = float(np.atleast_1d(y_star)[0])
-        k = recip_k(xv)
-        if not k:
-            return [np.atleast_1d(y_star).astype(float)]
-        xk = xv
-        if abs(abs(yv) - xk) <= 1e-12 * max(1.0, xk):
-            # corner of the vertical segment
-            if yv > 0:  # top: normals {(-s, s): s >= 0}, i.e. x* = y* for y* <= 0
-                return [np.array([ys])] if ys < 0 else []
-            if yv < 0:  # bottom: x* = y* for y* >= 0
-                return [np.array([ys])] if ys > 0 else []
-            # xk == |yv| == 0 cannot happen (xk > 0)
-        if abs(yv) < xk:
-            # interior of the fiber: only horizontal normals, so the
-            # coderivative at any y* != 0 is empty
-            return [] if ys != 0.0 else None
-        return [np.atleast_1d(y_star).astype(float)]
-
     def normals(x, y, m=8):
         xv = float(np.atleast_1d(x)[0])
         yv = float(np.atleast_1d(y)[0])
@@ -629,7 +598,6 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
-        analytic_coderivative=coderivative,
         analytic_normals=normals,
         feature_points=features,
         name="interval",
@@ -681,16 +649,6 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
                     pts.append(GraphPoint(np.array([0.0]), np.array([s])))
         return pts
 
-    def coderivative(x, y, y_star):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        ys = float(np.atleast_1d(y_star)[0])
-        if xv > 0.0 and abs(yv) <= 1e-15:
-            return [np.array([0.0])]
-        if abs(xv) <= 1e-15 and yv > 0.0:
-            return [] if ys != 0.0 else None
-        return None  # the origin's normal cone is not enumerable per y*
-
     def normals(x, y, m=8):
         xv = float(np.atleast_1d(x)[0])
         yv = float(np.atleast_1d(y)[0])
@@ -712,7 +670,6 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
-        analytic_coderivative=coderivative,
         analytic_normals=normals,
         name="compl_angle",
         kind=kind,
@@ -729,8 +686,8 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
     """The map x -> F(x) + f(x) for a single-valued f.
 
     f may be a callable or a perturbation object carrying .eval and
-    .derivative; coderivative oracles are shifted by the gradient of f at
-    points where it exists (the shift is exact there). anchors are extra
+    .derivative; normal oracles are shifted by the gradient of f at points
+    where it exists (the shift is exact there). anchors are extra
     graph points injected into the sampler, used to keep constructed
     witness points visible to the estimators. f_batch is the optional batch
     form of a scalar f (see SetValuedMap.func_batch).
@@ -770,17 +727,6 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
             if r_inner < t <= r_outer:
                 pts.append(GraphPoint(a.x.copy(), a.y.copy()))
         return pts
-
-    def coderivative(x, y, y_star):
-        if F.analytic_coderivative is None:
-            return None
-        g = gv(x)
-        if g is None:
-            return None
-        base = F.analytic_coderivative(x, np.atleast_1d(y) - fv(x), y_star)
-        if base is None:
-            return None
-        return [b + g.T @ np.atleast_1d(y_star) for b in base]
 
     def normals(x, y, m=8):
         if F.analytic_normals is None:
@@ -822,7 +768,6 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
         image_distance=image_distance,
         preimage_distance=None,
         sample_graph=sample,
-        analytic_coderivative=coderivative,
         analytic_normals=normals,
         feature_points=features if F.feature_points is not None else None,
         func=func if F.func is not None else None,
@@ -866,9 +811,6 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
                 break
         return pts[: 2 * n]
 
-    def coderivative(u, v, v_star):
-        return None  # enumeration via normals below
-
     def normals(u, v, m=8):
         if F.analytic_normals is None:
             return None
@@ -886,7 +828,6 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
-        analytic_coderivative=coderivative,
         analytic_normals=normals,
         name=name or f"inv({F.name})",
         kind=F.kind,

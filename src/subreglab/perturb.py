@@ -83,6 +83,8 @@ _EPS_FLOOR = 1e-12
 _DEAD_ZONE = 1e-5
 _CLUSTER_TOL = 1e-6
 _SEPARATION = 1e-2
+_MIN_ENTRIES = 4
+_MAX_ENTRIES = 6
 
 
 class WitnessError(RuntimeError):
@@ -140,69 +142,66 @@ def _cand_order(c: dict) -> tuple:
     return (c["obj"], -float(c["u"][0]), -c["t"])
 
 
+def _graph_rows(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: float,
+                outer: float, pts: list[GraphPoint], cut: float):
+    """The ssr rows of one annulus: its graph points with ratio at most cut,
+    x* = 0 and y* the norming functional of y - yb (e_1 at y = yb)."""
+    for p in pts:
+        t = ctx.norm(p.x - base.x)
+        if not (inner < t <= outer) or t <= 0.0:
+            continue
+        dy = p.y - base.y
+        yn = ctx.norm(dy)
+        ratio = yn / t
+        if ratio > cut:  # before the norming functional, which costs more
+            continue
+        if yn > 0.0:
+            ys = norming_functional(dy, ctx.kind)
+        else:
+            ys = np.zeros(F.dim_y)
+            ys[0] = 1.0
+        yield t, p.x, p.y, np.zeros(F.dim_x), ys, 0.0, ratio, 0.0, 0.0
+
+
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                         ladder: ScaleLadder, ctx: NormContext, pool: ElementPool | None = None,
                         start: int = 0) -> list[dict]:
     """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
-    Each annulus keeps its best candidate per coarse (direction, payload,
-    y*) orientation key, so that both the stationary clustering and the
-    distinct-direction selection see every available family. An annulus's
-    candidates depend only on gamma, its radius and its graph sample or
-    records, which come from pool (a new ElementPool when None).
+    A candidate comes from a row (t, x, y, x*, y*, eps, ratio, xn, q): an
+    element record, or for the ssr kind a graph point. Each annulus keeps
+    its best candidate per coarse (direction, payload, y*) orientation key,
+    so that both the stationary clustering and the distinct-direction
+    selection see every available family. An annulus's candidates depend
+    only on gamma, its radius and its graph sample or records, which come
+    from pool (a new ElementPool when None).
     """
     if pool is None:
         pool = ElementPool(F, base, ctx)
     cut = gamma * (1.0 - 1e-9)
-    cands: list[dict] = []
     if kind == "ssr":
-        for j, inner, outer, pts in pool.graph_annuli(ladder, 71)[start:]:
-            best: dict[tuple, dict] = {}
-            for p in pts:
-                t = ctx.norm(p.x - base.x)
-                if not (inner < t <= outer) or t <= 0.0:
-                    continue
-                dy = p.y - base.y
-                ratio = ctx.norm(dy) / t
-                if ratio > cut:
-                    continue
-                u = (p.x - base.x) / t
-                if ctx.norm(dy) > 0.0:
-                    ys = norming_functional(dy, ctx.kind)
-                    pay = dy / float(np.max(np.abs(dy)))
-                else:
-                    ys = np.zeros(F.dim_y)
-                    ys[0] = 1.0
-                    pay = dy
-                cand = {"t": t, "x": p.x, "y": p.y, "x_star": np.zeros(F.dim_x),
-                        "y_star": ys, "eps": 0.0, "ratio": ratio, "xn": 0.0,
-                        "q": 0.0, "u": u, "annulus": j, "obj": ratio, "pay": pay}
-                key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(ys, 0.25))
-                cur = best.get(key)
-                if cur is None or _cand_order(cand) < _cand_order(cur):
-                    best[key] = cand
-            cands.extend(sorted(best.values(), key=_cand_order))
-        return cands
-
-    records, _ = build_element_pool(F, base, ladder, ctx, pool=pool)
-    for j in range(start, ladder.depth):
+        annuli = [(j, _graph_rows(F, base, ctx, inner, outer, pts, cut))
+                  for j, inner, outer, pts in pool.graph_annuli(ladder, 71)[start:]]
+    else:
+        records, _ = build_element_pool(F, base, ladder, ctx, pool=pool)
+        annuli = [(j, ((r.t, r.elem.x, r.elem.y, r.elem.x_star, r.elem.y_star, r.eps, r.ratio,
+                        r.xn, r.q) for r in records[j]))
+                  for j in range(start, ladder.depth)]
+    cands: list[dict] = []
+    for j, rows in annuli:
         r_j = ladder.radius(j)
         best: dict[tuple, dict] = {}
-        for rec in records[j]:
-            obj = _objective(kind, rec.ratio, rec.xn)
-            if obj > cut:
+        for t, x, y, x_star, y_star, eps, ratio, xn, q in rows:
+            obj = _objective(kind, ratio, xn)
+            if obj > cut or (kind == "ss" and q > min(0.5, 8.0 * r_j)):
                 continue
-            if kind == "ss" and rec.q > min(0.5, 8.0 * r_j):
-                continue
-            e = rec.elem
-            u = (e.x - base.x) / rec.t
-            dy = e.y - base.y
+            u = (x - base.x) / t
+            dy = y - base.y
             pay = dy / float(np.max(np.abs(dy))) if np.any(dy) else dy
-            cand = {"t": rec.t, "x": e.x, "y": e.y, "x_star": e.x_star,
-                    "y_star": e.y_star, "eps": rec.eps,
-                    "ratio": rec.ratio, "xn": rec.xn, "q": rec.q, "u": u,
-                    "annulus": j, "obj": obj, "pay": pay}
-            key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(e.y_star, 0.25))
+            cand = {"t": t, "x": x, "y": y, "x_star": x_star, "y_star": y_star, "eps": eps,
+                    "ratio": ratio, "xn": xn, "q": q, "u": u, "annulus": j, "obj": obj,
+                    "pay": pay}
+            key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(y_star, 0.25))
             cur = best.get(key)
             if cur is None or _cand_order(cand) < _cand_order(cur):
                 best[key] = cand
@@ -212,8 +211,7 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                     ladder: ScaleLadder, ctx: NormContext | None = None,
-                    direction_mode: str = "auto", min_entries: int = 4,
-                    max_entries: int = 6, pool: ElementPool | None = None
+                    direction_mode: str = "auto", pool: ElementPool | None = None
                     ) -> WitnessSequence:
     """Extract a thinning witness sequence certifying the kind's constant < gamma.
 
@@ -222,8 +220,9 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
     defect filter), ssr with the strong subregularity quotient on graph
     points. Raises WitnessError("no witness below gamma ...") when no
     candidate beats gamma at any scale, and WitnessError("insufficient
-    depth ...") when thinning cannot assemble min_entries entries above the
-    scale floor; the ladder is deepened internally before giving up.
+    depth ...") when thinning cannot assemble _MIN_ENTRIES entries above
+    the scale floor; the ladder is deepened by 8 annuli at a time before
+    giving up.
 
     Graph samples and element records come from pool (a new ElementPool
     when None). Each deepening collects candidates from the new annuli
@@ -240,25 +239,21 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
         ctx = NormContext(kind=F.kind, dim_x=F.dim_x, dim_y=F.dim_y)
     pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
 
-    work = ladder
-    cands = _collect_candidates(F, base, kind, gamma, work, ctx, pool)
-    while not cands:
+    work, start, cands = ladder, 0, []
+    while True:
+        cands += _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
+        seq = _try_select(cands, kind, gamma, direction_mode, ctx) if cands else None
+        if seq is not None:
+            break
         if work.radius(work.depth) < _T_FLOOR:
+            if not cands:
+                raise WitnessError(
+                    f"no witness below gamma: no {kind} candidate beats {gamma:g} "
+                    f"down to radius {work.radius(work.depth):.3e}")
             raise WitnessError(
-                f"no witness below gamma: no {kind} candidate beats {gamma:g} "
-                f"down to radius {work.radius(work.depth):.3e}")
-        start, work = work.depth, work.deepen(8)
-        cands = _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
-
-    seq = _try_select(cands, kind, gamma, direction_mode, min_entries, max_entries, ctx)
-    while seq is None:
-        if work.radius(work.depth) < _T_FLOOR:
-            raise WitnessError(
-                f"insufficient depth: fewer than {min_entries} thinned {kind} "
+                f"insufficient depth: fewer than {_MIN_ENTRIES} thinned {kind} "
                 f"entries above the scale floor {_T_FLOOR:g}")
         start, work = work.depth, work.deepen(8)
-        cands += _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
-        seq = _try_select(cands, kind, gamma, direction_mode, min_entries, max_entries, ctx)
     seq.base = GraphPoint(base.x.copy(), base.y.copy())
     seq.norm_kind = ctx.kind
     problems = validate_witness(seq, ctx)
@@ -268,8 +263,7 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
 
 
 def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
-                min_entries: int, max_entries: int, ctx: NormContext
-                ) -> WitnessSequence | None:
+                ctx: NormContext) -> WitnessSequence | None:
     # margin preference: when enough scales offer comfortable candidates,
     # drop the ones close to gamma (a smaller gamma' buys larger bumps)
     strict = [c for c in cands if c["obj"] <= 0.55 * gamma]
@@ -282,15 +276,17 @@ def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
         k_hat = _index_shift(gamma0, gamma)
         if k_hat is None:
             return None
-        picked = _thin_factorial(cands, k_hat, max_entries)
+        picked = _thin(cands, lambda c, got: c["t"] < got[-1]["t"] / (2.0 * (k_hat + len(got))))
     else:
         k_hat = 1
-        mode, pool = _choose_mode(cands, direction_mode)
+        mode, members = _choose_mode(cands, direction_mode)
         if mode == "stationary":
-            picked = _thin_exponential(pool, max_entries)
+            picked = _thin(members, lambda c, got: c["t"] < math.exp(-float(len(got) + 1))
+                           * got[-1]["t"])
         else:
-            picked = _thin_distinct(pool, max_entries)
-    if len(picked) < min_entries:
+            picked = _thin(members, lambda c, got: c["t"] < got[-1]["t"] / 2.0 and not any(
+                float(np.linalg.norm(c["u"] - g["u"])) < _SEPARATION for g in got))
+    if len(picked) < _MIN_ENTRIES:
         return None
 
     entries = []
@@ -326,52 +322,18 @@ def _eps_step_ok(prev: float, new: float, floor: float = _EPS_FLOOR) -> bool:
     return new <= floor or new < prev * (1.0 - 1e-9)
 
 
-def _thin_factorial(cands: list[dict], k_hat: int, max_entries: int) -> list[dict]:
-    by_t = sorted(cands, key=lambda c: (-c["t"], c["obj"]))
+def _thin(cands: list[dict], accept: Callable) -> list[dict]:
+    """Greedy thinning from the largest t, ties by objective, up to _MAX_ENTRIES.
+
+    The first candidate always joins; a later one joins when accept(c,
+    picked so far) holds and its eps steps down (_eps_step_ok).
+    """
     picked: list[dict] = []
-    k = k_hat
-    for c in by_t:
-        if not picked:
+    for c in sorted(cands, key=lambda c: (-c["t"], c["obj"])):
+        if not picked or (accept(c, picked) and _eps_step_ok(picked[-1]["eps"], c["eps"])):
             picked.append(c)
-            continue
-        if c["t"] < picked[-1]["t"] / (2.0 * (k + 1)) and _eps_step_ok(picked[-1]["eps"], c["eps"]):
-            picked.append(c)
-            k += 1
-            if len(picked) >= max_entries:
+            if len(picked) >= _MAX_ENTRIES:
                 break
-    return picked
-
-
-def _thin_exponential(cands: list[dict], max_entries: int) -> list[dict]:
-    by_t = sorted(cands, key=lambda c: (-c["t"], c["obj"]))
-    picked: list[dict] = []
-    for c in by_t:
-        if not picked:
-            picked.append(c)
-            continue
-        k = len(picked) + 1  # position the entry would take, 1-based
-        if c["t"] < math.exp(-float(k)) * picked[-1]["t"] and _eps_step_ok(
-                picked[-1]["eps"], c["eps"]):
-            picked.append(c)
-            if len(picked) >= max_entries:
-                break
-    return picked
-
-
-def _thin_distinct(cands: list[dict], max_entries: int) -> list[dict]:
-    by_t = sorted(cands, key=lambda c: (-c["t"], c["obj"]))
-    picked: list[dict] = []
-    for c in by_t:
-        if picked:
-            if c["t"] >= picked[-1]["t"] / 2.0:
-                continue
-            if any(float(np.linalg.norm(c["u"] - p["u"])) < _SEPARATION for p in picked):
-                continue
-            if not _eps_step_ok(picked[-1]["eps"], c["eps"]):
-                continue
-        picked.append(c)
-        if len(picked) >= max_entries:
-            break
     return picked
 
 
@@ -604,26 +566,21 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     base = seq.base
     es = seq.entries
     xs = [e.x for e in es]
-    ts = [e.t for e in es]
     vs = [norming_vector(e.y_star, ctx.kind) for e in es]
     ps = [1.0 + 1.0 / e.index for e in es]
     dim_y = es[0].y.size
     dim_x = es[0].x.size
-    for i in range(len(ts) - 1):
-        if ts[i + 1] + rho[i + 1] >= ts[i] - rho[i]:
-            raise WitnessError("bump supports overlap; thinning insufficient")
-    ts_asc = ts[::-1]
+    # the supports are l2 balls, so their shells around the base are
+    # measured in l2 too (in 1-D, d_k is t_k); the innermost must miss the base
+    ds = [_l2(x - base.x) for x in xs]
+    if not (all(ds[i + 1] + rho[i + 1] < ds[i] - rho[i] for i in range(len(ds) - 1))
+            and ds[-1] - rho[-1] > 0.0):
+        raise WitnessError("bump supports overlap; thinning insufficient")
 
     def locate(x) -> int | None:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        d0 = _l2(x - base.x)
-        pos = bisect.bisect_left(ts_asc, d0)
-        for idx_asc in (pos - 1, pos):
-            if 0 <= idx_asc < len(ts_asc):
-                k = len(ts_asc) - 1 - idx_asc
-                if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k]:
-                    return k
-        return None
+        return next((k for k in range(len(xs)) if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k]),
+                    None)
 
     def count(x) -> int:
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -442,6 +442,16 @@ def _check_build(report: RunReport, inequality: str, slack: float, build, detail
                f"{refused}: {err}")
 
 
+def _check_refusal(report: RunReport, inequality: str, slack: float, attempt, marker: str):
+    """Check that attempt() raises a WitnessError holding marker; its text is the detail."""
+    try:
+        attempt()
+    except WitnessError as err:
+        _check(report, inequality, marker in str(err), slack, str(err))
+    else:
+        _check(report, inequality, False, slack, "a witness below gamma was found")
+
+
 def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg, {"value": 1.0, "provenance": "closed form"}))
@@ -456,15 +466,9 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: El
                               f"{min(v for _, v in rep.destabilization):.1e}"),
                  F, base, ctx, ladder, keep=True, refused="build refused", refused_slack=0.1)
 
-    refused = False
-    detail = "a witness below gamma was found"
-    try:
-        build_ssr_destabilizer(F, base, 0.9, ladder, ctx, pool=pool)
-    except WitnessError as err:
-        refused = "no destabilizer below gamma" in str(err)
-        detail = str(err)
-    _check(report, "radius lower bound: no destabilizer below gamma = 0.9 < ssrg",
-           refused, 1.0 - 0.9, detail)
+    _check_refusal(report, "radius lower bound: no destabilizer below gamma = 0.9 < ssrg",
+                   1.0 - 0.9, lambda: build_ssr_destabilizer(F, base, 0.9, ladder, ctx, pool=pool),
+                   "no destabilizer below gamma")
 
     worst = math.inf
     for i in range(5):
@@ -521,15 +525,9 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport, pool: El
                      extract_witness(F, base, "fclm", 1.2, ladder, ctx, pool=pool), 1.2),
                  lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ctx, ladder)
 
-    refused = False
-    detail = "a witness below gamma was found"
-    try:
-        extract_witness(F, base, "fclm", 0.8, ladder, ctx, pool=pool)
-    except WitnessError as err:
-        refused = "no witness below gamma" in str(err)
-        detail = str(err)
-    _check(report, "fclm radius lower bound: no witness below gamma = 0.8 < srg2p",
-           refused, 1.0 - 0.8, detail)
+    _check_refusal(report, "fclm radius lower bound: no witness below gamma = 0.8 < srg2p",
+                   1.0 - 0.8, lambda: extract_witness(F, base, "fclm", 0.8, ladder, ctx, pool=pool),
+                   "no witness below gamma")
 
 
 def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):

@@ -17,7 +17,6 @@ import numpy as np
 from .geometry import (
     NormContext,
     ScaleLadder,
-    dual_sphere_grid,
     norm,
     operator_norm,
     sample_annulus,
@@ -122,29 +121,16 @@ def defect_quotient(x_star, y_star, du, dv, den: float, dist: float) -> float:
 
 def elements_at_point(F: SetValuedMap, gp: GraphPoint, ctx: NormContext,
                       m_ystar: int = 8) -> list[CoderivElement]:
-    """Exact elements at one graph point from the map's analytic oracles.
+    """Exact elements at one graph point from the map's normal oracle.
 
-    Prefers the unrestricted normal oracle (which can expose y* = 0
-    normals); falls back to the coderivative oracle over a unit y* grid.
-    Returns [] when the oracles disclaim knowledge at this point.
+    The oracle's pairs are not restricted to unit y*, so y* = 0 normals
+    show. Returns [] when the map has no oracle or it disclaims knowledge
+    at this point.
     """
-    out: list[CoderivElement] = []
-    if F.analytic_normals is not None:
-        pairs = F.analytic_normals(gp.x, gp.y, m_ystar)
-        if pairs is not None:
-            for xs, ys in pairs:
-                out.append(CoderivElement(gp.x, gp.y, np.atleast_1d(np.asarray(ys, dtype=float)),
-                                          np.atleast_1d(np.asarray(xs, dtype=float))))
-            return out
-    if F.analytic_coderivative is not None:
-        for ys in dual_sphere_grid(ctx.dual, F.dim_y, m_ystar):
-            xs_list = F.analytic_coderivative(gp.x, gp.y, ys)
-            if xs_list is None:
-                continue
-            for xs in xs_list:
-                out.append(CoderivElement(gp.x, gp.y, ys.copy(),
-                                          np.atleast_1d(np.asarray(xs, dtype=float))))
-    return out
+    pairs = F.analytic_normals(gp.x, gp.y, m_ystar) if F.analytic_normals is not None else None
+    return [CoderivElement(gp.x, gp.y, np.atleast_1d(np.asarray(ys, dtype=float)),
+                           np.atleast_1d(np.asarray(xs, dtype=float)))
+            for xs, ys in pairs or ()]
 
 
 def coderivative_shift(elem: CoderivElement, grad: np.ndarray, f_x: np.ndarray,

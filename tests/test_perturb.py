@@ -399,3 +399,15 @@ def _witness_digest(mid, norm_kind, kind, gamma, mode):
 @pytest.mark.parametrize("case", sorted(_WITNESS_PIN))
 def test_witness_bits_are_pinned(case):
     assert _witness_digest(*case) == _WITNESS_PIN[case]
+
+
+def test_bump_supports_are_placed_in_the_norm_they_use():
+    # in l1 the spiral's first lip entry has t = 1.50e-2 but an l2 distance
+    # of 1.07e-2 to the base, below its bump radius 1.13e-2: that l2 bump
+    # would hold the base point, so the build refuses
+    F, base, ctx = setup_map("spiral", "l1")
+    w = extract_witness(F, base, "lip", 0.05,
+                        ScaleLadder(depth=12, samples_per_scale=64, seed=7), ctx)
+    assert perturb._l2(w.entries[0].x - base.x) < 0.75 * w.entries[0].t
+    with pytest.raises(WitnessError, match="bump supports overlap; thinning insufficient"):
+        build_lip_perturbation(w, 0.05)
