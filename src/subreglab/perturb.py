@@ -576,11 +576,18 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     if not (all(ds[i + 1] + rho[i + 1] < ds[i] - rho[i] for i in range(len(ds) - 1))
             and ds[-1] - rho[-1] > 0.0):
         raise WitnessError("bump supports overlap; thinning insufficient")
+    ds_asc = ds[::-1]
 
     def locate(x) -> int | None:
+        # the shells are disjoint, so only the two nearest in l2 can hold x
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return next((k for k in range(len(xs)) if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k]),
-                    None)
+        pos = bisect.bisect_left(ds_asc, _l2(x - base.x))
+        for idx_asc in (pos - 1, pos):
+            if 0 <= idx_asc < len(ds_asc):
+                k = len(ds_asc) - 1 - idx_asc
+                if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k]:
+                    return k
+        return None
 
     def count(x) -> int:
         x = np.atleast_1d(np.asarray(x, dtype=float))
