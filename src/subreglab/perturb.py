@@ -9,7 +9,8 @@ f(x_k) = yb - y_k exactly at the witness points.
 
 Two geometries are used. Bump builders (lip, fclm) place disjoint radial
 bumps around each x_k with profile 1 - (d/rho_k)^(1+1/k); the factorial
-thinning t_{k+1} < t_k/(2(k+1)) separates their supports. Cone builders
+thinning t_{k+1} < t_k/(2(k+1)) separates their supports, and the builders
+refuse a witness whose l2 supports still overlap or hold the base. Cone builders
 (ss, ssr) attach payloads to dual cones along witness directions: distinct
 directions get one positively homogeneous cone each (case 1), a stationary
 direction gets a single cone whose payload interpolates log-linearly in
