@@ -35,7 +35,6 @@ __all__ = [
     "norm",
     "norming_functional",
     "norming_vector",
-    "operator_norm",
     "pairing",
     "product_norm",
     "product_norm_dual",
@@ -104,17 +103,6 @@ def product_norm(x, y, kind: str = "l2") -> float:
 def product_norm_dual(x_star, y_star, kind: str = "l2") -> float:
     """Dual norm on (X x Y)*: max(||x*||_dual, ||y*||_dual)."""
     return max(dual_norm(x_star, kind), dual_norm(y_star, kind))
-
-
-def operator_norm(M, kind: str = "l2") -> float:
-    """Induced norm of a matrix between spaces that both carry `kind`."""
-    _check_kind(kind)
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if kind == "l1":
-        return float(np.max(np.sum(np.abs(A), axis=0)))
-    if kind == "linf":
-        return float(np.max(np.sum(np.abs(A), axis=1)))
-    return float(np.linalg.norm(A, 2))
 
 
 def norming_functional(u, kind: str = "l2") -> np.ndarray:
@@ -355,10 +343,12 @@ class ScaleLadder:
             raise ValueError("r0 must be positive")
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.samples_per_scale < 1:
-            raise ValueError("samples_per_scale must be at least 1")
+        for name in ("depth", "samples_per_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def radius(self, j: int) -> float:
         return self.r0 * self.theta**j

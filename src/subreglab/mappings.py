@@ -1,10 +1,10 @@
 """Set-valued maps as records of closures, plus a catalog of test maps.
 
-A SetValuedMap bundles membership, image/preimage distances, a deterministic
-graph sampler, and optional analytic oracles (graph normals, feature
-points). Constructors build these records for function graphs,
-linear maps, and the structured maps used throughout: the reciprocal
-interval map, the complementarity angle, and oscillating graphs.
+A SetValuedMap bundles image/preimage distances, a deterministic graph
+sampler, and optional analytic oracles (graph normals, feature points).
+Constructors build these records for function graphs, linear maps, and the
+structured maps used throughout: the reciprocal interval map, the
+complementarity angle, and oscillating graphs.
 
 Feature points deserve a word. Uniform annulus sampling provably misses
 measure-zero qualifying sets (the sin/cos zero fibers of x sin(1/x) occupy
@@ -73,20 +73,22 @@ class GraphPoint:
 class SetValuedMap:
     """Record of closures describing F: R^dim_x => R^dim_y.
 
-    membership(x, y, tol) decides y in F(x); image_distance(x, y) returns
-    d(y, F(x)) (inf when F(x) is empty); preimage_distance(x, y) returns
+    image_distance(x, y) returns d(y, F(x)) (inf when F(x) is empty), so
+    y lies in F(x) when it is 0; preimage_distance(x, y) returns
     d(x, F^{-1}(y)) or may be None, in which case callers fall back to
     preimage_distance_fallback. sample_graph(center, r_inner, r_outer, n,
     seed) returns graph points whose x lies in the annulus around center.x
     (maps with vertical structure also return same-x points with y in the
     annulus around center.y).
 
-    analytic_normals(x, y, m) returns representative (x*, y*) pairs with
+    analytic_normals(x, y) returns representative (x*, y*) pairs with
     (x*, -y*) normal to the graph at (x, y), or None where the oracle has
     no information; y* is not restricted to the unit sphere, so purely
-    horizontal normals (y* = 0) are expressible. It is the only source of
-    coderivative elements. feature_points(base_x, r_inner, r_outer, cap)
-    enumerates structural graph points per annulus.
+    horizontal normals (y* = 0) are expressible. Function graphs offer the
+    y* of an 8-point dual_sphere_grid. It is the only source of
+    coderivative elements. feature_points(base_x, r_inner, r_outer)
+    enumerates at most _FEATURE_CAP = 24 structural graph points per
+    annulus.
 
     func_batch(z), for scalar function graphs only, evaluates f on a (n,)
     array of points at once. Element k must equal
@@ -96,7 +98,6 @@ class SetValuedMap:
 
     dim_x: int
     dim_y: int
-    membership: Callable
     image_distance: Callable
     sample_graph: Callable
     preimage_distance: Callable | None = None
@@ -163,9 +164,6 @@ def make_function_graph(
             return None
         return np.atleast_2d(np.asarray(g, dtype=float))
 
-    def membership(x, y, tol=1e-9):
-        return norm(np.atleast_1d(y) - fv(x), kind) <= tol
-
     def image_distance(x, y):
         return norm(np.atleast_1d(y) - fv(x), kind)
 
@@ -173,19 +171,18 @@ def make_function_graph(
         xs = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
         return [GraphPoint(x, fv(x)) for x in xs]
 
-    def normals(x, y, m=8):
+    def normals(x, y):
         g = gv(x)
         if g is None:
             return None
         out = []
-        for eta in dual_sphere_grid(kind, dim_y, m):
+        for eta in dual_sphere_grid(kind, dim_y, 8):
             out.append((g.T @ eta, eta))
         return out
 
     return SetValuedMap(
         dim_x=dim_x,
         dim_y=dim_y,
-        membership=membership,
         image_distance=image_distance,
         preimage_distance=preimage,
         sample_graph=sample,
@@ -256,17 +253,15 @@ def make_identity(dim: int = 1, kind: str = "l1") -> SetValuedMap:
     return make_linear_map(np.eye(dim), kind=kind, name="identity")
 
 
-def make_zero_map(dim_x: int = 1, dim_y: int = 1, kind: str = "l1") -> SetValuedMap:
+def make_zero_map(kind: str = "l1") -> SetValuedMap:
     def preimage(x, y):
         if norm(y, kind) == 0.0:
             return 0.0
         return math.inf
 
     return make_function_graph(
-        lambda x: np.zeros(dim_y),
-        grad=lambda x: np.zeros((dim_y, dim_x)),
-        dim_x=dim_x,
-        dim_y=dim_y,
+        lambda x: np.zeros(1),
+        grad=lambda x: np.zeros((1, 1)),
         kind=kind,
         name="zero",
         preimage=preimage,
@@ -315,6 +310,9 @@ def make_abs(kind: str = "l1") -> SetValuedMap:
     )
 
 
+_FEATURE_CAP = 24  # feature points per annulus, at most
+
+
 def _stride_indices(count: int, cap: int) -> list[int]:
     """Deterministic selection of at most cap indices from range(count)."""
     if count <= cap:
@@ -346,13 +344,13 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
         u = 1.0 / xv
         return [[math.sin(u) - u * math.cos(u)]]
 
-    def features(base_x, r_inner, r_outer, cap=24):
+    def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
         pts: list[GraphPoint] = []
         if abs(bx) > 1e-12 or r_inner <= 0:
             return pts
         u_lo, u_hi = 1.0 / r_outer, 1.0 / r_inner
-        per = max(2, cap // 6)
+        per = max(2, _FEATURE_CAP // 6)
         # keep k implicit: at fine scales the index range has ~1/r_inner
         # members and must never be materialized
         k_lo = max(1, int(math.ceil(u_lo / math.pi)))
@@ -418,13 +416,13 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
 
     theta_min = math.atan(-0.5)  # argmin of max(|sin|, |sin + cos|)
 
-    def features(base_x, r_inner, r_outer, cap=24):
+    def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
         pts: list[GraphPoint] = []
         if abs(bx) > 1e-12 or r_inner <= 0:
             return pts
         lo, hi = math.log(r_inner), math.log(r_outer)
-        per = max(2, cap // 6)
+        per = max(2, _FEATURE_CAP // 6)
         for sign in (1.0, -1.0):
             for off in (theta_min, 0.0, math.pi / 2.0):
                 ms = range(int(math.ceil((lo - off) / math.pi)), int(math.floor((hi - off) / math.pi)) + 1)
@@ -476,14 +474,17 @@ def make_spiral(kind: str = "l2") -> SetValuedMap:
 # structured set-valued maps
 
 
-def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap:
+_RECIP_TOL = 1e-9
+
+
+def make_interval_map(kind: str = "l1") -> SetValuedMap:
     """F(x) = [-x, x] when x = 1/k for an integer k >= 1, else {x}.
 
     Reciprocal detection accepts x > 0 with |1/x - round(1/x)| <=
-    recip_tol * (1/x)^2, i.e. an absolute x-window of about recip_tol around
-    each 1/k. That is unambiguous while the windows stay separated, which
-    holds for x above roughly sqrt(2 * recip_tol); the catalog ladders stay
-    well inside that range.
+    _RECIP_TOL * (1/x)^2, i.e. an absolute x-window of about _RECIP_TOL
+    around each 1/k. That is unambiguous while the windows stay separated,
+    which holds for x above roughly sqrt(2 * _RECIP_TOL); the catalog
+    ladders stay well inside that range.
     """
 
     def recip_k(xv: float) -> int:
@@ -491,16 +492,9 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
             return 0
         q = 1.0 / xv
         k = round(q)
-        if k >= 1 and abs(q - k) <= recip_tol * q * q:
+        if k >= 1 and abs(q - k) <= _RECIP_TOL * q * q:
             return int(k)
         return 0
-
-    def membership(x, y, tol=1e-9):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        if recip_k(xv):
-            return -xv - tol <= yv <= xv + tol
-        return abs(yv - xv) <= tol
 
     def image_distance(x, y):
         xv = float(np.atleast_1d(x)[0])
@@ -561,7 +555,7 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
                     pts.append(GraphPoint(np.array([cx]), np.array([yv])))
         return pts
 
-    def features(base_x, r_inner, r_outer, cap=24):
+    def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
         pts = []
         if abs(bx) > 1e-12:
@@ -572,7 +566,7 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
         k_lo = max(1, int(math.ceil(1.0 / b)))
         k_hi = int(math.floor(min(1.0 / a, 1e18)))
         n_k = max(0, k_hi - k_lo + 1)
-        for i in _stride_indices(n_k, max(2, cap // 3)):
+        for i in _stride_indices(n_k, max(2, _FEATURE_CAP // 3)):
             xk = 1.0 / (k_lo + i)
             if not (a < xk <= b):
                 continue
@@ -580,7 +574,7 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
                 pts.append(GraphPoint(np.array([xk]), np.array([yv])))
         return pts
 
-    def normals(x, y, m=8):
+    def normals(x, y):
         xv = float(np.atleast_1d(x)[0])
         yv = float(np.atleast_1d(y)[0])
         k = recip_k(xv)
@@ -594,7 +588,6 @@ def make_interval_map(kind: str = "l1", recip_tol: float = 1e-9) -> SetValuedMap
     return SetValuedMap(
         dim_x=1,
         dim_y=1,
-        membership=membership,
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
@@ -610,11 +603,6 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
 
     F(x) = {0} for x > 0, [0, inf) at x = 0, empty for x < 0.
     """
-
-    def membership(x, y, tol=1e-9):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        return (xv >= -tol and abs(yv) <= tol) or (abs(xv) <= tol and yv >= -tol)
 
     def image_distance(x, y):
         xv = float(np.atleast_1d(x)[0])
@@ -649,7 +637,7 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
                     pts.append(GraphPoint(np.array([0.0]), np.array([s])))
         return pts
 
-    def normals(x, y, m=8):
+    def normals(x, y):
         xv = float(np.atleast_1d(x)[0])
         yv = float(np.atleast_1d(y)[0])
         if xv > 0.0 and abs(yv) <= 1e-15:
@@ -666,7 +654,6 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
     return SetValuedMap(
         dim_x=1,
         dim_y=1,
-        membership=membership,
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
@@ -681,22 +668,22 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
 
 
 def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
-                      anchors: list[GraphPoint] | None = None,
                       f_batch: Callable | None = None) -> SetValuedMap:
     """The map x -> F(x) + f(x) for a single-valued f.
 
     f may be a callable or a perturbation object carrying .eval and
     .derivative; normal oracles are shifted by the gradient of f at points
-    where it exists (the shift is exact there). anchors are extra
-    graph points injected into the sampler, used to keep constructed
-    witness points visible to the estimators. f_batch is the optional batch
-    form of a scalar f (see SetValuedMap.func_batch).
+    where it exists (the shift is exact there). A perturbation's .anchors,
+    if any, are extra graph points injected into the sampler, used to keep
+    constructed witness points visible to the estimators. f_batch is the
+    optional batch form of a scalar f (see SetValuedMap.func_batch).
     """
+    anchor_pts: list[GraphPoint] = []
     if hasattr(f, "eval") and callable(getattr(f, "eval")):
         fe = f.eval
         gr = getattr(f, "derivative", None)
-        if anchors is None and getattr(f, "anchors", None) is not None:
-            anchors = [GraphPoint(a, b) for a, b in f.anchors]
+        if getattr(f, "anchors", None) is not None:
+            anchor_pts = [GraphPoint(a, b) for a, b in f.anchors]
     else:
         fe, gr = f, grad
 
@@ -711,11 +698,6 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
             return None
         return np.atleast_2d(np.asarray(g, dtype=float))
 
-    anchor_pts = list(anchors or [])
-
-    def membership(x, y, tol=1e-9):
-        return F.membership(x, np.atleast_1d(y) - fv(x), tol)
-
     def image_distance(x, y):
         return F.image_distance(x, np.atleast_1d(y) - fv(x))
 
@@ -728,21 +710,21 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
                 pts.append(GraphPoint(a.x.copy(), a.y.copy()))
         return pts
 
-    def normals(x, y, m=8):
+    def normals(x, y):
         if F.analytic_normals is None:
             return None
         g = gv(x)
         if g is None:
             return None
-        base = F.analytic_normals(x, np.atleast_1d(y) - fv(x), m)
+        base = F.analytic_normals(x, np.atleast_1d(y) - fv(x))
         if base is None:
             return None
         return [(xs + g.T @ ys, ys) for xs, ys in base]
 
-    def features(base_x, r_inner, r_outer, cap=24):
+    def features(base_x, r_inner, r_outer):
         pts = []
         if F.feature_points is not None:
-            for p in F.feature_points(base_x, r_inner, r_outer, cap):
+            for p in F.feature_points(base_x, r_inner, r_outer):
                 pts.append(GraphPoint(p.x, p.y + fv(p.x)))
         return pts
 
@@ -764,7 +746,6 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
     return SetValuedMap(
         dim_x=F.dim_x,
         dim_y=F.dim_y,
-        membership=membership,
         image_distance=image_distance,
         preimage_distance=None,
         sample_graph=sample,
@@ -785,9 +766,6 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     the requested annulus in the swapped coordinate, so annuli fill only
     approximately for strongly nonlinear maps.
     """
-
-    def membership(u, v, tol=1e-9):
-        return F.membership(v, u, tol)
 
     def image_distance(u, v):
         if F.preimage_distance is not None:
@@ -811,10 +789,10 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
                 break
         return pts[: 2 * n]
 
-    def normals(u, v, m=8):
+    def normals(u, v):
         if F.analytic_normals is None:
             return None
-        base = F.analytic_normals(v, u, m)
+        base = F.analytic_normals(v, u)
         if base is None:
             return None
         # (x*, -y*) normal at (x, y) becomes (-y*, x*) normal at (y, x);
@@ -824,7 +802,6 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     return SetValuedMap(
         dim_x=F.dim_y,
         dim_y=F.dim_x,
-        membership=membership,
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
@@ -1000,8 +977,7 @@ def _scalar_graph(F: SetValuedMap) -> bool:
     return F.func is not None and F.dim_x == 1 and F.dim_y == 1
 
 
-def preimage_distances_fallback(F: SetValuedMap, xs, ys, n_starts: int = 48,
-                                max_doublings: int = 8) -> np.ndarray:
+def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
     """d(x, F^{-1}(y)) for every pair (x, y) of a scalar function graph at once.
 
     The crossings of f - y are exactly the fiber, so a grid scan with
@@ -1023,12 +999,11 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys, n_starts: int = 48,
     r0 = np.array([max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6)) for x in xs])
     out = np.zeros(len(xs))
     out[off] = _nearest_roots_1d(batch_func(F), xv[off], yv[off], r0[off], tol[off],
-                                 max(n_starts, 16), max_doublings)
+                                 48, 8)  # grid points per scan, doublings
     return out
 
 
-def preimage_distance_fallback(F: SetValuedMap, x, y, n_starts: int = 48,
-                               seed: int = 0x9E11, max_doublings: int = 8) -> float:
+def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
     """d(x, F^{-1}(y)) without an analytic preimage oracle.
 
     Scalar function graphs are the one-pair case of
@@ -1038,7 +1013,7 @@ def preimage_distance_fallback(F: SetValuedMap, x, y, n_starts: int = 48,
     approximate preimage point is found.
     """
     if _scalar_graph(F):
-        return float(preimage_distances_fallback(F, [x], [y], n_starts, max_doublings)[0])
+        return float(preimage_distances_fallback(F, [x], [y])[0])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     tol = 1e-10 * max(1.0, norm(y, F.kind))
@@ -1046,8 +1021,8 @@ def preimage_distance_fallback(F: SetValuedMap, x, y, n_starts: int = 48,
         return 0.0
     r = max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6))
     best = math.inf
-    for i in range(max_doublings):
-        starts = sample_annulus(x, 0.0, r, n_starts, derive_seed(seed, i), F.kind)
+    for i in range(8):
+        starts = sample_annulus(x, 0.0, r, 48, derive_seed(0x9E11, i), F.kind)
         for z in starts:
             d = F.image_distance(z, y)
             if d <= tol:
@@ -1219,8 +1194,9 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
                      registry: dict[str, CatalogEntry] | None = None) -> tuple[SetValuedMap, CatalogEntry | None]:
     """Build a map from a config spec {id, params, wrap}, recursively.
 
-    Combinator entries reference other ids; cycles raise ValueError. wrap is
-    an ordered list of {op: inverse} or {op: sum, fn: <map spec>} steps.
+    Combinator entries reference other ids and take no params; cycles raise
+    ValueError, and so do params the factory refuses. wrap is an ordered
+    list of {op: inverse} or {op: sum, fn: <map spec>} steps.
     """
     registry = registry if registry is not None else catalog()
 
@@ -1231,7 +1207,14 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
             raise ValueError(f"unknown catalog id {mid!r}")
         entry = registry[mid]
         if entry.combinator is None:
-            return entry.make(kind=kind, params=params), entry
+            try:
+                return entry.make(kind=kind, params=params), entry
+            except (TypeError, ValueError) as err:
+                if not params:
+                    raise
+                raise ValueError(f"invalid params for {mid!r}: {err}") from err
+        if params:
+            raise ValueError(f"catalog combinator {mid!r} takes no params")
         comb = entry.combinator
         base_map, _ = resolve_id(comb["of"], {}, visited + (mid,))
         if comb["op"] == "inverse":
@@ -1247,8 +1230,14 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
     mid = spec.get("id")
     if not isinstance(mid, str):
         raise ValueError("map spec needs a string 'id'")
-    m, entry = resolve_id(mid, dict(spec.get("params") or {}), ())
-    for step in spec.get("wrap") or []:
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError("map spec 'params' must be a mapping")
+    m, entry = resolve_id(mid, params, ())
+    wrap = spec.get("wrap") or []
+    if not (isinstance(wrap, list) and all(isinstance(step, dict) for step in wrap)):
+        raise ValueError("map spec 'wrap' must be a list of mappings")
+    for step in wrap:
         op = step.get("op")
         if op == "inverse":
             m = inverse(m)

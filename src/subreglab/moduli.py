@@ -190,13 +190,13 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
 
 
 def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
-                 extra_points: list[GraphPoint] | None = None,
-                 max_pairs: int = 400) -> Estimate:
+                 extra_points: list[GraphPoint] | None = None) -> Estimate:
     """Lipschitz modulus via two-point slopes of graph points per annulus.
 
     Pairs are nearest neighbors in sample order after a 1-D sort (or a
-    stride pattern in higher dimension) plus pairs against the base, so the
-    estimate dominates calmness by construction.
+    stride pattern in higher dimension), the first 400 per annulus, plus
+    pairs against the base, so the estimate dominates calmness by
+    construction.
     """
     pools = _graph_pool(F, base, ladder, 37, extra_points)
     per_annulus: list[list[float]] = []
@@ -211,7 +211,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
             pairs = list(zip(pts, pts[1:]))
         else:
             pairs = list(zip(pts, pts[1:])) + list(zip(pts, pts[7:]))
-        for p, q in pairs[:max_pairs]:
+        for p, q in pairs[:400]:
             sep = ctx.norm(p.x - q.x)
             if sep <= 1e-14 * max(1.0, ctx.norm(p.x - base.x)):
                 continue
@@ -270,15 +270,16 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     return est.finalize()
 
 
-def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
-                 points_per_scale: int | None = None) -> Estimate:
+def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
+                 ctx: NormContext) -> Estimate:
     """Subregularity: liminf of d(yb, F(x)) / d(x, F^{-1}(yb)) for x not in F^{-1}(yb).
 
     When every sample at every scale lands in the preimage the quotient set
     is empty; the estimate is +inf with an explanatory note (the flag for
-    maps like the zero map whose preimage has interior).
+    maps like the zero map whose preimage has interior). Each annulus
+    draws min(samples per scale, 96) points.
     """
-    n = points_per_scale or min(ladder.samples_per_scale, 96)
+    n = min(ladder.samples_per_scale, 96)
     points = []  # (annulus, d(yb, F(x)), x) of the x off the preimage, in sampling order
     for j, (inner, outer) in enumerate(ladder.annuli()):
         for x in sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind):
@@ -416,19 +417,19 @@ class ElementPool:
         """mappings.graph_annuli(F, base, ladder, tag) as a list, each annulus drawn once."""
         return self._grown(ladder, tag, "graph", lambda *annulus: annulus)
 
-    def records(self, ladder: ScaleLadder, m_ystar: int) -> list[list[ElementRecord]]:
+    def records(self, ladder: ScaleLadder) -> list[list[ElementRecord]]:
         """The records of the sampled graph points and feature points, per annulus."""
         F, base, ctx = self.F, self.base, self.ctx
 
         def make(j, inner, outer, pts):
-            groups = [(gp.x, gp.y, elements_at_point(F, gp, ctx, m_ystar)) for gp in pts]
+            groups = [(gp.x, gp.y, elements_at_point(F, gp)) for gp in pts]
             return _annulus_records(groups, j, inner, outer, base, ctx)
 
-        return self._grown(ladder, 61, ("records", m_ystar), make)
+        return self._grown(ladder, 61, "records", make)
 
 
 def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                       ctx: NormContext, m_ystar: int = 8,
+                       ctx: NormContext, *,
                        extra_elements: list[CoderivElement] | None = None,
                        pool: ElementPool | None = None
                        ) -> tuple[list[list[ElementRecord]], str]:
@@ -451,9 +452,11 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     h.update(F.name.encode())
     h.update(ctx.kind.encode())
     h.update(base.x.tobytes() + base.y.tobytes())
+    # payloads carry the id; the trailing 8 (the size of the function graphs'
+    # y* grid) keeps every id, and with it every payload, bit for bit
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
-                   ladder.seed, m_ystar)).encode())
-    pools = pool.records(ladder, m_ystar)  # a new list of the shared annuli
+                   ladder.seed, 8)).encode())
+    pools = pool.records(ladder)  # a new list of the shared annuli
     extras = list(extra_elements or [])
     if extras:
         for j, (inner, outer) in enumerate(ladder.annuli()):
@@ -534,9 +537,9 @@ def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float
 
 
 def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                           ctx: NormContext, m_ystar: int = 8,
-                           pool: ElementPool | None = None) -> dict[str, Estimate]:
-    records, pool_id = build_element_pool(F, base, ladder, ctx, m_ystar, pool=pool)
+                           ctx: NormContext, pool: ElementPool | None = None
+                           ) -> dict[str, Estimate]:
+    records, pool_id = build_element_pool(F, base, ladder, ctx, pool=pool)
     out = {}
     for kind in CONSTANT_KINDS:
         out[kind] = estimate_constant(kind, records, ladder, ctx, pool_id)
@@ -547,18 +550,18 @@ def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadde
 # relations and consistency
 
 
-def _pair_le(a: Estimate, b: Estimate, slack: float = 0.0) -> tuple[bool, float]:
+def _pair_le(a: Estimate, b: Estimate) -> tuple[bool, float]:
     """a <= b per scale and reported; returns (ok, worst violation)."""
     worst = 0.0
     ok = True
     for (ra, va), (rb, vb) in zip(a.per_scale, b.per_scale):
         if math.isinf(va) and math.isinf(vb):
             continue
-        if va > vb + slack:
+        if va > vb:
             ok = False
             worst = max(worst, va - vb)
     if not (math.isinf(a.reported) and math.isinf(b.reported)):
-        if a.reported > b.reported + slack:
+        if a.reported > b.reported:
             ok = False
             worst = max(worst, a.reported - b.reported)
     return ok, worst
@@ -577,8 +580,8 @@ def check_relations(consts: dict[str, Estimate]) -> dict:
     c = consts
     rows = []
 
-    def rel(name, a, b, slack=0.0):
-        ok, worst = _pair_le(c[a], c[b], slack)
+    def rel(name, a, b):
+        ok, worst = _pair_le(c[a], c[b])
         rows.append({"relation": name, "ok": ok, "violation": worst})
 
     rel("srg2 <= srg1", "srg2", "srg1")
@@ -642,7 +645,7 @@ def subregularity_consistency(srg1: Estimate, srg: Estimate) -> dict:
     }
 
 
-def eckart_young_check(A, ladder: ScaleLadder | None = None, seed: int = 0) -> dict:
+def eckart_young_check(A, seed: int = 0) -> dict:
     """Distance to singularity vs the regularity estimate, l2 norms.
 
     Builds the minimal singular perturbation B = -sigma_min u v^T, checks
@@ -657,7 +660,7 @@ def eckart_young_check(A, ladder: ScaleLadder | None = None, seed: int = 0) -> d
     B = -sigma_min * np.outer(U[:, -1], Vt[-1, :])
     b_norm = float(np.linalg.svd(B, compute_uv=False)[0])
     det_after = float(np.linalg.det(A + B))
-    ladder = ladder or ScaleLadder(r0=0.5, theta=0.5, depth=8, samples_per_scale=320, seed=seed)
+    ladder = ScaleLadder(r0=0.5, theta=0.5, depth=8, samples_per_scale=320, seed=seed)
     ctx = NormContext(kind="l2", dim_x=A.shape[1], dim_y=A.shape[0])
     F = make_linear_map(A, kind="l2")
     base = GraphPoint(np.zeros(A.shape[1]), np.zeros(A.shape[0]))

@@ -211,9 +211,8 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 
 
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                    ladder: ScaleLadder, ctx: NormContext | None = None,
-                    direction_mode: str = "auto", pool: ElementPool | None = None
-                    ) -> WitnessSequence:
+                    ladder: ScaleLadder, ctx: NormContext, direction_mode: str = "auto",
+                    pool: ElementPool | None = None) -> WitnessSequence:
     """Extract a thinning witness sequence certifying the kind's constant < gamma.
 
     The kinds pair with constants: lip with srg1p objectives (ratio plus
@@ -236,8 +235,6 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
         raise ValueError(f"unknown direction mode {direction_mode!r}")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    if ctx is None:
-        ctx = NormContext(kind=F.kind, dim_x=F.dim_x, dim_y=F.dim_y)
     pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
 
     work, start, cands = ladder, 0, []
@@ -319,8 +316,8 @@ def _index_shift(gamma0: float, gamma: float) -> int | None:
     return None
 
 
-def _eps_step_ok(prev: float, new: float, floor: float = _EPS_FLOOR) -> bool:
-    return new <= floor or new < prev * (1.0 - 1e-9)
+def _eps_step_ok(prev: float, new: float) -> bool:
+    return new <= _EPS_FLOOR or new < prev * (1.0 - 1e-9)
 
 
 def _thin(cands: list[dict], accept: Callable) -> list[dict]:
@@ -1008,7 +1005,7 @@ def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
 
 
 def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
-                           ladder: ScaleLadder, ctx: NormContext | None = None,
+                           ladder: ScaleLadder, ctx: NormContext,
                            direction_mode: str = "auto",
                            pool: ElementPool | None = None) -> Perturbation:
     """Calm destabilizer of strong subregularity at the base point.
@@ -1075,8 +1072,7 @@ def _destab_ladder(p: Perturbation, ladder: ScaleLadder) -> ScaleLadder:
 
 
 def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
-                   ladder: ScaleLadder, ctx: NormContext | None = None,
-                   threshold: float = 0.05) -> BuilderReport:
+                   ladder: ScaleLadder, ctx: NormContext) -> BuilderReport:
     """End-to-end verification of a constructed perturbation.
 
     Checks (a) exact interpolation at the anchors and the base, (b) the
@@ -1086,12 +1082,10 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     classes, positive homogeneity for case-1 cones, the semismoothness
     decay test for case-2, and (e) destabilization: srg1p of F + f
     (computed over a pool with the shifted witness elements injected)
-    ends at or below the threshold at its finest scales; the ssr class
+    ends at or below 0.05 at its finest scales; the ssr class
     instead requires the strong subregularity estimate of F + f to
     report exactly zero. Each failed check leaves a line in the notes.
     """
-    if ctx is None:
-        ctx = NormContext(kind=F.kind, dim_x=F.dim_x, dim_y=F.dim_y)
     rep = BuilderReport(class_tag=p.class_tag, gamma=p.gamma,
                         gamma_prime=p.gamma_prime, gamma_dp=p.gamma_dp,
                         case=p.case, n_witnesses=len(p.anchors),
@@ -1166,9 +1160,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         fc = firmly_calm_test(p.eval, base.x, vlad, ctx, extra_points=extra)
         rep.firmly_calm_ok = fc["ok"]
     if p.class_tag in ("fclm_ss", "ssr") and p.case == 1:
-        ok, err = positive_homogeneity_test(p.eval, base.x, radius=1.0, n_probes=1000,
-                                            seed=11, lambdas=(0.5, 2.0, 5.0),
-                                            rel_tol=1e-12, kind=ctx.kind)
+        ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
         rep.homogeneity_ok = ok
         if not ok:
             rep.notes.append(f"positive homogeneity violated at {err:.3e}")
@@ -1220,7 +1212,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         tail_decay = (len(vals) >= 3
                       and all(b <= a + max(1e-3, 0.02 * abs(a))
                               for a, b in zip(tail, tail[1:])))
-        rep.destabilization_ok = tail_decay and vals[-1] <= threshold
+        rep.destabilization_ok = tail_decay and vals[-1] <= 0.05
         if not rep.destabilization_ok:
             rep.notes.append("srg1p of the perturbed map does not collapse")
 
@@ -1244,12 +1236,12 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     return rep
 
 
-def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext | None = None,
-                     extra_points: list | None = None,
-                     probes_per_scale: int = 24) -> dict:
+def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
+                     extra_points: list | None = None) -> dict:
     """Empirical firm calmness: bounded calm quotients plus local stability.
 
-    Clause A estimates the calmness quotient per scale and fails on clear
+    Clause A estimates the calmness quotient per scale, over 24 probes per
+    annulus and the extra points that fall in it, and fails on clear
     divergence (the innermost value above four times the median, above the
     outermost, and above an absolute floor of 1e-9 so a tail of roundoff
     quotients never counts). Clause B takes central two-point slopes at
@@ -1263,9 +1255,6 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext | None = N
     ``extra_points`` entries may be graph points or bare x arrays.
     """
     base_x = np.atleast_1d(np.asarray(base_x, dtype=float))
-    if ctx is None:
-        probe = np.atleast_1d(np.asarray(f(base_x), dtype=float))
-        ctx = NormContext(kind="l1", dim_x=base_x.size, dim_y=probe.size)
     f0 = np.atleast_1d(np.asarray(f(base_x), dtype=float))
     extras = [np.atleast_1d(np.asarray(getattr(p, "x", p), dtype=float))
               for p in (extra_points or [])]
@@ -1273,7 +1262,7 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext | None = N
     per_scale = []
     for j, (inner, outer) in enumerate(ladder.annuli()):
         worst = 0.0
-        pts = list(sample_annulus(base_x, inner, outer, probes_per_scale,
+        pts = list(sample_annulus(base_x, inner, outer, 24,
                                   ladder.scale_seed(j, 83), ctx.kind))
         for px in extras:
             t = ctx.norm(px - base_x)
@@ -1327,18 +1316,18 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext | None = N
             "diverging": diverging}
 
 
-def random_calm_perturbation(seed: int, budget: float = 0.85):
-    """A seeded calm perturbation f(x) = a x + b x sin(ln|x|), |a|+|b| <= budget.
+def random_calm_perturbation(seed: int):
+    """A seeded calm perturbation f(x) = a x + b x sin(ln|x|), |a|+|b| <= 0.85.
 
     Returns (eval, derivative, a, b). The calmness modulus is |a| + |b|, so
     the perturbed identity keeps its strong subregularity quotient at or
-    above 1 - budget at every graph point.
+    above 0.15 at every graph point.
     """
     from .geometry import r2_lattice
 
     u = r2_lattice(2, 2, derive_seed(seed, 131))
-    a = (2.0 * float(u[0, 0]) - 1.0) * 0.5 * budget
-    b = (2.0 * float(u[1, 1]) - 1.0) * (budget - abs(a))
+    a = (2.0 * float(u[0, 0]) - 1.0) * 0.5 * 0.85
+    b = (2.0 * float(u[1, 1]) - 1.0) * (0.85 - abs(a))
 
     def evaluate(x):
         xv = float(np.atleast_1d(x)[0])

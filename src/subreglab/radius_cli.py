@@ -137,8 +137,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"'task' must be one of {', '.join(TASKS)}; got {task!r}")
     if "seed" not in raw:
         raise ConfigError("'seed' is mandatory (set it in the config or pass --seed)")
+    seed = raw["seed"]
     try:
-        seed = int(raw["seed"])
+        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
+            raise ValueError
+        seed = int(seed)
     except (TypeError, ValueError):
         raise ConfigError(f"'seed' must be an integer, got {raw['seed']!r}") from None
 
@@ -202,8 +205,12 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
                               "'wrap' and 'params' are not allowed")
 
     matrices = raw.get("matrices", 50)
-    if not isinstance(matrices, int) or matrices < 1:
+    if isinstance(matrices, bool) or not isinstance(matrices, int) or matrices < 1:
         raise ConfigError("'matrices' must be a positive integer")
+
+    cache = raw.get("cache", True)
+    if not isinstance(cache, bool):
+        raise ConfigError(f"'cache' must be true or false, got {cache!r}")
 
     fmt = raw.get("format", "summary")
     if fmt not in ("full", "csv", "summary"):
@@ -213,7 +220,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         map_spec=map_spec, task=task, seed=seed, norm=norm,
         base_point=base_point, ladder=dict(ladder), gamma=gamma, kind=kind,
         direction_mode=direction_mode, matrices=matrices,
-        output=str(raw.get("output", "out")), cache=bool(raw.get("cache", True)),
+        output=str(raw.get("output", "out")), cache=cache,
         format=fmt)
 
 
@@ -290,7 +297,10 @@ def _resolve(config: ExperimentConfig):
         "samples_per_scale": config.ladder.get("samples",
                                                hint.get("samples_per_scale", 512)),
     }
-    ladder = ScaleLadder(seed=config.seed, **params)
+    try:
+        ladder = ScaleLadder(seed=config.seed, **params)
+    except (TypeError, ValueError) as err:  # a string r0 or theta fails a comparison
+        raise ConfigError(f"invalid ladder: {err}") from err
     return F, entry, base, ctx, ladder
 
 

@@ -175,8 +175,7 @@ def _compute_builder_suite() -> dict:
     lad = ladder12(SEED)
     w = extract_witness(F, base, "ss", 0.5, lad, ctx)
     p = build_ss_perturbation(w, 0.5)
-    ok, err = positive_homogeneity_test(p.eval, base.x, radius=1.0,
-                                        n_probes=1000, seed=SEED)
+    ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
     out["case1"] = {"map": "spiral", "case": p.case,
                     "homogeneous": ok, "rel_err": err}
     return out

@@ -109,7 +109,8 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
                              2.0 * recs[0].elem.x_star)
               for recs in plain[::2] if len(recs) > 1]
     assert len(extras) >= 3
-    with_extras, extras_id = build_element_pool(F, base, _LADDER, ctx, 8, extras, pool=pool)
+    with_extras, extras_id = build_element_pool(F, base, _LADDER, ctx, extra_elements=extras,
+                                                pool=pool)
     assert extras_id == plain_id
     extra_recs = []
     for j, (recs, more) in enumerate(zip(plain, with_extras)):

@@ -41,16 +41,35 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _exports(tree) -> list:
+    """The names of the module's __all__."""
+    return [c.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for c in node.value.elts]
+
+
+def _defined(node) -> list:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
 def test_no_unused_imports_or_unreferenced_private_definitions():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     traced = _traced_names()
     everywhere = set().union(*map(_references, trees.values()))
     dead = []
     for mod, tree in trees.items():
         used = _references(tree)
-        exported = {c.value for node in tree.body if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                    for c in node.value.elts}
+        exported = set(_exports(tree))
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
                     node, "module", None) != "__future__":
@@ -59,14 +78,27 @@ def test_no_unused_imports_or_unreferenced_private_definitions():
                     if name not in used | exported and (mod, name) not in traced:
                         dead.append(f"{mod}: unused import {name}")
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            dead += [f"{mod}: unreferenced {name}" for name in names
+            dead += [f"{mod}: unreferenced {name}" for name in _defined(node)
                      if _is_private(name) and name not in everywhere
                      and (mod, name) not in traced]
     assert not dead, dead
+
+
+def test_every_exported_name_is_used_or_reexported():
+    """A name in a submodule's __all__ is read somewhere in the package
+    outside its own definition, or the package re-exports it."""
+    trees = _trees()
+    traced = _traced_names()
+    reexported = {(node.module, alias.name) for node in trees.pop("__init__").body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for mod, tree in trees.items():
+        elsewhere = set().union(*(_references(t) for m, t in trees.items() if m != mod))
+        for name in _exports(tree):
+            if (mod, name) in reexported or (mod, name) in traced:
+                continue
+            here = set().union(*(_references(node) for node in tree.body
+                                 if name not in _defined(node)))
+            if name not in elsewhere | here:
+                unused.append(f"{mod}.{name}")
+    assert not unused, unused

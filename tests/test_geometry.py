@@ -13,7 +13,6 @@ from subreglab.geometry import (
     norm,
     norming_functional,
     norming_vector,
-    operator_norm,
     pairing,
     product_norm,
     product_norm_dual,
@@ -61,24 +60,6 @@ def test_product_norms():
         assert product_norm(x, y, kind) == norm(x, kind) + norm(y, kind)
         assert product_norm_dual(x, y, kind) == max(
             dual_norm(x, kind), dual_norm(y, kind))
-
-
-def test_operator_norm_closed_forms():
-    A = np.array([[1.0, -2.0], [3.0, 0.5]])
-    assert operator_norm(A, "l1") == 4.0  # max column abs sum
-    assert operator_norm(A, "linf") == 3.5  # max row abs sum
-    assert operator_norm(A, "l2") == pytest.approx(
-        np.linalg.svd(A, compute_uv=False)[0], rel=1e-14)
-
-
-def test_operator_norm_dominates_sampled_quotients():
-    rng = np.random.default_rng(11)
-    A = rng.normal(size=(3, 3))
-    for kind in KINDS:
-        bound = operator_norm(A, kind)
-        for _ in range(200):
-            v = rng.normal(size=3)
-            assert norm(A @ v, kind) <= bound * norm(v, kind) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)

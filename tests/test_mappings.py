@@ -34,7 +34,6 @@ def test_catalog_base_points_lie_on_the_graph(mid):
     F, resolved_entry = resolve_map_spec({"id": mid})
     assert resolved_entry.id == mid
     assert F.dim_x == entry.dim_x and F.dim_y == entry.dim_y
-    assert F.membership(entry.base_x, entry.base_y)
     assert F.image_distance(entry.base_x, entry.base_y) == 0.0
 
 
@@ -46,7 +45,7 @@ def test_catalog_sample_graph_returns_graph_points(mid):
     pts = F.sample_graph(base, 0.0625, 0.125, 40, seed=3)
     assert len(pts) > 0
     for gp in pts:
-        assert F.membership(gp.x, gp.y, tol=1e-7), (mid, gp.x, gp.y)
+        assert F.image_distance(gp.x, gp.y) <= 1e-7, (mid, gp.x, gp.y)
 
 
 def test_function_graph_evaluates_and_differentiates():
@@ -57,8 +56,8 @@ def test_function_graph_evaluates_and_differentiates():
     assert F.func([3.0])[0] == 9.0
     assert F.grad([3.0])[0][0] == 6.0
     assert F.image_distance([2.0], [5.0]) == 1.0
-    assert F.membership([2.0], [4.0])
-    assert not F.membership([2.0], [4.5])
+    assert F.image_distance([2.0], [4.0]) <= 1e-9
+    assert F.image_distance([2.0], [4.5]) > 1e-9
 
 
 def test_identity_and_scale_preimage_closed_forms():
@@ -180,12 +179,12 @@ def test_xsin_fallback_resolves_the_reciprocal_fiber():
 
 def test_xsin_feature_points_are_structural():
     F, _, _ = setup_map("xsin")
-    pts = F.feature_points(np.zeros(1), 0.01, 0.02, 64)
-    assert 0 < len(pts) <= 64
+    pts = F.feature_points(np.zeros(1), 0.01, 0.02)
+    assert 0 < len(pts) <= 24
     for gp in pts:
         xv = abs(float(gp.x[0]))
         assert 0.01 < xv <= 0.02 + 1e-15
-        assert F.membership(gp.x, gp.y, tol=1e-9)
+        assert F.image_distance(gp.x, gp.y) <= 1e-9
     # the sin-zero family x = 1/(k pi) must be represented
     has_fiber = any(abs(float(gp.y[0])) <= 1e-12 for gp in pts)
     assert has_fiber
@@ -194,13 +193,13 @@ def test_xsin_feature_points_are_structural():
 def test_interval_map_semantics():
     F, _, _ = setup_map("interval")
     # x = 1/4 carries the fiber [-x, x]
-    assert F.membership([0.25], [0.2])
-    assert F.membership([0.25], [-0.25])
-    assert not F.membership([0.25], [0.3])
+    assert F.image_distance([0.25], [0.2]) <= 1e-9
+    assert F.image_distance([0.25], [-0.25]) <= 1e-9
+    assert F.image_distance([0.25], [0.3]) > 1e-9
     assert F.image_distance([0.25], [0.3]) == pytest.approx(0.05, abs=1e-12)
     # off the reciprocal grid the map is the identity
-    assert F.membership([0.3], [0.3])
-    assert not F.membership([0.3], [0.2])
+    assert F.image_distance([0.3], [0.3]) <= 1e-9
+    assert F.image_distance([0.3], [0.2]) > 1e-9
     assert F.image_distance([0.3], [0.2]) == pytest.approx(0.1, abs=1e-12)
 
 
@@ -220,7 +219,7 @@ def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
     G = sum_with_function(F, lambda x: np.array([x[0]]),
                           grad=lambda x: np.array([[1.0]]), name="sq+id")
-    assert G.membership([2.0], [6.0])  # 4 + 2
+    assert G.image_distance([2.0], [6.0]) <= 1e-9  # 4 + 2
     assert G.image_distance([2.0], [7.0]) == pytest.approx(1.0, abs=1e-12)
     assert G.func([3.0])[0] == 12.0
     assert G.grad([3.0])[0][0] == 7.0
@@ -247,17 +246,17 @@ def test_sum_with_perturbation_object_and_anchors():
 def test_inverse_swaps_domain_and_range():
     F, _, _ = setup_map("abs")
     inv = inverse(F)
-    assert inv.membership([1.0], [-1.0])
-    assert inv.membership([1.0], [1.0])
-    assert not inv.membership([1.0], [0.5])
+    assert inv.image_distance([1.0], [-1.0]) <= 1e-9
+    assert inv.image_distance([1.0], [1.0]) <= 1e-9
+    assert inv.image_distance([1.0], [0.5]) > 1e-9
     assert inv.image_distance([1.0], [0.5]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_resolve_map_spec_combinators_and_errors():
     G, _ = resolve_map_spec({"id": "square_plus_identity"})
-    assert G.membership([2.0], [6.0])
+    assert G.image_distance([2.0], [6.0]) <= 1e-9
     H, _ = resolve_map_spec({"id": "inverse_abs"})
-    assert H.membership([1.0], [-1.0])
+    assert H.image_distance([1.0], [-1.0]) <= 1e-9
     with pytest.raises(ValueError):
         resolve_map_spec({"id": "no_such_map"})
     with pytest.raises(ValueError):
@@ -282,6 +281,6 @@ def test_resolve_map_spec_detects_combinator_cycles():
 
 def test_feature_points_respect_the_cap():
     F, _, _ = setup_map("xsin")
-    pts = F.feature_points(np.zeros(1), 1e-4, 2e-4, 12)
-    assert len(pts) <= 12
+    pts = F.feature_points(np.zeros(1), 1e-4, 2e-4)
+    assert len(pts) <= 24
     assert len(pts) > 0

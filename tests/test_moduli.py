@@ -536,6 +536,23 @@ def test_constant_bits_are_pinned(key):
         assert got[name] == _CONSTANT_PIN[key][name], name
 
 
+# pool ids of estimate_all_constants at the same ladder; the id hashes the
+# map name, the norm, the base point, the ladder and a fixed 8
+_POOL_ID_PIN = {
+    ("linear", "l1"): "91b8c6589d411aa9",
+    ("linear", "l2"): "d498473fbca5bdac",
+    ("xsin", "l1"): "c48fa9366ce5b1ff",
+    ("interval", "l1"): "c1f43dd0b8bc48b9",
+}
+
+
+@pytest.mark.parametrize("mid,kind", sorted(_POOL_ID_PIN))
+def test_pool_ids_are_pinned(mid, kind):
+    F, base, ctx = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
+    assert {est.pool_id for est in consts.values()} == {_POOL_ID_PIN[mid, kind]}
+
+
 # perturb._collect_candidates on the element pool at the same ladder: the
 # candidate count and the sha256 of the candidates with every float field
 # hexed (annulus kept as an int), in order

@@ -95,6 +95,46 @@ def test_invalid_yaml_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
 
 
+_TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
+
+
+@pytest.mark.parametrize("change,fragment", [
+    ({"map": {"id": "interval", "params": {"recip_tol": 1e-9}}},
+     "invalid params for 'interval'"),
+    ({"map": {"id": "identity", "params": {"bogus": 1}}},
+     "invalid params for 'identity'"),
+    ({"map": {"id": "square_plus_identity", "params": {"bogus": 1}}}, "takes no params"),
+    ({"map": {"id": "abs", "params": 5}}, "'params' must be a mapping"),
+    ({"map": {"id": "abs", "wrap": [1]}}, "'wrap' must be a list of mappings"),
+    ({"map": {"id": "abs", "wrap": 5}}, "'wrap' must be a list of mappings"),
+    ({"ladder": {"depth": 0}}, "depth must be at least 1"),
+    ({"ladder": {"depth": "3"}}, "depth must be an integer"),
+    ({"ladder": {"depth": 2.0}}, "depth must be an integer"),
+    ({"ladder": {"samples": 8.5}}, "samples_per_scale must be an integer"),
+    ({"ladder": {"theta": 1.5}}, "theta must lie in (0, 1)"),
+    ({"seed": 7.9}, "'seed' must be an integer"),
+    ({"seed": True}, "'seed' must be an integer"),
+    ({"cache": "false"}, "'cache' must be true or false"),
+    ({"task": "eckart_young", "matrices": True}, "positive integer"),
+])
+def test_invalid_values_exit_2(tmp_path, capsys, change, fragment):
+    code, out = _run(tmp_path, capsys, {"map": "abs", **_TINY, **change})
+    assert code == 2, out
+    err = json.loads(out)["error"]
+    assert err["kind"] == "config"
+    assert fragment in err["message"]
+
+
+def test_valid_values_keep_their_canonical_form():
+    plain = cli.parse_config({"map": "abs", **_TINY})
+    for change in ({"seed": 7.0}, {"cache": False}):
+        assert cli.parse_config({"map": "abs", **_TINY, **change}).digest() == plain.digest()
+    # params a factory takes, and empty params on a combinator, still run
+    for spec in ({"id": "scale", "params": {"lam": 3.0}},
+                 {"id": "square_plus_identity", "params": {}}):
+        assert cli.run(cli.parse_config({"map": spec, **_TINY})).status == "ok"
+
+
 def test_build_refusal_exits_3(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, {
         "map": "identity", "task": "build_perturbation", "kind": "ssr",
