@@ -307,10 +307,6 @@ class NormContext:
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("dimensions must be positive")
 
-    @property
-    def dual(self) -> str:
-        return dual_kind(self.kind)
-
     def norm(self, v) -> float:
         return norm(v, self.kind)
 
@@ -352,9 +348,6 @@ class ScaleLadder:
 
     def radius(self, j: int) -> float:
         return self.r0 * self.theta**j
-
-    def radii(self) -> np.ndarray:
-        return self.r0 * self.theta ** np.arange(self.depth, dtype=float)
 
     def annuli(self) -> list[tuple[float, float]]:
         """(inner, outer] bounds for each scale, outermost first."""

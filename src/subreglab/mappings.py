@@ -667,36 +667,18 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
 # combinators
 
 
-def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
-                      f_batch: Callable | None = None) -> SetValuedMap:
-    """The map x -> F(x) + f(x) for a single-valued f.
+def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None,
+                      anchors=()) -> SetValuedMap:
+    """The map x -> F(x) + f(x) for a single-valued map f (a function graph).
 
-    f may be a callable or a perturbation object carrying .eval and
-    .derivative; normal oracles are shifted by the gradient of f at points
-    where it exists (the shift is exact there). A perturbation's .anchors,
-    if any, are extra graph points injected into the sampler, used to keep
-    constructed witness points visible to the estimators. f_batch is the
-    optional batch form of a scalar f (see SetValuedMap.func_batch).
+    f.func shifts the graph and f.grad shifts the normal oracles at points
+    where it exists (the shift is exact there); batch_func(f) shifts the
+    batch form. anchors are extra (x, y) graph points of the sum injected
+    into the sampler, used to keep constructed witness points visible to
+    the estimators.
     """
-    anchor_pts: list[GraphPoint] = []
-    if hasattr(f, "eval") and callable(getattr(f, "eval")):
-        fe = f.eval
-        gr = getattr(f, "derivative", None)
-        if getattr(f, "anchors", None) is not None:
-            anchor_pts = [GraphPoint(a, b) for a, b in f.anchors]
-    else:
-        fe, gr = f, grad
-
-    def fv(x):
-        return np.atleast_1d(np.asarray(fe(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float))
-
-    def gv(x):
-        if gr is None:
-            return None
-        g = gr(np.atleast_1d(np.asarray(x, dtype=float)))
-        if g is None:
-            return None
-        return np.atleast_2d(np.asarray(g, dtype=float))
+    anchor_pts = [GraphPoint(a, b) for a, b in anchors]
+    fv, gv = f.func, f.grad
 
     def image_distance(x, y):
         return F.image_distance(x, np.atleast_1d(y) - fv(x))
@@ -731,7 +713,7 @@ def sum_with_function(F: SetValuedMap, f, grad=None, name: str | None = None,
     def func(x):
         return F.func(x) + fv(x) if F.func is not None else None
 
-    f_each = f_batch if f_batch is not None else _pointwise(fv)
+    f_each = batch_func(f)
 
     def func_batch(z):
         return batch_func(F)(z) + f_each(z)
@@ -1047,18 +1029,18 @@ def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
 
 @dataclass
 class CatalogEntry:
-    """A named map with its base point, known values, and ladder hint."""
+    """A named map factory with its known values and ladder hint.
+
+    factory(kind, **params) builds the map. Every catalog map is based at
+    the origin: (0, 0) of its own dimensions lies on its graph, and the
+    known values hold there.
+    """
 
     id: str
     factory: Callable
-    dim_x: int
-    dim_y: int
-    base_x: np.ndarray
-    base_y: np.ndarray
     known: dict = field(default_factory=dict)
     ladder_hint: dict = field(default_factory=dict)
     notes: str = ""
-    combinator: dict | None = None
 
     def make(self, kind: str = "l1", params: dict | None = None) -> SetValuedMap:
         return self.factory(kind=kind, **(params or {}))
@@ -1073,12 +1055,9 @@ def _known(**kv):
 
 def catalog() -> dict[str, CatalogEntry]:
     """Registry of the built-in test maps with closed-form reference values."""
-    z1 = np.zeros(1)
-    z2 = np.zeros(2)
     entries = [
         CatalogEntry(
             id="identity", factory=lambda kind, dim=1: make_identity(dim, kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 rg=(1.0, "closed form"), srg=(1.0, "closed form"), ssrg=(1.0, "closed form"),
                 srg1=(1.0, "closed form"), srg2=(1.0, "closed form"), srg4=(1.0, "closed form"),
@@ -1088,7 +1067,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="zero", factory=lambda kind: make_zero_map(kind=kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 srg=(math.inf, "empty quotient set: every point is in the preimage"),
                 srg1=(0.0, "all elements vanish"), srg1p=(0.0, "all elements vanish"),
@@ -1098,7 +1076,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="scale", factory=lambda kind, lam=2.0: make_scale_map(lam, kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 rg=(2.0, "closed form at lam=2"), srg=(2.0, "closed form at lam=2"),
                 srg1=(2.0, "closed form at lam=2"), srg1p=(4.0, "closed form at lam=2"),
@@ -1107,14 +1084,12 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="linear", factory=lambda kind, matrix=((2.0, 0.0), (0.0, 0.5)): make_linear_map(matrix, kind),
-            dim_x=2, dim_y=2, base_x=z2, base_y=z2,
             known=_known(rg=(0.5, "smallest singular value, l2 norms")),
             ladder_hint={"samples_per_scale": 768},
             notes="reference values assume the default matrix and l2 norms",
         ),
         CatalogEntry(
             id="square", factory=lambda kind: make_square(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 srg1=(0.0, "derivative vanishes at the base"), srg2=(0.0, "derivative vanishes at the base"),
                 clm=(0.0, "closed form"), ssrg=(0.0, "quotient |x| -> 0"),
@@ -1122,7 +1097,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="abs", factory=lambda kind: make_abs(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 clm=(1.0, "closed form"), lip=(1.0, "closed form"), srg=(1.0, "closed form"),
                 ssrg=(1.0, "closed form"), srg1=(1.0, "unit slopes on both sides"),
@@ -1131,7 +1105,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="xsin", factory=lambda kind: make_xsin(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 clm=(1.0, "sup |sin(1/x)| = 1"),
                 srg2=(0.0, "ratio vanishes along x = 1/(k pi)"),
@@ -1142,7 +1115,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="interval", factory=lambda kind: make_interval_map(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 srg2=(1.0, "unit ratio on the diagonal; fiber interiors carry no unit-y* elements"),
                 srg2p=(1.0, "coincides with srg2 on exact element pools"),
@@ -1153,7 +1125,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="compl_angle", factory=lambda kind: make_complementarity_angle(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 srg1=(0.0, "horizontal ray elements vanish"),
                 srg2=(0.0, "horizontal ray elements vanish"),
@@ -1161,7 +1132,6 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="oscillating", factory=lambda kind: make_oscillating(kind),
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
             known=_known(
                 srg1=(1.0 / math.sqrt(5.0), "min over phase of max(|sin t|, |sin t + cos t|)"),
                 srg2=(0.0, "ratio vanishes along ln x = k pi"),
@@ -1172,68 +1142,43 @@ def catalog() -> dict[str, CatalogEntry]:
         ),
         CatalogEntry(
             id="spiral", factory=lambda kind: make_spiral(kind),
-            dim_x=2, dim_y=2, base_x=z2, base_y=z2,
             known=_known(srg1=(0.0, "derivative vanishes at the base"), clm=(0.0, "closed form")),
         ),
         CatalogEntry(
-            id="square_plus_identity", factory=None,
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
-            combinator={"op": "sum", "of": "square", "fn": "identity"},
+            id="square_plus_identity",
+            factory=lambda kind: sum_with_function(make_square(kind), make_identity(1, kind),
+                                                   "square_plus_identity"),
             known=_known(srg1=(1.0, "unit derivative at the base after the shift")),
         ),
         CatalogEntry(
-            id="inverse_abs", factory=None,
-            dim_x=1, dim_y=1, base_x=z1, base_y=z1,
-            combinator={"op": "inverse", "of": "abs"},
+            id="inverse_abs", factory=lambda kind: inverse(make_abs(kind), "inverse_abs"),
         ),
     ]
     return {e.id: e for e in entries}
 
 
-def resolve_map_spec(spec: dict, kind: str = "l1",
-                     registry: dict[str, CatalogEntry] | None = None) -> tuple[SetValuedMap, CatalogEntry | None]:
-    """Build a map from a config spec {id, params, wrap}, recursively.
+def resolve_map_spec(spec: dict, kind: str = "l1") -> tuple[SetValuedMap, CatalogEntry]:
+    """Build a map from a config spec {id, params, wrap}.
 
-    Combinator entries reference other ids and take no params; cycles raise
-    ValueError, and so do params the factory refuses. wrap is an ordered
-    list of {op: inverse} or {op: sum, fn: <map spec>} steps.
+    params the factory refuses raise ValueError. wrap is an ordered list of
+    {op: inverse} or {op: sum, fn: <map spec>} steps.
     """
-    registry = registry if registry is not None else catalog()
-
-    def resolve_id(mid: str, params: dict, visited: tuple[str, ...]) -> tuple[SetValuedMap, CatalogEntry]:
-        if mid in visited:
-            raise ValueError(f"catalog combinator cycle: {' -> '.join(visited + (mid,))}")
-        if mid not in registry:
-            raise ValueError(f"unknown catalog id {mid!r}")
-        entry = registry[mid]
-        if entry.combinator is None:
-            try:
-                return entry.make(kind=kind, params=params), entry
-            except (TypeError, ValueError) as err:
-                if not params:
-                    raise
-                raise ValueError(f"invalid params for {mid!r}: {err}") from err
-        if params:
-            raise ValueError(f"catalog combinator {mid!r} takes no params")
-        comb = entry.combinator
-        base_map, _ = resolve_id(comb["of"], {}, visited + (mid,))
-        if comb["op"] == "inverse":
-            return inverse(base_map, name=entry.id), entry
-        if comb["op"] == "sum":
-            fn_map, _ = resolve_id(comb["fn"], {}, visited + (mid,))
-            if not fn_map.single_valued:
-                raise ValueError(f"sum combinator needs a single-valued fn, got {comb['fn']!r}")
-            return sum_with_function(base_map, fn_map.func, grad=fn_map.grad, name=entry.id,
-                                     f_batch=fn_map.func_batch), entry
-        raise ValueError(f"unknown combinator op {comb['op']!r}")
-
     mid = spec.get("id")
     if not isinstance(mid, str):
         raise ValueError("map spec needs a string 'id'")
     params = spec.get("params") or {}
     if not isinstance(params, dict):
         raise ValueError("map spec 'params' must be a mapping")
-    m, entry = resolve_id(mid, params, ())
+    entries = catalog()
+    if mid not in entries:
+        raise ValueError(f"unknown catalog id {mid!r}")
+    entry = entries[mid]
+    try:
+        m = entry.make(kind=kind, params=params)
+    except (TypeError, ValueError) as err:
+        if not params:
+            raise
+        raise ValueError(f"invalid params for {mid!r}: {err}") from err
     wrap = spec.get("wrap") or []
     if not (isinstance(wrap, list) and all(isinstance(step, dict) for step in wrap)):
         raise ValueError("map spec 'wrap' must be a list of mappings")
@@ -1245,10 +1190,10 @@ def resolve_map_spec(spec: dict, kind: str = "l1",
             fn_spec = step.get("fn")
             if not isinstance(fn_spec, dict):
                 raise ValueError("sum wrap step needs a 'fn' map spec")
-            fn_map, _ = resolve_map_spec(fn_spec, kind=kind, registry=registry)
+            fn_map, _ = resolve_map_spec(fn_spec, kind=kind)
             if not fn_map.single_valued:
                 raise ValueError("sum wrap step needs a single-valued fn")
-            m = sum_with_function(m, fn_map.func, grad=fn_map.grad, f_batch=fn_map.func_batch)
+            m = sum_with_function(m, fn_map)
         else:
             raise ValueError(f"unknown wrap op {op!r}")
     return m, entry

@@ -1180,7 +1180,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         rep.semismooth_verdict = ss.verdict
 
     # (e) destabilization of the sum
-    G = sum_with_function(F, p, name=f"{F.name}+{p.class_tag}")
+    G = sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}", anchors=p.anchors)
     if p.class_tag == "ssr":
         anchor_gps = [GraphPoint(xk, yk) for xk, yk in p.anchors]
         est = estimate_ssrg(G, base, vlad, ctx, extra_points=anchor_gps)

@@ -31,7 +31,13 @@ import yaml
 
 from . import __version__
 from .geometry import NormContext, ScaleLadder, derive_seed
-from .mappings import GraphPoint, catalog, resolve_map_spec, sum_with_function
+from .mappings import (
+    GraphPoint,
+    catalog,
+    make_function_graph,
+    resolve_map_spec,
+    sum_with_function,
+)
 from .moduli import (
     ElementPool,
     Estimate,
@@ -111,6 +117,15 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are hard errors."""
     if not isinstance(raw, dict):
@@ -174,9 +189,14 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     base_point = raw.get("base_point")
     if base_point is not None:
         if isinstance(base_point, (list, tuple)) and len(base_point) == 2:
-            base_point = {"x": list(base_point[0]), "y": list(base_point[1])}
+            base_point = dict(zip("xy", base_point))
         if not (isinstance(base_point, dict) and set(base_point) == {"x", "y"}):
             raise ConfigError("'base_point' must be {x: [...], y: [...]}")
+        for axis, value in base_point.items():
+            items = value if isinstance(value, (list, tuple)) else [value]
+            if not all(map(_finite_number, items)):
+                raise ConfigError(f"'base_point' {axis} must be a finite number or a list "
+                                  f"of finite numbers; got {value!r}")
 
     gamma = raw.get("gamma")
     kind = raw.get("kind")
@@ -203,6 +223,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if "wrap" in map_spec or "params" in map_spec:
             raise ConfigError("verify_radius checks the bare catalog map; "
                               "'wrap' and 'params' are not allowed")
+        if base_point is not None:
+            raise ConfigError("verify_radius checks the catalog map at the origin; "
+                              "'base_point' is not allowed")
 
     matrices = raw.get("matrices", 50)
     if isinstance(matrices, bool) or not isinstance(matrices, int) or matrices < 1:
@@ -281,15 +304,19 @@ def _resolve(config: ExperimentConfig):
         F, entry = resolve_map_spec(config.map_spec, kind=config.norm)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if config.base_point is not None:
-        base = GraphPoint(np.array(config.base_point["x"], dtype=float),
-                          np.array(config.base_point["y"], dtype=float))
-    elif entry is not None:
-        base = GraphPoint(entry.base_x.copy(), entry.base_y.copy())
-    else:
-        base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
     ctx = NormContext(kind=config.norm, dim_x=F.dim_x, dim_y=F.dim_y)
-    hint = dict(entry.ladder_hint) if entry is not None else {}
+    if config.base_point is None:
+        base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
+    else:
+        base = GraphPoint(config.base_point["x"], config.base_point["y"])
+        if (len(base.x), len(base.y)) != (F.dim_x, F.dim_y):
+            raise ConfigError(f"'base_point' must have dimensions {F.dim_x}->{F.dim_y} "
+                              f"for map {F.name!r}; got {len(base.x)}->{len(base.y)}")
+        # the on-preimage tolerance of preimage_distances_fallback
+        if not F.image_distance(base.x, base.y) <= 1e-10 * max(1.0, ctx.norm(base.y)):
+            raise ConfigError(f"'base_point' ({base.x.tolist()}, {base.y.tolist()}) "
+                              f"does not lie on the graph of {F.name!r}")
+    hint = entry.ladder_hint
     params = {
         "r0": config.ladder.get("r0", hint.get("r0", 0.5)),
         "theta": config.ladder.get("theta", hint.get("theta", 0.5)),
@@ -320,9 +347,8 @@ def run(config: ExperimentConfig) -> RunReport:
     timings["resolve_s"] = time.perf_counter() - t0
     report = RunReport(config=config.canonical(), config_hash=config.digest(),
                        task=config.task, map_name=F.name)
-    if entry is not None:
-        report.provenance = {k: v["provenance"] for k, v in entry.known.items()}
-    known = entry.known if entry is not None else {}
+    report.provenance = {k: v["provenance"] for k, v in entry.known.items()}
+    known = entry.known
 
     t1 = time.perf_counter()
     if config.task == "moduli":
@@ -483,7 +509,7 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: El
     worst = math.inf
     for i in range(5):
         fe, fg, a, b = random_calm_perturbation(derive_seed(config.seed, 173, i))
-        G = sum_with_function(F, fe, grad=fg, name="identity+calm")
+        G = sum_with_function(F, make_function_graph(fe, grad=fg), name="identity+calm")
         est = estimate_ssrg(G, base, ladder, ctx)
         worst = min(worst, est.reported)
     _check(report, "stability side: clm f < ssrg keeps the perturbed ssrg positive",
@@ -570,9 +596,10 @@ _PIPELINES = {
 def list_catalog() -> str:
     lines = ["id                    dims   base point"]
     for mid, e in catalog().items():
-        bx = np.array2string(e.base_x, precision=3)
-        by = np.array2string(e.base_y, precision=3)
-        lines.append(f"{mid:<21} {e.dim_x}->{e.dim_y}   x={bx} y={by}")
+        F = e.make()
+        bx = np.array2string(np.zeros(F.dim_x), precision=3)
+        by = np.array2string(np.zeros(F.dim_y), precision=3)
+        lines.append(f"{mid:<21} {F.dim_x}->{F.dim_y}   x={bx} y={by}")
         for name, kv in e.known.items():
             lines.append(f"    {name:<7} = {kv['value']:<8g} [{kv['provenance']}]")
         if e.notes:

@@ -3,14 +3,13 @@
 import numpy as np
 
 from subreglab.geometry import NormContext, ScaleLadder
-from subreglab.mappings import GraphPoint, catalog, resolve_map_spec
+from subreglab.mappings import GraphPoint, resolve_map_spec
 
 
 def setup_map(mid: str, kind: str = "l1"):
-    """Catalog entry -> (map, base graph point, norm context)."""
-    entry = catalog()[mid]
+    """Catalog id -> (map, base graph point at the origin, norm context)."""
     F, _ = resolve_map_spec({"id": mid}, kind=kind)
-    base = GraphPoint(entry.base_x, entry.base_y)
+    base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
     ctx = NormContext(kind=kind, dim_x=F.dim_x, dim_y=F.dim_y)
     return F, base, ctx
 

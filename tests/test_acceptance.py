@@ -203,7 +203,7 @@ def _compute_ssr() -> dict:
         fgraph = make_function_graph(fe, grad=fg, dim_x=1, dim_y=1,
                                      kind="l1", name="calm")
         clm = estimate_clm(fgraph, fbase, lad, ctx).reported
-        G = sum_with_function(F, fe, grad=fg, name="identity+calm")
+        G = sum_with_function(F, fgraph, name="identity+calm")
         ssrg = estimate_ssrg(G, base, lad, ctx).reported
         out["calm"].append({"i": i, "a": a, "b": b, "clm": clm, "ssrg": ssrg})
     return out

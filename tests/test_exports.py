@@ -102,3 +102,16 @@ def test_every_exported_name_is_used_or_reexported():
             if name not in elsewhere | here:
                 unused.append(f"{mod}.{name}")
     assert not unused, unused
+
+
+def test_every_public_method_is_read_in_the_package():
+    """A public method or property of a class in the package is read as an
+    attribute somewhere in the package, not only by the tests."""
+    trees = _trees()
+    read = set().union(*({n.attr for n in ast.walk(t) if isinstance(n, ast.Attribute)
+                          and isinstance(n.ctx, ast.Load)} for t in trees.values()))
+    unread = [f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_") and fn.name not in read]
+    assert not unread, unread

@@ -146,7 +146,7 @@ def test_scale_ladder_radii_and_annuli():
     lad = ScaleLadder(r0=0.5, theta=0.5, depth=4, samples_per_scale=8, seed=1)
     assert lad.radius(0) == 0.5
     assert lad.radius(3) == 0.0625
-    assert np.array_equal(lad.radii(), [0.5, 0.25, 0.125, 0.0625])
+    assert [lad.radius(j) for j in range(4)] == [0.5, 0.25, 0.125, 0.0625]
     shells = lad.annuli()
     assert len(shells) == 4
     assert shells[0] == (0.25, 0.5)
@@ -157,7 +157,7 @@ def test_scale_ladder_deepen_preserves_the_prefix():
     lad = ScaleLadder(depth=6, samples_per_scale=32, seed=3)
     deeper = lad.deepen(4)
     assert deeper.depth == 10
-    assert np.array_equal(deeper.radii()[:6], lad.radii())
+    assert [deeper.radius(j) for j in range(6)] == [lad.radius(j) for j in range(6)]
     assert deeper.seed == lad.seed
     assert deeper.scale_seed(2, tag=41) == lad.scale_seed(2, tag=41)
 
@@ -175,7 +175,7 @@ def test_scale_ladder_validation():
 
 def test_norm_context_dispatch():
     ctx = NormContext(kind="l1", dim_x=2, dim_y=1)
-    assert ctx.dual == "linf"
+    assert dual_kind(ctx.kind) == "linf"
     assert ctx.norm([1.0, -2.0]) == 3.0
     assert ctx.dual_norm([1.0, -2.0]) == 2.0
     assert ctx.product_norm([1.0, -2.0], [4.0]) == 7.0

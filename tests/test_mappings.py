@@ -30,18 +30,15 @@ def _preimage(F, x, y):
 
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_catalog_base_points_lie_on_the_graph(mid):
-    entry = catalog()[mid]
-    F, resolved_entry = resolve_map_spec({"id": mid})
-    assert resolved_entry.id == mid
-    assert F.dim_x == entry.dim_x and F.dim_y == entry.dim_y
-    assert F.image_distance(entry.base_x, entry.base_y) == 0.0
+    F, entry = resolve_map_spec({"id": mid})
+    assert entry.id == mid
+    assert F.image_distance(np.zeros(F.dim_x), np.zeros(F.dim_y)) == 0.0
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
 def test_catalog_sample_graph_returns_graph_points(mid):
-    entry = catalog()[mid]
     F, _ = resolve_map_spec({"id": mid})
-    base = GraphPoint(entry.base_x, entry.base_y)
+    base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
     pts = F.sample_graph(base, 0.0625, 0.125, 40, seed=3)
     assert len(pts) > 0
     for gp in pts:
@@ -217,8 +214,8 @@ def test_interval_map_preimage_prefers_the_nearest_fiber():
 
 def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
-    G = sum_with_function(F, lambda x: np.array([x[0]]),
-                          grad=lambda x: np.array([[1.0]]), name="sq+id")
+    G = sum_with_function(F, make_function_graph(lambda x: np.array([x[0]]),
+                                                 grad=lambda x: np.array([[1.0]])), name="sq+id")
     assert G.image_distance([2.0], [6.0]) <= 1e-9  # 4 + 2
     assert G.image_distance([2.0], [7.0]) == pytest.approx(1.0, abs=1e-12)
     assert G.func([3.0])[0] == 12.0
@@ -226,17 +223,10 @@ def test_sum_with_function_shifts_the_graph():
 
 
 def test_sum_with_perturbation_object_and_anchors():
-    class P:
-        anchors = [(np.array([0.5]), np.array([0.0]))]
-
-        def eval(self, x):
-            return np.array([-x[0] ** 2])
-
-        def derivative(self, x):
-            return np.array([[-2.0 * x[0]]])
-
+    f = make_function_graph(lambda x: np.array([-x[0] ** 2]),
+                            grad=lambda x: np.array([[-2.0 * x[0]]]))
     F = make_square("l1")
-    G = sum_with_function(F, P(), name="sq-cancel")
+    G = sum_with_function(F, f, name="sq-cancel", anchors=[(np.array([0.5]), np.array([0.0]))])
     assert G.func([0.5])[0] == 0.0
     base = GraphPoint(np.zeros(1), np.zeros(1))
     pts = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
@@ -261,22 +251,6 @@ def test_resolve_map_spec_combinators_and_errors():
         resolve_map_spec({"id": "no_such_map"})
     with pytest.raises(ValueError):
         resolve_map_spec({"id": "abs", "wrap": [{"op": "no_such_wrap"}]})
-
-
-def test_resolve_map_spec_detects_combinator_cycles():
-    from subreglab.mappings import CatalogEntry
-
-    registry = dict(catalog())
-    registry["loop_a"] = CatalogEntry(
-        id="loop_a", factory=None, dim_x=1, dim_y=1,
-        base_x=np.zeros(1), base_y=np.zeros(1),
-        combinator={"op": "inverse", "of": "loop_b"})
-    registry["loop_b"] = CatalogEntry(
-        id="loop_b", factory=None, dim_x=1, dim_y=1,
-        base_x=np.zeros(1), base_y=np.zeros(1),
-        combinator={"op": "inverse", "of": "loop_a"})
-    with pytest.raises(ValueError, match="cycle"):
-        resolve_map_spec({"id": "loop_a"}, registry=registry)
 
 
 def test_feature_points_respect_the_cap():

@@ -267,7 +267,7 @@ def test_random_calm_perturbations_leave_ssrg_positive():
     lad = ladder12()
     for i in range(5):
         fe, fg, a, b = random_calm_perturbation(derive_seed(7, 173, i))
-        G = sum_with_function(F, fe, grad=fg, name="identity+calm")
+        G = sum_with_function(F, make_function_graph(fe, grad=fg), name="identity+calm")
         est = estimate_ssrg(G, base, lad, ctx)
         assert est.reported >= 1.0 - (abs(a) + abs(b)) - 0.05
         assert est.reported >= 0.05
@@ -281,7 +281,8 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
     vals = [v for _, v in rep.destabilization]
     assert vals[-1] == 0.0
     # the sum map attains the base value at every anchor
-    G = sum_with_function(F, p, name="identity+ssr")
+    G = sum_with_function(F, make_function_graph(p.eval, grad=p.derivative),
+                          name="identity+ssr", anchors=p.anchors)
     for xk, _ in p.anchors:
         assert G.image_distance(xk, base.y) <= 1e-15
 

@@ -26,9 +26,11 @@ def _run(tmp_path, capsys, cfg, *args):
 
 def test_catalog_lists_every_map(capsys):
     assert cli.main(["catalog"]) == 0
-    out = capsys.readouterr().out
-    for mid in catalog():
-        assert mid in out
+    lines = capsys.readouterr().out.splitlines()
+    for mid, entry in catalog().items():
+        F = entry.make()
+        (line,) = [ln for ln in lines if ln.split()[:1] == [mid]]
+        assert line.split()[1] == f"{F.dim_x}->{F.dim_y}"
 
 
 def test_moduli_run_writes_all_artifacts(tmp_path, capsys):
@@ -103,7 +105,8 @@ _TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
      "invalid params for 'interval'"),
     ({"map": {"id": "identity", "params": {"bogus": 1}}},
      "invalid params for 'identity'"),
-    ({"map": {"id": "square_plus_identity", "params": {"bogus": 1}}}, "takes no params"),
+    ({"map": {"id": "square_plus_identity", "params": {"bogus": 1}}},
+     "invalid params for 'square_plus_identity'"),
     ({"map": {"id": "abs", "params": 5}}, "'params' must be a mapping"),
     ({"map": {"id": "abs", "wrap": [1]}}, "'wrap' must be a list of mappings"),
     ({"map": {"id": "abs", "wrap": 5}}, "'wrap' must be a list of mappings"),
@@ -116,6 +119,12 @@ _TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
     ({"seed": True}, "'seed' must be an integer"),
     ({"cache": "false"}, "'cache' must be true or false"),
     ({"task": "eckart_young", "matrices": True}, "positive integer"),
+    ({"base_point": {"x": ["a"], "y": [0]}}, "'base_point' x must be a finite number"),
+    ({"base_point": {"x": [float("nan")], "y": [0]}}, "'base_point' x must be a finite number"),
+    ({"base_point": {"x": [0, 0], "y": [0]}}, "'base_point' must have dimensions 1->1"),
+    ({"base_point": {"x": [1], "y": [0]}}, "does not lie on the graph of 'abs'"),
+    ({"map": "identity", "task": "verify_radius", "base_point": [[0.5], [0.5]]},
+     "'base_point' is not allowed"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, change, fragment):
     code, out = _run(tmp_path, capsys, {"map": "abs", **_TINY, **change})
@@ -129,10 +138,40 @@ def test_valid_values_keep_their_canonical_form():
     plain = cli.parse_config({"map": "abs", **_TINY})
     for change in ({"seed": 7.0}, {"cache": False}):
         assert cli.parse_config({"map": "abs", **_TINY, **change}).digest() == plain.digest()
-    # params a factory takes, and empty params on a combinator, still run
+    # params a factory takes, and empty params on a composite entry, still run
     for spec in ({"id": "scale", "params": {"lam": 3.0}},
                  {"id": "square_plus_identity", "params": {}}):
         assert cli.run(cli.parse_config({"map": spec, **_TINY})).status == "ok"
+    # a base point given as a pair of lists is stored as {x, y}
+    pair = cli.parse_config({"map": "abs", **_TINY, "base_point": [[0.5], [0.5]]})
+    assert pair.canonical()["base_point"] == {"x": [0.5], "y": [0.5]}
+    named = cli.parse_config({"map": "abs", **_TINY, "base_point": {"x": [0.5], "y": [0.5]}})
+    assert pair.digest() == named.digest()
+
+
+@pytest.mark.parametrize("spec", [
+    {"id": "identity", "params": {"dim": 2}},
+    {"id": "linear", "params": {"matrix": [[1, 2, 3]]}},
+])
+def test_params_that_change_the_dimensions_run(tmp_path, capsys, spec):
+    # the default base point is the origin of the built map
+    code, out = _run(tmp_path, capsys, {"map": spec, **_TINY})
+    assert code == 0, out
+
+
+def test_a_base_point_on_the_graph_runs(tmp_path, capsys):
+    # abs at (0.5, 0.5), given as lists and as a pair of numbers
+    payloads = []
+    for i, base_point in enumerate(({"x": [0.5], "y": [0.5]}, [0.5, 0.5], None)):
+        cfg = {"map": "abs", **_TINY}
+        if base_point is not None:
+            cfg["base_point"] = base_point
+        code, out = _run(tmp_path / str(i), capsys, cfg, "--format", "full")
+        assert code == 0, out
+        payloads.append(json.loads(out)["estimates"])
+    at_half, as_pair, at_origin = payloads
+    assert as_pair == at_half
+    assert at_half != at_origin
 
 
 def test_build_refusal_exits_3(tmp_path, capsys):
