@@ -16,7 +16,7 @@ still computed from the map's own oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "make_interval_map",
     "make_complementarity_angle",
     "sum_with_function",
+    "anchored",
     "inverse",
     "catalog",
     "resolve_map_spec",
@@ -94,6 +95,11 @@ class SetValuedMap:
     array of points at once. Element k must equal
     float(func(np.array([z[k]]))[0]) bit for bit; batch_func supplies the
     per-point loop for a map without one.
+
+    memo holds what moduli derives from the map annulus by annulus (graph
+    samples, element records), so each annulus is computed once per map. No
+    caller sets it, and a map made by dataclasses.replace starts with an
+    empty one, since its closures may sample differently.
     """
 
     dim_x: int
@@ -108,6 +114,7 @@ class SetValuedMap:
     grad: Callable | None = None
     name: str = "map"
     kind: str = "l1"
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def single_valued(self) -> bool:
@@ -667,17 +674,13 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
 # combinators
 
 
-def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None,
-                      anchors=()) -> SetValuedMap:
+def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None) -> SetValuedMap:
     """The map x -> F(x) + f(x) for a single-valued map f (a function graph).
 
     f.func shifts the graph and f.grad shifts the normal oracles at points
     where it exists (the shift is exact there); batch_func(f) shifts the
-    batch form. anchors are extra (x, y) graph points of the sum injected
-    into the sampler, used to keep constructed witness points visible to
-    the estimators.
+    batch form.
     """
-    anchor_pts = [GraphPoint(a, b) for a, b in anchors]
     fv, gv = f.func, f.grad
 
     def image_distance(x, y):
@@ -685,12 +688,8 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None,
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         inner_center = GraphPoint(center.x, center.y - fv(center.x))
-        pts = [GraphPoint(p.x, p.y + fv(p.x)) for p in F.sample_graph(inner_center, r_inner, r_outer, n, seed)]
-        for a in anchor_pts:
-            t = norm(a.x - center.x, F.kind)
-            if r_inner < t <= r_outer:
-                pts.append(GraphPoint(a.x.copy(), a.y.copy()))
-        return pts
+        return [GraphPoint(p.x, p.y + fv(p.x))
+                for p in F.sample_graph(inner_center, r_inner, r_outer, n, seed)]
 
     def normals(x, y):
         if F.analytic_normals is None:
@@ -739,6 +738,25 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None,
         name=name or f"{F.name}+perturbation",
         kind=F.kind,
     )
+
+
+def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
+    """F whose sampler also returns the (x, y) graph points anchors whose x
+    lies in the requested annulus, after its own sample.
+
+    Constructed witness points are measure-zero in their annuli; anchoring
+    them keeps them visible to the estimators.
+    """
+    anchor_pts = [GraphPoint(a, b) for a, b in anchors]
+
+    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
+        pts = list(F.sample_graph(center, r_inner, r_outer, n, seed))
+        for a in anchor_pts:
+            if r_inner < norm(a.x - center.x, F.kind) <= r_outer:
+                pts.append(GraphPoint(a.x.copy(), a.y.copy()))
+        return pts
+
+    return replace(F, sample_graph=sample)
 
 
 def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
@@ -991,8 +1009,10 @@ def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
     Scalar function graphs are the one-pair case of
     preimage_distances_fallback. Everything else falls back to seeded
     multi-start acceptance: lattice starts on balls of doubling radius
-    around x, near-zero residuals bisected toward x. Returns inf when no
-    approximate preimage point is found.
+    around x, near-zero residuals bisected toward x. Returns nan when no
+    approximate preimage point is found: the starts cannot tell an empty
+    preimage from one they missed (the fibers of a single-valued map of
+    dimension two or more are points, which random starts never hit).
     """
     if _scalar_graph(F):
         return float(preimage_distances_fallback(F, [x], [y])[0])
@@ -1020,7 +1040,7 @@ def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
         if best < math.inf:
             return best
         r *= 2.0
-    return best
+    return math.nan
 
 
 # ---------------------------------------------------------------------------

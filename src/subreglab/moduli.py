@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NormContext, ScaleLadder, norm, sample_annulus
+from .geometry import NormContext, ScaleLadder, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
@@ -54,7 +54,6 @@ from .variational import (  # noqa: F401
 __all__ = [
     "Estimate",
     "ElementRecord",
-    "ElementPool",
     "CONSTANT_KINDS",
     "build_element_pool",
     "estimate_clm",
@@ -133,17 +132,6 @@ def _converged(vals: list[float]) -> bool:
     return abs(b - a) <= max(1e-3, 0.02 * abs(b))
 
 
-def _graph_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
-                extra_points: list[GraphPoint] | None = None) -> list[list[GraphPoint]]:
-    """Graph points per annulus (outermost first), features and extras included."""
-    extras = list(extra_points or [])
-    pools: list[list[GraphPoint]] = []
-    for _, inner, outer, pts in graph_annuli(F, base, ladder, tag):
-        pts.extend(p for p in extras if inner < norm(p.x - base.x, F.kind) <= outer)
-        pools.append(pts)
-    return pools
-
-
 def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: bool = False,
                  empty: float = math.nan) -> tuple[list[tuple[float, float]], tuple | None]:
     """Nested pooling: scale j takes the min (max when largest) over annuli j and inward.
@@ -171,12 +159,11 @@ def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: b
 # moduli of single quantities
 
 
-def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
-                 extra_points: list[GraphPoint] | None = None) -> Estimate:
+def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
+                 ctx: NormContext) -> Estimate:
     """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points."""
-    pools = _graph_pool(F, base, ladder, 31, extra_points)
     per_annulus: list[list[float]] = []
-    for pts in pools:
+    for _, _, _, pts in graph_annuli(F, base, ladder, 31):
         vals = []
         for p in pts:
             t = ctx.norm(p.x - base.x)
@@ -189,8 +176,8 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
     return est.finalize()
 
 
-def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
-                 extra_points: list[GraphPoint] | None = None) -> Estimate:
+def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
+                 ctx: NormContext) -> Estimate:
     """Lipschitz modulus via two-point slopes of graph points per annulus.
 
     Pairs are nearest neighbors in sample order after a 1-D sort (or a
@@ -198,9 +185,8 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: No
     pairs against the base, so the estimate dominates calmness by
     construction.
     """
-    pools = _graph_pool(F, base, ladder, 37, extra_points)
     per_annulus: list[list[float]] = []
-    for pts in pools:
+    for _, _, _, pts in graph_annuli(F, base, ladder, 37):
         vals = []
         for p in pts:
             t = ctx.norm(p.x - base.x)
@@ -239,7 +225,9 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
 
     x and y are drawn from matched annuli around the base; pairs with x in
     the preimage of y are excluded. A pair whose y has an empty preimage
-    contributes 0 (such maps are not regular at any rate).
+    contributes 0 (such maps are not regular at any rate). A pair whose
+    preimage distance reads nan (the multi-start fallback found no preimage
+    point) is left out and counted in the note.
     """
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
     pairs = []  # (annulus, d(y, F(x)), x, y) of the admissible pairs, in sampling order
@@ -252,8 +240,9 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
                 pairs.append((j, dimg, x, y))
     dpres = _preimage_distances(F, [p[2] for p in pairs], [p[3] for p in pairs])
     per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
+    missed = sum(math.isnan(dpre) for dpre in dpres)
     for (j, dimg, _, _), dpre in zip(pairs, dpres):
-        if dpre == 0.0:
+        if dpre == 0.0 or math.isnan(dpre):
             continue
         if math.isinf(dpre):
             if not math.isinf(dimg):
@@ -265,9 +254,16 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     per_annulus = [[v for v in vals if not math.isnan(v)] for vals in per_annulus]
     est = Estimate(name="rg")
     est.per_scale, _ = _pool_scales(per_annulus, ladder)
-    if all(len(v) == 0 for v in per_annulus):
+    if missed:
+        est.note = _missed_note(missed, len(pairs))
+    elif all(len(v) == 0 for v in per_annulus):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
     return est.finalize()
+
+
+def _missed_note(missed: int, total: int) -> str:
+    return (f"no preimage point found for {missed} of {total} pairs; "
+            f"their quotients are left out")
 
 
 def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
@@ -276,8 +272,10 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
 
     When every sample at every scale lands in the preimage the quotient set
     is empty; the estimate is +inf with an explanatory note (the flag for
-    maps like the zero map whose preimage has interior). Each annulus
-    draws min(samples per scale, 96) points.
+    maps like the zero map whose preimage has interior). Points whose
+    preimage distance reads nan are left out as in estimate_rg; then a
+    scale without a quotient reads nan, not +inf. Each annulus draws
+    min(samples per scale, 96) points.
     """
     n = min(ladder.samples_per_scale, 96)
     points = []  # (annulus, d(yb, F(x)), x) of the x off the preimage, in sampling order
@@ -288,19 +286,22 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                 points.append((j, dimg, x))
     dpres = _preimage_distances(F, [p[2] for p in points], [base.y] * len(points))
     per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
+    missed = sum(math.isnan(dpre) for dpre in dpres)
     for (j, dimg, _), dpre in zip(points, dpres):
-        if dpre == 0.0 or math.isinf(dimg):
+        if dpre == 0.0 or math.isnan(dpre) or math.isinf(dimg):
             continue
         per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
     est = Estimate(name="srg")
-    est.per_scale, _ = _pool_scales(per_annulus, ladder, empty=math.inf)
-    if all(len(v) == 0 for v in per_annulus):
+    est.per_scale, _ = _pool_scales(per_annulus, ladder, empty=math.nan if missed else math.inf)
+    if missed:
+        est.note = _missed_note(missed, len(points))
+    elif all(len(v) == 0 for v in per_annulus):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     return est.finalize()
 
 
-def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
-                  extra_points: list[GraphPoint] | None = None) -> Estimate:
+def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
+                  ctx: NormContext) -> Estimate:
     """Strong subregularity: liminf of ||y - yb|| / ||x - xb|| over the graph.
 
     A zero value is reported together with the witnessing graph points
@@ -308,7 +309,7 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: N
     """
     points: list[list[GraphPoint]] = []  # the graph points off the base, per annulus
     per_annulus: list[list[float]] = []
-    for pts in _graph_pool(F, base, ladder, 53, extra_points):
+    for _, _, _, pts in graph_annuli(F, base, ladder, 53):
         points.append([])
         per_annulus.append([])
         for p in pts:
@@ -342,13 +343,12 @@ class ElementRecord:
     xn: float
     q: float
     eps: float
-    annulus: int
     elem: CoderivElement
 
 
-def _annulus_records(groups, j: int, inner: float, outer: float, base: GraphPoint,
+def _annulus_records(groups, inner: float, outer: float, base: GraphPoint,
                      ctx: NormContext) -> list[ElementRecord]:
-    """The records of annulus j from (x, y, elements at (x, y)) groups, in group order.
+    """The records of one annulus from (x, y, elements at (x, y)) groups, in group order.
 
     The elements of one graph point share x and y, so t, the ratio and the
     product distance of the quotient are computed once per point; every
@@ -374,64 +374,32 @@ def _annulus_records(groups, j: int, inner: float, outer: float, base: GraphPoin
             xn = ctx.dual_norm(e.x_star)
             # max(xn, ysn) is ctx.product_norm_dual(e.x_star, e.y_star)
             q = defect_quotient(e.x_star, e.y_star, du, dv, max(xn, ysn), dist)
-            recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps,
-                                      annulus=j, elem=e))
+            recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps, elem=e))
     return recs
 
 
-class ElementPool:
-    """Graph samples and element records of one map, base point and norm, per annulus.
+def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: ScaleLadder,
+                 tag: int, what: str, make) -> list:
+    """F's memo of what on the tag's graph sample around base, one entry per
+    annulus of the ladder, grown by make(j, inner, outer, points) for each
+    annulus it lacks.
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
-    So the pool computes each annulus once, the first time a ladder reaches
-    it, and serves every shallower or deeper ladder with the same r0,
-    theta, samples and seed from that memo. One pool lives for one run
-    (radius_cli makes it): maps are closures without value identity, so a
-    memo that outlived the run could not tell whether it still held the
-    same map. The lists it returns are shared; do not mutate them.
+    So each annulus is computed once per map, base point and norm, the
+    first time a ladder reaches it, and serves every shallower or deeper
+    ladder from then on. The entries are shared; do not mutate them.
     """
-
-    def __init__(self, F: SetValuedMap, base: GraphPoint, ctx: NormContext):
-        self.F, self.base, self.ctx = F, base, ctx
-        self._annuli: dict[tuple, list] = {}  # (ladder, tag, what) -> its annuli so far
-
-    def check(self, F: SetValuedMap, base: GraphPoint, ctx: NormContext) -> "ElementPool":
-        """self, after checking that it was made for this map, base point and norm."""
-        if not (F is self.F and ctx == self.ctx and base.x.tobytes() == self.base.x.tobytes()
-                and base.y.tobytes() == self.base.y.tobytes()):
-            raise ValueError("the element pool was made for another map, base point or norm")
-        return self
-
-    def _grown(self, ladder: ScaleLadder, tag: int, what, make) -> list:
-        """The memo of what on the tag's graph sample, grown to the ladder's depth
-        by make(j, inner, outer, points) for each annulus it lacks."""
-        done = self._annuli.setdefault(
-            (ladder.r0, ladder.theta, ladder.samples_per_scale, ladder.seed, tag, what), [])
-        for j, inner, outer, pts in graph_annuli(self.F, self.base, ladder, tag,
-                                                 start=len(done)):
-            done.append(make(j, inner, outer, pts))
-        return done[:ladder.depth]
-
-    def graph_annuli(self, ladder: ScaleLadder, tag: int) -> list[tuple]:
-        """mappings.graph_annuli(F, base, ladder, tag) as a list, each annulus drawn once."""
-        return self._grown(ladder, tag, "graph", lambda *annulus: annulus)
-
-    def records(self, ladder: ScaleLadder) -> list[list[ElementRecord]]:
-        """The records of the sampled graph points and feature points, per annulus."""
-        F, base, ctx = self.F, self.base, self.ctx
-
-        def make(j, inner, outer, pts):
-            groups = [(gp.x, gp.y, elements_at_point(F, gp)) for gp in pts]
-            return _annulus_records(groups, j, inner, outer, base, ctx)
-
-        return self._grown(ladder, 61, "records", make)
+    done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ctx, ladder.r0, ladder.theta,
+                              ladder.samples_per_scale, ladder.seed, tag, what), [])
+    for j, inner, outer, pts in graph_annuli(F, base, ladder, tag, start=len(done)):
+        done.append(make(j, inner, outer, pts))
+    return done[:ladder.depth]
 
 
 def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                        ctx: NormContext, *,
-                       extra_elements: list[CoderivElement] | None = None,
-                       pool: ElementPool | None = None
+                       extra_elements: list[CoderivElement] | None = None
                        ) -> tuple[list[list[ElementRecord]], str]:
     """Coderivative element records per annulus, plus a pool identifier.
 
@@ -442,12 +410,11 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     check_relations uses to refuse cross-pool comparisons. The id is hashed
     over the full ladder, depth included.
 
-    The sampled records come from pool (a new ElementPool when None), which
-    builds each annulus once per run. An annulus's records are its shared
-    records followed by the records of the extra elements that fall in it;
-    the extras are never memoized.
+    The sampled records of each annulus are built once per map (see
+    _memo_annuli). An annulus's records are those shared records followed
+    by the records of the extra elements that fall in it; the extras are
+    never memoized.
     """
-    pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
     h = hashlib.sha256()
     h.update(F.name.encode())
     h.update(ctx.kind.encode())
@@ -456,13 +423,18 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     # y* grid) keeps every id, and with it every payload, bit for bit
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, 8)).encode())
-    pools = pool.records(ladder)  # a new list of the shared annuli
+
+    def make(j, inner, outer, pts):
+        groups = [(gp.x, gp.y, elements_at_point(F, gp)) for gp in pts]
+        return _annulus_records(groups, inner, outer, base, ctx)
+
+    pools = _memo_annuli(F, base, ctx, ladder, 61, "records", make)  # a new list
     extras = list(extra_elements or [])
     if extras:
         for j, (inner, outer) in enumerate(ladder.annuli()):
             groups = [(e.x, e.y, [e]) for e in extras
                       if inner < ctx.norm(e.x - base.x) <= outer]
-            pools[j] = pools[j] + _annulus_records(groups, j, inner, outer, base, ctx)
+            pools[j] = pools[j] + _annulus_records(groups, inner, outer, base, ctx)
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
@@ -537,9 +509,8 @@ def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float
 
 
 def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                           ctx: NormContext, pool: ElementPool | None = None
-                           ) -> dict[str, Estimate]:
-    records, pool_id = build_element_pool(F, base, ladder, ctx, pool=pool)
+                           ctx: NormContext) -> dict[str, Estimate]:
+    records, pool_id = build_element_pool(F, base, ladder, ctx)
     out = {}
     for kind in CONSTANT_KINDS:
         out[kind] = estimate_constant(kind, records, ladder, ctx, pool_id)

@@ -45,9 +45,9 @@ from .geometry import (
     norming_vector,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, make_function_graph, sum_with_function
+from .mappings import GraphPoint, SetValuedMap, anchored, make_function_graph, sum_with_function
 from .moduli import (
-    ElementPool,
+    _memo_annuli,
     build_element_pool,
     estimate_clm,
     estimate_constant,
@@ -165,8 +165,7 @@ def _graph_rows(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: floa
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                        ladder: ScaleLadder, ctx: NormContext, pool: ElementPool | None = None,
-                        start: int = 0) -> list[dict]:
+                        ladder: ScaleLadder, ctx: NormContext, start: int = 0) -> list[dict]:
     """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
     A candidate comes from a row (t, x, y, x*, y*, eps, ratio, xn, q): an
@@ -174,17 +173,16 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     its best candidate per coarse (direction, payload, y*) orientation key,
     so that both the stationary clustering and the distinct-direction
     selection see every available family. An annulus's candidates depend
-    only on gamma, its radius and its graph sample or records, which come
-    from pool (a new ElementPool when None).
+    only on gamma, its radius and its graph sample or records, which F's
+    memo holds once drawn or built.
     """
-    if pool is None:
-        pool = ElementPool(F, base, ctx)
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
+        graph = _memo_annuli(F, base, ctx, ladder, 71, "graph", lambda *annulus: annulus)
         annuli = [(j, _graph_rows(F, base, ctx, inner, outer, pts, cut))
-                  for j, inner, outer, pts in pool.graph_annuli(ladder, 71)[start:]]
+                  for j, inner, outer, pts in graph[start:]]
     else:
-        records, _ = build_element_pool(F, base, ladder, ctx, pool=pool)
+        records, _ = build_element_pool(F, base, ladder, ctx)
         annuli = [(j, ((r.t, r.elem.x, r.elem.y, r.elem.x_star, r.elem.y_star, r.eps, r.ratio,
                         r.xn, r.q) for r in records[j]))
                   for j in range(start, ladder.depth)]
@@ -211,8 +209,8 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 
 
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                    ladder: ScaleLadder, ctx: NormContext, direction_mode: str = "auto",
-                    pool: ElementPool | None = None) -> WitnessSequence:
+                    ladder: ScaleLadder, ctx: NormContext,
+                    direction_mode: str = "auto") -> WitnessSequence:
     """Extract a thinning witness sequence certifying the kind's constant < gamma.
 
     The kinds pair with constants: lip with srg1p objectives (ratio plus
@@ -224,10 +222,9 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
     the scale floor; the ladder is deepened by 8 annuli at a time before
     giving up.
 
-    Graph samples and element records come from pool (a new ElementPool
-    when None). Each deepening collects candidates from the new annuli
-    only and appends them, in the order a collection over the whole
-    deepened ladder gives.
+    Graph samples and element records come from F's memo. Each deepening
+    collects candidates from the new annuli only and appends them, in the
+    order a collection over the whole deepened ladder gives.
     """
     if kind not in ("lip", "fclm", "ss", "ssr"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -235,11 +232,9 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
         raise ValueError(f"unknown direction mode {direction_mode!r}")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    pool = ElementPool(F, base, ctx) if pool is None else pool.check(F, base, ctx)
-
     work, start, cands = ladder, 0, []
     while True:
-        cands += _collect_candidates(F, base, kind, gamma, work, ctx, pool, start)
+        cands += _collect_candidates(F, base, kind, gamma, work, ctx, start)
         seq = _try_select(cands, kind, gamma, direction_mode, ctx) if cands else None
         if seq is not None:
             break
@@ -253,7 +248,6 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                 f"entries above the scale floor {_T_FLOOR:g}")
         start, work = work.depth, work.deepen(8)
     seq.base = GraphPoint(base.x.copy(), base.y.copy())
-    seq.norm_kind = ctx.kind
     problems = validate_witness(seq, ctx)
     if problems:
         raise WitnessError("internal witness invariant violation: " + "; ".join(problems))
@@ -472,7 +466,6 @@ class Perturbation:
     name: str = "perturbation"
     dim_x: int = 1
     dim_y: int = 1
-    norm_kind: str = "l1"
 
     def describe(self) -> dict:
         """Portable description; load_perturbation rebuilds bit-identically."""
@@ -634,7 +627,7 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
         anchor_targets=[base.y - e.y for e in es],
         anchor_eps=[0.0] * len(es),
         probes=probes, floor_radius=0.0, case=None,
-        name=f"{tag} destabilizer", dim_x=dim_x, dim_y=dim_y, norm_kind=ctx.kind,
+        name=f"{tag} destabilizer", dim_x=dim_x, dim_y=dim_y,
     )
 
 
@@ -841,7 +834,6 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         anchor_eps=[0.0] * len(cones),
         probes=probes, floor_radius=0.0, case=1,
         name=f"{tag} destabilizer (cones)", dim_x=dim_x, dim_y=dim_y,
-        norm_kind=ctx.kind,
     )
 
 
@@ -973,7 +965,6 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         anchor_eps=anchor_eps,
         probes=probes, floor_radius=floor, case=2,
         name=f"{tag} destabilizer (log cone)", dim_x=dim_x, dim_y=dim_y,
-        norm_kind=ctx.kind,
     )
 
 
@@ -1006,8 +997,7 @@ def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
 
 def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
                            ladder: ScaleLadder, ctx: NormContext,
-                           direction_mode: str = "auto",
-                           pool: ElementPool | None = None) -> Perturbation:
+                           direction_mode: str = "auto") -> Perturbation:
     """Calm destabilizer of strong subregularity at the base point.
 
     Extracts graph points with quotient ||y - yb||/||x - xb|| below gamma
@@ -1015,10 +1005,10 @@ def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
     yb lies in (F + f)(x_k) and the strong subregularity quotient of the
     sum vanishes. Raises "no destabilizer below gamma" when the quotient
     stays at or above gamma at every scale (the stability side). The graph
-    samples come from pool, as in extract_witness.
+    samples come from F's memo, as in extract_witness.
     """
     try:
-        w = extract_witness(F, base, "ssr", gamma, ladder, ctx, direction_mode, pool=pool)
+        w = extract_witness(F, base, "ssr", gamma, ladder, ctx, direction_mode)
     except WitnessError as err:
         if "no witness below gamma" in str(err):
             raise WitnessError(
@@ -1145,19 +1135,19 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
                                  dim_y=p.dim_y, kind=ctx.kind, name=p.name)
     fbase = GraphPoint(base.x, np.zeros(p.dim_y))
     vlad = _destab_ladder(p, ladder)
-    extra = [GraphPoint(x, fgraph.func(x)) for x in p.probes]
-    extra += [GraphPoint(xk, fgraph.func(xk)) for xk, _ in p.anchors]
+    extra = list(p.probes) + [xk for xk, _ in p.anchors]
+    probed = anchored(fgraph, [(x, fgraph.func(x)) for x in extra])
     if p.class_tag == "lip":
-        mod = estimate_lip(fgraph, fbase, vlad, ctx, extra_points=extra)
+        mod = estimate_lip(probed, fbase, vlad, ctx)
     else:
-        mod = estimate_clm(fgraph, fbase, vlad, ctx, extra_points=extra)
+        mod = estimate_clm(probed, fbase, vlad, ctx)
     rep.modulus_estimate = mod.reported
     margin = 0.5 * (p.gamma - p.gamma_dp)
     rep.modulus_ok = rep.modulus_estimate <= p.gamma - margin
 
     # (d) class structure
     if p.class_tag in ("fclm", "fclm_ss", "ssr"):
-        fc = firmly_calm_test(p.eval, base.x, vlad, ctx, extra_points=extra)
+        fc = firmly_calm_test(p.eval, base.x, vlad, ctx, extra_xs=extra)
         rep.firmly_calm_ok = fc["ok"]
     if p.class_tag in ("fclm_ss", "ssr") and p.case == 1:
         ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
@@ -1180,10 +1170,9 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         rep.semismooth_verdict = ss.verdict
 
     # (e) destabilization of the sum
-    G = sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}", anchors=p.anchors)
+    G = anchored(sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}"), p.anchors)
     if p.class_tag == "ssr":
-        anchor_gps = [GraphPoint(xk, yk) for xk, yk in p.anchors]
-        est = estimate_ssrg(G, base, vlad, ctx, extra_points=anchor_gps)
+        est = estimate_ssrg(G, base, vlad, ctx)
         rep.destabilization = list(est.per_scale)
         rep.destabilization_ok = est.reported == 0.0
         if not rep.destabilization_ok:
@@ -1237,11 +1226,11 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
 
 
 def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
-                     extra_points: list | None = None) -> dict:
+                     extra_xs: list | None = None) -> dict:
     """Empirical firm calmness: bounded calm quotients plus local stability.
 
     Clause A estimates the calmness quotient per scale, over 24 probes per
-    annulus and the extra points that fall in it, and fails on clear
+    annulus and the extra_xs that fall in it, and fails on clear
     divergence (the innermost value above four times the median, above the
     outermost, and above an absolute floor of 1e-9 so a tail of roundoff
     quotients never counts). Clause B takes central two-point slopes at
@@ -1251,13 +1240,10 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
     to point as x approaches the base, without failing; a zero first
     slope is ignored because it means the coarse step cleared a feature
     narrower than itself).
-
-    ``extra_points`` entries may be graph points or bare x arrays.
     """
     base_x = np.atleast_1d(np.asarray(base_x, dtype=float))
     f0 = np.atleast_1d(np.asarray(f(base_x), dtype=float))
-    extras = [np.atleast_1d(np.asarray(getattr(p, "x", p), dtype=float))
-              for p in (extra_points or [])]
+    extras = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (extra_xs or [])]
 
     per_scale = []
     for j, (inner, outer) in enumerate(ladder.annuli()):

@@ -39,7 +39,6 @@ from .mappings import (
     sum_with_function,
 )
 from .moduli import (
-    ElementPool,
     Estimate,
     check_relations,
     eckart_young_check,
@@ -347,8 +346,11 @@ def run(config: ExperimentConfig) -> RunReport:
     timings["resolve_s"] = time.perf_counter() - t0
     report = RunReport(config=config.canonical(), config_hash=config.digest(),
                        task=config.task, map_name=F.name)
-    report.provenance = {k: v["provenance"] for k, v in entry.known.items()}
-    known = entry.known
+    # the catalog's known values hold for its map as listed, at the origin
+    # (parse_config refuses anything else for verify_radius)
+    bare = config.base_point is None and not {"wrap", "params"} & set(config.map_spec)
+    known = entry.known if bare else {}
+    report.provenance = {k: v["provenance"] for k, v in known.items()}
 
     t1 = time.perf_counter()
     if config.task == "moduli":
@@ -378,9 +380,7 @@ def run(config: ExperimentConfig) -> RunReport:
     elif config.task == "build_perturbation":
         _task_build(config, F, base, ctx, ladder, report)
     elif config.task == "verify_radius":
-        # one element pool per run: the constants, every witness extraction
-        # and its deepening read the same annuli
-        _PIPELINES[entry.id](config, F, base, ctx, ladder, report, ElementPool(F, base, ctx))
+        _PIPELINES[entry.id](config, F, base, ctx, ladder, report)
         if any(not c["passed"] for c in report.checks):
             report.status = "verification_fail"
     timings["task_s"] = time.perf_counter() - t1
@@ -488,7 +488,7 @@ def _check_refusal(report: RunReport, inequality: str, slack: float, attempt, ma
         _check(report, inequality, False, slack, "a witness below gamma was found")
 
 
-def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
+def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg, {"value": 1.0, "provenance": "closed form"}))
     slack = abs(srg.reported - 1.0)
@@ -496,14 +496,14 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: El
            slack <= 0.02, slack, f"estimated srg {srg.reported:.4f} against the exact 1")
 
     _check_build(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
-                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx, pool=pool),
+                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx),
                  lambda rep: (f"clm estimate {rep.modulus_estimate:.4f} < 1.1; "
                               f"perturbed ssrg per-scale min "
                               f"{min(v for _, v in rep.destabilization):.1e}"),
                  F, base, ctx, ladder, keep=True, refused="build refused", refused_slack=0.1)
 
     _check_refusal(report, "radius lower bound: no destabilizer below gamma = 0.9 < ssrg",
-                   1.0 - 0.9, lambda: build_ssr_destabilizer(F, base, 0.9, ladder, ctx, pool=pool),
+                   1.0 - 0.9, lambda: build_ssr_destabilizer(F, base, 0.9, ladder, ctx),
                    "no destabilizer below gamma")
 
     worst = math.inf
@@ -517,8 +517,8 @@ def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport, pool: El
            f"5 seeded calm perturbations with |a|+|b| <= 0.85; min perturbed ssrg {worst:.4f}")
 
 
-def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
-    consts = estimate_all_constants(F, base, ladder, ctx, pool=pool)
+def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
+    consts = estimate_all_constants(F, base, ladder, ctx)
     for name in ("srg2", "srg2p", "srg4", "srg4p"):
         report.estimates.append(_est_row(consts[name]))
     slack = abs(consts["srg4p"].reported - 1.0)
@@ -532,17 +532,17 @@ def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport, pool: Elemen
 
     _check_build(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies", 0.1,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 0.1, ladder, ctx, pool=pool), 0.1),
+                     extract_witness(F, base, "fclm", 0.1, ladder, ctx), 0.1),
                  lambda rep: f"clm estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
     _check_build(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p", 0.05,
                  lambda: build_ss_perturbation(
-                     extract_witness(F, base, "ss", 1.05, ladder, ctx, pool=pool), 1.05),
+                     extract_witness(F, base, "ss", 1.05, ladder, ctx), 1.05),
                  lambda rep: f"case {rep.case} build, semismooth verdict {rep.semismooth_verdict}",
                  F, base, ctx, ladder, keep=True)
 
 
-def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
-    consts = estimate_all_constants(F, base, ladder, ctx, pool=pool)
+def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
+    consts = estimate_all_constants(F, base, ladder, ctx)
     for name in ("srg2", "srg2p"):
         report.estimates.append(_est_row(consts[name]))
     slack = max(abs(consts["srg2"].reported - 1.0), abs(consts["srg2p"].reported - 1.0))
@@ -558,15 +558,15 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport, pool: El
 
     _check_build(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p", 0.2,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 1.2, ladder, ctx, pool=pool), 1.2),
+                     extract_witness(F, base, "fclm", 1.2, ladder, ctx), 1.2),
                  lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ctx, ladder)
 
     _check_refusal(report, "fclm radius lower bound: no witness below gamma = 0.8 < srg2p",
-                   1.0 - 0.8, lambda: extract_witness(F, base, "fclm", 0.8, ladder, ctx, pool=pool),
+                   1.0 - 0.8, lambda: extract_witness(F, base, "fclm", 0.8, ladder, ctx),
                    "no witness below gamma")
 
 
-def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport, pool: ElementPool):
+def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
     srg = estimate_srg(F, base, ladder, ctx)
     report.estimates.append(_est_row(srg))
     flagged = math.isinf(srg.reported) and "empty quotient set" in srg.note
@@ -575,7 +575,7 @@ def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport, pool: Elemen
 
     _check_build(report, "lip radius equals 0: destabilizer builds at gamma = 0.01", 0.01,
                  lambda: build_lip_perturbation(
-                     extract_witness(F, base, "lip", 0.01, ladder, ctx, pool=pool), 0.01),
+                     extract_witness(F, base, "lip", 0.01, ladder, ctx), 0.01),
                  lambda rep: f"lip estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
 
 

@@ -8,6 +8,7 @@ from subreglab.geometry import NormContext, ScaleLadder
 from subreglab.mappings import (
     GraphPoint,
     _nearest_roots_1d,
+    anchored,
     batch_func,
     catalog,
     inverse,
@@ -226,11 +227,29 @@ def test_sum_with_perturbation_object_and_anchors():
     f = make_function_graph(lambda x: np.array([-x[0] ** 2]),
                             grad=lambda x: np.array([[-2.0 * x[0]]]))
     F = make_square("l1")
-    G = sum_with_function(F, f, name="sq-cancel", anchors=[(np.array([0.5]), np.array([0.0]))])
+    G = anchored(sum_with_function(F, f, name="sq-cancel"),
+                 [(np.array([0.5]), np.array([0.0]))])
     assert G.func([0.5])[0] == 0.0
     base = GraphPoint(np.zeros(1), np.zeros(1))
     pts = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
     assert any(float(gp.x[0]) == 0.5 for gp in pts)
+
+
+def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
+    F = make_square("l1")
+    F.memo["key"] = ["value"]
+    anchors = [(np.array([x]), np.array([x * x])) for x in (0.3, -0.6, 0.9, 0.5)]
+    G = anchored(F, anchors)
+    base = GraphPoint(np.zeros(1), np.zeros(1))
+    own = F.sample_graph(base, 0.25, 0.75, 30, 1)
+    pts = G.sample_graph(base, 0.25, 0.75, 30, 1)
+    kept = [anchors[i] for i in (0, 1, 3)]  # 0.9 lies outside the annulus
+    want = [p.x.tolist() for p in own] + [a.tolist() for a, _ in kept]
+    assert [p.x.tolist() for p in pts] == want
+    assert all(p.x is not a and p.y is not b for p, (a, b) in zip(pts[len(own):], kept))
+    assert (G.name, G.image_distance, G.analytic_normals) == (F.name, F.image_distance,
+                                                              F.analytic_normals)
+    assert G.memo == {}  # a map that samples differently starts its own memo
 
 
 def test_inverse_swaps_domain_and_range():

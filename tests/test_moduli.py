@@ -8,7 +8,12 @@ import pytest
 
 from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder
-from subreglab.mappings import GraphPoint, make_linear_map
+from subreglab.mappings import (
+    GraphPoint,
+    make_linear_map,
+    preimage_distance_fallback,
+    resolve_map_spec,
+)
 from subreglab.moduli import (
     CONSTANT_KINDS,
     ElementRecord,
@@ -102,6 +107,22 @@ def test_zero_map_moduli():
     assert estimate_clm(F, base, lad, ctx).reported == 0.0
     assert estimate_lip(F, base, lad, ctx).reported == 0.0
     assert estimate_ssrg(F, base, lad, ctx).reported == 0.0
+
+
+def test_preimage_distances_the_fallback_misses_are_left_out():
+    """On spiral + linear no multi-start lands on a preimage point: rg and
+    srg read nan with a note, not 0.0 "converged"."""
+    F, _ = resolve_map_spec({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
+                            kind="l2")
+    base = GraphPoint(np.zeros(2), np.zeros(2))
+    ctx = NormContext(kind="l2", dim_x=2, dim_y=2)
+    lad = ScaleLadder(depth=3, samples_per_scale=8, seed=7)
+    assert math.isnan(preimage_distance_fallback(F, [0.1, 0.2], [0.05, 0.0]))
+    for est in (estimate_rg(F, base, lad, ctx), estimate_srg(F, base, lad, ctx)):
+        assert math.isnan(est.reported) and not est.converged
+        assert all(math.isnan(v) for _, v in est.per_scale)
+        assert est.note == ("no preimage point found for 24 of 24 pairs; "
+                            "their quotients are left out")
 
 
 def test_linear_map_rg_matches_the_smallest_singular_value():
@@ -651,7 +672,7 @@ def _random_pool(rng, ladder, base):
             recs.append(ElementRecord(
                 t=t, ratio=values[rng.integers(0, len(values))],
                 xn=values[rng.integers(0, len(values))], q=small[rng.integers(0, len(small))],
-                eps=small[rng.integers(0, len(small))], annulus=k,
+                eps=small[rng.integers(0, len(small))],
                 elem=CoderivElement(x, np.zeros(1), np.ones(1), np.zeros(2))))
         pool.append(recs)
     return pool

@@ -238,7 +238,7 @@ def test_firmly_calm_rejects_a_jump():
 
     out = firmly_calm_test(f, np.zeros(1), ladder12(),
                            NormContext(kind="l1", dim_x=1, dim_y=1),
-                           extra_points=[np.array([c])])
+                           extra_xs=[np.array([c])])
     assert not out["ok"]
 
 
@@ -282,7 +282,7 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
     assert vals[-1] == 0.0
     # the sum map attains the base value at every anchor
     G = sum_with_function(F, make_function_graph(p.eval, grad=p.derivative),
-                          name="identity+ssr", anchors=p.anchors)
+                          name="identity+ssr")
     for xk, _ in p.anchors:
         assert G.image_distance(xk, base.y) <= 1e-15
 

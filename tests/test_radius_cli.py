@@ -174,6 +174,27 @@ def test_a_base_point_on_the_graph_runs(tmp_path, capsys):
     assert at_half != at_origin
 
 
+@pytest.mark.parametrize("cfg", [
+    {"map": "square", "base_point": {"x": [0.5], "y": [0.25]}, "task": "constants"},
+    {"map": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
+     "task": "moduli", "norm": "l2"},
+    {"map": {"id": "scale", "params": {"lam": 3.0}}, "task": "moduli"},
+])
+def test_known_values_are_shown_for_the_bare_catalog_map_only(tmp_path, capsys, cfg):
+    """The catalog's known values hold for its map as listed, at the origin."""
+    cfg = {**cfg, "seed": 7, "ladder": {"depth": 4, "samples": 16}}
+    code, out = _run(tmp_path, capsys, cfg, "--format", "full")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["provenance"] == {}
+    assert not any("known" in est or "provenance" in est for est in payload["estimates"])
+    mid = cfg["map"] if isinstance(cfg["map"], str) else cfg["map"]["id"]
+    code, out = _run(tmp_path / "bare", capsys, {**cfg, "map": mid, "base_point": None},
+                     "--format", "full")
+    assert code == 0, out
+    assert any("known" in est for est in json.loads(out)["estimates"])
+
+
 def test_build_refusal_exits_3(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, {
         "map": "identity", "task": "build_perturbation", "kind": "ssr",
