@@ -35,6 +35,7 @@ __all__ = [
     "norm",
     "norming_functional",
     "norming_vector",
+    "norms",
     "pairing",
     "product_norm",
     "product_norm_dual",
@@ -77,6 +78,24 @@ def norm(v, kind: str = "l2") -> float:
     if kind == "l2":
         return float(np.linalg.norm(a))
     return float(np.max(np.abs(a)))
+
+
+def norms(V, kind: str = "l2") -> np.ndarray:
+    """The norm of each row of V (n, d), with the bits norm(V[k], kind) gives.
+
+    l1 rows of two or more coordinates keep math.fsum. l2 rows take the
+    stacked self-dot, the same dot np.linalg.norm makes on a 1-D vector;
+    einsum and (V * V).sum(1) round differently.
+    """
+    _check_kind(kind)
+    V = np.asarray(V, dtype=float)
+    if V.shape[1] == 1:
+        return np.abs(V[:, 0])
+    if kind == "l1":
+        return np.array([math.fsum(abs(c) for c in row) for row in V.tolist()], dtype=float)
+    if kind == "l2":
+        return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    return np.abs(V).max(axis=1)
 
 
 def dual_norm(v, kind: str = "l2") -> float:

@@ -26,6 +26,7 @@ from .geometry import (
     derive_seed,
     dual_sphere_grid,
     norm,
+    norms,
     r2_lattice,
     sample_annulus,
 )
@@ -96,6 +97,12 @@ class SetValuedMap:
     float(func(np.array([z[k]]))[0]) bit for bit; batch_func supplies the
     per-point loop for a map without one.
 
+    image_distance_batch(X, Y) and preimage_distance_batch(X, Y), where a
+    map has them, take rows X (n, dim_x) and Y (n, dim_y) and return (n,)
+    floats. Element k must equal image_distance(X[k], Y[k]) (respectively
+    preimage_distance(X[k], Y[k])) bit for bit; the estimators of moduli
+    loop over pairs for a map without them.
+
     memo holds what moduli derives from the map annulus by annulus (graph
     samples, element records), so each annulus is computed once per map. No
     caller sets it, and a map made by dataclasses.replace starts with an
@@ -111,6 +118,8 @@ class SetValuedMap:
     feature_points: Callable | None = None
     func: Callable | None = None
     func_batch: Callable | None = None
+    image_distance_batch: Callable | None = None
+    preimage_distance_batch: Callable | None = None
     grad: Callable | None = None
     name: str = "map"
     kind: str = "l1"
@@ -178,14 +187,14 @@ def make_function_graph(
         xs = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
         return [GraphPoint(x, fv(x)) for x in xs]
 
+    etas = dual_sphere_grid(kind, dim_y, 8)
+    etas.flags.writeable = False  # its rows are the y* of every call of normals
+
     def normals(x, y):
         g = gv(x)
         if g is None:
             return None
-        out = []
-        for eta in dual_sphere_grid(kind, dim_y, 8):
-            out.append((g.T @ eta, eta))
-        return out
+        return [(g.T @ eta, eta) for eta in etas]
 
     return SetValuedMap(
         dim_x=dim_x,
@@ -218,22 +227,39 @@ def batch_func(F: SetValuedMap) -> Callable:
 
 
 def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMap:
-    """F(x) = {Ax} with closed-form preimage distances."""
+    """F(x) = {Ax} with closed-form image and preimage distances.
+
+    Both distances are computed for stacks of pairs (see
+    SetValuedMap.image_distance_batch); the per-pair closures are their
+    one-row case. Each row is multiplied by A and solved with A on its own,
+    by a stacked np.matmul and np.linalg.solve, which give it the bits of
+    A @ x and np.linalg.solve(A, y); one solve with many right-hand sides
+    would not. A singular or non-square A measures each row's distance to
+    its fiber with _fiber_distance.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     dy, dx = A.shape
 
-    def preimage(x, y):
-        x = np.atleast_1d(x)
-        y = np.atleast_1d(y)
-        try:
-            z = np.linalg.solve(A, y) if dy == dx else None
-        except np.linalg.LinAlgError:
-            z = None
-        if z is None:
-            z, *_ = np.linalg.lstsq(A, y, rcond=None)
-            if norm(A @ z - y, kind) > 1e-9 * max(1.0, norm(y, kind)):
-                return math.inf
-        return norm(x - z, kind)
+    # A (dy, dx) against a stack (n, dx, 1) is broadcast to one A per row
+    def image_distances(X, Y):
+        AX = np.matmul(A, np.asarray(X, dtype=float)[..., None])[..., 0]
+        return norms(np.asarray(Y, dtype=float) - AX, kind)
+
+    def preimage_distances(X, Y):
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        if dy == dx:
+            try:
+                return norms(X - np.linalg.solve(A, Y[..., None])[..., 0], kind)
+            except np.linalg.LinAlgError:  # A is singular, and so is every row's A
+                pass
+        return np.array([_fiber_distance(A, x, y, kind) for x, y in zip(X, Y)], dtype=float)
+
+    def one_row(batch):
+        def pair(x, y):
+            return float(batch(np.asarray(x, dtype=float).reshape(1, dx),
+                               np.asarray(y, dtype=float).reshape(1, dy))[0])
+
+        return pair
 
     f_batch = None
     if A.shape == (1, 1):
@@ -250,10 +276,39 @@ def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMa
         dim_y=dy,
         kind=kind,
         name=name or "linear",
-        preimage=preimage,
+        preimage=one_row(preimage_distances),
         f_batch=f_batch,
     )
-    return m
+    return replace(m, image_distance=one_row(image_distances),
+                   image_distance_batch=image_distances,
+                   preimage_distance_batch=preimage_distances)
+
+
+def _fiber_distance(A: np.ndarray, x: np.ndarray, y: np.ndarray, kind: str) -> float:
+    """d(x, {z : Az = y}): the norm of the smallest step w with A w = y - Ax.
+
+    The least-squares w is the smallest step in l2; l1 and linf find theirs
+    with a linear program. When A w misses y - Ax by more than 1e-9 times
+    max(1, ||y - Ax||), y is not in the range of A and the distance is inf.
+    """
+    r = y - A @ x
+    w, *_ = np.linalg.lstsq(A, r, rcond=None)
+    if norm(A @ w - r, kind) > 1e-9 * max(1.0, norm(r, kind)):
+        return math.inf
+    if kind == "l2":
+        return norm(w, kind)
+    from scipy.optimize import linprog  # imported here: it takes a second to load
+
+    dy, dx = A.shape
+    # variables (w, t) with |w_i| <= t_i (l1, minimizing the sum of t) or
+    # |w_i| <= t (linf, minimizing t)
+    T = np.eye(dx) if kind == "l1" else np.ones((dx, 1))
+    k = T.shape[1]
+    eye = np.eye(dx)
+    res = linprog(np.r_[np.zeros(dx), np.ones(k)], A_ub=np.block([[eye, -T], [-eye, -T]]),
+                  b_ub=np.zeros(2 * dx), A_eq=np.hstack([A, np.zeros((dy, k))]), b_eq=r,
+                  bounds=[(None, None)] * dx + [(0, None)] * k, method="highs")
+    return norm(res.x[:dx], kind) if res.status == 0 else math.nan
 
 
 def make_identity(dim: int = 1, kind: str = "l1") -> SetValuedMap:

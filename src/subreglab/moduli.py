@@ -209,14 +209,40 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     return est.finalize()
 
 
-def _preimage_distances(F: SetValuedMap, xs: list, ys: list) -> list[float]:
-    """d(x, F^{-1}(y)) for each pair: the map's oracle if it has one, else
-    the batched fallback for scalar function graphs, else the per-pair one."""
+def _image_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """d(y, F(x)) for each row pair: the map's batch form if it has one, else pair by pair."""
+    if F.image_distance_batch is not None:
+        return F.image_distance_batch(xs, ys)
+    return np.array([F.image_distance(x, y) for x, y in zip(xs, ys)], dtype=float)
+
+
+def _preimage_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> list[float]:
+    """d(x, F^{-1}(y)) for each row pair: the map's batch form or oracle if it
+    has one, else the batched fallback for scalar function graphs, else the
+    per-pair one."""
+    if F.preimage_distance_batch is not None:
+        return F.preimage_distance_batch(xs, ys).tolist()
     if F.preimage_distance is not None:
         return [F.preimage_distance(x, y) for x, y in zip(xs, ys)]
     if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
         return preimage_distances_fallback(F, xs, ys).tolist()
     return [preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)]
+
+
+def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, xs: np.ndarray, ys: np.ndarray
+                      ) -> tuple[list[int], list[float], list[float]]:
+    """(annulus, d(y, F(x)), d(x, F^{-1}(y))) lists of the pairs of rows of
+    xs and ys, an equal number per annulus in ladder order, that lie off the
+    preimage: their image distance is not at most 1e-13 times the annulus's
+    outer radius. The image distances of all pairs come from one call, and
+    the preimage distances of the admissible pairs alone from another.
+    """
+    n = len(xs) // ladder.depth
+    dimg = _image_distances(F, xs, ys)
+    outer = np.repeat([r for _, r in ladder.annuli()], n)
+    keep = ~(dimg <= 1e-13 * outer)  # x at or numerically on the preimage is left out
+    annulus = np.repeat(np.arange(ladder.depth), n)
+    return annulus[keep].tolist(), dimg[keep].tolist(), _preimage_distances(F, xs[keep], ys[keep])
 
 
 def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
@@ -230,18 +256,14 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     point) is left out and counted in the note.
     """
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
-    pairs = []  # (annulus, d(y, F(x)), x, y) of the admissible pairs, in sampling order
+    xs, ys = [], []
     for j, (inner, outer) in enumerate(ladder.annuli()):
-        xs = sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind)
-        ys = sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind)
-        for x, y in zip(xs, ys):
-            dimg = F.image_distance(x, y)
-            if not dimg <= 1e-13 * outer:
-                pairs.append((j, dimg, x, y))
-    dpres = _preimage_distances(F, [p[2] for p in pairs], [p[3] for p in pairs])
+        xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind))
+        ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind))
+    js, dimgs, dpres = _admissible_pairs(F, ladder, np.concatenate(xs), np.concatenate(ys))
     per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
     missed = sum(math.isnan(dpre) for dpre in dpres)
-    for (j, dimg, _, _), dpre in zip(pairs, dpres):
+    for j, dimg, dpre in zip(js, dimgs, dpres):
         if dpre == 0.0 or math.isnan(dpre):
             continue
         if math.isinf(dpre):
@@ -255,7 +277,7 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     est = Estimate(name="rg")
     est.per_scale, _ = _pool_scales(per_annulus, ladder)
     if missed:
-        est.note = _missed_note(missed, len(pairs))
+        est.note = _missed_note(missed, len(dpres))
     elif all(len(v) == 0 for v in per_annulus):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
     return est.finalize()
@@ -278,23 +300,19 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     min(samples per scale, 96) points.
     """
     n = min(ladder.samples_per_scale, 96)
-    points = []  # (annulus, d(yb, F(x)), x) of the x off the preimage, in sampling order
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        for x in sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind):
-            dimg = F.image_distance(x, base.y)
-            if not dimg <= 1e-13 * outer:  # x at or numerically on the preimage is left out
-                points.append((j, dimg, x))
-    dpres = _preimage_distances(F, [p[2] for p in points], [base.y] * len(points))
+    xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind)
+                         for j, (inner, outer) in enumerate(ladder.annuli())])
+    js, dimgs, dpres = _admissible_pairs(F, ladder, xs, np.repeat(base.y[None, :], len(xs), 0))
     per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
     missed = sum(math.isnan(dpre) for dpre in dpres)
-    for (j, dimg, _), dpre in zip(points, dpres):
+    for j, dimg, dpre in zip(js, dimgs, dpres):
         if dpre == 0.0 or math.isnan(dpre) or math.isinf(dimg):
             continue
         per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
     est = Estimate(name="srg")
     est.per_scale, _ = _pool_scales(per_annulus, ladder, empty=math.nan if missed else math.inf)
     if missed:
-        est.note = _missed_note(missed, len(points))
+        est.note = _missed_note(missed, len(dpres))
     elif all(len(v) == 0 for v in per_annulus):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     return est.finalize()

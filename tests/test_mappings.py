@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import setup_map
-from subreglab.geometry import NormContext, ScaleLadder
+from subreglab.geometry import NORM_KINDS, NormContext, ScaleLadder, dual_norm, norm, norms
 from subreglab.mappings import (
     GraphPoint,
     _nearest_roots_1d,
@@ -13,6 +13,7 @@ from subreglab.mappings import (
     catalog,
     inverse,
     make_function_graph,
+    make_linear_map,
     make_square,
     preimage_distance_fallback,
     preimage_distances_fallback,
@@ -121,6 +122,89 @@ def test_batch_evaluator_matches_the_scalar_func_bit_for_bit(mid):
     batch = batch_func(F)(z)
     assert batch.shape == z.shape
     assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _signed_magnitudes(rng, shape, zeros: float = 0.0) -> np.ndarray:
+    """Entries of random sign, magnitudes log-uniform in [1e-12, 1]; a share zeros of them -0.0."""
+    v = np.exp(rng.uniform(math.log(1e-12), 0.0, shape)) * rng.choice([-1.0, 1.0], shape)
+    v[rng.random(shape) < zeros] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_forms_match_the_per_row_forms_bit_for_bit(d):
+    # 300 matrices times 320 rows: the stacked np.matmul and np.linalg.solve
+    # of make_linear_map, which broadcast A to every row, against A @ x and
+    # the per-row solve, and geometry.norms against geometry.norm in every kind
+    rng = np.random.default_rng(20261 + d)
+    for _ in range(300):
+        A = _signed_magnitudes(rng, (d, d))
+        X = _signed_magnitudes(rng, (320, d), zeros=0.05)
+        prod = np.matmul(A, X[..., None])[..., 0]
+        assert np.array_equal(_bits(prod), _bits([A @ x for x in X]))
+        sol = np.linalg.solve(A, X[..., None])[..., 0]
+        assert np.array_equal(_bits(sol), _bits([np.linalg.solve(A, x) for x in X]))
+        for kind in NORM_KINDS:
+            assert np.array_equal(_bits(norms(X, kind)), _bits([norm(x, kind) for x in X]))
+
+
+def _linear_maps(kind):
+    rng = np.random.default_rng(31)
+    maps = {mid: resolve_map_spec({"id": mid}, kind=kind)[0]
+            for mid in ("identity", "scale", "linear")}
+    maps["random3x3"] = make_linear_map(rng.normal(size=(3, 3)), kind)
+    maps["singular2x2"] = make_linear_map([[1.0, 2.0], [2.0, 4.0]], kind)
+    maps["row1x3"] = make_linear_map([[1.0, 2.0, 3.0]], kind)
+    return maps
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_linear_batch_oracles_match_the_per_pair_oracles_bit_for_bit(kind):
+    rng = np.random.default_rng(41)
+    for name, F in _linear_maps(kind).items():
+        assert F.image_distance_batch is not None and F.preimage_distance_batch is not None
+        X = rng.normal(size=(24, F.dim_x))
+        Y = rng.normal(size=(24, F.dim_y))
+        Y[::4] = X[::4] @ F.grad(X[0]).T  # some pairs on the graph
+        Y[1::4] = 0.0
+        for batch, pair in ((F.image_distance_batch, F.image_distance),
+                            (F.preimage_distance_batch, F.preimage_distance)):
+            ours = batch(X, Y)
+            assert ours.shape == (24,)
+            assert np.array_equal(_bits(ours), _bits([pair(x, y) for x, y in zip(X, Y)])), name
+        # an invertible A keeps the bits of A @ x and of one solve per pair
+        A = F.grad(X[0])
+        assert np.array_equal(_bits(F.image_distance_batch(X, Y)),
+                              _bits([norm(y - A @ x, kind) for x, y in zip(X, Y)])), name
+        if name != "singular2x2" and F.dim_x == F.dim_y:
+            assert np.array_equal(
+                _bits(F.preimage_distance_batch(X, Y)),
+                _bits([norm(x - np.linalg.solve(A, y), kind) for x, y in zip(X, Y)])), name
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_linear_preimage_distance_is_the_distance_to_the_fiber(kind):
+    # one-row maps: d(x, {z : a.z = b}) = |a.x - b| / ||a||_dual
+    rng = np.random.default_rng(43)
+    for a in ([1.0, 1.0], [1.0, 2.0, 3.0], [0.5, -2.0, 0.25]):
+        F = make_linear_map([a], kind)
+        for _ in range(8):
+            x, b = rng.normal(size=len(a)), rng.normal()
+            exact = abs(np.dot(a, x) - b) / dual_norm(a, kind)
+            assert F.preimage_distance(x, [b]) == pytest.approx(exact, rel=1e-9)
+    # points on their fiber, at 5.0 and 4.24 from the least-squares solution
+    flat = make_linear_map([[1.0, 0.0], [0.0, 0.0]], kind)
+    assert flat.preimage_distance([0.0, 5.0], [0.0, 0.0]) == 0.0
+    assert make_linear_map([[1.0, 1.0]], kind).preimage_distance([3.0, -3.0], [0.0]) == 0.0
+    # the fiber of (1, 0) under the flat map is the line z1 = 1
+    assert flat.preimage_distance([0.25, 5.0], [1.0, 0.0]) == pytest.approx(0.75, rel=1e-12)
+    # a value off the range of A has an empty fiber
+    assert flat.preimage_distance([0.0, 5.0], [0.0, 1.0]) == math.inf
+    assert make_linear_map([[1.0], [1.0]], kind).preimage_distance([0.0], [1.0, -1.0]) == math.inf
 
 
 def test_root_finder_gives_each_pair_the_result_it_gets_alone():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder12, setup_map
-from subreglab.geometry import NormContext, ScaleLadder
+from subreglab.geometry import NormContext, ScaleLadder, derive_seed
 from subreglab.mappings import (
     GraphPoint,
     make_linear_map,
@@ -423,6 +424,123 @@ def test_graph_moduli_bits_are_pinned(mid, name):
     fn = {"clm": estimate_clm, "lip": estimate_lip, "ssrg": estimate_ssrg}[name]
     est = fn(F, base, ladder, ctx)
     assert [float(v).hex() for _, v in est.per_scale] == _GRAPH_PIN[(mid, name)]
+
+
+# per_scale values of estimate_rg and estimate_srg on linear maps, as hex
+# floats, taken while both still asked for one pair at a time: the default
+# linear map in l1 and l2 at depth 8, 96 samples, seed 7, and _EY_MATRIX (the
+# first matrix of the eckart_young task at seed 7) in l2 on the ladder of
+# eckart_young_check for that matrix, 320 pairs per scale
+_EY_MATRIX = [[float.fromhex(v) for v in row] for row in (
+    ('0x1.a37f7d955418fp+0', '-0x1.47c6a24a5cc0fp-4', '0x1.3b64885ed7b8bp-3'),
+    ('0x1.de0b0ff011ba0p-3', '0x1.8edcd8e761271p+0', '0x1.95783601a3910p-2'),
+    ('0x1.29837f8cd514dp-3', '-0x1.46d5ef2f6bafcp-3', '0x1.cb51ccf243685p+0'),
+)]
+_LINEAR_PIN = {
+    ('linear', 'l1', 'rg'): [
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.000cae1b7fae4p-1',
+        '0x1.04cba7b84ea8ap-1',
+    ],
+    ('linear', 'l1', 'srg'): [
+        '0x1.00f119d01edb7p-1',
+        '0x1.00f119d01edb7p-1',
+        '0x1.00f119d01edb7p-1',
+        '0x1.00f119d01edb7p-1',
+        '0x1.00f119d01edb7p-1',
+        '0x1.00f119d01edb7p-1',
+        '0x1.07fc0ffbb0664p-1',
+        '0x1.16c1fa6ea47e6p-1',
+    ],
+    ('linear', 'l2', 'rg'): [
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00000160c222cp-1',
+        '0x1.00013f457bcc4p-1',
+    ],
+    ('linear', 'l2', 'srg'): [
+        '0x1.0000bdb005713p-1',
+        '0x1.0000bdb005713p-1',
+        '0x1.0000bdb005713p-1',
+        '0x1.0000bdb005713p-1',
+        '0x1.0000bdb005713p-1',
+        '0x1.0000bdb005713p-1',
+        '0x1.003638e31e4bfp-1',
+        '0x1.01c85760f8046p-1',
+    ],
+    ('eckart', 'l2', 'rg'): [
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.8897aab1841e0p+0',
+        '0x1.89a1cc4d3f1bbp+0',
+    ],
+    ('eckart', 'l2', 'srg'): [
+        '0x1.88a5b1c8a89b3p+0',
+        '0x1.88a5b1c8a89b3p+0',
+        '0x1.88c490c01847bp+0',
+        '0x1.88c490c01847bp+0',
+        '0x1.88c490c01847bp+0',
+        '0x1.88c490c01847bp+0',
+        '0x1.88c490c01847bp+0',
+        '0x1.88c490c01847bp+0',
+    ],
+}
+
+
+def _linear_case(mid: str, kind: str):
+    if mid == "linear":
+        F, base, ctx = setup_map(mid, kind)
+        return F, base, ctx, ScaleLadder(depth=8, samples_per_scale=96, seed=7), None
+    F = make_linear_map(_EY_MATRIX, kind)
+    base = GraphPoint(np.zeros(3), np.zeros(3))
+    ladder = ScaleLadder(r0=0.5, theta=0.5, depth=8, samples_per_scale=320,
+                         seed=derive_seed(7, 151, 0))
+    return F, base, NormContext(kind=kind, dim_x=3, dim_y=3), ladder, 320
+
+
+@pytest.mark.parametrize("mid,kind,name", sorted(_LINEAR_PIN))
+def test_linear_rg_and_srg_bits_are_pinned(mid, kind, name):
+    F, base, ctx, ladder, pairs = _linear_case(mid, kind)
+    est = (estimate_rg(F, base, ladder, ctx, pairs_per_scale=pairs) if name == "rg"
+           else estimate_srg(F, base, ladder, ctx))
+    assert [float(v).hex() for _, v in est.per_scale] == _LINEAR_PIN[(mid, kind, name)]
+
+
+def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
+    F, base, ctx, ladder, pairs = _linear_case("eckart", "l2")
+    calls = []
+
+    def counted(oracle):
+        def each(x, y):
+            calls.append(oracle)
+            return oracle(x, y)
+
+        return each
+
+    G = dataclasses.replace(F, image_distance=counted(F.image_distance),
+                            preimage_distance=counted(F.preimage_distance))
+    batched = [estimate_rg(G, base, ladder, ctx, pairs_per_scale=pairs),
+               estimate_srg(G, base, ladder, ctx)]
+    assert calls == []
+    # without its batch forms the same map is asked pair by pair, to the same bits
+    H = dataclasses.replace(G, image_distance_batch=None, preimage_distance_batch=None)
+    paired = [estimate_rg(H, base, ladder, ctx, pairs_per_scale=pairs),
+              estimate_srg(H, base, ladder, ctx)]
+    assert len(calls) >= 2 * 8 * 320
+    assert [e.per_scale for e in paired] == [e.per_scale for e in batched]
 
 
 # ssrg witnesses as hex floats (x, then y, then ratio) at the same ladder: on
