@@ -426,6 +426,23 @@ def test_graph_moduli_bits_are_pinned(mid, name):
     assert [float(v).hex() for _, v in est.per_scale] == _GRAPH_PIN[(mid, name)]
 
 
+# per_scale values of clm, lip, rg and srg on the maps whose image and
+# preimage oracles no other pin reaches (rg and srg alone on spiral, whose
+# graph moduli _GRAPH_PIN holds), as hex floats at ladder depth 8, 16
+# samples, seed 7, kept in oracle_pins.json under "map/norm/estimator"
+_ORACLE_PIN = json.loads((Path(__file__).parent / "oracle_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_ORACLE_PIN))
+def test_oracle_moduli_bits_are_pinned(key):
+    mid, kind, name = key.split("/")
+    F, base, ctx = setup_map(mid, kind)
+    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+    fn = {"clm": estimate_clm, "lip": estimate_lip, "rg": estimate_rg, "srg": estimate_srg}[name]
+    est = fn(F, base, ladder, ctx)
+    assert [float(v).hex() for _, v in est.per_scale] == _ORACLE_PIN[key]
+
+
 # per_scale values of estimate_rg and estimate_srg on linear maps, as hex
 # floats, taken while both still asked for one pair at a time: the default
 # linear map in l1 and l2 at depth 8, 96 samples, seed 7, and _EY_MATRIX (the
