@@ -53,7 +53,6 @@ __all__ = [
     "catalog",
     "resolve_map_spec",
     "graph_annuli",
-    "batch_func",
     "preimage_distance_fallback",
     "preimage_distances_fallback",
 ]
@@ -75,13 +74,19 @@ class GraphPoint:
 class SetValuedMap:
     """Record of closures describing F: R^dim_x => R^dim_y.
 
-    image_distance(x, y) returns d(y, F(x)) (inf when F(x) is empty), so
-    y lies in F(x) when it is 0; preimage_distance(x, y) returns
-    d(x, F^{-1}(y)) or may be None, in which case callers fall back to
-    preimage_distance_fallback. sample_graph(center, r_inner, r_outer, n,
-    seed) returns graph points whose x lies in the annulus around center.x
-    (maps with vertical structure also return same-x points with y in the
-    annulus around center.y).
+    The oracles func, image_distance and preimage_distance take rows: X
+    (n, dim_x) and Y (n, dim_y). image_distance(X, Y) returns the n values
+    d(Y[k], F(X[k])) (inf when F(X[k]) is empty), so Y[k] lies in F(X[k])
+    when it is 0; preimage_distance(X, Y) returns the n values
+    d(X[k], F^{-1}(Y[k])), or the field is None, in which case callers fall
+    back to preimage_distance_fallback. func(X), for single-valued maps,
+    returns the (n, dim_y) values f(X[k]). Row k of every result depends on
+    row k of the arguments alone, so it has the bits of the one-row call.
+
+    sample_graph(center, r_inner, r_outer, n, seed) returns graph points
+    whose x lies in the annulus around center.x (maps with vertical
+    structure also return same-x points with y in the annulus around
+    center.y).
 
     analytic_normals(x, y) returns representative (x*, y*) pairs with
     (x*, -y*) normal to the graph at (x, y), or None where the oracle has
@@ -90,18 +95,7 @@ class SetValuedMap:
     y* of an 8-point dual_sphere_grid. It is the only source of
     coderivative elements. feature_points(base_x, r_inner, r_outer)
     enumerates at most _FEATURE_CAP = 24 structural graph points per
-    annulus.
-
-    func_batch(z), for scalar function graphs only, evaluates f on a (n,)
-    array of points at once. Element k must equal
-    float(func(np.array([z[k]]))[0]) bit for bit; batch_func supplies the
-    per-point loop for a map without one.
-
-    image_distance_batch(X, Y) and preimage_distance_batch(X, Y), where a
-    map has them, take rows X (n, dim_x) and Y (n, dim_y) and return (n,)
-    floats. Element k must equal image_distance(X[k], Y[k]) (respectively
-    preimage_distance(X[k], Y[k])) bit for bit; the estimators of moduli
-    loop over pairs for a map without them.
+    annulus. grad(x) is the Jacobian at one point.
 
     memo holds what moduli derives from the map annulus by annulus (graph
     samples, element records), so each annulus is computed once per map. No
@@ -117,9 +111,6 @@ class SetValuedMap:
     analytic_normals: Callable | None = None
     feature_points: Callable | None = None
     func: Callable | None = None
-    func_batch: Callable | None = None
-    image_distance_batch: Callable | None = None
-    preimage_distance_batch: Callable | None = None
     grad: Callable | None = None
     name: str = "map"
     kind: str = "l1"
@@ -160,17 +151,15 @@ def make_function_graph(
     name: str = "function",
     preimage: Callable | None = None,
     features: Callable | None = None,
-    f_batch: Callable | None = None,
 ) -> SetValuedMap:
     """Wrap a single-valued function as a set-valued map via its graph.
 
-    grad(x) returns the Jacobian as a (dim_y, dim_x) array, or None where f
-    is not differentiable; the analytic oracles skip such points. f_batch is
-    the optional batch form of a scalar f (see SetValuedMap.func_batch).
+    f maps rows (n, dim_x) to rows (n, dim_y), row k from row k alone (see
+    SetValuedMap); _rows lifts a function of one point to that form.
+    grad(x) returns the Jacobian at one point as a (dim_y, dim_x) array, or
+    None where f is not differentiable; the analytic oracles skip such
+    points.
     """
-
-    def fv(x):
-        return np.atleast_1d(np.asarray(f(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float))
 
     def gv(x):
         if grad is None:
@@ -180,12 +169,12 @@ def make_function_graph(
             return None
         return np.atleast_2d(np.asarray(g, dtype=float))
 
-    def image_distance(x, y):
-        return norm(np.atleast_1d(y) - fv(x), kind)
+    def image_distance(X, Y):
+        return norms(Y - f(X), kind)
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         xs = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
-        return [GraphPoint(x, fv(x)) for x in xs]
+        return [GraphPoint(x, y) for x, y in zip(xs, f(xs))]
 
     etas = dual_sphere_grid(kind, dim_y, 8)
     etas.flags.writeable = False  # its rows are the y* of every call of normals
@@ -204,49 +193,51 @@ def make_function_graph(
         sample_graph=sample,
         analytic_normals=normals,
         feature_points=features,
-        func=fv,
-        func_batch=f_batch,
+        func=f,
         grad=gv,
         name=name,
         kind=kind,
     )
 
 
-def _pointwise(func: Callable) -> Callable:
-    """The batch form of a scalar func: func applied point by point."""
+def _rows(fn: Callable, *shape: int) -> Callable:
+    """fn of one row of each argument, lifted to rows.
 
-    def each(z):
-        return np.array([float(func(np.array([v]))[0]) for v in np.asarray(z, dtype=float).tolist()])
+    Row k of the result is fn(A[k], B[k], ...) for the row arrays A, B, ...
+    passed, each of the given shape: none for a distance, (dim_y,) for the
+    value of a function of one point.
+    """
 
-    return each
+    def lifted(*arrays):
+        out = [fn(*row) for row in zip(*arrays)]
+        return np.array(out, dtype=float).reshape((len(out),) + shape)
+
+    return lifted
 
 
-def batch_func(F: SetValuedMap) -> Callable:
-    """F.func_batch, or F.func applied point by point for a map without one."""
-    return F.func_batch if F.func_batch is not None else _pointwise(F.func)
+def _graph_points(f: Callable, xs: list[float]) -> list[GraphPoint]:
+    """The graph points (x, f(x)) of a scalar function at the numbers xs, f called once."""
+    X = np.array(xs, dtype=float).reshape(len(xs), 1)
+    return [GraphPoint(x, y) for x, y in zip(X, f(X))]
 
 
 def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMap:
     """F(x) = {Ax} with closed-form image and preimage distances.
 
-    Both distances are computed for stacks of pairs (see
-    SetValuedMap.image_distance_batch); the per-pair closures are their
-    one-row case. Each row is multiplied by A and solved with A on its own,
-    by a stacked np.matmul and np.linalg.solve, which give it the bits of
-    A @ x and np.linalg.solve(A, y); one solve with many right-hand sides
-    would not. A singular or non-square A measures each row's distance to
-    its fiber with _fiber_distance.
+    Each row is multiplied by A and solved with A on its own, by a stacked
+    np.matmul and np.linalg.solve, which give it the bits of A @ x and
+    np.linalg.solve(A, y); one solve with many right-hand sides would not.
+    A singular or non-square A measures each row's distance to its fiber
+    with _fiber_distance.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     dy, dx = A.shape
 
     # A (dy, dx) against a stack (n, dx, 1) is broadcast to one A per row
-    def image_distances(X, Y):
-        AX = np.matmul(A, np.asarray(X, dtype=float)[..., None])[..., 0]
-        return norms(np.asarray(Y, dtype=float) - AX, kind)
+    def f(X):
+        return np.matmul(A, X[..., None])[..., 0]
 
     def preimage_distances(X, Y):
-        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         if dy == dx:
             try:
                 return norms(X - np.linalg.solve(A, Y[..., None])[..., 0], kind)
@@ -254,34 +245,8 @@ def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMa
                 pass
         return np.array([_fiber_distance(A, x, y, kind) for x, y in zip(X, Y)], dtype=float)
 
-    def one_row(batch):
-        def pair(x, y):
-            return float(batch(np.asarray(x, dtype=float).reshape(1, dx),
-                               np.asarray(y, dtype=float).reshape(1, dy))[0])
-
-        return pair
-
-    f_batch = None
-    if A.shape == (1, 1):
-        a00 = float(A[0, 0])
-
-        def f_batch(z):
-            # A @ x accumulates onto +0.0, which turns a -0.0 product into +0.0
-            return a00 * z + 0.0
-
-    m = make_function_graph(
-        lambda x: A @ x,
-        grad=lambda x: A,
-        dim_x=dx,
-        dim_y=dy,
-        kind=kind,
-        name=name or "linear",
-        preimage=one_row(preimage_distances),
-        f_batch=f_batch,
-    )
-    return replace(m, image_distance=one_row(image_distances),
-                   image_distance_batch=image_distances,
-                   preimage_distance_batch=preimage_distances)
+    return make_function_graph(f, grad=lambda x: A, dim_x=dx, dim_y=dy, kind=kind,
+                               name=name or "linear", preimage=preimage_distances)
 
 
 def _fiber_distance(A: np.ndarray, x: np.ndarray, y: np.ndarray, kind: str) -> float:
@@ -316,13 +281,11 @@ def make_identity(dim: int = 1, kind: str = "l1") -> SetValuedMap:
 
 
 def make_zero_map(kind: str = "l1") -> SetValuedMap:
-    def preimage(x, y):
-        if norm(y, kind) == 0.0:
-            return 0.0
-        return math.inf
+    def preimage(X, Y):
+        return np.where(norms(Y, kind) == 0.0, 0.0, math.inf)
 
     return make_function_graph(
-        lambda x: np.zeros(1),
+        lambda X: np.zeros((len(X), 1)),
         grad=lambda x: np.zeros((1, 1)),
         kind=kind,
         name="zero",
@@ -334,22 +297,23 @@ def make_scale_map(lam: float = 2.0, kind: str = "l1") -> SetValuedMap:
     return make_linear_map([[float(lam)]], kind=kind, name=f"scale({lam:g})")
 
 
+def _nearer(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """min(|x - r|, |x + r|), inf where y < -1e-15 (no real root)."""
+    a, b = np.abs(x - r), np.abs(x + r)
+    return np.where(y < -1e-15, math.inf, np.where(b < a, b, a))
+
+
 def make_square(kind: str = "l1") -> SetValuedMap:
-    def preimage(x, y):
-        yv = float(np.atleast_1d(y)[0])
-        xv = float(np.atleast_1d(x)[0])
-        if yv < -1e-15:
-            return math.inf
-        r = math.sqrt(max(yv, 0.0))
-        return min(abs(xv - r), abs(xv + r))
+    def preimage(X, Y):
+        y = Y[:, 0]
+        return _nearer(X[:, 0], y, np.sqrt(np.where(0.0 > y, 0.0, y)))  # sqrt(max(y, 0))
 
     return make_function_graph(
-        lambda x: x * x,
+        lambda X: X * X,
         grad=lambda x: [[2.0 * float(x[0])]],
         kind=kind,
         name="square",
         preimage=preimage,
-        f_batch=lambda z: z * z,
     )
 
 
@@ -360,16 +324,10 @@ def make_abs(kind: str = "l1") -> SetValuedMap:
             return None
         return [[1.0 if xv > 0 else -1.0]]
 
-    def preimage(x, y):
-        yv = float(np.atleast_1d(y)[0])
-        xv = float(np.atleast_1d(x)[0])
-        if yv < -1e-15:
-            return math.inf
-        return min(abs(xv - yv), abs(xv + yv))
+    def preimage(X, Y):
+        return _nearer(X[:, 0], Y[:, 0], Y[:, 0])
 
-    return make_function_graph(
-        lambda x: np.abs(x), grad=grad, kind=kind, name="abs", preimage=preimage
-    )
+    return make_function_graph(np.abs, grad=grad, kind=kind, name="abs", preimage=preimage)
 
 
 _FEATURE_CAP = 24  # feature points per annulus, at most
@@ -393,11 +351,12 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
     refined by Newton steps to machine accuracy.
     """
 
-    def f(x):
-        xv = float(x[0])
-        if xv == 0.0:
-            return np.array([0.0])
-        return np.array([xv * math.sin(1.0 / xv)])
+    def f(X):
+        z = X[:, 0]
+        nz = z != 0.0
+        u = np.divide(1.0, z, out=np.zeros_like(z), where=nz)
+        # np.sin agrees with math.sin bit for bit (tests/test_mappings.py)
+        return np.where(nz, z * np.sin(u), 0.0)[:, None]
 
     def grad(x):
         xv = float(x[0])
@@ -408,9 +367,9 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
 
     def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
-        pts: list[GraphPoint] = []
         if abs(bx) > 1e-12 or r_inner <= 0:
-            return pts
+            return []
+        xs: list[float] = []
         u_lo, u_hi = 1.0 / r_outer, 1.0 / r_inner
         per = max(2, _FEATURE_CAP // 6)
         # keep k implicit: at fine scales the index range has ~1/r_inner
@@ -421,16 +380,14 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
         for sign in (1.0, -1.0):
             # sin zeros: u = k pi exactly
             for i in _stride_indices(n_k, per):
-                x = sign / ((k_lo + i) * math.pi)
-                pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
+                xs.append(sign / ((k_lo + i) * math.pi))
             # cos zeros: Newton on cos from u0 = (k + 1/2) pi
             for i in _stride_indices(n_k, per):
                 u = (k_lo + i + 0.5) * math.pi
                 for _ in range(2):
                     u = u + math.cos(u) / math.sin(u)
                 if u_lo <= u <= u_hi:
-                    x = sign / u
-                    pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
+                    xs.append(sign / u)
             # tan u = u fixed points: Newton on sin u - u cos u
             for i in _stride_indices(n_k, per):
                 u = (k_lo + i + 0.5) * math.pi
@@ -441,18 +398,10 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
                     if dh != 0.0:
                         u = u - h / dh
                 if u_lo <= u <= u_hi:
-                    x = sign / u
-                    pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
-        return pts
+                    xs.append(sign / u)
+        return _graph_points(f, xs)
 
-    def f_batch(z):
-        nz = z != 0.0
-        u = np.divide(1.0, z, out=np.zeros_like(z), where=nz)
-        # np.sin agrees with math.sin bit for bit (tests/test_mappings.py)
-        return np.where(nz, z * np.sin(u), 0.0)
-
-    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features,
-                               f_batch=f_batch)
+    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features)
 
 
 def make_oscillating(kind: str = "l1") -> SetValuedMap:
@@ -463,11 +412,14 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
     semismoothness test (the defect does not decay with scale).
     """
 
-    def f(x):
-        xv = float(x[0])
-        if xv == 0.0:
-            return np.array([0.0])
-        return np.array([xv * math.sin(math.log(abs(xv)))])
+    def f(X):
+        z = X[:, 0]
+        out = np.zeros_like(z)
+        nz = z != 0.0
+        # math.log per point: np.log may round differently from math.log
+        logs = np.fromiter(map(math.log, np.abs(z[nz]).tolist()), dtype=float)
+        out[nz] = z[nz] * np.sin(logs)
+        return out[:, None]
 
     def grad(x):
         xv = float(x[0])
@@ -480,9 +432,9 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
 
     def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
-        pts: list[GraphPoint] = []
         if abs(bx) > 1e-12 or r_inner <= 0:
-            return pts
+            return []
+        xs: list[float] = []
         lo, hi = math.log(r_inner), math.log(r_outer)
         per = max(2, _FEATURE_CAP // 6)
         for sign in (1.0, -1.0):
@@ -490,20 +442,10 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
                 ms = range(int(math.ceil((lo - off) / math.pi)), int(math.floor((hi - off) / math.pi)) + 1)
                 ms = list(ms)
                 for i in _stride_indices(len(ms), per):
-                    x = sign * math.exp(off + ms[i] * math.pi)
-                    pts.append(GraphPoint(np.array([x]), f(np.array([x]))))
-        return pts
+                    xs.append(sign * math.exp(off + ms[i] * math.pi))
+        return _graph_points(f, xs)
 
-    def f_batch(z):
-        out = np.zeros_like(z)
-        nz = z != 0.0
-        # math.log per point: np.log may round differently from math.log
-        logs = np.fromiter(map(math.log, np.abs(z[nz]).tolist()), dtype=float)
-        out[nz] = z[nz] * np.sin(logs)
-        return out
-
-    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features,
-                               f_batch=f_batch)
+    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features)
 
 
 def make_spiral(kind: str = "l2") -> SetValuedMap:
@@ -513,19 +455,20 @@ def make_spiral(kind: str = "l2") -> SetValuedMap:
     distinct-direction (cone) branch of the perturbation builders.
     """
 
-    def f(x):
-        a, b = float(x[0]), float(x[1])
-        return np.array([a * a - b * b, 2.0 * a * b])
+    def f(X):
+        a, b = X[:, 0], X[:, 1]
+        return np.stack([a * a - b * b, 2.0 * a * b], axis=1)
 
     def grad(x):
         a, b = float(x[0]), float(x[1])
         return [[2.0 * a, -2.0 * b], [2.0 * b, 2.0 * a]]
 
-    def preimage(x, y):
-        w = complex(float(np.atleast_1d(y)[0]), float(np.atleast_1d(y)[1]))
-        r = np.sqrt(w) if w != 0 else 0.0 + 0.0j
-        cands = [np.array([r.real, r.imag]), np.array([-r.real, -r.imag])]
-        return min(norm(np.atleast_1d(x) - c, kind) for c in cands)
+    def preimage(X, Y):
+        # the roots +-sqrt(y) of each row, y read as one complex number
+        r = np.sqrt(np.ascontiguousarray(Y, dtype=float).view(complex))
+        c = np.concatenate([r.real, r.imag], axis=1)
+        a, b = norms(X - c, kind), norms(X + c, kind)
+        return np.where(b < a, b, a)
 
     return make_function_graph(
         f, grad=grad, dim_x=2, dim_y=2, kind=kind, name="spiral", preimage=preimage
@@ -650,8 +593,8 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
     return SetValuedMap(
         dim_x=1,
         dim_y=1,
-        image_distance=image_distance,
-        preimage_distance=preimage_distance,
+        image_distance=_rows(image_distance),
+        preimage_distance=_rows(preimage_distance),
         sample_graph=sample,
         analytic_normals=normals,
         feature_points=features,
@@ -666,23 +609,11 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
     F(x) = {0} for x > 0, [0, inf) at x = 0, empty for x < 0.
     """
 
-    def image_distance(x, y):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        if xv > 0.0:
-            return abs(yv)
-        if xv == 0.0:
-            return max(0.0, -yv)
-        return math.inf
-
-    def preimage_distance(x, y):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        if yv > 0.0:
-            return abs(xv)
-        if yv == 0.0:
-            return max(0.0, -xv)
-        return math.inf
+    def distance(s, v):
+        # d(v, [0, inf)) where s = 0, |v| where s > 0; the image distance
+        # reads s = x, v = y and the preimage distance s = y, v = x
+        return np.where(s > 0.0, np.abs(v),
+                        np.where(s == 0.0, np.where(-v > 0.0, -v, 0.0), math.inf))
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         cx = float(center.x[0])
@@ -716,8 +647,8 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
     return SetValuedMap(
         dim_x=1,
         dim_y=1,
-        image_distance=image_distance,
-        preimage_distance=preimage_distance,
+        image_distance=lambda X, Y: distance(X[:, 0], Y[:, 0]),
+        preimage_distance=lambda X, Y: distance(Y[:, 0], X[:, 0]),
         sample_graph=sample,
         analytic_normals=normals,
         name="compl_angle",
@@ -733,18 +664,26 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     """The map x -> F(x) + f(x) for a single-valued map f (a function graph).
 
     f.func shifts the graph and f.grad shifts the normal oracles at points
-    where it exists (the shift is exact there); batch_func(f) shifts the
-    batch form.
+    where it exists (the shift is exact there). f must have F's dimensions;
+    ValueError otherwise.
     """
+    if (f.dim_x, f.dim_y) != (F.dim_x, F.dim_y):
+        raise ValueError(f"cannot add {f.name} ({f.dim_x}->{f.dim_y}) to {F.name} "
+                         f"({F.dim_x}->{F.dim_y}): a summand needs the map's dimensions")
     fv, gv = f.func, f.grad
 
-    def image_distance(x, y):
-        return F.image_distance(x, np.atleast_1d(y) - fv(x))
+    def image_distance(X, Y):
+        return F.image_distance(X, Y - fv(X))
+
+    def shifted(pts):
+        # the points (x, y + f(x)), f called once
+        if not pts:
+            return []
+        return [GraphPoint(p.x, p.y + v) for p, v in zip(pts, fv(np.array([p.x for p in pts])))]
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        inner_center = GraphPoint(center.x, center.y - fv(center.x))
-        return [GraphPoint(p.x, p.y + fv(p.x))
-                for p in F.sample_graph(inner_center, r_inner, r_outer, n, seed)]
+        inner_center = GraphPoint(center.x, center.y - fv(center.x[None])[0])
+        return shifted(F.sample_graph(inner_center, r_inner, r_outer, n, seed))
 
     def normals(x, y):
         if F.analytic_normals is None:
@@ -752,25 +691,16 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         g = gv(x)
         if g is None:
             return None
-        base = F.analytic_normals(x, np.atleast_1d(y) - fv(x))
+        base = F.analytic_normals(x, np.atleast_1d(y) - fv(x[None])[0])
         if base is None:
             return None
         return [(xs + g.T @ ys, ys) for xs, ys in base]
 
     def features(base_x, r_inner, r_outer):
-        pts = []
-        if F.feature_points is not None:
-            for p in F.feature_points(base_x, r_inner, r_outer):
-                pts.append(GraphPoint(p.x, p.y + fv(p.x)))
-        return pts
+        return shifted(F.feature_points(base_x, r_inner, r_outer))
 
-    def func(x):
-        return F.func(x) + fv(x) if F.func is not None else None
-
-    f_each = batch_func(f)
-
-    def func_batch(z):
-        return batch_func(F)(z) + f_each(z)
+    def func(X):
+        return F.func(X) + fv(X)
 
     def grad_total(x):
         a = F.grad(x)
@@ -788,7 +718,6 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         analytic_normals=normals,
         feature_points=features if F.feature_points is not None else None,
         func=func if F.func is not None else None,
-        func_batch=func_batch if F.func is not None else None,
         grad=grad_total if F.grad is not None else None,
         name=name or f"{F.name}+perturbation",
         kind=F.kind,
@@ -822,13 +751,13 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     approximately for strongly nonlinear maps.
     """
 
-    def image_distance(u, v):
+    def image_distance(U, V):
         if F.preimage_distance is not None:
-            return F.preimage_distance(v, u)
-        return preimage_distance_fallback(F, v, u)
+            return F.preimage_distance(V, U)
+        return _rows(lambda u, v: preimage_distance_fallback(F, v, u))(U, V)
 
-    def preimage_distance(u, v):
-        return F.image_distance(v, u)
+    def preimage_distance(U, V):
+        return F.image_distance(V, U)
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         inner_center = GraphPoint(center.y, center.x)
@@ -1038,23 +967,20 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
     The crossings of f - y are exactly the fiber, so a grid scan with
     sign-change bisection and golden-section touch refinement resolves
     accumulating fibers (reciprocal zero families and the like) to machine
-    accuracy. All pairs' evaluations of f go through one batch form of f
-    (batch_func), yet each result depends on its own pair alone, so it has
-    the bits that preimage_distance_fallback(F, x, y) gives.
+    accuracy. All pairs' evaluations of f in a round go through one call of
+    F.func, yet each result depends on its own pair alone, so it has the
+    bits that preimage_distance_fallback(F, x, y) gives.
     """
     if not _scalar_graph(F):
         raise ValueError(f"{F.name}: the batched preimage fallback needs a scalar function graph")
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    tol = np.array([1e-10 * max(1.0, norm(y, F.kind)) for y in ys])
-    # pairs with x off the preimage of y; the others are at distance 0
-    off = np.array([not F.image_distance(x, y) <= t for x, y, t in zip(xs, ys, tol)], dtype=bool)
-    xv = np.array([float(x[0]) for x in xs])
-    yv = np.array([float(y[0]) for y in ys])
-    r0 = np.array([max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6)) for x in xs])
-    out = np.zeros(len(xs))
-    out[off] = _nearest_roots_1d(batch_func(F), xv[off], yv[off], r0[off], tol[off],
-                                 48, 8)  # grid points per scan, doublings
+    X = np.asarray(xs, dtype=float).reshape(len(xs), 1)
+    Y = np.asarray(ys, dtype=float).reshape(len(ys), 1)
+    tol = np.array([1e-10 * max(1.0, norm(y, F.kind)) for y in Y])
+    off = ~(F.image_distance(X, Y) <= tol)  # the other pairs are at distance 0
+    r0 = np.array([max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6)) for x in X])
+    out = np.zeros(len(X))
+    out[off] = _nearest_roots_1d(lambda z: F.func(z[:, None])[:, 0], X[off, 0], Y[off, 0],
+                                 r0[off], tol[off], 48, 8)  # grid points per scan, doublings
     return out
 
 
@@ -1074,24 +1000,26 @@ def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     tol = 1e-10 * max(1.0, norm(y, F.kind))
-    if F.image_distance(x, y) <= tol:
+
+    def near(Z):  # which rows z of Z have d(y, F(z)) <= tol
+        return F.image_distance(Z, np.repeat(y[None], len(Z), 0)) <= tol
+
+    if near(x[None])[0]:
         return 0.0
     r = max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6))
     best = math.inf
     for i in range(8):
         starts = sample_annulus(x, 0.0, r, 48, derive_seed(0x9E11, i), F.kind)
-        for z in starts:
-            d = F.image_distance(z, y)
-            if d <= tol:
-                # bisect toward x while staying in the preimage
-                lo, hi = z, x
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if F.image_distance(mid, y) <= tol:
-                        lo = mid
-                    else:
-                        hi = mid
-                best = min(best, norm(x - lo, F.kind))
+        for z in starts[near(starts)]:
+            # bisect toward x while staying in the preimage
+            lo, hi = z, x
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if near(mid[None])[0]:
+                    lo = mid
+                else:
+                    hi = mid
+            best = min(best, norm(x - lo, F.kind))
         if best < math.inf:
             return best
         r *= 2.0

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NormContext, ScaleLadder, sample_annulus
+from .geometry import NormContext, ScaleLadder, norms, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
@@ -159,18 +159,22 @@ def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: b
 # moduli of single quantities
 
 
+def _rows_of(F: SetValuedMap, pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of the graph points as rows (n, dim_x) and (n, dim_y)."""
+    return (np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x),
+            np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y))
+
+
 def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                  ctx: NormContext) -> Estimate:
     """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points."""
     per_annulus: list[list[float]] = []
     for _, _, _, pts in graph_annuli(F, base, ladder, 31):
-        vals = []
-        for p in pts:
-            t = ctx.norm(p.x - base.x)
-            if t == 0.0:
-                continue
-            vals.append(F.image_distance(base.x, p.y) / t)
-        per_annulus.append(vals)
+        X, Y = _rows_of(F, pts)
+        t = norms(X - base.x, ctx.kind)
+        off = t != 0.0
+        xb = np.repeat(base.x[None], off.sum(), 0)
+        per_annulus.append((F.image_distance(xb, Y[off]) / t[off]).tolist())
     est = Estimate(name="clm")
     est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
@@ -187,43 +191,36 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     """
     per_annulus: list[list[float]] = []
     for _, _, _, pts in graph_annuli(F, base, ladder, 37):
-        vals = []
-        for p in pts:
-            t = ctx.norm(p.x - base.x)
-            if t > 0.0:
-                vals.append(F.image_distance(base.x, p.y) / t)
+        X, Y = _rows_of(F, pts)
+        t = norms(X - base.x, ctx.kind)
+        off = t > 0.0
+        n = len(pts)
         if F.dim_x == 1:
-            pts = sorted(pts, key=lambda p: float(p.x[0]))
-            pairs = list(zip(pts, pts[1:]))
+            order = sorted(range(n), key=lambda i: float(X[i, 0]))
+            p, q = order[:-1], order[1:]
         else:
-            pairs = list(zip(pts, pts[1:])) + list(zip(pts, pts[7:]))
-        for p, q in pairs[:400]:
-            sep = ctx.norm(p.x - q.x)
-            if sep <= 1e-14 * max(1.0, ctx.norm(p.x - base.x)):
-                continue
-            vals.append(F.image_distance(q.x, p.y) / sep)
-            vals.append(F.image_distance(p.x, q.y) / sep)
+            p, q = [*range(n - 1), *range(n - 7)], [*range(1, n), *range(7, n)]
+        p, q = np.array(p[:400], dtype=int), np.array(q[:400], dtype=int)
+        sep = norms(X[p] - X[q], ctx.kind)
+        keep = ~(sep <= 1e-14 * np.maximum(1.0, t[p]))
+        p, q, sep = p[keep], q[keep], sep[keep]
+        # the base pairs, then for each pair d(y_p, F(x_q)) and d(y_q, F(x_p))
+        qp, pq = np.stack([q, p], 1).ravel(), np.stack([p, q], 1).ravel()
+        xs = np.concatenate([np.repeat(base.x[None], off.sum(), 0), X[qp]])
+        dist = F.image_distance(xs, np.concatenate([Y[off], Y[pq]]))
+        vals = (dist / np.concatenate([t[off], np.repeat(sep, 2)])).tolist()
         per_annulus.append([v for v in vals if not math.isinf(v)])
     est = Estimate(name="lip")
     est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
 
 
-def _image_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """d(y, F(x)) for each row pair: the map's batch form if it has one, else pair by pair."""
-    if F.image_distance_batch is not None:
-        return F.image_distance_batch(xs, ys)
-    return np.array([F.image_distance(x, y) for x, y in zip(xs, ys)], dtype=float)
-
-
 def _preimage_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> list[float]:
-    """d(x, F^{-1}(y)) for each row pair: the map's batch form or oracle if it
-    has one, else the batched fallback for scalar function graphs, else the
-    per-pair one."""
-    if F.preimage_distance_batch is not None:
-        return F.preimage_distance_batch(xs, ys).tolist()
+    """d(x, F^{-1}(y)) for each row pair: the map's oracle if it has one,
+    else the batched fallback for scalar function graphs, else the per-pair
+    one."""
     if F.preimage_distance is not None:
-        return [F.preimage_distance(x, y) for x, y in zip(xs, ys)]
+        return F.preimage_distance(xs, ys).tolist()
     if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
         return preimage_distances_fallback(F, xs, ys).tolist()
     return [preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)]
@@ -238,7 +235,7 @@ def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, xs: np.ndarray, ys: 
     the preimage distances of the admissible pairs alone from another.
     """
     n = len(xs) // ladder.depth
-    dimg = _image_distances(F, xs, ys)
+    dimg = F.image_distance(xs, ys)
     outer = np.repeat([r for _, r in ladder.annuli()], n)
     keep = ~(dimg <= 1e-13 * outer)  # x at or numerically on the preimage is left out
     annulus = np.repeat(np.arange(ladder.depth), n)

@@ -45,7 +45,14 @@ from .geometry import (
     norming_vector,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, anchored, make_function_graph, sum_with_function
+from .mappings import (
+    GraphPoint,
+    SetValuedMap,
+    _rows,
+    anchored,
+    make_function_graph,
+    sum_with_function,
+)
 from .moduli import (
     _memo_annuli,
     build_element_pool,
@@ -1131,12 +1138,12 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     rep.per_witness = rows
 
     # (c) sampled modulus of the perturbation alone
-    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=p.dim_x,
+    fgraph = make_function_graph(_rows(p.eval, p.dim_y), grad=p.derivative, dim_x=p.dim_x,
                                  dim_y=p.dim_y, kind=ctx.kind, name=p.name)
     fbase = GraphPoint(base.x, np.zeros(p.dim_y))
     vlad = _destab_ladder(p, ladder)
     extra = list(p.probes) + [xk for xk, _ in p.anchors]
-    probed = anchored(fgraph, [(x, fgraph.func(x)) for x in extra])
+    probed = anchored(fgraph, list(zip(extra, fgraph.func(np.array(extra, dtype=float)))))
     if p.class_tag == "lip":
         mod = estimate_lip(probed, fbase, vlad, ctx)
     else:
@@ -1305,9 +1312,10 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
 def random_calm_perturbation(seed: int):
     """A seeded calm perturbation f(x) = a x + b x sin(ln|x|), |a|+|b| <= 0.85.
 
-    Returns (eval, derivative, a, b). The calmness modulus is |a| + |b|, so
-    the perturbed identity keeps its strong subregularity quotient at or
-    above 0.15 at every graph point.
+    Returns (f, derivative, a, b): f maps rows (n, 1) to rows (n, 1), and
+    derivative(x) is the Jacobian at one point. The calmness modulus is
+    |a| + |b|, so the perturbed identity keeps its strong subregularity
+    quotient at or above 0.15 at every graph point.
     """
     from .geometry import r2_lattice
 
@@ -1328,4 +1336,4 @@ def random_calm_perturbation(seed: int):
         th = math.log(abs(xv))
         return np.array([[a + b * (math.sin(th) + math.cos(th))]])
 
-    return evaluate, derivative, a, b
+    return _rows(evaluate, 1), derivative, a, b

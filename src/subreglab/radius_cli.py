@@ -184,6 +184,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     bad = sorted(set(ladder) - _LADDER_KEYS)
     if bad:
         raise ConfigError(f"unknown ladder keys: {', '.join(bad)}")
+    for key in ("r0", "theta"):
+        if key in ladder and not _finite_number(ladder[key]):
+            raise ConfigError(f"ladder '{key}' must be a finite number, got {ladder[key]!r}")
 
     base_point = raw.get("base_point")
     if base_point is not None:
@@ -203,8 +206,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if task == "build_perturbation":
         if kind not in _BUILD_KINDS:
             raise ConfigError(f"build_perturbation needs 'kind' in {_BUILD_KINDS}")
-        if not isinstance(gamma, (int, float)) or not gamma > 0:
-            raise ConfigError("build_perturbation needs a positive 'gamma'")
+        if not _finite_number(gamma) or not gamma > 0:
+            raise ConfigError(f"build_perturbation needs a finite positive 'gamma', got {gamma!r}")
         gamma = float(gamma)
     else:
         for field_name in ("gamma", "kind"):
@@ -312,7 +315,8 @@ def _resolve(config: ExperimentConfig):
             raise ConfigError(f"'base_point' must have dimensions {F.dim_x}->{F.dim_y} "
                               f"for map {F.name!r}; got {len(base.x)}->{len(base.y)}")
         # the on-preimage tolerance of preimage_distances_fallback
-        if not F.image_distance(base.x, base.y) <= 1e-10 * max(1.0, ctx.norm(base.y)):
+        dist = F.image_distance(base.x[None], base.y[None])[0]
+        if not dist <= 1e-10 * max(1.0, ctx.norm(base.y)):
             raise ConfigError(f"'base_point' ({base.x.tolist()}, {base.y.tolist()}) "
                               f"does not lie on the graph of {F.name!r}")
     hint = entry.ladder_hint
@@ -325,7 +329,7 @@ def _resolve(config: ExperimentConfig):
     }
     try:
         ladder = ScaleLadder(seed=config.seed, **params)
-    except (TypeError, ValueError) as err:  # a string r0 or theta fails a comparison
+    except ValueError as err:
         raise ConfigError(f"invalid ladder: {err}") from err
     return F, entry, base, ctx, ladder
 

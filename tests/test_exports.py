@@ -115,3 +115,30 @@ def test_every_public_method_is_read_in_the_package():
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in read]
     assert not unread, unread
+
+
+def test_every_map_field_is_set_and_read_in_the_package():
+    """Every field of SetValuedMap is passed by some constructor in the
+    package (SetValuedMap(...) or dataclasses.replace(...)), unless no caller
+    may set it (init=False), and is read as an attribute somewhere in the
+    package. A field that no constructor sets is a knob with one value; one
+    that nothing reads is dead."""
+    trees = _trees()
+    cls = next(n for n in ast.walk(trees["mappings"])
+               if isinstance(n, ast.ClassDef) and n.name == "SetValuedMap")
+    fields = {n.target.id: n.value for n in cls.body if isinstance(n, ast.AnnAssign)}
+
+    def settable(default) -> bool:
+        return not (isinstance(default, ast.Call) and any(
+            k.arg == "init" and getattr(k.value, "value", True) is False
+            for k in default.keywords))
+
+    constructors = ("SetValuedMap", "replace")
+    passed = {k.arg for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", getattr(n.func, "attr", None)) in constructors
+              for k in n.keywords}
+    read = {n.attr for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unset = [f for f, default in fields.items() if settable(default) and f not in passed]
+    unread = [f for f in fields if f not in read]
+    assert not unset and not unread, f"never set: {unset}; never read: {unread}"

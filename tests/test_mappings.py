@@ -8,8 +8,8 @@ from subreglab.geometry import NORM_KINDS, NormContext, ScaleLadder, dual_norm, 
 from subreglab.mappings import (
     GraphPoint,
     _nearest_roots_1d,
+    _rows,
     anchored,
-    batch_func,
     catalog,
     inverse,
     make_function_graph,
@@ -24,9 +24,15 @@ from subreglab.mappings import (
 ALL_IDS = sorted(catalog().keys())
 
 
+def _one(oracle, x, y) -> float:
+    """A row oracle's value on the one pair (x, y)."""
+    return float(oracle(np.atleast_2d(np.asarray(x, dtype=float)),
+                        np.atleast_2d(np.asarray(y, dtype=float)))[0])
+
+
 def _preimage(F, x, y):
     if F.preimage_distance is not None:
-        return F.preimage_distance(x, y)
+        return _one(F.preimage_distance, x, y)
     return preimage_distance_fallback(F, x, y)
 
 
@@ -34,7 +40,7 @@ def _preimage(F, x, y):
 def test_catalog_base_points_lie_on_the_graph(mid):
     F, entry = resolve_map_spec({"id": mid})
     assert entry.id == mid
-    assert F.image_distance(np.zeros(F.dim_x), np.zeros(F.dim_y)) == 0.0
+    assert _one(F.image_distance, np.zeros(F.dim_x), np.zeros(F.dim_y)) == 0.0
 
 
 @pytest.mark.parametrize("mid", ALL_IDS)
@@ -44,19 +50,19 @@ def test_catalog_sample_graph_returns_graph_points(mid):
     pts = F.sample_graph(base, 0.0625, 0.125, 40, seed=3)
     assert len(pts) > 0
     for gp in pts:
-        assert F.image_distance(gp.x, gp.y) <= 1e-7, (mid, gp.x, gp.y)
+        assert _one(F.image_distance, gp.x, gp.y) <= 1e-7, (mid, gp.x, gp.y)
 
 
 def test_function_graph_evaluates_and_differentiates():
-    F = make_function_graph(lambda x: np.array([x[0] ** 2]),
+    F = make_function_graph(lambda X: X ** 2,
                             grad=lambda x: np.array([[2.0 * x[0]]]),
                             dim_x=1, dim_y=1, kind="l1", name="sq")
     assert F.single_valued
-    assert F.func([3.0])[0] == 9.0
+    assert F.func(np.array([[3.0], [-2.0]])).tolist() == [[9.0], [4.0]]
     assert F.grad([3.0])[0][0] == 6.0
-    assert F.image_distance([2.0], [5.0]) == 1.0
-    assert F.image_distance([2.0], [4.0]) <= 1e-9
-    assert F.image_distance([2.0], [4.5]) > 1e-9
+    assert _one(F.image_distance, [2.0], [5.0]) == 1.0
+    assert _one(F.image_distance, [2.0], [4.0]) <= 1e-9
+    assert _one(F.image_distance, [2.0], [4.5]) > 1e-9
 
 
 def test_identity_and_scale_preimage_closed_forms():
@@ -113,15 +119,34 @@ def _scalar_function_ids():
     return ids
 
 
+def _scalar_reference(mid, v: float) -> float:
+    """f(v) of a scalar catalog map, point by point as the map once computed it."""
+    one = np.array([v])
+    if mid in ("identity", "scale"):
+        return float((np.array([[1.0 if mid == "identity" else 2.0]]) @ one)[0])
+    if mid == "square_plus_identity":
+        return float((one * one + np.eye(1) @ one)[0])
+    return {
+        "zero": lambda: 0.0,
+        "square": lambda: v * v,
+        "abs": lambda: abs(v),
+        "xsin": lambda: 0.0 if v == 0.0 else v * math.sin(1.0 / v),
+        "oscillating": lambda: 0.0 if v == 0.0 else v * math.sin(math.log(abs(v))),
+    }[mid]()
+
+
 @pytest.mark.parametrize("mid", _scalar_function_ids())
 def test_batch_evaluator_matches_the_scalar_func_bit_for_bit(mid):
+    # F.func on rows against f point by point (_scalar_reference): np.sin
+    # agrees with math.sin, and oscillating keeps math.log, whose last bit
+    # np.log does not always share
     F, _ = resolve_map_spec({"id": mid})
     mags = 10.0 ** np.random.default_rng(20260).uniform(-11.0, 1.0, 4000)
-    z = np.concatenate([mags, -mags, [0.0]])
-    scalar = np.array([float(F.func(np.array([v]))[0]) for v in z])
-    batch = batch_func(F)(z)
-    assert batch.shape == z.shape
-    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+    z = np.concatenate([mags, -mags, [0.0, -0.0]])
+    rows = F.func(z[:, None])
+    assert rows.shape == (len(z), 1)
+    want = np.array([_scalar_reference(mid, v) for v in z.tolist()])
+    assert np.array_equal(rows[:, 0].view(np.int64), want.view(np.int64))
 
 
 def _bits(a) -> np.ndarray:
@@ -162,27 +187,48 @@ def _linear_maps(kind):
     return maps
 
 
+# one sum without a preimage oracle and one inverse of a map without one
+_WRAPS = {"sum": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
+          "inverse": {"id": "xsin", "wrap": [{"op": "inverse"}]}}
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@pytest.mark.parametrize("mid", ALL_IDS + sorted(_WRAPS))
+def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
+    F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
+    base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
+    pts = F.sample_graph(base, 0.01, 0.5, 32, 5)[:32]  # pairs on the graph, then off it
+    rng = np.random.default_rng(97)
+    X = np.concatenate([[p.x for p in pts], rng.uniform(-0.5, 0.5, (64 - len(pts), F.dim_x))])
+    Y = np.concatenate([[p.y for p in pts], rng.uniform(-0.5, 0.5, (64 - len(pts), F.dim_y))])
+    X[-8:-4], Y[-4:], X[-1] = 0.0, 0.0, -0.0
+    for name in ("image_distance", "preimage_distance", "func"):
+        oracle = getattr(F, name)
+        if oracle is None:
+            continue
+        args = (X,) if name == "func" else (X, Y)
+        out = oracle(*args)
+        assert out.shape == ((64, F.dim_y) if name == "func" else (64,)), name
+        one = [oracle(*(a[k:k + 1] for a in args)) for k in range(64)]
+        assert np.array_equal(_bits(out), _bits(np.concatenate(one))), name
+
+
 @pytest.mark.parametrize("kind", NORM_KINDS)
 def test_linear_batch_oracles_match_the_per_pair_oracles_bit_for_bit(kind):
+    # the row oracles against one product, norm and solve per pair
     rng = np.random.default_rng(41)
     for name, F in _linear_maps(kind).items():
-        assert F.image_distance_batch is not None and F.preimage_distance_batch is not None
         X = rng.normal(size=(24, F.dim_x))
         Y = rng.normal(size=(24, F.dim_y))
         Y[::4] = X[::4] @ F.grad(X[0]).T  # some pairs on the graph
         Y[1::4] = 0.0
-        for batch, pair in ((F.image_distance_batch, F.image_distance),
-                            (F.preimage_distance_batch, F.preimage_distance)):
-            ours = batch(X, Y)
-            assert ours.shape == (24,)
-            assert np.array_equal(_bits(ours), _bits([pair(x, y) for x, y in zip(X, Y)])), name
-        # an invertible A keeps the bits of A @ x and of one solve per pair
         A = F.grad(X[0])
-        assert np.array_equal(_bits(F.image_distance_batch(X, Y)),
+        assert np.array_equal(_bits(F.func(X)), _bits([A @ x for x in X])), name
+        assert np.array_equal(_bits(F.image_distance(X, Y)),
                               _bits([norm(y - A @ x, kind) for x, y in zip(X, Y)])), name
         if name != "singular2x2" and F.dim_x == F.dim_y:
             assert np.array_equal(
-                _bits(F.preimage_distance_batch(X, Y)),
+                _bits(F.preimage_distance(X, Y)),
                 _bits([norm(x - np.linalg.solve(A, y), kind) for x, y in zip(X, Y)])), name
 
 
@@ -195,16 +241,17 @@ def test_linear_preimage_distance_is_the_distance_to_the_fiber(kind):
         for _ in range(8):
             x, b = rng.normal(size=len(a)), rng.normal()
             exact = abs(np.dot(a, x) - b) / dual_norm(a, kind)
-            assert F.preimage_distance(x, [b]) == pytest.approx(exact, rel=1e-9)
+            assert _one(F.preimage_distance, x, [b]) == pytest.approx(exact, rel=1e-9)
     # points on their fiber, at 5.0 and 4.24 from the least-squares solution
     flat = make_linear_map([[1.0, 0.0], [0.0, 0.0]], kind)
-    assert flat.preimage_distance([0.0, 5.0], [0.0, 0.0]) == 0.0
-    assert make_linear_map([[1.0, 1.0]], kind).preimage_distance([3.0, -3.0], [0.0]) == 0.0
+    assert _one(flat.preimage_distance, [0.0, 5.0], [0.0, 0.0]) == 0.0
+    assert _one(make_linear_map([[1.0, 1.0]], kind).preimage_distance, [3.0, -3.0], [0.0]) == 0.0
     # the fiber of (1, 0) under the flat map is the line z1 = 1
-    assert flat.preimage_distance([0.25, 5.0], [1.0, 0.0]) == pytest.approx(0.75, rel=1e-12)
+    assert _one(flat.preimage_distance, [0.25, 5.0], [1.0, 0.0]) == pytest.approx(0.75, rel=1e-12)
     # a value off the range of A has an empty fiber
-    assert flat.preimage_distance([0.0, 5.0], [0.0, 1.0]) == math.inf
-    assert make_linear_map([[1.0], [1.0]], kind).preimage_distance([0.0], [1.0, -1.0]) == math.inf
+    assert _one(flat.preimage_distance, [0.0, 5.0], [0.0, 1.0]) == math.inf
+    assert _one(make_linear_map([[1.0], [1.0]], kind).preimage_distance,
+                [0.0], [1.0, -1.0]) == math.inf
 
 
 def test_root_finder_gives_each_pair_the_result_it_gets_alone():
@@ -230,10 +277,10 @@ def test_root_finder_gives_each_pair_the_result_it_gets_alone():
 
 @pytest.mark.parametrize("mid", ["xsin", "oscillating"])
 def test_map_without_a_batch_form_gives_the_same_distances(mid):
+    # the catalog's f evaluated a row at a time, as a user's function of
+    # one point lifted by _rows is
     F, _ = resolve_map_spec({"id": mid})
-    assert F.func_batch is not None
-    user = make_function_graph(lambda x: F.func(x), name=f"user-{mid}")
-    assert user.func_batch is None
+    user = make_function_graph(_rows(lambda x: F.func(x[None])[0], 1), name=f"user-{mid}")
     rng = np.random.default_rng(11)
     xs = [np.array([v]) for v in rng.uniform(-0.3, 0.3, 40)]
     ys = [np.array([v]) for v in rng.uniform(-0.05, 0.05, 40)]
@@ -266,7 +313,7 @@ def test_xsin_feature_points_are_structural():
     for gp in pts:
         xv = abs(float(gp.x[0]))
         assert 0.01 < xv <= 0.02 + 1e-15
-        assert F.image_distance(gp.x, gp.y) <= 1e-9
+        assert _one(F.image_distance, gp.x, gp.y) <= 1e-9
     # the sin-zero family x = 1/(k pi) must be represented
     has_fiber = any(abs(float(gp.y[0])) <= 1e-12 for gp in pts)
     assert has_fiber
@@ -275,14 +322,14 @@ def test_xsin_feature_points_are_structural():
 def test_interval_map_semantics():
     F, _, _ = setup_map("interval")
     # x = 1/4 carries the fiber [-x, x]
-    assert F.image_distance([0.25], [0.2]) <= 1e-9
-    assert F.image_distance([0.25], [-0.25]) <= 1e-9
-    assert F.image_distance([0.25], [0.3]) > 1e-9
-    assert F.image_distance([0.25], [0.3]) == pytest.approx(0.05, abs=1e-12)
+    assert _one(F.image_distance, [0.25], [0.2]) <= 1e-9
+    assert _one(F.image_distance, [0.25], [-0.25]) <= 1e-9
+    assert _one(F.image_distance, [0.25], [0.3]) > 1e-9
+    assert _one(F.image_distance, [0.25], [0.3]) == pytest.approx(0.05, abs=1e-12)
     # off the reciprocal grid the map is the identity
-    assert F.image_distance([0.3], [0.3]) <= 1e-9
-    assert F.image_distance([0.3], [0.2]) > 1e-9
-    assert F.image_distance([0.3], [0.2]) == pytest.approx(0.1, abs=1e-12)
+    assert _one(F.image_distance, [0.3], [0.3]) <= 1e-9
+    assert _one(F.image_distance, [0.3], [0.2]) > 1e-9
+    assert _one(F.image_distance, [0.3], [0.2]) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_interval_map_preimage_prefers_the_nearest_fiber():
@@ -290,30 +337,30 @@ def test_interval_map_preimage_prefers_the_nearest_fiber():
     # y = 0.15 is reached on the diagonal at x = 0.15 and inside every
     # interval fiber at x = 1/k with 1/k >= 0.15, so from x = 0.16 the
     # nearest preimage point is x = 1/6
-    d = F.preimage_distance([0.16], [0.15])
+    d = _one(F.preimage_distance, [0.16], [0.15])
     assert d == pytest.approx(1.0 / 6.0 - 0.16, abs=1e-12)
     # from below, the diagonal is nearer
-    d = F.preimage_distance([0.151], [0.15])
+    d = _one(F.preimage_distance, [0.151], [0.15])
     assert d == pytest.approx(0.001, abs=1e-12)
 
 
 def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
-    G = sum_with_function(F, make_function_graph(lambda x: np.array([x[0]]),
+    G = sum_with_function(F, make_function_graph(lambda X: X.copy(),
                                                  grad=lambda x: np.array([[1.0]])), name="sq+id")
-    assert G.image_distance([2.0], [6.0]) <= 1e-9  # 4 + 2
-    assert G.image_distance([2.0], [7.0]) == pytest.approx(1.0, abs=1e-12)
-    assert G.func([3.0])[0] == 12.0
+    assert _one(G.image_distance, [2.0], [6.0]) <= 1e-9  # 4 + 2
+    assert _one(G.image_distance, [2.0], [7.0]) == pytest.approx(1.0, abs=1e-12)
+    assert G.func(np.array([[3.0]]))[0, 0] == 12.0
     assert G.grad([3.0])[0][0] == 7.0
 
 
 def test_sum_with_perturbation_object_and_anchors():
-    f = make_function_graph(lambda x: np.array([-x[0] ** 2]),
+    f = make_function_graph(lambda X: -X ** 2,
                             grad=lambda x: np.array([[-2.0 * x[0]]]))
     F = make_square("l1")
     G = anchored(sum_with_function(F, f, name="sq-cancel"),
                  [(np.array([0.5]), np.array([0.0]))])
-    assert G.func([0.5])[0] == 0.0
+    assert G.func(np.array([[0.5]]))[0, 0] == 0.0
     base = GraphPoint(np.zeros(1), np.zeros(1))
     pts = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
     assert any(float(gp.x[0]) == 0.5 for gp in pts)
@@ -339,17 +386,17 @@ def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
 def test_inverse_swaps_domain_and_range():
     F, _, _ = setup_map("abs")
     inv = inverse(F)
-    assert inv.image_distance([1.0], [-1.0]) <= 1e-9
-    assert inv.image_distance([1.0], [1.0]) <= 1e-9
-    assert inv.image_distance([1.0], [0.5]) > 1e-9
-    assert inv.image_distance([1.0], [0.5]) == pytest.approx(0.5, abs=1e-12)
+    assert _one(inv.image_distance, [1.0], [-1.0]) <= 1e-9
+    assert _one(inv.image_distance, [1.0], [1.0]) <= 1e-9
+    assert _one(inv.image_distance, [1.0], [0.5]) > 1e-9
+    assert _one(inv.image_distance, [1.0], [0.5]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_resolve_map_spec_combinators_and_errors():
     G, _ = resolve_map_spec({"id": "square_plus_identity"})
-    assert G.image_distance([2.0], [6.0]) <= 1e-9
+    assert _one(G.image_distance, [2.0], [6.0]) <= 1e-9
     H, _ = resolve_map_spec({"id": "inverse_abs"})
-    assert H.image_distance([1.0], [-1.0]) <= 1e-9
+    assert _one(H.image_distance, [1.0], [-1.0]) <= 1e-9
     with pytest.raises(ValueError):
         resolve_map_spec({"id": "no_such_map"})
     with pytest.raises(ValueError):

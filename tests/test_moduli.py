@@ -537,27 +537,26 @@ def test_linear_rg_and_srg_bits_are_pinned(mid, kind, name):
 
 
 def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
+    # every pair of the ladder goes through one image-distance call, and the
+    # pairs off the preimage through one preimage-distance call
     F, base, ctx, ladder, pairs = _linear_case("eckart", "l2")
     calls = []
 
-    def counted(oracle):
-        def each(x, y):
-            calls.append(oracle)
-            return oracle(x, y)
+    def counted(name, oracle):
+        def rows(X, Y):
+            calls.append((name, len(X)))
+            return oracle(X, Y)
 
-        return each
+        return rows
 
-    G = dataclasses.replace(F, image_distance=counted(F.image_distance),
-                            preimage_distance=counted(F.preimage_distance))
-    batched = [estimate_rg(G, base, ladder, ctx, pairs_per_scale=pairs),
-               estimate_srg(G, base, ladder, ctx)]
-    assert calls == []
-    # without its batch forms the same map is asked pair by pair, to the same bits
-    H = dataclasses.replace(G, image_distance_batch=None, preimage_distance_batch=None)
-    paired = [estimate_rg(H, base, ladder, ctx, pairs_per_scale=pairs),
-              estimate_srg(H, base, ladder, ctx)]
-    assert len(calls) >= 2 * 8 * 320
-    assert [e.per_scale for e in paired] == [e.per_scale for e in batched]
+    G = dataclasses.replace(F, image_distance=counted("image", F.image_distance),
+                            preimage_distance=counted("preimage", F.preimage_distance))
+    for est, n in ((lambda: estimate_rg(G, base, ladder, ctx, pairs_per_scale=pairs), 320),
+                   (lambda: estimate_srg(G, base, ladder, ctx), 96)):
+        calls.clear()
+        est()
+        assert [name for name, _ in calls] == ["image", "preimage"]
+        assert calls[0][1] == 8 * n and 0 < calls[1][1] <= 8 * n
 
 
 # ssrg witnesses as hex floats (x, then y, then ratio) at the same ladder: on

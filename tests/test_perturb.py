@@ -10,7 +10,7 @@ import pytest
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed
-from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
+from subreglab.mappings import GraphPoint, _rows, make_function_graph, sum_with_function
 from subreglab.moduli import estimate_clm, estimate_ssrg
 from subreglab.perturb import (
     WitnessError,
@@ -127,7 +127,7 @@ def test_interpolation_is_bitwise_exact():
         assert np.array_equal(got, tgt), (xk, got, tgt)
         assert np.array_equal(yb_anchor, base.y)
         # F + f passes through (x_k, yb) exactly
-        assert np.array_equal(tgt + np.asarray(F.func(xk)), base.y)
+        assert np.array_equal(tgt + F.func(xk[None])[0], base.y)
 
 
 def test_supports_are_disjoint():
@@ -253,12 +253,13 @@ def test_random_calm_perturbation_contract():
     for seed in range(12):
         fe, fg, a, b = random_calm_perturbation(seed)
         assert abs(a) + abs(b) <= 0.85 + 1e-15
-        assert fe(np.zeros(1))[0] == 0.0
+        assert fe(np.zeros((1, 1))).tolist() == [[0.0]]
         assert fg(np.zeros(1)) is None
         # derivative matches a central difference away from the base
         for xv in (0.3, -0.2, 0.05):
             h = 1e-7
-            fd = (fe([xv + h])[0] - fe([xv - h])[0]) / (2 * h)
+            up, down = fe(np.array([[xv + h], [xv - h]]))[:, 0]
+            fd = (up - down) / (2 * h)
             assert fg([xv])[0][0] == pytest.approx(fd, abs=1e-6)
 
 
@@ -281,15 +282,15 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
     vals = [v for _, v in rep.destabilization]
     assert vals[-1] == 0.0
     # the sum map attains the base value at every anchor
-    G = sum_with_function(F, make_function_graph(p.eval, grad=p.derivative),
+    G = sum_with_function(F, make_function_graph(_rows(p.eval, 1), grad=p.derivative),
                           name="identity+ssr")
     for xk, _ in p.anchors:
-        assert G.image_distance(xk, base.y) <= 1e-15
+        assert G.image_distance(xk[None], base.y[None])[0] <= 1e-15
 
 
 def test_sampled_modulus_stays_below_gamma():
     F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
-    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=1, dim_y=1,
+    fgraph = make_function_graph(_rows(p.eval, 1), grad=p.derivative, dim_x=1, dim_y=1,
                                  kind="l1", name="f")
     fbase = GraphPoint(base.x, np.zeros(1))
     est = estimate_clm(fgraph, fbase, lad, ctx)

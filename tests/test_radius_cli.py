@@ -125,6 +125,18 @@ _TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
     ({"base_point": {"x": [1], "y": [0]}}, "does not lie on the graph of 'abs'"),
     ({"map": "identity", "task": "verify_radius", "base_point": [[0.5], [0.5]]},
      "'base_point' is not allowed"),
+    ({"ladder": {"r0": True}}, "ladder 'r0' must be a finite number"),
+    ({"ladder": {"r0": float("inf")}}, "ladder 'r0' must be a finite number"),
+    ({"ladder": {"theta": "0.5"}}, "ladder 'theta' must be a finite number"),
+    ({"task": "build_perturbation", "kind": "lip", "gamma": True},
+     "needs a finite positive 'gamma'"),
+    ({"task": "build_perturbation", "kind": "lip", "gamma": float("inf")},
+     "needs a finite positive 'gamma'"),
+    # a summand with other dimensions than the map
+    ({"map": {"id": "abs", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]}},
+     "cannot add linear (2->2) to abs (1->1)"),
+    ({"map": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "abs"}}]}},
+     "cannot add abs (1->1) to spiral (2->2)"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, change, fragment):
     code, out = _run(tmp_path, capsys, {"map": "abs", **_TINY, **change})

@@ -89,7 +89,7 @@ def test_positive_homogeneity_detects_cones_and_rejects_parabolas():
 
 
 def test_semismooth_star_on_a_smooth_graph_sees_curvature_decay():
-    F = make_function_graph(lambda x: np.array([math.sin(x[0])]),
+    F = make_function_graph(np.sin,
                             grad=lambda x: np.array([[math.cos(x[0])]]),
                             dim_x=1, dim_y=1, kind="l1", name="sin")
     base = GraphPoint(np.zeros(1), np.zeros(1))
