@@ -8,6 +8,7 @@ form so "identical" means bit-identical, not approximately equal.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +239,8 @@ def _compute_semismooth() -> dict:
     for mid in ("compl_angle", "abs", "square"):
         F, base, ctx = setup_map(mid)
         rep = semismooth_star_test(F, base, lad, ctx)
-        out["verdicts"][mid] = {"verdict": rep.verdict, "scales": rep.scales}
+        out["verdicts"][mid] = {"verdict": rep.verdict, "scales": rep.scales,
+                                "worst_witness": rep.worst_witness}
     # every case-1 built perturbation joins the pass side
     F, base, ctx = setup_map("spiral")
     w = extract_witness(F, base, "ss", 0.5, lad, ctx)
@@ -248,10 +250,12 @@ def _compute_semismooth() -> dict:
     fbase = GraphPoint(base.x, np.zeros(p.dim_y))
     ctx1 = NormContext(kind="l1", dim_x=p.dim_x, dim_y=p.dim_y)
     rep = semismooth_star_test(fgraph, fbase, lad, ctx1)
-    out["verdicts"]["case1_cone"] = {"verdict": rep.verdict, "case": p.case}
+    out["verdicts"]["case1_cone"] = {"verdict": rep.verdict, "case": p.case,
+                                     "scales": rep.scales, "worst_witness": rep.worst_witness}
     F, base, ctx = setup_map("oscillating")
     rep = semismooth_star_test(F, base, lad, ctx)
-    out["verdicts"]["oscillating"] = {"verdict": rep.verdict, "scales": rep.scales}
+    out["verdicts"]["oscillating"] = {"verdict": rep.verdict, "scales": rep.scales,
+                                      "worst_witness": rep.worst_witness}
     return out
 
 
@@ -399,6 +403,11 @@ def test_criterion_8_semismooth_suite():
         assert rep["verdicts"][mid]["verdict"] == "pass", mid
     assert rep["verdicts"]["case1_cone"]["case"] == 1
     assert rep["verdicts"]["oscillating"]["verdict"] == "fail"
+    # every scale (delta, worst quotient, element count) and the worst
+    # witness of each case, floats as hex, in semismooth_pins.json
+    got = {mid: {k: v[k] for k in ("scales", "worst_witness")}
+           for mid, v in _canon(rep["verdicts"]).items()}
+    assert got == json.loads((Path(__file__).parent / "semismooth_pins.json").read_text())
 
 
 def test_criterion_9_eckart_young():

@@ -1,6 +1,7 @@
 """The memo on each map: shared annuli, deepening, extras and run isolation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import subreglab.perturb as perturb
 import subreglab.radius_cli as cli
 from conftest import setup_map
 from subreglab.geometry import NormContext, ScaleLadder
-from subreglab.mappings import GraphPoint
+from subreglab.mappings import GraphPoint, catalog, graph_annuli
 from subreglab.moduli import build_element_pool
 from subreglab.perturb import WitnessError, extract_witness
 from subreglab.variational import CoderivElement, element_quotient, elements_at_point
@@ -164,3 +165,132 @@ def test_runs_share_nothing(monkeypatch):
         runs.append((json.dumps(payload, sort_keys=True), len(calls)))
     assert runs[0] == runs[1]
     assert runs[0][1] > 0
+
+
+# the per-element loop that built each annulus's records before they were
+# columns: the reference for the columnar build, computed with one geometry
+# call per point and per element
+def _reference_records(groups, inner, outer, base, ctx):
+    """(t, ratio, xn, q, eps, x, y, x*, y*) per element, from (x, y, [(x*, y*,
+    eps), ...]) groups in group order."""
+    recs = []
+    for x, y, elems in groups:
+        du = x - base.x
+        t = ctx.norm(du)
+        if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
+            continue
+        dv = y - base.y
+        yn = ctx.norm(dv)
+        ratio, dist = yn / t, t + yn
+        for x_star, y_star, eps in elems:
+            ysn = ctx.dual_norm(y_star)
+            if ysn == 0.0:
+                continue
+            if abs(ysn - 1.0) > 1e-12:
+                y_star, x_star = y_star / ysn, x_star / ysn
+                ysn = ctx.dual_norm(y_star)
+            xn = ctx.dual_norm(x_star)
+            den = max(xn, ysn)
+            if dist == 0.0:
+                q = 0.0
+            elif den == 0.0:
+                q = math.inf
+            else:
+                q = abs(float(x_star @ du) - float(y_star @ dv)) / (den * dist)
+            recs.append((t, ratio, xn, q, eps, x, y, x_star, y_star))
+    return recs
+
+
+_FIELDS = ("t", "ratio", "xn", "q", "eps", "x", "y", "x_star", "y_star")
+
+
+def _reference_fields(recs):
+    return {name: [_hexes(rec[i]) for rec in recs] for i, name in enumerate(_FIELDS)}
+
+
+def _fields(annulus):
+    """The records of one annulus of a pool, field by field, as hex floats."""
+    return {name: [_hexes(getattr(rec, name) if name in _FIELDS[:5] else getattr(rec.elem, name))
+                   for rec in annulus] for name in _FIELDS}
+
+
+def _reference_pool(F, base, ladder, ctx, extras=()):
+    pool = []
+    for j, inner, outer, pts in graph_annuli(F, base, ladder, 61):
+        groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
+                  for gp in pts]
+        groups += [(e.x, e.y, [(e.x_star, e.y_star, e.eps)]) for e in extras
+                   if inner < ctx.norm(e.x - base.x) <= outer]
+        pool.append(_reference_records(groups, inner, outer, base, ctx))
+    return pool
+
+
+def _assert_pool_is_the_reference(pool, want):
+    assert len(pool) == len(want)
+    for j, (annulus, recs) in enumerate(zip(pool, want)):
+        got, ref = _fields(annulus), _reference_fields(recs)
+        for name in _FIELDS:
+            assert got[name] == ref[name], (j, name)
+
+
+_REF_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("mid", sorted(catalog()))
+def test_pool_records_are_the_per_element_loop(mid, kind):
+    """Every catalog map (each has a normal oracle) in every norm, against
+    the per-element loop, field by field and bit for bit."""
+    F, base, ctx = setup_map(mid, kind)
+    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx)
+    want = _reference_pool(setup_map(mid, kind)[0], base, _REF_LADDER, ctx)
+    assert sum(map(len, want)) > 0
+    _assert_pool_is_the_reference(pool, want)
+
+
+def test_pool_records_off_the_origin_are_the_per_element_loop():
+    F, _, _ = setup_map("square")
+    base, ctx = GraphPoint([0.5], [0.25]), NormContext(kind="l2")
+    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx)
+    _assert_pool_is_the_reference(pool, _reference_pool(setup_map("square")[0], base,
+                                                         _REF_LADDER, ctx))
+
+
+def _extra(x, y, y_star, x_star, eps=0.0):
+    return CoderivElement(np.array(x), np.array(y), np.array(y_star), np.array(x_star), eps=eps)
+
+
+def test_extras_are_the_per_element_loop_through_every_branch():
+    """Extras that are rescaled (|y*| = 2 and 1 + 1e-9), excluded (y* = 0),
+    kept as they are (|y*| = 1 + 1e-13), or carry a NaN dual norm. y* =
+    inf is rescaled to a NaN y* beside x* = 0, so the dual product norm is
+    max(0.0, nan) = 0.0 and q = inf, which pins max's NaN rule (np.maximum
+    would give nan and q = nan)."""
+    F, base, ctx = setup_map("xsin")
+    r = [outer for _, outer in _REF_LADDER.annuli()]
+    extras = [_extra([0.9 * r[0]], [0.1], [2.0], [3.0], eps=0.25),
+              _extra([-0.9 * r[1]], [0.0], [0.0], [1.0]),
+              _extra([0.8 * r[1]], [0.2], [1.0 + 1e-9], [0.5], eps=1e-3),
+              _extra([0.7 * r[2]], [-0.1], [1.0 + 1e-13], [-0.5]),
+              _extra([0.6 * r[3]], [0.3], [math.nan], [0.25]),
+              _extra([0.9 * r[4]], [0.0], [math.inf], [4.0]),
+              _extra([-r[5]], [0.5], [-0.5], [0.0]),
+              _extra([0.0], [0.0], [1.0], [1.0])]  # at the base, in no annulus
+    with np.errstate(invalid="ignore"):  # inf / inf
+        pool, _ = build_element_pool(F, base, _REF_LADDER, ctx, extra_elements=extras)
+        want = _reference_pool(setup_map("xsin")[0], base, _REF_LADDER, ctx, extras)
+    extra_recs = [rec for recs in want for rec in recs if rec[5].tolist() in
+                  [e.x.tolist() for e in extras]]
+    assert len(extra_recs) == 6
+    assert _hexes([rec[3] for rec in extra_recs if math.isnan(rec[8][0])]) == \
+        ["nan", "inf"]
+    _assert_pool_is_the_reference(pool, want)
+
+
+def test_a_two_dimensional_pool_with_extras_is_the_per_element_loop():
+    F, base, ctx = setup_map("spiral", "linf")
+    extras = [_extra([0.3, -0.1], [0.05, 0.2], [1.5, -0.5], [0.25, 2.0], eps=0.1),
+              _extra([-0.02, 0.01], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])]
+    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx, extra_elements=extras)
+    want = _reference_pool(setup_map("spiral", "linf")[0], base, _REF_LADDER, ctx, extras)
+    _assert_pool_is_the_reference(pool, want)
