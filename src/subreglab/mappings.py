@@ -88,12 +88,16 @@ class SetValuedMap:
     structure also return same-x points with y in the annulus around
     center.y).
 
-    analytic_normals(x, y) returns representative (x*, y*) pairs with
-    (x*, -y*) normal to the graph at (x, y), or None where the oracle has
-    no information; y* is not restricted to the unit sphere, so purely
-    horizontal normals (y* = 0) are expressible. Function graphs offer the
-    y* of an 8-point dual_sphere_grid. It is the only source of
-    coderivative elements. feature_points(base_x, r_inner, r_outer)
+    analytic_normals(X, Y) takes rows of graph points and returns (owner,
+    X_star, Y_star): representative pairs (x*, y*), one per row of X_star
+    (m, dim_x) and Y_star (m, dim_y), with (x*, -y*) normal to the graph at
+    (X[owner[i]], Y[owner[i]]). The pairs come in row order, and within a
+    row in the oracle's order; a row where the oracle has no information
+    has no pairs, and the pairs of row k depend on row k alone. y* is not
+    restricted to the unit sphere, so purely horizontal normals (y* = 0)
+    are expressible. Function graphs offer the y* of an 8-point
+    dual_sphere_grid. It is the only source of coderivative elements, and
+    None on a map without one. feature_points(base_x, r_inner, r_outer)
     enumerates at most _FEATURE_CAP = 24 structural graph points per
     annulus. grad(x) is the Jacobian at one point.
 
@@ -157,8 +161,9 @@ def make_function_graph(
     f maps rows (n, dim_x) to rows (n, dim_y), row k from row k alone (see
     SetValuedMap); _rows lifts a function of one point to that form.
     grad(x) returns the Jacobian at one point as a (dim_y, dim_x) array, or
-    None where f is not differentiable; the analytic oracles skip such
-    points.
+    None where f is not differentiable; the normal oracle gives such points
+    no pairs. It is called once per row, and each row's pairs g.T @ eta come
+    from one stacked product, which has the bits of g.T @ eta.
     """
 
     def gv(x):
@@ -179,11 +184,15 @@ def make_function_graph(
     etas = dual_sphere_grid(kind, dim_y, 8)
     etas.flags.writeable = False  # its rows are the y* of every call of normals
 
-    def normals(x, y):
-        g = gv(x)
-        if g is None:
-            return None
-        return [(g.T @ eta, eta) for eta in etas]
+    def normals(X, Y):
+        owner, G = _jacobians(gv, X)
+        if not len(owner):
+            return _no_normals(dim_x, dim_y)
+        # (n, 1, dim_x, dim_y) against (1, 8, dim_y, 1): g.T @ eta for each
+        # row and eta; etas @ G would round differently
+        X_star = np.matmul(np.swapaxes(G, 1, 2)[:, None], etas[None, :, :, None])
+        return (np.repeat(owner, len(etas)), X_star.reshape(-1, G.shape[2]),
+                np.tile(etas, (len(owner), 1)))
 
     return SetValuedMap(
         dim_x=dim_x,
@@ -211,6 +220,41 @@ def _rows(fn: Callable, *shape: int) -> Callable:
     def lifted(*arrays):
         out = [fn(*row) for row in zip(*arrays)]
         return np.array(out, dtype=float).reshape((len(out),) + shape)
+
+    return lifted
+
+
+def _point_rows(F: SetValuedMap, pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of the graph points as rows (n, dim_x) and (n, dim_y)."""
+    return (np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x),
+            np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y))
+
+
+def _jacobians(gv: Callable, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X where gv gives a Jacobian, and those Jacobians stacked
+    (n, dim_y, dim_x); gv is called once per row."""
+    rows = [(k, g) for k, g in enumerate(map(gv, X)) if g is not None]
+    if not rows:
+        return np.zeros(0, dtype=int), np.zeros((0, 0, 0))
+    owner, G = zip(*rows)
+    return np.array(owner), np.stack(G)
+
+
+def _no_normals(dim_x: int, dim_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros(0, dtype=int), np.zeros((0, dim_x)), np.zeros((0, dim_y))
+
+
+def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
+    """A normal oracle of one point, fn(x, y) -> [(x*, y*), ...], lifted to
+    rows (see SetValuedMap.analytic_normals)."""
+
+    def lifted(X, Y):
+        pairs = [(k, xs, ys) for k, (x, y) in enumerate(zip(X, Y)) for xs, ys in fn(x, y)]
+        if not pairs:
+            return _no_normals(dim_x, dim_y)
+        owner, xs, ys = zip(*pairs)
+        return (np.array(owner), np.array(xs, dtype=float).reshape(len(owner), dim_x),
+                np.array(ys, dtype=float).reshape(len(owner), dim_y))
 
     return lifted
 
@@ -580,15 +624,15 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         return pts
 
     def normals(x, y):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
+        xv = float(x[0])
+        yv = float(y[0])
         k = recip_k(xv)
         if not k:
-            return [(np.array([1.0]), np.array([1.0])), (np.array([-1.0]), np.array([-1.0]))]
+            return [(1.0, 1.0), (-1.0, -1.0)]
         if abs(abs(yv) - xv) <= 1e-12 * max(1.0, xv):
             s = -1.0 if yv > 0 else 1.0
-            return [(np.array([s]), np.array([s]))]
-        return [(np.array([1.0]), np.array([0.0])), (np.array([-1.0]), np.array([0.0]))]
+            return [(s, s)]
+        return [(1.0, 0.0), (-1.0, 0.0)]
 
     return SetValuedMap(
         dim_x=1,
@@ -596,7 +640,7 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         image_distance=_rows(image_distance),
         preimage_distance=_rows(preimage_distance),
         sample_graph=sample,
-        analytic_normals=normals,
+        analytic_normals=_pair_normals(normals, 1, 1),
         feature_points=features,
         name="interval",
         kind=kind,
@@ -631,18 +675,14 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         return pts
 
     def normals(x, y):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
+        xv = float(x[0])
+        yv = float(y[0])
         if xv > 0.0 and abs(yv) <= 1e-15:
-            return [(np.array([0.0]), np.array([1.0])), (np.array([0.0]), np.array([-1.0]))]
+            return [(0.0, 1.0), (0.0, -1.0)]
         if abs(xv) <= 1e-15 and yv > 0.0:
-            return [(np.array([1.0]), np.array([0.0])), (np.array([-1.0]), np.array([0.0]))]
+            return [(1.0, 0.0), (-1.0, 0.0)]
         # origin: polar cone of the angle itself
-        return [
-            (np.array([-1.0]), np.array([0.0])),
-            (np.array([0.0]), np.array([1.0])),
-            (np.array([-1.0]), np.array([1.0])),
-        ]
+        return [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]
 
     return SetValuedMap(
         dim_x=1,
@@ -650,7 +690,7 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         image_distance=lambda X, Y: distance(X[:, 0], Y[:, 0]),
         preimage_distance=lambda X, Y: distance(Y[:, 0], X[:, 0]),
         sample_graph=sample,
-        analytic_normals=normals,
+        analytic_normals=_pair_normals(normals, 1, 1),
         name="compl_angle",
         kind=kind,
     )
@@ -664,7 +704,9 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     """The map x -> F(x) + f(x) for a single-valued map f (a function graph).
 
     f.func shifts the graph and f.grad shifts the normal oracles at points
-    where it exists (the shift is exact there). f must have F's dimensions;
+    where it exists (the shift is exact there): the rows where f.grad
+    exists are shifted back with one f.func call, and each pair (x*, y*) of
+    F there becomes (x* + g.T @ y*, y*). f must have F's dimensions;
     ValueError otherwise.
     """
     if (f.dim_x, f.dim_y) != (F.dim_x, F.dim_y):
@@ -685,16 +727,13 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         inner_center = GraphPoint(center.x, center.y - fv(center.x[None])[0])
         return shifted(F.sample_graph(inner_center, r_inner, r_outer, n, seed))
 
-    def normals(x, y):
-        if F.analytic_normals is None:
-            return None
-        g = gv(x)
-        if g is None:
-            return None
-        base = F.analytic_normals(x, np.atleast_1d(y) - fv(x[None])[0])
-        if base is None:
-            return None
-        return [(xs + g.T @ ys, ys) for xs, ys in base]
+    def normals(X, Y):
+        rows, G = _jacobians(gv, X)
+        if not len(rows):
+            return _no_normals(F.dim_x, F.dim_y)
+        owner, X_star, Y_star = F.analytic_normals(X[rows], Y[rows] - fv(X[rows]))
+        shift = np.matmul(np.swapaxes(G[owner], 1, 2), Y_star[..., None])[..., 0]
+        return rows[owner], X_star + shift, Y_star
 
     def features(base_x, r_inner, r_outer):
         return shifted(F.feature_points(base_x, r_inner, r_outer))
@@ -715,7 +754,7 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         image_distance=image_distance,
         preimage_distance=None,
         sample_graph=sample,
-        analytic_normals=normals,
+        analytic_normals=normals if F.analytic_normals is not None else None,
         feature_points=features if F.feature_points is not None else None,
         func=func if F.func is not None else None,
         grad=grad_total if F.grad is not None else None,
@@ -754,6 +793,8 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     def image_distance(U, V):
         if F.preimage_distance is not None:
             return F.preimage_distance(V, U)
+        if _scalar_graph(F):
+            return preimage_distances_fallback(F, V, U)
         return _rows(lambda u, v: preimage_distance_fallback(F, v, u))(U, V)
 
     def preimage_distance(U, V):
@@ -773,15 +814,11 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
                 break
         return pts[: 2 * n]
 
-    def normals(u, v):
-        if F.analytic_normals is None:
-            return None
-        base = F.analytic_normals(v, u)
-        if base is None:
-            return None
+    def normals(U, V):
+        owner, X_star, Y_star = F.analytic_normals(V, U)
         # (x*, -y*) normal at (x, y) becomes (-y*, x*) normal at (y, x);
         # in coderivative pairs: (a, b) -> (-b, -a)
-        return [(-ys, -xs) for xs, ys in base]
+        return owner, -Y_star, -X_star
 
     return SetValuedMap(
         dim_x=F.dim_y,
@@ -789,7 +826,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         image_distance=image_distance,
         preimage_distance=preimage_distance,
         sample_graph=sample,
-        analytic_normals=normals,
+        analytic_normals=normals if F.analytic_normals is not None else None,
         name=name or f"inv({F.name})",
         kind=F.kind,
     )

@@ -29,31 +29,33 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import NormContext, ScaleLadder, norms, sample_annulus
+from .geometry import NormContext, ScaleLadder, dual_kind, norms, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
+    _point_rows,
     graph_annuli,
     preimage_distance_fallback,
     preimage_distances_fallback,
 )
-# element_quotient is not called here (build_element_pool shares its
-# per-point parts through defect_quotient); it stays importable from moduli
-# because perfbench's layer trace counts calls through moduli.element_quotient
+# element_quotient and elements_at_point are not called here (the pool asks
+# the normal oracle once per annulus and computes its quotients through
+# defect_quotients); they stay importable from moduli because perfbench's
+# layer trace wraps them there by name
 from .variational import (  # noqa: F401
     CoderivElement,
-    defect_quotient,
+    defect_quotients,
     element_quotient,
     elements_at_point,
 )
 
 __all__ = [
     "Estimate",
-    "ElementRecord",
+    "ElementRecords",
     "CONSTANT_KINDS",
     "build_element_pool",
     "estimate_clm",
@@ -159,18 +161,12 @@ def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: b
 # moduli of single quantities
 
 
-def _rows_of(F: SetValuedMap, pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y of the graph points as rows (n, dim_x) and (n, dim_y)."""
-    return (np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x),
-            np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y))
-
-
 def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                  ctx: NormContext) -> Estimate:
     """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points."""
     per_annulus: list[list[float]] = []
     for _, _, _, pts in graph_annuli(F, base, ladder, 31):
-        X, Y = _rows_of(F, pts)
+        X, Y = _point_rows(F, pts)
         t = norms(X - base.x, ctx.kind)
         off = t != 0.0
         xb = np.repeat(base.x[None], off.sum(), 0)
@@ -191,7 +187,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     """
     per_annulus: list[list[float]] = []
     for _, _, _, pts in graph_annuli(F, base, ladder, 37):
-        X, Y = _rows_of(F, pts)
+        X, Y = _point_rows(F, pts)
         t = norms(X - base.x, ctx.kind)
         off = t > 0.0
         n = len(pts)
@@ -322,27 +318,24 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     A zero value is reported together with the witnessing graph points
     (distinct x with yb in F(x) arbitrarily close to the base).
     """
-    points: list[list[GraphPoint]] = []  # the graph points off the base, per annulus
+    points: list[tuple] = []  # the (X, Y) rows of the graph points off the base, per annulus
     per_annulus: list[list[float]] = []
     for _, _, _, pts in graph_annuli(F, base, ladder, 53):
-        points.append([])
-        per_annulus.append([])
-        for p in pts:
-            t = ctx.norm(p.x - base.x)
-            if t == 0.0:
-                continue
-            points[-1].append(p)
-            per_annulus[-1].append(ctx.norm(p.y - base.y) / t)
+        X, Y = _point_rows(F, pts)
+        t = norms(X - base.x, ctx.kind)
+        off = t != 0.0
+        points.append((X[off], Y[off]))
+        per_annulus.append((norms(Y[off] - base.y, ctx.kind) / t[off]).tolist())
     est = Estimate(name="ssrg")
     est.per_scale, win = _pool_scales(per_annulus, ladder, empty=math.inf)
     est = est.finalize()
     wits = []
-    for pts, vals in zip(points, per_annulus):
-        keepers = [p for p, v in zip(pts, vals) if v <= 1e-12]
-        wits += [{"x": p.x.tolist(), "y": p.y.tolist(), "ratio": 0.0} for p in keepers[:4]]
+    for (X, Y), vals in zip(points, per_annulus):
+        keepers = [k for k, v in enumerate(vals) if v <= 1e-12][:4]
+        wits += [{"x": X[k].tolist(), "y": Y[k].tolist(), "ratio": 0.0} for k in keepers]
     if win is not None and not wits:
-        best = points[win[0]][win[1]]
-        wits.append({"x": best.x.tolist(), "y": best.y.tolist(), "ratio": est.reported})
+        X, Y = points[win[0]]
+        wits.append({"x": X[win[1]].tolist(), "y": Y[win[1]].tolist(), "ratio": est.reported})
     est.witnesses = wits[:16]
     return est
 
@@ -351,46 +344,76 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
 # element pools and primal-dual constants
 
 
-@dataclass
-class ElementRecord:
-    t: float
-    ratio: float
-    xn: float
-    q: float
-    eps: float
-    elem: CoderivElement
+@dataclass(frozen=True)
+class ElementRecords:
+    """The element records of one annulus (or more), as columns in pool order.
+
+    Record i is the element (x[i], y[i], x_star[i], y_star[i]) with unit dual
+    y*, its defect eps[i], t = ||x - xb||, the ratio ||y - yb|| / t, xn =
+    ||x*|| and the base defect quotient q. The columns are read-only: the
+    map's memo shares them between every pool that reads the annulus.
+    """
+
+    t: np.ndarray  # (m,)
+    ratio: np.ndarray  # (m,)
+    xn: np.ndarray  # (m,)
+    q: np.ndarray  # (m,)
+    eps: np.ndarray  # (m,)
+    x: np.ndarray  # (m, dim_x)
+    y: np.ndarray  # (m, dim_y)
+    x_star: np.ndarray  # (m, dim_x)
+    y_star: np.ndarray  # (m, dim_y)
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def concat(cls, parts) -> ElementRecords:
+        """The records of parts, one after another."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
-def _annulus_records(groups, inner: float, outer: float, base: GraphPoint,
-                     ctx: NormContext) -> list[ElementRecord]:
-    """The records of one annulus from (x, y, elements at (x, y)) groups, in group order.
+def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np.ndarray,
+                     Y_star: np.ndarray, eps: np.ndarray, inner: float, outer: float,
+                     base: GraphPoint, ctx: NormContext) -> ElementRecords:
+    """The records of the elements (X[owner], Y[owner], X_star, Y_star, eps)
+    whose x lies in the annulus, in element order.
 
     The elements of one graph point share x and y, so t, the ratio and the
-    product distance of the quotient are computed once per point; every
-    value comes from the same geometry call on the same operands as a
-    per-element computation would make.
+    product distance of the quotient are computed once per point. Pairs
+    with y* = 0 are left out; the others are scaled to unit dual y* unless
+    ||y*|| is within 1e-12 of 1. Every value has the bits of one geometry
+    call per point and per element: geometry.norms gives the bits of
+    geometry.norm row by row.
     """
-    recs: list[ElementRecord] = []
-    for x, y, elems in groups:
-        du = x - base.x
-        t = ctx.norm(du)
-        if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
-            continue
-        dv = y - base.y
-        yn = ctx.norm(dv)
-        ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
-        for e in elems:
-            ysn = ctx.dual_norm(e.y_star)
-            if ysn == 0.0:
-                continue
-            if abs(ysn - 1.0) > 1e-12:
-                e = CoderivElement(e.x, e.y, e.y_star / ysn, e.x_star / ysn, eps=e.eps)
-                ysn = ctx.dual_norm(e.y_star)
-            xn = ctx.dual_norm(e.x_star)
-            # max(xn, ysn) is ctx.product_norm_dual(e.x_star, e.y_star)
-            q = defect_quotient(e.x_star, e.y_star, du, dv, max(xn, ysn), dist)
-            recs.append(ElementRecord(t=t, ratio=ratio, xn=xn, q=q, eps=e.eps, elem=e))
-    return recs
+    t = norms(X - base.x, ctx.kind)
+    inside = np.flatnonzero((t != 0.0) & (inner < t) & (t <= outer * (1 + 1e-12)))
+    at = np.full(len(X), -1)
+    at[inside] = np.arange(len(inside))
+    keep = at[owner] >= 0
+    p = at[owner[keep]]  # the inside point of each kept element
+    X_star, Y_star, eps = X_star[keep], Y_star[keep], eps[keep]
+    dual = dual_kind(ctx.kind)
+    ysn = norms(Y_star, dual)
+    unit = ysn != 0.0  # y* = 0 cannot be normalized
+    p, X_star, Y_star, eps, ysn = p[unit], X_star[unit], Y_star[unit], eps[unit], ysn[unit]
+    scaled = np.abs(ysn - 1.0) > 1e-12
+    if scaled.any():
+        X_star[scaled] = X_star[scaled] / ysn[scaled, None]
+        Y_star[scaled] = Y_star[scaled] / ysn[scaled, None]
+        ysn[scaled] = norms(Y_star[scaled], dual)
+    xn = norms(X_star, dual)
+    X, Y, t = X[inside], Y[inside], t[inside]
+    du, dv = X - base.x, Y - base.y
+    yn = norms(dv, ctx.kind)
+    ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
+    q = defect_quotients(X_star, Y_star, du[p], dv[p], xn, ysn, dist[p])
+    return ElementRecords(t=t[p], ratio=ratio[p], xn=xn, q=q, eps=eps, x=X[p], y=Y[p],
+                          x_star=X_star, y_star=Y_star)
 
 
 def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: ScaleLadder,
@@ -415,20 +438,22 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: Sc
 def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                        ctx: NormContext, *,
                        extra_elements: list[CoderivElement] | None = None
-                       ) -> tuple[list[list[ElementRecord]], str]:
+                       ) -> tuple[list[ElementRecords], str]:
     """Coderivative element records per annulus, plus a pool identifier.
 
-    Elements come from the analytic oracles at sampled graph points and
-    feature points; pairs are normalized to unit dual y* (pairs with y* = 0
-    cannot be, and are excluded: the constants quantify over unit y*).
+    Elements come from the normal oracle, called once per annulus on its
+    sampled graph points and feature points; pairs are normalized to unit
+    dual y* (pairs with y* = 0 cannot be, and are excluded: the constants
+    quantify over unit y*).
     Estimates computed from the same pool share the pool id, which is what
     check_relations uses to refuse cross-pool comparisons. The id is hashed
     over the full ladder, depth included.
 
     The sampled records of each annulus are built once per map (see
     _memo_annuli). An annulus's records are those shared records followed
-    by the records of the extra elements that fall in it; the extras are
-    never memoized.
+    by the records of the extra elements whose x falls in it (inner <
+    ||x - xb|| <= outer), in the order given; the extras are never
+    memoized.
     """
     h = hashlib.sha256()
     h.update(F.name.encode())
@@ -440,21 +465,31 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                    ladder.seed, 8)).encode())
 
     def make(j, inner, outer, pts):
-        groups = [(gp.x, gp.y, elements_at_point(F, gp)) for gp in pts]
-        return _annulus_records(groups, inner, outer, base, ctx)
+        X, Y = _point_rows(F, pts)
+        if F.analytic_normals is None:
+            owner, X_star, Y_star = np.zeros(0, dtype=int), X[:0], Y[:0]
+        else:
+            owner, X_star, Y_star = F.analytic_normals(X, Y)
+        return _annulus_records(X, Y, owner, X_star, Y_star, np.zeros(len(owner)),
+                                inner, outer, base, ctx)
 
     pools = _memo_annuli(F, base, ctx, ladder, 61, "records", make)  # a new list
-    extras = list(extra_elements or [])
-    if extras:
+    if extra_elements:
+        X, Y, X_star, Y_star = (np.array([getattr(e, a) for e in extra_elements], dtype=float)
+                                for a in ("x", "y", "x_star", "y_star"))
+        eps = np.array([e.eps for e in extra_elements], dtype=float)
+        t = norms(X - base.x, ctx.kind)
         for j, (inner, outer) in enumerate(ladder.annuli()):
-            groups = [(e.x, e.y, [e]) for e in extras
-                      if inner < ctx.norm(e.x - base.x) <= outer]
-            pools[j] = pools[j] + _annulus_records(groups, inner, outer, base, ctx)
+            k = np.flatnonzero((inner < t) & (t <= outer))
+            if len(k):
+                more = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k], Y_star[k],
+                                        eps[k], inner, outer, base, ctx)
+                pools[j] = ElementRecords.concat([pools[j], more])
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
 
-def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleLadder,
+def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder,
                       ctx: NormContext, pool_id: str = "") -> Estimate:
     """One primal-dual constant from a prebuilt element pool.
 
@@ -474,9 +509,8 @@ def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleL
         raise ValueError(f"unknown constant kind {kind!r}")
     est = Estimate(name=kind, pool_id=pool_id)
     depth = ladder.depth
-    recs = [rec for annulus in pool[:depth] for rec in annulus]
-    t, ratio, xn, q, eps = (np.fromiter((getattr(rec, a) for rec in recs), float, len(recs))
-                            for a in ("t", "ratio", "xn", "q", "eps"))
+    recs = ElementRecords.concat(pool[:depth])
+    t, ratio, xn, q, eps = recs.t, recs.ratio, recs.xn, recs.q, recs.eps
     start = np.cumsum([0] + [len(annulus) for annulus in pool[:depth]]).tolist()
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN, as floats do
         if kind in ("srg1", "srg3", "hatsrg"):
@@ -487,7 +521,7 @@ def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleL
             obj = ratio
         eps_xn = eps * xn
     valid = ~np.isnan(obj)
-    witness = None
+    win = None  # the witness's index
     for j in range(depth):
         r = ladder.radius(j)
         # each test negates a rejection, so a NaN t, q or eps passes it
@@ -501,14 +535,14 @@ def estimate_constant(kind: str, pool: list[list[ElementRecord]], ladder: ScaleL
         cut = start[max(j, depth - 2)]
         inner, i = _first_min(obj, ok, cut, len(recs))
         if inner < _first_min(obj, ok, start[j], cut)[0]:
-            witness = recs[i]
+            win = i
     est = est.finalize()
-    if witness is not None and kind not in ("hatsrg", "hatsrgp"):
-        e = witness.elem
+    if win is not None and kind not in ("hatsrg", "hatsrgp"):
         est.witnesses = [{
-            "x": e.x.tolist(), "y": e.y.tolist(), "x_star": e.x_star.tolist(),
-            "y_star": e.y_star.tolist(), "t": witness.t, "ratio": witness.ratio,
-            "xn": witness.xn, "q": witness.q,
+            "x": recs.x[win].tolist(), "y": recs.y[win].tolist(),
+            "x_star": recs.x_star[win].tolist(), "y_star": recs.y_star[win].tolist(),
+            "t": float(t[win]), "ratio": float(ratio[win]), "xn": float(xn[win]),
+            "q": float(q[win]),
         }]
     return est
 

@@ -43,17 +43,20 @@ from .geometry import (
     derive_seed,
     norming_functional,
     norming_vector,
+    norms,
     sample_annulus,
 )
 from .mappings import (
     GraphPoint,
     SetValuedMap,
+    _point_rows,
     _rows,
     anchored,
     make_function_graph,
     sum_with_function,
 )
 from .moduli import (
+    ElementRecords,
     _memo_annuli,
     build_element_pool,
     estimate_clm,
@@ -150,62 +153,67 @@ def _cand_order(c: dict) -> tuple:
     return (c["obj"], -float(c["u"][0]), -c["t"])
 
 
-def _graph_rows(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: float,
-                outer: float, pts: list[GraphPoint], cut: float):
-    """The ssr rows of one annulus: its graph points with ratio at most cut,
-    x* = 0 and y* the norming functional of y - yb (e_1 at y = yb)."""
-    for p in pts:
-        t = ctx.norm(p.x - base.x)
-        if not (inner < t <= outer) or t <= 0.0:
-            continue
-        dy = p.y - base.y
-        yn = ctx.norm(dy)
-        ratio = yn / t
-        if ratio > cut:  # before the norming functional, which costs more
-            continue
-        if yn > 0.0:
-            ys = norming_functional(dy, ctx.kind)
-        else:
-            ys = np.zeros(F.dim_y)
-            ys[0] = 1.0
-        yield t, p.x, p.y, np.zeros(F.dim_x), ys, 0.0, ratio, 0.0, 0.0
+def _graph_records(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: float,
+                   outer: float, pts: list[GraphPoint], cut: float) -> ElementRecords:
+    """The ssr records of one annulus: its graph points with ratio at most
+    cut, x* = 0 and y* the norming functional of y - yb (e_1 at y = yb)."""
+    X, Y = _point_rows(F, pts)
+    t = norms(X - base.x, ctx.kind)
+    inside = (inner < t) & (t <= outer) & (t > 0.0)
+    X, Y, t = X[inside], Y[inside], t[inside]
+    dy = Y - base.y
+    yn = norms(dy, ctx.kind)
+    ratio = yn / t
+    keep = ~(ratio > cut)  # before the norming functionals, which cost more
+    X, Y, t, dy, yn, ratio = X[keep], Y[keep], t[keep], dy[keep], yn[keep], ratio[keep]
+    y_star = np.zeros_like(Y)
+    y_star[:, 0] = 1.0
+    for k in np.flatnonzero(yn > 0.0):
+        y_star[k] = norming_functional(dy[k], ctx.kind)
+    zero = np.zeros(len(t))
+    return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero.copy(), eps=zero.copy(), x=X, y=Y,
+                          x_star=np.zeros_like(X), y_star=y_star)
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                         ladder: ScaleLadder, ctx: NormContext, start: int = 0) -> list[dict]:
     """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
-    A candidate comes from a row (t, x, y, x*, y*, eps, ratio, xn, q): an
-    element record, or for the ssr kind a graph point. Each annulus keeps
-    its best candidate per coarse (direction, payload, y*) orientation key,
-    so that both the stationary clustering and the distinct-direction
-    selection see every available family. An annulus's candidates depend
-    only on gamma, its radius and its graph sample or records, which F's
-    memo holds once drawn or built.
+    A candidate comes from a record: an element record, or for the ssr
+    kind a graph point. The objective and the ss defect guard are tested
+    on the columns, and only the records that pass them become candidate
+    dicts. Each annulus keeps its best candidate per coarse (direction,
+    payload, y*) orientation key, so that both the stationary clustering
+    and the distinct-direction selection see every available family. An
+    annulus's candidates depend only on gamma, its radius and its graph
+    sample or records, which F's memo holds once drawn or built.
     """
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
         graph = _memo_annuli(F, base, ctx, ladder, 71, "graph", lambda *annulus: annulus)
-        annuli = [(j, _graph_rows(F, base, ctx, inner, outer, pts, cut))
+        annuli = [(j, _graph_records(F, base, ctx, inner, outer, pts, cut))
                   for j, inner, outer, pts in graph[start:]]
     else:
         records, _ = build_element_pool(F, base, ladder, ctx)
-        annuli = [(j, ((r.t, r.elem.x, r.elem.y, r.elem.x_star, r.elem.y_star, r.eps, r.ratio,
-                        r.xn, r.q) for r in records[j]))
-                  for j in range(start, ladder.depth)]
+        annuli = [(j, records[j]) for j in range(start, ladder.depth)]
     cands: list[dict] = []
-    for j, rows in annuli:
+    for j, recs in annuli:
         r_j = ladder.radius(j)
+        obj = _objective(kind, recs.ratio, recs.xn)
+        drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
+        if kind == "ss":
+            drop |= recs.q > min(0.5, 8.0 * r_j)
+        k = np.flatnonzero(~drop)
         best: dict[tuple, dict] = {}
-        for t, x, y, x_star, y_star, eps, ratio, xn, q in rows:
-            obj = _objective(kind, ratio, xn)
-            if obj > cut or (kind == "ss" and q > min(0.5, 8.0 * r_j)):
-                continue
+        for t, x, y, x_star, y_star, eps, ratio, xn, q, ob in zip(
+                recs.t[k].tolist(), recs.x[k], recs.y[k], recs.x_star[k], recs.y_star[k],
+                recs.eps[k].tolist(), recs.ratio[k].tolist(), recs.xn[k].tolist(),
+                recs.q[k].tolist(), obj[k].tolist()):
             u = (x - base.x) / t
             dy = y - base.y
             pay = dy / float(np.max(np.abs(dy))) if np.any(dy) else dy
             cand = {"t": t, "x": x, "y": y, "x_star": x_star, "y_star": y_star, "eps": eps,
-                    "ratio": ratio, "xn": xn, "q": q, "u": u, "annulus": j, "obj": obj,
+                    "ratio": ratio, "xn": xn, "q": q, "u": u, "annulus": j, "obj": ob,
                     "pay": pay}
             key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(y_star, 0.25))
             cur = best.get(key)

@@ -20,15 +20,17 @@ import numpy as np
 from .geometry import (
     NormContext,
     ScaleLadder,
+    dual_kind,
     norm,
+    norms,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, graph_annuli
+from .mappings import GraphPoint, SetValuedMap, _point_rows, graph_annuli
 
 __all__ = [
     "CoderivElement",
     "SemismoothReport",
-    "defect_quotient",
+    "defect_quotients",
     "element_quotient",
     "elements_at_point",
     "semismooth_star_test",
@@ -70,72 +72,93 @@ def element_quotient(elem: CoderivElement, base: GraphPoint, ctx: NormContext) -
     dist = ctx.product_norm(du, dv)
     if dist == 0.0:
         return 0.0
-    return defect_quotient(elem.x_star, elem.y_star, du, dv,
-                           ctx.product_norm_dual(elem.x_star, elem.y_star), dist)
-
-
-def defect_quotient(x_star, y_star, du, dv, den: float, dist: float) -> float:
-    """element_quotient from its parts: den = ||(x*, y*)|| and dist = ||(du, dv)||.
-
-    Callers that share du, dv and dist between the elements of one graph
-    point compute them once and get element_quotient's bits.
-    """
-    if dist == 0.0:
-        return 0.0
+    den = ctx.product_norm_dual(elem.x_star, elem.y_star)
     if den == 0.0:
         return math.inf
-    return abs(float(x_star @ du) - float(y_star @ dv)) / (den * dist)
+    return abs(float(elem.x_star @ du) - float(elem.y_star @ dv)) / (den * dist)
+
+
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a @ b for each pair of rows, by a stacked product with the bits of
+    the 1-D a @ b; (A * B).sum(1) rounds differently."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def defect_quotients(X_star, Y_star, DU, DV, xn, ysn, dist) -> np.ndarray:
+    """element_quotient of each row, with its bits, from its parts: the
+    dual norms xn = ||x*|| and ysn = ||y*||, and dist = ||(du, dv)||.
+
+    The dual product norm is max(xn, ysn) as Python's max takes it (xn
+    unless ysn is larger, so a NaN ysn gives xn); np.maximum would give
+    NaN. A row at dist 0 gives 0 and one at dual norm 0 gives inf. Callers
+    that share du, dv and dist between the elements of one graph point
+    compute them once per point.
+    """
+    den = np.where(ysn > xn, ysn, xn)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows that np.where drops
+        q = np.abs(_dots(X_star, DU) - _dots(Y_star, DV)) / (den * dist)
+    return np.where(dist == 0.0, 0.0, np.where(den == 0.0, math.inf, q))
 
 
 def elements_at_point(F: SetValuedMap, gp: GraphPoint) -> list[CoderivElement]:
-    """Exact elements at one graph point from the map's normal oracle.
+    """Exact elements at one graph point: the one-row call of the map's
+    normal oracle.
 
     The oracle's pairs are not restricted to unit y*, so y* = 0 normals
     show. Returns [] when the map has no oracle or it disclaims knowledge
-    at this point.
+    at this point. The element pool and semismooth_star_test ask the
+    oracle once per annulus instead.
     """
-    pairs = F.analytic_normals(gp.x, gp.y) if F.analytic_normals is not None else None
-    return [CoderivElement(gp.x, gp.y, np.atleast_1d(np.asarray(ys, dtype=float)),
-                           np.atleast_1d(np.asarray(xs, dtype=float)))
-            for xs, ys in pairs or ()]
+    if F.analytic_normals is None:
+        return []
+    _, X_star, Y_star = F.analytic_normals(gp.x[None], gp.y[None])
+    return [CoderivElement(gp.x, gp.y, ys, xs) for xs, ys in zip(X_star, Y_star)]
 
 
 def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                          ctx: NormContext) -> SemismoothReport:
     """Decide graphical semismoothness at the base point by scale decay.
 
-    Pools exact elements at graph points per annulus, then reports for each
-    delta_j the worst defect over elements within product distance delta_j
-    and element eps at most delta_j. Pass requires the two finest populated
+    Pools exact elements (eps = 0) at graph points per annulus, one normal
+    oracle call per annulus, then reports for each delta_j the worst defect
+    over the elements within product distance delta_j: the last element at
+    the largest quotient, a NaN quotient never winning and the worst read
+    as 0.0 when none is a number. Pass requires the two finest populated
     scales at or below a defect of 0.05 and a tail over the last three
     populated scales that rises by at most 1e-12 per scale; a map with no
     populated scales (or fewer than three) is inconclusive rather than
     failed.
     """
-    elems: list[CoderivElement] = []
-    quots: list[float] = []
-    dists: list[float] = []
+    dual = dual_kind(ctx.kind)
+    cols: list[tuple] = []  # (x, y, x*, y*, dist, q) of each annulus's elements
     for _, _, _, pts in graph_annuli(F, base, ladder, 17):
-        for gp in pts:
-            for e in elements_at_point(F, gp):
-                d = ctx.product_norm(e.x - base.x, e.y - base.y)
-                if d == 0.0:
-                    continue
-                elems.append(e)
-                dists.append(d)
-                quots.append(element_quotient(e, base, ctx))
+        if F.analytic_normals is None:
+            continue
+        X, Y = _point_rows(F, pts)
+        owner, X_star, Y_star = F.analytic_normals(X, Y)
+        # ctx.product_norm(x - xb, y - yb), once per point
+        dist = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]
+        on = dist != 0.0
+        X, Y, X_star, Y_star, dist = X[owner[on]], Y[owner[on]], X_star[on], Y_star[on], dist[on]
+        cols.append((X, Y, X_star, Y_star, dist,
+                     defect_quotients(X_star, Y_star, X - base.x, Y - base.y,
+                                      norms(X_star, dual), norms(Y_star, dual), dist)))
+    EX, EY, EX_star, EY_star, dists, quots = (
+        np.concatenate(c) for c in zip(*cols)) if cols else (np.zeros(0),) * 6
     report = SemismoothReport()
     worst_idx_finest = None
     for j in range(ladder.depth):
         delta = ladder.radius(j)
-        worst = 0.0
-        count = 0
+        within = dists <= delta
+        count = int(within.sum())
+        # the scan "worst = q if q >= worst" from worst = 0.0 ends at the
+        # last of the largest quotients that are numbers and not below 0.0
+        rises = within & (quots >= 0.0)
         idx_worst = None
-        for i, e in enumerate(elems):
-            if dists[i] <= delta and e.eps <= delta:
-                count += 1
-                if quots[i] >= worst:
-                    worst, idx_worst = quots[i], i
+        worst = 0.0
+        if rises.any():
+            idx_worst = int(np.flatnonzero(rises & (quots == quots[rises].max()))[-1])
+            worst = float(quots[idx_worst])
         report.scales.append((delta, worst if count else math.nan, count))
         if count:
             worst_idx_finest = idx_worst
@@ -149,11 +172,11 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     small = tail[1] <= 0.05 and tail[2] <= 0.05
     report.verdict = "pass" if (decaying and small) else "fail"
     if worst_idx_finest is not None:
-        e = elems[worst_idx_finest]
+        i = worst_idx_finest
         report.worst_witness = {
-            "x": e.x.tolist(), "y": e.y.tolist(),
-            "x_star": e.x_star.tolist(), "y_star": e.y_star.tolist(),
-            "quotient": quots[worst_idx_finest],
+            "x": EX[i].tolist(), "y": EY[i].tolist(),
+            "x_star": EX_star[i].tolist(), "y_star": EY_star[i].tolist(),
+            "quotient": float(quots[i]),
         }
     return report
 

@@ -1,5 +1,6 @@
 """The memo on each map: shared annuli, deepening, extras and run isolation."""
 
+import dataclasses
 import json
 import math
 
@@ -24,10 +25,7 @@ def _hexes(vals):
 
 
 def _record_dump(records):
-    return [[(_hexes([rec.t, rec.ratio, rec.xn, rec.q, rec.eps]),
-              _hexes(rec.elem.x), _hexes(rec.elem.y), _hexes(rec.elem.x_star),
-              _hexes(rec.elem.y_star), _hexes(rec.elem.eps))
-             for rec in annulus] for annulus in records]
+    return [_fields(annulus) for annulus in records]
 
 
 @pytest.mark.parametrize("mid,kind", [("interval", "l1"), ("xsin", "l1"), ("spiral", "l2")])
@@ -106,28 +104,28 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
     plain, plain_id = build_element_pool(F, base, _LADDER, ctx)
     # y*-scaled copies of elements of every other annulus, moved to the x of
     # the next record so that they are not sampled elements
-    extras = [CoderivElement(recs[1].elem.x, recs[0].elem.y, 2.0 * recs[0].elem.y_star,
-                             2.0 * recs[0].elem.x_star)
+    extras = [CoderivElement(recs.x[1], recs.y[0], 2.0 * recs.y_star[0], 2.0 * recs.x_star[0])
               for recs in plain[::2] if len(recs) > 1]
     assert len(extras) >= 3
     with_extras, extras_id = build_element_pool(F, base, _LADDER, ctx, extra_elements=extras)
     assert extras_id == plain_id
-    extra_recs = []
+    added = []  # the records after the shared ones, annulus by annulus
     for (inner, outer), recs, more in zip(_LADDER.annuli(), plain, with_extras):
-        assert all(a is b for a, b in zip(more, recs))
-        extra_recs += more[len(recs):]
-        assert all(inner < rec.t <= outer for rec in more[len(recs):])
-    assert [rec.elem.x.tolist() for rec in extra_recs] == [e.x.tolist() for e in extras]
-    for rec, e in zip(extra_recs, extras):
+        n, whole = len(recs), _fields(more)
+        assert {name: vals[:n] for name, vals in whole.items()} == _fields(recs)
+        added += [{name: vals[i] for name, vals in whole.items()} for i in range(n, len(more))]
+        assert all(inner < t <= outer for t in more.t[n:])
+    assert [rec["x"] for rec in added] == [_hexes(e.x) for e in extras]
+    for rec, e in zip(added, extras):
         unit = CoderivElement(e.x, e.y, 0.5 * e.y_star, 0.5 * e.x_star)
-        assert np.array_equal(rec.elem.y_star, unit.y_star)
-        assert _hexes([rec.t, rec.xn, rec.q]) == _hexes(
+        assert rec["y_star"] == _hexes(unit.y_star)
+        assert rec["t"] + rec["xn"] + rec["q"] == _hexes(
             [ctx.norm(e.x - base.x), ctx.dual_norm(unit.x_star),
              element_quotient(unit, base, ctx)])
-    # nothing of the extras stays in the memo
+    # nothing of the extras stays in the memo: a deeper ladder reads the
+    # records the plain pool read
     again, _ = build_element_pool(F, base, _LADDER.deepen(4), ctx)
-    assert [len(recs) for recs in again[:12]] == [len(recs) for recs in plain]
-    assert all(a is b for a, b in zip(sum(again, []), sum(plain, [])))
+    assert all(a is b for a, b in zip(again, plain))
     fresh, _ = build_element_pool(setup_map("xsin")[0], base, _LADDER.deepen(4), ctx)
     assert _record_dump(again) == _record_dump(fresh)
 
@@ -150,12 +148,13 @@ def test_the_memo_keeps_base_points_and_norms_apart():
 
 def test_runs_share_nothing(monkeypatch):
     calls = []
+    records = moduli._annulus_records
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return elements_at_point(*args, **kwargs)
+        return records(*args, **kwargs)
 
-    monkeypatch.setattr(moduli, "elements_at_point", counted)
+    monkeypatch.setattr(moduli, "_annulus_records", counted)
     config = cli.parse_config({"task": "verify_radius", "seed": 7, "map": "interval",
                                "ladder": {"depth": 12, "samples": 64}})
     runs = []
@@ -210,8 +209,7 @@ def _reference_fields(recs):
 
 def _fields(annulus):
     """The records of one annulus of a pool, field by field, as hex floats."""
-    return {name: [_hexes(getattr(rec, name) if name in _FIELDS[:5] else getattr(rec.elem, name))
-                   for rec in annulus] for name in _FIELDS}
+    return {name: [_hexes(v) for v in getattr(annulus, name)] for name in _FIELDS}
 
 
 def _reference_pool(F, base, ladder, ctx, extras=()):
@@ -294,3 +292,23 @@ def test_a_two_dimensional_pool_with_extras_is_the_per_element_loop():
     pool, _ = build_element_pool(F, base, _REF_LADDER, ctx, extra_elements=extras)
     want = _reference_pool(setup_map("spiral", "linf")[0], base, _REF_LADDER, ctx, extras)
     _assert_pool_is_the_reference(pool, want)
+
+
+@pytest.mark.parametrize("mid,kind", [("xsin", "l1"), ("interval", "l1"), ("spiral", "l2"),
+                                      ("square_plus_identity", "linf"), ("inverse_abs", "l2")])
+def test_the_pool_asks_the_normal_oracle_once_per_annulus(mid, kind):
+    F, base, ctx = setup_map(mid, kind)
+    calls = []
+    normals = F.analytic_normals
+
+    def counted(X, Y):
+        calls.append(len(X))
+        return normals(X, Y)
+
+    G = dataclasses.replace(F, analytic_normals=counted)
+    build_element_pool(G, base, _LADDER, ctx)
+    assert len(calls) == _LADDER.depth
+    build_element_pool(G, base, _LADDER.deepen(3), ctx, extra_elements=[
+        CoderivElement(np.full(F.dim_x, 0.1), np.zeros(F.dim_y), np.ones(F.dim_y),
+                       np.ones(F.dim_x))])
+    assert len(calls) == _LADDER.depth + 3  # the new annuli only; extras bring their pairs

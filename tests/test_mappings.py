@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import setup_map
-from subreglab.geometry import NORM_KINDS, NormContext, ScaleLadder, dual_norm, norm, norms
+import subreglab.mappings as mappings
+from subreglab.geometry import (
+    NORM_KINDS,
+    NormContext,
+    ScaleLadder,
+    dual_norm,
+    dual_sphere_grid,
+    norm,
+    norms,
+)
 from subreglab.mappings import (
     GraphPoint,
     _nearest_roots_1d,
@@ -211,6 +220,77 @@ def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
         assert out.shape == ((64, F.dim_y) if name == "func" else (64,)), name
         one = [oracle(*(a[k:k + 1] for a in args)) for k in range(64)]
         assert np.array_equal(_bits(out), _bits(np.concatenate(one))), name
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@pytest.mark.parametrize("mid", ALL_IDS + sorted(_WRAPS))
+def test_every_normal_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
+    F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
+    base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
+    pts = F.sample_graph(base, 0.01, 0.5, 32, 5)[:40] + [base]  # abs has no pairs at the base
+    X = np.array([p.x for p in pts]).reshape(len(pts), F.dim_x)
+    Y = np.array([p.y for p in pts]).reshape(len(pts), F.dim_y)
+    owner, X_star, Y_star = F.analytic_normals(X, Y)
+    assert X_star.shape == (len(owner), F.dim_x) and Y_star.shape == (len(owner), F.dim_y)
+    assert np.all(np.diff(owner) >= 0) and len(owner) > 0
+    for k in range(len(X)):
+        one, xs, ys = F.analytic_normals(X[k:k + 1], Y[k:k + 1])
+        assert not one.any()
+        assert np.array_equal(_bits(xs), _bits(X_star[owner == k])), k
+        assert np.array_equal(_bits(ys), _bits(Y_star[owner == k])), k
+    empty = F.analytic_normals(X[:0], Y[:0])
+    assert [a.shape for a in empty] == [(0,), (0, F.dim_x), (0, F.dim_y)]
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@pytest.mark.parametrize("dy,dx", [(1, 1), (2, 2), (3, 3), (1, 2), (2, 1)])
+def test_graph_normals_are_the_per_pair_products_bit_for_bit(kind, dy, dx):
+    """A function graph's pairs are (g.T @ eta, eta) and a sum's are (x* +
+    g.T @ y*, y*), each product on its own, though both are stacked."""
+    rng = np.random.default_rng(7 * dy + dx)
+    M, N = _signed_magnitudes(rng, (dy, dx)), _signed_magnitudes(rng, (dy, dx), zeros=0.1)
+
+    def grad(x):  # a Jacobian that changes from row to row; none where x[0] < -0.4
+        return None if x[0] < -0.4 else M * math.sin(50.0 * x[0]) + N
+
+    F = make_function_graph(lambda X: np.zeros((len(X), dy)), grad=grad, dim_x=dx, dim_y=dy,
+                            kind=kind)
+    X = rng.uniform(-0.5, 0.5, (400, dx))
+    Y = np.zeros((400, dy))
+    etas = dual_sphere_grid(kind, dy, 8)
+    owner, X_star, Y_star = F.analytic_normals(X, Y)
+    want = [(k, g.T @ eta, eta) for k, x in enumerate(X) if (g := grad(x)) is not None
+            for eta in etas]
+    assert owner.tolist() == [k for k, _, _ in want]
+    assert np.array_equal(_bits(X_star), _bits([a for _, a, _ in want]))
+    assert np.array_equal(_bits(Y_star), _bits([b for _, _, b in want]))
+    # the sum of F and a linear map: F's pairs at (x, y - Ax) shifted by A.T @ y*
+    A = make_linear_map(_signed_magnitudes(rng, (dy, dx)), kind)
+    S = sum_with_function(F, A)
+    Y = rng.uniform(-0.5, 0.5, (400, dy))
+    owner, X_star, Y_star = S.analytic_normals(X, Y)
+    a = A.grad(X[0])
+    want = [(k, xs + a.T @ ys, ys) for k, (x, y) in enumerate(zip(X, Y))
+            for xs, ys in zip(*F.analytic_normals(x[None], (y - a @ x)[None])[1:])]
+    assert owner.tolist() == [k for k, _, _ in want]
+    assert np.array_equal(_bits(X_star), _bits([p for _, p, _ in want]))
+    assert np.array_equal(_bits(Y_star), _bits([q for _, _, q in want]))
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_the_inverse_of_a_scalar_graph_takes_its_rows_in_one_fallback_call(kind, monkeypatch):
+    F, _ = resolve_map_spec({"id": "xsin"}, kind=kind)
+    G = inverse(F)
+    rng = np.random.default_rng(5)
+    U = np.concatenate([[[0.1], [-0.2], [0.0]], rng.uniform(-0.5, 0.5, (21, 1))])
+    V = np.concatenate([F.func(U[:12]), rng.uniform(-0.5, 0.5, (12, 1))])
+    want = [preimage_distance_fallback(F, v, u) for u, v in zip(U, V)]
+    calls = []
+    batched = mappings.preimage_distances_fallback
+    monkeypatch.setattr(mappings, "preimage_distances_fallback",
+                        lambda *a: calls.append(1) or batched(*a))
+    assert np.array_equal(_bits(G.image_distance(U, V)), _bits(want))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", NORM_KINDS)

@@ -17,7 +17,7 @@ from subreglab.mappings import (
 )
 from subreglab.moduli import (
     CONSTANT_KINDS,
-    ElementRecord,
+    ElementRecords,
     Estimate,
     _pool_scales,
     check_relations,
@@ -32,7 +32,6 @@ from subreglab.moduli import (
     subregularity_consistency,
 )
 from subreglab.perturb import _collect_candidates
-from subreglab.variational import CoderivElement
 
 
 def _finalized(vals, radii=None):
@@ -733,7 +732,10 @@ def test_pool_candidate_bits_are_pinned(case):
 
 
 # estimate_constant as it was written with per-record loops: the reference
-# for the masked reduction
+# for the masked reduction, on records (t, ratio, xn, q, eps, x) one by one
+_Record = dataclasses.make_dataclass("_Record", ["t", "ratio", "xn", "q", "eps", "x"])
+
+
 def _ref_eligible(rec, kind, r):
     if rec.eps > r:
         return False
@@ -753,7 +755,7 @@ def _ref_objective(rec, kind):
 
 
 def _ref_bucket_key(rec, base, width=0.25):
-    u = (rec.elem.x - base.x) / rec.t
+    u = (rec.x - base.x) / rec.t
     return tuple(int(round(float(c) / width)) for c in u)
 
 
@@ -803,18 +805,28 @@ def _random_pool(rng, ladder, base):
                  ladder.radius(k), 0.7 * ladder.radius(k)][int(rng.integers(0, 5))]
             a = rng.uniform(0.0, 2.0 * math.pi)
             x = base.x + t * np.array([math.cos(a), math.sin(a)])
-            recs.append(ElementRecord(
+            recs.append(_Record(
                 t=t, ratio=values[rng.integers(0, len(values))],
                 xn=values[rng.integers(0, len(values))], q=small[rng.integers(0, len(small))],
-                eps=small[rng.integers(0, len(small))],
-                elem=CoderivElement(x, np.zeros(1), np.ones(1), np.zeros(2))))
+                eps=small[rng.integers(0, len(small))], x=x))
         pool.append(recs)
     return pool
 
 
+def _columns(recs):
+    """The records of one annulus as ElementRecords, x* = 0 and y* = 1."""
+    m = len(recs)
+    return ElementRecords(
+        *(np.array([getattr(rec, a) for rec in recs], dtype=float)
+          for a in ("t", "ratio", "xn", "q", "eps")),
+        x=np.array([rec.x for rec in recs], dtype=float).reshape(m, 2), y=np.zeros((m, 1)),
+        x_star=np.zeros((m, 2)), y_star=np.ones((m, 1)))
+
+
 def _check_constant(kind, pool, ladder, base):
     want, witness = _ref_constant(kind, pool, ladder, base)
-    est = estimate_constant(kind, pool, ladder, NormContext("l2", 2, 1))
+    est = estimate_constant(kind, [_columns(recs) for recs in pool], ladder,
+                            NormContext("l2", 2, 1))
     assert [r for r, _ in est.per_scale] == [r for r, _ in want]
     assert _hexes(v for _, v in est.per_scale) == _hexes(v for _, v in want), (kind, pool)
     if witness is None or kind in ("hatsrg", "hatsrgp"):
@@ -822,7 +834,7 @@ def _check_constant(kind, pool, ladder, base):
     else:
         assert len(est.witnesses) == 1
         w = est.witnesses[0]
-        assert w["x"] == witness.elem.x.tolist()
+        assert w["x"] == witness.x.tolist()
         assert _hexes([w["t"], w["ratio"], w["xn"], w["q"]]) == \
             _hexes([witness.t, witness.ratio, witness.xn, witness.q])
 
