@@ -185,13 +185,11 @@ def make_function_graph(
     etas.flags.writeable = False  # its rows are the y* of every call of normals
 
     def normals(X, Y):
-        owner, G = _jacobians(gv, X)
-        if not len(owner):
-            return _no_normals(dim_x, dim_y)
+        owner, G = _jacobians(gv, X, dim_x, dim_y)
         # (n, 1, dim_x, dim_y) against (1, 8, dim_y, 1): g.T @ eta for each
         # row and eta; etas @ G would round differently
         X_star = np.matmul(np.swapaxes(G, 1, 2)[:, None], etas[None, :, :, None])
-        return (np.repeat(owner, len(etas)), X_star.reshape(-1, G.shape[2]),
+        return (np.repeat(owner, len(etas)), X_star.reshape(-1, dim_x),
                 np.tile(etas, (len(owner), 1)))
 
     return SetValuedMap(
@@ -230,18 +228,13 @@ def _point_rows(F: SetValuedMap, pts: list[GraphPoint]) -> tuple[np.ndarray, np.
             np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y))
 
 
-def _jacobians(gv: Callable, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobians(gv: Callable, X: np.ndarray, dim_x: int, dim_y: int
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of X where gv gives a Jacobian, and those Jacobians stacked
     (n, dim_y, dim_x); gv is called once per row."""
     rows = [(k, g) for k, g in enumerate(map(gv, X)) if g is not None]
-    if not rows:
-        return np.zeros(0, dtype=int), np.zeros((0, 0, 0))
-    owner, G = zip(*rows)
-    return np.array(owner), np.stack(G)
-
-
-def _no_normals(dim_x: int, dim_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.zeros(0, dtype=int), np.zeros((0, dim_x)), np.zeros((0, dim_y))
+    return (np.array([k for k, _ in rows], dtype=int),
+            np.array([g for _, g in rows], dtype=float).reshape(len(rows), dim_y, dim_x))
 
 
 def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
@@ -250,11 +243,9 @@ def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
 
     def lifted(X, Y):
         pairs = [(k, xs, ys) for k, (x, y) in enumerate(zip(X, Y)) for xs, ys in fn(x, y)]
-        if not pairs:
-            return _no_normals(dim_x, dim_y)
-        owner, xs, ys = zip(*pairs)
-        return (np.array(owner), np.array(xs, dtype=float).reshape(len(owner), dim_x),
-                np.array(ys, dtype=float).reshape(len(owner), dim_y))
+        return (np.array([k for k, _, _ in pairs], dtype=int),
+                np.array([xs for _, xs, _ in pairs], dtype=float).reshape(len(pairs), dim_x),
+                np.array([ys for _, _, ys in pairs], dtype=float).reshape(len(pairs), dim_y))
 
     return lifted
 
@@ -728,9 +719,7 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         return shifted(F.sample_graph(inner_center, r_inner, r_outer, n, seed))
 
     def normals(X, Y):
-        rows, G = _jacobians(gv, X)
-        if not len(rows):
-            return _no_normals(F.dim_x, F.dim_y)
+        rows, G = _jacobians(gv, X, F.dim_x, F.dim_y)
         owner, X_star, Y_star = F.analytic_normals(X[rows], Y[rows] - fv(X[rows]))
         shift = np.matmul(np.swapaxes(G[owner], 1, 2), Y_star[..., None])[..., 0]
         return rows[owner], X_star + shift, Y_star

@@ -171,7 +171,7 @@ def _graph_records(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: f
     for k in np.flatnonzero(yn > 0.0):
         y_star[k] = norming_functional(dy[k], ctx.kind)
     zero = np.zeros(len(t))
-    return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero.copy(), eps=zero.copy(), x=X, y=Y,
+    return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero, eps=zero, x=X, y=Y,
                           x_star=np.zeros_like(X), y_star=y_star)
 
 
