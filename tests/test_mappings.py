@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from subreglab.mappings import (
     _rows,
     anchored,
     catalog,
+    graph_annuli,
     inverse,
     make_function_graph,
     make_linear_map,
@@ -488,3 +491,38 @@ def test_feature_points_respect_the_cap():
     pts = F.feature_points(np.zeros(1), 1e-4, 2e-4)
     assert len(pts) <= 24
     assert len(pts) > 0
+
+
+# the rows X and Y of graph_annuli (tag 61, depth 6, 32 samples, seed 7) as
+# hex floats, kept in sample_pins.json under "map/norm": every catalog map,
+# the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
+_SAMPLE_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
+_SAMPLE_PIN = json.loads((Path(__file__).parent / "sample_pins.json").read_text())
+# square with anchors in four of the six annuli, and one (0.9) beyond them
+_ANCHORS = [(np.array([x]), np.array([x * x])) for x in (0.3, -0.2, 0.04, -0.01, 0.9)]
+
+
+def _sample_map(mid, kind):
+    """(map, base) of a sample_pins.json key's map."""
+    if mid == "anchored":
+        return anchored(make_square(kind), _ANCHORS), GraphPoint([0.0], [0.0])
+    if mid == "square_off_origin":
+        return make_square(kind), GraphPoint([0.5], [0.25])
+    F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
+    return F, GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
+
+
+def _sample_dump(F, base):
+    out = []
+    for _, _, _, pts in graph_annuli(F, base, _SAMPLE_LADDER, 61):
+        X = np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x)
+        Y = np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y)
+        out.append({"X": [[float(v).hex() for v in row] for row in X],
+                    "Y": [[float(v).hex() for v in row] for row in Y]})
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(_SAMPLE_PIN))
+def test_graph_samples_are_pinned(key):
+    mid, kind = key.split("/")
+    assert _sample_dump(*_sample_map(mid, kind)) == _SAMPLE_PIN[key]
