@@ -60,7 +60,7 @@ __all__ = [
 
 @dataclass
 class GraphPoint:
-    """A point (x, y) of the graph of a set-valued map."""
+    """A point (x, y) of the graph of a set-valued map: the estimators' base point."""
 
     x: np.ndarray
     y: np.ndarray
@@ -83,10 +83,13 @@ class SetValuedMap:
     returns the (n, dim_y) values f(X[k]). Row k of every result depends on
     row k of the arguments alone, so it has the bits of the one-row call.
 
-    sample_graph(center, r_inner, r_outer, n, seed) returns graph points
-    whose x lies in the annulus around center.x (maps with vertical
-    structure also return same-x points with y in the annulus around
-    center.y).
+    sample_graph(center, r_inner, r_outer, n, seed) returns graph points as
+    rows (X, Y), X of shape (m, dim_x) and Y of shape (m, dim_y), with X[k]
+    in the annulus around center.x (maps with vertical structure also
+    return same-x points with Y[k] in the annulus around center.y). A sample
+    with no point is a pair of arrays of shape (0, dim_x) and (0, dim_y).
+    Callers unpack the pair, X, Y = ..., and never test its type: a wrapper
+    of the sampler may hand it on as a two-item list.
 
     analytic_normals(X, Y) takes rows of graph points and returns (owner,
     X_star, Y_star): representative pairs (x*, y*), one per row of X_star
@@ -99,7 +102,8 @@ class SetValuedMap:
     dual_sphere_grid. It is the only source of coderivative elements, and
     None on a map without one. feature_points(base_x, r_inner, r_outer)
     enumerates at most _FEATURE_CAP = 24 structural graph points per
-    annulus. grad(x) is the Jacobian at one point.
+    annulus, as rows (X, Y) like sample_graph's, empty ones included.
+    grad(x) is the Jacobian at one point.
 
     memo holds what moduli derives from the map annulus by annulus (graph
     samples, element records), so each annulus is computed once per map. No
@@ -127,19 +131,20 @@ class SetValuedMap:
 
 def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
                  start: int = 0):
-    """Yield (j, inner, outer, points) for each annulus j >= start of the ladder, outermost first.
+    """Yield (j, inner, outer, X, Y) for each annulus j >= start of the ladder, outermost first.
 
-    points is the map's graph sample of the annulus, drawn with seed
-    ladder.scale_seed(j, tag), followed by its feature points. Neither
-    depends on the ladder's depth, so a deepened ladder yields the same
-    annuli first. One annulus is held at a time.
+    The rows X (m, dim_x) and Y (m, dim_y) are the map's graph sample of the
+    annulus, drawn with seed ladder.scale_seed(j, tag), followed by its
+    feature points. Neither depends on the ladder's depth, so a deepened
+    ladder yields the same annuli first. One annulus is held at a time.
     """
     for j, (inner, outer) in enumerate(ladder.annuli()[start:], start):
-        pts = list(F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                                  ladder.scale_seed(j, tag)))
+        X, Y = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
+                              ladder.scale_seed(j, tag))
         if F.feature_points is not None:
-            pts.extend(F.feature_points(base.x, inner, outer))
-        yield j, inner, outer, pts
+            FX, FY = F.feature_points(base.x, inner, outer)
+            X, Y = np.concatenate([X, FX]), np.concatenate([Y, FY])
+        yield j, inner, outer, X, Y
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +183,8 @@ def make_function_graph(
         return norms(Y - f(X), kind)
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        xs = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
-        return [GraphPoint(x, y) for x, y in zip(xs, f(xs))]
+        X = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
+        return X, f(X)
 
     etas = dual_sphere_grid(kind, dim_y, 8)
     etas.flags.writeable = False  # its rows are the y* of every call of normals
@@ -222,12 +227,6 @@ def _rows(fn: Callable, *shape: int) -> Callable:
     return lifted
 
 
-def _point_rows(F: SetValuedMap, pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y of the graph points as rows (n, dim_x) and (n, dim_y)."""
-    return (np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x),
-            np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y))
-
-
 def _jacobians(gv: Callable, X: np.ndarray, dim_x: int, dim_y: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of X where gv gives a Jacobian, and those Jacobians stacked
@@ -248,12 +247,6 @@ def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
                 np.array([ys for _, _, ys in pairs], dtype=float).reshape(len(pairs), dim_y))
 
     return lifted
-
-
-def _graph_points(f: Callable, xs: list[float]) -> list[GraphPoint]:
-    """The graph points (x, f(x)) of a scalar function at the numbers xs, f called once."""
-    X = np.array(xs, dtype=float).reshape(len(xs), 1)
-    return [GraphPoint(x, y) for x, y in zip(X, f(X))]
 
 
 def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMap:
@@ -400,7 +393,7 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
         u = 1.0 / xv
         return [[math.sin(u) - u * math.cos(u)]]
 
-    def features(base_x, r_inner, r_outer):
+    def fibers(base_x, r_inner, r_outer) -> list[float]:
         bx = float(np.atleast_1d(base_x)[0])
         if abs(bx) > 1e-12 or r_inner <= 0:
             return []
@@ -434,7 +427,11 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
                         u = u - h / dh
                 if u_lo <= u <= u_hi:
                     xs.append(sign / u)
-        return _graph_points(f, xs)
+        return xs
+
+    def features(base_x, r_inner, r_outer):
+        X = np.array(fibers(base_x, r_inner, r_outer), dtype=float).reshape(-1, 1)
+        return X, f(X)
 
     return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features)
 
@@ -465,7 +462,7 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
 
     theta_min = math.atan(-0.5)  # argmin of max(|sin|, |sin + cos|)
 
-    def features(base_x, r_inner, r_outer):
+    def fibers(base_x, r_inner, r_outer) -> list[float]:
         bx = float(np.atleast_1d(base_x)[0])
         if abs(bx) > 1e-12 or r_inner <= 0:
             return []
@@ -478,7 +475,11 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
                 ms = list(ms)
                 for i in _stride_indices(len(ms), per):
                     xs.append(sign * math.exp(off + ms[i] * math.pi))
-        return _graph_points(f, xs)
+        return xs
+
+    def features(base_x, r_inner, r_outer):
+        X = np.array(fibers(base_x, r_inner, r_outer), dtype=float).reshape(-1, 1)
+        return X, f(X)
 
     return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features)
 
@@ -564,9 +565,8 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         cx = float(center.x[0])
         cy = float(center.y[0])
-        pts = []
-        for x in sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind):
-            pts.append(GraphPoint(x, x.copy()))
+        diagonal = sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind)
+        xy: list[tuple[float, float]] = []  # the fiber points
         # vertical fibers whose foot lies in the x-annulus
         for lo, hi in ((cx + r_inner, cx + r_outer), (cx - r_outer, cx - r_inner)):
             a, b = max(lo, 1e-300), hi
@@ -579,11 +579,10 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
             for i in _stride_indices(len(ks), 12):
                 k = ks[i]
                 xk = 1.0 / k
-                for yv in (0.0, xk, -xk, 0.5 * xk, -0.5 * xk):
-                    pts.append(GraphPoint(np.array([xk]), np.array([yv])))
+                xy += [(xk, yv) for yv in (0.0, xk, -xk, 0.5 * xk, -0.5 * xk)]
                 for j in range(3):
                     yv = (2.0 * float(u[3 * i % len(u), 0] + 0.31 * j) % 2.0 - 1.0) * xk
-                    pts.append(GraphPoint(np.array([xk]), np.array([yv])))
+                    xy.append((xk, yv))
         # same-x fiber around a vertical center
         kc = recip_k(cx)
         if kc:
@@ -592,14 +591,15 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
             for j in range(8):
                 yv = cy + (r_outer - (r_outer - r_inner) * float(u[j, 0])) * (1 if j % 2 else -1)
                 if -xk <= yv <= xk:
-                    pts.append(GraphPoint(np.array([cx]), np.array([yv])))
-        return pts
+                    xy.append((cx, yv))
+        P = np.array(xy, dtype=float).reshape(-1, 2)
+        return np.concatenate([diagonal, P[:, :1]]), np.concatenate([diagonal, P[:, 1:]])
 
     def features(base_x, r_inner, r_outer):
         bx = float(np.atleast_1d(base_x)[0])
-        pts = []
         if abs(bx) > 1e-12:
-            return pts
+            return np.zeros((0, 1)), np.zeros((0, 1))
+        xy: list[tuple[float, float]] = []
         a, b = max(r_inner, 1e-300), r_outer
         # implicit index range: at fine scales floor(1/a) is astronomically
         # large and must never be turned into a list
@@ -610,9 +610,9 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
             xk = 1.0 / (k_lo + i)
             if not (a < xk <= b):
                 continue
-            for yv in (0.0, xk, -xk):
-                pts.append(GraphPoint(np.array([xk]), np.array([yv])))
-        return pts
+            xy += [(xk, yv) for yv in (0.0, xk, -xk)]
+        P = np.array(xy, dtype=float).reshape(-1, 2)
+        return P[:, :1], P[:, 1:]
 
     def normals(x, y):
         xv = float(x[0])
@@ -653,17 +653,16 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         cx = float(center.x[0])
         cy = float(center.y[0])
-        pts = []
-        for x in sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind):
-            if float(x[0]) > 0.0:
-                pts.append(GraphPoint(x, np.array([0.0])))
+        X = sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind)
+        X = X[X[:, 0] > 0.0]  # the horizontal ray
+        s = np.zeros(0)  # the vertical ray's y
         if abs(cx) <= r_outer:
-            u = r2_lattice(max(2, n // 2), 1, derive_seed(seed, 3))
-            for j in range(len(u)):
-                s = cy + (r_outer - (r_outer - r_inner) * float(u[j, 0])) * (1 if j % 2 else -1)
-                if s >= 0.0:
-                    pts.append(GraphPoint(np.array([0.0]), np.array([s])))
-        return pts
+            u = r2_lattice(max(2, n // 2), 1, derive_seed(seed, 3))[:, 0]
+            sign = np.where(np.arange(len(u)) % 2, 1.0, -1.0)
+            s = cy + (r_outer - (r_outer - r_inner) * u) * sign
+            s = s[s >= 0.0]
+        return (np.concatenate([X, np.zeros((len(s), 1))]),
+                np.concatenate([np.zeros_like(X), s[:, None]]))
 
     def normals(x, y):
         xv = float(x[0])
@@ -708,15 +707,12 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     def image_distance(X, Y):
         return F.image_distance(X, Y - fv(X))
 
-    def shifted(pts):
-        # the points (x, y + f(x)), f called once
-        if not pts:
-            return []
-        return [GraphPoint(p.x, p.y + v) for p, v in zip(pts, fv(np.array([p.x for p in pts])))]
+    def shifted(X, Y):
+        return X, Y + fv(X)
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         inner_center = GraphPoint(center.x, center.y - fv(center.x[None])[0])
-        return shifted(F.sample_graph(inner_center, r_inner, r_outer, n, seed))
+        return shifted(*F.sample_graph(inner_center, r_inner, r_outer, n, seed))
 
     def normals(X, Y):
         rows, G = _jacobians(gv, X, F.dim_x, F.dim_y)
@@ -725,7 +721,7 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         return rows[owner], X_star + shift, Y_star
 
     def features(base_x, r_inner, r_outer):
-        return shifted(F.feature_points(base_x, r_inner, r_outer))
+        return shifted(*F.feature_points(base_x, r_inner, r_outer))
 
     def func(X):
         return F.func(X) + fv(X)
@@ -754,19 +750,19 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
 
 def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
     """F whose sampler also returns the (x, y) graph points anchors whose x
-    lies in the requested annulus, after its own sample.
+    lies in the requested annulus, after its own sample and in their order.
 
     Constructed witness points are measure-zero in their annuli; anchoring
     them keeps them visible to the estimators.
     """
-    anchor_pts = [GraphPoint(a, b) for a, b in anchors]
+    AX = np.array([a for a, _ in anchors], dtype=float).reshape(len(anchors), F.dim_x)
+    AY = np.array([b for _, b in anchors], dtype=float).reshape(len(anchors), F.dim_y)
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        pts = list(F.sample_graph(center, r_inner, r_outer, n, seed))
-        for a in anchor_pts:
-            if r_inner < norm(a.x - center.x, F.kind) <= r_outer:
-                pts.append(GraphPoint(a.x.copy(), a.y.copy()))
-        return pts
+        X, Y = F.sample_graph(center, r_inner, r_outer, n, seed)
+        t = norms(AX - center.x, F.kind)
+        inside = (r_inner < t) & (t <= r_outer)
+        return np.concatenate([X, AX[inside]]), np.concatenate([Y, AY[inside]])
 
     return replace(F, sample_graph=sample)
 
@@ -774,9 +770,10 @@ def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
 def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     """The inverse map, with image/preimage distances swapped exactly.
 
-    The sampler reuses F's sampler over a spread of shells and filters to
-    the requested annulus in the swapped coordinate, so annuli fill only
-    approximately for strongly nonlinear maps.
+    The sampler reuses F's sampler over a spread of shells, asking each
+    for max(1, n // 2) points, and filters to the requested annulus in the
+    swapped coordinate, so annuli fill only approximately for strongly
+    nonlinear maps.
     """
 
     def image_distance(U, V):
@@ -791,17 +788,18 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
 
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
         inner_center = GraphPoint(center.y, center.x)
-        pts = []
+        us, vs = [], []  # the swapped rows (y, x) of each shell inside the annulus
         shells = [(r_inner, r_outer), (r_inner * 0.25, r_outer), (r_inner, r_outer * 4.0),
                   (r_inner * 0.0625, r_outer * 2.0)]
         for i, (a, b) in enumerate(shells):
-            for p in F.sample_graph(inner_center, a, b, n // 2, derive_seed(seed, i)):
-                t = norm(p.y - center.x, F.kind)
-                if r_inner < t <= r_outer:
-                    pts.append(GraphPoint(p.y, p.x))
-            if len(pts) >= n:
+            X, Y = F.sample_graph(inner_center, a, b, max(1, n // 2), derive_seed(seed, i))
+            t = norms(Y - center.x, F.kind)
+            inside = (r_inner < t) & (t <= r_outer)
+            us.append(Y[inside])
+            vs.append(X[inside])
+            if sum(map(len, us)) >= n:
                 break
-        return pts[: 2 * n]
+        return np.concatenate(us)[:2 * n], np.concatenate(vs)[:2 * n]
 
     def normals(U, V):
         owner, X_star, Y_star = F.analytic_normals(V, U)

@@ -37,7 +37,6 @@ from .geometry import NormContext, ScaleLadder, dual_kind, norms, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
-    _point_rows,
     graph_annuli,
     preimage_distance_fallback,
     preimage_distances_fallback,
@@ -165,8 +164,7 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                  ctx: NormContext) -> Estimate:
     """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points."""
     per_annulus: list[list[float]] = []
-    for _, _, _, pts in graph_annuli(F, base, ladder, 31):
-        X, Y = _point_rows(F, pts)
+    for _, _, _, X, Y in graph_annuli(F, base, ladder, 31):
         t = norms(X - base.x, ctx.kind)
         off = t != 0.0
         xb = np.repeat(base.x[None], off.sum(), 0)
@@ -186,13 +184,12 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     construction.
     """
     per_annulus: list[list[float]] = []
-    for _, _, _, pts in graph_annuli(F, base, ladder, 37):
-        X, Y = _point_rows(F, pts)
+    for _, _, _, X, Y in graph_annuli(F, base, ladder, 37):
         t = norms(X - base.x, ctx.kind)
         off = t > 0.0
-        n = len(pts)
+        n = len(X)
         if F.dim_x == 1:
-            order = sorted(range(n), key=lambda i: float(X[i, 0]))
+            order = np.argsort(X[:, 0], kind="stable")
             p, q = order[:-1], order[1:]
         else:
             p, q = [*range(n - 1), *range(n - 7)], [*range(1, n), *range(7, n)]
@@ -320,8 +317,7 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     """
     points: list[tuple] = []  # the (X, Y) rows of the graph points off the base, per annulus
     per_annulus: list[list[float]] = []
-    for _, _, _, pts in graph_annuli(F, base, ladder, 53):
-        X, Y = _point_rows(F, pts)
+    for _, _, _, X, Y in graph_annuli(F, base, ladder, 53):
         t = norms(X - base.x, ctx.kind)
         off = t != 0.0
         points.append((X[off], Y[off]))
@@ -419,8 +415,9 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
 def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: ScaleLadder,
                  tag: int, what: str, make) -> list:
     """F's memo of what on the tag's graph sample around base, one entry per
-    annulus of the ladder, grown by make(j, inner, outer, points) for each
-    annulus it lacks.
+    annulus of the ladder, grown by make(j, inner, outer, X, Y) for each
+    annulus it lacks, X and Y the rows of its graph points (see
+    graph_annuli).
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
@@ -430,8 +427,8 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: Sc
     """
     done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ctx, ladder.r0, ladder.theta,
                               ladder.samples_per_scale, ladder.seed, tag, what), [])
-    for j, inner, outer, pts in graph_annuli(F, base, ladder, tag, start=len(done)):
-        done.append(make(j, inner, outer, pts))
+    for j, inner, outer, X, Y in graph_annuli(F, base, ladder, tag, start=len(done)):
+        done.append(make(j, inner, outer, X, Y))
     return done[:ladder.depth]
 
 
@@ -464,8 +461,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, 8)).encode())
 
-    def make(j, inner, outer, pts):
-        X, Y = _point_rows(F, pts)
+    def make(j, inner, outer, X, Y):
         if F.analytic_normals is None:
             owner, X_star, Y_star = np.zeros(0, dtype=int), X[:0], Y[:0]
         else:

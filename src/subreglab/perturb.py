@@ -49,7 +49,6 @@ from .geometry import (
 from .mappings import (
     GraphPoint,
     SetValuedMap,
-    _point_rows,
     _rows,
     anchored,
     make_function_graph,
@@ -153,11 +152,11 @@ def _cand_order(c: dict) -> tuple:
     return (c["obj"], -float(c["u"][0]), -c["t"])
 
 
-def _graph_records(F: SetValuedMap, base: GraphPoint, ctx: NormContext, inner: float,
-                   outer: float, pts: list[GraphPoint], cut: float) -> ElementRecords:
-    """The ssr records of one annulus: its graph points with ratio at most
-    cut, x* = 0 and y* the norming functional of y - yb (e_1 at y = yb)."""
-    X, Y = _point_rows(F, pts)
+def _graph_records(base: GraphPoint, ctx: NormContext, inner: float, outer: float,
+                   X: np.ndarray, Y: np.ndarray, cut: float) -> ElementRecords:
+    """The ssr records of one annulus: its graph points (X, Y) with ratio
+    at most cut, x* = 0 and y* the norming functional of y - yb (e_1 at y =
+    yb)."""
     t = norms(X - base.x, ctx.kind)
     inside = (inner < t) & (t <= outer) & (t > 0.0)
     X, Y, t = X[inside], Y[inside], t[inside]
@@ -191,8 +190,8 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
         graph = _memo_annuli(F, base, ctx, ladder, 71, "graph", lambda *annulus: annulus)
-        annuli = [(j, _graph_records(F, base, ctx, inner, outer, pts, cut))
-                  for j, inner, outer, pts in graph[start:]]
+        annuli = [(j, _graph_records(base, ctx, inner, outer, X, Y, cut))
+                  for j, inner, outer, X, Y in graph[start:]]
     else:
         records, _ = build_element_pool(F, base, ladder, ctx)
         annuli = [(j, records[j]) for j in range(start, ladder.depth)]

@@ -25,7 +25,7 @@ from .geometry import (
     norms,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, _point_rows, graph_annuli
+from .mappings import GraphPoint, SetValuedMap, graph_annuli
 
 __all__ = [
     "CoderivElement",
@@ -131,10 +131,9 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     """
     dual = dual_kind(ctx.kind)
     cols: list[tuple] = []  # (x, y, x*, y*, dist, q) of each annulus's elements
-    for _, _, _, pts in graph_annuli(F, base, ladder, 17):
+    for _, _, _, X, Y in graph_annuli(F, base, ladder, 17):
         if F.analytic_normals is None:
             continue
-        X, Y = _point_rows(F, pts)
         owner, X_star, Y_star = F.analytic_normals(X, Y)
         # ctx.product_norm(x - xb, y - yb), once per point
         dist = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]

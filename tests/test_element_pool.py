@@ -214,7 +214,8 @@ def _fields(annulus):
 
 def _reference_pool(F, base, ladder, ctx, extras=()):
     pool = []
-    for j, inner, outer, pts in graph_annuli(F, base, ladder, 61):
+    for j, inner, outer, X, Y in graph_annuli(F, base, ladder, 61):
+        pts = [GraphPoint(x, y) for x, y in zip(X, Y)]
         groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
                   for gp in pts]
         groups += [(e.x, e.y, [(e.x_star, e.y_star, e.eps)]) for e in extras

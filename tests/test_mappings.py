@@ -55,16 +55,6 @@ def test_catalog_base_points_lie_on_the_graph(mid):
     assert _one(F.image_distance, np.zeros(F.dim_x), np.zeros(F.dim_y)) == 0.0
 
 
-@pytest.mark.parametrize("mid", ALL_IDS)
-def test_catalog_sample_graph_returns_graph_points(mid):
-    F, _ = resolve_map_spec({"id": mid})
-    base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    pts = F.sample_graph(base, 0.0625, 0.125, 40, seed=3)
-    assert len(pts) > 0
-    for gp in pts:
-        assert _one(F.image_distance, gp.x, gp.y) <= 1e-7, (mid, gp.x, gp.y)
-
-
 def test_function_graph_evaluates_and_differentiates():
     F = make_function_graph(lambda X: X ** 2,
                             grad=lambda x: np.array([[2.0 * x[0]]]),
@@ -209,10 +199,11 @@ _WRAPS = {"sum": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}
 def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
     F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
     base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    pts = F.sample_graph(base, 0.01, 0.5, 32, 5)[:32]  # pairs on the graph, then off it
+    X, Y = F.sample_graph(base, 0.01, 0.5, 32, 5)
+    X, Y = X[:32], Y[:32]  # pairs on the graph, then off it
     rng = np.random.default_rng(97)
-    X = np.concatenate([[p.x for p in pts], rng.uniform(-0.5, 0.5, (64 - len(pts), F.dim_x))])
-    Y = np.concatenate([[p.y for p in pts], rng.uniform(-0.5, 0.5, (64 - len(pts), F.dim_y))])
+    X = np.concatenate([X, rng.uniform(-0.5, 0.5, (64 - len(X), F.dim_x))])
+    Y = np.concatenate([Y, rng.uniform(-0.5, 0.5, (64 - len(Y), F.dim_y))])
     X[-8:-4], Y[-4:], X[-1] = 0.0, 0.0, -0.0
     for name in ("image_distance", "preimage_distance", "func"):
         oracle = getattr(F, name)
@@ -230,9 +221,9 @@ def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
 def test_every_normal_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
     F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
     base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    pts = F.sample_graph(base, 0.01, 0.5, 32, 5)[:40] + [base]  # abs has no pairs at the base
-    X = np.array([p.x for p in pts]).reshape(len(pts), F.dim_x)
-    Y = np.array([p.y for p in pts]).reshape(len(pts), F.dim_y)
+    X, Y = F.sample_graph(base, 0.01, 0.5, 32, 5)
+    X = np.concatenate([X[:40], base.x[None]])  # abs has no pairs at the base
+    Y = np.concatenate([Y[:40], base.y[None]])
     owner, X_star, Y_star = F.analytic_normals(X, Y)
     assert X_star.shape == (len(owner), F.dim_x) and Y_star.shape == (len(owner), F.dim_y)
     assert np.all(np.diff(owner) >= 0) and len(owner) > 0
@@ -389,19 +380,6 @@ def test_xsin_fallback_resolves_the_reciprocal_fiber():
     assert d == pytest.approx(exact, rel=1e-9)
 
 
-def test_xsin_feature_points_are_structural():
-    F, _, _ = setup_map("xsin")
-    pts = F.feature_points(np.zeros(1), 0.01, 0.02)
-    assert 0 < len(pts) <= 24
-    for gp in pts:
-        xv = abs(float(gp.x[0]))
-        assert 0.01 < xv <= 0.02 + 1e-15
-        assert _one(F.image_distance, gp.x, gp.y) <= 1e-9
-    # the sin-zero family x = 1/(k pi) must be represented
-    has_fiber = any(abs(float(gp.y[0])) <= 1e-12 for gp in pts)
-    assert has_fiber
-
-
 def test_interval_map_semantics():
     F, _, _ = setup_map("interval")
     # x = 1/4 carries the fiber [-x, x]
@@ -445,8 +423,8 @@ def test_sum_with_perturbation_object_and_anchors():
                  [(np.array([0.5]), np.array([0.0]))])
     assert G.func(np.array([[0.5]]))[0, 0] == 0.0
     base = GraphPoint(np.zeros(1), np.zeros(1))
-    pts = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
-    assert any(float(gp.x[0]) == 0.5 for gp in pts)
+    X, _ = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
+    assert 0.5 in X[:, 0]
 
 
 def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
@@ -456,11 +434,11 @@ def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
     G = anchored(F, anchors)
     base = GraphPoint(np.zeros(1), np.zeros(1))
     own = F.sample_graph(base, 0.25, 0.75, 30, 1)
-    pts = G.sample_graph(base, 0.25, 0.75, 30, 1)
+    X, Y = G.sample_graph(base, 0.25, 0.75, 30, 1)
     kept = [anchors[i] for i in (0, 1, 3)]  # 0.9 lies outside the annulus
-    want = [p.x.tolist() for p in own] + [a.tolist() for a, _ in kept]
-    assert [p.x.tolist() for p in pts] == want
-    assert all(p.x is not a and p.y is not b for p, (a, b) in zip(pts[len(own):], kept))
+    assert X.tolist() == own[0].tolist() + [a.tolist() for a, _ in kept]
+    assert Y.tolist() == own[1].tolist() + [b.tolist() for _, b in kept]
+    assert not any(np.shares_memory(X, a) or np.shares_memory(Y, b) for a, b in anchors)
     assert (G.name, G.image_distance, G.analytic_normals) == (F.name, F.image_distance,
                                                               F.analytic_normals)
     assert G.memo == {}  # a map that samples differently starts its own memo
@@ -486,13 +464,6 @@ def test_resolve_map_spec_combinators_and_errors():
         resolve_map_spec({"id": "abs", "wrap": [{"op": "no_such_wrap"}]})
 
 
-def test_feature_points_respect_the_cap():
-    F, _, _ = setup_map("xsin")
-    pts = F.feature_points(np.zeros(1), 1e-4, 2e-4)
-    assert len(pts) <= 24
-    assert len(pts) > 0
-
-
 # the rows X and Y of graph_annuli (tag 61, depth 6, 32 samples, seed 7) as
 # hex floats, kept in sample_pins.json under "map/norm": every catalog map,
 # the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
@@ -514,9 +485,7 @@ def _sample_map(mid, kind):
 
 def _sample_dump(F, base):
     out = []
-    for _, _, _, pts in graph_annuli(F, base, _SAMPLE_LADDER, 61):
-        X = np.array([p.x for p in pts], dtype=float).reshape(len(pts), F.dim_x)
-        Y = np.array([p.y for p in pts], dtype=float).reshape(len(pts), F.dim_y)
+    for _, _, _, X, Y in graph_annuli(F, base, _SAMPLE_LADDER, 61):
         out.append({"X": [[float(v).hex() for v in row] for row in X],
                     "Y": [[float(v).hex() for v in row] for row in Y]})
     return out
@@ -526,3 +495,65 @@ def _sample_dump(F, base):
 def test_graph_samples_are_pinned(key):
     mid, kind = key.split("/")
     assert _sample_dump(*_sample_map(mid, kind)) == _SAMPLE_PIN[key]
+
+
+_FEATURE_ANNULI = [(0.0625, 0.125), (0.01, 0.02), (1e-4, 2e-4)]
+
+
+@pytest.mark.parametrize("mid", ALL_IDS + sorted(_WRAPS) + ["anchored"])
+def test_catalog_sample_graph_returns_graph_points(mid):
+    """The sampler contract, in every norm: sample_graph and feature_points
+    return float rows (X, Y) of the map's dimensions, every row on the
+    graph; feature rows lie in their annulus, at most 24 of them."""
+    for kind in NORM_KINDS:
+        F, base = _sample_map(mid, kind)
+        X, Y = F.sample_graph(base, 0.0625, 0.125, 40, 3)
+        assert len(X) > 0
+        features = [F.feature_points(base.x, *annulus) for annulus in _FEATURE_ANNULI
+                    if F.feature_points is not None]
+        for X, Y in [(X, Y)] + features:
+            assert X.dtype == Y.dtype == np.float64
+            assert X.shape == (len(X), F.dim_x) and Y.shape == (len(X), F.dim_y)
+            assert np.all(F.image_distance(X, Y) <= 1e-7), kind
+        for (inner, outer), (X, Y) in zip(_FEATURE_ANNULI, features):
+            t = norms(X - base.x, kind)
+            assert np.all((inner < t) & (t <= outer * (1 + 1e-12)))
+            assert len(X) <= 24
+            assert np.all(F.image_distance(X, Y) <= 1e-9)
+            if mid == "xsin":  # the sin-zero fibers x = 1/(k pi) are represented
+                assert np.any(np.abs(Y[:, 0]) <= 1e-12)
+
+
+def test_empty_samples_are_rows_that_graph_annuli_concatenates():
+    """Features off the origin, and at r_inner = 0 for xsin and
+    oscillating, are arrays of shape (0, 1), as are the anchors of an
+    annulus that holds none; graph_annuli then yields the sample alone."""
+    for mid in ("xsin", "oscillating", "interval"):
+        F, _, _ = setup_map(mid)
+        cases = [(np.array([0.5]), 0.0625, 0.125)]
+        if mid != "interval":
+            cases.append((np.zeros(1), 0.0, 0.125))
+        for case in cases:
+            assert [a.shape for a in F.feature_points(*case)] == [(0, 1), (0, 1)], (mid, case)
+        base = GraphPoint([0.5], [0.0])  # the samplers read it as the annuli's center
+        ladder = ScaleLadder(depth=3, samples_per_scale=16, seed=7)
+        for j, inner, outer, X, Y in graph_annuli(F, base, ladder, 61):
+            SX, SY = F.sample_graph(base, inner, outer, 16, ladder.scale_seed(j, 61))
+            assert X.tolist() == SX.tolist() and Y.tolist() == SY.tolist()
+    for kind in NORM_KINDS:
+        G, base = _sample_map("anchored", kind)
+        F = make_square(kind)  # no anchor lies in (0.0625, 0.125]
+        got = G.sample_graph(base, 0.0625, 0.125, 32, 5)
+        want = F.sample_graph(base, 0.0625, 0.125, 32, 5)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_the_inverse_samples_at_one_point_per_scale():
+    """Each shell of the inverse's sampler asks for max(1, n // 2) points;
+    with n // 2 the shells drew none at one sample per scale, and the
+    moduli of the inverse read nan."""
+    F, _ = resolve_map_spec(_WRAPS["inverse"])
+    base = GraphPoint(np.zeros(1), np.zeros(1))
+    ladder = ScaleLadder(depth=4, samples_per_scale=1, seed=7)
+    _, _, _, X, Y = next(graph_annuli(F, base, ladder, 31))
+    assert len(X) > 0
