@@ -380,6 +380,17 @@ def test_xsin_fallback_resolves_the_reciprocal_fiber():
     assert d == pytest.approx(exact, rel=1e-9)
 
 
+def test_xsin_feature_points_are_structural():
+    F, _, _ = setup_map("xsin")
+    X, Y = F.feature_points(np.zeros(1), 0.01, 0.02)
+    assert 0 < len(X) <= 24
+    xv = np.abs(X[:, 0])
+    assert np.all((0.01 < xv) & (xv <= 0.02 + 1e-15))
+    assert np.all(F.image_distance(X, Y) <= 1e-9)
+    # the sin-zero family x = 1/(k pi) must be represented
+    assert np.any(np.abs(Y[:, 0]) <= 1e-12)
+
+
 def test_interval_map_semantics():
     F, _, _ = setup_map("interval")
     # x = 1/4 carries the fiber [-x, x]
@@ -462,6 +473,14 @@ def test_resolve_map_spec_combinators_and_errors():
         resolve_map_spec({"id": "no_such_map"})
     with pytest.raises(ValueError):
         resolve_map_spec({"id": "abs", "wrap": [{"op": "no_such_wrap"}]})
+
+
+def test_feature_points_respect_the_cap():
+    F, _, _ = setup_map("xsin")
+    X, Y = F.feature_points(np.zeros(1), 1e-4, 2e-4)
+    assert len(X) == len(Y)
+    assert len(X) <= 24
+    assert len(X) > 0
 
 
 # the rows X and Y of graph_annuli (tag 61, depth 6, 32 samples, seed 7) as
