@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,28 @@ def _build(mid, kind, gamma, seed=7):
     return F, base, ctx, lad, p
 
 
+@functools.cache
+def _verified(mid, kind, gamma):
+    """A BUILD_MATRIX build and its verify_builder report, once per session."""
+    F, base, ctx, lad, p = _build(mid, kind, gamma)
+    return p, verify_builder(p, F, base, lad, ctx)
+
+
+def _hexes(v):
+    return [float(c).hex() for c in np.ravel(v)]
+
+
+def _canon(obj):
+    """obj with every float as its hex string."""
+    if isinstance(obj, dict):
+        return {str(k): _canon(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    return obj.hex() if isinstance(obj, float) else obj
+
+
 def test_witness_extraction_invariants():
     F, base, ctx = setup_map("identity")
     w = extract_witness(F, base, "lip", 2.5, ladder12(), ctx)
@@ -107,8 +131,7 @@ def test_ssr_destabilizer_refuses_below_the_quotient(gamma):
 
 @pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
 def test_builder_matrix_verifies(mid, kind, gamma):
-    F, base, ctx, lad, p = _build(mid, kind, gamma)
-    rep = verify_builder(p, F, base, lad, ctx)
+    _, rep = _verified(mid, kind, gamma)
     assert rep.passed, (rep.notes, rep.destabilization[-3:])
     assert rep.interpolation_max_err <= 1e-14
     assert rep.base_value_err == 0.0
@@ -117,6 +140,29 @@ def test_builder_matrix_verifies(mid, kind, gamma):
     assert rep.gamma_dp < gamma
     finite = [v for _, v in rep.destabilization if not math.isinf(v)]
     assert finite[-1] <= 0.05
+
+
+# every BUILD_MATRIX perturbation, kept in perturbation_pins.json under
+# "map/kind/gamma": its eval and derivative as hex floats (a derivative of
+# None on a seam) at the base, the anchors, the probes, points just inside,
+# on and just outside each bump support and cone cap, and the case-2 cell
+# and floor boundaries; and every field of its verify_builder report
+_PERTURBATION_PIN = json.loads((Path(__file__).parent / "perturbation_pins.json").read_text())
+
+
+@pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
+def test_perturbation_values_are_pinned(mid, kind, gamma):
+    pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
+    p, _ = _verified(mid, kind, gamma)
+    X = np.array([[float.fromhex(c) for c in row] for row in pin["x"]])
+    assert [_hexes(p.eval(x)) for x in X] == pin["eval"]
+    assert [None if (g := p.derivative(x)) is None else _hexes(g) for x in X] == pin["derivative"]
+
+
+@pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
+def test_builder_reports_are_pinned(mid, kind, gamma):
+    _, rep = _verified(mid, kind, gamma)
+    assert _canon(dataclasses.asdict(rep)) == _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]["report"]
 
 
 def test_interpolation_is_bitwise_exact():
