@@ -103,7 +103,10 @@ class SetValuedMap:
     None on a map without one. feature_points(base_x, r_inner, r_outer)
     enumerates at most _FEATURE_CAP = 24 structural graph points per
     annulus, as rows (X, Y) like sample_graph's, empty ones included.
-    grad(x) is the Jacobian at one point.
+    grad(X), for single-valued maps, takes rows and returns (owner, G):
+    owner the ascending rows of X where the map is differentiable, G of
+    shape (len(owner), dim_y, dim_x) their Jacobians, G[i] from row
+    owner[i] alone. A row where it is not (a kink or seam) is absent.
 
     memo holds what moduli derives from the map annulus by annulus (graph
     samples, element records), so each annulus is computed once per map. No
@@ -164,20 +167,20 @@ def make_function_graph(
     """Wrap a single-valued function as a set-valued map via its graph.
 
     f maps rows (n, dim_x) to rows (n, dim_y), row k from row k alone (see
-    SetValuedMap); _rows lifts a function of one point to that form.
-    grad(x) returns the Jacobian at one point as a (dim_y, dim_x) array, or
-    None where f is not differentiable; the normal oracle gives such points
-    no pairs. It is called once per row, and each row's pairs g.T @ eta come
-    from one stacked product, which has the bits of g.T @ eta.
+    SetValuedMap); _rows lifts a function of one point to that form. grad
+    takes rows too and returns (owner, G) as SetValuedMap.grad does; the
+    normal oracle asks it once per call and gives the rows absent from
+    owner no pairs. Each row's pairs g.T @ eta come from one stacked
+    product, which has the bits of g.T @ eta. Without grad the map has no
+    Jacobian at any row.
     """
 
-    def gv(x):
+    def jacobians(X):
         if grad is None:
-            return None
-        g = grad(np.atleast_1d(np.asarray(x, dtype=float)))
-        if g is None:
-            return None
-        return np.atleast_2d(np.asarray(g, dtype=float))
+            return np.zeros(0, dtype=int), np.zeros((0, dim_y, dim_x))
+        owner, G = grad(X)
+        owner = np.asarray(owner, dtype=int)
+        return owner, np.asarray(G, dtype=float).reshape(len(owner), dim_y, dim_x)
 
     def image_distance(X, Y):
         return norms(Y - f(X), kind)
@@ -190,7 +193,7 @@ def make_function_graph(
     etas.flags.writeable = False  # its rows are the y* of every call of normals
 
     def normals(X, Y):
-        owner, G = _jacobians(gv, X, dim_x, dim_y)
+        owner, G = jacobians(X)
         # (n, 1, dim_x, dim_y) against (1, 8, dim_y, 1): g.T @ eta for each
         # row and eta; etas @ G would round differently
         X_star = np.matmul(np.swapaxes(G, 1, 2)[:, None], etas[None, :, :, None])
@@ -206,7 +209,7 @@ def make_function_graph(
         analytic_normals=normals,
         feature_points=features,
         func=f,
-        grad=gv,
+        grad=jacobians,
         name=name,
         kind=kind,
     )
@@ -227,13 +230,9 @@ def _rows(fn: Callable, *shape: int) -> Callable:
     return lifted
 
 
-def _jacobians(gv: Callable, X: np.ndarray, dim_x: int, dim_y: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of X where gv gives a Jacobian, and those Jacobians stacked
-    (n, dim_y, dim_x); gv is called once per row."""
-    rows = [(k, g) for k, g in enumerate(map(gv, X)) if g is not None]
-    return (np.array([k for k, _ in rows], dtype=int),
-            np.array([g for _, g in rows], dtype=float).reshape(len(rows), dim_y, dim_x))
+def _logs(v: np.ndarray) -> np.ndarray:
+    """math.log of each element: np.log may round differently from math.log."""
+    return np.fromiter(map(math.log, v.tolist()), dtype=float, count=len(v))
 
 
 def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
@@ -273,7 +272,10 @@ def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMa
                 pass
         return np.array([_fiber_distance(A, x, y, kind) for x, y in zip(X, Y)], dtype=float)
 
-    return make_function_graph(f, grad=lambda x: A, dim_x=dx, dim_y=dy, kind=kind,
+    def grad(X):
+        return np.arange(len(X)), np.repeat(A[None], len(X), 0)
+
+    return make_function_graph(f, grad=grad, dim_x=dx, dim_y=dy, kind=kind,
                                name=name or "linear", preimage=preimage_distances)
 
 
@@ -314,7 +316,7 @@ def make_zero_map(kind: str = "l1") -> SetValuedMap:
 
     return make_function_graph(
         lambda X: np.zeros((len(X), 1)),
-        grad=lambda x: np.zeros((1, 1)),
+        grad=lambda X: (np.arange(len(X)), np.zeros((len(X), 1, 1))),
         kind=kind,
         name="zero",
         preimage=preimage,
@@ -338,7 +340,7 @@ def make_square(kind: str = "l1") -> SetValuedMap:
 
     return make_function_graph(
         lambda X: X * X,
-        grad=lambda x: [[2.0 * float(x[0])]],
+        grad=lambda X: (np.arange(len(X)), 2.0 * X[:, :, None]),
         kind=kind,
         name="square",
         preimage=preimage,
@@ -346,11 +348,9 @@ def make_square(kind: str = "l1") -> SetValuedMap:
 
 
 def make_abs(kind: str = "l1") -> SetValuedMap:
-    def grad(x):
-        xv = float(x[0])
-        if xv == 0.0:
-            return None
-        return [[1.0 if xv > 0 else -1.0]]
+    def grad(X):
+        owner = np.flatnonzero(X[:, 0] != 0.0)  # the kink at 0 has no Jacobian
+        return owner, np.where(X[owner] > 0, 1.0, -1.0)[:, :, None]
 
     def preimage(X, Y):
         return _nearer(X[:, 0], Y[:, 0], Y[:, 0])
@@ -386,12 +386,11 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
         # np.sin agrees with math.sin bit for bit (tests/test_mappings.py)
         return np.where(nz, z * np.sin(u), 0.0)[:, None]
 
-    def grad(x):
-        xv = float(x[0])
-        if xv == 0.0:
-            return None
-        u = 1.0 / xv
-        return [[math.sin(u) - u * math.cos(u)]]
+    def grad(X):
+        owner = np.flatnonzero(X[:, 0] != 0.0)
+        u = 1.0 / X[owner]
+        # np.cos agrees with math.cos bit for bit too (tests/test_mappings.py)
+        return owner, (np.sin(u) - u * np.cos(u))[:, :, None]
 
     def fibers(base_x, r_inner, r_outer) -> list[float]:
         bx = float(np.atleast_1d(base_x)[0])
@@ -448,17 +447,13 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
         z = X[:, 0]
         out = np.zeros_like(z)
         nz = z != 0.0
-        # math.log per point: np.log may round differently from math.log
-        logs = np.fromiter(map(math.log, np.abs(z[nz]).tolist()), dtype=float)
-        out[nz] = z[nz] * np.sin(logs)
+        out[nz] = z[nz] * np.sin(_logs(np.abs(z[nz])))
         return out[:, None]
 
-    def grad(x):
-        xv = float(x[0])
-        if xv == 0.0:
-            return None
-        th = math.log(abs(xv))
-        return [[math.sin(th) + math.cos(th)]]
+    def grad(X):
+        owner = np.flatnonzero(X[:, 0] != 0.0)
+        th = _logs(np.abs(X[owner, 0]))
+        return owner, (np.sin(th) + np.cos(th))[:, None, None]
 
     theta_min = math.atan(-0.5)  # argmin of max(|sin|, |sin + cos|)
 
@@ -495,9 +490,10 @@ def make_spiral(kind: str = "l2") -> SetValuedMap:
         a, b = X[:, 0], X[:, 1]
         return np.stack([a * a - b * b, 2.0 * a * b], axis=1)
 
-    def grad(x):
-        a, b = float(x[0]), float(x[1])
-        return [[2.0 * a, -2.0 * b], [2.0 * b, 2.0 * a]]
+    def grad(X):
+        a, b = X[:, 0], X[:, 1]
+        G = np.stack([2.0 * a, -2.0 * b, 2.0 * b, 2.0 * a], axis=1)
+        return np.arange(len(X)), G.reshape(len(X), 2, 2)
 
     def preimage(X, Y):
         # the roots +-sqrt(y) of each row, y read as one complex number
@@ -694,10 +690,11 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     """The map x -> F(x) + f(x) for a single-valued map f (a function graph).
 
     f.func shifts the graph and f.grad shifts the normal oracles at points
-    where it exists (the shift is exact there): the rows where f.grad
-    exists are shifted back with one f.func call, and each pair (x*, y*) of
-    F there becomes (x* + g.T @ y*, y*). f must have F's dimensions;
-    ValueError otherwise.
+    where it exists (the shift is exact there): one f.grad call gives the
+    rows where it exists, which are shifted back with one f.func call, and
+    each pair (x*, y*) of F there becomes (x* + g.T @ y*, y*). The sum's
+    grad keeps the rows where both summands have a Jacobian. f must have
+    F's dimensions; ValueError otherwise.
     """
     if (f.dim_x, f.dim_y) != (F.dim_x, F.dim_y):
         raise ValueError(f"cannot add {f.name} ({f.dim_x}->{f.dim_y}) to {F.name} "
@@ -715,7 +712,7 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         return shifted(*F.sample_graph(inner_center, r_inner, r_outer, n, seed))
 
     def normals(X, Y):
-        rows, G = _jacobians(gv, X, F.dim_x, F.dim_y)
+        rows, G = gv(X)
         owner, X_star, Y_star = F.analytic_normals(X[rows], Y[rows] - fv(X[rows]))
         shift = np.matmul(np.swapaxes(G[owner], 1, 2), Y_star[..., None])[..., 0]
         return rows[owner], X_star + shift, Y_star
@@ -726,12 +723,11 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     def func(X):
         return F.func(X) + fv(X)
 
-    def grad_total(x):
-        a = F.grad(x)
-        b = gv(x)
-        if a is None or b is None:
-            return None
-        return a + b
+    def grad_total(X):
+        ra, A = F.grad(X)
+        rb, B = gv(X)
+        owner, ia, ib = np.intersect1d(ra, rb, assume_unique=True, return_indices=True)
+        return owner, A[ia] + B[ib]
 
     return SetValuedMap(
         dim_x=F.dim_x,

@@ -156,20 +156,37 @@ def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: b
     return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], win
 
 
+def _empty_note(sizes: list[int], ladder: ScaleLadder) -> str:
+    """The note of a limsup estimate whose innermost annulus, of sizes[j]
+    graph points per annulus j, held none, so that it reports nan; "" when
+    the innermost annulus held a point."""
+    if sizes[-1]:
+        return ""
+    inner, outer = ladder.annuli()[-1]
+    return (f"annulus {ladder.depth - 1} ({inner:.3g}, {outer:.3g}] held no graph point, "
+            f"so the innermost scale reads nan")
+
+
 # ---------------------------------------------------------------------------
 # moduli of single quantities
 
 
 def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                  ctx: NormContext) -> Estimate:
-    """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points."""
+    """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points.
+
+    An innermost annulus without a graph point reads nan, and the note
+    names it.
+    """
     per_annulus: list[list[float]] = []
+    sizes = []
     for _, _, _, X, Y in graph_annuli(F, base, ladder, 31):
+        sizes.append(len(X))
         t = norms(X - base.x, ctx.kind)
         off = t != 0.0
         xb = np.repeat(base.x[None], off.sum(), 0)
         per_annulus.append((F.image_distance(xb, Y[off]) / t[off]).tolist())
-    est = Estimate(name="clm")
+    est = Estimate(name="clm", note=_empty_note(sizes, ladder))
     est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
 
@@ -181,10 +198,13 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     Pairs are nearest neighbors in sample order after a 1-D sort (or a
     stride pattern in higher dimension), the first 400 per annulus, plus
     pairs against the base, so the estimate dominates calmness by
-    construction.
+    construction. An innermost annulus without a graph point reads nan,
+    and the note names it.
     """
     per_annulus: list[list[float]] = []
+    sizes = []
     for _, _, _, X, Y in graph_annuli(F, base, ladder, 37):
+        sizes.append(len(X))
         t = norms(X - base.x, ctx.kind)
         off = t > 0.0
         n = len(X)
@@ -203,7 +223,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
         dist = F.image_distance(xs, np.concatenate([Y[off], Y[pq]]))
         vals = (dist / np.concatenate([t[off], np.repeat(sep, 2)])).tolist()
         per_annulus.append([v for v in vals if not math.isinf(v)])
-    est = Estimate(name="lip")
+    est = Estimate(name="lip", note=_empty_note(sizes, ladder))
     est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
     return est.finalize()
 

@@ -30,7 +30,6 @@ norm through exact norming vectors.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,6 +40,7 @@ from .geometry import (
     NormContext,
     ScaleLadder,
     derive_seed,
+    norm,
     norming_functional,
     norming_vector,
     norms,
@@ -49,7 +49,7 @@ from .geometry import (
 from .mappings import (
     GraphPoint,
     SetValuedMap,
-    _rows,
+    _logs,
     anchored,
     make_function_graph,
     sum_with_function,
@@ -65,6 +65,8 @@ from .moduli import (
 )
 from .variational import (
     CoderivElement,
+    _dots,
+    _running_max,
     element_quotient,
     positive_homogeneity_test,
     semismooth_star_test,
@@ -453,14 +455,20 @@ def _unhex_vec(h) -> np.ndarray:
 class Perturbation:
     """A constructed single-valued perturbation with verification hooks.
 
-    eval(xb) = 0 and eval(x_k) = yb - y_k hold exactly; at most one bump or
-    cone is active at any point (component_count counts them by brute
-    force). derivative returns the Jacobian where f is differentiable; on
-    the measure-zero seams of the cap factors it returns None, except at
-    case-2 cell boundaries where it returns the one-sided (from coarser
-    scale) Jacobian, which is a genuine limiting derivative there. anchors
-    are the graph points (x_k, yb) of F + f; anchor_eps bounds the one-sided
-    derivative gap at each anchor (zero for bump and case-1 builds).
+    eval and derivative take rows, as a function graph's func and grad do.
+    eval(X) maps X (n, dim_x) to the (n, dim_y) values f(X[k]);
+    f(xb) = 0 and f(x_k) = yb - y_k hold exactly. derivative(X) returns
+    (owner, G): owner the ascending rows of X where f is differentiable, G
+    of shape (len(owner), dim_y, dim_x) their Jacobians. A row on a
+    measure-zero seam of a cap factor or bump support is absent from
+    owner; at a case-2 cell boundary G holds the one-sided (from the
+    coarser scale) Jacobian, which is a genuine limiting derivative there.
+    Row k of each result depends on X[k] alone and has the bits of the
+    one-row call. At most one bump or cone is active at any point
+    (component_count(x) counts them at one point by brute force). anchors
+    are the graph points (x_k, yb) of F + f and anchor_entries the witness
+    entry each comes from; anchor_eps bounds the one-sided derivative gap
+    at each anchor (zero for bump and case-1 builds).
     """
 
     eval: Callable
@@ -472,6 +480,7 @@ class Perturbation:
     witness: WitnessSequence
     component_count: Callable
     anchors: list = field(default_factory=list)
+    anchor_entries: list = field(default_factory=list)
     anchor_targets: list = field(default_factory=list)
     anchor_eps: list = field(default_factory=list)
     probes: list = field(default_factory=list)
@@ -557,8 +566,9 @@ def load_perturbation(desc: dict) -> "Perturbation":
     raise ValueError(f"unknown perturbation class {tag!r}")
 
 
-def _l2(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+def _pair(v: np.ndarray, DX: np.ndarray) -> np.ndarray:
+    """float(v @ dx) for each row dx of DX, by the stacked dot that has its bits."""
+    return _dots(np.broadcast_to(v, DX.shape), DX)
 
 
 # ---------------------------------------------------------------------------
@@ -571,57 +581,76 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     base = seq.base
     es = seq.entries
     xs = [e.x for e in es]
-    vs = [norming_vector(e.y_star, ctx.kind) for e in es]
+    XS = np.array(xs)
+    X_STAR = np.array([e.x_star for e in es])
+    DY = np.array([e.y - base.y for e in es])
+    VS = np.array([norming_vector(e.y_star, ctx.kind) for e in es])
+    OUTER = VS[:, :, None] * X_STAR[:, None, :]  # np.outer(v_k, x*_k)
     ps = [1.0 + 1.0 / e.index for e in es]
+    RHO = np.array(rho)
     dim_y = es[0].y.size
     dim_x = es[0].x.size
     # the supports are l2 balls, so their shells around the base are
     # measured in l2 too (in 1-D, d_k is t_k); the innermost must miss the base
-    ds = [_l2(x - base.x) for x in xs]
+    ds = norms(XS - base.x, "l2").tolist()
     if not (all(ds[i + 1] + rho[i + 1] < ds[i] - rho[i] for i in range(len(ds) - 1))
             and ds[-1] - rho[-1] > 0.0):
         raise WitnessError("bump supports overlap; thinning insufficient")
-    ds_asc = ds[::-1]
+    ds_asc = np.array(ds[::-1])
 
-    def locate(x) -> int | None:
-        # the shells are disjoint, so only the two nearest in l2 can hold x
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = bisect.bisect_left(ds_asc, _l2(x - base.x))
+    def locate(X):
+        """The bump k that holds each row (-1 for none) and the row's l2
+        distance d to x_k."""
+        # the shells are disjoint, so only the two nearest in l2 can hold x;
+        # of those, the outer one is asked first
+        pos = np.searchsorted(ds_asc, norms(X - base.x, "l2"), side="left")
+        k, d = np.full(len(X), -1), np.zeros(len(X))
         for idx_asc in (pos - 1, pos):
-            if 0 <= idx_asc < len(ds_asc):
-                k = len(ds_asc) - 1 - idx_asc
-                if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k]:
-                    return k
-        return None
+            cand = np.clip(len(es) - 1 - idx_asc, 0, len(es) - 1)
+            dc = norms(X - XS[cand], "l2")
+            hit = ((k < 0) & (idx_asc >= 0) & (idx_asc < len(es)) & (RHO[cand] > 0.0)
+                   & (dc < RHO[cand]))
+            k[hit], d[hit] = cand[hit], dc[hit]
+        return k, d
+
+    def envelope(d, k):
+        # 1 - (d/rho_k)^p_k; ** per element, as np.power may round differently
+        q = (d / RHO[k]).tolist()
+        return 1.0 - np.array([v ** ps[i] for v, i in zip(q, k.tolist())])
+
+    def payload(k, DX):
+        # g_k(x) = (y_k - yb) + <x*_k, x - x_k> v_k
+        return DY[k] + _dots(X_STAR[k], DX)[:, None] * VS[k]
 
     def count(x) -> int:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return sum(1 for k in range(len(xs)) if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k])
+        d = norms(np.atleast_1d(np.asarray(x, dtype=float)) - XS, "l2")
+        return int(np.sum((RHO > 0.0) & (d < RHO)))
 
-    def evaluate(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = locate(x)
-        if k is None:
-            return np.zeros(dim_y)
-        d = _l2(x - xs[k])
-        s = max(1.0 - (d / rho[k]) ** ps[k], 0.0)
-        g = (es[k].y - base.y) + float(es[k].x_star @ (x - xs[k])) * vs[k]
-        return -s * g
+    def evaluate(X):
+        k, d = locate(X)
+        on = np.flatnonzero(k >= 0)
+        env = envelope(d[on], k[on])
+        s = np.where(0.0 > env, 0.0, env)  # max(env, 0.0)
+        out = np.zeros((len(X), dim_y))
+        out[on] = -s[:, None] * payload(k[on], X[on] - XS[k[on]])
+        return out
 
-    def derivative(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = locate(x)
-        if k is None:
-            return np.zeros((dim_y, dim_x))
-        d = _l2(x - xs[k])
-        if abs(d - rho[k]) <= 1e-12 * rho[k]:
-            return None  # support boundary kink
-        g = (es[k].y - base.y) + float(es[k].x_star @ (x - xs[k])) * vs[k]
-        jac = -(1.0 - (d / rho[k]) ** ps[k]) * np.outer(vs[k], es[k].x_star)
-        if d > 0.0:
-            ds = -ps[k] * d ** (ps[k] - 1.0) / rho[k] ** ps[k]
-            jac -= np.outer(g, ds * (x - xs[k]) / d)
-        return jac
+    def derivative(X):
+        k, d = locate(X)
+        seam = (k >= 0) & (np.abs(d - RHO[k]) <= 1e-12 * RHO[k])  # support boundary kink
+        owner = np.flatnonzero(~seam)
+        at = np.flatnonzero(k[owner] >= 0)
+        r = owner[at]
+        k, d, DX = k[r], d[r], X[r] - XS[k[r]]
+        jac = -envelope(d, k)[:, None, None] * OUTER[k]
+        sl = d > 0.0
+        ds_dd = np.array([-ps[i] * v ** (ps[i] - 1.0) / rho[i] ** ps[i]
+                          for v, i in zip(d[sl].tolist(), k[sl].tolist())]).reshape(-1, 1)
+        grad_s = ds_dd * DX[sl] / d[sl, None]
+        jac[sl] -= payload(k[sl], DX[sl])[:, :, None] * grad_s[:, None, :]
+        J = np.zeros((len(owner), dim_y, dim_x))
+        J[at] = jac
+        return owner, J
 
     probes = []
     for k in range(len(es)):
@@ -638,6 +667,7 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
         component_count=count,
         anchors=[(xs[k], base.y.copy()) for k in range(len(es))],
+        anchor_entries=list(es),
         anchor_targets=[base.y - e.y for e in es],
         anchor_eps=[0.0] * len(es),
         probes=probes, floor_radius=0.0, case=None,
@@ -709,17 +739,16 @@ def _check_eps_decay(w: WitnessSequence) -> None:
 # cone builders (ss, ssr)
 
 
-def _smooth_cap(m: float, tau: float) -> float:
-    if m <= _DEAD_ZONE:
-        return 1.0
+def _smooth_cap(m: np.ndarray, tau: float) -> np.ndarray:
+    """The cap factor of each m: 1 in the dead zone, then max(1 - z^2, 0)."""
     z = (m - _DEAD_ZONE) / tau
-    return max(1.0 - z * z, 0.0)
+    v = 1.0 - z * z
+    return np.where(m <= _DEAD_ZONE, 1.0, np.where(0.0 > v, 0.0, v))
 
 
-def _smooth_cap_slope(m: float, tau: float) -> float:
-    if m <= _DEAD_ZONE or m >= _DEAD_ZONE + tau:
-        return 0.0
-    return -2.0 * (m - _DEAD_ZONE) / (tau * tau)
+def _smooth_cap_slope(m: np.ndarray, tau: float) -> np.ndarray:
+    flat = (m <= _DEAD_ZONE) | (m >= _DEAD_ZONE + tau)
+    return np.where(flat, 0.0, -2.0 * (m - _DEAD_ZONE) / (tau * tau))
 
 
 def _cone_tau(tau: float, seq: WitnessSequence, gamma_dp: float, xn_max: float,
@@ -730,22 +759,41 @@ def _cone_tau(tau: float, seq: WitnessSequence, gamma_dp: float, xn_max: float,
     return max(tau - _DEAD_ZONE, 1e-7)
 
 
-def _cap_slope_term(jac: np.ndarray, pay: np.ndarray, dx: np.ndarray, alpha: float,
-                    m: float, tau: float, w_dir: np.ndarray, u_star: np.ndarray) -> np.ndarray:
-    """jac minus pay times the gradient of the cap factor, where the cap slopes."""
+def _cone_rows(DX: np.ndarray, u_star: np.ndarray, w_dir: np.ndarray, floor: float,
+               tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha = <u*, dx> and m = ||dx - alpha w||_2 / alpha of each row dx of
+    DX, and which rows the cone holds: alpha above floor, m inside the cap."""
+    alpha = _pair(u_star, DX)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows at alpha <= 0, not held
+        m = norms(DX - alpha[:, None] * w_dir, "l2") / alpha
+    return alpha, m, ~(alpha <= floor) & (m < _DEAD_ZONE + tau)
+
+
+def _cap_slope_term(J: np.ndarray, pay: np.ndarray, DX: np.ndarray, alpha: np.ndarray,
+                    m: np.ndarray, tau: float, w_dir: np.ndarray,
+                    u_star: np.ndarray) -> np.ndarray:
+    """J minus pay times the gradient of the cap factor, in the rows where the cap slopes."""
     sl = _smooth_cap_slope(m, tau)
-    r = dx - alpha * w_dir
-    nr = _l2(r)
-    if sl != 0.0 and nr > 0.0:
-        rhat = r / nr
-        grad_m = (rhat - float(w_dir @ rhat) * u_star) / alpha - (m / alpha) * u_star
-        jac -= np.outer(pay, sl * grad_m)
-    return jac
+    R = DX - alpha[:, None] * w_dir
+    nr = norms(R, "l2")
+    on = (sl != 0.0) & (nr > 0.0)
+    rhat = R[on] / nr[on, None]
+    a, m = alpha[on, None], m[on, None]
+    grad_m = (rhat - _pair(w_dir, rhat)[:, None] * u_star) / a - (m / a) * u_star
+    J[on] -= pay[on][:, :, None] * (sl[on, None] * grad_m)[:, None, :]
+    return J
+
+
+def _payload(shell: dict, DX: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v of each row (see _cone_shell)."""
+    return ((alpha / shell["a"])[:, None] * shell["dy"]
+            + (_pair(shell["xh"], DX) - shell["c"])[:, None] * shell["v"])
 
 
 def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
                 u_star: np.ndarray, w_dir: np.ndarray, with_dual: bool) -> dict:
-    """Per-entry payload data: P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v.
+    """Per-entry payload data: P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v,
+    and its gradient np.outer(dy / a, u*) + np.outer(v, xh*).
 
     The alpha/a factor is exactly 1.0 at x_k; c is the build-time value of
     the same pairing the evaluator computes, so the dual term vanishes
@@ -761,7 +809,8 @@ def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
         xh = np.zeros_like(e.x_star)
         c = 0.0
         v = np.zeros_like(dy)
-    return {"entry": e, "a": a, "dy": dy, "xh": xh, "c": c, "v": v}
+    grad = np.outer(dy / a, u_star) + np.outer(v, xh)
+    return {"entry": e, "a": a, "dy": dy, "xh": xh, "c": c, "v": v, "grad": grad}
 
 
 def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
@@ -780,7 +829,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
     dmin = math.inf
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
-            dmin = min(dmin, _l2(a.u - b.u))
+            dmin = min(dmin, norm(a.u - b.u, "l2"))
     tau = _cone_tau(min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45, seq, gamma_dp,
                     max(e.xn for e in entries), with_dual)
 
@@ -797,42 +846,40 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
     dim_y = entries[0].y.size
     dim_x = entries[0].x.size
 
-    def _membership(x, k):
-        dx = np.atleast_1d(np.asarray(x, dtype=float)) - base.x
-        alpha = float(cones[k]["u_star"] @ dx)
-        if alpha <= 0.0:
-            return None
-        m = _l2(dx - alpha * cones[k]["w"]) / alpha
-        return (dx, alpha, m) if m < _DEAD_ZONE + tau else None
+    def locate(X):
+        """The first cone that holds each row (-1 for none), with the rows'
+        dx, and alpha and m in that cone."""
+        DX = X - base.x
+        k, alpha, m = np.full(len(X), -1), np.zeros(len(X)), np.zeros(len(X))
+        for i, cone in enumerate(cones):
+            a_i, m_i, held = _cone_rows(DX, cone["u_star"], cone["w"], 0.0, tau)
+            hit = (k < 0) & held
+            k[hit], alpha[hit], m[hit] = i, a_i[hit], m_i[hit]
+        return k, DX, alpha, m
 
     def count(x) -> int:
-        return sum(1 for k in range(len(cones)) if _membership(x, k) is not None)
+        dx = np.atleast_1d(np.asarray(x, dtype=float))[None] - base.x
+        return sum(int(_cone_rows(dx, c["u_star"], c["w"], 0.0, tau)[2][0]) for c in cones)
 
-    def evaluate(x):
-        for k, cone in enumerate(cones):
-            hit = _membership(x, k)
-            if hit is None:
-                continue
-            dx, alpha, m = hit
-            s = _smooth_cap(m, tau)
-            pay = (alpha / cone["a"]) * cone["dy"] + (float(cone["xh"] @ dx) - cone["c"]) * cone["v"]
-            return -s * pay
-        return np.zeros(dim_y)
+    def evaluate(X):
+        k, DX, alpha, m = locate(X)
+        out = np.zeros((len(X), dim_y))
+        for i, cone in enumerate(cones):
+            r = np.flatnonzero(k == i)
+            out[r] = -_smooth_cap(m[r], tau)[:, None] * _payload(cone, DX[r], alpha[r])
+        return out
 
-    def derivative(x):
-        for k, cone in enumerate(cones):
-            hit = _membership(x, k)
-            if hit is None:
-                continue
-            dx, alpha, m = hit
-            if abs(m - (_DEAD_ZONE + tau)) <= 1e-9:
-                return None  # cap boundary kink
-            s = _smooth_cap(m, tau)
-            pay = (alpha / cone["a"]) * cone["dy"] + (float(cone["xh"] @ dx) - cone["c"]) * cone["v"]
-            jac = -s * (np.outer(cone["dy"] / cone["a"], cone["u_star"])
-                        + np.outer(cone["v"], cone["xh"]))
-            return _cap_slope_term(jac, pay, dx, alpha, m, tau, cone["w"], cone["u_star"])
-        return np.zeros((dim_y, dim_x))
+    def derivative(X):
+        k, DX, alpha, m = locate(X)
+        owner = np.flatnonzero(~((k >= 0) & (np.abs(m - (_DEAD_ZONE + tau)) <= 1e-9)))  # cap kink
+        J = np.zeros((len(owner), dim_y, dim_x))
+        for i, cone in enumerate(cones):
+            at = np.flatnonzero(k[owner] == i)
+            r = owner[at]
+            jac = -_smooth_cap(m[r], tau)[:, None, None] * cone["grad"]
+            J[at] = _cap_slope_term(jac, _payload(cone, DX[r], alpha[r]), DX[r], alpha[r], m[r],
+                                    tau, cone["w"], cone["u_star"])
+        return owner, J
 
     probes = []
     for cone in cones:
@@ -844,6 +891,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
         component_count=count,
         anchors=[(c["entry"].x, base.y.copy()) for c in cones],
+        anchor_entries=[c["entry"] for c in cones],
         anchor_targets=[base.y - c["entry"].y for c in cones],
         anchor_eps=[0.0] * len(cones),
         probes=probes, floor_radius=0.0, case=1,
@@ -858,7 +906,8 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     The payload at scale alpha between consecutive witness shells blends
     their payloads with weight ln(alpha/b_k)/ln(b_{k-1}/b_k); a phantom
     shell at b_K e^{-(K+1)} ramps the innermost payload to zero, and f
-    vanishes below that floor (reported as floor_radius).
+    vanishes below that floor (reported as floor_radius). The weights take
+    math.log per element, as np.log may round differently.
     """
     ctx = seq.context()
     base = seq.base
@@ -881,78 +930,58 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     dim_y = es[0].y.size
     dim_x = es[0].x.size
 
-    def payload(idx, dx, alpha):
-        s = shells[idx]
-        return (alpha / s["a"]) * s["dy"] + (float(s["xh"] @ dx) - s["c"]) * s["v"]
-
-    def payload_grad(idx):
-        s = shells[idx]
-        return np.outer(s["dy"] / s["a"], u_star) + np.outer(s["v"], s["xh"])
-
-    def _cell(alpha: float) -> int:
-        # index k with bs[k] <= alpha < bs[k-1]; len(bs) in the ramp region
-        return len(bs) - bisect.bisect_right(bs_asc, alpha)
-
-    def _membership(x):
-        dx = np.atleast_1d(np.asarray(x, dtype=float)) - base.x
-        alpha = float(u_star @ dx)
-        if alpha <= floor:
-            return None
-        m = _l2(dx - alpha * w_dir) / alpha
-        if m >= _DEAD_ZONE + tau:
-            return None
-        return dx, alpha, m
+    def interpolate(DX, alpha):
+        """The interpolated payload of each row and its gradient."""
+        # cell k of a row: bs[k] <= alpha < bs[k-1]; len(bs) in the ramp region
+        cell = len(bs) - np.searchsorted(bs_asc, alpha, side="right")
+        T, GT = np.empty((len(DX), dim_y)), np.empty((len(DX), dim_y, dim_x))
+        for k in range(len(bs) + 1):
+            r = np.flatnonzero(cell == k)
+            dx, a = DX[r], alpha[r]
+            if k == 0:
+                T[r], GT[r] = _payload(shells[0], dx, a), shells[0]["grad"]
+                continue
+            if k < len(bs):
+                big_l = math.log(bs[k - 1] / bs[k])
+                lam = (_logs(a / bs[k]) / big_l)[:, None]
+                pk, pk1 = _payload(shells[k], dx, a), _payload(shells[k - 1], dx, a)
+                T[r] = pk + lam * (pk1 - pk)
+                grad_t = shells[k]["grad"] + lam[:, :, None] * (shells[k - 1]["grad"]
+                                                                 - shells[k]["grad"])
+                tilt = pk1 - pk
+            else:
+                big_l = math.log(bs[-1] / floor)
+                lam = (_logs(a / floor) / big_l)[:, None]
+                tilt = _payload(shells[-1], dx, a)
+                T[r] = lam * tilt
+                grad_t = lam[:, :, None] * shells[-1]["grad"]
+            GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
+        return T, GT
 
     def count(x) -> int:
-        return 0 if _membership(x) is None else 1
+        dx = np.atleast_1d(np.asarray(x, dtype=float))[None] - base.x
+        return int(_cone_rows(dx, u_star, w_dir, floor, tau)[2][0])
 
-    def evaluate(x):
-        hit = _membership(x)
-        if hit is None:
-            return np.zeros(dim_y)
-        dx, alpha, m = hit
+    def evaluate(X):
+        DX = X - base.x
+        alpha, m, held = _cone_rows(DX, u_star, w_dir, floor, tau)
         s = _smooth_cap(m, tau)
-        if s == 0.0:
-            return np.zeros(dim_y)
-        k = _cell(alpha)
-        if k == 0:
-            t_val = payload(0, dx, alpha)
-        elif k < len(bs):
-            lam = math.log(alpha / bs[k]) / math.log(bs[k - 1] / bs[k])
-            pk = payload(k, dx, alpha)
-            t_val = pk + lam * (payload(k - 1, dx, alpha) - pk)
-        else:
-            lam = math.log(alpha / floor) / math.log(bs[-1] / floor)
-            t_val = lam * payload(len(bs) - 1, dx, alpha)
-        return -s * t_val
+        r = np.flatnonzero(held & (s != 0.0))
+        out = np.zeros((len(X), dim_y))
+        out[r] = -s[r, None] * interpolate(DX[r], alpha[r])[0]
+        return out
 
-    def derivative(x):
-        hit = _membership(x)
-        if hit is None:
-            return np.zeros((dim_y, dim_x))
-        dx, alpha, m = hit
-        if abs(m - (_DEAD_ZONE + tau)) <= 1e-9:
-            return None
-        s = _smooth_cap(m, tau)
-        k = _cell(alpha)
-        if k == 0:
-            t_val = payload(0, dx, alpha)
-            grad_t = payload_grad(0)
-        elif k < len(bs):
-            big_l = math.log(bs[k - 1] / bs[k])
-            lam = math.log(alpha / bs[k]) / big_l
-            pk = payload(k, dx, alpha)
-            pk1 = payload(k - 1, dx, alpha)
-            t_val = pk + lam * (pk1 - pk)
-            grad_t = (payload_grad(k) + lam * (payload_grad(k - 1) - payload_grad(k))
-                      + np.outer(pk1 - pk, u_star / (alpha * big_l)))
-        else:
-            big_l = math.log(bs[-1] / floor)
-            lam = math.log(alpha / floor) / big_l
-            pk = payload(len(bs) - 1, dx, alpha)
-            t_val = lam * pk
-            grad_t = lam * payload_grad(len(bs) - 1) + np.outer(pk, u_star / (alpha * big_l))
-        return _cap_slope_term(-s * grad_t, t_val, dx, alpha, m, tau, w_dir, u_star)
+    def derivative(X):
+        DX = X - base.x
+        alpha, m, held = _cone_rows(DX, u_star, w_dir, floor, tau)
+        owner = np.flatnonzero(~(held & (np.abs(m - (_DEAD_ZONE + tau)) <= 1e-9)))  # cap kink
+        at = np.flatnonzero(held[owner])
+        r = owner[at]
+        T, GT = interpolate(DX[r], alpha[r])
+        J = np.zeros((len(owner), dim_y, dim_x))
+        J[at] = _cap_slope_term(-_smooth_cap(m[r], tau)[:, None, None] * GT, T, DX[r], alpha[r],
+                                m[r], tau, w_dir, u_star)
+        return owner, J
 
     # one-sided derivative gap at each anchor: the log-interpolation kink
     anchor_eps = []
@@ -960,8 +989,8 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         if i == 0:
             anchor_eps.append(0.0)
             continue
-        dxk = s["entry"].x - base.x
-        gap = payload(i - 1, dxk, s["a"]) - payload(i, dxk, s["a"])
+        dxk, ak = (s["entry"].x - base.x)[None], np.array([s["a"]])
+        gap = _payload(shells[i - 1], dxk, ak)[0] - _payload(s, dxk, ak)[0]
         anchor_eps.append(ctx.norm(gap) / (s["a"] * math.log(bs[i - 1] / bs[i])))
 
     probes = []
@@ -975,6 +1004,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
         component_count=count,
         anchors=[(s["entry"].x, base.y.copy()) for s in shells],
+        anchor_entries=[s["entry"] for s in shells],
         anchor_targets=[base.y - s["entry"].y for s in shells],
         anchor_eps=anchor_eps,
         probes=probes, floor_radius=floor, case=2,
@@ -1080,7 +1110,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     """End-to-end verification of a constructed perturbation.
 
     Checks (a) exact interpolation at the anchors and the base, (b) the
-    analytic Jacobian against central finite differences at the anchors,
+    analytic Jacobian against central finite differences at the probes,
     (c) the sampled class modulus against gamma minus the builder margin
     (gamma - gamma'')/2, (d) class structure: firm calmness for the calm
     classes, positive homogeneity for case-1 cones, the semismoothness
@@ -1089,6 +1119,8 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     ends at or below 0.05 at its finest scales; the ssr class
     instead requires the strong subregularity estimate of F + f to
     report exactly zero. Each failed check leaves a line in the notes.
+    Each phase evaluates p on all its points at once, and phase (e)
+    shifts each anchor's element by its own witness entry.
     """
     rep = BuilderReport(class_tag=p.class_tag, gamma=p.gamma,
                         gamma_prime=p.gamma_prime, gamma_dp=p.gamma_dp,
@@ -1098,15 +1130,15 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         rep.notes.append("internal gamma'' is not below gamma; build metadata inconsistent")
 
     # (a) interpolation
-    rep.base_value_err = ctx.norm(p.eval(base.x))
+    AX = np.array([xk for xk, _ in p.anchors], dtype=float).reshape(len(p.anchors), p.dim_x)
+    values = p.eval(np.concatenate([base.x[None], AX]))
+    rep.base_value_err = ctx.norm(values[0])
     target_scale = max([1.0] + [float(np.max(np.abs(t))) for t in p.anchor_targets])
-    rows = []
-    worst_interp = 0.0
-    for k, ((xk, _), target) in enumerate(zip(p.anchors, p.anchor_targets)):
-        err = ctx.norm(p.eval(xk) - target)
-        worst_interp = max(worst_interp, err)
-        rows.append({"k": k, "t": ctx.norm(xk - base.x), "interpolation_err": err})
-    rep.interpolation_max_err = worst_interp
+    errs = norms(values[1:] - np.reshape(p.anchor_targets, (len(AX), p.dim_y)), ctx.kind)
+    rows = [{"k": k, "t": t, "interpolation_err": err, "gradient_relerr": 0.0}
+            for k, (t, err) in enumerate(zip(norms(AX - base.x, ctx.kind).tolist(),
+                                             errs.tolist()))]
+    rep.interpolation_max_err = _running_max(errs, 0.0)
 
     # (b) analytic Jacobian vs central differences at the stored probes.
     # The probes sit away from the anchors on purpose: at a bump center the
@@ -1114,39 +1146,33 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     # many orders below the surrounding function values, and no finite
     # difference recovers it through the cancellation. At the probes the
     # envelope slope dominates and the quotient is well conditioned.
+    P = np.array(p.probes, dtype=float).reshape(len(p.probes), p.dim_x)
+    owner, jac = p.derivative(P)
+    rep.notes += ["probe on a seam: derivative unavailable"] * (len(P) - len(owner))
+    P = P[owner]
+    dists = norms((P[:, None] - AX[None]).reshape(-1, p.dim_x), "l2").reshape(len(P), len(AX))
+    d_near = np.minimum(dists.min(axis=1), norms(P - base.x, "l2"))
+    fd = np.zeros_like(jac)
+    for i in range(p.dim_x):
+        lo, ulps = 1e-7 * d_near, 32.0 * np.spacing(np.abs(P[:, i]))
+        step = np.zeros_like(P)
+        step[:, i] = np.where(ulps > lo, ulps, lo)  # max(lo, ulps)
+        xp, xm = P + step, P - step
+        fd[:, :, i] = (p.eval(xp) - p.eval(xm)) / (xp[:, i] - xm[:, i])[:, None]
+    # max(|jac|, |fd|, 1e-9) as Python's max takes it, per probe
+    mj, mf = np.abs(jac).max(axis=(1, 2)), np.abs(fd).max(axis=(1, 2))
+    scale = np.where(mf > mj, mf, mj)
+    relerrs = np.abs(fd - jac).max(axis=(1, 2)) / np.where(1e-9 > scale, 1e-9, scale)
     worst_g = 0.0
-    anchor_xs = [np.asarray(xk, dtype=float) for xk, _ in p.anchors]
-    for row in rows:
-        row["gradient_relerr"] = 0.0
-    for x0 in p.probes:
-        x0 = np.asarray(x0, dtype=float)
-        jac = p.derivative(x0)
-        if jac is None:
-            rep.notes.append("probe on a seam: derivative unavailable")
-            continue
-        jac = np.asarray(jac, dtype=float)
-        dists = [float(np.linalg.norm(x0 - a)) for a in anchor_xs]
-        d_near = min(dists + [float(np.linalg.norm(x0 - base.x))])
-        fd = np.zeros((p.dim_y, p.dim_x))
-        for i in range(p.dim_x):
-            h = max(1e-7 * d_near, 32.0 * np.spacing(abs(float(x0[i]))))
-            e_i = np.zeros(p.dim_x)
-            e_i[i] = h
-            xp, xm = x0 + e_i, x0 - e_i
-            fd[:, i] = (p.eval(xp) - p.eval(xm)) / float(xp[i] - xm[i])
-        scale = max(float(np.max(np.abs(jac))), float(np.max(np.abs(fd))), 1e-9)
-        relerr = float(np.max(np.abs(fd - jac))) / scale
-        k_near = int(np.argmin(dists))
-        if k_near < len(rows):
-            rows[k_near]["gradient_relerr"] = max(rows[k_near]["gradient_relerr"],
-                                                  relerr)
+    for k_near, relerr in zip(np.argmin(dists, axis=1).tolist(), relerrs.tolist()):
+        rows[k_near]["gradient_relerr"] = max(rows[k_near]["gradient_relerr"], relerr)
         worst_g = max(worst_g, relerr)
     rep.gradient_max_relerr = worst_g
     rep.per_witness = rows
 
     # (c) sampled modulus of the perturbation alone
-    fgraph = make_function_graph(_rows(p.eval, p.dim_y), grad=p.derivative, dim_x=p.dim_x,
-                                 dim_y=p.dim_y, kind=ctx.kind, name=p.name)
+    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=p.dim_x, dim_y=p.dim_y,
+                                 kind=ctx.kind, name=p.name)
     fbase = GraphPoint(base.x, np.zeros(p.dim_y))
     vlad = _destab_ladder(p, ladder)
     extra = list(p.probes) + [xk for xk, _ in p.anchors]
@@ -1192,15 +1218,12 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         if not rep.destabilization_ok:
             rep.notes.append(f"ssrg of the perturbed map is {est.reported:g}, not 0")
     else:
+        owner, jac = p.derivative(AX)
         shifted = []
-        for k, (xk, _) in enumerate(p.anchors):
-            jac = p.derivative(xk)
-            if jac is None:
-                continue
-            e = p.witness.entries[min(k, len(p.witness.entries) - 1)]
-            shifted.append(CoderivElement(
-                np.asarray(xk, dtype=float).copy(), base.y.copy(), e.y_star.copy(),
-                e.x_star + jac.T @ e.y_star, eps=p.anchor_eps[k]))
+        for k, g in zip(owner.tolist(), jac):
+            e = p.anchor_entries[k]
+            shifted.append(CoderivElement(AX[k].copy(), base.y.copy(), e.y_star.copy(),
+                                          e.x_star + g.T @ e.y_star, eps=p.anchor_eps[k]))
         pool, pid = build_element_pool(G, base, vlad, ctx, extra_elements=shifted)
         est = estimate_constant("srg1p", pool, vlad, ctx, pid)
         rep.destabilization = list(est.per_scale)
@@ -1243,37 +1266,35 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
                      extra_xs: list | None = None) -> dict:
     """Empirical firm calmness: bounded calm quotients plus local stability.
 
-    Clause A estimates the calmness quotient per scale, over 24 probes per
-    annulus and the extra_xs that fall in it, and fails on clear
-    divergence (the innermost value above four times the median, above the
-    outermost, and above an absolute floor of 1e-9 so a tail of roundoff
-    quotients never counts). Clause B takes central two-point slopes at
-    three shrinking step sizes around offset points; a final slope
-    exceeding eight times the first indicates a discontinuity straddled
-    by the center (per-point slopes may be large, and may grow from point
-    to point as x approaches the base, without failing; a zero first
-    slope is ignored because it means the coarse step cleared a feature
-    narrower than itself).
+    f takes rows, as Perturbation.eval does, and is evaluated once per
+    annulus for clause A and once for clause B. Clause A estimates the
+    calmness quotient per scale, over 24 probes per annulus and the
+    extra_xs that fall in it, and fails on clear divergence (the innermost
+    value above four times the median, above the outermost, and above an
+    absolute floor of 1e-9 so a tail of roundoff quotients never counts).
+    Clause B takes central two-point slopes at three shrinking step sizes
+    around offset points; a final slope exceeding eight times the first
+    indicates a discontinuity straddled by the center (per-point slopes may
+    be large, and may grow from point to point as x approaches the base,
+    without failing; a zero first slope is ignored because it means the
+    coarse step cleared a feature narrower than itself). Every maximum
+    is a running one from 0 (1 for the growth): a NaN never raises it.
     """
     base_x = np.atleast_1d(np.asarray(base_x, dtype=float))
-    f0 = np.atleast_1d(np.asarray(f(base_x), dtype=float))
-    extras = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (extra_xs or [])]
+    dim = base_x.size
+    f0 = f(base_x[None])[0]
+    extras = np.array(extra_xs or [], dtype=float).reshape(-1, dim)
+    t_extra = norms(extras - base_x, ctx.kind)
 
+    annuli = ladder.annuli()
     per_scale = []
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        worst = 0.0
-        pts = list(sample_annulus(base_x, inner, outer, 24,
-                                  ladder.scale_seed(j, 83), ctx.kind))
-        for px in extras:
-            t = ctx.norm(px - base_x)
-            if inner < t <= outer:
-                pts.append(px)
-        for x in pts:
-            t = ctx.norm(np.asarray(x, dtype=float) - base_x)
-            if t == 0.0:
-                continue
-            worst = max(worst, ctx.norm(np.atleast_1d(np.asarray(f(x), dtype=float)) - f0) / t)
-        per_scale.append(worst)
+    for j, (inner, outer) in enumerate(annuli):
+        pts = np.concatenate([sample_annulus(base_x, inner, outer, 24,
+                                             ladder.scale_seed(j, 83), ctx.kind),
+                              extras[(inner < t_extra) & (t_extra <= outer)]])
+        t = norms(pts - base_x, ctx.kind)
+        off = t != 0.0
+        per_scale.append(_running_max(norms(f(pts[off]) - f0, ctx.kind) / t[off], 0.0))
     vals = [v for v in per_scale if v > 0.0]
     diverging = False
     if len(vals) >= 4:
@@ -1281,34 +1302,26 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
         diverging = (vals[-1] > 4.0 * max(med, 1e-12) and vals[-1] > vals[0]
                      and vals[-1] > 1e-9)
 
-    worst_growth = 1.0
-    centers = []
-    annuli = ladder.annuli()
-    for j in (len(annuli) // 2, len(annuli) - 1):
-        inner, outer = annuli[j]
-        centers.extend(sample_annulus(base_x, inner, outer, 6,
-                                      ladder.scale_seed(j, 89), ctx.kind))
-    centers.extend(extras[:12])
-    for xc in centers:
-        xc = np.asarray(xc, dtype=float)
-        t = max(ctx.norm(xc - base_x), 1e-12)
-        slopes = []
-        for frac in (1e-2, 1e-3, 1e-4):
-            h = t * frac
-            smax = 0.0
-            for d in range(base_x.size):
-                e_d = np.zeros(base_x.size)
-                e_d[d] = h
-                num = ctx.norm(np.atleast_1d(np.asarray(f(xc + e_d), dtype=float))
-                               - np.atleast_1d(np.asarray(f(xc - e_d), dtype=float)))
-                smax = max(smax, num / (2.0 * h))
-            slopes.append(smax)
-        # only the ratio matters: a jump straddled by the center scales
-        # like 1/h at every step, so the first slope is never zero for
-        # one; a zero first slope with finer structure underneath is a
-        # compactly supported bump narrower than the coarse step
-        if slopes[0] > 1e-12:
-            worst_growth = max(worst_growth, slopes[-1] / slopes[0])
+    centers = np.concatenate(
+        [sample_annulus(base_x, *annuli[j], 6, ladder.scale_seed(j, 89), ctx.kind)
+         for j in (len(annuli) // 2, len(annuli) - 1)] + [extras[:12]])
+    t = norms(centers - base_x, ctx.kind)
+    h = np.where(1e-12 > t, 1e-12, t)[:, None] * np.array([1e-2, 1e-3, 1e-4])
+    # steps (center, step size, coordinate): h at that coordinate, 0.0 elsewhere
+    steps = np.zeros(h.shape + (dim, dim))
+    steps[:, :, range(dim), range(dim)] = h[:, :, None]
+    xc = centers[:, None, None, :]
+    plus, minus = (xc + steps).reshape(-1, dim), (xc - steps).reshape(-1, dim)
+    values = f(np.concatenate([plus, minus]))
+    num = norms(values[:len(plus)] - values[len(plus):], ctx.kind)
+    slope = num.reshape(h.shape + (dim,)) / (2.0 * h[:, :, None])
+    slopes = np.where(slope > 0.0, slope, 0.0).max(axis=2)  # the running max over coordinates
+    # only the ratio matters: a jump straddled by the center scales
+    # like 1/h at every step, so the first slope is never zero for
+    # one; a zero first slope with finer structure underneath is a
+    # compactly supported bump narrower than the coarse step
+    coarse = slopes[:, 0] > 1e-12
+    worst_growth = _running_max(slopes[coarse, -1] / slopes[coarse, 0], 1.0)
 
     ok = (not diverging) and worst_growth <= 8.0
     return {"ok": ok, "clm_bound": max(per_scale) if per_scale else 0.0,
@@ -1319,10 +1332,11 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
 def random_calm_perturbation(seed: int):
     """A seeded calm perturbation f(x) = a x + b x sin(ln|x|), |a|+|b| <= 0.85.
 
-    Returns (f, derivative, a, b): f maps rows (n, 1) to rows (n, 1), and
-    derivative(x) is the Jacobian at one point. The calmness modulus is
-    |a| + |b|, so the perturbed identity keeps its strong subregularity
-    quotient at or above 0.15 at every graph point.
+    Returns (f, derivative, a, b) in the rows form of Perturbation: f maps
+    rows (n, 1) to rows (n, 1), and derivative(X) returns (owner, G) with
+    the row x = 0, where f has no derivative, absent from owner. The
+    calmness modulus is |a| + |b|, so the perturbed identity keeps its
+    strong subregularity quotient at or above 0.15 at every graph point.
     """
     from .geometry import r2_lattice
 
@@ -1330,17 +1344,16 @@ def random_calm_perturbation(seed: int):
     a = (2.0 * float(u[0, 0]) - 1.0) * 0.5 * 0.85
     b = (2.0 * float(u[1, 1]) - 1.0) * (0.85 - abs(a))
 
-    def evaluate(x):
-        xv = float(np.atleast_1d(x)[0])
-        if xv == 0.0:
-            return np.array([0.0])
-        return np.array([a * xv + b * xv * math.sin(math.log(abs(xv)))])
+    def evaluate(X):
+        z = X[:, 0]
+        out = np.zeros_like(z)
+        nz = z != 0.0
+        out[nz] = a * z[nz] + b * z[nz] * np.sin(_logs(np.abs(z[nz])))
+        return out[:, None]
 
-    def derivative(x):
-        xv = float(np.atleast_1d(x)[0])
-        if xv == 0.0:
-            return None
-        th = math.log(abs(xv))
-        return np.array([[a + b * (math.sin(th) + math.cos(th))]])
+    def derivative(X):
+        owner = np.flatnonzero(X[:, 0] != 0.0)
+        th = _logs(np.abs(X[owner, 0]))
+        return owner, (a + b * (np.sin(th) + np.cos(th)))[:, None, None]
 
-    return _rows(evaluate, 1), derivative, a, b
+    return evaluate, derivative, a, b

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed
-from subreglab.mappings import GraphPoint, _rows, catalog, make_function_graph, sum_with_function
+from subreglab.mappings import GraphPoint, catalog, make_function_graph, sum_with_function
 from subreglab.moduli import (
     check_relations,
     eckart_young_check,
@@ -245,8 +245,8 @@ def _compute_semismooth() -> dict:
     F, base, ctx = setup_map("spiral")
     w = extract_witness(F, base, "ss", 0.5, lad, ctx)
     p = build_ss_perturbation(w, 0.5)
-    fgraph = make_function_graph(_rows(p.eval, p.dim_y), grad=p.derivative, dim_x=p.dim_x,
-                                 dim_y=p.dim_y, kind="l1", name="cone")
+    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=p.dim_x, dim_y=p.dim_y,
+                                 kind="l1", name="cone")
     fbase = GraphPoint(base.x, np.zeros(p.dim_y))
     ctx1 = NormContext(kind="l1", dim_x=p.dim_x, dim_y=p.dim_y)
     rep = semismooth_star_test(fgraph, fbase, lad, ctx1)

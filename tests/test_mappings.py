@@ -57,11 +57,12 @@ def test_catalog_base_points_lie_on_the_graph(mid):
 
 def test_function_graph_evaluates_and_differentiates():
     F = make_function_graph(lambda X: X ** 2,
-                            grad=lambda x: np.array([[2.0 * x[0]]]),
+                            grad=lambda X: (np.arange(len(X)), 2.0 * X[:, :, None]),
                             dim_x=1, dim_y=1, kind="l1", name="sq")
     assert F.single_valued
     assert F.func(np.array([[3.0], [-2.0]])).tolist() == [[9.0], [4.0]]
-    assert F.grad([3.0])[0][0] == 6.0
+    owner, G = F.grad(np.array([[3.0], [-2.0]]))
+    assert owner.tolist() == [0, 1] and G.tolist() == [[[6.0]], [[-4.0]]]
     assert _one(F.image_distance, [2.0], [5.0]) == 1.0
     assert _one(F.image_distance, [2.0], [4.0]) <= 1e-9
     assert _one(F.image_distance, [2.0], [4.5]) > 1e-9
@@ -216,6 +217,70 @@ def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
         assert np.array_equal(_bits(out), _bits(np.concatenate(one))), name
 
 
+def _spiral_jacobian(x):
+    a, b = float(x[0]), float(x[1])
+    return np.array([[2.0 * a, -2.0 * b], [2.0 * b, 2.0 * a]])
+
+
+def _xsin_jacobian(u):  # at x = 1/u
+    return np.array([[math.sin(u) - u * math.cos(u)]])
+
+
+def _oscillating_jacobian(th):  # at |x| = exp(th)
+    return np.array([[math.sin(th) + math.cos(th)]])
+
+
+# the Jacobian of each single-valued catalog map and of the sum wrap at one
+# point, as grad once computed it point by point: None at a kink
+_GRAD_REFERENCE = {
+    "identity": lambda x: np.eye(1),
+    "scale": lambda x: np.array([[2.0]]),
+    "linear": lambda x: np.array([[2.0, 0.0], [0.0, 0.5]]),
+    "zero": lambda x: np.zeros((1, 1)),
+    "square": lambda x: np.array([[2.0 * float(x[0])]]),
+    "square_plus_identity": lambda x: np.array([[2.0 * float(x[0])]]) + np.eye(1),
+    "abs": lambda x: None if x[0] == 0.0 else np.array([[1.0 if x[0] > 0 else -1.0]]),
+    "xsin": lambda x: None if x[0] == 0.0 else _xsin_jacobian(1.0 / float(x[0])),
+    "oscillating": lambda x: (None if x[0] == 0.0
+                              else _oscillating_jacobian(math.log(abs(float(x[0]))))),
+    "spiral": _spiral_jacobian,
+    "sum": lambda x: _spiral_jacobian(x) + np.array([[2.0, 0.0], [0.0, 0.5]]),
+}
+
+
+def test_every_single_valued_map_has_a_grad_reference():
+    single = [mid for mid in ALL_IDS + sorted(_WRAPS)
+              if resolve_map_spec(_WRAPS.get(mid, {"id": mid}))[0].single_valued]
+    assert sorted(_GRAD_REFERENCE) == sorted(single)
+
+
+@pytest.mark.parametrize("mid", sorted(_GRAD_REFERENCE))
+def test_every_catalog_grad_takes_rows_and_row_k_is_the_one_row_call(mid):
+    """grad(X) returns (owner, G); row k has the bits of the one-row call
+    and of the point-by-point reference, and a kink row is absent."""
+    F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}))
+    rng = np.random.default_rng(29)
+    X = np.concatenate([rng.uniform(-0.5, 0.5, (96, F.dim_x)),
+                        np.exp(rng.uniform(-30.0, 0.0, (32, F.dim_x)))
+                        * rng.choice([-1.0, 1.0], (32, F.dim_x))])
+    X[-4:-2], X[-1] = 0.0, -0.0
+    owner, G = F.grad(X)
+    assert G.shape == (len(owner), F.dim_y, F.dim_x)
+    assert np.all(np.diff(owner) > 0)
+    jac = dict(zip(owner.tolist(), G))
+    for k, x in enumerate(X):
+        want = _GRAD_REFERENCE[mid](x)
+        one, g = F.grad(X[k:k + 1])
+        if want is None:
+            assert k not in jac and len(one) == 0 and g.shape == (0, F.dim_y, F.dim_x), k
+            continue
+        assert one.tolist() == [0], k
+        assert np.array_equal(_bits(jac[k]), _bits(want)), k
+        assert np.array_equal(_bits(g[0]), _bits(want)), k
+    empty = F.grad(X[:0])
+    assert [a.shape for a in empty] == [(0,), (0, F.dim_y, F.dim_x)]
+
+
 @pytest.mark.parametrize("kind", NORM_KINDS)
 @pytest.mark.parametrize("mid", ALL_IDS + sorted(_WRAPS))
 def test_every_normal_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
@@ -244,8 +309,12 @@ def test_graph_normals_are_the_per_pair_products_bit_for_bit(kind, dy, dx):
     rng = np.random.default_rng(7 * dy + dx)
     M, N = _signed_magnitudes(rng, (dy, dx)), _signed_magnitudes(rng, (dy, dx), zeros=0.1)
 
-    def grad(x):  # a Jacobian that changes from row to row; none where x[0] < -0.4
+    def grad_one(x):  # a Jacobian that changes from row to row; none where x[0] < -0.4
         return None if x[0] < -0.4 else M * math.sin(50.0 * x[0]) + N
+
+    def grad(X):
+        owner = np.flatnonzero(~(X[:, 0] < -0.4))
+        return owner, M * np.sin(50.0 * X[owner, 0])[:, None, None] + N
 
     F = make_function_graph(lambda X: np.zeros((len(X), dy)), grad=grad, dim_x=dx, dim_y=dy,
                             kind=kind)
@@ -253,7 +322,7 @@ def test_graph_normals_are_the_per_pair_products_bit_for_bit(kind, dy, dx):
     Y = np.zeros((400, dy))
     etas = dual_sphere_grid(kind, dy, 8)
     owner, X_star, Y_star = F.analytic_normals(X, Y)
-    want = [(k, g.T @ eta, eta) for k, x in enumerate(X) if (g := grad(x)) is not None
+    want = [(k, g.T @ eta, eta) for k, x in enumerate(X) if (g := grad_one(x)) is not None
             for eta in etas]
     assert owner.tolist() == [k for k, _, _ in want]
     assert np.array_equal(_bits(X_star), _bits([a for _, a, _ in want]))
@@ -263,7 +332,7 @@ def test_graph_normals_are_the_per_pair_products_bit_for_bit(kind, dy, dx):
     S = sum_with_function(F, A)
     Y = rng.uniform(-0.5, 0.5, (400, dy))
     owner, X_star, Y_star = S.analytic_normals(X, Y)
-    a = A.grad(X[0])
+    a = A.grad(X[:1])[1][0]
     want = [(k, xs + a.T @ ys, ys) for k, (x, y) in enumerate(zip(X, Y))
             for xs, ys in zip(*F.analytic_normals(x[None], (y - a @ x)[None])[1:])]
     assert owner.tolist() == [k for k, _, _ in want]
@@ -294,9 +363,9 @@ def test_linear_batch_oracles_match_the_per_pair_oracles_bit_for_bit(kind):
     for name, F in _linear_maps(kind).items():
         X = rng.normal(size=(24, F.dim_x))
         Y = rng.normal(size=(24, F.dim_y))
-        Y[::4] = X[::4] @ F.grad(X[0]).T  # some pairs on the graph
+        A = F.grad(X[:1])[1][0]
+        Y[::4] = X[::4] @ A.T  # some pairs on the graph
         Y[1::4] = 0.0
-        A = F.grad(X[0])
         assert np.array_equal(_bits(F.func(X)), _bits([A @ x for x in X])), name
         assert np.array_equal(_bits(F.image_distance(X, Y)),
                               _bits([norm(y - A @ x, kind) for x, y in zip(X, Y)])), name
@@ -418,17 +487,18 @@ def test_interval_map_preimage_prefers_the_nearest_fiber():
 
 def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
-    G = sum_with_function(F, make_function_graph(lambda X: X.copy(),
-                                                 grad=lambda x: np.array([[1.0]])), name="sq+id")
+    G = sum_with_function(F, make_function_graph(
+        lambda X: X.copy(), grad=lambda X: (np.arange(len(X)), np.ones((len(X), 1, 1)))),
+        name="sq+id")
     assert _one(G.image_distance, [2.0], [6.0]) <= 1e-9  # 4 + 2
     assert _one(G.image_distance, [2.0], [7.0]) == pytest.approx(1.0, abs=1e-12)
     assert G.func(np.array([[3.0]]))[0, 0] == 12.0
-    assert G.grad([3.0])[0][0] == 7.0
+    assert G.grad(np.array([[3.0]]))[1].tolist() == [[[7.0]]]
 
 
 def test_sum_with_perturbation_object_and_anchors():
     f = make_function_graph(lambda X: -X ** 2,
-                            grad=lambda x: np.array([[-2.0 * x[0]]]))
+                            grad=lambda X: (np.arange(len(X)), -2.0 * X[:, :, None]))
     F = make_square("l1")
     G = anchored(sum_with_function(F, f, name="sq-cancel"),
                  [(np.array([0.5]), np.array([0.0]))])

@@ -125,6 +125,22 @@ def test_preimage_distances_the_fallback_misses_are_left_out():
                             "their quotients are left out")
 
 
+def test_an_empty_innermost_annulus_is_named_in_the_note():
+    """None of the points the inverse of xsin draws at one sample per scale
+    falls in the fourth annulus, so clm reads nan there; the note says
+    which annulus held no graph point."""
+    F, _ = resolve_map_spec({"id": "xsin", "wrap": [{"op": "inverse"}]})
+    base = GraphPoint(np.zeros(1), np.zeros(1))
+    ctx = NormContext(kind="l1", dim_x=1, dim_y=1)
+    est = estimate_clm(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7), ctx)
+    assert math.isnan(est.reported) and not math.isnan(est.per_scale[-2][1])
+    assert est.note == ("annulus 3 (0.0312, 0.0625] held no graph point, "
+                        "so the innermost scale reads nan")
+    # an innermost annulus with a point leaves the note empty
+    assert estimate_lip(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7),
+                        ctx).note == ""
+
+
 def test_linear_map_rg_matches_the_smallest_singular_value():
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     F = make_linear_map(A, kind="l2")

@@ -11,8 +11,9 @@ import pytest
 
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
-from subreglab.geometry import NormContext, ScaleLadder, derive_seed
-from subreglab.mappings import GraphPoint, _rows, make_function_graph, sum_with_function
+from perturb_reference import reference
+from subreglab.geometry import NormContext, ScaleLadder, derive_seed, norm
+from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
 from subreglab.moduli import estimate_clm, estimate_ssrg
 from subreglab.perturb import (
     WitnessError,
@@ -155,8 +156,10 @@ def test_perturbation_values_are_pinned(mid, kind, gamma):
     pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
     p, _ = _verified(mid, kind, gamma)
     X = np.array([[float.fromhex(c) for c in row] for row in pin["x"]])
-    assert [_hexes(p.eval(x)) for x in X] == pin["eval"]
-    assert [None if (g := p.derivative(x)) is None else _hexes(g) for x in X] == pin["derivative"]
+    assert [_hexes(v) for v in p.eval(X)] == pin["eval"]
+    owner, G = p.derivative(X)
+    jac = dict(zip(owner.tolist(), G))
+    assert [_hexes(jac[k]) if k in jac else None for k in range(len(X))] == pin["derivative"]
 
 
 @pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
@@ -165,11 +168,52 @@ def test_builder_reports_are_pinned(mid, kind, gamma):
     assert _canon(dataclasses.asdict(rep)) == _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]["report"]
 
 
+def _bits(a) -> list:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
+def test_every_perturbation_takes_rows_and_row_k_is_the_one_row_call(mid, kind, gamma):
+    """eval(X) and derivative(X) -> (owner, G) on rows: row k has the bits
+    of the one-row call and of the point-by-point reference construction,
+    a seam row is absent from owner, and no rows give empty results. The
+    rows are the pinned points (seams included), jitter around the
+    anchors at three widths, and points of the unit box."""
+    p, _ = _verified(mid, kind, gamma)
+    ref_eval, ref_derivative = reference(p)
+    pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
+    rng = np.random.default_rng(13)
+    AX = np.array([xk for xk, _ in p.anchors])
+    near = AX[rng.integers(len(AX), size=(3, 24))]
+    jitter = [1.0 + rng.uniform(-w, w, near.shape[1:]) for w in (0.3, 0.02, 1e-3)]
+    X = np.concatenate([np.array([[float.fromhex(c) for c in row] for row in pin["x"]])]
+                       + [a * j for a, j in zip(near, jitter)]
+                       + [rng.uniform(-0.6, 0.6, (24, p.dim_x))])
+    values = p.eval(X)
+    owner, G = p.derivative(X)
+    assert values.shape == (len(X), p.dim_y) and G.shape == (len(owner), p.dim_y, p.dim_x)
+    assert np.all(np.diff(owner) > 0)
+    jac = dict(zip(owner.tolist(), G))
+    seams = 0
+    for k, x in enumerate(X):
+        assert _bits(values[k]) == _bits(ref_eval(x)) == _bits(p.eval(X[k:k + 1])[0]), k
+        want = ref_derivative(x)
+        one, g = p.derivative(X[k:k + 1])
+        if want is None:
+            seams += 1
+            assert k not in jac and len(one) == 0 and g.shape == (0, p.dim_y, p.dim_x), k
+        else:
+            assert _bits(jac[k]) == _bits(want) == _bits(g[0]), k
+    assert seams >= pin["derivative"].count(None)
+    assert p.eval(X[:0]).shape == (0, p.dim_y)
+    assert [a.shape for a in p.derivative(X[:0])] == [(0,), (0, p.dim_y, p.dim_x)]
+
+
 def test_interpolation_is_bitwise_exact():
     F, base, ctx, lad, p = _build("square", "ss", 0.5)
-    assert np.array_equal(p.eval(base.x), np.zeros(p.dim_y))
+    assert np.array_equal(p.eval(base.x[None]), np.zeros((1, p.dim_y)))
     for (xk, yb_anchor), tgt in zip(p.anchors, p.anchor_targets):
-        got = p.eval(xk)
+        got = p.eval(xk[None])[0]
         assert np.array_equal(got, tgt), (xk, got, tgt)
         assert np.array_equal(yb_anchor, base.y)
         # F + f passes through (x_k, yb) exactly
@@ -201,8 +245,8 @@ def test_case2_build_has_a_positive_floor():
     assert p.floor_radius > 0.0
     # below the floor the perturbation vanishes identically
     for frac in (0.5, 0.1, 0.01):
-        x = np.array([p.floor_radius * frac])
-        assert np.array_equal(p.eval(x), np.zeros(1))
+        x = np.array([[p.floor_radius * frac]])
+        assert np.array_equal(p.eval(x), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("mid,kind,gamma", [
@@ -219,13 +263,11 @@ def test_serialization_round_trip_is_bit_identical(mid, kind, gamma):
     xs = [rng.uniform(-0.7, 0.7, size=p.dim_x) for _ in range(300)]
     xs += [xk for xk, _ in p.anchors]
     xs += list(p.probes)
-    for x in xs:
-        assert np.array_equal(p.eval(x), q.eval(x))
-        dp, dq = p.derivative(x), q.derivative(x)
-        if dp is None or dq is None:
-            assert dp is None and dq is None
-        else:
-            assert np.array_equal(dp, dq)
+    X = np.array(xs)
+    assert np.array_equal(p.eval(X), q.eval(X))
+    (op, dp), (oq, dq) = p.derivative(X), q.derivative(X)
+    assert np.array_equal(op, oq)
+    assert np.array_equal(dp, dq)
 
 
 def test_reloaded_perturbation_verifies():
@@ -270,7 +312,7 @@ def test_description_violating_a_witness_invariant_is_rejected():
 
 
 def test_firmly_calm_accepts_a_kinked_but_calm_function():
-    f = lambda x: np.array([abs(x[0])])
+    f = np.abs
     out = firmly_calm_test(f, np.zeros(1), ladder12(),
                            NormContext(kind="l1", dim_x=1, dim_y=1))
     assert out["ok"]
@@ -279,8 +321,8 @@ def test_firmly_calm_accepts_a_kinked_but_calm_function():
 def test_firmly_calm_rejects_a_jump():
     c = 0.01
 
-    def f(x):
-        return np.array([0.0 if x[0] < c else 1.0])
+    def f(X):
+        return np.where(X < c, 0.0, 1.0)
 
     out = firmly_calm_test(f, np.zeros(1), ladder12(),
                            NormContext(kind="l1", dim_x=1, dim_y=1),
@@ -289,7 +331,7 @@ def test_firmly_calm_rejects_a_jump():
 
 
 def test_firmly_calm_rejects_divergent_quotients():
-    f = lambda x: np.array([math.sqrt(abs(x[0]))])
+    f = lambda X: np.sqrt(np.abs(X))
     out = firmly_calm_test(f, np.zeros(1), ladder12(),
                            NormContext(kind="l1", dim_x=1, dim_y=1))
     assert not out["ok"]
@@ -300,13 +342,13 @@ def test_random_calm_perturbation_contract():
         fe, fg, a, b = random_calm_perturbation(seed)
         assert abs(a) + abs(b) <= 0.85 + 1e-15
         assert fe(np.zeros((1, 1))).tolist() == [[0.0]]
-        assert fg(np.zeros(1)) is None
+        assert fg(np.zeros((1, 1)))[0].tolist() == []  # no derivative at the base
         # derivative matches a central difference away from the base
         for xv in (0.3, -0.2, 0.05):
             h = 1e-7
             up, down = fe(np.array([[xv + h], [xv - h]]))[:, 0]
             fd = (up - down) / (2 * h)
-            assert fg([xv])[0][0] == pytest.approx(fd, abs=1e-6)
+            assert fg(np.array([[xv]]))[1][0, 0, 0] == pytest.approx(fd, abs=1e-6)
 
 
 def test_random_calm_perturbations_leave_ssrg_positive():
@@ -328,7 +370,7 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
     vals = [v for _, v in rep.destabilization]
     assert vals[-1] == 0.0
     # the sum map attains the base value at every anchor
-    G = sum_with_function(F, make_function_graph(_rows(p.eval, 1), grad=p.derivative),
+    G = sum_with_function(F, make_function_graph(p.eval, grad=p.derivative),
                           name="identity+ssr")
     for xk, _ in p.anchors:
         assert G.image_distance(xk[None], base.y[None])[0] <= 1e-15
@@ -336,7 +378,7 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
 
 def test_sampled_modulus_stays_below_gamma():
     F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
-    fgraph = make_function_graph(_rows(p.eval, 1), grad=p.derivative, dim_x=1, dim_y=1,
+    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=1, dim_y=1,
                                  kind="l1", name="f")
     fbase = GraphPoint(base.x, np.zeros(1))
     est = estimate_clm(fgraph, fbase, lad, ctx)
@@ -354,7 +396,10 @@ def _shifted_eval(p, dy):
 
 
 def _doubled_derivative(p):
-    return lambda x: None if (d := p.derivative(x)) is None else 2.0 * d
+    def derivative(X):
+        owner, G = p.derivative(X)
+        return owner, 2.0 * G
+    return derivative
 
 
 @pytest.mark.parametrize("tamper,note", [
@@ -375,6 +420,40 @@ def test_a_failed_build_names_each_failed_check(tamper, note):
     rep = verify_builder(tamper(p), F, base, lad, ctx)
     assert not rep.passed
     assert note in rep.notes, rep.notes
+
+
+def _entry(index, x, y_star):
+    """A witness entry of the identity at x with unit ratio and (x*, y*) = (y*, y*)."""
+    x = np.array([x])
+    return perturb.WitnessEntry(index=index, t=abs(x[0]), x=x, y=x.copy(),
+                                x_star=np.array([y_star]), y_star=np.array([y_star]),
+                                eps=0.0, ratio=1.0, xn=1.0, q=0.0, u=np.sign(x))
+
+
+def test_phase_e_shifts_each_anchor_by_its_own_witness_entry(monkeypatch):
+    """A case-1 witness with two entries in the direction +1: the cones
+    keep the finer one and are sorted by -t, so the anchors are the
+    entries at 0.2 and -0.1, not the witness's first two. Each element
+    that phase (e) injects carries its own anchor's x* and y*."""
+    F, base, ctx = setup_map("identity")
+    w = perturb.WitnessSequence(
+        kind="ss", entries=[_entry(1, 0.4, 1.0), _entry(2, 0.2, -1.0), _entry(3, -0.1, 1.0)],
+        gamma=1.5, gamma_prime=1.0, direction_mode="distinct", u=None, k_hat=1,
+        base=GraphPoint(np.zeros(1), np.zeros(1)), norm_kind="l1")
+    p = build_ss_perturbation(w, 1.5)
+    assert p.case == 1 and [xk.tolist() for xk, _ in p.anchors] == [[0.2], [-0.1]]
+    injected = []
+    pool = perturb.build_element_pool
+    monkeypatch.setattr(perturb, "build_element_pool",
+                        lambda *a, **k: injected.extend(k["extra_elements"]) or pool(*a, **k))
+    verify_builder(p, F, base, ScaleLadder(depth=6, samples_per_scale=16, seed=7), ctx)
+    own = {e.x[0]: e for e in w.entries}
+    assert [elem.x.tolist() for elem in injected] == [[0.2], [-0.1]]
+    assert [elem.y_star.tolist() for elem in injected] == [[-1.0], [1.0]]
+    _, G = p.derivative(np.array([[0.2], [-0.1]]))
+    for elem, g in zip(injected, G):
+        e = own[elem.x[0]]
+        assert elem.x_star.tolist() == (e.x_star + g.T @ e.y_star).tolist()
 
 
 def test_a_failed_class_check_is_named(monkeypatch):
@@ -456,6 +535,6 @@ def test_bump_supports_are_placed_in_the_norm_they_use():
     F, base, ctx = setup_map("spiral", "l1")
     w = extract_witness(F, base, "lip", 0.05,
                         ScaleLadder(depth=12, samples_per_scale=64, seed=7), ctx)
-    assert perturb._l2(w.entries[0].x - base.x) < 0.75 * w.entries[0].t
+    assert norm(w.entries[0].x - base.x, "l2") < 0.75 * w.entries[0].t
     with pytest.raises(WitnessError, match="bump supports overlap; thinning insufficient"):
         build_lip_perturbation(w, 0.05)

@@ -79,10 +79,10 @@ def test_semismooth_star_report_rows_are_triples():
 
 
 def test_positive_homogeneity_detects_cones_and_rejects_parabolas():
-    cone = lambda x: np.array([abs(x[0]) + 0.5 * x[0]])
+    cone = lambda X: np.abs(X) + 0.5 * X
     ok, err = positive_homogeneity_test(cone, np.zeros(1), "l1")
     assert ok and err <= 1e-12
-    bent = lambda x: np.array([x[0] ** 2])
+    bent = lambda X: X ** 2
     ok, err = positive_homogeneity_test(bent, np.zeros(1), "l1")
     assert not ok
     assert err > 1e-3
@@ -90,7 +90,7 @@ def test_positive_homogeneity_detects_cones_and_rejects_parabolas():
 
 def test_semismooth_star_on_a_smooth_graph_sees_curvature_decay():
     F = make_function_graph(np.sin,
-                            grad=lambda x: np.array([[math.cos(x[0])]]),
+                            grad=lambda X: (np.arange(len(X)), np.cos(X)[:, :, None]),
                             dim_x=1, dim_y=1, kind="l1", name="sin")
     base = GraphPoint(np.zeros(1), np.zeros(1))
     ctx = NormContext(kind="l1", dim_x=1, dim_y=1)
