@@ -723,14 +723,29 @@ def test_pool_ids_are_pinned(mid, kind):
     assert {est.pool_id for est in consts.values()} == {_POOL_ID_PIN[mid, kind]}
 
 
-# perturb._collect_candidates on the element pool at the same ladder: the
-# candidate count and the sha256 of the candidates with every float field
-# hexed (annulus kept as an int), in order
+# perturb._collect_candidates at the same ladder, on the element pool (lip,
+# fclm, ss) or on the graph sample (ssr, whose y* are the norming
+# functionals of each norm kind): the candidate count and the sha256 of the
+# candidates with every float field hexed (annulus kept as an int), in order
 _CANDIDATE_PIN = {
     ("spiral", "l2", "lip", 0.05):
         (360, "14e679eab85bdcd565abd4e2ac77bd7b0a2d289dac910e39d5f60b1e897c11d7"),
     ("interval", "l1", "fclm", 1.2):
         (40, "362d0e6e83d01ba709831e465e54fb532edb80a25a87c748b9bbb1c4838d02c4"),
+    ("xsin", "l1", "ss", 1.05):
+        (60, "c45e110125799c14e130be70c70594971e21a5a50072836882f73d8ff8ab1be9"),
+    ("identity", "l1", "ssr", 1.1):
+        (16, "b85b4ac3d5478eecbbc1e59769a88bf1d5a779d97581a4e3e2a457cdaba4e880"),
+    ("square", "l2", "ssr", 0.6):
+        (16, "c51fb55040fa0f38e96dec4e45236a737e3e9b3749288fcec96a8d2c55c80ac7"),
+    ("spiral", "l1", "ssr", 1.1):
+        (119, "351c4743e9284fcd0b936912336b53295d595e187121b0b5e87cecb86633a4bb"),
+    ("spiral", "l2", "ssr", 1.1):
+        (118, "4be93233232a536832690e7c6b039f3f5b7d0c1f5140bce9a0285f006259438a"),
+    ("spiral", "linf", "ssr", 1.1):
+        (116, "4da39cc54d4387a6a35ca0f1ff91ae22db6c0b767144dbcef6fdf51b9822bdae"),
+    ("linear", "linf", "ssr", 2.5):
+        (109, "2641e0ce47eba2e3499d28184f893ea69d11224aa732b18271ad7e72930081b8"),
 }
 
 
