@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 _DUAL = {"l1": "linf", "l2": "l2", "linf": "l1"}
 
@@ -34,6 +33,7 @@ __all__ = [
     "dual_sphere_grid",
     "norm",
     "norming_functional",
+    "norming_functionals",
     "norming_vector",
     "norms",
     "pairing",
@@ -149,6 +149,22 @@ def norming_functional(u, kind: str = "l2") -> np.ndarray:
     return e
 
 
+def norming_functionals(V, kind: str = "l2") -> np.ndarray:
+    """The norming functional of each row of V (n, d), with the bits
+    norming_functional(V[k], kind) gives. Every row must have a nonzero norm."""
+    _check_kind(kind)
+    V = np.asarray(V, dtype=float)
+    if kind == "l1":
+        return np.sign(V)
+    if kind == "l2":
+        return V / norms(V, "l2")[:, None]
+    rows = np.arange(len(V))
+    i0 = np.argmax(np.abs(V), axis=1)  # the lowest index on ties
+    E = np.zeros_like(V)
+    E[rows, i0] = np.where(V[rows, i0] >= 0.0, 1.0, -1.0)
+    return E
+
+
 def norming_vector(y_star, kind: str = "l2") -> np.ndarray:
     """A primal vector v with <y*, v> exactly 1.0 for a unit dual vector y*.
 
@@ -240,6 +256,8 @@ def _directions(u: np.ndarray, kind: str) -> np.ndarray:
     d = u.shape[1]
     if d == 1:
         return np.where(u[:, :1] < 0.5, -1.0, 1.0)
+    from scipy.special import ndtri  # imported on the first draw in two or more dimensions
+
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.sum(np.abs(g), axis=1) if kind == "l1" else (
         np.linalg.norm(g, axis=1) if kind == "l2" else np.max(np.abs(g), axis=1)

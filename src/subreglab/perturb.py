@@ -42,6 +42,7 @@ from .geometry import (
     derive_seed,
     norm,
     norming_functional,
+    norming_functionals,
     norming_vector,
     norms,
     sample_annulus,
@@ -169,11 +170,56 @@ def _graph_records(base: GraphPoint, ctx: NormContext, inner: float, outer: floa
     X, Y, t, dy, yn, ratio = X[keep], Y[keep], t[keep], dy[keep], yn[keep], ratio[keep]
     y_star = np.zeros_like(Y)
     y_star[:, 0] = 1.0
-    for k in np.flatnonzero(yn > 0.0):
-        y_star[k] = norming_functional(dy[k], ctx.kind)
+    on = yn > 0.0
+    y_star[on] = norming_functionals(dy[on], ctx.kind)
     zero = np.zeros(len(t))
     return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero, eps=zero, x=X, y=Y,
                           x_star=np.zeros_like(X), y_star=y_star)
+
+
+def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray, j: int,
+                        base: GraphPoint) -> list[dict]:
+    """The candidates of annulus j: of the records keep, with objectives obj,
+    the best per orientation key, in _cand_order.
+
+    A record's key is its direction u = (x - xb)/t, payload direction
+    (y - yb scaled to unit max norm) and y*, each coordinate rounded to a
+    multiple of 0.25 (half to even, as round does; -0.0 keys as 0.0). A
+    later record of a key replaces the best so far only when it comes first
+    in _cand_order, strictly: on ties the earlier record stays, and a NaN
+    objective neither replaces nor is replaced, so it wins only as its
+    key's first record. A NaN in u, the payload or y* raises ValueError and
+    an infinite one OverflowError, as rounding it to an int does. Only the
+    winners become dicts; they enter the sort in the order their keys first
+    appear, so ties and NaNs sort as they did when each record was a dict.
+    """
+    if not len(keep):
+        return []
+    t = recs.t[keep]
+    U = (recs.x[keep] - base.x) / t[:, None]
+    DY = recs.y[keep] - base.y
+    PAY = np.divide(DY, np.abs(DY).max(axis=1)[:, None], out=DY.copy(),
+                    where=DY.any(axis=1)[:, None])
+    with np.errstate(over="ignore"):  # a huge coordinate keys to inf, as float division does
+        K = np.hstack([U, PAY, recs.y_star[keep]]) / 0.25
+    bad = ~np.isfinite(K)
+    if bad.any():
+        v = K.flat[np.argmax(bad)]  # the first in record order, then u, payload, y*
+        raise (ValueError if np.isnan(v) else OverflowError)(
+            f"no orientation key for the non-finite coordinate {v}")
+    _, first, key = np.unique(np.rint(K) + 0.0, axis=0, return_index=True, return_inverse=True)
+    key = key.reshape(-1)
+    ob = obj[keep]
+    order = np.lexsort((-t, -U[:, 0], ob, key))  # stable: ties keep the earlier record
+    # each key's first in _cand_order; NaN objectives sort last
+    lead = order[np.r_[True, key[order[1:]] != key[order[:-1]]]]
+    win = np.where(np.isnan(ob[first]), first, lead)[np.argsort(first)]
+    w = keep[win]
+    cols = {"u": U[win], "pay": PAY[win], "obj": ob[win].tolist()}
+    cols.update((f, getattr(recs, f)[w].tolist()) for f in ("t", "eps", "ratio", "xn", "q"))
+    cols.update((f, getattr(recs, f)[w]) for f in ("x", "y", "x_star", "y_star"))
+    cands = [{"annulus": j, **{f: col[i] for f, col in cols.items()}} for i in range(len(w))]
+    return sorted(cands, key=_cand_order)
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
@@ -182,12 +228,12 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 
     A candidate comes from a record: an element record, or for the ssr
     kind a graph point. The objective and the ss defect guard are tested
-    on the columns, and only the records that pass them become candidate
-    dicts. Each annulus keeps its best candidate per coarse (direction,
-    payload, y*) orientation key, so that both the stationary clustering
-    and the distinct-direction selection see every available family. An
-    annulus's candidates depend only on gamma, its radius and its graph
-    sample or records, which F's memo holds once drawn or built.
+    on the columns. Each annulus keeps its best candidate per coarse
+    (direction, payload, y*) orientation key (_annulus_candidates), so that
+    both the stationary clustering and the distinct-direction selection
+    see every available family. An annulus's candidates depend only on
+    gamma, its radius and its graph sample or records, which F's memo
+    holds once drawn or built.
     """
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
@@ -199,28 +245,11 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
         annuli = [(j, records[j]) for j in range(start, ladder.depth)]
     cands: list[dict] = []
     for j, recs in annuli:
-        r_j = ladder.radius(j)
         obj = _objective(kind, recs.ratio, recs.xn)
         drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
         if kind == "ss":
-            drop |= recs.q > min(0.5, 8.0 * r_j)
-        k = np.flatnonzero(~drop)
-        best: dict[tuple, dict] = {}
-        for t, x, y, x_star, y_star, eps, ratio, xn, q, ob in zip(
-                recs.t[k].tolist(), recs.x[k], recs.y[k], recs.x_star[k], recs.y_star[k],
-                recs.eps[k].tolist(), recs.ratio[k].tolist(), recs.xn[k].tolist(),
-                recs.q[k].tolist(), obj[k].tolist()):
-            u = (x - base.x) / t
-            dy = y - base.y
-            pay = dy / float(np.max(np.abs(dy))) if np.any(dy) else dy
-            cand = {"t": t, "x": x, "y": y, "x_star": x_star, "y_star": y_star, "eps": eps,
-                    "ratio": ratio, "xn": xn, "q": q, "u": u, "annulus": j, "obj": ob,
-                    "pay": pay}
-            key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(y_star, 0.25))
-            cur = best.get(key)
-            if cur is None or _cand_order(cand) < _cand_order(cur):
-                best[key] = cand
-        cands.extend(sorted(best.values(), key=_cand_order))
+            drop |= recs.q > min(0.5, 8.0 * ladder.radius(j))
+        cands.extend(_annulus_candidates(recs, obj, np.flatnonzero(~drop), j, base))
     return cands
 
 
@@ -464,8 +493,7 @@ class Perturbation:
     owner; at a case-2 cell boundary G holds the one-sided (from the
     coarser scale) Jacobian, which is a genuine limiting derivative there.
     Row k of each result depends on X[k] alone and has the bits of the
-    one-row call. At most one bump or cone is active at any point
-    (component_count(x) counts them at one point by brute force). anchors
+    one-row call. At most one bump or cone is active at any point. anchors
     are the graph points (x_k, yb) of F + f and anchor_entries the witness
     entry each comes from; anchor_eps bounds the one-sided derivative gap
     at each anchor (zero for bump and case-1 builds).
@@ -478,7 +506,6 @@ class Perturbation:
     gamma_prime: float
     gamma_dp: float
     witness: WitnessSequence
-    component_count: Callable
     anchors: list = field(default_factory=list)
     anchor_entries: list = field(default_factory=list)
     anchor_targets: list = field(default_factory=list)
@@ -622,10 +649,6 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
         # g_k(x) = (y_k - yb) + <x*_k, x - x_k> v_k
         return DY[k] + _dots(X_STAR[k], DX)[:, None] * VS[k]
 
-    def count(x) -> int:
-        d = norms(np.atleast_1d(np.asarray(x, dtype=float)) - XS, "l2")
-        return int(np.sum((RHO > 0.0) & (d < RHO)))
-
     def evaluate(X):
         k, d = locate(X)
         on = np.flatnonzero(k >= 0)
@@ -665,7 +688,6 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        component_count=count,
         anchors=[(xs[k], base.y.copy()) for k in range(len(es))],
         anchor_entries=list(es),
         anchor_targets=[base.y - e.y for e in es],
@@ -857,10 +879,6 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
             k[hit], alpha[hit], m[hit] = i, a_i[hit], m_i[hit]
         return k, DX, alpha, m
 
-    def count(x) -> int:
-        dx = np.atleast_1d(np.asarray(x, dtype=float))[None] - base.x
-        return sum(int(_cone_rows(dx, c["u_star"], c["w"], 0.0, tau)[2][0]) for c in cones)
-
     def evaluate(X):
         k, DX, alpha, m = locate(X)
         out = np.zeros((len(X), dim_y))
@@ -889,7 +907,6 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        component_count=count,
         anchors=[(c["entry"].x, base.y.copy()) for c in cones],
         anchor_entries=[c["entry"] for c in cones],
         anchor_targets=[base.y - c["entry"].y for c in cones],
@@ -958,10 +975,6 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
             GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
         return T, GT
 
-    def count(x) -> int:
-        dx = np.atleast_1d(np.asarray(x, dtype=float))[None] - base.x
-        return int(_cone_rows(dx, u_star, w_dir, floor, tau)[2][0])
-
     def evaluate(X):
         DX = X - base.x
         alpha, m, held = _cone_rows(DX, u_star, w_dir, floor, tau)
@@ -1002,7 +1015,6 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
         gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        component_count=count,
         anchors=[(s["entry"].x, base.y.copy()) for s in shells],
         anchor_entries=[s["entry"] for s in shells],
         anchor_targets=[base.y - s["entry"].y for s in shells],

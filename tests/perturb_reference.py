@@ -1,9 +1,12 @@
-"""Point-by-point reference copies of the built perturbations.
+"""Point-by-point reference copies of the built perturbations, and the
+per-record loop of the witness candidates.
 
 Each function of one point below is the construction the builders in
 subreglab.perturb made before they took rows, kept as the reference that
 tests compare every row of the rows form against, bit for bit. They read
-the same witness, so they rebuild the same bumps and cones.
+the same witness, so they rebuild the same bumps and cones. component_count
+counts the supports that hold a point by brute force. annulus_candidates is
+the loop the columnar candidate selection replaced.
 """
 
 import bisect
@@ -12,7 +15,7 @@ import math
 import numpy as np
 
 from subreglab.geometry import norming_functional, norming_vector
-from subreglab.perturb import _CLUSTER_TOL, _DEAD_ZONE, _dir_key
+from subreglab.perturb import _CLUSTER_TOL, _DEAD_ZONE, _cand_order, _dir_key
 
 
 def _l2(v) -> float:
@@ -22,6 +25,16 @@ def _l2(v) -> float:
 def reference(p):
     """(eval, derivative) of one point for the perturbation p; derivative
     returns None on a seam."""
+    return _parts(p)[:2]
+
+
+def component_count(p):
+    """A function of one point counting the bumps or cones of p whose
+    support holds it, by brute force over all of them."""
+    return _parts(p)[2]
+
+
+def _parts(p):
     w = p.witness
     if p.class_tag in ("lip", "fclm"):
         return _bump(w, _bump_radii(w, p.class_tag, p.gamma_dp))
@@ -80,7 +93,10 @@ def _bump(seq, rho):
             jac -= np.outer(g, ds * (x - xs[k]) / d)
         return jac
 
-    return evaluate, derivative
+    def count(x):
+        return sum(1 for k in range(len(es)) if rho[k] > 0.0 and _l2(x - xs[k]) < rho[k])
+
+    return evaluate, derivative, count
 
 
 def _smooth_cap(m, tau):
@@ -187,7 +203,10 @@ def _cone_case1(seq, gamma, with_dual):
             return _cap_slope_term(jac, pay, dx, alpha, m, tau, cone["w"], cone["u_star"])
         return np.zeros((dim_y, dim_x))
 
-    return evaluate, derivative
+    def count(x):
+        return sum(1 for k in range(len(cones)) if membership(x, k) is not None)
+
+    return evaluate, derivative, count
 
 
 def _cone_case2(seq, gamma, with_dual):
@@ -275,4 +294,28 @@ def _cone_case2(seq, gamma, with_dual):
             grad_t = lam * payload_grad(len(bs) - 1) + np.outer(pk, u_star / (alpha * big_l))
         return _cap_slope_term(-s * grad_t, t_val, dx, alpha, m, tau, w_dir, u_star)
 
-    return evaluate, derivative
+    def count(x):
+        return int(membership(x) is not None)
+
+    return evaluate, derivative, count
+
+
+def annulus_candidates(recs, obj, keep, j, base):
+    """perturb._annulus_candidates as it was written with one dict per kept
+    record, each key's best kept by tuple comparison in record order."""
+    best = {}
+    for t, x, y, x_star, y_star, eps, ratio, xn, q, ob in zip(
+            recs.t[keep].tolist(), recs.x[keep], recs.y[keep], recs.x_star[keep],
+            recs.y_star[keep], recs.eps[keep].tolist(), recs.ratio[keep].tolist(),
+            recs.xn[keep].tolist(), recs.q[keep].tolist(), obj[keep].tolist()):
+        u = (x - base.x) / t
+        dy = y - base.y
+        pay = dy / float(np.max(np.abs(dy))) if np.any(dy) else dy
+        cand = {"t": t, "x": x, "y": y, "x_star": x_star, "y_star": y_star, "eps": eps,
+                "ratio": ratio, "xn": xn, "q": q, "u": u, "annulus": j, "obj": ob,
+                "pay": pay}
+        key = (_dir_key(u, 0.25), _dir_key(pay, 0.25), _dir_key(y_star, 0.25))
+        cur = best.get(key)
+        if cur is None or _cand_order(cand) < _cand_order(cur):
+            best[key] = cand
+    return sorted(best.values(), key=_cand_order)

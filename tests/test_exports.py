@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,19 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_importing_the_package_leaves_scipy_special_out():
+    """scipy.special, which only the 2-D and higher samplers use (ndtri),
+    loads on the first such draw, not at import: it is most of the import
+    time of the CLI. A fresh interpreter shows it."""
+    code = ("import sys, subreglab, subreglab.radius_cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def _traced_names() -> set:
@@ -118,27 +134,28 @@ def test_every_public_method_is_read_in_the_package():
 
 
 def test_every_map_field_is_set_and_read_in_the_package():
-    """Every field of SetValuedMap is passed by some constructor in the
-    package (SetValuedMap(...) or dataclasses.replace(...)), unless no caller
-    may set it (init=False), and is read as an attribute somewhere in the
-    package. A field that no constructor sets is a knob with one value; one
-    that nothing reads is dead."""
+    """Every field of SetValuedMap and of Perturbation is passed by some
+    constructor in the package (the class's own call, or
+    dataclasses.replace(...)), unless no caller may set it (init=False), and
+    is read as an attribute somewhere in the package. A field that no
+    constructor sets is a knob with one value; one that nothing reads is
+    dead."""
     trees = _trees()
-    cls = next(n for n in ast.walk(trees["mappings"])
-               if isinstance(n, ast.ClassDef) and n.name == "SetValuedMap")
-    fields = {n.target.id: n.value for n in cls.body if isinstance(n, ast.AnnAssign)}
+    read = {n.attr for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
     def settable(default) -> bool:
         return not (isinstance(default, ast.Call) and any(
             k.arg == "init" and getattr(k.value, "value", True) is False
             for k in default.keywords))
 
-    constructors = ("SetValuedMap", "replace")
-    passed = {k.arg for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)
-              and getattr(n.func, "id", getattr(n.func, "attr", None)) in constructors
-              for k in n.keywords}
-    read = {n.attr for t in trees.values() for n in ast.walk(t)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unset = [f for f, default in fields.items() if settable(default) and f not in passed]
-    unread = [f for f in fields if f not in read]
-    assert not unset and not unread, f"never set: {unset}; never read: {unread}"
+    for mod, name in (("mappings", "SetValuedMap"), ("perturb", "Perturbation")):
+        cls = next(n for n in ast.walk(trees[mod])
+                   if isinstance(n, ast.ClassDef) and n.name == name)
+        fields = {n.target.id: n.value for n in cls.body if isinstance(n, ast.AnnAssign)}
+        passed = {k.arg for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) in (name, "replace")
+                  for k in n.keywords}
+        unset = [f for f, default in fields.items() if settable(default) and f not in passed]
+        unread = [f for f in fields if f not in read]
+        assert not unset and not unread, f"{name}: never set: {unset}; never read: {unread}"

@@ -12,7 +12,9 @@ from subreglab.geometry import (
     dual_sphere_grid,
     norm,
     norming_functional,
+    norming_functionals,
     norming_vector,
+    norms,
     pairing,
     product_norm,
     product_norm_dual,
@@ -72,6 +74,19 @@ def test_norming_functional_attains_the_norm(kind):
         u_star = norming_functional(u, kind)
         assert pairing(u_star, u) == pytest.approx(norm(u, kind), rel=1e-12)
         assert dual_norm(u_star, kind) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_norming_functionals_row_k_is_the_one_vector_call(kind, dim):
+    # rows from a small grid: ties of the largest coordinate, zero and
+    # signed-zero coordinates; the rows of norm 0 (1e-300 squares to 0 in
+    # l2) are left out
+    rng = np.random.default_rng(11)
+    V = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 0.3, -1e-300], (200, dim))
+    V = V[norms(V, kind) > 0.0]
+    want = np.array([norming_functional(v, kind) for v in V])
+    assert norming_functionals(V, kind).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -11,10 +11,10 @@ import pytest
 
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
-from perturb_reference import reference
+from perturb_reference import annulus_candidates, component_count, reference
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed, norm
 from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
-from subreglab.moduli import estimate_clm, estimate_ssrg
+from subreglab.moduli import ElementRecords, estimate_clm, estimate_ssrg
 from subreglab.perturb import (
     WitnessError,
     build_fclm_perturbation,
@@ -223,12 +223,13 @@ def test_interpolation_is_bitwise_exact():
 def test_supports_are_disjoint():
     for mid, kind, gamma in (("identity", "lip", 2.5), ("xsin", "ss", 1.05)):
         F, base, ctx, lad, p = _build(mid, kind, gamma)
+        count = component_count(p)
         rng = np.random.default_rng(23)
         for _ in range(400):
             x = rng.uniform(-0.6, 0.6, size=p.dim_x)
-            assert p.component_count(x) <= 1
+            assert count(x) <= 1
         for xk, _ in p.anchors:
-            assert p.component_count(xk) == 1
+            assert count(xk) == 1
 
 
 def test_anchor_eps_vanishes_for_bump_and_case1_builds():
@@ -526,6 +527,65 @@ def _witness_digest(mid, norm_kind, kind, gamma, mode):
 @pytest.mark.parametrize("case", sorted(_WITNESS_PIN))
 def test_witness_bits_are_pinned(case):
     assert _witness_digest(*case) == _WITNESS_PIN[case]
+
+
+# coordinates on the key grid of width 0.25, at its half-widths (rounded half
+# to even) and between, signed zeros included
+_KEY_GRID = np.array([0.25 * k + h for k in range(-4, 5) for h in (-0.125, 0.0, 0.125)]
+                     + [-0.0])
+
+
+def _random_annulus(rng, n, dim_x, dim_y):
+    """Records whose u, payload and y* hit key half-widths exactly (t a power
+    of two, the base at the origin), with ties in the objective, u0 and t,
+    NaN objectives and zero payloads; and a random kept subset."""
+    t = rng.choice([0.5, 1.0, 2.0], n)
+    y = rng.choice(_KEY_GRID, (n, dim_y))
+    y[rng.random(n) < 0.15] = rng.choice([0.0, -0.0])
+    cols = {"t": t, "ratio": rng.choice([0.1, 0.2, 0.3], n), "xn": rng.choice([0.0, 0.5], n),
+            "q": rng.random(n), "eps": rng.choice([0.0, 1e-3], n),
+            "x": rng.choice(_KEY_GRID, (n, dim_x)) * t[:, None], "y": y,
+            "x_star": rng.choice(_KEY_GRID, (n, dim_x)),
+            "y_star": rng.choice(_KEY_GRID, (n, dim_y))}
+    obj = rng.choice([0.0, -0.0, 0.1, 0.1, 0.2, np.nan], n)
+    keep = np.flatnonzero(rng.random(n) < 0.85)
+    base = GraphPoint(np.zeros(dim_x), np.zeros(dim_y))
+    return ElementRecords(**cols), obj, keep, base
+
+
+def _candidate_bits(cands):
+    return [{k: c[k] if k == "annulus" else _hexes(c[k]) for k in sorted(c)} for c in cands]
+
+
+def test_columnar_candidates_are_the_per_record_loop():
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        n = int(rng.integers(0, 40))
+        recs, obj, keep, base = _random_annulus(rng, n, *rng.integers(1, 3, 2))
+        if trial % 10 == 0:
+            keep = keep[:0]  # an annulus with no kept record
+        got = perturb._annulus_candidates(recs, obj, keep, trial, base)
+        want = annulus_candidates(recs, obj, keep, trial, base)
+        assert _candidate_bits(got) == _candidate_bits(want), trial
+
+
+@pytest.mark.parametrize("col, value, exc", [
+    ("x", math.nan, ValueError), ("x", math.inf, OverflowError),
+    ("x", -math.inf, OverflowError), ("y", math.nan, ValueError),
+    ("y_star", math.nan, ValueError), ("y_star", math.inf, OverflowError),
+    ("y_star", -math.inf, OverflowError), ("y_star", 1e308, OverflowError),
+])
+def test_a_non_finite_key_coordinate_raises_as_the_loop_did(col, value, exc):
+    # u takes x's value; a payload is NaN when y holds a NaN and otherwise
+    # lies in [-1, 1]; 1e308 keys to inf, as float division overflows
+    rng = np.random.default_rng(5)
+    recs, obj, _, base = _random_annulus(rng, 12, 2, 2)
+    cols = {f.name: getattr(recs, f.name).copy() for f in dataclasses.fields(recs)}
+    cols[col][7, 1] = value
+    recs, keep = ElementRecords(**cols), np.arange(12)
+    for collect in (annulus_candidates, perturb._annulus_candidates):
+        with pytest.raises(exc):
+            collect(recs, obj, keep, 0, base)
 
 
 def test_bump_supports_are_placed_in_the_norm_they_use():
