@@ -525,8 +525,10 @@ def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder
         raise ValueError(f"unknown constant kind {kind!r}")
     est = Estimate(name=kind, pool_id=pool_id)
     depth = ladder.depth
-    recs = ElementRecords.concat(pool[:depth])
-    t, ratio, xn, q, eps = recs.t, recs.ratio, recs.xn, recs.q, recs.eps
+    # the scalar columns only; the witness's vectors are read from its annulus,
+    # so no kind copies the pool's x, y, x* and y*
+    t, ratio, xn, q, eps = (np.concatenate([getattr(a, name) for a in pool[:depth]])
+                            for name in ("t", "ratio", "xn", "q", "eps"))
     start = np.cumsum([0] + [len(annulus) for annulus in pool[:depth]]).tolist()
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN, as floats do
         if kind in ("srg1", "srg3", "hatsrg"):
@@ -546,17 +548,19 @@ def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder
             ok &= ~(q > r)
         if kind in ("srg2p", "srg4p"):
             ok &= ~(eps_xn > r)
-        best, _ = _first_min(obj, ok, start[j], len(recs))
+        best, _ = _first_min(obj, ok, start[j], len(t))
         est.per_scale.append((r, best))
         cut = start[max(j, depth - 2)]
-        inner, i = _first_min(obj, ok, cut, len(recs))
+        inner, i = _first_min(obj, ok, cut, len(t))
         if inner < _first_min(obj, ok, start[j], cut)[0]:
             win = i
     est = est.finalize()
     if win is not None and kind not in ("hatsrg", "hatsrgp"):
+        a = int(np.searchsorted(start, win, "right")) - 1  # the annulus holding it
+        recs, row = pool[a], win - start[a]
         est.witnesses = [{
-            "x": recs.x[win].tolist(), "y": recs.y[win].tolist(),
-            "x_star": recs.x_star[win].tolist(), "y_star": recs.y_star[win].tolist(),
+            "x": recs.x[row].tolist(), "y": recs.y[row].tolist(),
+            "x_star": recs.x_star[row].tolist(), "y_star": recs.y_star[row].tolist(),
             "t": float(t[win]), "ratio": float(ratio[win]), "xn": float(xn[win]),
             "q": float(q[win]),
         }]
