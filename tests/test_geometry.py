@@ -38,6 +38,84 @@ def test_norm_rejects_unknown_kind():
         norm([1.0], "l3")
 
 
+def _wide_floats(rng, n, exponents):
+    """n signed floats m * 2**e, m in [1, 2), e drawn from exponents."""
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return sign * np.ldexp(rng.uniform(1.0, 2.0, n), rng.choice(exponents, n))
+
+
+def _fsum_l1(V):
+    """math.fsum of the absolute values of each row of V; None where fsum
+    raises OverflowError."""
+    out = []
+    for row in V.tolist():
+        try:
+            out.append(math.fsum(abs(c) for c in row))
+        except OverflowError:
+            out.append(None)
+    return out
+
+
+def _assert_l1_is_fsum(V):
+    want = _fsum_l1(V)
+    fits = np.array([w is not None for w in want])
+    got = norms(V[fits], "l1")
+    assert got.view(np.int64).tolist() == \
+        np.array([w for w in want if w is not None]).view(np.int64).tolist()
+    for row in V[~fits]:
+        with pytest.raises(OverflowError):
+            norms(row[None, :], "l1")
+        with pytest.raises(OverflowError):
+            norm(row, "l1")
+    return int((~fits).sum())
+
+
+def test_l1_norms_of_two_coordinates_are_the_fsum_bits():
+    rng = np.random.default_rng(17)
+    n = 20000
+    full = np.arange(-1075, 1024)  # 2**-1075 * m is a subnormal or 0
+    a = _wide_floats(rng, n, full)
+    # the second coordinate over the full range, or within 2**60 of the first
+    # (past the largest float it is inf, a subnormal or 0)
+    with np.errstate(over="ignore", under="ignore"):
+        near = np.ldexp(a * rng.uniform(0.5, 2.0, n), rng.integers(-60, 61, n))
+    b = np.where(rng.random(n) < 0.5, _wide_floats(rng, n, full), near)
+    # sums exactly half an ulp (or 1.5, 2.5 ulp) above |a|: ties round to even;
+    # near the largest float some of them round to inf, where fsum raises
+    h = np.abs(_wide_floats(rng, n, np.arange(-1000, 1024)))
+    odd = 2 * rng.integers(0, 3, n) + 1
+    half = np.where(rng.random(n) < 0.5, -1.0, 1.0) * odd * (np.spacing(h) / 2)
+    # the top four floats, plus half their ulp 2**971: the odd ones round to inf
+    top = np.finfo(float).max - 2.0**971 * rng.integers(0, 4, 64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.0, -1.0, 1e308, -1e308, np.nextafter(np.inf, 0.0), np.inf, -np.inf,
+               np.nan, -np.nan]
+    pairs = np.array([(x, y) for x in special for y in special])
+    V = np.vstack([np.column_stack([a, b]), np.column_stack([b, a]), np.column_stack([h, half]),
+                   np.column_stack([top, np.full(64, 2.0**970)]), pairs])
+    assert _assert_l1_is_fsum(V) > 0  # the overflowing rows were drawn and raise
+
+
+def test_l1_norms_overflow_as_fsum_does():
+    with pytest.raises(OverflowError):
+        norms(np.array([[0.5, 0.25], [1e308, -1e308]]), "l1")
+    with pytest.raises(OverflowError):
+        norm([1e308, -1e308], "l1")
+    inf_rows = np.array([[np.inf, 1e308], [1e308, -np.inf], [np.inf, np.nan]])
+    assert norms(inf_rows, "l1")[:2].tolist() == [np.inf, np.inf]
+    assert math.isnan(norms(inf_rows, "l1")[2])
+
+
+def test_l1_norms_of_three_or_more_coordinates_are_the_fsum_bits():
+    rng = np.random.default_rng(19)
+    for d in (3, 4):
+        V = _wide_floats(rng, 5000 * d, np.arange(-1075, 1024)).reshape(-1, d)
+        # columns of close magnitude, where the exact sum differs from a
+        # left-to-right one
+        close = _wide_floats(rng, 5000 * d, np.arange(-3, 4)).reshape(-1, d)
+        _assert_l1_is_fsum(np.vstack([V, close]))
+
+
 def test_dual_kind_pairing():
     assert dual_kind("l1") == "linf"
     assert dual_kind("linf") == "l1"

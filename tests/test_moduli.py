@@ -20,6 +20,7 @@ from subreglab.moduli import (
     ElementRecords,
     Estimate,
     _pool_scales,
+    build_element_pool,
     check_relations,
     eckart_young_check,
     estimate_all_constants,
@@ -721,6 +722,23 @@ def test_pool_ids_are_pinned(mid, kind):
     F, base, ctx = setup_map(mid, kind)
     consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
     assert {est.pool_id for est in consts.values()} == {_POOL_ID_PIN[mid, kind]}
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("mid", ["linear", "spiral"])
+def test_all_constants_give_the_hat_kinds_of_direct_calls(mid, kind):
+    F, base, ctx = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
+    pool, pool_id = build_element_pool(F, base, _PIN_LADDER, ctx)
+    for name in ("hatsrg", "hatsrgp"):
+        got, want = consts[name], estimate_constant(name, pool, _PIN_LADDER, ctx, pool_id)
+        assert got.name == name
+        assert [(r.hex(), v.hex()) for r, v in got.per_scale] == \
+            [(r.hex(), v.hex()) for r, v in want.per_scale]
+        assert float(got.reported).hex() == float(want.reported).hex()
+        assert (got.trend, got.converged, got.note, got.pool_id) == \
+            (want.trend, want.converged, want.note, want.pool_id)
+        assert got.witnesses == want.witnesses == []
 
 
 # perturb._collect_candidates at the same ladder, on the element pool (lip,
