@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,15 +84,26 @@ def norm(v, kind: str = "l2") -> float:
 def norms(V, kind: str = "l2") -> np.ndarray:
     """The norm of each row of V (n, d), with the bits norm(V[k], kind) gives.
 
-    l1 rows of two or more coordinates keep math.fsum. l2 rows take the
-    stacked self-dot, the same dot np.linalg.norm makes on a 1-D vector;
-    einsum and (V * V).sum(1) round differently.
+    l1 rows of two coordinates are one IEEE addition |a| + |b|: math.fsum of
+    two floats is their correctly rounded sum, which that addition is. Where
+    two finite magnitudes sum past the largest float, fsum raises
+    OverflowError, and so does this. l1 rows of three or more coordinates
+    keep math.fsum. l2 rows take the stacked self-dot, the same dot
+    np.linalg.norm makes on a 1-D vector; einsum and (V * V).sum(1) round
+    differently.
     """
     _check_kind(kind)
     V = np.asarray(V, dtype=float)
     if V.shape[1] == 1:
         return np.abs(V[:, 0])
     if kind == "l1":
+        if V.shape[1] == 2:
+            a, b = np.abs(V[:, 0]), np.abs(V[:, 1])
+            with np.errstate(over="ignore"):
+                s = a + b
+            if np.isinf(s).any() and (np.isinf(s) & np.isfinite(a) & np.isfinite(b)).any():
+                raise OverflowError("intermediate overflow in fsum")
+            return s
         return np.array([math.fsum(abs(c) for c in row) for row in V.tolist()], dtype=float)
     if kind == "l2":
         return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
@@ -231,6 +243,7 @@ def derive_seed(seed: int, *tags: int) -> int:
     return acc & ((1 << 63) - 1)
 
 
+@lru_cache(maxsize=None)
 def _plastic(dim: int) -> float:
     # unique real root > 1 of x**(dim+1) = x + 1, by fixed-point iteration
     x = 2.0

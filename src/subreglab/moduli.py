@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -548,11 +548,13 @@ def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder
             ok &= ~(q > r)
         if kind in ("srg2p", "srg4p"):
             ok &= ~(eps_xn > r)
-        best, _ = _first_min(obj, ok, start[j], len(t))
-        est.per_scale.append((r, best))
+        # the min over annuli j and inward is the earlier of the outer and the
+        # inner first min: on a tie the outer record comes first in pool order
         cut = start[max(j, depth - 2)]
+        outer = _first_min(obj, ok, start[j], cut)[0]
         inner, i = _first_min(obj, ok, cut, len(t))
-        if inner < _first_min(obj, ok, start[j], cut)[0]:
+        est.per_scale.append((r, outer if outer <= inner else inner))
+        if inner < outer:
             win = i
     est = est.finalize()
     if win is not None and kind not in ("hatsrg", "hatsrgp"):
@@ -579,10 +581,14 @@ def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float
 
 def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                            ctx: NormContext) -> dict[str, Estimate]:
+    """The nine constants from one element pool. hatsrg and hatsrgp are
+    copies of srg1 and srg1p under their own names, with no witness, which
+    is what estimate_constant gives for them."""
     records, pool_id = build_element_pool(F, base, ladder, ctx)
-    out = {}
-    for kind in CONSTANT_KINDS:
-        out[kind] = estimate_constant(kind, records, ladder, ctx, pool_id)
+    out = {kind: estimate_constant(kind, records, ladder, ctx, pool_id)
+           for kind in CONSTANT_KINDS if kind not in ("hatsrg", "hatsrgp")}
+    for hat, kind in (("hatsrg", "srg1"), ("hatsrgp", "srg1p")):
+        out[hat] = replace(out[kind], name=hat, per_scale=list(out[kind].per_scale), witnesses=[])
     return out
 
 
