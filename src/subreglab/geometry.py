@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -101,7 +101,8 @@ def norms(V, kind: str = "l2") -> np.ndarray:
             a, b = np.abs(V[:, 0]), np.abs(V[:, 1])
             with np.errstate(over="ignore"):
                 s = a + b
-            if np.isinf(s).any() and (np.isinf(s) & np.isfinite(a) & np.isfinite(b)).any():
+            over = np.isinf(s)
+            if over.any() and (over & np.isfinite(a) & np.isfinite(b)).any():
                 raise OverflowError("intermediate overflow in fsum")
             return s
         return np.array([math.fsum(abs(c) for c in row) for row in V.tolist()], dtype=float)
@@ -243,7 +244,7 @@ def derive_seed(seed: int, *tags: int) -> int:
     return acc & ((1 << 63) - 1)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _plastic(dim: int) -> float:
     # unique real root > 1 of x**(dim+1) = x + 1, by fixed-point iteration
     x = 2.0
