@@ -53,6 +53,7 @@ __all__ = [
     "catalog",
     "resolve_map_spec",
     "graph_annuli",
+    "graph_rows",
     "preimage_distance_fallback",
     "preimage_distances_fallback",
 ]
@@ -148,6 +149,13 @@ def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: in
             FX, FY = F.feature_points(base.x, inner, outer)
             X, Y = np.concatenate([X, FX]), np.concatenate([Y, FY])
         yield j, inner, outer, X, Y
+
+
+def graph_rows(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int):
+    """The rows that graph_annuli yields for every annulus, as one block (ann, X, Y):
+    row k is the graph point (X[k], Y[k]) of annulus ann[k], in ladder order."""
+    blocks = [(np.full(len(X), j), X, Y) for j, _, _, X, Y in graph_annuli(F, base, ladder, tag)]
+    return tuple(np.concatenate(c) for c in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------

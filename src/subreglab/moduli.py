@@ -37,7 +37,9 @@ from .geometry import NormContext, ScaleLadder, dual_kind, norms, sample_annulus
 from .mappings import (
     GraphPoint,
     SetValuedMap,
+    _scalar_graph,
     graph_annuli,
+    graph_rows,
     preimage_distance_fallback,
     preimage_distances_fallback,
 )
@@ -133,34 +135,38 @@ def _converged(vals: list[float]) -> bool:
     return abs(b - a) <= max(1e-3, 0.02 * abs(b))
 
 
-def _pool_scales(per_annulus: list[list[float]], ladder: ScaleLadder, largest: bool = False,
-                 empty: float = math.nan) -> tuple[list[tuple[float, float]], tuple | None]:
-    """Nested pooling: scale j takes the min (max when largest) over annuli j and inward.
+def _pool_scales(vals: np.ndarray, ann: np.ndarray, ladder: ScaleLadder, largest: bool = False,
+                 empty: float = math.nan) -> tuple[list[tuple[float, float]], int | None]:
+    """Nested pooling: scale j takes the min (max when largest) of the vals of annuli ann >= j.
 
-    The running value is carried from the innermost annulus outward. NaN
-    never wins a comparison and the first value met keeps a tie. A scale
-    reads empty until a value has been met; for a max, only a value that
-    raised it counts as met. Returns the (radius, value) pairs, outermost
-    first, and the (annulus, index) of the overall winner, or None.
+    The running value is carried from the innermost annulus outward, each
+    annulus's vals in array order. NaN never wins a comparison and the first
+    value met keeps a tie, signed zeros included. A scale reads empty until
+    a value has been met; for a max, only a value that raised it counts as
+    met. Returns the (radius, value) pairs, outermost first, and the index
+    into vals of the overall winner, or None.
     """
     acc = -math.inf if largest else math.inf
     met, win = False, None
     pooled = [empty] * ladder.depth
     for j in range(ladder.depth - 1, -1, -1):
-        for i, v in enumerate(per_annulus[j]):
-            if (v > acc) if largest else (v < acc):
-                acc, win = v, (j, i)
-            met = met or not largest or win is not None
+        at = ann == j
+        beats = at & ((vals > acc) if largest else (vals < acc))
+        if beats.any():
+            best = vals[beats].max() if largest else vals[beats].min()
+            win = int(np.argmax(beats & (vals == best)))
+            acc = float(vals[win])
+        met = met or (win is not None if largest else bool(at.any()))
         if met:
             pooled[j] = acc
     return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], win
 
 
-def _empty_note(sizes: list[int], ladder: ScaleLadder) -> str:
-    """The note of a limsup estimate whose innermost annulus, of sizes[j]
-    graph points per annulus j, held none, so that it reports nan; "" when
+def _empty_note(ann: np.ndarray, ladder: ScaleLadder) -> str:
+    """The note of a limsup estimate whose innermost annulus, ann giving the
+    annulus of each graph point, held none, so that it reports nan; "" when
     the innermost annulus held a point."""
-    if sizes[-1]:
+    if (ann == ladder.depth - 1).any():
         return ""
     inner, outer = ladder.annuli()[-1]
     return (f"annulus {ladder.depth - 1} ({inner:.3g}, {outer:.3g}] held no graph point, "
@@ -178,16 +184,12 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     An innermost annulus without a graph point reads nan, and the note
     names it.
     """
-    per_annulus: list[list[float]] = []
-    sizes = []
-    for _, _, _, X, Y in graph_annuli(F, base, ladder, 31):
-        sizes.append(len(X))
-        t = norms(X - base.x, ctx.kind)
-        off = t != 0.0
-        xb = np.repeat(base.x[None], off.sum(), 0)
-        per_annulus.append((F.image_distance(xb, Y[off]) / t[off]).tolist())
-    est = Estimate(name="clm", note=_empty_note(sizes, ladder))
-    est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
+    ann, X, Y = graph_rows(F, base, ladder, 31)
+    t = norms(X - base.x, ctx.kind)
+    off = t != 0.0
+    vals = F.image_distance(np.repeat(base.x[None], off.sum(), 0), Y[off]) / t[off]
+    est = Estimate(name="clm", note=_empty_note(ann, ladder))
+    est.per_scale, _ = _pool_scales(vals, ann[off], ladder, largest=True)
     return est.finalize()
 
 
@@ -201,58 +203,69 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     construction. An innermost annulus without a graph point reads nan,
     and the note names it.
     """
-    per_annulus: list[list[float]] = []
-    sizes = []
-    for _, _, _, X, Y in graph_annuli(F, base, ladder, 37):
-        sizes.append(len(X))
-        t = norms(X - base.x, ctx.kind)
-        off = t > 0.0
-        n = len(X)
+    ann, X, Y = graph_rows(F, base, ladder, 37)
+    t = norms(X - base.x, ctx.kind)
+    off = np.flatnonzero(t > 0.0)
+    pairs = []
+    for j in range(ladder.depth):
+        at = np.flatnonzero(ann == j)
         if F.dim_x == 1:
-            order = np.argsort(X[:, 0], kind="stable")
-            p, q = order[:-1], order[1:]
+            at = at[np.argsort(X[at, 0], kind="stable")]
+            p, q = at[:-1], at[1:]
         else:
-            p, q = [*range(n - 1), *range(n - 7)], [*range(1, n), *range(7, n)]
-        p, q = np.array(p[:400], dtype=int), np.array(q[:400], dtype=int)
-        sep = norms(X[p] - X[q], ctx.kind)
-        keep = ~(sep <= 1e-14 * np.maximum(1.0, t[p]))
-        p, q, sep = p[keep], q[keep], sep[keep]
-        # the base pairs, then for each pair d(y_p, F(x_q)) and d(y_q, F(x_p))
-        qp, pq = np.stack([q, p], 1).ravel(), np.stack([p, q], 1).ravel()
-        xs = np.concatenate([np.repeat(base.x[None], off.sum(), 0), X[qp]])
-        dist = F.image_distance(xs, np.concatenate([Y[off], Y[pq]]))
-        vals = (dist / np.concatenate([t[off], np.repeat(sep, 2)])).tolist()
-        per_annulus.append([v for v in vals if not math.isinf(v)])
-    est = Estimate(name="lip", note=_empty_note(sizes, ladder))
-    est.per_scale, _ = _pool_scales(per_annulus, ladder, largest=True)
+            p, q = np.r_[at[:-1], at[:max(len(at) - 7, 0)]], np.r_[at[1:], at[7:]]
+        pairs.append((p[:400], q[:400]))
+    p, q = (np.concatenate(c) for c in zip(*pairs))
+    sep = norms(X[p] - X[q], ctx.kind)
+    keep = ~(sep <= 1e-14 * np.maximum(1.0, t[p]))
+    p, q, sep = p[keep], q[keep], sep[keep]
+    # the base pairs, then for each pair d(y_p, F(x_q)) and d(y_q, F(x_p))
+    qp, pq = np.stack([q, p], 1).ravel(), np.stack([p, q], 1).ravel()
+    xs = np.concatenate([np.repeat(base.x[None], len(off), 0), X[qp]])
+    dist = F.image_distance(xs, np.concatenate([Y[off], Y[pq]]))
+    vals = dist / np.concatenate([t[off], np.repeat(sep, 2)])
+    fin = ~np.isinf(vals)
+    est = Estimate(name="lip", note=_empty_note(ann, ladder))
+    est.per_scale, _ = _pool_scales(vals[fin], ann[np.r_[off, pq]][fin], ladder, largest=True)
     return est.finalize()
 
 
-def _preimage_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> list[float]:
+def _preimage_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """d(x, F^{-1}(y)) for each row pair: the map's oracle if it has one,
     else the batched fallback for scalar function graphs, else the per-pair
     one."""
     if F.preimage_distance is not None:
-        return F.preimage_distance(xs, ys).tolist()
-    if F.func is not None and F.dim_x == 1 and F.dim_y == 1:
-        return preimage_distances_fallback(F, xs, ys).tolist()
-    return [preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)]
+        return F.preimage_distance(xs, ys)
+    if _scalar_graph(F):
+        return preimage_distances_fallback(F, xs, ys)
+    return np.array([preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)], dtype=float)
 
 
 def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, xs: np.ndarray, ys: np.ndarray
-                      ) -> tuple[list[int], list[float], list[float]]:
-    """(annulus, d(y, F(x)), d(x, F^{-1}(y))) lists of the pairs of rows of
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(annulus, d(y, F(x)), d(x, F^{-1}(y))) arrays of the pairs of rows of
     xs and ys, an equal number per annulus in ladder order, that lie off the
     preimage: their image distance is not at most 1e-13 times the annulus's
     outer radius. The image distances of all pairs come from one call, and
     the preimage distances of the admissible pairs alone from another.
     """
-    n = len(xs) // ladder.depth
+    annulus = np.repeat(np.arange(ladder.depth), len(xs) // ladder.depth)
     dimg = F.image_distance(xs, ys)
-    outer = np.repeat([r for _, r in ladder.annuli()], n)
+    outer = np.array([ladder.radius(j) for j in range(ladder.depth)])[annulus]
     keep = ~(dimg <= 1e-13 * outer)  # x at or numerically on the preimage is left out
-    annulus = np.repeat(np.arange(ladder.depth), n)
-    return annulus[keep].tolist(), dimg[keep].tolist(), _preimage_distances(F, xs[keep], ys[keep])
+    return annulus[keep], dimg[keep], _preimage_distances(F, xs[keep], ys[keep])
+
+
+def _quotients(ann: np.ndarray, dimg: np.ndarray, dpre: np.ndarray, drop_nan: bool):
+    """(annulus, dimg / dpre) of the pairs that pool, the quotient 0.0 where
+    dpre is infinite. A pair whose dpre is 0 or nan or whose dimg is
+    infinite is left out, and so is a nan quotient when drop_nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pairs that the mask drops
+        q = np.where(np.isinf(dpre), 0.0, dimg / dpre)
+    kept = (dpre != 0.0) & ~np.isnan(dpre) & ~np.isinf(dimg)
+    if drop_nan:
+        kept &= ~np.isnan(q)
+    return ann[kept], q[kept]
 
 
 def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
@@ -263,39 +276,28 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     the preimage of y are excluded. A pair whose y has an empty preimage
     contributes 0 (such maps are not regular at any rate). A pair whose
     preimage distance reads nan (the multi-start fallback found no preimage
-    point) is left out and counted in the note.
+    point) is left out and counted in the note; a nan quotient is left out
+    too.
     """
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
     xs, ys = [], []
     for j, (inner, outer) in enumerate(ladder.annuli()):
         xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind))
         ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind))
-    js, dimgs, dpres = _admissible_pairs(F, ladder, np.concatenate(xs), np.concatenate(ys))
-    per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
-    missed = sum(math.isnan(dpre) for dpre in dpres)
-    for j, dimg, dpre in zip(js, dimgs, dpres):
-        if dpre == 0.0 or math.isnan(dpre):
-            continue
-        if math.isinf(dpre):
-            if not math.isinf(dimg):
-                per_annulus[j].append(0.0)
-            continue
-        if math.isinf(dimg):
-            continue
-        per_annulus[j].append(dimg / dpre)
-    per_annulus = [[v for v in vals if not math.isnan(v)] for vals in per_annulus]
-    est = Estimate(name="rg")
-    est.per_scale, _ = _pool_scales(per_annulus, ladder)
-    if missed:
-        est.note = _missed_note(missed, len(dpres))
-    elif all(len(v) == 0 for v in per_annulus):
+    ann, dimg, dpre = _admissible_pairs(F, ladder, np.concatenate(xs), np.concatenate(ys))
+    qann, q = _quotients(ann, dimg, dpre, drop_nan=True)
+    est = Estimate(name="rg", note=_missed_note(dpre))
+    est.per_scale, _ = _pool_scales(q, qann, ladder)
+    if not (est.note or len(q)):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
     return est.finalize()
 
 
-def _missed_note(missed: int, total: int) -> str:
-    return (f"no preimage point found for {missed} of {total} pairs; "
-            f"their quotients are left out")
+def _missed_note(dpre: np.ndarray) -> str:
+    """The note on the pairs whose preimage distance dpre reads nan, "" when none does."""
+    missed = int(np.isnan(dpre).sum())
+    return (f"no preimage point found for {missed} of {len(dpre)} pairs; "
+            f"their quotients are left out") if missed else ""
 
 
 def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
@@ -306,24 +308,18 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     is empty; the estimate is +inf with an explanatory note (the flag for
     maps like the zero map whose preimage has interior). Points whose
     preimage distance reads nan are left out as in estimate_rg; then a
-    scale without a quotient reads nan, not +inf. Each annulus draws
-    min(samples per scale, 96) points.
+    scale without a quotient reads nan, not +inf. A nan quotient is kept:
+    it never wins, but its scale reads +inf rather than empty. Each annulus
+    draws min(samples per scale, 96) points.
     """
     n = min(ladder.samples_per_scale, 96)
     xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind)
                          for j, (inner, outer) in enumerate(ladder.annuli())])
-    js, dimgs, dpres = _admissible_pairs(F, ladder, xs, np.repeat(base.y[None, :], len(xs), 0))
-    per_annulus: list[list[float]] = [[] for _ in range(ladder.depth)]
-    missed = sum(math.isnan(dpre) for dpre in dpres)
-    for j, dimg, dpre in zip(js, dimgs, dpres):
-        if dpre == 0.0 or math.isnan(dpre) or math.isinf(dimg):
-            continue
-        per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
-    est = Estimate(name="srg")
-    est.per_scale, _ = _pool_scales(per_annulus, ladder, empty=math.nan if missed else math.inf)
-    if missed:
-        est.note = _missed_note(missed, len(dpres))
-    elif all(len(v) == 0 for v in per_annulus):
+    ann, dimg, dpre = _admissible_pairs(F, ladder, xs, np.repeat(base.y[None, :], len(xs), 0))
+    qann, q = _quotients(ann, dimg, dpre, drop_nan=False)
+    est = Estimate(name="srg", note=_missed_note(dpre))
+    est.per_scale, _ = _pool_scales(q, qann, ladder, empty=math.nan if est.note else math.inf)
+    if not (est.note or len(q)):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     return est.finalize()
 
@@ -332,27 +328,25 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                   ctx: NormContext) -> Estimate:
     """Strong subregularity: liminf of ||y - yb|| / ||x - xb|| over the graph.
 
-    A zero value is reported together with the witnessing graph points
-    (distinct x with yb in F(x) arbitrarily close to the base).
+    A reported value at most 1e-12 comes with the witnessing graph points of
+    ratio at most 1e-12 (distinct x with yb in F(x) arbitrarily close to the
+    base), the first 4 of each annulus and 16 in all; any other value with
+    the pooled winner over every annulus, if one has a finite ratio.
     """
-    points: list[tuple] = []  # the (X, Y) rows of the graph points off the base, per annulus
-    per_annulus: list[list[float]] = []
-    for _, _, _, X, Y in graph_annuli(F, base, ladder, 53):
-        t = norms(X - base.x, ctx.kind)
-        off = t != 0.0
-        points.append((X[off], Y[off]))
-        per_annulus.append((norms(Y[off] - base.y, ctx.kind) / t[off]).tolist())
+    ann, X, Y = graph_rows(F, base, ladder, 53)
+    t = norms(X - base.x, ctx.kind)
+    off = t != 0.0
+    ann, X, Y = ann[off], X[off], Y[off]
+    vals = norms(Y - base.y, ctx.kind) / t[off]
     est = Estimate(name="ssrg")
-    est.per_scale, win = _pool_scales(per_annulus, ladder, empty=math.inf)
+    est.per_scale, win = _pool_scales(vals, ann, ladder, empty=math.inf)
     est = est.finalize()
-    wits = []
-    for (X, Y), vals in zip(points, per_annulus):
-        keepers = [k for k, v in enumerate(vals) if v <= 1e-12][:4]
-        wits += [{"x": X[k].tolist(), "y": Y[k].tolist(), "ratio": 0.0} for k in keepers]
-    if win is not None and not wits:
-        X, Y = points[win[0]]
-        wits.append({"x": X[win[1]].tolist(), "y": Y[win[1]].tolist(), "ratio": est.reported})
-    est.witnesses = wits[:16]
+    if est.reported <= 1e-12:
+        zero = np.flatnonzero(vals <= 1e-12)  # ann ascends: take each annulus's first 4
+        wits, ratio = zero[np.arange(len(zero)) - np.searchsorted(ann[zero], ann[zero]) < 4], 0.0
+    else:
+        wits, ratio = [] if win is None else [win], est.reported
+    est.witnesses = [{"x": X[k].tolist(), "y": Y[k].tolist(), "ratio": ratio} for k in wits[:16]]
     return est
 
 

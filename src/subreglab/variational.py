@@ -24,7 +24,7 @@ from .geometry import (
     norms,
     sample_annulus,
 )
-from .mappings import GraphPoint, SetValuedMap, graph_annuli
+from .mappings import GraphPoint, SetValuedMap, graph_rows
 
 __all__ = [
     "CoderivElement",
@@ -125,8 +125,8 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                          ctx: NormContext) -> SemismoothReport:
     """Decide graphical semismoothness at the base point by scale decay.
 
-    Pools exact elements (eps = 0) at graph points per annulus, one normal
-    oracle call per annulus, then reports for each delta_j the worst defect
+    Pools exact elements (eps = 0) at the graph points of every annulus, from
+    one normal oracle call, then reports for each delta_j the worst defect
     over the elements within product distance delta_j: the last element at
     the largest quotient, a NaN quotient never winning and the worst read
     as 0.0 when none is a number. Pass requires the two finest populated
@@ -135,21 +135,17 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     populated scales (or fewer than three) is inconclusive rather than
     failed.
     """
+    _, X, Y = graph_rows(F, base, ladder, 17)
+    owner, EX_star, EY_star = (F.analytic_normals(X, Y) if F.analytic_normals is not None
+                               else (np.zeros(0, dtype=int), X[:0], Y[:0]))
+    # ctx.product_norm(x - xb, y - yb), once per point
+    dists = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]
+    on = dists != 0.0
+    EX, EY, dists = X[owner[on]], Y[owner[on]], dists[on]
+    EX_star, EY_star = EX_star[on], EY_star[on]
     dual = dual_kind(ctx.kind)
-    cols: list[tuple] = []  # (x, y, x*, y*, dist, q) of each annulus's elements
-    for _, _, _, X, Y in graph_annuli(F, base, ladder, 17):
-        if F.analytic_normals is None:
-            continue
-        owner, X_star, Y_star = F.analytic_normals(X, Y)
-        # ctx.product_norm(x - xb, y - yb), once per point
-        dist = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]
-        on = dist != 0.0
-        X, Y, X_star, Y_star, dist = X[owner[on]], Y[owner[on]], X_star[on], Y_star[on], dist[on]
-        cols.append((X, Y, X_star, Y_star, dist,
-                     defect_quotients(X_star, Y_star, X - base.x, Y - base.y,
-                                      norms(X_star, dual), norms(Y_star, dual), dist)))
-    EX, EY, EX_star, EY_star, dists, quots = (
-        np.concatenate(c) for c in zip(*cols)) if cols else (np.zeros(0),) * 6
+    quots = defect_quotients(EX_star, EY_star, EX - base.x, EY - base.y,
+                             norms(EX_star, dual), norms(EY_star, dual), dists)
     report = SemismoothReport()
     worst_idx_finest = None
     for j in range(ladder.depth):

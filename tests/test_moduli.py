@@ -11,6 +11,7 @@ from conftest import ladder12, setup_map
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed
 from subreglab.mappings import (
     GraphPoint,
+    catalog,
     make_linear_map,
     preimage_distance_fallback,
     resolve_map_spec,
@@ -20,6 +21,7 @@ from subreglab.moduli import (
     ElementRecords,
     Estimate,
     _pool_scales,
+    _quotients,
     build_element_pool,
     check_relations,
     eckart_young_check,
@@ -613,6 +615,100 @@ def test_ssrg_witness_bits_are_pinned(mid, kind):
     assert got == _SSRG_WITNESS_PIN[(mid, kind)]
 
 
+@pytest.mark.parametrize("mid,theta", [("oscillating", 0.5), ("xsin", 0.04)])
+def test_ssrg_lists_ratio_zero_witnesses_only_when_it_reports_zero(mid, theta):
+    """Outer annuli of these ladders hold graph points of ratio 0 while the
+    innermost one does not, so the reported value is positive; it comes
+    with the pooled winner under its own value, not with ratio-0 points."""
+    F, base, ctx = setup_map(mid, "l1")
+    est = estimate_ssrg(F, base, ScaleLadder(theta=theta, depth=8, samples_per_scale=16, seed=7),
+                        ctx)
+    assert est.reported > 1e-12
+    assert [w["ratio"] for w in est.witnesses] == [est.reported]
+
+
+# every CatalogEntry.known value against its estimate; the ladder takes r0,
+# theta and depth from the entry's ladder_hint, else r0 0.5, theta 0.5 and
+# depth 8, whose innermost radius is 0.0039. An infinite value must match
+# exactly, a finite one within _KNOWN_TOL: the widest miss is linear rg in l1
+# (0.5094, a sampled infimum over 64 pairs per annulus).
+_ESTIMATORS = {"clm": estimate_clm, "lip": estimate_lip, "rg": estimate_rg,
+               "srg": estimate_srg, "ssrg": estimate_ssrg}
+_KNOWN_TOL = 0.01
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+@pytest.mark.parametrize("mid", sorted(m for m, e in catalog().items() if e.known))
+def test_every_known_catalog_value_is_estimated(mid, kind):
+    entry = catalog()[mid]
+    F, base, ctx = setup_map(mid, kind)
+    hint = entry.ladder_hint
+    ladder = ScaleLadder(r0=hint.get("r0", 0.5), theta=hint.get("theta", 0.5),
+                         depth=hint.get("depth", 8), samples_per_scale=64, seed=7)
+    consts = (estimate_all_constants(F, base, ladder, ctx)
+              if set(entry.known) - set(_ESTIMATORS) else {})
+    misses = []
+    for name, known in entry.known.items():
+        est = consts[name] if name in consts else _ESTIMATORS[name](F, base, ladder, ctx)
+        got = est.reported
+        want = known["value"]
+        if not (got == want if math.isinf(want) else abs(got - want) <= _KNOWN_TOL):
+            misses.append((name, got, want))
+    assert not misses
+
+
+# the per-pair loops that _quotients replaced in estimate_rg and estimate_srg,
+# as they were written there, each giving the quotients of every annulus
+def _loop_rg(ann, dimgs, dpres, depth):
+    per_annulus = [[] for _ in range(depth)]
+    for j, dimg, dpre in zip(ann, dimgs, dpres):
+        if dpre == 0.0 or math.isnan(dpre):
+            continue
+        if math.isinf(dpre):
+            if not math.isinf(dimg):
+                per_annulus[j].append(0.0)
+            continue
+        if math.isinf(dimg):
+            continue
+        per_annulus[j].append(dimg / dpre)
+    return [[v for v in vals if not math.isnan(v)] for vals in per_annulus]
+
+
+def _loop_srg(ann, dimgs, dpres, depth):
+    per_annulus = [[] for _ in range(depth)]
+    for j, dimg, dpre in zip(ann, dimgs, dpres):
+        if dpre == 0.0 or math.isnan(dpre) or math.isinf(dimg):
+            continue
+        per_annulus[j].append(dimg / dpre if not math.isinf(dpre) else 0.0)
+    return per_annulus
+
+
+def _check_quotients(ann, dimg, dpre, depth):
+    for loop, drop_nan in ((_loop_rg, True), (_loop_srg, False)):
+        lists = loop(ann.tolist(), dimg.tolist(), dpre.tolist(), depth)
+        got_ann, got = _quotients(ann, dimg, dpre, drop_nan)
+        assert got_ann.tolist() == [j for j, vals in enumerate(lists) for _ in vals]
+        assert [float(v).hex() for v in got] == [float(v).hex() for vals in lists for v in vals], \
+            (ann, dimg, dpre, drop_nan)
+
+
+def test_quotients_match_the_loops_they_replaced():
+    # pairs come in ladder order, so the annuli ascend
+    rng = np.random.default_rng(11)
+    atoms = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 1.0, 2.0])
+    for _ in range(400):
+        depth, n = int(rng.integers(1, 6)), int(rng.integers(0, 12))
+        _check_quotients(np.sort(rng.integers(0, depth, n)), atoms[rng.integers(0, 9, n)],
+                         atoms[rng.integers(0, 9, n)], depth)
+    # the branches no pin reaches: a nan image distance over an infinite
+    # preimage distance gives 0.0, and over a finite one rg drops it and srg
+    # keeps the nan
+    ann, dimg, dpre = np.array([0, 1]), np.array([math.nan, math.nan]), np.array([math.inf, 2.0])
+    _check_quotients(ann, dimg, dpre, 2)
+    assert [float(v).hex() for v in _quotients(ann, dimg, dpre, True)[1]] == ["0x0.0p+0"]
+    assert [float(v).hex() for v in _quotients(ann, dimg, dpre, False)[1]] == ["0x0.0p+0", "nan"]
+
+
 # the five suffix loops that _pool_scales replaced, as they were written in
 # estimate_clm, estimate_lip, _fill_suffix_min (rg, srg) and estimate_ssrg
 def _loop_max(per_annulus, skip_inf):
@@ -664,12 +760,17 @@ def _check_pool_scales(per_annulus):
         (dict(empty=math.inf), per_annulus, _loop_min(per_annulus, math.inf)),  # srg
         (dict(empty=math.inf), per_annulus, ssrg),  # ssrg
     ]
-    for kwargs, vals, want in cases:
-        got, win = _pool_scales(vals, ladder, **kwargs)
+    for kwargs, lists, want in cases:
+        # the per-annulus lists flattened to values and their annuli
+        vals = np.array([v for vs in lists for v in vs], dtype=float)
+        ann = np.array([j for j, vs in enumerate(lists) for _ in vs], dtype=int)
+        got, win = _pool_scales(vals, ann, ladder, **kwargs)
         assert [r for r, _ in got] == [ladder.radius(j) for j in range(depth)]
         assert [float(v).hex() for _, v in got] == [float(v).hex() for v in want], \
             (per_annulus, kwargs)
-    assert win == ssrg_win
+    # the winner's index mapped back to its (annulus, index in the annulus)
+    assert (None if win is None else (int(ann[win]), int(win - np.argmax(ann == ann[win])))
+            ) == ssrg_win
 
 
 def test_pool_scales_matches_the_loops_it_replaced():
