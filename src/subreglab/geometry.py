@@ -375,8 +375,8 @@ class NormContext:
 class ScaleLadder:
     """Geometric radius ladder r_j = r0 * theta**j with a sampling budget.
 
-    Annulus j is the shell (r_{j+1}, r_j]; depth annuli cover (r_depth, r0].
-    The seed is the root of every derived sampling stream.
+    Annulus j is the shell (r_{j+1}, r_j], never empty; depth annuli cover
+    (r_depth, r0]. The seed is the root of every derived sampling stream.
     """
 
     r0: float = 0.5
@@ -396,6 +396,10 @@ class ScaleLadder:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for j, (inner, outer) in enumerate(self.annuli()):
+            if not inner < outer:  # rounded or underflowed to the next radius
+                raise ValueError(f"annulus {j} ({inner!r}, {outer!r}] is empty: "
+                                 f"r0 * theta**{j + 1} is not below r0 * theta**{j}")
 
     def radius(self, j: int) -> float:
         return self.r0 * self.theta**j

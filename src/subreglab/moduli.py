@@ -80,11 +80,13 @@ class Estimate:
 
     per_scale holds (radius, value) pairs from the outermost scale inward;
     reported is the innermost value. converged compares the last two scales
-    against max(1e-3, 0.02 * |last|).
+    against max(1e-3, 0.02 * |last|). per_annulus holds each annulus's own
+    extremum (_pool_scales), outermost first; reports leave it out.
     """
 
     name: str
     per_scale: list = field(default_factory=list)
+    per_annulus: list = field(default_factory=list)
     reported: float = math.nan
     trend: str = "unknown"
     converged: bool = False
@@ -136,30 +138,47 @@ def _converged(vals: list[float]) -> bool:
 
 
 def _pool_scales(vals: np.ndarray, ann: np.ndarray, ladder: ScaleLadder, largest: bool = False,
-                 empty: float = math.nan) -> tuple[list[tuple[float, float]], int | None]:
+                 empty: float = math.nan
+                 ) -> tuple[list[tuple[float, float]], list[float], int | None]:
     """Nested pooling: scale j takes the min (max when largest) of the vals of annuli ann >= j.
 
     The running value is carried from the innermost annulus outward, each
     annulus's vals in array order. NaN never wins a comparison and the first
     value met keeps a tie, signed zeros included. A scale reads empty until
     a value has been met; for a max, only a value that raised it counts as
-    met. Returns the (radius, value) pairs, outermost first, and the index
-    into vals of the overall winner, or None.
+    met. Returns the (radius, value) pairs and each annulus's own extremum
+    (what scale j reads from annulus j alone), outermost first, and the
+    index into vals of the overall winner, or None.
     """
-    acc = -math.inf if largest else math.inf
-    met, win = False, None
-    pooled = [empty] * ladder.depth
+    start = -math.inf if largest else math.inf
+    acc, met, win = start, False, None
+    pooled, own = [empty] * ladder.depth, [empty] * ladder.depth
     for j in range(ladder.depth - 1, -1, -1):
         at = ann == j
-        beats = at & ((vals > acc) if largest else (vals < acc))
-        if beats.any():
-            best = vals[beats].max() if largest else vals[beats].min()
-            win = int(np.argmax(beats & (vals == best)))
-            acc = float(vals[win])
+        cand = at & ((vals > start) if largest else (vals < start))
+        if cand.any():
+            best = vals[cand].max() if largest else vals[cand].min()
+            k = int(np.argmax(cand & (vals == best)))
+            own[j] = float(vals[k])
+            if (own[j] > acc) if largest else (own[j] < acc):
+                acc, win = own[j], k
+        elif not largest and at.any():
+            own[j] = start  # only NaN or +inf: a min has met a value
         met = met or (win is not None if largest else bool(at.any()))
         if met:
             pooled[j] = acc
-    return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], win
+    return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], own, win
+
+
+def _diverging(per_annulus: list[float]) -> bool:
+    """Clear divergence of per-annulus maxima, outermost first: at least four
+    positive values, the innermost above four times their median, above the
+    outermost and above 1e-9, so a tail of roundoff quotients never counts."""
+    vals = [v for v in per_annulus if v > 0.0]
+    if len(vals) < 4:
+        return False
+    med = sorted(vals)[len(vals) // 2]
+    return vals[-1] > 4.0 * max(med, 1e-12) and vals[-1] > vals[0] and vals[-1] > 1e-9
 
 
 def _empty_note(ann: np.ndarray, ladder: ScaleLadder) -> str:
@@ -189,7 +208,7 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     off = t != 0.0
     vals = F.image_distance(np.repeat(base.x[None], off.sum(), 0), Y[off]) / t[off]
     est = Estimate(name="clm", note=_empty_note(ann, ladder))
-    est.per_scale, _ = _pool_scales(vals, ann[off], ladder, largest=True)
+    est.per_scale, est.per_annulus, _ = _pool_scales(vals, ann[off], ladder, largest=True)
     return est.finalize()
 
 
@@ -226,7 +245,8 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     vals = dist / np.concatenate([t[off], np.repeat(sep, 2)])
     fin = ~np.isinf(vals)
     est = Estimate(name="lip", note=_empty_note(ann, ladder))
-    est.per_scale, _ = _pool_scales(vals[fin], ann[np.r_[off, pq]][fin], ladder, largest=True)
+    est.per_scale, est.per_annulus, _ = _pool_scales(vals[fin], ann[np.r_[off, pq]][fin], ladder,
+                                                     largest=True)
     return est.finalize()
 
 
@@ -287,7 +307,7 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     ann, dimg, dpre = _admissible_pairs(F, ladder, np.concatenate(xs), np.concatenate(ys))
     qann, q = _quotients(ann, dimg, dpre, drop_nan=True)
     est = Estimate(name="rg", note=_missed_note(dpre))
-    est.per_scale, _ = _pool_scales(q, qann, ladder)
+    est.per_scale, est.per_annulus, _ = _pool_scales(q, qann, ladder)
     if not (est.note or len(q)):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
     return est.finalize()
@@ -318,7 +338,8 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     ann, dimg, dpre = _admissible_pairs(F, ladder, xs, np.repeat(base.y[None, :], len(xs), 0))
     qann, q = _quotients(ann, dimg, dpre, drop_nan=False)
     est = Estimate(name="srg", note=_missed_note(dpre))
-    est.per_scale, _ = _pool_scales(q, qann, ladder, empty=math.nan if est.note else math.inf)
+    est.per_scale, est.per_annulus, _ = _pool_scales(q, qann, ladder,
+                                                     empty=math.nan if est.note else math.inf)
     if not (est.note or len(q)):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     return est.finalize()
@@ -339,7 +360,7 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     ann, X, Y = ann[off], X[off], Y[off]
     vals = norms(Y - base.y, ctx.kind) / t[off]
     est = Estimate(name="ssrg")
-    est.per_scale, win = _pool_scales(vals, ann, ladder, empty=math.inf)
+    est.per_scale, est.per_annulus, win = _pool_scales(vals, ann, ladder, empty=math.inf)
     est = est.finalize()
     if est.reported <= 1e-12:
         zero = np.flatnonzero(vals <= 1e-12)  # ann ascends: take each annulus's first 4

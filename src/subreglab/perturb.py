@@ -57,6 +57,8 @@ from .mappings import (
 )
 from .moduli import (
     ElementRecords,
+    Estimate,
+    _diverging,
     _memo_annuli,
     build_element_pool,
     estimate_clm,
@@ -493,29 +495,24 @@ class Perturbation:
     owner; at a case-2 cell boundary G holds the one-sided (from the
     coarser scale) Jacobian, which is a genuine limiting derivative there.
     Row k of each result depends on X[k] alone and has the bits of the
-    one-row call. At most one bump or cone is active at any point. anchors
-    are the graph points (x_k, yb) of F + f and anchor_entries the witness
-    entry each comes from; anchor_eps bounds the one-sided derivative gap
-    at each anchor (zero for bump and case-1 builds).
+    one-row call. At most one bump or cone is active at any point. Each
+    anchor entry e gives the graph point (e.x, witness.base.y) of F + f;
+    anchor_eps bounds the one-sided derivative gap at each anchor (zero
+    for bump and case-1 builds).
     """
 
     eval: Callable
     derivative: Callable
     class_tag: str  # lip | fclm | fclm_ss | ssr
     gamma: float
-    gamma_prime: float
     gamma_dp: float
     witness: WitnessSequence
-    anchors: list = field(default_factory=list)
     anchor_entries: list = field(default_factory=list)
-    anchor_targets: list = field(default_factory=list)
     anchor_eps: list = field(default_factory=list)
     probes: list = field(default_factory=list)
     floor_radius: float = 0.0
     case: int | None = None
     name: str = "perturbation"
-    dim_x: int = 1
-    dim_y: int = 1
 
     def describe(self) -> dict:
         """Portable description; load_perturbation rebuilds bit-identically."""
@@ -615,8 +612,7 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
     OUTER = VS[:, :, None] * X_STAR[:, None, :]  # np.outer(v_k, x*_k)
     ps = [1.0 + 1.0 / e.index for e in es]
     RHO = np.array(rho)
-    dim_y = es[0].y.size
-    dim_x = es[0].x.size
+    dim_x, dim_y = ctx.dim_x, ctx.dim_y
     # the supports are l2 balls, so their shells around the base are
     # measured in l2 too (in 1-D, d_k is t_k); the innermost must miss the base
     ds = norms(XS - base.x, "l2").tolist()
@@ -686,14 +682,9 @@ def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
                     probes.append(xs[k] - e_i)
 
     return Perturbation(
-        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
-        gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        anchors=[(xs[k], base.y.copy()) for k in range(len(es))],
-        anchor_entries=list(es),
-        anchor_targets=[base.y - e.y for e in es],
-        anchor_eps=[0.0] * len(es),
-        probes=probes, floor_radius=0.0, case=None,
-        name=f"{tag} destabilizer", dim_x=dim_x, dim_y=dim_y,
+        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma, gamma_dp=gamma_dp,
+        witness=seq, anchor_entries=list(es), anchor_eps=[0.0] * len(es),
+        probes=probes, floor_radius=0.0, case=None, name=f"{tag} destabilizer",
     )
 
 
@@ -865,8 +856,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         shell["w"] = w_dir
         cones.append(shell)
 
-    dim_y = entries[0].y.size
-    dim_x = entries[0].x.size
+    dim_x, dim_y = ctx.dim_x, ctx.dim_y
 
     def locate(X):
         """The first cone that holds each row (-1 for none), with the rows'
@@ -905,14 +895,9 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
             probes.append(base.x + cfac * (cone["entry"].x - base.x))
 
     return Perturbation(
-        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
-        gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        anchors=[(c["entry"].x, base.y.copy()) for c in cones],
-        anchor_entries=[c["entry"] for c in cones],
-        anchor_targets=[base.y - c["entry"].y for c in cones],
-        anchor_eps=[0.0] * len(cones),
-        probes=probes, floor_radius=0.0, case=1,
-        name=f"{tag} destabilizer (cones)", dim_x=dim_x, dim_y=dim_y,
+        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma, gamma_dp=gamma_dp,
+        witness=seq, anchor_entries=[c["entry"] for c in cones], anchor_eps=[0.0] * len(cones),
+        probes=probes, floor_radius=0.0, case=1, name=f"{tag} destabilizer (cones)",
     )
 
 
@@ -944,8 +929,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
             raise WitnessError("insufficient depth: projected scales collide")
     floor = bs[-1] * math.exp(-(len(bs) + 1.0))
     bs_asc = bs[::-1]
-    dim_y = es[0].y.size
-    dim_x = es[0].x.size
+    dim_x, dim_y = ctx.dim_x, ctx.dim_y
 
     def interpolate(DX, alpha):
         """The interpolated payload of each row and its gradient."""
@@ -1013,14 +997,9 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     probes.append(base.x + math.sqrt(floor * bs[-1]) * w_dir)
 
     return Perturbation(
-        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma,
-        gamma_prime=seq.gamma_prime, gamma_dp=gamma_dp, witness=seq,
-        anchors=[(s["entry"].x, base.y.copy()) for s in shells],
-        anchor_entries=[s["entry"] for s in shells],
-        anchor_targets=[base.y - s["entry"].y for s in shells],
-        anchor_eps=anchor_eps,
-        probes=probes, floor_radius=floor, case=2,
-        name=f"{tag} destabilizer (log cone)", dim_x=dim_x, dim_y=dim_y,
+        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma, gamma_dp=gamma_dp,
+        witness=seq, anchor_entries=[s["entry"] for s in shells], anchor_eps=anchor_eps,
+        probes=probes, floor_radius=floor, case=2, name=f"{tag} destabilizer (log cone)",
     )
 
 
@@ -1132,21 +1111,26 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     instead requires the strong subregularity estimate of F + f to
     report exactly zero. Each failed check leaves a line in the notes.
     Each phase evaluates p on all its points at once, and phase (e)
-    shifts each anchor's element by its own witness entry.
+    shifts each anchor's element by its own witness entry. Anchors,
+    targets, gamma' and dimensions come from p.witness and
+    p.anchor_entries; (d) reads firm calmness off the estimate of (c).
     """
+    yb = p.witness.base.y
     rep = BuilderReport(class_tag=p.class_tag, gamma=p.gamma,
-                        gamma_prime=p.gamma_prime, gamma_dp=p.gamma_dp,
-                        case=p.case, n_witnesses=len(p.anchors),
+                        gamma_prime=p.witness.gamma_prime, gamma_dp=p.gamma_dp,
+                        case=p.case, n_witnesses=len(p.anchor_entries),
                         floor_radius=p.floor_radius)
     if not p.gamma_dp < p.gamma:
         rep.notes.append("internal gamma'' is not below gamma; build metadata inconsistent")
 
-    # (a) interpolation
-    AX = np.array([xk for xk, _ in p.anchors], dtype=float).reshape(len(p.anchors), p.dim_x)
+    # (a) interpolation: f(x_k) = yb - y_k at each anchor entry
+    AX = np.array([e.x for e in p.anchor_entries], dtype=float)
+    targets = yb - np.array([e.y for e in p.anchor_entries], dtype=float)
+    dim_x, dim_y = AX.shape[1], targets.shape[1]
     values = p.eval(np.concatenate([base.x[None], AX]))
     rep.base_value_err = ctx.norm(values[0])
-    target_scale = max([1.0] + [float(np.max(np.abs(t))) for t in p.anchor_targets])
-    errs = norms(values[1:] - np.reshape(p.anchor_targets, (len(AX), p.dim_y)), ctx.kind)
+    target_scale = max([1.0] + np.abs(targets).max(axis=1).tolist())
+    errs = norms(values[1:] - targets, ctx.kind)
     rows = [{"k": k, "t": t, "interpolation_err": err, "gradient_relerr": 0.0}
             for k, (t, err) in enumerate(zip(norms(AX - base.x, ctx.kind).tolist(),
                                              errs.tolist()))]
@@ -1158,14 +1142,14 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     # many orders below the surrounding function values, and no finite
     # difference recovers it through the cancellation. At the probes the
     # envelope slope dominates and the quotient is well conditioned.
-    P = np.array(p.probes, dtype=float).reshape(len(p.probes), p.dim_x)
+    P = np.array(p.probes, dtype=float).reshape(len(p.probes), dim_x)
     owner, jac = p.derivative(P)
     rep.notes += ["probe on a seam: derivative unavailable"] * (len(P) - len(owner))
     P = P[owner]
-    dists = norms((P[:, None] - AX[None]).reshape(-1, p.dim_x), "l2").reshape(len(P), len(AX))
+    dists = norms((P[:, None] - AX[None]).reshape(-1, dim_x), "l2").reshape(len(P), len(AX))
     d_near = np.minimum(dists.min(axis=1), norms(P - base.x, "l2"))
     fd = np.zeros_like(jac)
-    for i in range(p.dim_x):
+    for i in range(dim_x):
         lo, ulps = 1e-7 * d_near, 32.0 * np.spacing(np.abs(P[:, i]))
         step = np.zeros_like(P)
         step[:, i] = np.where(ulps > lo, ulps, lo)  # max(lo, ulps)
@@ -1183,11 +1167,11 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     rep.per_witness = rows
 
     # (c) sampled modulus of the perturbation alone
-    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=p.dim_x, dim_y=p.dim_y,
+    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=dim_x, dim_y=dim_y,
                                  kind=ctx.kind, name=p.name)
-    fbase = GraphPoint(base.x, np.zeros(p.dim_y))
+    fbase = GraphPoint(base.x, np.zeros(dim_y))
     vlad = _destab_ladder(p, ladder)
-    extra = list(p.probes) + [xk for xk, _ in p.anchors]
+    extra = list(p.probes) + list(AX)
     probed = anchored(fgraph, list(zip(extra, fgraph.func(np.array(extra, dtype=float)))))
     if p.class_tag == "lip":
         mod = estimate_lip(probed, fbase, vlad, ctx)
@@ -1199,7 +1183,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
 
     # (d) class structure
     if p.class_tag in ("fclm", "fclm_ss", "ssr"):
-        fc = firmly_calm_test(p.eval, base.x, vlad, ctx, extra_xs=extra)
+        fc = firmly_calm_test(p.eval, base.x, mod, vlad, ctx, extra_xs=extra)
         rep.firmly_calm_ok = fc["ok"]
     if p.class_tag in ("fclm_ss", "ssr") and p.case == 1:
         ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
@@ -1222,7 +1206,8 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         rep.semismooth_verdict = ss.verdict
 
     # (e) destabilization of the sum
-    G = anchored(sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}"), p.anchors)
+    G = anchored(sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}"),
+                 [(xk, yb) for xk in AX])
     if p.class_tag == "ssr":
         est = estimate_ssrg(G, base, vlad, ctx)
         rep.destabilization = list(est.per_scale)
@@ -1274,46 +1259,29 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     return rep
 
 
-def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
+def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, ctx: NormContext,
                      extra_xs: list | None = None) -> dict:
     """Empirical firm calmness: bounded calm quotients plus local stability.
 
-    f takes rows, as Perturbation.eval does, and is evaluated once per
-    annulus for clause A and once for clause B. Clause A estimates the
-    calmness quotient per scale, over 24 probes per annulus and the
-    extra_xs that fall in it, and fails on clear divergence (the innermost
-    value above four times the median, above the outermost, and above an
-    absolute floor of 1e-9 so a tail of roundoff quotients never counts).
-    Clause B takes central two-point slopes at three shrinking step sizes
-    around offset points; a final slope exceeding eight times the first
-    indicates a discontinuity straddled by the center (per-point slopes may
-    be large, and may grow from point to point as x approaches the base,
-    without failing; a zero first slope is ignored because it means the
-    coarse step cleared a feature narrower than itself). Every maximum
-    is a running one from 0 (1 for the growth): a NaN never raises it.
+    Clause A fails when moduli._diverging calls the per-annulus maxima of
+    clm, estimate_clm of f's graph at the base over ladder, diverging; it
+    samples nothing itself. Clause B evaluates f (rows in, as
+    Perturbation.eval) once, taking central two-point slopes at three
+    shrinking step sizes around offset points: 6 in the middle and 6 in
+    the innermost annulus, and the first 12 extra_xs. A final slope
+    exceeding eight times the first indicates a discontinuity straddled
+    by the center (per-point slopes may be large, and may grow from point
+    to point as x approaches the base, without failing; a zero first slope
+    is ignored because it means the coarse step cleared a feature narrower
+    than itself). Every maximum is a running one from 1: a NaN never
+    raises it.
     """
     base_x = np.atleast_1d(np.asarray(base_x, dtype=float))
     dim = base_x.size
-    f0 = f(base_x[None])[0]
     extras = np.array(extra_xs or [], dtype=float).reshape(-1, dim)
-    t_extra = norms(extras - base_x, ctx.kind)
+    diverging = _diverging(clm.per_annulus)
 
     annuli = ladder.annuli()
-    per_scale = []
-    for j, (inner, outer) in enumerate(annuli):
-        pts = np.concatenate([sample_annulus(base_x, inner, outer, 24,
-                                             ladder.scale_seed(j, 83), ctx.kind),
-                              extras[(inner < t_extra) & (t_extra <= outer)]])
-        t = norms(pts - base_x, ctx.kind)
-        off = t != 0.0
-        per_scale.append(_running_max(norms(f(pts[off]) - f0, ctx.kind) / t[off], 0.0))
-    vals = [v for v in per_scale if v > 0.0]
-    diverging = False
-    if len(vals) >= 4:
-        med = sorted(vals)[len(vals) // 2]
-        diverging = (vals[-1] > 4.0 * max(med, 1e-12) and vals[-1] > vals[0]
-                     and vals[-1] > 1e-9)
-
     centers = np.concatenate(
         [sample_annulus(base_x, *annuli[j], 6, ladder.scale_seed(j, 89), ctx.kind)
          for j in (len(annuli) // 2, len(annuli) - 1)] + [extras[:12]])
@@ -1336,9 +1304,7 @@ def firmly_calm_test(f, base_x, ladder: ScaleLadder, ctx: NormContext,
     worst_growth = _running_max(slopes[coarse, -1] / slopes[coarse, 0], 1.0)
 
     ok = (not diverging) and worst_growth <= 8.0
-    return {"ok": ok, "clm_bound": max(per_scale) if per_scale else 0.0,
-            "per_scale": per_scale, "slope_growth": worst_growth,
-            "diverging": diverging}
+    return {"ok": ok, "slope_growth": worst_growth, "diverging": diverging}
 
 
 def random_calm_perturbation(seed: int):

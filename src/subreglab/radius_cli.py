@@ -679,14 +679,18 @@ def _cache_path(config: ExperimentConfig) -> str:
     return os.path.join(config.output, "cache", name)
 
 
-def _read_cache(path: str) -> dict | None:
-    """The cached payload, or None for a missing, unreadable or corrupt file."""
+def _read_cache(path: str, config: ExperimentConfig) -> dict | None:
+    """The cached payload of config, or None for a missing, unreadable or
+    corrupt file: one that is not a JSON object holding config's hash and
+    every key of a payload."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    return payload if isinstance(payload, dict) else None
+    keys = {f.name for f in dataclasses.fields(RunReport)} - {"timings"}
+    ok = isinstance(payload, dict) and payload.get("config_hash") == config.digest()
+    return payload if ok and keys <= payload.keys() else None
 
 
 def run_with_cache(config: ExperimentConfig) -> tuple[dict, bool]:
@@ -699,7 +703,7 @@ def run_with_cache(config: ExperimentConfig) -> tuple[dict, bool]:
     """
     cpath = _cache_path(config)
     timings = None
-    payload = _read_cache(cpath) if config.cache else None
+    payload = _read_cache(cpath, config) if config.cache else None
     hit = payload is not None
     if not hit:
         report = run(config)

@@ -245,10 +245,11 @@ def _compute_semismooth() -> dict:
     F, base, ctx = setup_map("spiral")
     w = extract_witness(F, base, "ss", 0.5, lad, ctx)
     p = build_ss_perturbation(w, 0.5)
-    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=p.dim_x, dim_y=p.dim_y,
+    dim_x, dim_y = w.entries[0].x.size, w.entries[0].y.size
+    fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=dim_x, dim_y=dim_y,
                                  kind="l1", name="cone")
-    fbase = GraphPoint(base.x, np.zeros(p.dim_y))
-    ctx1 = NormContext(kind="l1", dim_x=p.dim_x, dim_y=p.dim_y)
+    fbase = GraphPoint(base.x, np.zeros(dim_y))
+    ctx1 = NormContext(kind="l1", dim_x=dim_x, dim_y=dim_y)
     rep = semismooth_star_test(fgraph, fbase, lad, ctx1)
     out["verdicts"]["case1_cone"] = {"verdict": rep.verdict, "case": p.case,
                                      "scales": rep.scales, "worst_witness": rep.worst_witness}

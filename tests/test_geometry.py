@@ -264,6 +264,12 @@ def test_scale_ladder_validation():
         ScaleLadder(depth=0)
     with pytest.raises(ValueError):
         ScaleLadder(samples_per_scale=0)
+    # an annulus that rounds to empty, in the underflow and subnormal ranges
+    with pytest.raises(ValueError, match="annulus 2"):
+        ScaleLadder(theta=1e-200, depth=4)
+    with pytest.raises(ValueError, match="annulus 0"):
+        ScaleLadder(r0=1e-323, theta=0.9)
+    assert ScaleLadder(theta=1e-200, depth=2).annuli()[-1] == (0.0, 1e-200 * 0.5)
 
 
 def test_norm_context_dispatch():

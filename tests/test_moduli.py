@@ -748,35 +748,56 @@ def _random_annuli(rng):
             for _ in range(int(rng.integers(1, 6)))]
 
 
+def _hex_list(vals):
+    return [float(v).hex() for v in vals]
+
+
+def _flat(lists):
+    """Per-annulus lists flattened to values and their annuli."""
+    vals = np.array([v for vs in lists for v in vs], dtype=float)
+    ann = np.array([j for j, vs in enumerate(lists) for _ in vs], dtype=int)
+    return vals, ann
+
+
 def _check_pool_scales(per_annulus):
     depth = len(per_annulus)
     ladder = ScaleLadder(depth=depth, samples_per_scale=1, seed=0)
     no_inf = [[v for v in vals if not math.isinf(v)] for vals in per_annulus]
-    ssrg, ssrg_win = _loop_ssrg(per_annulus)
     cases = [
-        (dict(largest=True), per_annulus, _loop_max(per_annulus, False)),  # clm
-        (dict(largest=True), no_inf, _loop_max(per_annulus, True)),  # lip
-        ({}, per_annulus, _loop_min(per_annulus, math.nan)),  # rg
-        (dict(empty=math.inf), per_annulus, _loop_min(per_annulus, math.inf)),  # srg
-        (dict(empty=math.inf), per_annulus, ssrg),  # ssrg
+        (dict(largest=True), per_annulus, lambda pa: _loop_max(pa, False)),  # clm
+        (dict(largest=True), no_inf, lambda pa: _loop_max(pa, True)),  # lip
+        ({}, per_annulus, lambda pa: _loop_min(pa, math.nan)),  # rg
+        (dict(empty=math.inf), per_annulus, lambda pa: _loop_min(pa, math.inf)),  # srg
+        (dict(empty=math.inf), per_annulus, lambda pa: _loop_ssrg(pa)[0]),  # ssrg
     ]
-    for kwargs, lists, want in cases:
-        # the per-annulus lists flattened to values and their annuli
-        vals = np.array([v for vs in lists for v in vs], dtype=float)
-        ann = np.array([j for j, vs in enumerate(lists) for _ in vs], dtype=int)
-        got, win = _pool_scales(vals, ann, ladder, **kwargs)
+    for kwargs, lists, loop in cases:
+        vals, ann = _flat(lists)
+        got, own, win = _pool_scales(vals, ann, ladder, **kwargs)
         assert [r for r, _ in got] == [ladder.radius(j) for j in range(depth)]
-        assert [float(v).hex() for _, v in got] == [float(v).hex() for v in want], \
+        assert _hex_list(v for _, v in got) == _hex_list(loop(per_annulus)), (per_annulus, kwargs)
+        # each annulus's own extremum is what the loop reads from that annulus alone
+        assert _hex_list(own) == _hex_list(loop([vs])[0] for vs in per_annulus), \
             (per_annulus, kwargs)
     # the winner's index mapped back to its (annulus, index in the annulus)
     assert (None if win is None else (int(ann[win]), int(win - np.argmax(ann == ann[win])))
-            ) == ssrg_win
+            ) == _loop_ssrg(per_annulus)[1]
 
 
 def test_pool_scales_matches_the_loops_it_replaced():
     rng = np.random.default_rng(5)
     for _ in range(400):
         _check_pool_scales(_random_annuli(rng))
+    # the per-annulus extrema on each branch: a NaN-only annulus, an empty
+    # one, signed zeros in both orders, +inf with NaN, and a tie
+    nan, inf = math.nan, math.inf
+    lists = [[nan], [], [-0.0, 0.0], [0.0, -0.0], [inf, nan], [1.0, 2.0, 2.0]]
+    _check_pool_scales(lists)
+    ladder = ScaleLadder(depth=len(lists), samples_per_scale=1, seed=0)
+    vals, ann = _flat(lists)
+    for kwargs, want in ((dict(largest=True), [nan, nan, -0.0, 0.0, inf, 2.0]),
+                         ({}, [inf, nan, -0.0, 0.0, inf, 1.0]),
+                         (dict(empty=inf), [inf, inf, -0.0, 0.0, inf, 1.0])):
+        assert _hex_list(_pool_scales(vals, ann, ladder, **kwargs)[1]) == _hex_list(want), kwargs
 
 
 # per_scale and witnesses of the nine constants as hex floats, at ladder

@@ -76,6 +76,17 @@ def _hexes(v):
     return [float(c).hex() for c in np.ravel(v)]
 
 
+def _anchor_xs(p):
+    """The points x_k of the anchors (x_k, yb) of F + f, from the anchor entries."""
+    return [e.x for e in p.anchor_entries]
+
+
+def _dims(p):
+    """(dim_x, dim_y) of a perturbation: the sizes of its witness entries' x and y."""
+    e = p.witness.entries[0]
+    return e.x.size, e.y.size
+
+
 def _canon(obj):
     """obj with every float as its hex string."""
     if isinstance(obj, dict):
@@ -183,15 +194,16 @@ def test_every_perturbation_takes_rows_and_row_k_is_the_one_row_call(mid, kind, 
     ref_eval, ref_derivative = reference(p)
     pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
     rng = np.random.default_rng(13)
-    AX = np.array([xk for xk, _ in p.anchors])
+    AX = np.array(_anchor_xs(p))
+    dim_x, dim_y = _dims(p)
     near = AX[rng.integers(len(AX), size=(3, 24))]
     jitter = [1.0 + rng.uniform(-w, w, near.shape[1:]) for w in (0.3, 0.02, 1e-3)]
     X = np.concatenate([np.array([[float.fromhex(c) for c in row] for row in pin["x"]])]
                        + [a * j for a, j in zip(near, jitter)]
-                       + [rng.uniform(-0.6, 0.6, (24, p.dim_x))])
+                       + [rng.uniform(-0.6, 0.6, (24, dim_x))])
     values = p.eval(X)
     owner, G = p.derivative(X)
-    assert values.shape == (len(X), p.dim_y) and G.shape == (len(owner), p.dim_y, p.dim_x)
+    assert values.shape == (len(X), dim_y) and G.shape == (len(owner), dim_y, dim_x)
     assert np.all(np.diff(owner) > 0)
     jac = dict(zip(owner.tolist(), G))
     seams = 0
@@ -201,23 +213,24 @@ def test_every_perturbation_takes_rows_and_row_k_is_the_one_row_call(mid, kind, 
         one, g = p.derivative(X[k:k + 1])
         if want is None:
             seams += 1
-            assert k not in jac and len(one) == 0 and g.shape == (0, p.dim_y, p.dim_x), k
+            assert k not in jac and len(one) == 0 and g.shape == (0, dim_y, dim_x), k
         else:
             assert _bits(jac[k]) == _bits(want) == _bits(g[0]), k
     assert seams >= pin["derivative"].count(None)
-    assert p.eval(X[:0]).shape == (0, p.dim_y)
-    assert [a.shape for a in p.derivative(X[:0])] == [(0,), (0, p.dim_y, p.dim_x)]
+    assert p.eval(X[:0]).shape == (0, dim_y)
+    assert [a.shape for a in p.derivative(X[:0])] == [(0,), (0, dim_y, dim_x)]
 
 
 def test_interpolation_is_bitwise_exact():
     F, base, ctx, lad, p = _build("square", "ss", 0.5)
-    assert np.array_equal(p.eval(base.x[None]), np.zeros((1, p.dim_y)))
-    for (xk, yb_anchor), tgt in zip(p.anchors, p.anchor_targets):
-        got = p.eval(xk[None])[0]
-        assert np.array_equal(got, tgt), (xk, got, tgt)
-        assert np.array_equal(yb_anchor, base.y)
+    assert np.array_equal(p.eval(base.x[None]), np.zeros((1, _dims(p)[1])))
+    yb = p.witness.base.y
+    assert np.array_equal(yb, base.y)
+    for e in p.anchor_entries:
+        got = p.eval(e.x[None])[0]
+        assert np.array_equal(got, yb - e.y), (e.x, got, yb - e.y)
         # F + f passes through (x_k, yb) exactly
-        assert np.array_equal(tgt + F.func(xk[None])[0], base.y)
+        assert np.array_equal(yb - e.y + F.func(e.x[None])[0], base.y)
 
 
 def test_supports_are_disjoint():
@@ -226,9 +239,9 @@ def test_supports_are_disjoint():
         count = component_count(p)
         rng = np.random.default_rng(23)
         for _ in range(400):
-            x = rng.uniform(-0.6, 0.6, size=p.dim_x)
+            x = rng.uniform(-0.6, 0.6, size=_dims(p)[0])
             assert count(x) <= 1
-        for xk, _ in p.anchors:
+        for xk in _anchor_xs(p):
             assert count(xk) == 1
 
 
@@ -261,8 +274,8 @@ def test_serialization_round_trip_is_bit_identical(mid, kind, gamma):
     desc = json.loads(json.dumps(p.describe()))
     q = load_perturbation(desc)
     rng = np.random.default_rng(31)
-    xs = [rng.uniform(-0.7, 0.7, size=p.dim_x) for _ in range(300)]
-    xs += [xk for xk, _ in p.anchors]
+    xs = [rng.uniform(-0.7, 0.7, size=_dims(p)[0]) for _ in range(300)]
+    xs += _anchor_xs(p)
     xs += list(p.probes)
     X = np.array(xs)
     assert np.array_equal(p.eval(X), q.eval(X))
@@ -312,11 +325,18 @@ def test_description_violating_a_witness_invariant_is_rejected():
         load_perturbation(desc)
 
 
+def _firmly_calm(f, extra_xs=None):
+    """firmly_calm_test of a 1-D rows-form f at 0 over ladder12 in l1, with
+    the calmness estimate of f's graph as clause A's source."""
+    lad, ctx = ladder12(), NormContext(kind="l1", dim_x=1, dim_y=1)
+    base = GraphPoint(np.zeros(1), f(np.zeros((1, 1)))[0])
+    clm = estimate_clm(make_function_graph(f), base, lad, ctx)
+    return firmly_calm_test(f, np.zeros(1), clm, lad, ctx, extra_xs=extra_xs)
+
+
 def test_firmly_calm_accepts_a_kinked_but_calm_function():
-    f = np.abs
-    out = firmly_calm_test(f, np.zeros(1), ladder12(),
-                           NormContext(kind="l1", dim_x=1, dim_y=1))
-    assert out["ok"]
+    out = _firmly_calm(np.abs)
+    assert out["ok"] and not out["diverging"]
 
 
 def test_firmly_calm_rejects_a_jump():
@@ -325,17 +345,29 @@ def test_firmly_calm_rejects_a_jump():
     def f(X):
         return np.where(X < c, 0.0, 1.0)
 
-    out = firmly_calm_test(f, np.zeros(1), ladder12(),
-                           NormContext(kind="l1", dim_x=1, dim_y=1),
-                           extra_xs=[np.array([c])])
+    out = _firmly_calm(f, extra_xs=[np.array([c])])
     assert not out["ok"]
 
 
 def test_firmly_calm_rejects_divergent_quotients():
-    f = lambda X: np.sqrt(np.abs(X))
-    out = firmly_calm_test(f, np.zeros(1), ladder12(),
-                           NormContext(kind="l1", dim_x=1, dim_y=1))
-    assert not out["ok"]
+    out = _firmly_calm(lambda X: np.sqrt(np.abs(X)))
+    assert not out["ok"] and out["diverging"]
+
+
+def test_phase_d_draws_no_sample_of_its_own(monkeypatch):
+    """Phase (d) takes its calmness quotients from the estimate of phase
+    (c): during verify_builder of an fclm build no annulus of the
+    verification ladder is sampled with seed tag 83, which a clause-A
+    sample of its own would use."""
+    F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
+    seeds = []
+    draw = perturb.sample_annulus
+    monkeypatch.setattr(perturb, "sample_annulus",
+                        lambda *a, **k: seeds.append(a[4]) or draw(*a, **k))
+    rep = verify_builder(p, F, base, lad, ctx)
+    assert rep.firmly_calm_ok
+    vlad = perturb._destab_ladder(p, lad)
+    assert seeds and not set(seeds) & {vlad.scale_seed(j, 83) for j in range(vlad.depth)}
 
 
 def test_random_calm_perturbation_contract():
@@ -373,7 +405,7 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
     # the sum map attains the base value at every anchor
     G = sum_with_function(F, make_function_graph(p.eval, grad=p.derivative),
                           name="identity+ssr")
-    for xk, _ in p.anchors:
+    for xk in _anchor_xs(p):
         assert G.image_distance(xk[None], base.y[None])[0] <= 1e-15
 
 
@@ -407,8 +439,9 @@ def _doubled_derivative(p):
     # gamma and gamma'' lowered below the modulus 1.83 the bumps have
     pytest.param(lambda p: dataclasses.replace(p, gamma=1.5, gamma_dp=1.4),
                  "sampled modulus 1.83331 exceeds gamma - margin = 1.45", id="modulus"),
-    pytest.param(lambda p: dataclasses.replace(
-                     p, anchor_targets=[t + 1e-3 for t in p.anchor_targets]),
+    # each anchor entry's y lowered by 1e-3, so each target yb - y_k rises by it
+    pytest.param(lambda p: dataclasses.replace(p, anchor_entries=[
+                     dataclasses.replace(e, y=e.y - 1e-3) for e in p.anchor_entries]),
                  "interpolation error 1.000e-03 exceeds 1e-14 * 1", id="interpolation"),
     pytest.param(lambda p: dataclasses.replace(p, eval=_shifted_eval(p, 1e-3)),
                  "value at the base is 1.000e-03, not 0", id="base_value"),
@@ -442,7 +475,7 @@ def test_phase_e_shifts_each_anchor_by_its_own_witness_entry(monkeypatch):
         gamma=1.5, gamma_prime=1.0, direction_mode="distinct", u=None, k_hat=1,
         base=GraphPoint(np.zeros(1), np.zeros(1)), norm_kind="l1")
     p = build_ss_perturbation(w, 1.5)
-    assert p.case == 1 and [xk.tolist() for xk, _ in p.anchors] == [[0.2], [-0.1]]
+    assert p.case == 1 and [xk.tolist() for xk in _anchor_xs(p)] == [[0.2], [-0.1]]
     injected = []
     pool = perturb.build_element_pool
     monkeypatch.setattr(perturb, "build_element_pool",

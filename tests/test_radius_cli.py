@@ -137,6 +137,12 @@ _TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
      "cannot add linear (2->2) to abs (1->1)"),
     ({"map": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "abs"}}]}},
      "cannot add abs (1->1) to spiral (2->2)"),
+    # a ladder with an empty annulus: theta**2 underflows to 0, and two
+    # subnormal ulps times 0.9 round back to two ulps
+    ({"ladder": {"theta": 1.0e-200, "depth": 4, "samples": 8}},
+     "invalid ladder: annulus 2 (0.0, 0.0] is empty"),
+    ({"ladder": {"r0": 1.0e-323, "theta": 0.9, "depth": 4, "samples": 8}},
+     "invalid ladder: annulus 0 (1e-323, 1e-323] is empty"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, change, fragment):
     code, out = _run(tmp_path, capsys, {"map": "abs", **_TINY, **change})
@@ -337,7 +343,8 @@ def test_cache_key_includes_the_code_version_and_payload_schema(tmp_path, capsys
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("junk", [b"{truncated", b"\xff\xfe not text", b"[1, 2]"])
+@pytest.mark.parametrize("junk", [b"{truncated", b"\xff\xfe not text", b"[1, 2]", b"{}",
+                                  b'{"map_name": "x"}'])
 def test_corrupt_cache_file_is_recomputed_and_rewritten(tmp_path, capsys, junk):
     cfg = {"map": "abs", "task": "moduli", "seed": 7,
            "ladder": {"depth": 6, "samples": 64}, "output": str(tmp_path / "out")}
