@@ -104,6 +104,35 @@ def test_nearest_root_linear_and_even_touch():
     assert d == pytest.approx(0.2, abs=1e-8)
 
 
+def _nan_below(z):
+    with np.errstate(invalid="ignore"):
+        return np.where(z < 0.25, np.nan, z - 0.3)
+
+
+# (fb, xv, yv, r0) -> hex of each pair's distance, taken from the separate
+# bisection and golden-section loops the root finder once had
+_ROOT_CASES = {
+    # sign changes at 0.3 and a constant |g|: brackets, no interior minimum
+    "brackets only": ((lambda z: np.sign(z - 0.3), [0.1, -0.2], [0.0, 0.0], 0.05),
+                      ["0x1.999999999999bp-3", "0x1.0000000000000p-1"]),
+    # an even touch at 0.3 and no root at all: interior minima, no bracket
+    "minima only": ((lambda z: (z - 0.3) ** 2, [0.1, 0.1], [0.0, -0.01], 0.05),
+                    ["0x1.999999999999bp-3", "inf"]),
+    # nan below 0.25, and a nan y whose every residual is nan
+    "nan residuals": ((_nan_below, [0.1, 0.4, 0.1], [0.0, 0.0, np.nan], 0.05),
+                      ["0x1.999999999999bp-3", "0x1.9999999999998p-4", "inf"]),
+    # a bracket a few dozen ulps wide: bisection settles after five steps
+    "early fixed point": ((lambda z: z, [1000.0], [1000.0 + 3e-11], 1e-10),
+                          ["0x1.0800000000000p-35"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_nearest_root_cases_are_pinned(case):
+    (fb, xv, yv, r0), want = _ROOT_CASES[case]
+    assert [float(d).hex() for d in _roots(fb, xv, yv, r0)] == want
+
+
 def test_nearest_root_accumulating_zeros():
     # zeros of sin(1/z) at 1/(k pi); nearest to 1.5e-4 is the k below or above
     xv = 1.5e-4

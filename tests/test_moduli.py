@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder12, setup_map
+import subreglab.moduli as moduli
 from subreglab.geometry import NormContext, ScaleLadder, derive_seed
 from subreglab.mappings import (
     GraphPoint,
@@ -335,6 +336,36 @@ def test_fallback_moduli_bits_are_pinned(mid, name):
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder, ctx)
     assert [float(v).hex() for _, v in est.per_scale] == _FALLBACK_PIN[(mid, name)]
+
+
+# sha256 of the hex floats, one a line, of every distance that
+# preimage_distances_fallback returns to estimate_rg and then estimate_srg
+# (256 pairs), at ladder depth 8, 16 samples, l1. _FALLBACK_PIN pins only
+# the pooled per-scale minima; these pin each pair's root-finder result.
+_FALLBACK_PAIR_DIGESTS = {
+    ("oscillating", 7): "3feef741d49ac7fdf59dfc5d27ebdd201f28b2a416dd9938d89aedb857adb1ab",
+    ("oscillating", 23): "847aa1bb5704572f9a8ee1bbeba14b1e049f256eaa16076284ca07ea59f0c922",
+    ("square_plus_identity", 7): "ce79de59a9487354b1a8a712ea1a9c9373886147fb299ab561ac5f63b44cfe5d",
+    ("square_plus_identity", 23): "ae7bf343041d0ab8a78773d321c7654d50985eb5f89d5bb872d7fbf86f454869",
+    ("xsin", 7): "e45c0229bf9fc2e9f1f71de8e9b837dcd139a54b771ea3a2da28fd1c1925a71c",
+    ("xsin", 23): "b1fa8a785199322c0b464fcad0dc2ad935f8c7b1bb14ceec8724312af456dc56",
+}
+
+
+@pytest.mark.parametrize("mid,seed", sorted(_FALLBACK_PAIR_DIGESTS))
+def test_fallback_pair_distances_are_pinned(mid, seed, monkeypatch):
+    F, base, ctx = setup_map(mid)
+    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=seed)
+    seen = []
+    batched = moduli.preimage_distances_fallback
+    monkeypatch.setattr(moduli, "preimage_distances_fallback",
+                        lambda *a: seen.append(batched(*a)) or seen[-1])
+    estimate_rg(F, base, ladder, ctx)
+    estimate_srg(F, base, ladder, ctx)
+    dist = np.concatenate(seen)
+    assert len(seen) == 2 and len(dist) == 256
+    text = "\n".join(float(v).hex() for v in dist)
+    assert hashlib.sha256(text.encode()).hexdigest() == _FALLBACK_PAIR_DIGESTS[(mid, seed)]
 
 
 # per_scale values of the graph-sampled moduli clm, lip and ssrg, as hex
