@@ -336,9 +336,9 @@ def make_scale_map(lam: float = 2.0, kind: str = "l1") -> SetValuedMap:
 
 
 def _nearer(x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """min(|x - r|, |x + r|), inf where y < -1e-15 (no real root)."""
+    """min(|x - r|, |x + r|), inf where y < 0 (no real root; -0.0 has the root 0)."""
     a, b = np.abs(x - r), np.abs(x + r)
-    return np.where(y < -1e-15, math.inf, np.where(b < a, b, a))
+    return np.where(y < 0.0, math.inf, np.where(b < a, b, a))
 
 
 def make_square(kind: str = "l1") -> SetValuedMap:
@@ -840,65 +840,40 @@ def _grids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return grid
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise bit equality (so -0.0 differs from 0.0 and a NaN equals itself)."""
-    return a.view(np.int64) == b.view(np.int64)
+def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br: np.ndarray,
+            a: np.ndarray, b: np.ndarray, y_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of the brackets [lo, hi] of fb - y_br after 80 bisection
+    steps (glo = fb(lo) - y_br), and of the intervals [a, b] after 90
+    golden-section steps on |fb - y_min|.
 
-
-def _bisect(g: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] after 80 bisection steps each.
-
-    g(z, k) is the residual of brackets k at points z; glo = g(lo). A step
-    whose midpoint equals the end it replaces leaves (lo, hi) unchanged, a
-    fixed point (glo stays g(lo)), so the bracket stops there with the
-    result it would end with.
+    One loop advances both: each step evaluates the new points of every
+    bracket (steps 0-79) and every interval in one fb call. A row whose
+    step leaves its state unchanged is at a fixed point (its residuals are
+    fb at the same points), so it keeps stepping and ends in that state.
     """
-    out = np.empty(len(lo))
-    idx = np.arange(len(lo))
-    for _ in range(80):
-        if not idx.size:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid, idx)
-        up = (gm == 0.0) | ((glo < 0.0) == (gm < 0.0))
-        moved = ~_same(mid, np.where(up, lo, hi))
-        lo, hi, glo = np.where(up, mid, lo), np.where(up, hi, mid), np.where(up, gm, glo)
-        if not moved.all():
-            out[idx[~moved]] = 0.5 * (lo[~moved] + hi[~moved])
-            idx, lo, hi, glo = idx[moved], lo[moved], hi[moved], glo[moved]
-    out[idx] = 0.5 * (lo + hi)
-    return out
-
-
-def _golden(g: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Midpoints of [a, b] after 90 golden-section steps on |g| each.
-
-    g(z, k) is the residual of intervals k at points z. The state (a, b, c,
-    d) fixes |g| at c and d, so a step that leaves it unchanged is a fixed
-    point and the interval stops there.
-    """
-    out = np.empty(len(a))
-    idx = np.arange(len(a))
-    state = np.stack((a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a)))
-    gc, gd = np.abs(g(state[2], idx)), np.abs(g(state[3], idx))
-    for _ in range(90):
-        if not idx.size:
-            break
-        a, b, c, d = state
+    m = len(a)
+    y = np.concatenate((y_min, y_br))
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    gcd = np.abs(fb(np.concatenate((c, d))) - np.tile(y_min, 2))
+    gc, gd = gcd[:m], gcd[m:]
+    for step in range(90):
         left = gc < gd  # keep [a, d], else [c, b]; one new probe p either way
-        a1, b1 = np.where(left, a, c), np.where(left, d, b)
-        w = _INVPHI * (b1 - a1)
-        p = np.where(left, b1 - w, a1 + w)
-        new = np.stack((a1, b1, np.where(left, p, d), np.where(left, c, p)))
-        gp = np.abs(g(p, idx))
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        w = _INVPHI * (b - a)
+        p = np.where(left, b - w, a + w)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        mid = 0.5 * (lo + hi)
+        z = np.concatenate((p, mid)) if step < 80 else p
+        if not z.size:
+            break
+        gz = fb(z) - y[:len(z)]
+        gp = np.abs(gz[:m])
         gc, gd = np.where(left, gp, gd), np.where(left, gc, gp)
-        moved = ~_same(new, state).all(axis=0)
-        state = new
-        if not moved.all():
-            out[idx[~moved]] = 0.5 * (state[0, ~moved] + state[1, ~moved])
-            idx, state, gc, gd = idx[moved], state[:, moved], gc[moved], gd[moved]
-    out[idx] = 0.5 * (state[0] + state[1])
-    return out
+        if step < 80:
+            gm = gz[m:]
+            up = (gm == 0.0) | ((glo < 0.0) == (gm < 0.0))
+            lo, hi, glo = np.where(up, mid, lo), np.where(up, hi, mid), np.where(up, gm, glo)
+    return 0.5 * (lo + hi), 0.5 * (a + b)
 
 
 def _reach(xv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -916,9 +891,13 @@ def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
     Grid zeros count as they are; sign changes are bisected to machine
     accuracy; interior minima of |g| are golden-section refined and count
     when |g| <= tol[p] there, which catches even-order touches like z**2.
-    The result is a minimum: a bracket or minimum whose points all lie
-    farther from xv[p] than a distance already assured cannot change it, so
-    it is not refined.
+    The result is a minimum, so a bracket or minimum whose points all lie
+    farther from xv[p] than an assured distance (a grid zero, or the far
+    end of a bracket, which its bisected root is never beyond) cannot
+    change it and is not refined. Both kinds are picked before either is
+    refined, and _refine advances them together: one fb call for the grid,
+    one to seed golden section, one per refinement step and one for the
+    hit check.
     """
     m = len(xv)
     grid = _grids(xv - half, xv + half, n_grid)
@@ -934,21 +913,19 @@ def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
     assured = found.copy()
     np.fmin.at(assured, rows, far)
     keep = near <= assured[rows]
-    rows, cols = rows[keep], cols[keep]
-    y_br = yv[rows]
-    mids = _bisect(lambda z, k: fb(z) - y_br[k], grid[rows, cols], grid[rows, cols + 1],
-                   g0[rows, cols])
-    np.fmin.at(found, rows, np.abs(xv[rows] - mids))
+    br, bc = rows[keep], cols[keep]
 
     mag = np.abs(vals)
     rows, cols = np.nonzero((mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:]))
     near, _ = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 2])
-    keep = near <= found[rows]
-    rows, cols = rows[keep], cols[keep]
-    y_min = yv[rows]
-    zm = _golden(lambda z, k: fb(z) - y_min[k], grid[rows, cols], grid[rows, cols + 2])
-    hit = np.abs(fb(zm) - y_min) <= tol[rows]
-    np.fmin.at(found, rows[hit], np.abs(xv[rows[hit]] - zm[hit]))
+    keep = near <= assured[rows]
+    mr, mc = rows[keep], cols[keep]
+
+    mids, zm = _refine(fb, grid[br, bc], grid[br, bc + 1], g0[br, bc], yv[br],
+                       grid[mr, mc], grid[mr, mc + 2], yv[mr])
+    np.fmin.at(found, br, np.abs(xv[br] - mids))
+    hit = np.abs(fb(zm) - yv[mr]) <= tol[mr]
+    np.fmin.at(found, mr[hit], np.abs(xv[mr[hit]] - zm[hit]))
     return found
 
 
@@ -961,7 +938,9 @@ def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarr
     Once a root is found the grid is re-centered on the remaining interval,
     up to three times, so a closer crossing between two same-sign grid
     points is not missed. Every round advances each unfinished pair by one
-    scan, and the scans of a round run together.
+    scan, and the scans of a round run together: their brackets and minima
+    share one refinement loop (_refine), so a round makes at most 93 fb
+    calls, whatever the number of pairs.
     """
     out = np.full(len(xv), math.inf)
     half = np.array(r0, dtype=float)
@@ -1003,9 +982,12 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
         raise ValueError(f"{F.name}: the batched preimage fallback needs a scalar function graph")
     X = np.asarray(xs, dtype=float).reshape(len(xs), 1)
     Y = np.asarray(ys, dtype=float).reshape(len(ys), 1)
-    tol = np.array([1e-10 * max(1.0, norm(y, F.kind)) for y in Y])
+    # np.where(b > a, b, a) is Python's max(a, b), nan included
+    ny, nx = norms(Y, F.kind), norms(X, F.kind)
+    tol = 1e-10 * np.where(ny > 1.0, ny, 1.0)
     off = ~(F.image_distance(X, Y) <= tol)  # the other pairs are at distance 0
-    r0 = np.array([max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6)) for x in X])
+    q = 0.25 * np.where(1e-6 > nx, 1e-6, nx)
+    r0 = np.where(q > 1e-8, q, 1e-8)
     out = np.zeros(len(X))
     out[off] = _nearest_roots_1d(lambda z: F.func(z[:, None])[:, 0], X[off, 0], Y[off, 0],
                                  r0[off], tol[off], 48, 8)  # grid points per scan, doublings

@@ -133,6 +133,22 @@ def test_nearest_root_cases_are_pinned(case):
     assert [float(d).hex() for d in _roots(fb, xv, yv, r0)] == want
 
 
+def test_one_scan_makes_one_func_call_per_refinement_step():
+    # at most 1 call for the grid, 2 to seed golden section, 90 refinement
+    # steps and 1 hit check; separate bisection and golden-section loops made 145
+    calls = []
+
+    def fb(z):
+        calls.append(len(z))
+        return (z - 0.3) ** 2
+
+    # sign changes at 0.2 and 0.4, and minima of |g| beside them
+    found = mappings._scan(fb, np.array([0.1]), np.array([0.01]), np.array([0.5]),
+                           np.array([1e-12]), 48)
+    assert found[0] == pytest.approx(0.1, abs=1e-12)
+    assert len(calls) <= 94
+
+
 def test_nearest_root_accumulating_zeros():
     # zeros of sin(1/z) at 1/(k pi); nearest to 1.5e-4 is the k below or above
     xv = 1.5e-4
@@ -447,7 +463,7 @@ def test_root_finder_gives_each_pair_the_result_it_gets_alone():
     assert together[4] == pytest.approx(4.7, abs=1e-8)
 
 
-@pytest.mark.parametrize("mid", ["xsin", "oscillating"])
+@pytest.mark.parametrize("mid", ["xsin", "oscillating", "square_plus_identity"])
 def test_map_without_a_batch_form_gives_the_same_distances(mid):
     # the catalog's f evaluated a row at a time, as a user's function of
     # one point lifted by _rows is

@@ -113,6 +113,19 @@ def test_zero_map_moduli():
     assert estimate_ssrg(F, base, lad, ctx).reported == 0.0
 
 
+@pytest.mark.parametrize("mid", ["abs", "square"])
+def test_a_tiny_negative_value_has_no_preimage(mid):
+    # y < 0 has no real root however small |y| is; -0.0 has the root 0
+    F, base, ctx = setup_map(mid)
+    d = F.preimage_distance(np.array([[0.0], [1e-300], [0.5]]),
+                            np.array([[-1e-300], [-5e-324], [-0.0]]))
+    assert d.tolist() == [math.inf, math.inf, 0.5]
+    # so rg reads 0 (the empty-preimage quotient) on ladders far below 1e-15
+    for r0 in (1e-300, 1e-322):
+        est = estimate_rg(F, base, ScaleLadder(r0=r0, depth=4, samples_per_scale=8, seed=7), ctx)
+        assert [v for _, v in est.per_scale] == [0.0] * 4 and est.trend == "flat"
+
+
 def test_preimage_distances_the_fallback_misses_are_left_out():
     """On spiral + linear no multi-start lands on a preimage point: rg and
     srg read nan with a note, not 0.0 "converged"."""
