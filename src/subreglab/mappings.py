@@ -848,8 +848,9 @@ def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br:
 
     One loop advances both: each step evaluates the new points of every
     bracket (steps 0-79) and every interval in one fb call. A row whose
-    step leaves its state unchanged is at a fixed point (its residuals are
-    fb at the same points), so it keeps stepping and ends in that state.
+    step leaves its points unchanged is at a fixed point, since its next
+    step evaluates fb at those same points; it keeps stepping and ends in
+    that state.
     """
     m = len(a)
     y = np.concatenate((y_min, y_br))
