@@ -135,7 +135,7 @@ def test_nearest_root_cases_are_pinned(case):
 
 def test_one_scan_makes_one_func_call_per_refinement_step():
     # at most 1 call for the grid, 2 to seed golden section, 90 refinement
-    # steps and 1 hit check; separate bisection and golden-section loops made 145
+    # steps and 1 hit check, however many brackets and minima the scan has
     calls = []
 
     def fb(z):
