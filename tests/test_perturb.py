@@ -12,7 +12,7 @@ import pytest
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from perturb_reference import annulus_candidates, component_count, reference
-from subreglab.geometry import NormContext, ScaleLadder, derive_seed, norm
+from subreglab.geometry import NormContext, ScaleLadder, derive_seed, norm, norming_functional
 from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
 from subreglab.moduli import ElementRecords, estimate_clm, estimate_ssrg
 from subreglab.perturb import (
@@ -261,6 +261,56 @@ def test_case2_build_has_a_positive_floor():
     for frac in (0.5, 0.1, 0.01):
         x = np.array([[p.floor_radius * frac]])
         assert np.array_equal(p.eval(x), np.zeros((1, 1)))
+
+
+def _cone_axis(p):
+    """(u*, w, bs) of a case-2 build: its cone's norming functional and axis,
+    and the scales alpha of its shells, largest first."""
+    base = p.witness.base
+    d = p.witness.entries[-1].x - base.x
+    u = norming_functional(d, p.witness.norm_kind)
+    w = d / float(u @ d)
+    return u, w, sorted((float(u @ (e.x - base.x)) for e in p.anchor_entries), reverse=True)
+
+
+def _case2_cells(p, X):
+    """The cell of each row as the reference numbers them (0 above bs[0],
+    k in [bs[k], bs[k-1]), len(bs) in the ramp), -1 at alpha <= floor."""
+    u, _, bs = _cone_axis(p)
+    alpha = (X - p.witness.base.x) @ u
+    cell = len(bs) - np.searchsorted(bs[::-1], alpha, side="right")
+    return np.where(alpha <= p.floor_radius, -1, cell)
+
+
+@pytest.mark.parametrize("mid,kind,gamma", [("square", "ss", 0.5), ("identity", "ssr", 1.1)])
+@pytest.mark.parametrize("place", ["cell 0", "middle cell", "ramp cell", "outside"])
+def test_case2_rows_all_in_one_place_are_the_reference(mid, kind, gamma, place):
+    """A batch whose rows all lie in one cell of the log cone, or all where f
+    vanishes (below the floor, at the base, on the far side of the cone),
+    gives each row the bits of the point-by-point reference: every other
+    cell's group of rows is empty."""
+    p, _ = _verified(mid, kind, gamma)
+    assert p.case == 2
+    _, w, bs = _cone_axis(p)
+    floor = p.floor_radius
+    alphas = {
+        "cell 0": np.geomspace(bs[0], 2.0 * bs[0], 17)[:-1],
+        "middle cell": np.geomspace(bs[2], bs[1], 17)[:-1],
+        "ramp cell": np.geomspace(floor, bs[-1], 18)[1:-1],
+        "outside": np.concatenate([np.geomspace(1e-3 * floor, floor, 8), [0.0],
+                                   -np.geomspace(floor, 2.0 * bs[0], 8)]),
+    }[place]
+    X = p.witness.base.x + alphas[:, None] * w
+    want_cell = {"cell 0": 0, "middle cell": 2, "ramp cell": len(bs), "outside": -1}[place]
+    assert np.all(_case2_cells(p, X) == want_cell)
+    ref_eval, ref_derivative = reference(p)
+    values = p.eval(X)
+    owner, G = p.derivative(X)
+    jac = dict(zip(owner.tolist(), G))
+    for k, x in enumerate(X):
+        assert _bits(values[k]) == _bits(ref_eval(x)), k
+        want = ref_derivative(x)
+        assert k not in jac if want is None else _bits(jac[k]) == _bits(want), k
 
 
 @pytest.mark.parametrize("mid,kind,gamma", [
