@@ -373,9 +373,10 @@ def _stride_indices(count: int, cap: int) -> list[int]:
     """Deterministic selection of at most cap indices from range(count)."""
     if count <= cap:
         return list(range(count))
-    pos = np.linspace(0, count - 1, cap)
-    out = sorted({int(round(p)) for p in pos})
-    return out
+    # float bounds: count may exceed any machine integer at fine scales; past
+    # 2^53 a rounded position can pass count - 1
+    pos = np.linspace(0.0, float(count - 1), cap)
+    return sorted({min(int(round(p)), count - 1) for p in pos})
 
 
 def make_xsin(kind: str = "l1") -> SetValuedMap:

@@ -797,10 +797,11 @@ def _cap_slope_term(J: np.ndarray, pay: np.ndarray, DX: np.ndarray, alpha: np.nd
     return J
 
 
-def _payload(shell: dict, DX: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v of each row (see _cone_shell)."""
-    return ((alpha / shell["a"])[:, None] * shell["dy"]
-            + (_pair(shell["xh"], DX) - shell["c"])[:, None] * shell["v"])
+def _payload(cols: dict, i: np.ndarray, DX: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v of each row, in shell i of
+    the stacked shells cols (see _cone_shell and _stack_shells)."""
+    return ((alpha / cols["a"][i])[:, None] * cols["dy"][i]
+            + (_dots(cols["xh"][i], DX) - cols["c"][i])[:, None] * cols["v"][i])
 
 
 def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
@@ -824,6 +825,11 @@ def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
         v = np.zeros_like(dy)
     grad = np.outer(dy / a, u_star) + np.outer(v, xh)
     return {"entry": e, "a": a, "dy": dy, "xh": xh, "c": c, "v": v, "grad": grad}
+
+
+def _stack_shells(shells: list[dict]) -> dict:
+    """The payload data of the shells as columns, row k from shells[k]."""
+    return {key: np.array([s[key] for s in shells]) for key in ("a", "dy", "xh", "c", "v", "grad")}
 
 
 def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
@@ -855,6 +861,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         shell["u_star"] = u_star
         shell["w"] = w_dir
         cones.append(shell)
+    cols = _stack_shells(cones)
 
     dim_x, dim_y = ctx.dim_x, ctx.dim_y
 
@@ -872,9 +879,8 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
     def evaluate(X):
         k, DX, alpha, m = locate(X)
         out = np.zeros((len(X), dim_y))
-        for i, cone in enumerate(cones):
-            r = np.flatnonzero(k == i)
-            out[r] = -_smooth_cap(m[r], tau)[:, None] * _payload(cone, DX[r], alpha[r])
+        r = np.flatnonzero(k >= 0)
+        out[r] = -_smooth_cap(m[r], tau)[:, None] * _payload(cols, k[r], DX[r], alpha[r])
         return out
 
     def derivative(X):
@@ -885,8 +891,8 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
             at = np.flatnonzero(k[owner] == i)
             r = owner[at]
             jac = -_smooth_cap(m[r], tau)[:, None, None] * cone["grad"]
-            J[at] = _cap_slope_term(jac, _payload(cone, DX[r], alpha[r]), DX[r], alpha[r], m[r],
-                                    tau, cone["w"], cone["u_star"])
+            J[at] = _cap_slope_term(jac, _payload(cols, k[r], DX[r], alpha[r]), DX[r], alpha[r],
+                                    m[r], tau, cone["w"], cone["u_star"])
         return owner, J
 
     probes = []
@@ -910,6 +916,12 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     shell at b_K e^{-(K+1)} ramps the innermost payload to zero, and f
     vanishes below that floor (reported as floor_radius). The weights take
     math.log per element, as np.log may round differently.
+
+    The shells are stacked into columns once, at build time, with each
+    cell's lower bound and log width. A batch of rows then gathers each
+    row's two shells by index and takes its weights in one math.log pass,
+    with no loop over cells; each row gets the operations, and the bits, of
+    a row evaluated alone.
     """
     ctx = seq.context()
     base = seq.base
@@ -929,6 +941,12 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
             raise WitnessError("insufficient depth: projected scales collide")
     floor = bs[-1] * math.exp(-(len(bs) + 1.0))
     bs_asc = bs[::-1]
+    cols = _stack_shells(shells)
+    # at k - 1, for each cell k >= 1: its lower bound (the floor for the ramp
+    # cell) and the log of its width, b_{k-1} over that bound
+    lows = bs[1:] + [floor]
+    big_ls = np.array([math.log(b / lo) for b, lo in zip(bs, lows)])
+    lows = np.array(lows)
     dim_x, dim_y = ctx.dim_x, ctx.dim_y
 
     def interpolate(DX, alpha):
@@ -936,27 +954,24 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         # cell k of a row: bs[k] <= alpha < bs[k-1]; len(bs) in the ramp region
         cell = len(bs) - np.searchsorted(bs_asc, alpha, side="right")
         T, GT = np.empty((len(DX), dim_y)), np.empty((len(DX), dim_y, dim_x))
-        for k in range(len(bs) + 1):
-            r = np.flatnonzero(cell == k)
-            dx, a = DX[r], alpha[r]
-            if k == 0:
-                T[r], GT[r] = _payload(shells[0], dx, a), shells[0]["grad"]
-                continue
-            if k < len(bs):
-                big_l = math.log(bs[k - 1] / bs[k])
-                lam = (_logs(a / bs[k]) / big_l)[:, None]
-                pk, pk1 = _payload(shells[k], dx, a), _payload(shells[k - 1], dx, a)
-                T[r] = pk + lam * (pk1 - pk)
-                grad_t = shells[k]["grad"] + lam[:, :, None] * (shells[k - 1]["grad"]
-                                                                 - shells[k]["grad"])
-                tilt = pk1 - pk
-            else:
-                big_l = math.log(bs[-1] / floor)
-                lam = (_logs(a / floor) / big_l)[:, None]
-                tilt = _payload(shells[-1], dx, a)
-                T[r] = lam * tilt
-                grad_t = lam[:, :, None] * shells[-1]["grad"]
-            GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
+        r = np.flatnonzero(cell == 0)
+        T[r], GT[r] = _payload(cols, cell[r], DX[r], alpha[r]), cols["grad"][0]
+        r = np.flatnonzero(cell > 0)
+        up, dx, a = cell[r] - 1, DX[r], alpha[r]  # the shell above each row
+        big_l = big_ls[up]
+        lam = (_logs(a / lows[up]) / big_l)[:, None]
+        # the ramp cell's lam P and lam grad; 0 + lam (P - 0) can differ in the sign of a zero
+        tilt = _payload(cols, up, dx, a)
+        t, grad_t = lam * tilt, lam[:, :, None] * cols["grad"][up]
+        # rows between two shells: P_k + lam (P_{k-1} - P_k), and the same for grad
+        mid = np.flatnonzero(up < len(bs) - 1)
+        lo = up[mid] + 1
+        pk, gk = _payload(cols, lo, dx[mid], a[mid]), cols["grad"][lo]
+        tilt[mid] -= pk
+        t[mid] = pk + lam[mid] * tilt[mid]
+        grad_t[mid] = gk + lam[mid, :, None] * (cols["grad"][up[mid]] - gk)
+        T[r] = t
+        GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
         return T, GT
 
     def evaluate(X):
@@ -981,14 +996,11 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
         return owner, J
 
     # one-sided derivative gap at each anchor: the log-interpolation kink
-    anchor_eps = []
-    for i, s in enumerate(shells):
-        if i == 0:
-            anchor_eps.append(0.0)
-            continue
-        dxk, ak = (s["entry"].x - base.x)[None], np.array([s["a"]])
-        gap = _payload(shells[i - 1], dxk, ak)[0] - _payload(s, dxk, ak)[0]
-        anchor_eps.append(ctx.norm(gap) / (s["a"] * math.log(bs[i - 1] / bs[i])))
+    i = np.arange(1, len(shells))
+    DXa, A = np.array([s["entry"].x - base.x for s in shells[1:]]), cols["a"][1:]
+    gaps = _payload(cols, i - 1, DXa, A) - _payload(cols, i, DXa, A)
+    anchor_eps = [0.0] + [ctx.norm(g) / (b * math.log(b_up / b))
+                          for g, b_up, b in zip(gaps, bs, bs[1:])]
 
     probes = []
     for s, s_next in zip(shells, shells[1:]):

@@ -313,6 +313,25 @@ def test_case2_rows_all_in_one_place_are_the_reference(mid, kind, gamma, place):
         assert k not in jac if want is None else _bits(jac[k]) == _bits(want), k
 
 
+def test_case2_takes_one_log_pass_per_call(monkeypatch):
+    """One eval and one derivative call each take the math.log weights of
+    all their rows in one _logs pass, however many cells the rows span."""
+    p, _ = _verified("square", "ss", 0.5)
+    _, w, bs = _cone_axis(p)
+    alphas = [1.5 * bs[0], math.sqrt(bs[0] * bs[1]), math.sqrt(bs[1] * bs[2]),
+              math.sqrt(bs[2] * bs[3]), math.sqrt(p.floor_radius * bs[-1])]
+    X = p.witness.base.x + np.array(alphas)[:, None] * w
+    assert len(set(_case2_cells(p, X).tolist()) - {0}) >= 3
+    calls = []
+    logs = perturb._logs
+    monkeypatch.setattr(perturb, "_logs", lambda v: calls.append(len(v)) or logs(v))
+    p.eval(X)
+    assert calls == [4]
+    calls.clear()
+    p.derivative(X)
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("mid,kind,gamma", [
     ("identity", "lip", 2.5),
     ("xsin", "fclm", 0.1),

@@ -281,6 +281,18 @@ def test_verify_radius_pipeline_zero_map(tmp_path, capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("r0", [1e-19, 1e-30, 1e-200])
+def test_xsin_moduli_runs_on_ladders_whose_fiber_count_passes_a_machine_integer(
+        tmp_path, capsys, r0):
+    # an annulus at scale r holds about 1/(pi r) fibers 1/(k pi); on these
+    # ladders that count passes 2^63
+    code, out = _run(tmp_path, capsys, {
+        "map": "xsin", "task": "moduli", "seed": 7,
+        "ladder": {"depth": 4, "samples": 16, "r0": r0},
+    })
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("spec", [
     {"id": "zero", "wrap": [{"op": "sum", "fn": {"id": "identity"}}]},
     {"id": "identity", "params": {"dim": 1}},
