@@ -54,6 +54,7 @@ __all__ = [
     "resolve_map_spec",
     "graph_annuli",
     "graph_rows",
+    "graph_tolerance",
     "preimage_distance_fallback",
     "preimage_distances_fallback",
 ]
@@ -80,7 +81,7 @@ class SetValuedMap:
     d(Y[k], F(X[k])) (inf when F(X[k]) is empty), so Y[k] lies in F(X[k])
     when it is 0; preimage_distance(X, Y) returns the n values
     d(X[k], F^{-1}(Y[k])), or the field is None, in which case callers fall
-    back to preimage_distance_fallback. func(X), for single-valued maps,
+    back to preimage_distances_fallback. func(X), for single-valued maps,
     returns the (n, dim_y) values f(X[k]). Row k of every result depends on
     row k of the arguments alone, so it has the bits of the one-row call.
 
@@ -784,9 +785,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     def image_distance(U, V):
         if F.preimage_distance is not None:
             return F.preimage_distance(V, U)
-        if _scalar_graph(F):
-            return preimage_distances_fallback(F, V, U)
-        return _rows(lambda u, v: preimage_distance_fallback(F, v, u))(U, V)
+        return preimage_distances_fallback(F, V, U)
 
     def preimage_distance(U, V):
         return F.image_distance(V, U)
@@ -843,9 +842,9 @@ def _grids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 
 def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br: np.ndarray,
             a: np.ndarray, b: np.ndarray, y_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints of the brackets [lo, hi] of fb - y_br after 80 bisection
-    steps (glo = fb(lo) - y_br), and of the intervals [a, b] after 90
-    golden-section steps on |fb - y_min|.
+    """Midpoints of the brackets [lo, hi] of fb(., y_br) after 80 bisection
+    steps (glo = fb(lo, y_br)), and of the intervals [a, b] after 90
+    golden-section steps on |fb(., y_min)|.
 
     One loop advances both: each step evaluates the new points of every
     bracket (steps 0-79) and every interval in one fb call. A row whose
@@ -856,7 +855,7 @@ def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br:
     m = len(a)
     y = np.concatenate((y_min, y_br))
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    gcd = np.abs(fb(np.concatenate((c, d))) - np.tile(y_min, 2))
+    gcd = np.abs(fb(np.concatenate((c, d)), np.tile(y_min, 2)))
     gc, gd = gcd[:m], gcd[m:]
     for step in range(90):
         left = gc < gd  # keep [a, d], else [c, b]; one new probe p either way
@@ -868,7 +867,7 @@ def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br:
         z = np.concatenate((p, mid)) if step < 80 else p
         if not z.size:
             break
-        gz = fb(z) - y[:len(z)]
+        gz = fb(z, y[:len(z)])
         gp = np.abs(gz[:m])
         gc, gd = np.where(left, gp, gd), np.where(left, gc, gp)
         if step < 80:
@@ -887,8 +886,8 @@ def _reach(xv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
 
 def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
           tol: np.ndarray, n_grid: int) -> np.ndarray:
-    """Per row p, the distance from xv[p] to the nearest zero of
-    g(z) = fb(z) - yv[p] found on a grid of half width half[p], or inf.
+    """Per row p, the distance from xv[p] to the nearest zero of the
+    residual g(z) = fb(z, yv[p]) found on a grid of half width half[p], or inf.
 
     Grid zeros count as they are; sign changes are bisected to machine
     accuracy; interior minima of |g| are golden-section refined and count
@@ -903,14 +902,15 @@ def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
     """
     m = len(xv)
     grid = _grids(xv - half, xv + half, n_grid)
-    vals = fb(grid.ravel()).reshape(m, n_grid) - yv[:, None]
+    vals = fb(grid.ravel(), np.repeat(yv, n_grid)).reshape(m, n_grid)
     found = np.full(m, math.inf)
 
     rows, cols = np.nonzero(vals == 0.0)
     np.fmin.at(found, rows, np.abs(xv[rows] - grid[rows, cols]))
 
     g0, g1 = vals[:, :-1], vals[:, 1:]
-    rows, cols = np.nonzero((g0 != 0.0) & (g0 * g1 < 0.0))
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, which is no sign change
+        rows, cols = np.nonzero((g0 != 0.0) & (g0 * g1 < 0.0))
     near, far = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 1])
     assured = found.copy()
     np.fmin.at(assured, rows, far)
@@ -926,15 +926,15 @@ def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
     mids, zm = _refine(fb, grid[br, bc], grid[br, bc + 1], g0[br, bc], yv[br],
                        grid[mr, mc], grid[mr, mc + 2], yv[mr])
     np.fmin.at(found, br, np.abs(xv[br] - mids))
-    hit = np.abs(fb(zm) - yv[mr]) <= tol[mr]
+    hit = np.abs(fb(zm, yv[mr])) <= tol[mr]
     np.fmin.at(found, mr[hit], np.abs(xv[mr[hit]] - zm[hit]))
     return found
 
 
 def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarray,
                       tol: np.ndarray, n_grid: int, max_doublings: int) -> np.ndarray:
-    """Per pair p, the distance from xv[p] to the nearest zero of
-    z -> fb(z) - yv[p], or inf when none is found.
+    """Per pair p, the distance from xv[p] to the nearest zero of the
+    residual z -> fb(z, yv[p]), or inf when none is found.
 
     Each pair scans grids of doubling half width from r0[p] (see _scan).
     Once a root is found the grid is re-centered on the remaining interval,
@@ -966,76 +966,68 @@ def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarr
     return out
 
 
-def _scalar_graph(F: SetValuedMap) -> bool:
-    return F.func is not None and F.dim_x == 1 and F.dim_y == 1
+def graph_tolerance(Y, kind: str) -> np.ndarray:
+    """1e-10 max(1, ||y||) for each row y of Y: a pair (x, y) whose image
+    distance d(y, F(x)) is at most this counts as a graph point."""
+    ny = norms(Y, kind)
+    return 1e-10 * np.where(ny > 1.0, ny, 1.0)  # Python's max(1.0, ny), nan included
 
 
 def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
-    """d(x, F^{-1}(y)) for every pair (x, y) of a scalar function graph at once.
+    """d(x, F^{-1}(y)) for every pair (x, y) at once, for a map without a
+    preimage oracle; a pair whose image distance is at most
+    graph_tolerance(y) is at distance 0, and one without a point found is nan.
 
-    The crossings of f - y are exactly the fiber, so a grid scan with
-    sign-change bisection and golden-section touch refinement resolves
+    A 1-D map takes the root scan of _nearest_roots_1d: grid zeros,
+    sign-change bisection and golden-section touch refinement resolve
     accumulating fibers (reciprocal zero families and the like) to machine
-    accuracy. All pairs' evaluations of f in a round go through one call of
-    F.func, yet each result depends on its own pair alone, so it has the
-    bits that preimage_distance_fallback(F, x, y) gives.
+    accuracy. On a function graph the residual is f(z) - y, whose crossings
+    are exactly the fiber, and a pair without a root reads inf. On a map
+    without func it is d(y, F(z)), which only touches 0, so the scan cannot
+    tell an empty preimage from a missed one. A single-valued map of higher
+    dimension takes Gauss-Newton steps z -= pinv(G) (f(z) - y) from z = x,
+    all rows in lockstep with one func and one grad call per step, until
+    ||f(z) - y|| is at most the tolerance; z need not be the nearest point
+    of the fiber, so the distance bounds d(x, F^{-1}(y)) from above. A row
+    without a finite Jacobian or with a non-finite step stops. Each result
+    depends on its own pair alone, however many pairs a call takes.
     """
-    if not _scalar_graph(F):
-        raise ValueError(f"{F.name}: the batched preimage fallback needs a scalar function graph")
-    X = np.asarray(xs, dtype=float).reshape(len(xs), 1)
-    Y = np.asarray(ys, dtype=float).reshape(len(ys), 1)
-    # np.where(b > a, b, a) is Python's max(a, b), nan included
-    ny, nx = norms(Y, F.kind), norms(X, F.kind)
-    tol = 1e-10 * np.where(ny > 1.0, ny, 1.0)
+    X = np.asarray(xs, dtype=float).reshape(len(xs), F.dim_x)
+    Y = np.asarray(ys, dtype=float).reshape(len(ys), F.dim_y)
+    tol = graph_tolerance(Y, F.kind)
     off = ~(F.image_distance(X, Y) <= tol)  # the other pairs are at distance 0
-    q = 0.25 * np.where(1e-6 > nx, 1e-6, nx)
-    r0 = np.where(q > 1e-8, q, 1e-8)
-    out = np.zeros(len(X))
-    out[off] = _nearest_roots_1d(lambda z: F.func(z[:, None])[:, 0], X[off, 0], Y[off, 0],
-                                 r0[off], tol[off], 48, 8)  # grid points per scan, doublings
+    out = np.where(off, math.nan, 0.0)
+    if F.dim_x == F.dim_y == 1:
+        nx = norms(X, F.kind)
+        q = 0.25 * np.where(1e-6 > nx, 1e-6, nx)
+        r0 = np.where(q > 1e-8, q, 1e-8)
+        f = F.func
+        fb = ((lambda z, y: f(z[:, None])[:, 0] - y) if f is not None
+              else lambda z, y: F.image_distance(z[:, None], y[:, None]))
+        d = _nearest_roots_1d(fb, X[off, 0], Y[off, 0], r0[off], tol[off],
+                              48, 8)  # grid points per scan, doublings
+        out[off] = np.where(np.isinf(d) & (f is None), math.nan, d)
+    elif F.grad is not None:
+        Z, live = X.copy(), np.flatnonzero(off)
+        for _ in range(50):
+            R = F.func(Z[live]) - Y[live]
+            done = norms(R, F.kind) <= tol[live]
+            out[live[done]] = norms(X[live[done]] - Z[live[done]], F.kind)
+            live, R = live[~done], R[~done]
+            if not live.size:
+                break
+            owner, G = F.grad(Z[live])
+            fin = np.isfinite(G).all(axis=(1, 2))  # one nan fails pinv of the whole stack
+            live, R = live[owner[fin]], R[owner[fin]]
+            Z[live] -= np.matmul(np.linalg.pinv(G[fin]), R[..., None])[..., 0]
+            live = live[np.isfinite(Z[live]).all(axis=1)]
     return out
 
 
 def preimage_distance_fallback(F: SetValuedMap, x, y) -> float:
-    """d(x, F^{-1}(y)) without an analytic preimage oracle.
-
-    Scalar function graphs are the one-pair case of
-    preimage_distances_fallback. Everything else falls back to seeded
-    multi-start acceptance: lattice starts on balls of doubling radius
-    around x, near-zero residuals bisected toward x. Returns nan when no
-    approximate preimage point is found: the starts cannot tell an empty
-    preimage from one they missed (the fibers of a single-valued map of
-    dimension two or more are points, which random starts never hit).
-    """
-    if _scalar_graph(F):
-        return float(preimage_distances_fallback(F, [x], [y])[0])
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    tol = 1e-10 * max(1.0, norm(y, F.kind))
-
-    def near(Z):  # which rows z of Z have d(y, F(z)) <= tol
-        return F.image_distance(Z, np.repeat(y[None], len(Z), 0)) <= tol
-
-    if near(x[None])[0]:
-        return 0.0
-    r = max(1e-8, 0.25 * max(norm(x, F.kind), 1e-6))
-    best = math.inf
-    for i in range(8):
-        starts = sample_annulus(x, 0.0, r, 48, derive_seed(0x9E11, i), F.kind)
-        for z in starts[near(starts)]:
-            # bisect toward x while staying in the preimage
-            lo, hi = z, x
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if near(mid[None])[0]:
-                    lo = mid
-                else:
-                    hi = mid
-            best = min(best, norm(x - lo, F.kind))
-        if best < math.inf:
-            return best
-        r *= 2.0
-    return math.nan
+    """d(x, F^{-1}(y)) without a preimage oracle: the one-pair call of
+    preimage_distances_fallback."""
+    return float(preimage_distances_fallback(F, [x], [y])[0])
 
 
 # ---------------------------------------------------------------------------

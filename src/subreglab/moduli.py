@@ -34,13 +34,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .geometry import NormContext, ScaleLadder, dual_kind, norms, sample_annulus
-from .mappings import (
+from .mappings import (  # noqa: F401
     GraphPoint,
     SetValuedMap,
-    _scalar_graph,
     graph_annuli,
     graph_rows,
-    preimage_distance_fallback,
+    preimage_distance_fallback,  # not called here; perfbench's layer trace wraps it by name
     preimage_distances_fallback,
 )
 # element_quotient and elements_at_point are not called here (the pool asks
@@ -250,30 +249,23 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     return est.finalize()
 
 
-def _preimage_distances(F: SetValuedMap, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """d(x, F^{-1}(y)) for each row pair: the map's oracle if it has one,
-    else the batched fallback for scalar function graphs, else the per-pair
-    one."""
-    if F.preimage_distance is not None:
-        return F.preimage_distance(xs, ys)
-    if _scalar_graph(F):
-        return preimage_distances_fallback(F, xs, ys)
-    return np.array([preimage_distance_fallback(F, x, y) for x, y in zip(xs, ys)], dtype=float)
-
-
 def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, xs: np.ndarray, ys: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(annulus, d(y, F(x)), d(x, F^{-1}(y))) arrays of the pairs of rows of
     xs and ys, an equal number per annulus in ladder order, that lie off the
     preimage: their image distance is not at most 1e-13 times the annulus's
     outer radius. The image distances of all pairs come from one call, and
-    the preimage distances of the admissible pairs alone from another.
+    the preimage distances of the admissible pairs alone from another: the
+    map's oracle if it has one, else the batched fallback.
     """
     annulus = np.repeat(np.arange(ladder.depth), len(xs) // ladder.depth)
     dimg = F.image_distance(xs, ys)
     outer = np.array([ladder.radius(j) for j in range(ladder.depth)])[annulus]
     keep = ~(dimg <= 1e-13 * outer)  # x at or numerically on the preimage is left out
-    return annulus[keep], dimg[keep], _preimage_distances(F, xs[keep], ys[keep])
+    xs, ys = xs[keep], ys[keep]
+    dpre = (F.preimage_distance(xs, ys) if F.preimage_distance is not None
+            else preimage_distances_fallback(F, xs, ys))
+    return annulus[keep], dimg[keep], dpre
 
 
 def _quotients(ann: np.ndarray, dimg: np.ndarray, dpre: np.ndarray, drop_nan: bool):
@@ -295,9 +287,9 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     x and y are drawn from matched annuli around the base; pairs with x in
     the preimage of y are excluded. A pair whose y has an empty preimage
     contributes 0 (such maps are not regular at any rate). A pair whose
-    preimage distance reads nan (the multi-start fallback found no preimage
-    point) is left out and counted in the note; a nan quotient is left out
-    too.
+    preimage distance reads nan (the fallback found no preimage point) is
+    left out and counted in the note, which also names Newton projections
+    (_bound_note); a nan quotient is left out too.
     """
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
     xs, ys = [], []
@@ -310,6 +302,7 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     est.per_scale, est.per_annulus, _ = _pool_scales(q, qann, ladder)
     if not (est.note or len(q)):
         est.note = "no admissible pairs: every sampled point lies in the preimage"
+    est.note = "; ".join(filter(None, (est.note, _bound_note(F))))
     return est.finalize()
 
 
@@ -318,6 +311,14 @@ def _missed_note(dpre: np.ndarray) -> str:
     missed = int(np.isnan(dpre).sum())
     return (f"no preimage point found for {missed} of {len(dpre)} pairs; "
             f"their quotients are left out") if missed else ""
+
+
+def _bound_note(F: SetValuedMap) -> str:
+    """The note of a map whose fallback takes Gauss-Newton steps, else ""."""
+    if F.preimage_distance is None and max(F.dim_x, F.dim_y) > 1 and F.grad is not None:
+        return ("preimage distances are Newton projections onto the fibers, "
+                "so they bound d(x, F^-1(y)) only from above")
+    return ""
 
 
 def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
@@ -342,6 +343,7 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                                                      empty=math.nan if est.note else math.inf)
     if not (est.note or len(q)):
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
+    est.note = "; ".join(filter(None, (est.note, _bound_note(F))))
     return est.finalize()
 
 

@@ -34,6 +34,7 @@ from .geometry import NormContext, ScaleLadder, derive_seed
 from .mappings import (
     GraphPoint,
     catalog,
+    graph_tolerance,
     make_function_graph,
     resolve_map_spec,
     sum_with_function,
@@ -314,9 +315,8 @@ def _resolve(config: ExperimentConfig):
         if (len(base.x), len(base.y)) != (F.dim_x, F.dim_y):
             raise ConfigError(f"'base_point' must have dimensions {F.dim_x}->{F.dim_y} "
                               f"for map {F.name!r}; got {len(base.x)}->{len(base.y)}")
-        # the on-preimage tolerance of preimage_distances_fallback
         dist = F.image_distance(base.x[None], base.y[None])[0]
-        if not dist <= 1e-10 * max(1.0, ctx.norm(base.y)):
+        if not dist <= graph_tolerance(base.y[None], ctx.kind)[0]:
             raise ConfigError(f"'base_point' ({base.x.tolist()}, {base.y.tolist()}) "
                               f"does not lie on the graph of {F.name!r}")
     hint = entry.ladder_hint

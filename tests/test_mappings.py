@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -84,11 +85,12 @@ def test_square_preimage_closed_form():
     assert d == pytest.approx(0.4, abs=1e-9)
 
 
-def _roots(fb, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12):
-    """The batched root finder on pairs (xv[p], yv[p]) with common settings."""
+def _roots(f, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12):
+    """The batched root finder on pairs (xv[p], yv[p]) of the residual
+    f(z) - y, with common settings."""
     xv = np.asarray(xv, dtype=float)
-    return _nearest_roots_1d(fb, xv, np.asarray(yv, dtype=float), np.full(len(xv), r0),
-                             np.full(len(xv), tol), n_grid, max_doublings)
+    return _nearest_roots_1d(lambda z, y: f(z) - y, xv, np.asarray(yv, dtype=float),
+                             np.full(len(xv), r0), np.full(len(xv), tol), n_grid, max_doublings)
 
 
 def _sin_recip(z):
@@ -138,9 +140,9 @@ def test_one_scan_makes_one_func_call_per_refinement_step():
     # steps and 1 hit check, however many brackets and minima the scan has
     calls = []
 
-    def fb(z):
+    def fb(z, y):
         calls.append(len(z))
-        return (z - 0.3) ** 2
+        return (z - 0.3) ** 2 - y
 
     # sign changes at 0.2 and 0.4, and minima of |g| beside them
     found = mappings._scan(fb, np.array([0.1]), np.array([0.01]), np.array([0.5]),
@@ -387,18 +389,26 @@ def test_graph_normals_are_the_per_pair_products_bit_for_bit(kind, dy, dx):
 
 @pytest.mark.parametrize("kind", NORM_KINDS)
 def test_the_inverse_of_a_scalar_graph_takes_its_rows_in_one_fallback_call(kind, monkeypatch):
+    # and so does the inverse of spiral + linear, a 2-D map without a preimage oracle
     F, _ = resolve_map_spec({"id": "xsin"}, kind=kind)
-    G = inverse(F)
     rng = np.random.default_rng(5)
     U = np.concatenate([[[0.1], [-0.2], [0.0]], rng.uniform(-0.5, 0.5, (21, 1))])
     V = np.concatenate([F.func(U[:12]), rng.uniform(-0.5, 0.5, (12, 1))])
-    want = [preimage_distance_fallback(F, v, u) for u, v in zip(U, V)]
+    S, _ = resolve_map_spec({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
+                            kind=kind)
+    V2 = rng.uniform(-0.5, 0.5, (24, 2))
+    U2 = np.concatenate([S.func(V2[:12]), rng.uniform(-0.5, 0.5, (12, 2))])
+    cases = [(F, U, V), (S, U2, V2)]
+    wants = [[preimage_distance_fallback(M, v, u) for u, v in zip(A, B)] for M, A, B in cases]
     calls = []
     batched = mappings.preimage_distances_fallback
     monkeypatch.setattr(mappings, "preimage_distances_fallback",
                         lambda *a: calls.append(1) or batched(*a))
-    assert np.array_equal(_bits(G.image_distance(U, V)), _bits(want))
-    assert len(calls) == 1
+    for (M, A, B), want in zip(cases, wants):
+        calls.clear()
+        assert np.array_equal(_bits(inverse(M).image_distance(A, B)), _bits(want)), M.name
+        assert len(calls) == 1
+    assert np.isfinite(wants[1]).sum() > 12
 
 
 @pytest.mark.parametrize("kind", NORM_KINDS)
@@ -479,10 +489,38 @@ def test_map_without_a_batch_form_gives_the_same_distances(mid):
     assert (np.isfinite(ours) & (ours > 0.0)).sum() > 30
 
 
-def test_batched_fallback_refuses_maps_that_are_not_scalar_graphs():
-    F, _, _ = setup_map("spiral")
-    with pytest.raises(ValueError):
-        preimage_distances_fallback(F, [np.zeros(2)], [np.ones(2)])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_newton_fallback_matches_the_oracle_of_an_invertible_linear_map(kind):
+    F = make_linear_map([[2.0, 1.0], [-0.5, 1.5]], kind)
+    rng = np.random.default_rng(13)
+    X, Y = rng.uniform(-0.5, 0.5, (64, 2)), rng.uniform(-0.5, 0.5, (64, 2))
+    got = preimage_distances_fallback(dataclasses.replace(F, preimage_distance=None), X, Y)
+    np.testing.assert_allclose(got, F.preimage_distance(X, Y), rtol=1e-12, atol=0.0)
+
+
+def test_newton_fallback_leaves_a_row_without_a_finite_jacobian_at_nan():
+    A = np.array([[2.0, 1.0], [-0.5, 1.5]])
+
+    def grad(X):  # nan where x1 < 0
+        return np.arange(len(X)), np.where((X[:, 0] < 0.0)[:, None, None], np.nan, A)
+
+    F = make_function_graph(lambda X: X @ A.T, grad=grad, dim_x=2, dim_y=2, kind="l2")
+    X, Y = np.array([[0.3, 0.1], [-0.3, 0.1]]), np.full((2, 2), 0.2)
+    d = preimage_distances_fallback(F, X, Y)
+    assert d[0] == pytest.approx(norm(X[0] - np.linalg.solve(A, Y[0]), "l2"), rel=1e-12)
+    assert math.isnan(d[1])
+
+
+def test_batched_fallback_reads_nan_off_the_graph_of_a_2d_map_without_func():
+    # inv(spiral) + linear has neither func nor a preimage oracle
+    F, _ = resolve_map_spec({"id": "spiral", "wrap": [
+        {"op": "inverse"}, {"op": "sum", "fn": {"id": "linear"}}]}, kind="l2")
+    L, _ = resolve_map_spec({"id": "linear"}, kind="l2")
+    assert F.func is None and F.preimage_distance is None
+    u = np.array([0.08, 0.06])  # (0.3 + 0.1i)^2, so (u, (0.3, 0.1)) lies on inv(spiral)
+    y = np.array([0.3, 0.1]) + L.func(u[None])[0]
+    d = preimage_distances_fallback(F, [u, u], [y, y + 0.1])
+    assert d[0] == 0.0 and math.isnan(d[1])
 
 
 def test_xsin_fallback_resolves_the_reciprocal_fiber():

@@ -13,6 +13,7 @@ from subreglab.geometry import NormContext, ScaleLadder, derive_seed
 from subreglab.mappings import (
     GraphPoint,
     catalog,
+    make_function_graph,
     make_linear_map,
     preimage_distance_fallback,
     resolve_map_spec,
@@ -126,11 +127,16 @@ def test_a_tiny_negative_value_has_no_preimage(mid):
         assert [v for _, v in est.per_scale] == [0.0] * 4 and est.trend == "flat"
 
 
+_NEWTON_NOTE = ("preimage distances are Newton projections onto the fibers, "
+                "so they bound d(x, F^-1(y)) only from above")
+
+
 def test_preimage_distances_the_fallback_misses_are_left_out():
-    """On spiral + linear no multi-start lands on a preimage point: rg and
-    srg read nan with a note, not 0.0 "converged"."""
-    F, _ = resolve_map_spec({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
-                            kind="l2")
+    """The spiral's f made into a graph without grad has no Jacobian for
+    the Newton projection, so no pair gets a preimage point: rg and srg
+    read nan with a note, not 0.0 "converged"."""
+    S, _ = resolve_map_spec({"id": "spiral"}, kind="l2")
+    F = make_function_graph(S.func, dim_x=2, dim_y=2, kind="l2", name="spiral-without-grad")
     base = GraphPoint(np.zeros(2), np.zeros(2))
     ctx = NormContext(kind="l2", dim_x=2, dim_y=2)
     lad = ScaleLadder(depth=3, samples_per_scale=8, seed=7)
@@ -139,7 +145,50 @@ def test_preimage_distances_the_fallback_misses_are_left_out():
         assert math.isnan(est.reported) and not est.converged
         assert all(math.isnan(v) for _, v in est.per_scale)
         assert est.note == ("no preimage point found for 24 of 24 pairs; "
-                            "their quotients are left out")
+                            "their quotients are left out; " + _NEWTON_NOTE)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_newton_projection_estimates_rg_and_srg_of_spiral_plus_linear(kind):
+    """spiral + linear has no preimage oracle, and DG(0) = diag(2, 0.5)
+    gives rg = srg = 0.5 at the origin in every norm."""
+    F, _ = resolve_map_spec({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
+                            kind=kind)
+    base = GraphPoint(np.zeros(2), np.zeros(2))
+    ctx = NormContext(kind=kind, dim_x=2, dim_y=2)
+    for est in (estimate_rg(F, base, ladder12(), ctx), estimate_srg(F, base, ladder12(), ctx)):
+        assert est.reported == pytest.approx(0.5, rel=0.05), est.name
+        assert est.note == _NEWTON_NOTE
+
+
+def _plus_half_x(mid: str):
+    """The catalog map mid plus x -> 0.5 x (l1), its base and context: a
+    1-D map without func or preimage oracle."""
+    F, _ = resolve_map_spec({"id": mid, "wrap": [{"op": "sum", "fn": {
+        "id": "scale", "params": {"lam": 0.5}}}]})
+    assert F.func is None and F.preimage_distance is None
+    return F, GraphPoint(np.zeros(1), np.zeros(1)), NormContext(kind="l1", dim_x=1, dim_y=1)
+
+
+def test_interval_plus_scale_finds_every_preimage_point():
+    # the scan refines the touches of d(y, F(z)): every pair gets a point
+    F, base, ctx = _plus_half_x("interval")
+    est = estimate_srg(F, base, ScaleLadder(depth=6, samples_per_scale=32, seed=7), ctx)
+    assert "no preimage point found" not in est.note
+    assert est.reported == pytest.approx(1.5, rel=1e-9)
+
+
+def test_complementarity_angle_plus_scale_takes_infinite_image_distances():
+    # d(y, F(z)) is inf for z < 0; the scan reads it without a RuntimeWarning
+    # (warnings are errors here). F(x) = {x / 2} for x > 0, so srg = 0.5;
+    # y < 0 has an empty preimage, which a scan of touches cannot tell from
+    # a missed one, so rg leaves those pairs out with a note
+    F, base, ctx = _plus_half_x("compl_angle")
+    lad = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
+    srg = estimate_srg(F, base, lad, ctx)
+    assert srg.reported == pytest.approx(0.5, rel=1e-9) and srg.note == ""
+    rg = estimate_rg(F, base, lad, ctx)
+    assert rg.note.startswith("no preimage point found for ")
 
 
 def test_an_empty_innermost_annulus_is_named_in_the_note():
