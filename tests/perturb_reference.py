@@ -6,7 +6,8 @@ subreglab.perturb made before they took rows, kept as the reference that
 tests compare every row of the rows form against, bit for bit. They read
 the same witness, so they rebuild the same bumps and cones. component_count
 counts the supports that hold a point by brute force. annulus_candidates is
-the loop the columnar candidate selection replaced.
+the loop the columnar candidate selection replaced, and validate_witness the
+check that recomputed each witness entry's stats one entry at a time.
 """
 
 import bisect
@@ -14,8 +15,16 @@ import math
 
 import numpy as np
 
-from subreglab.geometry import norming_functional, norming_vector
-from subreglab.perturb import _CLUSTER_TOL, _DEAD_ZONE, _cand_order, _dir_key
+from subreglab.geometry import dual_norm, norm, norming_functional, norming_vector
+from subreglab.perturb import (
+    _CLUSTER_TOL,
+    _DEAD_ZONE,
+    _EPS_FLOOR,
+    _cand_order,
+    _dir_key,
+    _objective,
+)
+from subreglab.variational import CoderivElement, element_quotient
 
 
 def _l2(v) -> float:
@@ -319,3 +328,54 @@ def annulus_candidates(recs, obj, keep, j, base):
         if cur is None or _cand_order(cand) < _cand_order(cur):
             best[key] = cand
     return sorted(best.values(), key=_cand_order)
+
+
+def validate_witness(seq):
+    """perturb.validate_witness as it was written entry by entry, with one
+    norm, dual norm and element quotient per entry and per pair."""
+    ctx = seq.context()
+    out = []
+    es = seq.entries
+    for a, b in zip(es, es[1:]):
+        if not b.t < a.t:
+            out.append(f"scales not strictly decreasing at t={b.t:g}")
+        if b.eps > _EPS_FLOOR and not b.eps < a.eps:
+            out.append(f"eps not strictly decreasing above the floor at t={b.t:g}")
+    if seq.kind in ("lip", "fclm"):
+        for a, b in zip(es, es[1:]):
+            if not b.t < a.t / (2.0 * (a.index + 1)):
+                out.append(f"factorial thinning violated between t={a.t:g} and t={b.t:g}")
+    elif seq.direction_mode == "stationary":
+        for pos, (a, b) in enumerate(zip(es, es[1:]), start=2):
+            if not b.t < math.exp(-float(pos)) * a.t:
+                out.append(f"exponential thinning violated between t={a.t:g} and t={b.t:g}")
+    else:
+        for i, a in enumerate(es):
+            for b in es[i + 1:]:
+                if _l2(a.u - b.u) < _CLUSTER_TOL:
+                    out.append("distinct-direction mode with clustered directions")
+    worst = 0.0
+    for e in es:
+        if abs(dual_norm(e.y_star, ctx.kind) - 1.0) > 1e-9:
+            out.append("y* not on the dual unit sphere")
+        obj = _objective(seq.kind, e.ratio, e.xn)
+        worst = max(worst, obj)
+        if obj > seq.gamma_prime * (1.0 + 1e-12):
+            out.append(f"entry objective {obj:g} exceeds gamma_prime {seq.gamma_prime:g}")
+        if seq.kind == "ss" and e.q > min(0.5, 16.0 * e.t) * (1.0 + 1e-12):
+            out.append("ss entry defect exceeds its scale bound")
+        t = norm(e.x - seq.base.x, ctx.kind)
+        actual = {"t": t,
+                  "ratio": norm(e.y - seq.base.y, ctx.kind) / t if t > 0.0 else math.inf,
+                  "xn": dual_norm(e.x_star, ctx.kind)}
+        if seq.kind == "ss":
+            actual["q"] = element_quotient(CoderivElement(e.x, e.y, e.y_star, e.x_star),
+                                           seq.base, ctx)
+        out += [f"entry {e.index} stores {name} {getattr(e, name):g} below the {v:g} "
+                f"its points give" for name, v in actual.items()
+                if not v <= getattr(e, name) * (1.0 + 1e-12)]
+    if es and abs(worst - seq.gamma_prime) > 1e-12 * max(1.0, worst):
+        out.append("gamma_prime is not the supremum of entry objectives")
+    if not seq.gamma_prime < seq.gamma:
+        out.append("gamma_prime not below gamma")
+    return out

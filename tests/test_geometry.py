@@ -116,6 +116,26 @@ def test_l1_norms_of_three_or_more_coordinates_are_the_fsum_bits():
         _assert_l1_is_fsum(np.vstack([V, close]))
 
 
+@pytest.mark.parametrize("kind", ["l2", "linf"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_l2_and_linf_norms_are_the_norm_bits(kind, dim):
+    # rows over the full exponent range (l2 squares overflow to inf and
+    # underflow to 0), rows of close magnitudes, and rows from a grid with
+    # signed zeros, ties of the largest coordinate, inf and nan
+    rng = np.random.default_rng(23 + dim)
+    full = np.arange(-1075, 1024)
+    grid = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e308, -1e308,
+            np.inf, -np.inf, np.nan, -np.nan]
+    V = np.vstack([_wide_floats(rng, 400 * dim, full).reshape(-1, dim),
+                   _wide_floats(rng, 400 * dim, np.arange(-3, 4)).reshape(-1, dim),
+                   rng.choice(grid, (400, dim))])
+    with np.errstate(over="ignore"):  # l2 squares past the largest float
+        want = np.array([norm(v, kind) for v in V])
+        got = norms(V, kind)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.isnan(want).any() and np.isinf(want).any()
+
+
 def test_dual_kind_pairing():
     assert dual_kind("l1") == "linf"
     assert dual_kind("linf") == "l1"

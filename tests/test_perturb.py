@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import perturb_reference
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from perturb_reference import annulus_candidates, component_count, reference
@@ -629,6 +631,58 @@ def _witness_digest(mid, norm_kind, kind, gamma, mode):
 @pytest.mark.parametrize("case", sorted(_WITNESS_PIN))
 def test_witness_bits_are_pinned(case):
     assert _witness_digest(*case) == _WITNESS_PIN[case]
+
+
+# witnesses of every kind, in both direction modes, in one and two dimensions
+_VALIDATE_CASES = [
+    ("identity", "l1", "lip", 2.5, "auto"),
+    ("spiral", "l1", "lip", 0.05, "auto"),
+    ("xsin", "l1", "fclm", 0.1, "auto"),
+    ("spiral", "l2", "ss", 0.5, "auto"),
+    ("square", "l1", "ss", 0.5, "stationary"),
+    ("identity", "l1", "ssr", 1.1, "auto"),
+    ("spiral", "l2", "ssr", 1.1, "auto"),
+]
+
+
+@functools.cache
+def _small_witness(mid, norm_kind, kind, gamma, mode):
+    F, base, ctx = setup_map(mid, norm_kind)
+    return extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx, mode)
+
+
+def _tamper(w, how):
+    es = w.entries
+    if how == "swapped":
+        es[0], es[1] = es[1], es[0]
+    elif how == "halved":
+        for e in es:
+            e.t, e.ratio, e.xn, e.q = 0.5 * e.t, 0.5 * e.ratio, 0.5 * e.xn, 0.5 * e.q
+    elif how == "doubled y*":
+        es[0].y_star = 2.0 * es[0].y_star
+    elif how == "clustered":
+        w.direction_mode = "distinct"
+        for e in es:
+            e.u = es[0].u.copy()
+    elif how == "at the base":
+        es[-1].x = w.base.x.copy()
+    elif how == "nan":
+        es[1].y_star[0] = math.nan
+        es[2].ratio = math.nan
+
+
+@pytest.mark.parametrize("how", [None, "swapped", "halved", "doubled y*", "clustered",
+                                 "at the base", "nan"])
+@pytest.mark.parametrize("case", _VALIDATE_CASES)
+def test_validate_witness_is_the_per_entry_check(case, how):
+    w = copy.deepcopy(_small_witness(*case))
+    _tamper(w, how)
+    got = validate_witness(w)
+    assert got == perturb_reference.validate_witness(w)
+    if how is None:
+        assert got == []
+    elif how != "clustered" or case[2] in ("ss", "ssr"):
+        assert got
 
 
 # coordinates on the key grid of width 0.25, at its half-widths (rounded half

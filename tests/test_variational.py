@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import ladder12, setup_map
-from subreglab.geometry import NormContext, ScaleLadder
+from subreglab.geometry import NormContext, ScaleLadder, dual_kind, norms
 from subreglab.mappings import GraphPoint, make_function_graph
 from subreglab.variational import (
     CoderivElement,
+    defect_quotients,
     element_quotient,
     elements_at_point,
     positive_homogeneity_test,
@@ -38,6 +39,35 @@ def test_element_quotient_edge_cases():
     assert element_quotient(at_base, base, CTX1) == 0.0
     zero_dual = _elem([0.5], [0.5], [0.0], [0.0])
     assert math.isinf(element_quotient(zero_dual, base, CTX1))
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim_x, dim_y", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_defect_quotients_row_k_is_element_quotient(kind, dim_x, dim_y):
+    # random elements around a random base, with rows at the base point
+    # (dist 0), rows with a zero dual pair and rows with a NaN y*
+    rng = np.random.default_rng(29 + 4 * dim_x + dim_y)
+    n = 600
+    base = GraphPoint(rng.normal(size=dim_x), rng.normal(size=dim_y))
+
+    def wide(d):
+        return rng.normal(size=(n, d)) * np.ldexp(1.0, rng.integers(-30, 31, (n, 1)))
+
+    X, Y = base.x + wide(dim_x), base.y + wide(dim_y)
+    X_star, Y_star = wide(dim_x), wide(dim_y)
+    at_base = rng.random(n) < 0.1
+    X[at_base], Y[at_base] = base.x, base.y
+    zero = rng.random(n) < 0.1
+    X_star[zero], Y_star[zero] = 0.0, 0.0
+    Y_star[rng.random(n) < 0.1, 0] = np.nan
+    ctx = NormContext(kind=kind, dim_x=dim_x, dim_y=dim_y)
+    DU, DV = X - base.x, Y - base.y
+    got = defect_quotients(X_star, Y_star, DU, DV, norms(X_star, dual_kind(kind)),
+                           norms(Y_star, dual_kind(kind)), norms(DU, kind) + norms(DV, kind))
+    want = np.array([element_quotient(CoderivElement(x, y, ys, xs), base, ctx)
+                     for x, y, xs, ys in zip(X, Y, X_star, Y_star)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
 
 
 def test_elements_at_point_use_the_analytic_oracle():
