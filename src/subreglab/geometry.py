@@ -38,8 +38,6 @@ __all__ = [
     "norming_vector",
     "norms",
     "pairing",
-    "product_norm",
-    "product_norm_dual",
     "r2_lattice",
     "sample_annulus",
     "derive_seed",
@@ -65,32 +63,21 @@ def _as_vec(v) -> np.ndarray:
 
 
 def norm(v, kind: str = "l2") -> float:
-    """Norm of a vector under the given kind.
-
-    l1 sums absolute values with math.fsum (correctly rounded), so that the
-    norming functional recovers it bitwise.
-    """
-    _check_kind(kind)
-    a = _as_vec(v)
-    if a.size == 1:
-        return abs(float(a[0]))
-    if kind == "l1":
-        return math.fsum(abs(float(c)) for c in a)
-    if kind == "l2":
-        return float(np.linalg.norm(a))
-    return float(np.max(np.abs(a)))
+    """Norm of a vector under the given kind: the one-row call of norms."""
+    return float(norms(_as_vec(v)[None], kind)[0])
 
 
 def norms(V, kind: str = "l2") -> np.ndarray:
-    """The norm of each row of V (n, d), with the bits norm(V[k], kind) gives.
+    """The norm of each row of V (n, d) under the given kind.
 
-    l1 rows of two coordinates are one IEEE addition |a| + |b|: math.fsum of
-    two floats is their correctly rounded sum, which that addition is. Where
-    two finite magnitudes sum past the largest float, fsum raises
-    OverflowError, and so does this. l1 rows of three or more coordinates
-    keep math.fsum. l2 rows take the stacked self-dot, the same dot
-    np.linalg.norm makes on a 1-D vector; einsum and (V * V).sum(1) round
-    differently.
+    A row of one coordinate gives its absolute value. l1 sums absolute
+    values correctly rounded, as math.fsum does, so that the norming
+    functional recovers it bitwise: rows of two coordinates are one IEEE
+    addition |a| + |b|, which is that sum, and where two finite magnitudes
+    sum past the largest float this raises OverflowError, as fsum does;
+    rows of three or more coordinates keep math.fsum. l2 rows take the
+    stacked self-dot, the same dot np.linalg.norm makes on a 1-D vector;
+    einsum and (V * V).sum(1) round differently.
     """
     _check_kind(kind)
     V = np.asarray(V, dtype=float)
@@ -127,44 +114,19 @@ def pairing(v_star, v) -> float:
     return math.fsum(float(x) * float(y) for x, y in zip(a, b))
 
 
-def product_norm(x, y, kind: str = "l2") -> float:
-    """Primal norm on X x Y: ||x|| + ||y||."""
-    return norm(x, kind) + norm(y, kind)
-
-
-def product_norm_dual(x_star, y_star, kind: str = "l2") -> float:
-    """Dual norm on (X x Y)*: max(||x*||_dual, ||y*||_dual)."""
-    return max(dual_norm(x_star, kind), dual_norm(y_star, kind))
-
-
 def norming_functional(u, kind: str = "l2") -> np.ndarray:
-    """A dual vector u* with ||u*||_dual = 1 and <u*, u> = ||u||.
-
-    Ties (linf kind: several coordinates attain the max) break to the lowest
-    index. Raises ValueError on the zero vector.
-    """
-    _check_kind(kind)
-    a = _as_vec(u)
-    n = norm(a, kind)
-    if n == 0.0:
+    """A dual vector u* with ||u*||_dual = 1 and <u*, u> = ||u||: the one-row
+    call of norming_functionals. Raises ValueError on the zero vector."""
+    a = _as_vec(u)[None]
+    if norms(a, kind)[0] == 0.0:
         raise ValueError("no norming functional for the zero vector")
-    if kind == "l1":
-        s = np.sign(a)
-        # keep ||s||_inf = 1 even if some coordinates vanish
-        if np.all(s == 0.0):  # unreachable given n > 0
-            raise ValueError("no norming functional for the zero vector")
-        return s
-    if kind == "l2":
-        return a / n
-    i0 = int(np.argmax(np.abs(a)))
-    e = np.zeros_like(a)
-    e[i0] = 1.0 if a[i0] >= 0.0 else -1.0
-    return e
+    return norming_functionals(a, kind)[0]
 
 
 def norming_functionals(V, kind: str = "l2") -> np.ndarray:
-    """The norming functional of each row of V (n, d), with the bits
-    norming_functional(V[k], kind) gives. Every row must have a nonzero norm."""
+    """The norming functional of each row of V (n, d). Every row must have a
+    nonzero norm. Ties (linf kind: several coordinates attain the max) break
+    to the lowest index."""
     _check_kind(kind)
     V = np.asarray(V, dtype=float)
     if kind == "l1":
@@ -330,12 +292,10 @@ def dual_sphere_grid(kind: str, dim: int, m: int = 16) -> np.ndarray:
     elif need > 0:
         for row in _directions(r2_lattice(need, dim, seed=0x5D00), dk):
             rows.append(row)
-    out = []
-    for v in rows:
-        nv = norm(v, dk)
-        if nv > 0:
-            out.append(v / nv)
-    return np.array(out)
+    R = np.array(rows)
+    nv = norms(R, dk)
+    on = nv > 0
+    return R[on] / nv[on, None]
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +317,6 @@ class NormContext:
         _check_kind(self.kind)
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("dimensions must be positive")
-
-    def norm(self, v) -> float:
-        return norm(v, self.kind)
-
-    def dual_norm(self, v) -> float:
-        return dual_norm(v, self.kind)
-
-    def product_norm(self, x, y) -> float:
-        return product_norm(x, y, self.kind)
-
-    def product_norm_dual(self, x_star, y_star) -> float:
-        return product_norm_dual(x_star, y_star, self.kind)
 
 
 @dataclass(frozen=True)

@@ -443,7 +443,7 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
     X, Y, t = X[inside], Y[inside], t[inside]
     du, dv = X - base.x, Y - base.y
     yn = norms(dv, ctx.kind)
-    ratio, dist = yn / t, t + yn  # dist is ctx.product_norm(du, dv)
+    ratio, dist = yn / t, t + yn  # dist is the product norm ||du|| + ||dv||
     q = defect_quotients(X_star, Y_star, du[p], dv[p], xn, ysn, dist[p])
     return ElementRecords(t=t[p], ratio=ratio[p], xn=xn, q=q, eps=eps, x=X[p], y=Y[p],
                           x_star=X_star, y_star=Y_star)

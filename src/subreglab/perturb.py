@@ -40,6 +40,7 @@ from .geometry import (
     NormContext,
     ScaleLadder,
     derive_seed,
+    dual_kind,
     norm,
     norming_functional,
     norming_functionals,
@@ -70,7 +71,7 @@ from .variational import (
     CoderivElement,
     _dots,
     _running_max,
-    element_quotient,
+    defect_quotients,
     positive_homogeneity_test,
     semismooth_star_test,
 )
@@ -324,7 +325,7 @@ def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
                            * got[-1]["t"])
         else:
             picked = _thin(members, lambda c, got: c["t"] < got[-1]["t"] / 2.0 and not any(
-                float(np.linalg.norm(c["u"] - g["u"])) < _SEPARATION for g in got))
+                norm(c["u"] - g["u"], "l2") < _SEPARATION for g in got))
     if len(picked) < _MIN_ENTRIES:
         return None
 
@@ -396,7 +397,7 @@ def _choose_mode(cands: list[dict], direction_mode: str) -> tuple[str, list[dict
     clusters: list[list[dict]] = []
     for c in argmins:
         for cl in clusters:
-            if float(np.linalg.norm(c["u"] - cl[0]["u"])) < _CLUSTER_TOL:
+            if norm(c["u"] - cl[0]["u"], "l2") < _CLUSTER_TOL:
                 cl.append(c)
                 break
         else:
@@ -406,7 +407,7 @@ def _choose_mode(cands: list[dict], direction_mode: str) -> tuple[str, list[dict
     if direction_mode == "auto" and not stationary_ok:
         return "distinct", cands
     u_rep = dominant[0]["u"]
-    members = [c for c in cands if float(np.linalg.norm(c["u"] - u_rep)) < _CLUSTER_TOL]
+    members = [c for c in cands if norm(c["u"] - u_rep, "l2") < _CLUSTER_TOL]
     groups: dict[tuple, list[dict]] = {}
     for c in members:
         groups.setdefault((_dir_key(c["pay"], 0.25), _dir_key(c["y_star"], 0.25)), []).append(c)
@@ -414,16 +415,32 @@ def _choose_mode(cands: list[dict], direction_mode: str) -> tuple[str, list[dict
     return "stationary", sorted(sub, key=_cand_order)
 
 
+def _pair_gaps(us: list[np.ndarray]) -> list[float]:
+    """||u_a - u_b|| in l2 for each pair of us, a before b, in row order."""
+    U = np.array(us)
+    i, j = np.triu_indices(len(U), 1)
+    return norms(U[i] - U[j], "l2").tolist()
+
+
 def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> list[str]:
     """Check the witness invariants; returns human-readable violations.
 
-    Each entry's t, ratio and xn (and q for the ss kind) are recomputed from
-    its points and the base; a stored value below the recomputed one is a
-    violation.
+    A witness without entries, or with an x, x* or u that does not have
+    len(base.x) coordinates or a y or y* that does not have len(base.y),
+    is reported as such and checked no further. Otherwise each entry's t,
+    ratio and xn (and q for the ss kind) are recomputed from its points and
+    the base; a stored value below the recomputed one is a violation.
     """
+    es, base = seq.entries, seq.base
+    dims = {"x": base.x.size, "y": base.y.size, "x_star": base.x.size,
+            "y_star": base.y.size, "u": base.x.size}
+    out = [f"entry {e.index} {name} has shape {np.shape(getattr(e, name))}, not ({d},)"
+           for e in es for name, d in dims.items() if np.shape(getattr(e, name)) != (d,)]
+    if not es:
+        out.append("witness has no entries")
+    if out:
+        return out
     ctx = ctx or seq.context()
-    out: list[str] = []
-    es = seq.entries
     for a, b in zip(es, es[1:]):
         if not b.t < a.t:
             out.append(f"scales not strictly decreasing at t={b.t:g}")
@@ -438,13 +455,22 @@ def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> li
             if not b.t < math.exp(-float(pos)) * a.t:
                 out.append(f"exponential thinning violated between t={a.t:g} and t={b.t:g}")
     else:
-        for i, a in enumerate(es):
-            for b in es[i + 1:]:
-                if float(np.linalg.norm(a.u - b.u)) < _CLUSTER_TOL:
-                    out.append("distinct-direction mode with clustered directions")
+        out += ["distinct-direction mode with clustered directions"
+                for gap in _pair_gaps([e.u for e in es]) if gap < _CLUSTER_TOL]
+    X, Y = np.array([e.x for e in es]), np.array([e.y for e in es])
+    X_star, Y_star = np.array([e.x_star for e in es]), np.array([e.y_star for e in es])
+    DU, DV = X - base.x, Y - base.y
+    dual = dual_kind(ctx.kind)
+    t, yn = norms(DU, ctx.kind), norms(DV, ctx.kind)
+    xn, ysn = norms(X_star, dual), norms(Y_star, dual)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows at t = 0
+        actual = {"t": t, "ratio": np.where(t > 0.0, yn / t, math.inf), "xn": xn}
+    if seq.kind == "ss":
+        actual["q"] = defect_quotients(X_star, Y_star, DU, DV, xn, ysn, t + yn)
+    actual = {name: v.tolist() for name, v in actual.items()}
     worst = 0.0
-    for e in es:
-        if abs(ctx.dual_norm(e.y_star) - 1.0) > 1e-9:
+    for k, e in enumerate(es):
+        if abs(ysn[k] - 1.0) > 1e-9:
             out.append("y* not on the dual unit sphere")
         obj = _objective(seq.kind, e.ratio, e.xn)
         worst = max(worst, obj)
@@ -454,16 +480,10 @@ def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> li
         # entry's t can sit a factor 2 below r, hence 16 t here
         if seq.kind == "ss" and e.q > min(0.5, 16.0 * e.t) * (1.0 + 1e-12):
             out.append("ss entry defect exceeds its scale bound")
-        t = ctx.norm(e.x - seq.base.x)
-        actual = {"t": t, "ratio": ctx.norm(e.y - seq.base.y) / t if t > 0.0 else math.inf,
-                  "xn": ctx.dual_norm(e.x_star)}
-        if seq.kind == "ss":
-            actual["q"] = element_quotient(CoderivElement(e.x, e.y, e.y_star, e.x_star),
-                                           seq.base, ctx)
-        out += [f"entry {e.index} stores {name} {getattr(e, name):g} below the {v:g} "
+        out += [f"entry {e.index} stores {name} {getattr(e, name):g} below the {v[k]:g} "
                 f"its points give" for name, v in actual.items()
-                if not v <= getattr(e, name) * (1.0 + 1e-12)]
-    if es and abs(worst - seq.gamma_prime) > 1e-12 * max(1.0, worst):
+                if not v[k] <= getattr(e, name) * (1.0 + 1e-12)]
+    if abs(worst - seq.gamma_prime) > 1e-12 * max(1.0, worst):
         out.append("gamma_prime is not the supremum of entry objectives")
     if not seq.gamma_prime < seq.gamma:
         out.append("gamma_prime not below gamma")
@@ -845,10 +865,7 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
         if cur is None or e.t < cur.t:
             reps[key] = e
     entries = sorted(reps.values(), key=lambda e: -e.t)
-    dmin = math.inf
-    for i, a in enumerate(entries):
-        for b in entries[i + 1:]:
-            dmin = min(dmin, norm(a.u - b.u, "l2"))
+    dmin = min([math.inf] + _pair_gaps([e.u for e in entries]))  # a NaN gap never wins
     tau = _cone_tau(min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45, seq, gamma_dp,
                     max(e.xn for e in entries), with_dual)
 
@@ -999,8 +1016,8 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     i = np.arange(1, len(shells))
     DXa, A = np.array([s["entry"].x - base.x for s in shells[1:]]), cols["a"][1:]
     gaps = _payload(cols, i - 1, DXa, A) - _payload(cols, i, DXa, A)
-    anchor_eps = [0.0] + [ctx.norm(g) / (b * math.log(b_up / b))
-                          for g, b_up, b in zip(gaps, bs, bs[1:])]
+    anchor_eps = [0.0] + [g / (b * math.log(b_up / b))
+                          for g, b_up, b in zip(norms(gaps, ctx.kind).tolist(), bs, bs[1:])]
 
     probes = []
     for s, s_next in zip(shells, shells[1:]):
@@ -1140,7 +1157,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     targets = yb - np.array([e.y for e in p.anchor_entries], dtype=float)
     dim_x, dim_y = AX.shape[1], targets.shape[1]
     values = p.eval(np.concatenate([base.x[None], AX]))
-    rep.base_value_err = ctx.norm(values[0])
+    rep.base_value_err = float(norms(values[:1], ctx.kind)[0])
     target_scale = max([1.0] + np.abs(targets).max(axis=1).tolist())
     errs = norms(values[1:] - targets, ctx.kind)
     rows = [{"k": k, "t": t, "interpolation_err": err, "gradient_relerr": 0.0}

@@ -61,20 +61,13 @@ class SemismoothReport:
 
 
 def element_quotient(elem: CoderivElement, base: GraphPoint, ctx: NormContext) -> float:
-    """The semismoothness defect of an element relative to a base point.
-
-    |<x*, x - xb> - <y*, y - yb>| / (||(x*, y*)|| * ||(x - xb, y - yb)||),
-    taken as 0 at the base point itself and inf for a zero dual pair.
-    """
-    du = elem.x - base.x
-    dv = elem.y - base.y
-    dist = ctx.product_norm(du, dv)
-    if dist == 0.0:
-        return 0.0
-    den = ctx.product_norm_dual(elem.x_star, elem.y_star)
-    if den == 0.0:
-        return math.inf
-    return abs(float(elem.x_star @ du) - float(elem.y_star @ dv)) / (den * dist)
+    """The semismoothness defect of an element relative to a base point:
+    the one-row call of defect_quotients."""
+    X_star, Y_star = elem.x_star[None], elem.y_star[None]
+    DU, DV = (elem.x - base.x)[None], (elem.y - base.y)[None]
+    dual = dual_kind(ctx.kind)
+    return float(defect_quotients(X_star, Y_star, DU, DV, norms(X_star, dual), norms(Y_star, dual),
+                                  norms(DU, ctx.kind) + norms(DV, ctx.kind))[0])
 
 
 def _running_max(v: np.ndarray, start: float) -> float:
@@ -91,17 +84,22 @@ def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def defect_quotients(X_star, Y_star, DU, DV, xn, ysn, dist) -> np.ndarray:
-    """element_quotient of each row, with its bits, from its parts: the
-    dual norms xn = ||x*|| and ysn = ||y*||, and dist = ||(du, dv)||.
+    """The semismoothness defect of each row relative to a base point,
+
+        |<x*, du> - <y*, dv>| / (||(x*, y*)|| * ||(du, dv)||),
+
+    from its parts: du = x - xb, dv = y - yb, the dual norms xn = ||x*||
+    and ysn = ||y*||, and dist = ||(du, dv)|| = ||du|| + ||dv||.
 
     The dual product norm is max(xn, ysn) as Python's max takes it (xn
     unless ysn is larger, so a NaN ysn gives xn); np.maximum would give
-    NaN. A row at dist 0 gives 0 and one at dual norm 0 gives inf. Callers
-    that share du, dv and dist between the elements of one graph point
-    compute them once per point.
+    NaN. A row at dist 0 gives 0 and one at dual norm 0 gives inf; a
+    product past the largest float is inf without a warning, as in Python
+    float arithmetic. Callers that share du, dv and dist between the
+    elements of one graph point compute them once per point.
     """
     den = np.where(ysn > xn, ysn, xn)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the rows that np.where drops
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows np.where drops
         q = np.abs(_dots(X_star, DU) - _dots(Y_star, DV)) / (den * dist)
     return np.where(dist == 0.0, 0.0, np.where(den == 0.0, math.inf, q))
 
@@ -138,7 +136,7 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     _, X, Y = graph_rows(F, base, ladder, 17)
     owner, EX_star, EY_star = (F.analytic_normals(X, Y) if F.analytic_normals is not None
                                else (np.zeros(0, dtype=int), X[:0], Y[:0]))
-    # ctx.product_norm(x - xb, y - yb), once per point
+    # the product norm ||x - xb|| + ||y - yb||, once per point
     dists = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]
     on = dists != 0.0
     EX, EY, dists = X[owner[on]], Y[owner[on]], dists[on]

@@ -11,7 +11,7 @@ import subreglab.moduli as moduli
 import subreglab.perturb as perturb
 import subreglab.radius_cli as cli
 from conftest import setup_map
-from subreglab.geometry import NormContext, ScaleLadder
+from subreglab.geometry import NormContext, ScaleLadder, dual_norm, norm
 from subreglab.mappings import GraphPoint, catalog, graph_annuli
 from subreglab.moduli import build_element_pool
 from subreglab.perturb import WitnessError, extract_witness
@@ -120,7 +120,7 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
         unit = CoderivElement(e.x, e.y, 0.5 * e.y_star, 0.5 * e.x_star)
         assert rec["y_star"] == _hexes(unit.y_star)
         assert rec["t"] + rec["xn"] + rec["q"] == _hexes(
-            [ctx.norm(e.x - base.x), ctx.dual_norm(unit.x_star),
+            [norm(e.x - base.x, ctx.kind), dual_norm(unit.x_star, ctx.kind),
              element_quotient(unit, base, ctx)])
     # nothing of the extras stays in the memo: a deeper ladder reads the
     # records the plain pool read
@@ -175,20 +175,20 @@ def _reference_records(groups, inner, outer, base, ctx):
     recs = []
     for x, y, elems in groups:
         du = x - base.x
-        t = ctx.norm(du)
+        t = norm(du, ctx.kind)
         if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
             continue
         dv = y - base.y
-        yn = ctx.norm(dv)
+        yn = norm(dv, ctx.kind)
         ratio, dist = yn / t, t + yn
         for x_star, y_star, eps in elems:
-            ysn = ctx.dual_norm(y_star)
+            ysn = dual_norm(y_star, ctx.kind)
             if ysn == 0.0:
                 continue
             if abs(ysn - 1.0) > 1e-12:
                 y_star, x_star = y_star / ysn, x_star / ysn
-                ysn = ctx.dual_norm(y_star)
-            xn = ctx.dual_norm(x_star)
+                ysn = dual_norm(y_star, ctx.kind)
+            xn = dual_norm(x_star, ctx.kind)
             den = max(xn, ysn)
             if dist == 0.0:
                 q = 0.0
@@ -219,7 +219,7 @@ def _reference_pool(F, base, ladder, ctx, extras=()):
         groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
                   for gp in pts]
         groups += [(e.x, e.y, [(e.x_star, e.y_star, e.eps)]) for e in extras
-                   if inner < ctx.norm(e.x - base.x) <= outer]
+                   if inner < norm(e.x - base.x, ctx.kind) <= outer]
         pool.append(_reference_records(groups, inner, outer, base, ctx))
     return pool
 

@@ -16,8 +16,6 @@ from subreglab.geometry import (
     norming_vector,
     norms,
     pairing,
-    product_norm,
-    product_norm_dual,
     r2_lattice,
     sample_annulus,
 )
@@ -154,14 +152,6 @@ def test_pairing_is_euclidean_inner_product():
     assert pairing([1.0, -2.0], [3.0, 5.0]) == -7.0
 
 
-def test_product_norms():
-    x, y = [1.0, -1.0], [2.0]
-    for kind in KINDS:
-        assert product_norm(x, y, kind) == norm(x, kind) + norm(y, kind)
-        assert product_norm_dual(x, y, kind) == max(
-            dual_norm(x, kind), dual_norm(y, kind))
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_norming_functional_attains_the_norm(kind):
     rng = np.random.default_rng(5)
@@ -293,12 +283,6 @@ def test_scale_ladder_validation():
 
 
 def test_norm_context_dispatch():
-    ctx = NormContext(kind="l1", dim_x=2, dim_y=1)
-    assert dual_kind(ctx.kind) == "linf"
-    assert ctx.norm([1.0, -2.0]) == 3.0
-    assert ctx.dual_norm([1.0, -2.0]) == 2.0
-    assert ctx.product_norm([1.0, -2.0], [4.0]) == 7.0
-    assert ctx.product_norm_dual([1.0, -2.0], [4.0]) == 4.0
     with pytest.raises(ValueError):
         NormContext(kind="l7")
     with pytest.raises(ValueError):

@@ -110,7 +110,7 @@ def test_witness_extraction_invariants():
     assert all(a > b for a, b in zip(ts, ts[1:]))  # strictly shrinking scales
     for e in w.entries:
         assert e.t > 0.0
-        assert ctx.norm(e.x - base.x) == pytest.approx(e.t, rel=1e-12)
+        assert norm(e.x - base.x, ctx.kind) == pytest.approx(e.t, rel=1e-12)
     assert validate_witness(w, ctx) == []
 
 
@@ -394,6 +394,47 @@ def test_description_violating_a_witness_invariant_is_rejected():
     d["y_star"] = [(2.0 * float.fromhex(c)).hex() for c in d["y_star"]]
     with pytest.raises(WitnessError, match="unit sphere"):
         load_perturbation(desc)
+
+
+@functools.cache
+def _identity_description(kind, gamma):
+    """The describe() output of identity's lip or ssr build on the small
+    pin ladder, as JSON text."""
+    F, base, ctx = setup_map("identity")
+    if kind == "ssr":
+        p = build_ssr_destabilizer(F, base, gamma, _WITNESS_LADDER, ctx)
+    else:
+        p = build_lip_perturbation(extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx),
+                                   gamma)
+    return json.dumps(p.describe())
+
+
+# each malformed witness, and the end of the one problem it is reported as
+_MALFORMED = {
+    "no entries": ": witness has no entries",
+    "empty y*": " y_star has shape (0,), not (1,)",
+    "x* of two coordinates": " x_star has shape (2,), not (1,)",
+    "empty u": " u has shape (0,), not (1,)",
+}
+
+
+@pytest.mark.parametrize("kind, gamma", [("lip", 2.5), ("ssr", 1.1)])
+@pytest.mark.parametrize("tamper", sorted(_MALFORMED))
+def test_a_malformed_description_raises_witness_error(kind, gamma, tamper):
+    desc = json.loads(_identity_description(kind, gamma))
+    entries = desc["witness"]["entries"]
+    if tamper == "no entries":
+        entries.clear()
+    elif tamper == "empty y*":
+        entries[1]["y_star"] = []
+    elif tamper == "x* of two coordinates":
+        entries[1]["x_star"] = 2 * entries[1]["x_star"]
+    else:
+        entries[1]["u"] = []
+    with pytest.raises(WitnessError) as err:
+        load_perturbation(desc)
+    assert str(err.value).endswith(_MALFORMED[tamper])
+    assert ";" not in str(err.value)
 
 
 def _firmly_calm(f, extra_xs=None):
