@@ -430,6 +430,33 @@ def test_fallback_pair_distances_are_pinned(mid, seed, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == _FALLBACK_PAIR_DIGESTS[(mid, seed)]
 
 
+# The same digests on the 1-D maps mid + 0.5 x (_plus_half_x), which have no
+# func: their scan refines the touches of d(y, F(z)), and compl_angle's
+# empty preimages read nan. Ladder depth 6, 32 samples, l1 (384 pairs).
+_TOUCH_PAIR_DIGESTS = {
+    ("compl_angle", 7): "13b2210764b8452aab909e2febed8c7c0a36b8e67eed27b5288dab582cbac104",
+    ("compl_angle", 23): "e985e820e61e47925fe5ea75c8990501073d9ca6e734b13032d7a4e8dc49cf3a",
+    ("interval", 7): "6bb2808cf89ea7c0ce2ecf964bffc650980a3ddb09905d9839e5fc7ec513d419",
+    ("interval", 23): "e07840dfd718d02b474307dda6b5c5815cbe335ba1bff5fb355c611689852dce",
+}
+
+
+@pytest.mark.parametrize("mid,seed", sorted(_TOUCH_PAIR_DIGESTS))
+def test_touch_only_pair_distances_are_pinned(mid, seed, monkeypatch):
+    F, base, ctx = _plus_half_x(mid)
+    ladder = ScaleLadder(depth=6, samples_per_scale=32, seed=seed)
+    seen = []
+    batched = moduli.preimage_distances_fallback
+    monkeypatch.setattr(moduli, "preimage_distances_fallback",
+                        lambda *a: seen.append(batched(*a)) or seen[-1])
+    estimate_rg(F, base, ladder, ctx)
+    estimate_srg(F, base, ladder, ctx)
+    dist = np.concatenate(seen)
+    assert len(dist) == 384
+    text = "\n".join(float(v).hex() for v in dist)
+    assert hashlib.sha256(text.encode()).hexdigest() == _TOUCH_PAIR_DIGESTS[(mid, seed)]
+
+
 # per_scale values of the graph-sampled moduli clm, lip and ssrg, as hex
 # floats, at ladder depth 8, 16 samples, seed 7: xsin and oscillating are 1-D
 # maps with feature points, spiral (l2) takes lip's stride-pair branch. They

@@ -439,3 +439,30 @@ def test_verify_radius_reports_a_refused_build_as_a_failed_check(tmp_path, capsy
            if c["detail"].endswith("refused: synthetic refusal") and not c["passed"]]
     assert got == _REFUSED_BUILDS[mid]
     assert payload.get("builder") is None
+
+
+def _bits(v):
+    """v with every float as its hex string, so nan, inf and -0.0 compare by bits."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (list, tuple)):
+        return [_bits(u) for u in v]
+    if isinstance(v, dict):
+        return {k: _bits(u) for k, u in v.items()}
+    return v
+
+
+@pytest.mark.parametrize("spec,norm", [
+    ("xsin", "l1"), ("oscillating", "l1"), ("square_plus_identity", "l1"),
+    ({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]}, "l2"),
+    ({"id": "interval", "wrap": [{"op": "sum", "fn": {"id": "scale", "params": {"lam": 0.5}}}]},
+     "l1"),
+])
+def test_moduli_rg_and_srg_rows_are_the_estimators_called_alone(spec, norm):
+    config = cli.parse_config({"map": spec, "task": "moduli", "seed": 7, "norm": norm,
+                               "ladder": {"depth": 6, "samples": 16}})
+    rows = {row["name"]: row for row in cli.run(config).estimates}
+    F, _, base, ctx, ladder = cli._resolve(config)
+    for est in (cli.estimate_rg(F, base, ladder, ctx), cli.estimate_srg(F, base, ladder, ctx)):
+        alone = cli._est_row(est)
+        assert _bits({k: rows[est.name][k] for k in alone}) == _bits(alone), est.name
