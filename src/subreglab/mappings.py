@@ -847,33 +847,40 @@ def _refine(fb: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, y_br:
     golden-section steps on |fb(., y_min)|.
 
     One loop advances both: each step evaluates the new points of every
-    bracket (steps 0-79) and every interval in one fb call. A row whose
-    step leaves its points unchanged is at a fixed point, since its next
-    step evaluates fb at those same points; it keeps stepping and ends in
-    that state.
+    bracket (steps 0-79) and every interval in one fb call. A step that
+    moves no bracket's lo or hi leaves every bracket at a fixed point,
+    since its next step would evaluate fb at the same midpoints and repeat
+    its choices; the brackets leave the loop then, and the later steps
+    evaluate the golden-section probes alone. A golden-section row whose
+    step leaves its points unchanged keeps stepping and ends in that state.
     """
     m = len(a)
     y = np.concatenate((y_min, y_br))
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     gcd = np.abs(fb(np.concatenate((c, d)), np.tile(y_min, 2)))
     gc, gd = gcd[:m], gcd[m:]
+    bisect = True
     for step in range(90):
         left = gc < gd  # keep [a, d], else [c, b]; one new probe p either way
         a, b = np.where(left, a, c), np.where(left, d, b)
         w = _INVPHI * (b - a)
         p = np.where(left, b - w, a + w)
         c, d = np.where(left, p, d), np.where(left, c, p)
-        mid = 0.5 * (lo + hi)
-        z = np.concatenate((p, mid)) if step < 80 else p
+        if bisect:
+            mid = 0.5 * (lo + hi)
+        z = np.concatenate((p, mid)) if bisect else p
         if not z.size:
             break
         gz = fb(z, y[:len(z)])
         gp = np.abs(gz[:m])
         gc, gd = np.where(left, gp, gd), np.where(left, gc, gp)
-        if step < 80:
+        if bisect:
             gm = gz[m:]
             up = (gm == 0.0) | ((glo < 0.0) == (gm < 0.0))
-            lo, hi, glo = np.where(up, mid, lo), np.where(up, hi, mid), np.where(up, gm, glo)
+            nlo, nhi, glo = np.where(up, mid, lo), np.where(up, hi, mid), np.where(up, gm, glo)
+            # array_equal is False on a nan end, which then keeps stepping
+            bisect = step < 79 and not (np.array_equal(nlo, lo) and np.array_equal(nhi, hi))
+            lo, hi = nlo, nhi
     return 0.5 * (lo + hi), 0.5 * (a + b)
 
 
@@ -941,8 +948,11 @@ def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarr
     up to three times, so a closer crossing between two same-sign grid
     points is not missed. Every round advances each unfinished pair by one
     scan, and the scans of a round run together: their brackets and minima
-    share one refinement loop (_refine), so a round makes at most 93 fb
-    calls, whatever the number of pairs.
+    share one refinement loop (_refine), which the brackets leave once they
+    settle, so a round makes at most 93 fb calls, whatever the number of
+    pairs. A pair's distance does not depend on the pairs beside it, so a
+    caller may batch the pairs of several estimators: a moduli run takes
+    those of rg and srg in one call (moduli.estimate_rg_srg).
     """
     out = np.full(len(xv), math.inf)
     half = np.array(r0, dtype=float)

@@ -62,6 +62,7 @@ __all__ = [
     "estimate_lip",
     "estimate_rg",
     "estimate_srg",
+    "estimate_rg_srg",
     "estimate_ssrg",
     "estimate_constant",
     "estimate_all_constants",
@@ -249,23 +250,28 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     return est.finalize()
 
 
-def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, xs: np.ndarray, ys: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(annulus, d(y, F(x)), d(x, F^{-1}(y))) arrays of the pairs of rows of
-    xs and ys, an equal number per annulus in ladder order, that lie off the
-    preimage: their image distance is not at most 1e-13 times the annulus's
-    outer radius. The image distances of all pairs come from one call, and
-    the preimage distances of the admissible pairs alone from another: the
-    map's oracle if it has one, else the batched fallback.
+def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, pair_sets
+                      ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each (xs, ys) of pair_sets, the (annulus, d(y, F(x)), d(x, F^{-1}(y)))
+    arrays of the pairs of rows of xs and ys, an equal number per annulus in
+    ladder order, that lie off the preimage: their image distance is not at
+    most 1e-13 times the annulus's outer radius. The image distances of each
+    set come from one call, and the preimage distances of the admissible
+    pairs of every set from one more: the map's oracle if it has one, else
+    the batched fallback, whose rows each depend on their own pair alone.
     """
-    annulus = np.repeat(np.arange(ladder.depth), len(xs) // ladder.depth)
-    dimg = F.image_distance(xs, ys)
-    outer = np.array([ladder.radius(j) for j in range(ladder.depth)])[annulus]
-    keep = ~(dimg <= 1e-13 * outer)  # x at or numerically on the preimage is left out
-    xs, ys = xs[keep], ys[keep]
+    outer = np.array([ladder.radius(j) for j in range(ladder.depth)])
+    kept = []
+    for xs, ys in pair_sets:
+        annulus = np.repeat(np.arange(ladder.depth), len(xs) // ladder.depth)
+        dimg = F.image_distance(xs, ys)
+        keep = ~(dimg <= 1e-13 * outer[annulus])  # x at or numerically on the preimage is left out
+        kept.append((annulus[keep], dimg[keep], xs[keep], ys[keep]))
+    ann, dimg, xs, ys = zip(*kept)
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
     dpre = (F.preimage_distance(xs, ys) if F.preimage_distance is not None
             else preimage_distances_fallback(F, xs, ys))
-    return annulus[keep], dimg[keep], dpre
+    return list(zip(ann, dimg, np.split(dpre, np.cumsum([len(a) for a in ann])[:-1])))
 
 
 def _quotients(ann: np.ndarray, dimg: np.ndarray, dpre: np.ndarray, drop_nan: bool):
@@ -291,12 +297,24 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     left out and counted in the note, which also names Newton projections
     (_bound_note); a nan quotient is left out too.
     """
+    (pairs,) = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, ctx, pairs_per_scale)])
+    return _rg_estimate(F, ladder, *pairs)
+
+
+def _rg_pairs(base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
+              pairs_per_scale: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) rows that estimate_rg draws, annulus by annulus."""
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
     xs, ys = [], []
     for j, (inner, outer) in enumerate(ladder.annuli()):
         xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind))
         ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind))
-    ann, dimg, dpre = _admissible_pairs(F, ladder, np.concatenate(xs), np.concatenate(ys))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _rg_estimate(F: SetValuedMap, ladder: ScaleLadder, ann: np.ndarray, dimg: np.ndarray,
+                 dpre: np.ndarray) -> Estimate:
+    """estimate_rg from the arrays _admissible_pairs gives for its pairs."""
     qann, q = _quotients(ann, dimg, dpre, drop_nan=True)
     est = Estimate(name="rg", note=_missed_note(dpre))
     est.per_scale, est.per_annulus, _ = _pool_scales(q, qann, ladder)
@@ -333,10 +351,22 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     it never wins, but its scale reads +inf rather than empty. Each annulus
     draws min(samples per scale, 96) points.
     """
+    (pairs,) = _admissible_pairs(F, ladder, [_srg_pairs(base, ladder, ctx)])
+    return _srg_estimate(F, ladder, *pairs)
+
+
+def _srg_pairs(base: GraphPoint, ladder: ScaleLadder, ctx: NormContext
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, yb) rows that estimate_srg draws, annulus by annulus."""
     n = min(ladder.samples_per_scale, 96)
     xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind)
                          for j, (inner, outer) in enumerate(ladder.annuli())])
-    ann, dimg, dpre = _admissible_pairs(F, ladder, xs, np.repeat(base.y[None, :], len(xs), 0))
+    return xs, np.repeat(base.y[None, :], len(xs), 0)
+
+
+def _srg_estimate(F: SetValuedMap, ladder: ScaleLadder, ann: np.ndarray, dimg: np.ndarray,
+                  dpre: np.ndarray) -> Estimate:
+    """estimate_srg from the arrays _admissible_pairs gives for its pairs."""
     qann, q = _quotients(ann, dimg, dpre, drop_nan=False)
     est = Estimate(name="srg", note=_missed_note(dpre))
     est.per_scale, est.per_annulus, _ = _pool_scales(q, qann, ladder,
@@ -345,6 +375,16 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
         est.note = "empty quotient set: every sampled point lies in the preimage of the base value"
     est.note = "; ".join(filter(None, (est.note, _bound_note(F))))
     return est.finalize()
+
+
+def estimate_rg_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
+                    ctx: NormContext) -> tuple[Estimate, Estimate]:
+    """(estimate_rg, estimate_srg), bit for bit, with the preimage distances
+    of both pair sets from one call: one batch of the fallback's root
+    finder in place of two."""
+    rg, srg = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, ctx, None),
+                                            _srg_pairs(base, ladder, ctx)])
+    return _rg_estimate(F, ladder, *rg), _srg_estimate(F, ladder, *srg)
 
 
 def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,

@@ -565,40 +565,53 @@ class Perturbation:
         }
 
 
+# how load_perturbation reads each field that describe() writes
+_ENTRY_FIELDS = {"index": int, "t": float.fromhex, "x": _unhex_vec, "y": _unhex_vec,
+                 "x_star": _unhex_vec, "y_star": _unhex_vec, "eps": float.fromhex,
+                 "ratio": float.fromhex, "xn": float.fromhex, "q": float.fromhex,
+                 "u": _unhex_vec}
+_WITNESS_FIELDS = {"kind": str, "gamma": float.fromhex, "gamma_prime": float.fromhex,
+                   "direction_mode": str, "k_hat": int, "norm_kind": str,
+                   "u": lambda h: None if h is None else _unhex_vec(h)}
+
+
+def _field(d, key: str, read: Callable, where: str):
+    """read(d[key]) for the field key of the description part where, with a
+    WitnessError naming the field when d lacks it or read refuses its value."""
+    try:
+        value = d[key]
+    except (KeyError, IndexError, TypeError):
+        raise WitnessError(f"invalid witness: {where} has no field {key!r}") from None
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise WitnessError(f"invalid witness: {where} field {key!r} is unreadable "
+                           f"({value!r}: {err})") from None
+
+
 def load_perturbation(desc: dict) -> "Perturbation":
     """Rebuild a perturbation from describe() output.
 
     The builders are pure functions of the witness table and gamma, so the
-    reloaded perturbation evaluates bit-identically. A description that
-    fails validate_witness (for example one whose stored stats understate
-    what its points give) raises WitnessError.
+    reloaded perturbation evaluates bit-identically. A description with a
+    missing or unreadable field, or one that fails validate_witness (for
+    example one whose stored stats understate what its points give), raises
+    WitnessError.
     """
-    wd = desc["witness"]
-    entries = [
-        WitnessEntry(
-            index=int(d["index"]), t=float.fromhex(d["t"]),
-            x=_unhex_vec(d["x"]), y=_unhex_vec(d["y"]),
-            x_star=_unhex_vec(d["x_star"]), y_star=_unhex_vec(d["y_star"]),
-            eps=float.fromhex(d["eps"]), ratio=float.fromhex(d["ratio"]),
-            xn=float.fromhex(d["xn"]), q=float.fromhex(d["q"]),
-            u=_unhex_vec(d["u"]),
-        )
-        for d in wd["entries"]
-    ]
+    wd = _field(desc, "witness", dict, "description")
+    entries = [WitnessEntry(**{key: _field(d, key, read, f"entries[{k}]")
+                               for key, read in _ENTRY_FIELDS.items()})
+               for k, d in enumerate(_field(wd, "entries", list, "witness"))]
     w = WitnessSequence(
-        kind=wd["kind"], entries=entries, gamma=float.fromhex(wd["gamma"]),
-        gamma_prime=float.fromhex(wd["gamma_prime"]),
-        direction_mode=wd["direction_mode"],
-        u=_unhex_vec(wd["u"]) if wd["u"] is not None else None,
-        k_hat=int(wd["k_hat"]),
-        base=GraphPoint(_unhex_vec(wd["base_x"]), _unhex_vec(wd["base_y"])),
-        norm_kind=wd["norm_kind"],
+        entries=entries,
+        base=GraphPoint(*(_field(wd, key, _unhex_vec, "witness") for key in ("base_x", "base_y"))),
+        **{key: _field(wd, key, read, "witness") for key, read in _WITNESS_FIELDS.items()},
     )
     problems = validate_witness(w)
     if problems:
         raise WitnessError("invalid witness: " + "; ".join(problems))
-    gamma = float.fromhex(desc["gamma"])
-    tag = desc["class_tag"]
+    gamma = _field(desc, "gamma", float.fromhex, "description")
+    tag = _field(desc, "class_tag", str, "description")
     if tag == "lip":
         return build_lip_perturbation(w, gamma)
     if tag == "fclm":

@@ -46,7 +46,8 @@ from .moduli import (
     estimate_all_constants,
     estimate_clm,
     estimate_lip,
-    estimate_rg,
+    estimate_rg,  # not called here; perfbench's layer trace wraps it by name
+    estimate_rg_srg,
     estimate_srg,
     estimate_ssrg,
     subregularity_consistency,
@@ -358,8 +359,9 @@ def run(config: ExperimentConfig) -> RunReport:
 
     t1 = time.perf_counter()
     if config.task == "moduli":
-        for fn in (estimate_clm, estimate_lip, estimate_rg, estimate_srg, estimate_ssrg):
-            est = fn(F, base, ladder, ctx)
+        ests = [estimate_clm(F, base, ladder, ctx), estimate_lip(F, base, ladder, ctx),
+                *estimate_rg_srg(F, base, ladder, ctx), estimate_ssrg(F, base, ladder, ctx)]
+        for est in ests:
             report.estimates.append(_est_row(est, known.get(est.name)))
     elif config.task in ("constants", "relations"):
         consts = estimate_all_constants(F, base, ladder, ctx)

@@ -135,6 +135,19 @@ def test_nearest_root_cases_are_pinned(case):
     assert [float(d).hex() for d in _roots(fb, xv, yv, r0)] == want
 
 
+def test_a_settled_bracket_leaves_the_refinement_loop():
+    # the "early fixed point" bracket settles after about five bisection
+    # steps; from then on fb takes the golden-section probe alone, not the
+    # bracket's unchanged midpoint too up to step 79
+    (f, xv, yv, r0), want = _ROOT_CASES["early fixed point"]
+    calls = []
+    d = _roots(lambda z: calls.append(len(z)) or f(z), xv, yv, r0)
+    assert [float(v).hex() for v in d] == want
+    steps = calls[2:92]  # after the grid and the golden-section seed
+    paired = steps.count(2)
+    assert paired <= 8 and steps == [2] * paired + [1] * (90 - paired)
+
+
 def test_one_scan_makes_one_func_call_per_refinement_step():
     # at most 1 call for the grid, 2 to seed golden section, 90 refinement
     # steps and 1 hit check, however many brackets and minima the scan has

@@ -415,6 +415,9 @@ _MALFORMED = {
     "empty y*": " y_star has shape (0,), not (1,)",
     "x* of two coordinates": " x_star has shape (2,), not (1,)",
     "empty u": " u has shape (0,), not (1,)",
+    "no eps": ": entries[1] has no field 'eps'",
+    "t of zz": (": entries[1] field 't' is unreadable "
+                "('zz': invalid hexadecimal floating-point string)"),
 }
 
 
@@ -429,6 +432,10 @@ def test_a_malformed_description_raises_witness_error(kind, gamma, tamper):
         entries[1]["y_star"] = []
     elif tamper == "x* of two coordinates":
         entries[1]["x_star"] = 2 * entries[1]["x_star"]
+    elif tamper == "no eps":
+        del entries[1]["eps"]
+    elif tamper == "t of zz":
+        entries[1]["t"] = "zz"
     else:
         entries[1]["u"] = []
     with pytest.raises(WitnessError) as err:

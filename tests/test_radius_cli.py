@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+import subreglab.moduli as moduli
 import subreglab.radius_cli as cli
 from subreglab.mappings import catalog
 
@@ -466,3 +467,14 @@ def test_moduli_rg_and_srg_rows_are_the_estimators_called_alone(spec, norm):
     for est in (cli.estimate_rg(F, base, ladder, ctx), cli.estimate_srg(F, base, ladder, ctx)):
         alone = cli._est_row(est)
         assert _bits({k: rows[est.name][k] for k in alone}) == _bits(alone), est.name
+
+
+def test_a_moduli_run_takes_rg_and_srg_through_one_fallback_call(monkeypatch):
+    calls = []
+    batched = moduli.preimage_distances_fallback
+    monkeypatch.setattr(moduli, "preimage_distances_fallback",
+                        lambda *a: calls.append(a) or batched(*a))
+    config = cli.parse_config({"map": "xsin", "task": "moduli", "seed": 7,
+                               "ladder": {"depth": 4, "samples": 8}})
+    assert cli.run(config).status == "ok"
+    assert len(calls) == 1
