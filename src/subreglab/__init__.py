@@ -3,7 +3,7 @@ primal-dual subregularity constants, and constructive destabilizing
 perturbations with machine-checkable certificates.
 """
 
-from .geometry import NormContext, ScaleLadder, derive_seed, norming_functional
+from .geometry import ScaleLadder, derive_seed, norming_functional
 from .mappings import GraphPoint, SetValuedMap, catalog, resolve_map_spec
 from .moduli import (
     Estimate,
@@ -33,7 +33,7 @@ from .variational import CoderivElement, positive_homogeneity_test, semismooth_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "NormContext", "ScaleLadder", "derive_seed", "norming_functional",
+    "ScaleLadder", "derive_seed", "norming_functional",
     "GraphPoint", "SetValuedMap", "catalog", "resolve_map_spec",
     "Estimate", "check_relations", "eckart_young_check", "estimate_all_constants",
     "estimate_clm", "estimate_lip", "estimate_rg", "estimate_srg", "estimate_ssrg",

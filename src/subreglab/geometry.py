@@ -2,9 +2,10 @@
 
 Three guarantees made here carry the rest of the package:
 
-* norm kinds come in matched primal/dual pairs (l1/linf, l2/l2, linf/l1),
-  and the product space X x Y is measured with the sum norm on the primal
-  side and the max norm on the dual side;
+* norm kinds come in matched primal/dual pairs (l1/linf, l2/l2, linf/l1).
+  A map's kind measures both X and Y, and the product space X x Y is
+  measured with the sum norm on the primal side and the max norm on the
+  dual side;
 * norming elements are exact where floating point allows it. The functional
   returned for a vector attains the norm (bitwise for l1/linf, to 1e-12 for
   l2), and the vector returned for a unit dual functional attains pairing
@@ -27,7 +28,6 @@ NORM_KINDS = ("l1", "l2", "linf")
 
 __all__ = [
     "NORM_KINDS",
-    "NormContext",
     "ScaleLadder",
     "dual_kind",
     "dual_norm",
@@ -299,24 +299,6 @@ def dual_sphere_grid(kind: str, dim: int, m: int = 16) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormContext:
-    """Primal norm kind plus the dimensions of domain and range.
-
-    The dual kind is implied. The product space X x Y carries the sum norm on
-    points and the max norm on dual pairs.
-    """
-
-    kind: str = "l1"
-    dim_x: int = 1
-    dim_y: int = 1
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        if self.dim_x < 1 or self.dim_y < 1:
-            raise ValueError("dimensions must be positive")
 
 
 @dataclass(frozen=True)

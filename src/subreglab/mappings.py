@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import (
     ScaleLadder,
+    _check_kind,
     derive_seed,
     dual_sphere_grid,
     norm,
@@ -110,6 +111,10 @@ class SetValuedMap:
     shape (len(owner), dim_y, dim_x) their Jacobians, G[i] from row
     owner[i] alone. A row where it is not (a kink or seam) is absent.
 
+    kind is the norm of X and Y: every modulus of the map is measured in
+    it, and the map's own oracles use it. A kind outside NORM_KINDS, or a
+    dimension below 1, raises ValueError.
+
     memo holds what moduli derives from the map annulus by annulus (graph
     samples, element records), so each annulus is computed once per map. No
     caller sets it, and a map made by dataclasses.replace starts with an
@@ -128,6 +133,11 @@ class SetValuedMap:
     name: str = "map"
     kind: str = "l1"
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_kind(self.kind)
+        if self.dim_x < 1 or self.dim_y < 1:
+            raise ValueError("dimensions must be positive")
 
     @property
     def single_valued(self) -> bool:

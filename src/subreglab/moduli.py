@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import NormContext, ScaleLadder, dual_kind, norms, sample_annulus
+from .geometry import ScaleLadder, dual_kind, norms, sample_annulus
 from .mappings import (  # noqa: F401
     GraphPoint,
     SetValuedMap,
@@ -196,15 +196,14 @@ def _empty_note(ann: np.ndarray, ladder: ScaleLadder) -> str:
 # moduli of single quantities
 
 
-def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                 ctx: NormContext) -> Estimate:
+def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Estimate:
     """Calmness: limsup of d(y, F(xb)) / ||x - xb|| over graph points.
 
     An innermost annulus without a graph point reads nan, and the note
     names it.
     """
     ann, X, Y = graph_rows(F, base, ladder, 31)
-    t = norms(X - base.x, ctx.kind)
+    t = norms(X - base.x, F.kind)
     off = t != 0.0
     vals = F.image_distance(np.repeat(base.x[None], off.sum(), 0), Y[off]) / t[off]
     est = Estimate(name="clm", note=_empty_note(ann, ladder))
@@ -212,8 +211,7 @@ def estimate_clm(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     return est.finalize()
 
 
-def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                 ctx: NormContext) -> Estimate:
+def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Estimate:
     """Lipschitz modulus via two-point slopes of graph points per annulus.
 
     Pairs are nearest neighbors in sample order after a 1-D sort (or a
@@ -223,7 +221,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     and the note names it.
     """
     ann, X, Y = graph_rows(F, base, ladder, 37)
-    t = norms(X - base.x, ctx.kind)
+    t = norms(X - base.x, F.kind)
     off = np.flatnonzero(t > 0.0)
     pairs = []
     for j in range(ladder.depth):
@@ -235,7 +233,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
             p, q = np.r_[at[:-1], at[:max(len(at) - 7, 0)]], np.r_[at[1:], at[7:]]
         pairs.append((p[:400], q[:400]))
     p, q = (np.concatenate(c) for c in zip(*pairs))
-    sep = norms(X[p] - X[q], ctx.kind)
+    sep = norms(X[p] - X[q], F.kind)
     keep = ~(sep <= 1e-14 * np.maximum(1.0, t[p]))
     p, q, sep = p[keep], q[keep], sep[keep]
     # the base pairs, then for each pair d(y_p, F(x_q)) and d(y_q, F(x_p))
@@ -286,7 +284,7 @@ def _quotients(ann: np.ndarray, dimg: np.ndarray, dpre: np.ndarray, drop_nan: bo
     return ann[kept], q[kept]
 
 
-def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
+def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
                 pairs_per_scale: int | None = None) -> Estimate:
     """Metric regularity: liminf of d(y, F(x)) / d(x, F^{-1}(y)).
 
@@ -297,18 +295,18 @@ def estimate_rg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, ctx: Nor
     left out and counted in the note, which also names Newton projections
     (_bound_note); a nan quotient is left out too.
     """
-    (pairs,) = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, ctx, pairs_per_scale)])
+    (pairs,) = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, F.kind, pairs_per_scale)])
     return _rg_estimate(F, ladder, *pairs)
 
 
-def _rg_pairs(base: GraphPoint, ladder: ScaleLadder, ctx: NormContext,
+def _rg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str,
               pairs_per_scale: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) rows that estimate_rg draws, annulus by annulus."""
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
     xs, ys = [], []
     for j, (inner, outer) in enumerate(ladder.annuli()):
-        xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), ctx.kind))
-        ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), ctx.kind))
+        xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), kind))
+        ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), kind))
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -339,8 +337,7 @@ def _bound_note(F: SetValuedMap) -> str:
     return ""
 
 
-def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                 ctx: NormContext) -> Estimate:
+def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Estimate:
     """Subregularity: liminf of d(yb, F(x)) / d(x, F^{-1}(yb)) for x not in F^{-1}(yb).
 
     When every sample at every scale lands in the preimage the quotient set
@@ -351,15 +348,15 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     it never wins, but its scale reads +inf rather than empty. Each annulus
     draws min(samples per scale, 96) points.
     """
-    (pairs,) = _admissible_pairs(F, ladder, [_srg_pairs(base, ladder, ctx)])
+    (pairs,) = _admissible_pairs(F, ladder, [_srg_pairs(base, ladder, F.kind)])
     return _srg_estimate(F, ladder, *pairs)
 
 
-def _srg_pairs(base: GraphPoint, ladder: ScaleLadder, ctx: NormContext
+def _srg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str
                ) -> tuple[np.ndarray, np.ndarray]:
     """The (x, yb) rows that estimate_srg draws, annulus by annulus."""
     n = min(ladder.samples_per_scale, 96)
-    xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), ctx.kind)
+    xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), kind)
                          for j, (inner, outer) in enumerate(ladder.annuli())])
     return xs, np.repeat(base.y[None, :], len(xs), 0)
 
@@ -377,18 +374,17 @@ def _srg_estimate(F: SetValuedMap, ladder: ScaleLadder, ann: np.ndarray, dimg: n
     return est.finalize()
 
 
-def estimate_rg_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                    ctx: NormContext) -> tuple[Estimate, Estimate]:
+def estimate_rg_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder
+                    ) -> tuple[Estimate, Estimate]:
     """(estimate_rg, estimate_srg), bit for bit, with the preimage distances
     of both pair sets from one call: one batch of the fallback's root
     finder in place of two."""
-    rg, srg = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, ctx, None),
-                                            _srg_pairs(base, ladder, ctx)])
+    rg, srg = _admissible_pairs(F, ladder, [_rg_pairs(base, ladder, F.kind, None),
+                                            _srg_pairs(base, ladder, F.kind)])
     return _rg_estimate(F, ladder, *rg), _srg_estimate(F, ladder, *srg)
 
 
-def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                  ctx: NormContext) -> Estimate:
+def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Estimate:
     """Strong subregularity: liminf of ||y - yb|| / ||x - xb|| over the graph.
 
     A reported value at most 1e-12 comes with the witnessing graph points of
@@ -397,10 +393,10 @@ def estimate_ssrg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     the pooled winner over every annulus, if one has a finite ratio.
     """
     ann, X, Y = graph_rows(F, base, ladder, 53)
-    t = norms(X - base.x, ctx.kind)
+    t = norms(X - base.x, F.kind)
     off = t != 0.0
     ann, X, Y = ann[off], X[off], Y[off]
-    vals = norms(Y - base.y, ctx.kind) / t[off]
+    vals = norms(Y - base.y, F.kind) / t[off]
     est = Estimate(name="ssrg")
     est.per_scale, est.per_annulus, win = _pool_scales(vals, ann, ladder, empty=math.inf)
     est = est.finalize()
@@ -452,7 +448,7 @@ class ElementRecords:
 
 def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np.ndarray,
                      Y_star: np.ndarray, eps: np.ndarray, inner: float, outer: float,
-                     base: GraphPoint, ctx: NormContext) -> ElementRecords:
+                     base: GraphPoint, kind: str) -> ElementRecords:
     """The records of the elements (X[owner], Y[owner], X_star, Y_star, eps)
     whose x lies in the annulus, in element order.
 
@@ -463,14 +459,14 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
     call per point and per element: geometry.norms gives the bits of
     geometry.norm row by row.
     """
-    t = norms(X - base.x, ctx.kind)
+    t = norms(X - base.x, kind)
     inside = np.flatnonzero((t != 0.0) & (inner < t) & (t <= outer * (1 + 1e-12)))
     at = np.full(len(X), -1)
     at[inside] = np.arange(len(inside))
     keep = at[owner] >= 0
     p = at[owner[keep]]  # the inside point of each kept element
     X_star, Y_star, eps = X_star[keep], Y_star[keep], eps[keep]
-    dual = dual_kind(ctx.kind)
+    dual = dual_kind(kind)
     ysn = norms(Y_star, dual)
     unit = ysn != 0.0  # y* = 0 cannot be normalized
     p, X_star, Y_star, eps, ysn = p[unit], X_star[unit], Y_star[unit], eps[unit], ysn[unit]
@@ -482,15 +478,15 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
     xn = norms(X_star, dual)
     X, Y, t = X[inside], Y[inside], t[inside]
     du, dv = X - base.x, Y - base.y
-    yn = norms(dv, ctx.kind)
+    yn = norms(dv, kind)
     ratio, dist = yn / t, t + yn  # dist is the product norm ||du|| + ||dv||
     q = defect_quotients(X_star, Y_star, du[p], dv[p], xn, ysn, dist[p])
     return ElementRecords(t=t[p], ratio=ratio[p], xn=xn, q=q, eps=eps, x=X[p], y=Y[p],
                           x_star=X_star, y_star=Y_star)
 
 
-def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: ScaleLadder,
-                 tag: int, what: str, make) -> list:
+def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int, what: str,
+                 make) -> list:
     """F's memo of what on the tag's graph sample around base, one entry per
     annulus of the ladder, grown by make(j, inner, outer, X, Y) for each
     annulus it lacks, X and Y the rows of its graph points (see
@@ -498,19 +494,18 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ctx: NormContext, ladder: Sc
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
-    So each annulus is computed once per map, base point and norm, the
-    first time a ladder reaches it, and serves every shallower or deeper
+    So each annulus is computed once per map and base point, the first
+    time a ladder reaches it, and serves every shallower or deeper
     ladder from then on. The entries are shared; do not mutate them.
     """
-    done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ctx, ladder.r0, ladder.theta,
+    done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ladder.r0, ladder.theta,
                               ladder.samples_per_scale, ladder.seed, tag, what), [])
     for j, inner, outer, X, Y in graph_annuli(F, base, ladder, tag, start=len(done)):
         done.append(make(j, inner, outer, X, Y))
     return done[:ladder.depth]
 
 
-def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                       ctx: NormContext, *,
+def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *,
                        extra_elements: list[CoderivElement] | None = None
                        ) -> tuple[list[ElementRecords], str]:
     """Coderivative element records per annulus, plus a pool identifier.
@@ -531,7 +526,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     """
     h = hashlib.sha256()
     h.update(F.name.encode())
-    h.update(ctx.kind.encode())
+    h.update(F.kind.encode())
     h.update(base.x.tobytes() + base.y.tobytes())
     # payloads carry the id; the trailing 8 (the size of the function graphs'
     # y* grid) keeps every id, and with it every payload, bit for bit
@@ -544,26 +539,26 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
         else:
             owner, X_star, Y_star = F.analytic_normals(X, Y)
         return _annulus_records(X, Y, owner, X_star, Y_star, np.zeros(len(owner)),
-                                inner, outer, base, ctx)
+                                inner, outer, base, F.kind)
 
-    pools = _memo_annuli(F, base, ctx, ladder, 61, "records", make)  # a new list
+    pools = _memo_annuli(F, base, ladder, 61, "records", make)  # a new list
     if extra_elements:
         X, Y, X_star, Y_star = (np.array([getattr(e, a) for e in extra_elements], dtype=float)
                                 for a in ("x", "y", "x_star", "y_star"))
         eps = np.array([e.eps for e in extra_elements], dtype=float)
-        t = norms(X - base.x, ctx.kind)
+        t = norms(X - base.x, F.kind)
         for j, (inner, outer) in enumerate(ladder.annuli()):
             k = np.flatnonzero((inner < t) & (t <= outer))
             if len(k):
                 more = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k], Y_star[k],
-                                        eps[k], inner, outer, base, ctx)
+                                        eps[k], inner, outer, base, F.kind)
                 pools[j] = ElementRecords.concat([pools[j], more])
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
 
 def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder,
-                      ctx: NormContext, pool_id: str = "") -> Estimate:
+                      pool_id: str = "") -> Estimate:
     """One primal-dual constant from a prebuilt element pool.
 
     Scale j takes the min of the kind's objective over the records of
@@ -636,13 +631,13 @@ def _first_min(obj: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> tuple[float
     return float(obj[i]), i
 
 
-def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                           ctx: NormContext) -> dict[str, Estimate]:
+def estimate_all_constants(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder
+                           ) -> dict[str, Estimate]:
     """The nine constants from one element pool. hatsrg and hatsrgp are
     copies of srg1 and srg1p under their own names, with no witness, which
     is what estimate_constant gives for them."""
-    records, pool_id = build_element_pool(F, base, ladder, ctx)
-    out = {kind: estimate_constant(kind, records, ladder, ctx, pool_id)
+    records, pool_id = build_element_pool(F, base, ladder)
+    out = {kind: estimate_constant(kind, records, ladder, pool_id)
            for kind in CONSTANT_KINDS if kind not in ("hatsrg", "hatsrgp")}
     for hat, kind in (("hatsrg", "srg1"), ("hatsrgp", "srg1p")):
         out[hat] = replace(out[kind], name=hat, per_scale=list(out[kind].per_scale), witnesses=[])
@@ -764,10 +759,9 @@ def eckart_young_check(A, seed: int = 0) -> dict:
     b_norm = float(np.linalg.svd(B, compute_uv=False)[0])
     det_after = float(np.linalg.det(A + B))
     ladder = ScaleLadder(r0=0.5, theta=0.5, depth=8, samples_per_scale=320, seed=seed)
-    ctx = NormContext(kind="l2", dim_x=A.shape[1], dim_y=A.shape[0])
     F = make_linear_map(A, kind="l2")
     base = GraphPoint(np.zeros(A.shape[1]), np.zeros(A.shape[0]))
-    rg = estimate_rg(F, base, ladder, ctx, pairs_per_scale=ladder.samples_per_scale)
+    rg = estimate_rg(F, base, ladder, pairs_per_scale=ladder.samples_per_scale)
     rel = abs(rg.reported - sigma_min) / sigma_min if sigma_min > 0 else math.inf
     return {
         "sigma_min": sigma_min,

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    NormContext,
+    NORM_KINDS,
     ScaleLadder,
     derive_seed,
     dual_kind,
@@ -140,10 +140,6 @@ class WitnessSequence:
     def scales(self) -> list[float]:
         return [e.t for e in self.entries]
 
-    def context(self) -> NormContext:
-        e = self.entries[0]
-        return NormContext(kind=self.norm_kind, dim_x=e.x.size, dim_y=e.y.size)
-
 
 def _objective(kind: str, ratio: float, xn: float) -> float:
     return ratio + xn if kind == "lip" else ratio
@@ -158,23 +154,23 @@ def _cand_order(c: dict) -> tuple:
     return (c["obj"], -float(c["u"][0]), -c["t"])
 
 
-def _graph_records(base: GraphPoint, ctx: NormContext, inner: float, outer: float,
+def _graph_records(base: GraphPoint, kind: str, inner: float, outer: float,
                    X: np.ndarray, Y: np.ndarray, cut: float) -> ElementRecords:
     """The ssr records of one annulus: its graph points (X, Y) with ratio
     at most cut, x* = 0 and y* the norming functional of y - yb (e_1 at y =
     yb)."""
-    t = norms(X - base.x, ctx.kind)
+    t = norms(X - base.x, kind)
     inside = (inner < t) & (t <= outer) & (t > 0.0)
     X, Y, t = X[inside], Y[inside], t[inside]
     dy = Y - base.y
-    yn = norms(dy, ctx.kind)
+    yn = norms(dy, kind)
     ratio = yn / t
     keep = ~(ratio > cut)  # before the norming functionals, which cost more
     X, Y, t, dy, yn, ratio = X[keep], Y[keep], t[keep], dy[keep], yn[keep], ratio[keep]
     y_star = np.zeros_like(Y)
     y_star[:, 0] = 1.0
     on = yn > 0.0
-    y_star[on] = norming_functionals(dy[on], ctx.kind)
+    y_star[on] = norming_functionals(dy[on], kind)
     zero = np.zeros(len(t))
     return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero, eps=zero, x=X, y=Y,
                           x_star=np.zeros_like(X), y_star=y_star)
@@ -226,7 +222,7 @@ def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray,
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                        ladder: ScaleLadder, ctx: NormContext, start: int = 0) -> list[dict]:
+                        ladder: ScaleLadder, start: int = 0) -> list[dict]:
     """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
     A candidate comes from a record: an element record, or for the ssr
@@ -240,11 +236,11 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     """
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
-        graph = _memo_annuli(F, base, ctx, ladder, 71, "graph", lambda *annulus: annulus)
-        annuli = [(j, _graph_records(base, ctx, inner, outer, X, Y, cut))
+        graph = _memo_annuli(F, base, ladder, 71, "graph", lambda *annulus: annulus)
+        annuli = [(j, _graph_records(base, F.kind, inner, outer, X, Y, cut))
                   for j, inner, outer, X, Y in graph[start:]]
     else:
-        records, _ = build_element_pool(F, base, ladder, ctx)
+        records, _ = build_element_pool(F, base, ladder)
         annuli = [(j, records[j]) for j in range(start, ladder.depth)]
     cands: list[dict] = []
     for j, recs in annuli:
@@ -257,8 +253,7 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
 
 
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
-                    ladder: ScaleLadder, ctx: NormContext,
-                    direction_mode: str = "auto") -> WitnessSequence:
+                    ladder: ScaleLadder, direction_mode: str = "auto") -> WitnessSequence:
     """Extract a thinning witness sequence certifying the kind's constant < gamma.
 
     The kinds pair with constants: lip with srg1p objectives (ratio plus
@@ -282,8 +277,8 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
         raise ValueError("gamma must be positive")
     work, start, cands = ladder, 0, []
     while True:
-        cands += _collect_candidates(F, base, kind, gamma, work, ctx, start)
-        seq = _try_select(cands, kind, gamma, direction_mode, ctx) if cands else None
+        cands += _collect_candidates(F, base, kind, gamma, work, start)
+        seq = _try_select(cands, kind, gamma, direction_mode, F.kind) if cands else None
         if seq is not None:
             break
         if work.radius(work.depth) < _T_FLOOR:
@@ -296,14 +291,14 @@ def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
                 f"entries above the scale floor {_T_FLOOR:g}")
         start, work = work.depth, work.deepen(8)
     seq.base = GraphPoint(base.x.copy(), base.y.copy())
-    problems = validate_witness(seq, ctx)
+    problems = validate_witness(seq)
     if problems:
         raise WitnessError("internal witness invariant violation: " + "; ".join(problems))
     return seq
 
 
 def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
-                ctx: NormContext) -> WitnessSequence | None:
+                norm_kind: str) -> WitnessSequence | None:
     # margin preference: when enough scales offer comfortable candidates,
     # drop the ones close to gamma (a smaller gamma' buys larger bumps)
     strict = [c for c in cands if c["obj"] <= 0.55 * gamma]
@@ -343,7 +338,7 @@ def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
         u = entries[-1].u.copy()
     return WitnessSequence(kind=kind, entries=entries, gamma=gamma,
                            gamma_prime=gamma_prime, direction_mode=mode, u=u,
-                           k_hat=k_hat, norm_kind=ctx.kind)
+                           k_hat=k_hat, norm_kind=norm_kind)
 
 
 def _index_shift(gamma0: float, gamma: float) -> int | None:
@@ -422,14 +417,15 @@ def _pair_gaps(us: list[np.ndarray]) -> list[float]:
     return norms(U[i] - U[j], "l2").tolist()
 
 
-def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> list[str]:
+def validate_witness(seq: WitnessSequence) -> list[str]:
     """Check the witness invariants; returns human-readable violations.
 
-    A witness without entries, or with an x, x* or u that does not have
-    len(base.x) coordinates or a y or y* that does not have len(base.y),
-    is reported as such and checked no further. Otherwise each entry's t,
-    ratio and xn (and q for the ss kind) are recomputed from its points and
-    the base; a stored value below the recomputed one is a violation.
+    A witness without entries or base coordinates, or with an x, x* or u
+    that does not have len(base.x) coordinates or a y or y* that does not
+    have len(base.y), is reported as such and checked no further. Otherwise
+    each entry's t, ratio and xn (and q for the ss kind) are recomputed in
+    the witness's norm from its points and the base; a stored value below
+    the recomputed one is a violation.
     """
     es, base = seq.entries, seq.base
     dims = {"x": base.x.size, "y": base.y.size, "x_star": base.x.size,
@@ -438,9 +434,10 @@ def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> li
            for e in es for name, d in dims.items() if np.shape(getattr(e, name)) != (d,)]
     if not es:
         out.append("witness has no entries")
+    if not (base.x.size and base.y.size):
+        out.append("base point has no coordinates")
     if out:
         return out
-    ctx = ctx or seq.context()
     for a, b in zip(es, es[1:]):
         if not b.t < a.t:
             out.append(f"scales not strictly decreasing at t={b.t:g}")
@@ -460,8 +457,8 @@ def validate_witness(seq: WitnessSequence, ctx: NormContext | None = None) -> li
     X, Y = np.array([e.x for e in es]), np.array([e.y for e in es])
     X_star, Y_star = np.array([e.x_star for e in es]), np.array([e.y_star for e in es])
     DU, DV = X - base.x, Y - base.y
-    dual = dual_kind(ctx.kind)
-    t, yn = norms(DU, ctx.kind), norms(DV, ctx.kind)
+    dual = dual_kind(seq.norm_kind)
+    t, yn = norms(DU, seq.norm_kind), norms(DV, seq.norm_kind)
     xn, ysn = norms(X_star, dual), norms(Y_star, dual)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows at t = 0
         actual = {"t": t, "ratio": np.where(t > 0.0, yn / t, math.inf), "xn": xn}
@@ -565,13 +562,23 @@ class Perturbation:
         }
 
 
+def _one_of(*options) -> Callable:
+    """A field reader that refuses any value outside options."""
+    def read(value):
+        if value not in options:
+            raise ValueError(f"not one of {options}")
+        return value
+    return read
+
+
 # how load_perturbation reads each field that describe() writes
 _ENTRY_FIELDS = {"index": int, "t": float.fromhex, "x": _unhex_vec, "y": _unhex_vec,
                  "x_star": _unhex_vec, "y_star": _unhex_vec, "eps": float.fromhex,
                  "ratio": float.fromhex, "xn": float.fromhex, "q": float.fromhex,
                  "u": _unhex_vec}
-_WITNESS_FIELDS = {"kind": str, "gamma": float.fromhex, "gamma_prime": float.fromhex,
-                   "direction_mode": str, "k_hat": int, "norm_kind": str,
+_WITNESS_FIELDS = {"kind": _one_of("lip", "fclm", "ss", "ssr"), "gamma": float.fromhex,
+                   "gamma_prime": float.fromhex, "k_hat": int, "norm_kind": _one_of(*NORM_KINDS),
+                   "direction_mode": _one_of("distinct", "stationary"),
                    "u": lambda h: None if h is None else _unhex_vec(h)}
 
 
@@ -594,9 +601,10 @@ def load_perturbation(desc: dict) -> "Perturbation":
 
     The builders are pure functions of the witness table and gamma, so the
     reloaded perturbation evaluates bit-identically. A description with a
-    missing or unreadable field, or one that fails validate_witness (for
-    example one whose stored stats understate what its points give), raises
-    WitnessError.
+    missing or unreadable field, a kind, direction mode or norm kind outside
+    its set, a class tag that is not its witness kind's, or a witness that
+    fails validate_witness (for example one whose stored stats understate
+    what its points give), raises WitnessError.
     """
     wd = _field(desc, "witness", dict, "description")
     entries = [WitnessEntry(**{key: _field(d, key, read, f"entries[{k}]")
@@ -611,16 +619,10 @@ def load_perturbation(desc: dict) -> "Perturbation":
     if problems:
         raise WitnessError("invalid witness: " + "; ".join(problems))
     gamma = _field(desc, "gamma", float.fromhex, "description")
-    tag = _field(desc, "class_tag", str, "description")
-    if tag == "lip":
-        return build_lip_perturbation(w, gamma)
-    if tag == "fclm":
-        return build_fclm_perturbation(w, gamma)
-    if tag == "fclm_ss":
-        return build_ss_perturbation(w, gamma)
-    if tag == "ssr":
-        return _build_ssr(w, gamma)
-    raise ValueError(f"unknown perturbation class {tag!r}")
+    tag, build = {"lip": ("lip", build_lip_perturbation), "fclm": ("fclm", build_fclm_perturbation),
+                  "ss": ("fclm_ss", build_ss_perturbation), "ssr": ("ssr", _build_ssr)}[w.kind]
+    _field(desc, "class_tag", _one_of(tag), "description")
+    return build(w, gamma)
 
 
 def _pair(v: np.ndarray, DX: np.ndarray) -> np.ndarray:
@@ -634,18 +636,17 @@ def _pair(v: np.ndarray, DX: np.ndarray) -> np.ndarray:
 
 def _build_bump(seq: WitnessSequence, gamma: float, rho: list[float], tag: str,
                 gamma_dp: float) -> Perturbation:
-    ctx = seq.context()
     base = seq.base
     es = seq.entries
     xs = [e.x for e in es]
     XS = np.array(xs)
     X_STAR = np.array([e.x_star for e in es])
     DY = np.array([e.y - base.y for e in es])
-    VS = np.array([norming_vector(e.y_star, ctx.kind) for e in es])
+    VS = np.array([norming_vector(e.y_star, seq.norm_kind) for e in es])
     OUTER = VS[:, :, None] * X_STAR[:, None, :]  # np.outer(v_k, x*_k)
     ps = [1.0 + 1.0 / e.index for e in es]
     RHO = np.array(rho)
-    dim_x, dim_y = ctx.dim_x, ctx.dim_y
+    dim_x, dim_y = base.x.size, base.y.size
     # the supports are l2 balls, so their shells around the base are
     # measured in l2 too (in 1-D, d_k is t_k); the innermost must miss the base
     ds = norms(XS - base.x, "l2").tolist()
@@ -837,7 +838,7 @@ def _payload(cols: dict, i: np.ndarray, DX: np.ndarray, alpha: np.ndarray) -> np
             + (_dots(cols["xh"][i], DX) - cols["c"][i])[:, None] * cols["v"][i])
 
 
-def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
+def _cone_shell(e: WitnessEntry, base: GraphPoint, kind: str,
                 u_star: np.ndarray, w_dir: np.ndarray, with_dual: bool) -> dict:
     """Per-entry payload data: P(x) = (alpha/a) dy + (<xh*, x-xb> - c) v,
     and its gradient np.outer(dy / a, u*) + np.outer(v, xh*).
@@ -851,7 +852,7 @@ def _cone_shell(e: WitnessEntry, base: GraphPoint, ctx: NormContext,
     if with_dual:
         xh = e.x_star - float(e.x_star @ w_dir) * u_star
         c = float(xh @ (e.x - base.x))
-        v = norming_vector(e.y_star, ctx.kind)
+        v = norming_vector(e.y_star, kind)
     else:
         xh = np.zeros_like(e.x_star)
         c = 0.0
@@ -868,7 +869,6 @@ def _stack_shells(shells: list[dict]) -> dict:
 def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
                       tag: str) -> Perturbation:
     """One positively homogeneous cone per witness direction (case 1)."""
-    ctx = seq.context()
     base = seq.base
     gamma_dp = 0.5 * (gamma + seq.gamma_prime)
     reps: dict[tuple, WitnessEntry] = {}
@@ -884,16 +884,16 @@ def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
 
     cones = []
     for e in entries:
-        u_star = norming_functional(e.x - base.x, ctx.kind)
+        u_star = norming_functional(e.x - base.x, seq.norm_kind)
         a = float(u_star @ (e.x - base.x))
         w_dir = (e.x - base.x) / a
-        shell = _cone_shell(e, base, ctx, u_star, w_dir, with_dual)
+        shell = _cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual)
         shell["u_star"] = u_star
         shell["w"] = w_dir
         cones.append(shell)
     cols = _stack_shells(cones)
 
-    dim_x, dim_y = ctx.dim_x, ctx.dim_y
+    dim_x, dim_y = base.x.size, base.y.size
 
     def locate(X):
         """The first cone that holds each row (-1 for none), with the rows'
@@ -953,17 +953,16 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     with no loop over cells; each row gets the operations, and the bits, of
     a row evaluated alone.
     """
-    ctx = seq.context()
     base = seq.base
     gamma_dp = 0.5 * (gamma + seq.gamma_prime)
     es = seq.entries
     fin = es[-1]
-    u_star = norming_functional(fin.x - base.x, ctx.kind)
+    u_star = norming_functional(fin.x - base.x, seq.norm_kind)
     a_fin = float(u_star @ (fin.x - base.x))
     w_dir = (fin.x - base.x) / a_fin
     tau = _cone_tau(0.45, seq, gamma_dp, max(e.xn for e in es), with_dual)
 
-    shells = [_cone_shell(e, base, ctx, u_star, w_dir, with_dual) for e in es]
+    shells = [_cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual) for e in es]
     shells.sort(key=lambda s: -s["a"])
     bs = [s["a"] for s in shells]
     for i in range(len(bs) - 1):
@@ -977,7 +976,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     lows = bs[1:] + [floor]
     big_ls = np.array([math.log(b / lo) for b, lo in zip(bs, lows)])
     lows = np.array(lows)
-    dim_x, dim_y = ctx.dim_x, ctx.dim_y
+    dim_x, dim_y = base.x.size, base.y.size
 
     def interpolate(DX, alpha):
         """The interpolated payload of each row and its gradient."""
@@ -1030,7 +1029,7 @@ def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
     DXa, A = np.array([s["entry"].x - base.x for s in shells[1:]]), cols["a"][1:]
     gaps = _payload(cols, i - 1, DXa, A) - _payload(cols, i, DXa, A)
     anchor_eps = [0.0] + [g / (b * math.log(b_up / b))
-                          for g, b_up, b in zip(norms(gaps, ctx.kind).tolist(), bs, bs[1:])]
+                          for g, b_up, b in zip(norms(gaps, seq.norm_kind).tolist(), bs, bs[1:])]
 
     probes = []
     for s, s_next in zip(shells, shells[1:]):
@@ -1073,8 +1072,7 @@ def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
 
 
 def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
-                           ladder: ScaleLadder, ctx: NormContext,
-                           direction_mode: str = "auto") -> Perturbation:
+                           ladder: ScaleLadder, direction_mode: str = "auto") -> Perturbation:
     """Calm destabilizer of strong subregularity at the base point.
 
     Extracts graph points with quotient ||y - yb||/||x - xb|| below gamma
@@ -1085,7 +1083,7 @@ def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
     samples come from F's memo, as in extract_witness.
     """
     try:
-        w = extract_witness(F, base, "ssr", gamma, ladder, ctx, direction_mode)
+        w = extract_witness(F, base, "ssr", gamma, ladder, direction_mode)
     except WitnessError as err:
         if "no witness below gamma" in str(err):
             raise WitnessError(
@@ -1139,7 +1137,7 @@ def _destab_ladder(p: Perturbation, ladder: ScaleLadder) -> ScaleLadder:
 
 
 def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
-                   ladder: ScaleLadder, ctx: NormContext) -> BuilderReport:
+                   ladder: ScaleLadder) -> BuilderReport:
     """End-to-end verification of a constructed perturbation.
 
     Checks (a) exact interpolation at the anchors and the base, (b) the
@@ -1170,11 +1168,11 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     targets = yb - np.array([e.y for e in p.anchor_entries], dtype=float)
     dim_x, dim_y = AX.shape[1], targets.shape[1]
     values = p.eval(np.concatenate([base.x[None], AX]))
-    rep.base_value_err = float(norms(values[:1], ctx.kind)[0])
+    rep.base_value_err = float(norms(values[:1], F.kind)[0])
     target_scale = max([1.0] + np.abs(targets).max(axis=1).tolist())
-    errs = norms(values[1:] - targets, ctx.kind)
+    errs = norms(values[1:] - targets, F.kind)
     rows = [{"k": k, "t": t, "interpolation_err": err, "gradient_relerr": 0.0}
-            for k, (t, err) in enumerate(zip(norms(AX - base.x, ctx.kind).tolist(),
+            for k, (t, err) in enumerate(zip(norms(AX - base.x, F.kind).tolist(),
                                              errs.tolist()))]
     rep.interpolation_max_err = _running_max(errs, 0.0)
 
@@ -1210,25 +1208,25 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
 
     # (c) sampled modulus of the perturbation alone
     fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=dim_x, dim_y=dim_y,
-                                 kind=ctx.kind, name=p.name)
+                                 kind=F.kind, name=p.name)
     fbase = GraphPoint(base.x, np.zeros(dim_y))
     vlad = _destab_ladder(p, ladder)
     extra = list(p.probes) + list(AX)
     probed = anchored(fgraph, list(zip(extra, fgraph.func(np.array(extra, dtype=float)))))
     if p.class_tag == "lip":
-        mod = estimate_lip(probed, fbase, vlad, ctx)
+        mod = estimate_lip(probed, fbase, vlad)
     else:
-        mod = estimate_clm(probed, fbase, vlad, ctx)
+        mod = estimate_clm(probed, fbase, vlad)
     rep.modulus_estimate = mod.reported
     margin = 0.5 * (p.gamma - p.gamma_dp)
     rep.modulus_ok = rep.modulus_estimate <= p.gamma - margin
 
     # (d) class structure
     if p.class_tag in ("fclm", "fclm_ss", "ssr"):
-        fc = firmly_calm_test(p.eval, base.x, mod, vlad, ctx, extra_xs=extra)
+        fc = firmly_calm_test(p.eval, base.x, mod, vlad, F.kind, extra_xs=extra)
         rep.firmly_calm_ok = fc["ok"]
     if p.class_tag in ("fclm_ss", "ssr") and p.case == 1:
-        ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
+        ok, err = positive_homogeneity_test(p.eval, base.x, F.kind)
         rep.homogeneity_ok = ok
         if not ok:
             rep.notes.append(f"positive homogeneity violated at {err:.3e}")
@@ -1244,14 +1242,14 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
                    and vlad.depth + deeper < 96):
                 deeper += 1
             ss_lad = vlad.deepen(deeper)
-        ss = semismooth_star_test(fgraph, fbase, ss_lad, ctx)
+        ss = semismooth_star_test(fgraph, fbase, ss_lad)
         rep.semismooth_verdict = ss.verdict
 
     # (e) destabilization of the sum
     G = anchored(sum_with_function(F, fgraph, name=f"{F.name}+{p.class_tag}"),
                  [(xk, yb) for xk in AX])
     if p.class_tag == "ssr":
-        est = estimate_ssrg(G, base, vlad, ctx)
+        est = estimate_ssrg(G, base, vlad)
         rep.destabilization = list(est.per_scale)
         rep.destabilization_ok = est.reported == 0.0
         if not rep.destabilization_ok:
@@ -1263,8 +1261,8 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
             e = p.anchor_entries[k]
             shifted.append(CoderivElement(AX[k].copy(), base.y.copy(), e.y_star.copy(),
                                           e.x_star + g.T @ e.y_star, eps=p.anchor_eps[k]))
-        pool, pid = build_element_pool(G, base, vlad, ctx, extra_elements=shifted)
-        est = estimate_constant("srg1p", pool, vlad, ctx, pid)
+        pool, pid = build_element_pool(G, base, vlad, extra_elements=shifted)
+        est = estimate_constant("srg1p", pool, vlad, pid)
         rep.destabilization = list(est.per_scale)
         # the estimate pools suffix minima, so the per-scale sequence is
         # structurally non-decreasing toward the finest annulus; the decay
@@ -1301,7 +1299,7 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     return rep
 
 
-def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, ctx: NormContext,
+def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, kind: str,
                      extra_xs: list | None = None) -> dict:
     """Empirical firm calmness: bounded calm quotients plus local stability.
 
@@ -1325,9 +1323,9 @@ def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, ctx: NormCon
 
     annuli = ladder.annuli()
     centers = np.concatenate(
-        [sample_annulus(base_x, *annuli[j], 6, ladder.scale_seed(j, 89), ctx.kind)
+        [sample_annulus(base_x, *annuli[j], 6, ladder.scale_seed(j, 89), kind)
          for j in (len(annuli) // 2, len(annuli) - 1)] + [extras[:12]])
-    t = norms(centers - base_x, ctx.kind)
+    t = norms(centers - base_x, kind)
     h = np.where(1e-12 > t, 1e-12, t)[:, None] * np.array([1e-2, 1e-3, 1e-4])
     # steps (center, step size, coordinate): h at that coordinate, 0.0 elsewhere
     steps = np.zeros(h.shape + (dim, dim))
@@ -1335,7 +1333,7 @@ def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, ctx: NormCon
     xc = centers[:, None, None, :]
     plus, minus = (xc + steps).reshape(-1, dim), (xc - steps).reshape(-1, dim)
     values = f(np.concatenate([plus, minus]))
-    num = norms(values[:len(plus)] - values[len(plus):], ctx.kind)
+    num = norms(values[:len(plus)] - values[len(plus):], kind)
     slope = num.reshape(h.shape + (dim,)) / (2.0 * h[:, :, None])
     slopes = np.where(slope > 0.0, slope, 0.0).max(axis=2)  # the running max over coordinates
     # only the ratio matters: a jump straddled by the center scales

@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .geometry import NormContext, ScaleLadder, derive_seed
+from .geometry import ScaleLadder, derive_seed
 from .mappings import (
     GraphPoint,
     catalog,
@@ -308,7 +308,6 @@ def _resolve(config: ExperimentConfig):
         F, entry = resolve_map_spec(config.map_spec, kind=config.norm)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    ctx = NormContext(kind=config.norm, dim_x=F.dim_x, dim_y=F.dim_y)
     if config.base_point is None:
         base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
     else:
@@ -317,7 +316,7 @@ def _resolve(config: ExperimentConfig):
             raise ConfigError(f"'base_point' must have dimensions {F.dim_x}->{F.dim_y} "
                               f"for map {F.name!r}; got {len(base.x)}->{len(base.y)}")
         dist = F.image_distance(base.x[None], base.y[None])[0]
-        if not dist <= graph_tolerance(base.y[None], ctx.kind)[0]:
+        if not dist <= graph_tolerance(base.y[None], F.kind)[0]:
             raise ConfigError(f"'base_point' ({base.x.tolist()}, {base.y.tolist()}) "
                               f"does not lie on the graph of {F.name!r}")
     hint = entry.ladder_hint
@@ -332,7 +331,7 @@ def _resolve(config: ExperimentConfig):
         ladder = ScaleLadder(seed=config.seed, **params)
     except ValueError as err:
         raise ConfigError(f"invalid ladder: {err}") from err
-    return F, entry, base, ctx, ladder
+    return F, entry, base, ladder
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -347,7 +346,7 @@ def run(config: ExperimentConfig) -> RunReport:
         report.timings = {"total_s": time.perf_counter() - t0}
         return report
 
-    F, entry, base, ctx, ladder = _resolve(config)
+    F, entry, base, ladder = _resolve(config)
     timings["resolve_s"] = time.perf_counter() - t0
     report = RunReport(config=config.canonical(), config_hash=config.digest(),
                        task=config.task, map_name=F.name)
@@ -359,17 +358,17 @@ def run(config: ExperimentConfig) -> RunReport:
 
     t1 = time.perf_counter()
     if config.task == "moduli":
-        ests = [estimate_clm(F, base, ladder, ctx), estimate_lip(F, base, ladder, ctx),
-                *estimate_rg_srg(F, base, ladder, ctx), estimate_ssrg(F, base, ladder, ctx)]
+        ests = [estimate_clm(F, base, ladder), estimate_lip(F, base, ladder),
+                *estimate_rg_srg(F, base, ladder), estimate_ssrg(F, base, ladder)]
         for est in ests:
             report.estimates.append(_est_row(est, known.get(est.name)))
     elif config.task in ("constants", "relations"):
-        consts = estimate_all_constants(F, base, ladder, ctx)
+        consts = estimate_all_constants(F, base, ladder)
         for name in sorted(consts):
             report.estimates.append(_est_row(consts[name], known.get(name)))
         if config.task == "relations":
             report.relations = check_relations(consts)
-            srg = estimate_srg(F, base, ladder, ctx)
+            srg = estimate_srg(F, base, ladder)
             report.estimates.append(_est_row(srg, known.get("srg")))
             alarm = subregularity_consistency(consts["srg1"], srg)
             if not alarm["ok"]:
@@ -377,16 +376,16 @@ def run(config: ExperimentConfig) -> RunReport:
             if not (report.relations["ok"] and alarm["ok"]):
                 report.status = "inconsistency"
     elif config.task == "semismooth":
-        ss = semismooth_star_test(F, base, ladder, ctx)
+        ss = semismooth_star_test(F, base, ladder)
         report.semismooth = {
             "verdict": ss.verdict, "note": ss.note,
             "worst_witness": ss.worst_witness,
             "per_scale": [[r, v, c] for r, v, c in ss.scales],
         }
     elif config.task == "build_perturbation":
-        _task_build(config, F, base, ctx, ladder, report)
+        _task_build(config, F, base, ladder, report)
     elif config.task == "verify_radius":
-        _PIPELINES[entry.id](config, F, base, ctx, ladder, report)
+        _PIPELINES[entry.id](config, F, base, ladder, report)
         if any(not c["passed"] for c in report.checks):
             report.status = "verification_fail"
     timings["task_s"] = time.perf_counter() - t1
@@ -402,15 +401,13 @@ def _builder_dict(rep) -> dict:
     return d
 
 
-def _task_build(config: ExperimentConfig, F, base, ctx, ladder, report: RunReport):
+def _task_build(config: ExperimentConfig, F, base, ladder, report: RunReport):
     kind, gamma = config.kind, config.gamma
     try:
         if kind == "ssr":
-            p = build_ssr_destabilizer(F, base, gamma, ladder, ctx,
-                                       direction_mode=config.direction_mode)
+            p = build_ssr_destabilizer(F, base, gamma, ladder, direction_mode=config.direction_mode)
         else:
-            w = extract_witness(F, base, kind, gamma, ladder, ctx,
-                                direction_mode=config.direction_mode)
+            w = extract_witness(F, base, kind, gamma, ladder, direction_mode=config.direction_mode)
             builder = {"lip": build_lip_perturbation, "fclm": build_fclm_perturbation,
                        "ss": build_ss_perturbation}[kind]
             p = builder(w, gamma)
@@ -418,7 +415,7 @@ def _task_build(config: ExperimentConfig, F, base, ctx, ladder, report: RunRepor
         report.builder = {"kind": kind, "gamma": gamma, "refused": str(err)}
         report.status = "verification_fail"
         return
-    rep = verify_builder(p, F, base, ladder, ctx)
+    rep = verify_builder(p, F, base, ladder)
     report.builder = _builder_dict(rep)
     report.builder["description"] = p.describe()
     if not rep.passed:
@@ -467,7 +464,7 @@ def _check(report: RunReport, inequality: str, passed: bool, slack: float, detai
 
 
 def _check_build(report: RunReport, inequality: str, slack: float, build, detail,
-                 F, base, ctx, ladder, keep: bool = False, refused: str = "refused",
+                 F, base, ladder, keep: bool = False, refused: str = "refused",
                  refused_slack: float | None = None):
     """Check that build() gives a perturbation that verify_builder passes.
 
@@ -475,7 +472,7 @@ def _check_build(report: RunReport, inequality: str, slack: float, build, detail
     WitnessError is a failed check whose detail starts with refused.
     """
     try:
-        rep = verify_builder(build(), F, base, ladder, ctx)
+        rep = verify_builder(build(), F, base, ladder)
         _check(report, inequality, rep.passed, slack, detail(rep))
         if keep:
             report.builder = _builder_dict(rep)
@@ -494,37 +491,37 @@ def _check_refusal(report: RunReport, inequality: str, slack: float, attempt, ma
         _check(report, inequality, False, slack, "a witness below gamma was found")
 
 
-def _pipeline_identity(config, F, base, ctx, ladder, report: RunReport):
-    srg = estimate_srg(F, base, ladder, ctx)
+def _pipeline_identity(config, F, base, ladder, report: RunReport):
+    srg = estimate_srg(F, base, ladder)
     report.estimates.append(_est_row(srg, {"value": 1.0, "provenance": "closed form"}))
     slack = abs(srg.reported - 1.0)
     _check(report, "strong subregularity radius = ssrg = srg (equality, estimate side)",
            slack <= 0.02, slack, f"estimated srg {srg.reported:.4f} against the exact 1")
 
     _check_build(report, "radius upper bound: calm destabilizer exists for gamma = 1.1 > ssrg",
-                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder, ctx),
+                 1.1 - 1.0, lambda: build_ssr_destabilizer(F, base, 1.1, ladder),
                  lambda rep: (f"clm estimate {rep.modulus_estimate:.4f} < 1.1; "
                               f"perturbed ssrg per-scale min "
                               f"{min(v for _, v in rep.destabilization):.1e}"),
-                 F, base, ctx, ladder, keep=True, refused="build refused", refused_slack=0.1)
+                 F, base, ladder, keep=True, refused="build refused", refused_slack=0.1)
 
     _check_refusal(report, "radius lower bound: no destabilizer below gamma = 0.9 < ssrg",
-                   1.0 - 0.9, lambda: build_ssr_destabilizer(F, base, 0.9, ladder, ctx),
+                   1.0 - 0.9, lambda: build_ssr_destabilizer(F, base, 0.9, ladder),
                    "no destabilizer below gamma")
 
     worst = math.inf
     for i in range(5):
         fe, fg, a, b = random_calm_perturbation(derive_seed(config.seed, 173, i))
         G = sum_with_function(F, make_function_graph(fe, grad=fg), name="identity+calm")
-        est = estimate_ssrg(G, base, ladder, ctx)
+        est = estimate_ssrg(G, base, ladder)
         worst = min(worst, est.reported)
     _check(report, "stability side: clm f < ssrg keeps the perturbed ssrg positive",
            worst >= 0.05, worst - 0.05,
            f"5 seeded calm perturbations with |a|+|b| <= 0.85; min perturbed ssrg {worst:.4f}")
 
 
-def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
-    consts = estimate_all_constants(F, base, ladder, ctx)
+def _pipeline_xsin(config, F, base, ladder, report: RunReport):
+    consts = estimate_all_constants(F, base, ladder)
     for name in ("srg2", "srg2p", "srg4", "srg4p"):
         report.estimates.append(_est_row(consts[name]))
     slack = abs(consts["srg4p"].reported - 1.0)
@@ -538,17 +535,17 @@ def _pipeline_xsin(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "fclm destabilizer with modulus gamma = 0.1 builds and verifies", 0.1,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 0.1, ladder, ctx), 0.1),
-                 lambda rep: f"clm estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
+                     extract_witness(F, base, "fclm", 0.1, ladder), 0.1),
+                 lambda rep: f"clm estimate {rep.modulus_estimate:.2e}", F, base, ladder)
     _check_build(report, "fclm+ss* radius upper bound: destabilizer at gamma = 1.05 > srg4p", 0.05,
                  lambda: build_ss_perturbation(
-                     extract_witness(F, base, "ss", 1.05, ladder, ctx), 1.05),
+                     extract_witness(F, base, "ss", 1.05, ladder), 1.05),
                  lambda rep: f"case {rep.case} build, semismooth verdict {rep.semismooth_verdict}",
-                 F, base, ctx, ladder, keep=True)
+                 F, base, ladder, keep=True)
 
 
-def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
-    consts = estimate_all_constants(F, base, ladder, ctx)
+def _pipeline_interval(config, F, base, ladder, report: RunReport):
+    consts = estimate_all_constants(F, base, ladder)
     for name in ("srg2", "srg2p"):
         report.estimates.append(_est_row(consts[name]))
     slack = max(abs(consts["srg2"].reported - 1.0), abs(consts["srg2p"].reported - 1.0))
@@ -556,7 +553,7 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
            slack <= 0.02, slack,
            f"srg2 {consts['srg2'].reported:.4f}, srg2p {consts['srg2p'].reported:.4f}")
 
-    ssrg = estimate_ssrg(F, base, ladder, ctx)
+    ssrg = estimate_ssrg(F, base, ladder)
     report.estimates.append(_est_row(ssrg))
     _check(report, "strong subregularity fails: ssrg = 0 along x = 1/k",
            ssrg.reported <= 0.02 and len(ssrg.witnesses) > 0, ssrg.reported,
@@ -564,16 +561,16 @@ def _pipeline_interval(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "fclm radius upper bound: destabilizer at gamma = 1.2 > srg2p", 0.2,
                  lambda: build_fclm_perturbation(
-                     extract_witness(F, base, "fclm", 1.2, ladder, ctx), 1.2),
-                 lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ctx, ladder)
+                     extract_witness(F, base, "fclm", 1.2, ladder), 1.2),
+                 lambda rep: f"clm estimate {rep.modulus_estimate:.4f}", F, base, ladder)
 
     _check_refusal(report, "fclm radius lower bound: no witness below gamma = 0.8 < srg2p",
-                   1.0 - 0.8, lambda: extract_witness(F, base, "fclm", 0.8, ladder, ctx),
+                   1.0 - 0.8, lambda: extract_witness(F, base, "fclm", 0.8, ladder),
                    "no witness below gamma")
 
 
-def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
-    srg = estimate_srg(F, base, ladder, ctx)
+def _pipeline_zero(config, F, base, ladder, report: RunReport):
+    srg = estimate_srg(F, base, ladder)
     report.estimates.append(_est_row(srg))
     flagged = math.isinf(srg.reported) and "empty quotient set" in srg.note
     _check(report, "subregularity degenerates: srg = +inf on an empty quotient set",
@@ -581,8 +578,8 @@ def _pipeline_zero(config, F, base, ctx, ladder, report: RunReport):
 
     _check_build(report, "lip radius equals 0: destabilizer builds at gamma = 0.01", 0.01,
                  lambda: build_lip_perturbation(
-                     extract_witness(F, base, "lip", 0.01, ladder, ctx), 0.01),
-                 lambda rep: f"lip estimate {rep.modulus_estimate:.2e}", F, base, ctx, ladder)
+                     extract_witness(F, base, "lip", 0.01, ladder), 0.01),
+                 lambda rep: f"lip estimate {rep.modulus_estimate:.2e}", F, base, ladder)
 
 
 # the radius checks of each catalog map with known reference values; every

@@ -3,7 +3,7 @@
 Elements are pairs: a graph point (x, y) together with a dual pair
 (x*, y*) such that (x*, -y*) is an eps-normal to the graph at (x, y).
 The map's normal oracle produces elements with eps = 0. All dual norms
-are the product dual max norm of the ambient context.
+are the product dual max norm of the map's kind.
 
 The two tests have fixed settings: a semismooth_star_test pass needs a
 defect of at most 0.05, and positive_homogeneity_test a relative error of
@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    NormContext,
-    ScaleLadder,
-    dual_kind,
-    norms,
-    sample_annulus,
-)
+from .geometry import ScaleLadder, dual_kind, norms, sample_annulus
 from .mappings import GraphPoint, SetValuedMap, graph_rows
 
 __all__ = [
@@ -60,14 +54,14 @@ class SemismoothReport:
     note: str = ""
 
 
-def element_quotient(elem: CoderivElement, base: GraphPoint, ctx: NormContext) -> float:
+def element_quotient(elem: CoderivElement, base: GraphPoint, kind: str) -> float:
     """The semismoothness defect of an element relative to a base point:
     the one-row call of defect_quotients."""
     X_star, Y_star = elem.x_star[None], elem.y_star[None]
     DU, DV = (elem.x - base.x)[None], (elem.y - base.y)[None]
-    dual = dual_kind(ctx.kind)
+    dual = dual_kind(kind)
     return float(defect_quotients(X_star, Y_star, DU, DV, norms(X_star, dual), norms(Y_star, dual),
-                                  norms(DU, ctx.kind) + norms(DV, ctx.kind))[0])
+                                  norms(DU, kind) + norms(DV, kind))[0])
 
 
 def _running_max(v: np.ndarray, start: float) -> float:
@@ -119,8 +113,8 @@ def elements_at_point(F: SetValuedMap, gp: GraphPoint) -> list[CoderivElement]:
     return [CoderivElement(gp.x, gp.y, ys, xs) for xs, ys in zip(X_star, Y_star)]
 
 
-def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
-                         ctx: NormContext) -> SemismoothReport:
+def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder
+                         ) -> SemismoothReport:
     """Decide graphical semismoothness at the base point by scale decay.
 
     Pools exact elements (eps = 0) at the graph points of every annulus, from
@@ -137,11 +131,11 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder,
     owner, EX_star, EY_star = (F.analytic_normals(X, Y) if F.analytic_normals is not None
                                else (np.zeros(0, dtype=int), X[:0], Y[:0]))
     # the product norm ||x - xb|| + ||y - yb||, once per point
-    dists = (norms(X - base.x, ctx.kind) + norms(Y - base.y, ctx.kind))[owner]
+    dists = (norms(X - base.x, F.kind) + norms(Y - base.y, F.kind))[owner]
     on = dists != 0.0
     EX, EY, dists = X[owner[on]], Y[owner[on]], dists[on]
     EX_star, EY_star = EX_star[on], EY_star[on]
-    dual = dual_kind(ctx.kind)
+    dual = dual_kind(F.kind)
     quots = defect_quotients(EX_star, EY_star, EX - base.x, EY - base.y,
                              norms(EX_star, dual), norms(EY_star, dual), dists)
     report = SemismoothReport()

@@ -2,16 +2,15 @@
 
 import numpy as np
 
-from subreglab.geometry import NormContext, ScaleLadder
+from subreglab.geometry import ScaleLadder
 from subreglab.mappings import GraphPoint, resolve_map_spec
 
 
 def setup_map(mid: str, kind: str = "l1"):
-    """Catalog id -> (map, base graph point at the origin, norm context)."""
+    """Catalog id -> (map in the kind's norm, base graph point at the origin)."""
     F, _ = resolve_map_spec({"id": mid}, kind=kind)
     base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    ctx = NormContext(kind=kind, dim_x=F.dim_x, dim_y=F.dim_y)
-    return F, base, ctx
+    return F, base
 
 
 def ladder12(seed: int = 7) -> ScaleLadder:

@@ -61,11 +61,10 @@ def _bump_radii(w, tag, gamma_dp):
 
 
 def _bump(seq, rho):
-    ctx = seq.context()
     base = seq.base
     es = seq.entries
     xs = [e.x for e in es]
-    vs = [norming_vector(e.y_star, ctx.kind) for e in es]
+    vs = [norming_vector(e.y_star, seq.norm_kind) for e in es]
     ps = [1.0 + 1.0 / e.index for e in es]
     dim_y, dim_x = es[0].y.size, es[0].x.size
     ds_asc = [_l2(x - base.x) for x in xs][::-1]
@@ -138,13 +137,13 @@ def _cap_slope_term(jac, pay, dx, alpha, m, tau, w_dir, u_star):
     return jac
 
 
-def _cone_shell(e, base, ctx, u_star, w_dir, with_dual):
+def _cone_shell(e, base, kind, u_star, w_dir, with_dual):
     a = float(u_star @ (e.x - base.x))
     dy = e.y - base.y
     if with_dual:
         xh = e.x_star - float(e.x_star @ w_dir) * u_star
         c = float(xh @ (e.x - base.x))
-        v = norming_vector(e.y_star, ctx.kind)
+        v = norming_vector(e.y_star, kind)
     else:
         xh = np.zeros_like(e.x_star)
         c = 0.0
@@ -153,7 +152,6 @@ def _cone_shell(e, base, ctx, u_star, w_dir, with_dual):
 
 
 def _cone_case1(seq, gamma, with_dual):
-    ctx = seq.context()
     base = seq.base
     gamma_dp = 0.5 * (gamma + seq.gamma_prime)
     reps = {}
@@ -170,10 +168,10 @@ def _cone_case1(seq, gamma, with_dual):
                     max(e.xn for e in entries), with_dual)
     cones = []
     for e in entries:
-        u_star = norming_functional(e.x - base.x, ctx.kind)
+        u_star = norming_functional(e.x - base.x, seq.norm_kind)
         a = float(u_star @ (e.x - base.x))
         w_dir = (e.x - base.x) / a
-        shell = _cone_shell(e, base, ctx, u_star, w_dir, with_dual)
+        shell = _cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual)
         shell["u_star"], shell["w"] = u_star, w_dir
         cones.append(shell)
     dim_y, dim_x = entries[0].y.size, entries[0].x.size
@@ -219,15 +217,14 @@ def _cone_case1(seq, gamma, with_dual):
 
 
 def _cone_case2(seq, gamma, with_dual):
-    ctx = seq.context()
     base = seq.base
     gamma_dp = 0.5 * (gamma + seq.gamma_prime)
     es = seq.entries
     fin = es[-1]
-    u_star = norming_functional(fin.x - base.x, ctx.kind)
+    u_star = norming_functional(fin.x - base.x, seq.norm_kind)
     w_dir = (fin.x - base.x) / float(u_star @ (fin.x - base.x))
     tau = _cone_tau(0.45, seq, gamma_dp, max(e.xn for e in es), with_dual)
-    shells = sorted((_cone_shell(e, base, ctx, u_star, w_dir, with_dual) for e in es),
+    shells = sorted((_cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual) for e in es),
                     key=lambda s: -s["a"])
     bs = [s["a"] for s in shells]
     floor = bs[-1] * math.exp(-(len(bs) + 1.0))
@@ -333,7 +330,6 @@ def annulus_candidates(recs, obj, keep, j, base):
 def validate_witness(seq):
     """perturb.validate_witness as it was written entry by entry, with one
     norm, dual norm and element quotient per entry and per pair."""
-    ctx = seq.context()
     out = []
     es = seq.entries
     for a, b in zip(es, es[1:]):
@@ -356,7 +352,7 @@ def validate_witness(seq):
                     out.append("distinct-direction mode with clustered directions")
     worst = 0.0
     for e in es:
-        if abs(dual_norm(e.y_star, ctx.kind) - 1.0) > 1e-9:
+        if abs(dual_norm(e.y_star, seq.norm_kind) - 1.0) > 1e-9:
             out.append("y* not on the dual unit sphere")
         obj = _objective(seq.kind, e.ratio, e.xn)
         worst = max(worst, obj)
@@ -364,13 +360,13 @@ def validate_witness(seq):
             out.append(f"entry objective {obj:g} exceeds gamma_prime {seq.gamma_prime:g}")
         if seq.kind == "ss" and e.q > min(0.5, 16.0 * e.t) * (1.0 + 1e-12):
             out.append("ss entry defect exceeds its scale bound")
-        t = norm(e.x - seq.base.x, ctx.kind)
+        t = norm(e.x - seq.base.x, seq.norm_kind)
         actual = {"t": t,
-                  "ratio": norm(e.y - seq.base.y, ctx.kind) / t if t > 0.0 else math.inf,
-                  "xn": dual_norm(e.x_star, ctx.kind)}
+                  "ratio": norm(e.y - seq.base.y, seq.norm_kind) / t if t > 0.0 else math.inf,
+                  "xn": dual_norm(e.x_star, seq.norm_kind)}
         if seq.kind == "ss":
             actual["q"] = element_quotient(CoderivElement(e.x, e.y, e.y_star, e.x_star),
-                                           seq.base, ctx)
+                                           seq.base, seq.norm_kind)
         out += [f"entry {e.index} stores {name} {getattr(e, name):g} below the {v:g} "
                 f"its points give" for name, v in actual.items()
                 if not v <= getattr(e, name) * (1.0 + 1e-12)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder12, setup_map
-from subreglab.geometry import NormContext, ScaleLadder, derive_seed
+from subreglab.geometry import derive_seed
 from subreglab.mappings import GraphPoint, catalog, make_function_graph, sum_with_function
 from subreglab.moduli import (
     check_relations,
@@ -101,61 +101,61 @@ def _verify_snapshot(rep) -> dict:
 
 
 def _compute_identity() -> dict:
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     lad = ladder12(SEED)
     out = {}
-    out["rg"] = _est_snapshot(estimate_rg(F, base, lad, ctx))
-    out["srg"] = _est_snapshot(estimate_srg(F, base, lad, ctx))
-    out["ssrg"] = _est_snapshot(estimate_ssrg(F, base, lad, ctx))
-    consts = estimate_all_constants(F, base, lad, ctx)
+    out["rg"] = _est_snapshot(estimate_rg(F, base, lad))
+    out["srg"] = _est_snapshot(estimate_srg(F, base, lad))
+    out["ssrg"] = _est_snapshot(estimate_ssrg(F, base, lad))
+    consts = estimate_all_constants(F, base, lad)
     for name in ("srg1", "srg2", "srg4", "srg1p"):
         out[name] = _est_snapshot(consts[name])
     return out
 
 
 def _compute_zero() -> dict:
-    F, base, ctx = setup_map("zero")
+    F, base = setup_map("zero")
     lad = ladder12(SEED)
-    out = {"srg": _est_snapshot(estimate_srg(F, base, lad, ctx))}
-    consts = estimate_all_constants(F, base, lad, ctx)
+    out = {"srg": _est_snapshot(estimate_srg(F, base, lad))}
+    consts = estimate_all_constants(F, base, lad)
     for name in ("srg1", "srg1p", "srg2"):
         out[name] = _est_snapshot(consts[name])
     builds = {}
     for gamma in (0.01, 0.02, 0.1, 0.5, 1.0, 5.0):
-        w = extract_witness(F, base, "lip", gamma, lad, ctx)
+        w = extract_witness(F, base, "lip", gamma, lad)
         p = build_lip_perturbation(w, gamma)
-        builds[str(gamma)] = _verify_snapshot(verify_builder(p, F, base, lad, ctx))
+        builds[str(gamma)] = _verify_snapshot(verify_builder(p, F, base, lad))
     out["lip_builds"] = builds
     return out
 
 
 def _compute_xsin() -> dict:
-    F, base, ctx = setup_map("xsin")
+    F, base = setup_map("xsin")
     lad = ladder12(SEED)
-    consts = estimate_all_constants(F, base, lad, ctx)
+    consts = estimate_all_constants(F, base, lad)
     out = {name: _est_snapshot(consts[name]) for name in ("srg2", "srg4", "srg4p")}
-    w = extract_witness(F, base, "fclm", 0.1, lad, ctx)
+    w = extract_witness(F, base, "fclm", 0.1, lad)
     p = build_fclm_perturbation(w, 0.1)
-    out["fclm_build"] = _verify_snapshot(verify_builder(p, F, base, lad, ctx))
+    out["fclm_build"] = _verify_snapshot(verify_builder(p, F, base, lad))
     return out
 
 
 def _compute_interval() -> dict:
-    F, base, ctx = setup_map("interval")
+    F, base = setup_map("interval")
     lad = ladder12(SEED)
-    consts = estimate_all_constants(F, base, lad, ctx)
+    consts = estimate_all_constants(F, base, lad)
     return {
         "srg2": _est_snapshot(consts["srg2"]),
-        "ssrg": _est_snapshot(estimate_ssrg(F, base, lad, ctx)),
+        "ssrg": _est_snapshot(estimate_ssrg(F, base, lad)),
     }
 
 
 def _compute_relations() -> dict:
     out = {}
     for mid in sorted(catalog()):
-        F, base, ctx = setup_map(mid)
+        F, base = setup_map(mid)
         lad = ladder12(SEED)
-        consts = estimate_all_constants(F, base, lad, ctx)
+        consts = estimate_all_constants(F, base, lad)
         out[mid] = check_relations(consts)
     return out
 
@@ -166,33 +166,33 @@ _BUILDER_SUITE = [("square", 0.5), ("xsin", 1.5), ("zero", 0.01), ("identity", 2
 def _compute_builder_suite() -> dict:
     out = {}
     for mid, gamma in _BUILDER_SUITE:
-        F, base, ctx = setup_map(mid)
+        F, base = setup_map(mid)
         lad = ladder12(SEED)
-        w = extract_witness(F, base, "lip", gamma, lad, ctx)
+        w = extract_witness(F, base, "lip", gamma, lad)
         p = build_lip_perturbation(w, gamma)
-        out[mid] = _verify_snapshot(verify_builder(p, F, base, lad, ctx))
+        out[mid] = _verify_snapshot(verify_builder(p, F, base, lad))
     # the one case-1 construction in the catalog: a homogeneous cone
-    F, base, ctx = setup_map("spiral")
+    F, base = setup_map("spiral")
     lad = ladder12(SEED)
-    w = extract_witness(F, base, "ss", 0.5, lad, ctx)
+    w = extract_witness(F, base, "ss", 0.5, lad)
     p = build_ss_perturbation(w, 0.5)
-    ok, err = positive_homogeneity_test(p.eval, base.x, ctx.kind)
+    ok, err = positive_homogeneity_test(p.eval, base.x, F.kind)
     out["case1"] = {"map": "spiral", "case": p.case,
                     "homogeneous": ok, "rel_err": err}
     return out
 
 
 def _compute_ssr() -> dict:
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     lad = ladder12(SEED)
     out = {"builds": {}, "refusals": {}, "calm": []}
     for gamma in (1.05, 1.2):
-        p = build_ssr_destabilizer(F, base, gamma, lad, ctx)
-        snap = _verify_snapshot(verify_builder(p, F, base, lad, ctx))
+        p = build_ssr_destabilizer(F, base, gamma, lad)
+        snap = _verify_snapshot(verify_builder(p, F, base, lad))
         out["builds"][str(gamma)] = snap
     for gamma in (0.5, 0.9):
         try:
-            build_ssr_destabilizer(F, base, gamma, lad, ctx)
+            build_ssr_destabilizer(F, base, gamma, lad)
             out["refusals"][str(gamma)] = "BUILT"
         except WitnessError as err:
             out["refusals"][str(gamma)] = str(err)
@@ -203,9 +203,9 @@ def _compute_ssr() -> dict:
         fe, fg, a, b = random_calm_perturbation(derive_seed(SEED, 173, i))
         fgraph = make_function_graph(fe, grad=fg, dim_x=1, dim_y=1,
                                      kind="l1", name="calm")
-        clm = estimate_clm(fgraph, fbase, lad, ctx).reported
+        clm = estimate_clm(fgraph, fbase, lad).reported
         G = sum_with_function(F, fgraph, name="identity+calm")
-        ssrg = estimate_ssrg(G, base, lad, ctx).reported
+        ssrg = estimate_ssrg(G, base, lad).reported
         out["calm"].append({"i": i, "a": a, "b": b, "clm": clm, "ssrg": ssrg})
     return out
 
@@ -237,24 +237,23 @@ def _compute_semismooth() -> dict:
     out = {"oracle_floors": _oscillating_oracle_floors(), "verdicts": {}}
     lad = ladder12(SEED)
     for mid in ("compl_angle", "abs", "square"):
-        F, base, ctx = setup_map(mid)
-        rep = semismooth_star_test(F, base, lad, ctx)
+        F, base = setup_map(mid)
+        rep = semismooth_star_test(F, base, lad)
         out["verdicts"][mid] = {"verdict": rep.verdict, "scales": rep.scales,
                                 "worst_witness": rep.worst_witness}
     # every case-1 built perturbation joins the pass side
-    F, base, ctx = setup_map("spiral")
-    w = extract_witness(F, base, "ss", 0.5, lad, ctx)
+    F, base = setup_map("spiral")
+    w = extract_witness(F, base, "ss", 0.5, lad)
     p = build_ss_perturbation(w, 0.5)
     dim_x, dim_y = w.entries[0].x.size, w.entries[0].y.size
     fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=dim_x, dim_y=dim_y,
                                  kind="l1", name="cone")
     fbase = GraphPoint(base.x, np.zeros(dim_y))
-    ctx1 = NormContext(kind="l1", dim_x=dim_x, dim_y=dim_y)
-    rep = semismooth_star_test(fgraph, fbase, lad, ctx1)
+    rep = semismooth_star_test(fgraph, fbase, lad)
     out["verdicts"]["case1_cone"] = {"verdict": rep.verdict, "case": p.case,
                                      "scales": rep.scales, "worst_witness": rep.worst_witness}
-    F, base, ctx = setup_map("oscillating")
-    rep = semismooth_star_test(F, base, lad, ctx)
+    F, base = setup_map("oscillating")
+    rep = semismooth_star_test(F, base, lad)
     out["verdicts"]["oscillating"] = {"verdict": rep.verdict, "scales": rep.scales,
                                       "worst_witness": rep.worst_witness}
     return out

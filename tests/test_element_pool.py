@@ -11,7 +11,7 @@ import subreglab.moduli as moduli
 import subreglab.perturb as perturb
 import subreglab.radius_cli as cli
 from conftest import setup_map
-from subreglab.geometry import NormContext, ScaleLadder, dual_norm, norm
+from subreglab.geometry import ScaleLadder, dual_norm, norm
 from subreglab.mappings import GraphPoint, catalog, graph_annuli
 from subreglab.moduli import build_element_pool
 from subreglab.perturb import WitnessError, extract_witness
@@ -32,11 +32,11 @@ def _record_dump(records):
 def test_pool_views_equal_fresh_pools_at_every_depth(mid, kind):
     """One map's memo, read at growing and shrinking depths, gives the
     records of a fresh map each time."""
-    F, base, ctx = setup_map(mid, kind)
+    F, base = setup_map(mid, kind)
     for depth in (12, 20, 28, 20):
         lad = ScaleLadder(depth=depth, samples_per_scale=64, seed=7)
-        got, got_id = build_element_pool(F, base, lad, ctx)
-        want, want_id = build_element_pool(setup_map(mid, kind)[0], base, lad, ctx)
+        got, got_id = build_element_pool(F, base, lad)
+        want, want_id = build_element_pool(setup_map(mid, kind)[0], base, lad)
         assert got_id == want_id
         assert len(got) == depth
         assert _record_dump(got) == _record_dump(want)
@@ -48,9 +48,9 @@ def _witness_dump(seq):
             _hexes(e.x_star), _hexes(e.y_star), _hexes(e.u)) for e in seq.entries]
 
 
-def _extraction(F, base, ctx, kind, gamma):
+def _extraction(F, base, kind, gamma):
     try:
-        return _witness_dump(extract_witness(F, base, kind, gamma, _LADDER, ctx))
+        return _witness_dump(extract_witness(F, base, kind, gamma, _LADDER))
     except WitnessError as err:
         return str(err)
 
@@ -63,11 +63,11 @@ def _extraction(F, base, ctx, kind, gamma):
 def test_a_shared_pool_gives_the_witnesses_of_fresh_pools(mid, calls):
     """Extractions in pipeline order on one map match one fresh map each,
     down to the text of the refusals."""
-    F, base, ctx = setup_map(mid)
-    moduli.estimate_all_constants(F, base, _LADDER, ctx)
+    F, base = setup_map(mid)
+    moduli.estimate_all_constants(F, base, _LADDER)
     for kind, gamma, refused in calls:
-        shared = _extraction(F, base, ctx, kind, gamma)
-        assert shared == _extraction(setup_map(mid)[0], base, ctx, kind, gamma)
+        shared = _extraction(F, base, kind, gamma)
+        assert shared == _extraction(setup_map(mid)[0], base, kind, gamma)
         assert isinstance(shared, str) == refused
 
 
@@ -76,7 +76,7 @@ def test_a_shared_pool_gives_the_witnesses_of_fresh_pools(mid, calls):
 def test_deepening_appends_the_candidates_of_the_new_annuli(monkeypatch, mid, kind, gamma):
     """The selection after a deepening sees what one collection over the
     whole deepened ladder gives, in the same order."""
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     ladders, offered = [], []
     collect, select = perturb._collect_candidates, perturb._try_select
 
@@ -90,9 +90,9 @@ def test_deepening_appends_the_candidates_of_the_new_annuli(monkeypatch, mid, ki
 
     monkeypatch.setattr(perturb, "_collect_candidates", collect_logged)
     monkeypatch.setattr(perturb, "_try_select", select_logged)
-    extract_witness(F, base, kind, gamma, _LADDER, ctx)
+    extract_witness(F, base, kind, gamma, _LADDER)
     assert ladders[-1].depth == 20  # one deepening
-    whole = collect(setup_map(mid)[0], base, kind, gamma, ladders[-1], ctx)
+    whole = collect(setup_map(mid)[0], base, kind, gamma, ladders[-1])
     assert len(offered[-1]) == len(whole)
     for a, b in zip(offered[-1], whole):
         assert a.keys() == b.keys()
@@ -100,14 +100,14 @@ def test_deepening_appends_the_candidates_of_the_new_annuli(monkeypatch, mid, ki
 
 
 def test_extras_follow_the_shared_records_and_are_not_memoized():
-    F, base, ctx = setup_map("xsin")
-    plain, plain_id = build_element_pool(F, base, _LADDER, ctx)
+    F, base = setup_map("xsin")
+    plain, plain_id = build_element_pool(F, base, _LADDER)
     # y*-scaled copies of elements of every other annulus, moved to the x of
     # the next record so that they are not sampled elements
     extras = [CoderivElement(recs.x[1], recs.y[0], 2.0 * recs.y_star[0], 2.0 * recs.x_star[0])
               for recs in plain[::2] if len(recs) > 1]
     assert len(extras) >= 3
-    with_extras, extras_id = build_element_pool(F, base, _LADDER, ctx, extra_elements=extras)
+    with_extras, extras_id = build_element_pool(F, base, _LADDER, extra_elements=extras)
     assert extras_id == plain_id
     added = []  # the records after the shared ones, annulus by annulus
     for (inner, outer), recs, more in zip(_LADDER.annuli(), plain, with_extras):
@@ -120,30 +120,30 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
         unit = CoderivElement(e.x, e.y, 0.5 * e.y_star, 0.5 * e.x_star)
         assert rec["y_star"] == _hexes(unit.y_star)
         assert rec["t"] + rec["xn"] + rec["q"] == _hexes(
-            [norm(e.x - base.x, ctx.kind), dual_norm(unit.x_star, ctx.kind),
-             element_quotient(unit, base, ctx)])
+            [norm(e.x - base.x, F.kind), dual_norm(unit.x_star, F.kind),
+             element_quotient(unit, base, F.kind)])
     # nothing of the extras stays in the memo: a deeper ladder reads the
     # records the plain pool read
-    again, _ = build_element_pool(F, base, _LADDER.deepen(4), ctx)
+    again, _ = build_element_pool(F, base, _LADDER.deepen(4))
     assert all(a is b for a, b in zip(again, plain))
-    fresh, _ = build_element_pool(setup_map("xsin")[0], base, _LADDER.deepen(4), ctx)
+    fresh, _ = build_element_pool(setup_map("xsin")[0], base, _LADDER.deepen(4))
     assert _record_dump(again) == _record_dump(fresh)
 
 
 def test_the_memo_keeps_base_points_and_norms_apart():
-    """One map read at two base points under two norms, interleaved, gives
-    a fresh map's records for each pair, and keeps one memo entry for each."""
-    F, _, _ = setup_map("square")
+    """Two maps, one per norm, each read at two base points, interleaved,
+    give a fresh map's records for each pair, and keep one memo entry per
+    base point: a map has one norm, so its memo needs no norm in its key."""
+    maps = {kind: setup_map("square", kind)[0] for kind in ("l1", "l2")}
     bases = [GraphPoint([0.0], [0.0]), GraphPoint([0.5], [0.25])]
-    ctxs = [NormContext(kind=kind) for kind in ("l1", "l2")]
     for _ in range(2):
         for base in bases:
-            for ctx in ctxs:
-                got, got_id = build_element_pool(F, base, _LADDER, ctx)
-                want, want_id = build_element_pool(setup_map("square")[0], base, _LADDER, ctx)
+            for kind, F in maps.items():
+                got, got_id = build_element_pool(F, base, _LADDER)
+                want, want_id = build_element_pool(setup_map("square", kind)[0], base, _LADDER)
                 assert got_id == want_id
                 assert _record_dump(got) == _record_dump(want)
-    assert len(F.memo) == 4
+    assert [len(F.memo) for F in maps.values()] == [2, 2]
 
 
 def test_runs_share_nothing(monkeypatch):
@@ -169,26 +169,26 @@ def test_runs_share_nothing(monkeypatch):
 # the per-element loop that built each annulus's records before they were
 # columns: the reference for the columnar build, computed with one geometry
 # call per point and per element
-def _reference_records(groups, inner, outer, base, ctx):
+def _reference_records(groups, inner, outer, base, kind):
     """(t, ratio, xn, q, eps, x, y, x*, y*) per element, from (x, y, [(x*, y*,
     eps), ...]) groups in group order."""
     recs = []
     for x, y, elems in groups:
         du = x - base.x
-        t = norm(du, ctx.kind)
+        t = norm(du, kind)
         if t == 0.0 or not (inner < t <= outer * (1 + 1e-12)):
             continue
         dv = y - base.y
-        yn = norm(dv, ctx.kind)
+        yn = norm(dv, kind)
         ratio, dist = yn / t, t + yn
         for x_star, y_star, eps in elems:
-            ysn = dual_norm(y_star, ctx.kind)
+            ysn = dual_norm(y_star, kind)
             if ysn == 0.0:
                 continue
             if abs(ysn - 1.0) > 1e-12:
                 y_star, x_star = y_star / ysn, x_star / ysn
-                ysn = dual_norm(y_star, ctx.kind)
-            xn = dual_norm(x_star, ctx.kind)
+                ysn = dual_norm(y_star, kind)
+            xn = dual_norm(x_star, kind)
             den = max(xn, ysn)
             if dist == 0.0:
                 q = 0.0
@@ -212,15 +212,15 @@ def _fields(annulus):
     return {name: [_hexes(v) for v in getattr(annulus, name)] for name in _FIELDS}
 
 
-def _reference_pool(F, base, ladder, ctx, extras=()):
+def _reference_pool(F, base, ladder, extras=()):
     pool = []
     for j, inner, outer, X, Y in graph_annuli(F, base, ladder, 61):
         pts = [GraphPoint(x, y) for x, y in zip(X, Y)]
         groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
                   for gp in pts]
         groups += [(e.x, e.y, [(e.x_star, e.y_star, e.eps)]) for e in extras
-                   if inner < norm(e.x - base.x, ctx.kind) <= outer]
-        pool.append(_reference_records(groups, inner, outer, base, ctx))
+                   if inner < norm(e.x - base.x, F.kind) <= outer]
+        pool.append(_reference_records(groups, inner, outer, base, F.kind))
     return pool
 
 
@@ -240,19 +240,19 @@ _REF_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
 def test_pool_records_are_the_per_element_loop(mid, kind):
     """Every catalog map (each has a normal oracle) in every norm, against
     the per-element loop, field by field and bit for bit."""
-    F, base, ctx = setup_map(mid, kind)
-    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx)
-    want = _reference_pool(setup_map(mid, kind)[0], base, _REF_LADDER, ctx)
+    F, base = setup_map(mid, kind)
+    pool, _ = build_element_pool(F, base, _REF_LADDER)
+    want = _reference_pool(setup_map(mid, kind)[0], base, _REF_LADDER)
     assert sum(map(len, want)) > 0
     _assert_pool_is_the_reference(pool, want)
 
 
 def test_pool_records_off_the_origin_are_the_per_element_loop():
-    F, _, _ = setup_map("square")
-    base, ctx = GraphPoint([0.5], [0.25]), NormContext(kind="l2")
-    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx)
-    _assert_pool_is_the_reference(pool, _reference_pool(setup_map("square")[0], base,
-                                                         _REF_LADDER, ctx))
+    F, _ = setup_map("square", "l2")
+    base = GraphPoint([0.5], [0.25])
+    pool, _ = build_element_pool(F, base, _REF_LADDER)
+    _assert_pool_is_the_reference(pool, _reference_pool(setup_map("square", "l2")[0], base,
+                                                         _REF_LADDER))
 
 
 def _extra(x, y, y_star, x_star, eps=0.0):
@@ -265,7 +265,7 @@ def test_extras_are_the_per_element_loop_through_every_branch():
     inf is rescaled to a NaN y* beside x* = 0, so the dual product norm is
     max(0.0, nan) = 0.0 and q = inf, which pins max's NaN rule (np.maximum
     would give nan and q = nan)."""
-    F, base, ctx = setup_map("xsin")
+    F, base = setup_map("xsin")
     r = [outer for _, outer in _REF_LADDER.annuli()]
     extras = [_extra([0.9 * r[0]], [0.1], [2.0], [3.0], eps=0.25),
               _extra([-0.9 * r[1]], [0.0], [0.0], [1.0]),
@@ -276,8 +276,8 @@ def test_extras_are_the_per_element_loop_through_every_branch():
               _extra([-r[5]], [0.5], [-0.5], [0.0]),
               _extra([0.0], [0.0], [1.0], [1.0])]  # at the base, in no annulus
     with np.errstate(invalid="ignore"):  # inf / inf
-        pool, _ = build_element_pool(F, base, _REF_LADDER, ctx, extra_elements=extras)
-        want = _reference_pool(setup_map("xsin")[0], base, _REF_LADDER, ctx, extras)
+        pool, _ = build_element_pool(F, base, _REF_LADDER, extra_elements=extras)
+        want = _reference_pool(setup_map("xsin")[0], base, _REF_LADDER, extras)
     extra_recs = [rec for recs in want for rec in recs if rec[5].tolist() in
                   [e.x.tolist() for e in extras]]
     assert len(extra_recs) == 6
@@ -287,18 +287,18 @@ def test_extras_are_the_per_element_loop_through_every_branch():
 
 
 def test_a_two_dimensional_pool_with_extras_is_the_per_element_loop():
-    F, base, ctx = setup_map("spiral", "linf")
+    F, base = setup_map("spiral", "linf")
     extras = [_extra([0.3, -0.1], [0.05, 0.2], [1.5, -0.5], [0.25, 2.0], eps=0.1),
               _extra([-0.02, 0.01], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])]
-    pool, _ = build_element_pool(F, base, _REF_LADDER, ctx, extra_elements=extras)
-    want = _reference_pool(setup_map("spiral", "linf")[0], base, _REF_LADDER, ctx, extras)
+    pool, _ = build_element_pool(F, base, _REF_LADDER, extra_elements=extras)
+    want = _reference_pool(setup_map("spiral", "linf")[0], base, _REF_LADDER, extras)
     _assert_pool_is_the_reference(pool, want)
 
 
 @pytest.mark.parametrize("mid,kind", [("xsin", "l1"), ("interval", "l1"), ("spiral", "l2"),
                                       ("square_plus_identity", "linf"), ("inverse_abs", "l2")])
 def test_the_pool_asks_the_normal_oracle_once_per_annulus(mid, kind):
-    F, base, ctx = setup_map(mid, kind)
+    F, base = setup_map(mid, kind)
     calls = []
     normals = F.analytic_normals
 
@@ -307,9 +307,9 @@ def test_the_pool_asks_the_normal_oracle_once_per_annulus(mid, kind):
         return normals(X, Y)
 
     G = dataclasses.replace(F, analytic_normals=counted)
-    build_element_pool(G, base, _LADDER, ctx)
+    build_element_pool(G, base, _LADDER)
     assert len(calls) == _LADDER.depth
-    build_element_pool(G, base, _LADDER.deepen(3), ctx, extra_elements=[
+    build_element_pool(G, base, _LADDER.deepen(3), extra_elements=[
         CoderivElement(np.full(F.dim_x, 0.1), np.zeros(F.dim_y), np.ones(F.dim_y),
                        np.ones(F.dim_x))])
     assert len(calls) == _LADDER.depth + 3  # the new annuli only; extras bring their pairs

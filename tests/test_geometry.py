@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subreglab.geometry import (
-    NormContext,
     ScaleLadder,
     derive_seed,
     dual_kind,
@@ -280,10 +279,3 @@ def test_scale_ladder_validation():
     with pytest.raises(ValueError, match="annulus 0"):
         ScaleLadder(r0=1e-323, theta=0.9)
     assert ScaleLadder(theta=1e-200, depth=2).annuli()[-1] == (0.0, 1e-200 * 0.5)
-
-
-def test_norm_context_dispatch():
-    with pytest.raises(ValueError):
-        NormContext(kind="l7")
-    with pytest.raises(ValueError):
-        NormContext(kind="l1", dim_x=0)

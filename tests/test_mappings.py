@@ -10,7 +10,6 @@ from conftest import setup_map
 import subreglab.mappings as mappings
 from subreglab.geometry import (
     NORM_KINDS,
-    NormContext,
     ScaleLadder,
     dual_norm,
     dual_sphere_grid,
@@ -26,6 +25,7 @@ from subreglab.mappings import (
     graph_annuli,
     inverse,
     make_function_graph,
+    make_interval_map,
     make_linear_map,
     make_square,
     preimage_distance_fallback,
@@ -56,6 +56,17 @@ def test_catalog_base_points_lie_on_the_graph(mid):
     assert _one(F.image_distance, np.zeros(F.dim_x), np.zeros(F.dim_y)) == 0.0
 
 
+def test_a_map_checks_its_norm_kind_and_dimensions():
+    """A map's kind measures every modulus of it, so a kind outside
+    NORM_KINDS or a space of no dimension is refused when it is built."""
+    with pytest.raises(ValueError, match="unknown norm kind 'l7'"):
+        make_interval_map(kind="l7")
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        make_linear_map([[]])
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        dataclasses.replace(make_square(), dim_x=0)
+
+
 def test_function_graph_evaluates_and_differentiates():
     F = make_function_graph(lambda X: X ** 2,
                             grad=lambda X: (np.arange(len(X)), 2.0 * X[:, :, None]),
@@ -70,9 +81,9 @@ def test_function_graph_evaluates_and_differentiates():
 
 
 def test_identity_and_scale_preimage_closed_forms():
-    F, _, _ = setup_map("identity")
+    F, _ = setup_map("identity")
     assert _preimage(F, [0.3], [0.1]) == pytest.approx(0.2, abs=1e-12)
-    S, _, _ = setup_map("scale")
+    S, _ = setup_map("scale")
     # fiber of y under x -> 2x is {y/2}
     assert _preimage(S, [0.3], [0.1]) == pytest.approx(0.25, abs=1e-12)
 
@@ -537,7 +548,7 @@ def test_batched_fallback_reads_nan_off_the_graph_of_a_2d_map_without_func():
 
 
 def test_xsin_fallback_resolves_the_reciprocal_fiber():
-    F, _, _ = setup_map("xsin")
+    F, _ = setup_map("xsin")
     xv = 1.5e-4
     exact = min(abs(xv - 1.0 / (k * math.pi)) for k in range(1, 100001))
     exact = min(exact, xv)  # 0 itself is in the fiber of 0
@@ -546,7 +557,7 @@ def test_xsin_fallback_resolves_the_reciprocal_fiber():
 
 
 def test_xsin_feature_points_are_structural():
-    F, _, _ = setup_map("xsin")
+    F, _ = setup_map("xsin")
     X, Y = F.feature_points(np.zeros(1), 0.01, 0.02)
     assert 0 < len(X) <= 24
     xv = np.abs(X[:, 0])
@@ -557,7 +568,7 @@ def test_xsin_feature_points_are_structural():
 
 
 def test_interval_map_semantics():
-    F, _, _ = setup_map("interval")
+    F, _ = setup_map("interval")
     # x = 1/4 carries the fiber [-x, x]
     assert _one(F.image_distance, [0.25], [0.2]) <= 1e-9
     assert _one(F.image_distance, [0.25], [-0.25]) <= 1e-9
@@ -570,7 +581,7 @@ def test_interval_map_semantics():
 
 
 def test_interval_map_preimage_prefers_the_nearest_fiber():
-    F, _, _ = setup_map("interval")
+    F, _ = setup_map("interval")
     # y = 0.15 is reached on the diagonal at x = 0.15 and inside every
     # interval fiber at x = 1/k with 1/k >= 0.15, so from x = 0.16 the
     # nearest preimage point is x = 1/6
@@ -622,7 +633,7 @@ def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
 
 
 def test_inverse_swaps_domain_and_range():
-    F, _, _ = setup_map("abs")
+    F, _ = setup_map("abs")
     inv = inverse(F)
     assert _one(inv.image_distance, [1.0], [-1.0]) <= 1e-9
     assert _one(inv.image_distance, [1.0], [1.0]) <= 1e-9
@@ -642,7 +653,7 @@ def test_resolve_map_spec_combinators_and_errors():
 
 
 def test_feature_points_respect_the_cap():
-    F, _, _ = setup_map("xsin")
+    F, _ = setup_map("xsin")
     X, Y = F.feature_points(np.zeros(1), 1e-4, 2e-4)
     assert len(X) == len(Y)
     assert len(X) <= 24
@@ -714,7 +725,7 @@ def test_empty_samples_are_rows_that_graph_annuli_concatenates():
     oscillating, are arrays of shape (0, 1), as are the anchors of an
     annulus that holds none; graph_annuli then yields the sample alone."""
     for mid in ("xsin", "oscillating", "interval"):
-        F, _, _ = setup_map(mid)
+        F, _ = setup_map(mid)
         cases = [(np.array([0.5]), 0.0625, 0.125)]
         if mid != "interval":
             cases.append((np.zeros(1), 0.0, 0.125))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import ladder12, setup_map
 import subreglab.moduli as moduli
-from subreglab.geometry import NormContext, ScaleLadder, derive_seed
+from subreglab.geometry import ScaleLadder, derive_seed
 from subreglab.mappings import (
     GraphPoint,
     catalog,
@@ -69,61 +69,61 @@ def test_estimate_convergence_rule():
 
 
 def test_identity_moduli_are_exactly_one():
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     lad = ladder12()
     for fn in (estimate_clm, estimate_lip, estimate_rg, estimate_srg, estimate_ssrg):
-        est = fn(F, base, lad, ctx)
+        est = fn(F, base, lad)
         assert est.reported == pytest.approx(1.0, abs=1e-9), fn.__name__
         assert est.converged
 
 
 def test_scale_map_moduli_are_exactly_two():
-    F, base, ctx = setup_map("scale")
+    F, base = setup_map("scale")
     lad = ladder12()
-    assert estimate_clm(F, base, lad, ctx).reported == pytest.approx(2.0, abs=1e-9)
-    assert estimate_lip(F, base, lad, ctx).reported == pytest.approx(2.0, abs=1e-9)
-    assert estimate_srg(F, base, lad, ctx).reported == pytest.approx(2.0, abs=1e-9)
+    assert estimate_clm(F, base, lad).reported == pytest.approx(2.0, abs=1e-9)
+    assert estimate_lip(F, base, lad).reported == pytest.approx(2.0, abs=1e-9)
+    assert estimate_srg(F, base, lad).reported == pytest.approx(2.0, abs=1e-9)
 
 
 def test_abs_map_moduli():
-    F, base, ctx = setup_map("abs")
+    F, base = setup_map("abs")
     lad = ladder12()
-    assert estimate_clm(F, base, lad, ctx).reported == pytest.approx(1.0, abs=1e-9)
-    assert estimate_srg(F, base, lad, ctx).reported == pytest.approx(1.0, abs=1e-9)
-    assert estimate_ssrg(F, base, lad, ctx).reported == pytest.approx(1.0, abs=1e-9)
+    assert estimate_clm(F, base, lad).reported == pytest.approx(1.0, abs=1e-9)
+    assert estimate_srg(F, base, lad).reported == pytest.approx(1.0, abs=1e-9)
+    assert estimate_ssrg(F, base, lad).reported == pytest.approx(1.0, abs=1e-9)
 
 
 def test_square_map_clm_decays_with_the_ladder():
     # the calm quotient |x^2|/|x| equals |x|, so the reported value sits at
     # the finest sampled radius rather than at a fixed constant
-    F, base, ctx = setup_map("square")
+    F, base = setup_map("square")
     lad = ladder12()
-    est = estimate_clm(F, base, lad, ctx)
+    est = estimate_clm(F, base, lad)
     assert est.reported <= 2.0 * lad.radius(lad.depth - 1)
     assert est.trend == "decreasing"
 
 
 def test_zero_map_moduli():
-    F, base, ctx = setup_map("zero")
+    F, base = setup_map("zero")
     lad = ladder12()
-    srg = estimate_srg(F, base, lad, ctx)
+    srg = estimate_srg(F, base, lad)
     assert math.isinf(srg.reported)
     assert "empty quotient set" in srg.note
-    assert estimate_clm(F, base, lad, ctx).reported == 0.0
-    assert estimate_lip(F, base, lad, ctx).reported == 0.0
-    assert estimate_ssrg(F, base, lad, ctx).reported == 0.0
+    assert estimate_clm(F, base, lad).reported == 0.0
+    assert estimate_lip(F, base, lad).reported == 0.0
+    assert estimate_ssrg(F, base, lad).reported == 0.0
 
 
 @pytest.mark.parametrize("mid", ["abs", "square"])
 def test_a_tiny_negative_value_has_no_preimage(mid):
     # y < 0 has no real root however small |y| is; -0.0 has the root 0
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     d = F.preimage_distance(np.array([[0.0], [1e-300], [0.5]]),
                             np.array([[-1e-300], [-5e-324], [-0.0]]))
     assert d.tolist() == [math.inf, math.inf, 0.5]
     # so rg reads 0 (the empty-preimage quotient) on ladders far below 1e-15
     for r0 in (1e-300, 1e-322):
-        est = estimate_rg(F, base, ScaleLadder(r0=r0, depth=4, samples_per_scale=8, seed=7), ctx)
+        est = estimate_rg(F, base, ScaleLadder(r0=r0, depth=4, samples_per_scale=8, seed=7))
         assert [v for _, v in est.per_scale] == [0.0] * 4 and est.trend == "flat"
 
 
@@ -138,10 +138,9 @@ def test_preimage_distances_the_fallback_misses_are_left_out():
     S, _ = resolve_map_spec({"id": "spiral"}, kind="l2")
     F = make_function_graph(S.func, dim_x=2, dim_y=2, kind="l2", name="spiral-without-grad")
     base = GraphPoint(np.zeros(2), np.zeros(2))
-    ctx = NormContext(kind="l2", dim_x=2, dim_y=2)
     lad = ScaleLadder(depth=3, samples_per_scale=8, seed=7)
     assert math.isnan(preimage_distance_fallback(F, [0.1, 0.2], [0.05, 0.0]))
-    for est in (estimate_rg(F, base, lad, ctx), estimate_srg(F, base, lad, ctx)):
+    for est in (estimate_rg(F, base, lad), estimate_srg(F, base, lad)):
         assert math.isnan(est.reported) and not est.converged
         assert all(math.isnan(v) for _, v in est.per_scale)
         assert est.note == ("no preimage point found for 24 of 24 pairs; "
@@ -155,25 +154,24 @@ def test_newton_projection_estimates_rg_and_srg_of_spiral_plus_linear(kind):
     F, _ = resolve_map_spec({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]},
                             kind=kind)
     base = GraphPoint(np.zeros(2), np.zeros(2))
-    ctx = NormContext(kind=kind, dim_x=2, dim_y=2)
-    for est in (estimate_rg(F, base, ladder12(), ctx), estimate_srg(F, base, ladder12(), ctx)):
+    for est in (estimate_rg(F, base, ladder12()), estimate_srg(F, base, ladder12())):
         assert est.reported == pytest.approx(0.5, rel=0.05), est.name
         assert est.note == _NEWTON_NOTE
 
 
 def _plus_half_x(mid: str):
-    """The catalog map mid plus x -> 0.5 x (l1), its base and context: a
-    1-D map without func or preimage oracle."""
+    """The catalog map mid plus x -> 0.5 x (l1) and its base: a 1-D map
+    without func or preimage oracle."""
     F, _ = resolve_map_spec({"id": mid, "wrap": [{"op": "sum", "fn": {
         "id": "scale", "params": {"lam": 0.5}}}]})
     assert F.func is None and F.preimage_distance is None
-    return F, GraphPoint(np.zeros(1), np.zeros(1)), NormContext(kind="l1", dim_x=1, dim_y=1)
+    return F, GraphPoint(np.zeros(1), np.zeros(1))
 
 
 def test_interval_plus_scale_finds_every_preimage_point():
     # the scan refines the touches of d(y, F(z)): every pair gets a point
-    F, base, ctx = _plus_half_x("interval")
-    est = estimate_srg(F, base, ScaleLadder(depth=6, samples_per_scale=32, seed=7), ctx)
+    F, base = _plus_half_x("interval")
+    est = estimate_srg(F, base, ScaleLadder(depth=6, samples_per_scale=32, seed=7))
     assert "no preimage point found" not in est.note
     assert est.reported == pytest.approx(1.5, rel=1e-9)
 
@@ -183,11 +181,11 @@ def test_complementarity_angle_plus_scale_takes_infinite_image_distances():
     # (warnings are errors here). F(x) = {x / 2} for x > 0, so srg = 0.5;
     # y < 0 has an empty preimage, which a scan of touches cannot tell from
     # a missed one, so rg leaves those pairs out with a note
-    F, base, ctx = _plus_half_x("compl_angle")
+    F, base = _plus_half_x("compl_angle")
     lad = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
-    srg = estimate_srg(F, base, lad, ctx)
+    srg = estimate_srg(F, base, lad)
     assert srg.reported == pytest.approx(0.5, rel=1e-9) and srg.note == ""
-    rg = estimate_rg(F, base, lad, ctx)
+    rg = estimate_rg(F, base, lad)
     assert rg.note.startswith("no preimage point found for ")
 
 
@@ -197,39 +195,36 @@ def test_an_empty_innermost_annulus_is_named_in_the_note():
     which annulus held no graph point."""
     F, _ = resolve_map_spec({"id": "xsin", "wrap": [{"op": "inverse"}]})
     base = GraphPoint(np.zeros(1), np.zeros(1))
-    ctx = NormContext(kind="l1", dim_x=1, dim_y=1)
-    est = estimate_clm(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7), ctx)
+    est = estimate_clm(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7))
     assert math.isnan(est.reported) and not math.isnan(est.per_scale[-2][1])
     assert est.note == ("annulus 3 (0.0312, 0.0625] held no graph point, "
                         "so the innermost scale reads nan")
     # an innermost annulus with a point leaves the note empty
-    assert estimate_lip(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7),
-                        ctx).note == ""
+    assert estimate_lip(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7)).note == ""
 
 
 def test_linear_map_rg_matches_the_smallest_singular_value():
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     F = make_linear_map(A, kind="l2")
     base = GraphPoint(np.zeros(2), np.zeros(2))
-    ctx = NormContext(kind="l2", dim_x=2, dim_y=2)
     lad = ScaleLadder(depth=8, samples_per_scale=512, seed=7)
-    est = estimate_rg(F, base, lad, ctx, pairs_per_scale=512)
+    est = estimate_rg(F, base, lad, pairs_per_scale=512)
     assert abs(est.reported - 0.5) / 0.5 <= 0.05
 
 
 def test_xsin_constants():
-    F, base, ctx = setup_map("xsin")
-    sx = estimate_all_constants(F, base, ladder12(), ctx)
+    F, base = setup_map("xsin")
+    sx = estimate_all_constants(F, base, ladder12())
     assert sx["srg2"].reported <= 1e-10
     assert sx["srg4"].reported == pytest.approx(1.0, abs=0.05)
     assert sx["srg4p"].reported == pytest.approx(1.0, abs=0.05)
-    est = estimate_clm(F, base, ladder12(), ctx)
+    est = estimate_clm(F, base, ladder12())
     assert est.reported == pytest.approx(1.0, abs=0.02)
 
 
 def test_interval_ssrg_vanishes_on_the_reciprocal_fibers():
-    F, base, ctx = setup_map("interval")
-    est = estimate_ssrg(F, base, ladder12(), ctx)
+    F, base = setup_map("interval")
+    est = estimate_ssrg(F, base, ladder12())
     assert est.reported == 0.0
     assert est.witnesses
     for w in est.witnesses:
@@ -243,13 +238,12 @@ def test_estimators_are_deterministic():
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     F = make_linear_map(A, kind="l2")
     base = GraphPoint(np.zeros(2), np.zeros(2))
-    ctx = NormContext(kind="l2", dim_x=2, dim_y=2)
     lad = ScaleLadder(depth=8, samples_per_scale=256, seed=7)
-    a = estimate_rg(F, base, lad, ctx)
-    b = estimate_rg(F, base, lad, ctx)
+    a = estimate_rg(F, base, lad)
+    b = estimate_rg(F, base, lad)
     assert a.per_scale == b.per_scale
     assert a.reported == b.reported
-    c = estimate_rg(F, base, ScaleLadder(depth=8, samples_per_scale=256, seed=8), ctx)
+    c = estimate_rg(F, base, ScaleLadder(depth=8, samples_per_scale=256, seed=8))
     assert c.per_scale != a.per_scale  # seed actually feeds the sampler
 
 
@@ -257,9 +251,9 @@ def test_estimators_are_deterministic():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dual_constants_per_scale_never_decrease(mid, seed):
     """Infima over shrinking element pools can only go up toward the base."""
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     lad = ScaleLadder(depth=10, samples_per_scale=256, seed=seed)
-    consts = estimate_all_constants(F, base, lad, ctx)
+    consts = estimate_all_constants(F, base, lad)
     for name in ("srg1", "srg2", "srg4"):
         vals = [v for _, v in consts[name].per_scale]
         for a, b in zip(vals, vals[1:]):
@@ -270,15 +264,15 @@ def test_dual_constants_per_scale_never_decrease(mid, seed):
 
 
 def test_all_constants_share_one_element_pool():
-    F, base, ctx = setup_map("identity")
-    consts = estimate_all_constants(F, base, ladder12(), ctx)
+    F, base = setup_map("identity")
+    consts = estimate_all_constants(F, base, ladder12())
     ids = {e.pool_id for e in consts.values()}
     assert len(ids) == 1
 
 
 def test_check_relations_rejects_mixed_pools():
-    F, base, ctx = setup_map("identity")
-    consts = estimate_all_constants(F, base, ladder12(), ctx)
+    F, base = setup_map("identity")
+    consts = estimate_all_constants(F, base, ladder12())
     consts["srg1"].pool_id = "someone_else"
     with pytest.raises(ValueError, match="different pools"):
         check_relations(consts)
@@ -286,8 +280,8 @@ def test_check_relations_rejects_mixed_pools():
 
 @pytest.mark.parametrize("mid", ["identity", "abs", "xsin"])
 def test_check_relations_zero_slack(mid):
-    F, base, ctx = setup_map(mid)
-    consts = estimate_all_constants(F, base, ladder12(), ctx)
+    F, base = setup_map(mid)
+    consts = estimate_all_constants(F, base, ladder12())
     rel = check_relations(consts)
     assert rel["ok"], rel
     for row in rel["relations"]:
@@ -394,9 +388,9 @@ _FALLBACK_PIN = {
 
 @pytest.mark.parametrize("mid,name", sorted(_FALLBACK_PIN))
 def test_fallback_moduli_bits_are_pinned(mid, name):
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
-    est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder, ctx)
+    est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder)
     assert [float(v).hex() for _, v in est.per_scale] == _FALLBACK_PIN[(mid, name)]
 
 
@@ -416,14 +410,14 @@ _FALLBACK_PAIR_DIGESTS = {
 
 @pytest.mark.parametrize("mid,seed", sorted(_FALLBACK_PAIR_DIGESTS))
 def test_fallback_pair_distances_are_pinned(mid, seed, monkeypatch):
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=seed)
     seen = []
     batched = moduli.preimage_distances_fallback
     monkeypatch.setattr(moduli, "preimage_distances_fallback",
                         lambda *a: seen.append(batched(*a)) or seen[-1])
-    estimate_rg(F, base, ladder, ctx)
-    estimate_srg(F, base, ladder, ctx)
+    estimate_rg(F, base, ladder)
+    estimate_srg(F, base, ladder)
     dist = np.concatenate(seen)
     assert len(seen) == 2 and len(dist) == 256
     text = "\n".join(float(v).hex() for v in dist)
@@ -443,14 +437,14 @@ _TOUCH_PAIR_DIGESTS = {
 
 @pytest.mark.parametrize("mid,seed", sorted(_TOUCH_PAIR_DIGESTS))
 def test_touch_only_pair_distances_are_pinned(mid, seed, monkeypatch):
-    F, base, ctx = _plus_half_x(mid)
+    F, base = _plus_half_x(mid)
     ladder = ScaleLadder(depth=6, samples_per_scale=32, seed=seed)
     seen = []
     batched = moduli.preimage_distances_fallback
     monkeypatch.setattr(moduli, "preimage_distances_fallback",
                         lambda *a: seen.append(batched(*a)) or seen[-1])
-    estimate_rg(F, base, ladder, ctx)
-    estimate_srg(F, base, ladder, ctx)
+    estimate_rg(F, base, ladder)
+    estimate_srg(F, base, ladder)
     dist = np.concatenate(seen)
     assert len(dist) == 384
     text = "\n".join(float(v).hex() for v in dist)
@@ -557,10 +551,10 @@ _GRAPH_PIN = {
 
 @pytest.mark.parametrize("mid,name", sorted(_GRAPH_PIN))
 def test_graph_moduli_bits_are_pinned(mid, name):
-    F, base, ctx = setup_map(mid, "l2" if mid == "spiral" else "l1")
+    F, base = setup_map(mid, "l2" if mid == "spiral" else "l1")
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     fn = {"clm": estimate_clm, "lip": estimate_lip, "ssrg": estimate_ssrg}[name]
-    est = fn(F, base, ladder, ctx)
+    est = fn(F, base, ladder)
     assert [float(v).hex() for _, v in est.per_scale] == _GRAPH_PIN[(mid, name)]
 
 
@@ -574,10 +568,10 @@ _ORACLE_PIN = json.loads((Path(__file__).parent / "oracle_pins.json").read_text(
 @pytest.mark.parametrize("key", sorted(_ORACLE_PIN))
 def test_oracle_moduli_bits_are_pinned(key):
     mid, kind, name = key.split("/")
-    F, base, ctx = setup_map(mid, kind)
+    F, base = setup_map(mid, kind)
     ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     fn = {"clm": estimate_clm, "lip": estimate_lip, "rg": estimate_rg, "srg": estimate_srg}[name]
-    est = fn(F, base, ladder, ctx)
+    est = fn(F, base, ladder)
     assert [float(v).hex() for _, v in est.per_scale] == _ORACLE_PIN[key]
 
 
@@ -657,27 +651,27 @@ _LINEAR_PIN = {
 
 def _linear_case(mid: str, kind: str):
     if mid == "linear":
-        F, base, ctx = setup_map(mid, kind)
-        return F, base, ctx, ScaleLadder(depth=8, samples_per_scale=96, seed=7), None
+        F, base = setup_map(mid, kind)
+        return F, base, ScaleLadder(depth=8, samples_per_scale=96, seed=7), None
     F = make_linear_map(_EY_MATRIX, kind)
     base = GraphPoint(np.zeros(3), np.zeros(3))
     ladder = ScaleLadder(r0=0.5, theta=0.5, depth=8, samples_per_scale=320,
                          seed=derive_seed(7, 151, 0))
-    return F, base, NormContext(kind=kind, dim_x=3, dim_y=3), ladder, 320
+    return F, base, ladder, 320
 
 
 @pytest.mark.parametrize("mid,kind,name", sorted(_LINEAR_PIN))
 def test_linear_rg_and_srg_bits_are_pinned(mid, kind, name):
-    F, base, ctx, ladder, pairs = _linear_case(mid, kind)
-    est = (estimate_rg(F, base, ladder, ctx, pairs_per_scale=pairs) if name == "rg"
-           else estimate_srg(F, base, ladder, ctx))
+    F, base, ladder, pairs = _linear_case(mid, kind)
+    est = (estimate_rg(F, base, ladder, pairs_per_scale=pairs) if name == "rg"
+           else estimate_srg(F, base, ladder))
     assert [float(v).hex() for _, v in est.per_scale] == _LINEAR_PIN[(mid, kind, name)]
 
 
 def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
     # every pair of the ladder goes through one image-distance call, and the
     # pairs off the preimage through one preimage-distance call
-    F, base, ctx, ladder, pairs = _linear_case("eckart", "l2")
+    F, base, ladder, pairs = _linear_case("eckart", "l2")
     calls = []
 
     def counted(name, oracle):
@@ -689,8 +683,8 @@ def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
 
     G = dataclasses.replace(F, image_distance=counted("image", F.image_distance),
                             preimage_distance=counted("preimage", F.preimage_distance))
-    for est, n in ((lambda: estimate_rg(G, base, ladder, ctx, pairs_per_scale=pairs), 320),
-                   (lambda: estimate_srg(G, base, ladder, ctx), 96)):
+    for est, n in ((lambda: estimate_rg(G, base, ladder, pairs_per_scale=pairs), 320),
+                   (lambda: estimate_srg(G, base, ladder), 96)):
         calls.clear()
         est()
         assert [name for name, _ in calls] == ["image", "preimage"]
@@ -728,8 +722,8 @@ _SSRG_WITNESS_PIN = {
 
 @pytest.mark.parametrize("mid,kind", sorted(_SSRG_WITNESS_PIN))
 def test_ssrg_witness_bits_are_pinned(mid, kind):
-    F, base, ctx = setup_map(mid, kind)
-    est = estimate_ssrg(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7), ctx)
+    F, base = setup_map(mid, kind)
+    est = estimate_ssrg(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7))
     got = [tuple(float(c).hex() for c in w["x"] + w["y"] + [w["ratio"]])
            for w in est.witnesses]
     assert got == _SSRG_WITNESS_PIN[(mid, kind)]
@@ -740,9 +734,8 @@ def test_ssrg_lists_ratio_zero_witnesses_only_when_it_reports_zero(mid, theta):
     """Outer annuli of these ladders hold graph points of ratio 0 while the
     innermost one does not, so the reported value is positive; it comes
     with the pooled winner under its own value, not with ratio-0 points."""
-    F, base, ctx = setup_map(mid, "l1")
-    est = estimate_ssrg(F, base, ScaleLadder(theta=theta, depth=8, samples_per_scale=16, seed=7),
-                        ctx)
+    F, base = setup_map(mid, "l1")
+    est = estimate_ssrg(F, base, ScaleLadder(theta=theta, depth=8, samples_per_scale=16, seed=7))
     assert est.reported > 1e-12
     assert [w["ratio"] for w in est.witnesses] == [est.reported]
 
@@ -761,15 +754,15 @@ _KNOWN_TOL = 0.01
 @pytest.mark.parametrize("mid", sorted(m for m, e in catalog().items() if e.known))
 def test_every_known_catalog_value_is_estimated(mid, kind):
     entry = catalog()[mid]
-    F, base, ctx = setup_map(mid, kind)
+    F, base = setup_map(mid, kind)
     hint = entry.ladder_hint
     ladder = ScaleLadder(r0=hint.get("r0", 0.5), theta=hint.get("theta", 0.5),
                          depth=hint.get("depth", 8), samples_per_scale=64, seed=7)
-    consts = (estimate_all_constants(F, base, ladder, ctx)
+    consts = (estimate_all_constants(F, base, ladder)
               if set(entry.known) - set(_ESTIMATORS) else {})
     misses = []
     for name, known in entry.known.items():
-        est = consts[name] if name in consts else _ESTIMATORS[name](F, base, ladder, ctx)
+        est = consts[name] if name in consts else _ESTIMATORS[name](F, base, ladder)
         got = est.reported
         want = known["value"]
         if not (got == want if math.isinf(want) else abs(got - want) <= _KNOWN_TOL):
@@ -932,8 +925,8 @@ def _hexes(vals):
 
 
 def _constants_dump(mid, kind):
-    F, base, ctx = setup_map(mid, kind)
-    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
+    F, base = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER)
     return {name: {"per_scale": _hexes(v for _, v in est.per_scale),
                    "witnesses": [_hexes(w["x"] + w["y"] + w["x_star"] + w["y_star"]
                                         + [w["t"], w["ratio"], w["xn"], w["q"]])
@@ -961,19 +954,19 @@ _POOL_ID_PIN = {
 
 @pytest.mark.parametrize("mid,kind", sorted(_POOL_ID_PIN))
 def test_pool_ids_are_pinned(mid, kind):
-    F, base, ctx = setup_map(mid, kind)
-    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
+    F, base = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER)
     assert {est.pool_id for est in consts.values()} == {_POOL_ID_PIN[mid, kind]}
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 @pytest.mark.parametrize("mid", ["linear", "spiral"])
 def test_all_constants_give_the_hat_kinds_of_direct_calls(mid, kind):
-    F, base, ctx = setup_map(mid, kind)
-    consts = estimate_all_constants(F, base, _PIN_LADDER, ctx)
-    pool, pool_id = build_element_pool(F, base, _PIN_LADDER, ctx)
+    F, base = setup_map(mid, kind)
+    consts = estimate_all_constants(F, base, _PIN_LADDER)
+    pool, pool_id = build_element_pool(F, base, _PIN_LADDER)
     for name in ("hatsrg", "hatsrgp"):
-        got, want = consts[name], estimate_constant(name, pool, _PIN_LADDER, ctx, pool_id)
+        got, want = consts[name], estimate_constant(name, pool, _PIN_LADDER, pool_id)
         assert got.name == name
         assert [(r.hex(), v.hex()) for r, v in got.per_scale] == \
             [(r.hex(), v.hex()) for r, v in want.per_scale]
@@ -1010,8 +1003,8 @@ _CANDIDATE_PIN = {
 
 
 def _candidates_digest(mid, kind, wkind, gamma):
-    F, base, ctx = setup_map(mid, kind)
-    cands = _collect_candidates(F, base, wkind, gamma, _PIN_LADDER, ctx)
+    F, base = setup_map(mid, kind)
+    cands = _collect_candidates(F, base, wkind, gamma, _PIN_LADDER)
     dump = [{k: c[k] if k == "annulus" else _hexes(np.atleast_1d(c[k])) for k in sorted(c)}
             for c in cands]
     return len(cands), hashlib.sha256(json.dumps(dump).encode()).hexdigest()
@@ -1116,8 +1109,7 @@ def _columns(recs):
 
 def _check_constant(kind, pool, ladder, base):
     want, witness = _ref_constant(kind, pool, ladder, base)
-    est = estimate_constant(kind, [_columns(recs) for recs in pool], ladder,
-                            NormContext("l2", 2, 1))
+    est = estimate_constant(kind, [_columns(recs) for recs in pool], ladder)
     assert [r for r, _ in est.per_scale] == [r for r, _ in want]
     assert _hexes(v for _, v in est.per_scale) == _hexes(v for _, v in want), (kind, pool)
     if witness is None or kind in ("hatsrg", "hatsrgp"):

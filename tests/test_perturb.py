@@ -14,7 +14,7 @@ import perturb_reference
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from perturb_reference import annulus_candidates, component_count, reference
-from subreglab.geometry import NormContext, ScaleLadder, derive_seed, norm, norming_functional
+from subreglab.geometry import ScaleLadder, derive_seed, norm, norming_functional
 from subreglab.mappings import GraphPoint, make_function_graph, sum_with_function
 from subreglab.moduli import ElementRecords, estimate_clm, estimate_ssrg
 from subreglab.perturb import (
@@ -57,21 +57,21 @@ BUILDERS = {
 
 
 def _build(mid, kind, gamma, seed=7):
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     lad = ladder12(seed)
     if kind == "ssr":
-        p = build_ssr_destabilizer(F, base, gamma, lad, ctx)
+        p = build_ssr_destabilizer(F, base, gamma, lad)
     else:
-        w = extract_witness(F, base, kind, gamma, lad, ctx)
+        w = extract_witness(F, base, kind, gamma, lad)
         p = BUILDERS[kind](w, gamma)
-    return F, base, ctx, lad, p
+    return F, base, lad, p
 
 
 @functools.cache
 def _verified(mid, kind, gamma):
     """A BUILD_MATRIX build and its verify_builder report, once per session."""
-    F, base, ctx, lad, p = _build(mid, kind, gamma)
-    return p, verify_builder(p, F, base, lad, ctx)
+    F, base, lad, p = _build(mid, kind, gamma)
+    return p, verify_builder(p, F, base, lad)
 
 
 def _hexes(v):
@@ -101,8 +101,8 @@ def _canon(obj):
 
 
 def test_witness_extraction_invariants():
-    F, base, ctx = setup_map("identity")
-    w = extract_witness(F, base, "lip", 2.5, ladder12(), ctx)
+    F, base = setup_map("identity")
+    w = extract_witness(F, base, "lip", 2.5, ladder12())
     assert w.kind == "lip"
     assert w.gamma == 2.5
     assert w.gamma_prime < 2.5
@@ -110,37 +110,37 @@ def test_witness_extraction_invariants():
     assert all(a > b for a, b in zip(ts, ts[1:]))  # strictly shrinking scales
     for e in w.entries:
         assert e.t > 0.0
-        assert norm(e.x - base.x, ctx.kind) == pytest.approx(e.t, rel=1e-12)
-    assert validate_witness(w, ctx) == []
+        assert norm(e.x - base.x, F.kind) == pytest.approx(e.t, rel=1e-12)
+    assert validate_witness(w) == []
 
 
 def test_validate_witness_flags_tampering():
-    F, base, ctx = setup_map("identity")
-    w = extract_witness(F, base, "lip", 2.5, ladder12(), ctx)
+    F, base = setup_map("identity")
+    w = extract_witness(F, base, "lip", 2.5, ladder12())
     w.entries[0], w.entries[1] = w.entries[1], w.entries[0]
-    problems = validate_witness(w, ctx)
+    problems = validate_witness(w)
     assert problems
     assert any("scale" in p or "decreas" in p for p in problems)
 
 
 def test_extraction_refuses_below_the_modulus():
     # the identity map has lip = 1; no destabilizer exists below that
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     with pytest.raises(WitnessError, match="no witness below gamma"):
-        extract_witness(F, base, "lip", 0.5, ladder12(), ctx)
+        extract_witness(F, base, "lip", 0.5, ladder12())
 
 
 def test_fclm_extraction_refuses_on_the_interval_map():
-    F, base, ctx = setup_map("interval")
+    F, base = setup_map("interval")
     with pytest.raises(WitnessError, match="no witness below gamma"):
-        extract_witness(F, base, "fclm", 0.8, ladder12(), ctx)
+        extract_witness(F, base, "fclm", 0.8, ladder12())
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9])
 def test_ssr_destabilizer_refuses_below_the_quotient(gamma):
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     with pytest.raises(WitnessError, match="no destabilizer below gamma"):
-        build_ssr_destabilizer(F, base, gamma, ladder12(), ctx)
+        build_ssr_destabilizer(F, base, gamma, ladder12())
 
 
 @pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
@@ -224,7 +224,7 @@ def test_every_perturbation_takes_rows_and_row_k_is_the_one_row_call(mid, kind, 
 
 
 def test_interpolation_is_bitwise_exact():
-    F, base, ctx, lad, p = _build("square", "ss", 0.5)
+    F, base, lad, p = _build("square", "ss", 0.5)
     assert np.array_equal(p.eval(base.x[None]), np.zeros((1, _dims(p)[1])))
     yb = p.witness.base.y
     assert np.array_equal(yb, base.y)
@@ -237,7 +237,7 @@ def test_interpolation_is_bitwise_exact():
 
 def test_supports_are_disjoint():
     for mid, kind, gamma in (("identity", "lip", 2.5), ("xsin", "ss", 1.05)):
-        F, base, ctx, lad, p = _build(mid, kind, gamma)
+        F, base, lad, p = _build(mid, kind, gamma)
         count = component_count(p)
         rng = np.random.default_rng(23)
         for _ in range(400):
@@ -248,15 +248,15 @@ def test_supports_are_disjoint():
 
 
 def test_anchor_eps_vanishes_for_bump_and_case1_builds():
-    _, _, _, _, p_lip = _build("identity", "lip", 2.5)
+    *_, p_lip = _build("identity", "lip", 2.5)
     assert all(e == 0.0 for e in p_lip.anchor_eps)
-    _, _, _, _, p_cone = _build("spiral", "ss", 0.5)
+    *_, p_cone = _build("spiral", "ss", 0.5)
     assert p_cone.case == 1
     assert all(e == 0.0 for e in p_cone.anchor_eps)
 
 
 def test_case2_build_has_a_positive_floor():
-    _, _, _, _, p = _build("square", "ss", 0.5)
+    *_, p = _build("square", "ss", 0.5)
     assert p.case == 2
     assert p.floor_radius > 0.0
     # below the floor the perturbation vanishes identically
@@ -341,7 +341,7 @@ def test_case2_takes_one_log_pass_per_call(monkeypatch):
     ("identity", "ssr", 1.1),
 ])
 def test_serialization_round_trip_is_bit_identical(mid, kind, gamma):
-    F, base, ctx, lad, p = _build(mid, kind, gamma)
+    F, base, lad, p = _build(mid, kind, gamma)
     desc = json.loads(json.dumps(p.describe()))
     q = load_perturbation(desc)
     rng = np.random.default_rng(31)
@@ -356,15 +356,15 @@ def test_serialization_round_trip_is_bit_identical(mid, kind, gamma):
 
 
 def test_reloaded_perturbation_verifies():
-    F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
+    F, base, lad, p = _build("xsin", "fclm", 0.1)
     q = load_perturbation(json.loads(json.dumps(p.describe())))
-    rep = verify_builder(q, F, base, lad, ctx)
+    rep = verify_builder(q, F, base, lad)
     assert rep.passed
 
 
 def test_tampered_description_is_rejected():
     # replaying a witness with a stronger claim than it certifies must fail
-    F, base, ctx, lad, p = _build("identity", "lip", 2.5)
+    F, base, lad, p = _build("identity", "lip", 2.5)
     desc = p.describe()
     desc["gamma"] = float(0.9).hex()
     with pytest.raises(WitnessError):
@@ -374,9 +374,9 @@ def test_tampered_description_is_rejected():
 def test_description_with_understated_stats_is_rejected():
     # halved ratios and dual norms would certify a lip constant half the
     # true one; the stored points give the real values back
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     lad = ScaleLadder(depth=12, samples_per_scale=128, seed=7)
-    p = build_lip_perturbation(extract_witness(F, base, "lip", 2.5, lad, ctx), 2.5)
+    p = build_lip_perturbation(extract_witness(F, base, "lip", 2.5, lad), 2.5)
     desc = json.loads(json.dumps(p.describe()))
     for d in desc["witness"]["entries"]:
         for key in ("ratio", "xn"):
@@ -388,7 +388,7 @@ def test_description_with_understated_stats_is_rejected():
 
 
 def test_description_violating_a_witness_invariant_is_rejected():
-    F, base, ctx, lad, p = _build("identity", "lip", 2.5)
+    F, base, lad, p = _build("identity", "lip", 2.5)
     desc = json.loads(json.dumps(p.describe()))
     d = desc["witness"]["entries"][0]
     d["y_star"] = [(2.0 * float.fromhex(c)).hex() for c in d["y_star"]]
@@ -400,11 +400,11 @@ def test_description_violating_a_witness_invariant_is_rejected():
 def _identity_description(kind, gamma):
     """The describe() output of identity's lip or ssr build on the small
     pin ladder, as JSON text."""
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     if kind == "ssr":
-        p = build_ssr_destabilizer(F, base, gamma, _WITNESS_LADDER, ctx)
+        p = build_ssr_destabilizer(F, base, gamma, _WITNESS_LADDER)
     else:
-        p = build_lip_perturbation(extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx),
+        p = build_lip_perturbation(extract_witness(F, base, kind, gamma, _WITNESS_LADDER),
                                    gamma)
     return json.dumps(p.describe())
 
@@ -415,6 +415,7 @@ _MALFORMED = {
     "empty y*": " y_star has shape (0,), not (1,)",
     "x* of two coordinates": " x_star has shape (2,), not (1,)",
     "empty u": " u has shape (0,), not (1,)",
+    "empty base x": ": base point has no coordinates",
     "no eps": ": entries[1] has no field 'eps'",
     "t of zz": (": entries[1] field 't' is unreadable "
                 "('zz': invalid hexadecimal floating-point string)"),
@@ -436,6 +437,10 @@ def test_a_malformed_description_raises_witness_error(kind, gamma, tamper):
         del entries[1]["eps"]
     elif tamper == "t of zz":
         entries[1]["t"] = "zz"
+    elif tamper == "empty base x":  # and every x-side vector, so no shape disagrees
+        desc["witness"]["base_x"] = []
+        for e in entries:
+            e["x"] = e["x_star"] = e["u"] = []
     else:
         entries[1]["u"] = []
     with pytest.raises(WitnessError) as err:
@@ -444,13 +449,39 @@ def test_a_malformed_description_raises_witness_error(kind, gamma, tamper):
     assert ";" not in str(err.value)
 
 
+# each field set outside its fixed set on identity's ssr build (None for a
+# field of the description itself), and the end of the one problem it is
+# reported as
+_OUT_OF_SET = [
+    ("witness", "norm_kind", "l7", "'l7': not one of ('l1', 'l2', 'linf'))"),
+    ("witness", "norm_kind", 3, "3: not one of ('l1', 'l2', 'linf'))"),
+    ("witness", "kind", "zzz", "'zzz': not one of ('lip', 'fclm', 'ss', 'ssr'))"),
+    ("witness", "direction_mode", "auto", "'auto': not one of ('distinct', 'stationary'))"),
+    (None, "class_tag", "zzz", "'zzz': not one of ('ssr',))"),
+    (None, "class_tag", "lip", "'lip': not one of ('ssr',))"),
+]
+
+
+@pytest.mark.parametrize("part, key, value, end", _OUT_OF_SET)
+def test_a_description_field_outside_its_set_raises_witness_error(part, key, value, end):
+    """A witness kind, direction mode or norm kind outside its set, or a
+    class tag other than the witness kind's, is a WitnessError naming the
+    field, not a ValueError of the builders."""
+    desc = json.loads(_identity_description("ssr", 1.1))
+    (desc if part is None else desc[part])[key] = value
+    with pytest.raises(WitnessError) as err:
+        load_perturbation(desc)
+    where = "description" if part is None else "witness"
+    assert str(err.value) == f"invalid witness: {where} field {key!r} is unreadable ({end}"
+
+
 def _firmly_calm(f, extra_xs=None):
     """firmly_calm_test of a 1-D rows-form f at 0 over ladder12 in l1, with
     the calmness estimate of f's graph as clause A's source."""
-    lad, ctx = ladder12(), NormContext(kind="l1", dim_x=1, dim_y=1)
+    lad = ladder12()
     base = GraphPoint(np.zeros(1), f(np.zeros((1, 1)))[0])
-    clm = estimate_clm(make_function_graph(f), base, lad, ctx)
-    return firmly_calm_test(f, np.zeros(1), clm, lad, ctx, extra_xs=extra_xs)
+    clm = estimate_clm(make_function_graph(f), base, lad)
+    return firmly_calm_test(f, np.zeros(1), clm, lad, "l1", extra_xs=extra_xs)
 
 
 def test_firmly_calm_accepts_a_kinked_but_calm_function():
@@ -478,12 +509,12 @@ def test_phase_d_draws_no_sample_of_its_own(monkeypatch):
     (c): during verify_builder of an fclm build no annulus of the
     verification ladder is sampled with seed tag 83, which a clause-A
     sample of its own would use."""
-    F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
+    F, base, lad, p = _build("xsin", "fclm", 0.1)
     seeds = []
     draw = perturb.sample_annulus
     monkeypatch.setattr(perturb, "sample_annulus",
                         lambda *a, **k: seeds.append(a[4]) or draw(*a, **k))
-    rep = verify_builder(p, F, base, lad, ctx)
+    rep = verify_builder(p, F, base, lad)
     assert rep.firmly_calm_ok
     vlad = perturb._destab_ladder(p, lad)
     assert seeds and not set(seeds) & {vlad.scale_seed(j, 83) for j in range(vlad.depth)}
@@ -504,19 +535,19 @@ def test_random_calm_perturbation_contract():
 
 
 def test_random_calm_perturbations_leave_ssrg_positive():
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     lad = ladder12()
     for i in range(5):
         fe, fg, a, b = random_calm_perturbation(derive_seed(7, 173, i))
         G = sum_with_function(F, make_function_graph(fe, grad=fg), name="identity+calm")
-        est = estimate_ssrg(G, base, lad, ctx)
+        est = estimate_ssrg(G, base, lad)
         assert est.reported >= 1.0 - (abs(a) + abs(b)) - 0.05
         assert est.reported >= 0.05
 
 
 def test_ssr_destabilizer_kills_ssrg_exactly():
-    F, base, ctx, lad, p = _build("identity", "ssr", 1.1)
-    rep = verify_builder(p, F, base, lad, ctx)
+    F, base, lad, p = _build("identity", "ssr", 1.1)
+    rep = verify_builder(p, F, base, lad)
     assert rep.passed
     assert rep.destabilization_ok
     vals = [v for _, v in rep.destabilization]
@@ -529,18 +560,18 @@ def test_ssr_destabilizer_kills_ssrg_exactly():
 
 
 def test_sampled_modulus_stays_below_gamma():
-    F, base, ctx, lad, p = _build("xsin", "fclm", 0.1)
+    F, base, lad, p = _build("xsin", "fclm", 0.1)
     fgraph = make_function_graph(p.eval, grad=p.derivative, dim_x=1, dim_y=1,
                                  kind="l1", name="f")
     fbase = GraphPoint(base.x, np.zeros(1))
-    est = estimate_clm(fgraph, fbase, lad, ctx)
+    est = estimate_clm(fgraph, fbase, lad)
     assert est.reported <= 0.1
 
 
 def _build128(mid, kind, gamma):
-    F, base, ctx = setup_map(mid)
+    F, base = setup_map(mid)
     lad = ScaleLadder(depth=12, samples_per_scale=128, seed=7)
-    return F, base, ctx, lad, BUILDERS[kind](extract_witness(F, base, kind, gamma, lad, ctx), gamma)
+    return F, base, lad, BUILDERS[kind](extract_witness(F, base, kind, gamma, lad), gamma)
 
 
 def _shifted_eval(p, dy):
@@ -568,9 +599,9 @@ def _doubled_derivative(p):
                  "Jacobian relative error 5.000e-01 exceeds 1e-05", id="jacobian"),
 ])
 def test_a_failed_build_names_each_failed_check(tamper, note):
-    F, base, ctx, lad, p = _build128("identity", "lip", 2.5)
-    assert verify_builder(p, F, base, lad, ctx).notes == []
-    rep = verify_builder(tamper(p), F, base, lad, ctx)
+    F, base, lad, p = _build128("identity", "lip", 2.5)
+    assert verify_builder(p, F, base, lad).notes == []
+    rep = verify_builder(tamper(p), F, base, lad)
     assert not rep.passed
     assert note in rep.notes, rep.notes
 
@@ -588,7 +619,7 @@ def test_phase_e_shifts_each_anchor_by_its_own_witness_entry(monkeypatch):
     keep the finer one and are sorted by -t, so the anchors are the
     entries at 0.2 and -0.1, not the witness's first two. Each element
     that phase (e) injects carries its own anchor's x* and y*."""
-    F, base, ctx = setup_map("identity")
+    F, base = setup_map("identity")
     w = perturb.WitnessSequence(
         kind="ss", entries=[_entry(1, 0.4, 1.0), _entry(2, 0.2, -1.0), _entry(3, -0.1, 1.0)],
         gamma=1.5, gamma_prime=1.0, direction_mode="distinct", u=None, k_hat=1,
@@ -599,7 +630,7 @@ def test_phase_e_shifts_each_anchor_by_its_own_witness_entry(monkeypatch):
     pool = perturb.build_element_pool
     monkeypatch.setattr(perturb, "build_element_pool",
                         lambda *a, **k: injected.extend(k["extra_elements"]) or pool(*a, **k))
-    verify_builder(p, F, base, ScaleLadder(depth=6, samples_per_scale=16, seed=7), ctx)
+    verify_builder(p, F, base, ScaleLadder(depth=6, samples_per_scale=16, seed=7))
     own = {e.x[0]: e for e in w.entries}
     assert [elem.x.tolist() for elem in injected] == [[0.2], [-0.1]]
     assert [elem.y_star.tolist() for elem in injected] == [[-1.0], [1.0]]
@@ -610,17 +641,17 @@ def test_phase_e_shifts_each_anchor_by_its_own_witness_entry(monkeypatch):
 
 
 def test_a_failed_class_check_is_named(monkeypatch):
-    F, base, ctx, lad, p = _build128("xsin", "fclm", 0.1)
+    F, base, lad, p = _build128("xsin", "fclm", 0.1)
     monkeypatch.setattr(perturb, "firmly_calm_test", lambda *a, **k: {"ok": False})
-    rep = verify_builder(p, F, base, lad, ctx)
+    rep = verify_builder(p, F, base, lad)
     assert not rep.passed
     assert rep.notes == ["firm calmness test failed"]
 
-    F, base, ctx, lad, p = _build128("square", "ss", 0.5)
+    F, base, lad, p = _build128("square", "ss", 0.5)
     assert p.case == 2
     monkeypatch.setattr(perturb, "semismooth_star_test",
                         lambda *a, **k: types.SimpleNamespace(verdict="fail"))
-    rep = verify_builder(p, F, base, lad, ctx)
+    rep = verify_builder(p, F, base, lad)
     assert not rep.passed
     assert "semismooth* verdict is 'fail', not 'pass'" in rep.notes
 
@@ -662,9 +693,9 @@ _WITNESS_PIN = {
 
 
 def _witness_digest(mid, norm_kind, kind, gamma, mode):
-    F, base, ctx = setup_map(mid, norm_kind)
+    F, base = setup_map(mid, norm_kind)
     try:
-        w = extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx, mode)
+        w = extract_witness(F, base, kind, gamma, _WITNESS_LADDER, mode)
     except WitnessError as err:
         return str(err)
     hexes = perturb._hex_vec
@@ -695,8 +726,8 @@ _VALIDATE_CASES = [
 
 @functools.cache
 def _small_witness(mid, norm_kind, kind, gamma, mode):
-    F, base, ctx = setup_map(mid, norm_kind)
-    return extract_witness(F, base, kind, gamma, _WITNESS_LADDER, ctx, mode)
+    F, base = setup_map(mid, norm_kind)
+    return extract_witness(F, base, kind, gamma, _WITNESS_LADDER, mode)
 
 
 def _tamper(w, how):
@@ -796,9 +827,9 @@ def test_bump_supports_are_placed_in_the_norm_they_use():
     # in l1 the spiral's first lip entry has t = 1.50e-2 but an l2 distance
     # of 1.07e-2 to the base, below its bump radius 1.13e-2: that l2 bump
     # would hold the base point, so the build refuses
-    F, base, ctx = setup_map("spiral", "l1")
+    F, base = setup_map("spiral", "l1")
     w = extract_witness(F, base, "lip", 0.05,
-                        ScaleLadder(depth=12, samples_per_scale=64, seed=7), ctx)
+                        ScaleLadder(depth=12, samples_per_scale=64, seed=7))
     assert norm(w.entries[0].x - base.x, "l2") < 0.75 * w.entries[0].t
     with pytest.raises(WitnessError, match="bump supports overlap; thinning insufficient"):
         build_lip_perturbation(w, 0.05)

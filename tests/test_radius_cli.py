@@ -144,6 +144,9 @@ _TINY = {"task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8}}
      "invalid ladder: annulus 2 (0.0, 0.0] is empty"),
     ({"ladder": {"r0": 1.0e-323, "theta": 0.9, "depth": 4, "samples": 8}},
      "invalid ladder: annulus 0 (1e-323, 1e-323] is empty"),
+    # a matrix of no columns: the map refuses a dimension below 1
+    ({"map": {"id": "linear", "params": {"matrix": []}}},
+     "invalid params for 'linear': dimensions must be positive"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, change, fragment):
     code, out = _run(tmp_path, capsys, {"map": "abs", **_TINY, **change})
@@ -463,8 +466,8 @@ def test_moduli_rg_and_srg_rows_are_the_estimators_called_alone(spec, norm):
     config = cli.parse_config({"map": spec, "task": "moduli", "seed": 7, "norm": norm,
                                "ladder": {"depth": 6, "samples": 16}})
     rows = {row["name"]: row for row in cli.run(config).estimates}
-    F, _, base, ctx, ladder = cli._resolve(config)
-    for est in (cli.estimate_rg(F, base, ladder, ctx), cli.estimate_srg(F, base, ladder, ctx)):
+    F, _, base, ladder = cli._resolve(config)
+    for est in (cli.estimate_rg(F, base, ladder), cli.estimate_srg(F, base, ladder)):
         alone = cli._est_row(est)
         assert _bits({k: rows[est.name][k] for k in alone}) == _bits(alone), est.name
 

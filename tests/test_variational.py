@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder12, setup_map
-from subreglab.geometry import NormContext, ScaleLadder, dual_kind, norms
+from subreglab.geometry import ScaleLadder, dual_kind, norms
 from subreglab.mappings import GraphPoint, make_function_graph
 from subreglab.variational import (
     CoderivElement,
@@ -14,9 +14,6 @@ from subreglab.variational import (
     positive_homogeneity_test,
     semismooth_star_test,
 )
-
-CTX1 = NormContext(kind="l1", dim_x=1, dim_y=1)
-
 
 def _elem(x, y, y_star, x_star, **kw):
     return CoderivElement(np.atleast_1d(np.asarray(x, float)),
@@ -30,15 +27,15 @@ def test_element_quotient_closed_form():
     # x = 0.5, y = 0.25, x* = 1, y* = 1 in l1/linf pairing:
     # numerator |0.5 - 0.25| = 0.25, product norm 0.75, dual norm 1
     e = _elem([0.5], [0.25], [1.0], [1.0])
-    assert element_quotient(e, base, CTX1) == pytest.approx(0.25 / 0.75, rel=1e-14)
+    assert element_quotient(e, base, "l1") == pytest.approx(0.25 / 0.75, rel=1e-14)
 
 
 def test_element_quotient_edge_cases():
     base = GraphPoint(np.zeros(1), np.zeros(1))
     at_base = _elem([0.0], [0.0], [1.0], [1.0])
-    assert element_quotient(at_base, base, CTX1) == 0.0
+    assert element_quotient(at_base, base, "l1") == 0.0
     zero_dual = _elem([0.5], [0.5], [0.0], [0.0])
-    assert math.isinf(element_quotient(zero_dual, base, CTX1))
+    assert math.isinf(element_quotient(zero_dual, base, "l1"))
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
@@ -60,18 +57,17 @@ def test_defect_quotients_row_k_is_element_quotient(kind, dim_x, dim_y):
     zero = rng.random(n) < 0.1
     X_star[zero], Y_star[zero] = 0.0, 0.0
     Y_star[rng.random(n) < 0.1, 0] = np.nan
-    ctx = NormContext(kind=kind, dim_x=dim_x, dim_y=dim_y)
     DU, DV = X - base.x, Y - base.y
     got = defect_quotients(X_star, Y_star, DU, DV, norms(X_star, dual_kind(kind)),
                            norms(Y_star, dual_kind(kind)), norms(DU, kind) + norms(DV, kind))
-    want = np.array([element_quotient(CoderivElement(x, y, ys, xs), base, ctx)
+    want = np.array([element_quotient(CoderivElement(x, y, ys, xs), base, kind)
                      for x, y, xs, ys in zip(X, Y, X_star, Y_star)])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
 
 
 def test_elements_at_point_use_the_analytic_oracle():
-    F, base, ctx = setup_map("square")
+    F, base = setup_map("square")
     gp = GraphPoint(np.array([0.5]), np.array([0.25]))
     elems = elements_at_point(F, gp)
     assert elems
@@ -83,8 +79,8 @@ def test_elements_at_point_use_the_analytic_oracle():
 
 @pytest.mark.parametrize("mid", ["abs", "square", "compl_angle"])
 def test_semismooth_star_passes_on_benign_maps(mid):
-    F, base, ctx = setup_map(mid)
-    rep = semismooth_star_test(F, base, ladder12(), ctx)
+    F, base = setup_map(mid)
+    rep = semismooth_star_test(F, base, ladder12())
     assert rep.verdict == "pass"
     for delta, worst, n in rep.scales:
         assert delta > 0.0
@@ -92,8 +88,8 @@ def test_semismooth_star_passes_on_benign_maps(mid):
 
 
 def test_semismooth_star_fails_on_the_oscillating_map():
-    F, base, ctx = setup_map("oscillating")
-    rep = semismooth_star_test(F, base, ladder12(), ctx)
+    F, base = setup_map("oscillating")
+    rep = semismooth_star_test(F, base, ladder12())
     assert rep.verdict == "fail"
     finite = [w for _, w, n in rep.scales if n > 0 and not math.isnan(w)]
     assert finite[-1] > 0.05  # the defect does not decay toward the base
@@ -101,8 +97,8 @@ def test_semismooth_star_fails_on_the_oscillating_map():
 
 
 def test_semismooth_star_report_rows_are_triples():
-    F, base, ctx = setup_map("abs")
-    rep = semismooth_star_test(F, base, ScaleLadder(depth=4, samples_per_scale=64, seed=5), ctx)
+    F, base = setup_map("abs")
+    rep = semismooth_star_test(F, base, ScaleLadder(depth=4, samples_per_scale=64, seed=5))
     deltas = [row[0] for row in rep.scales]
     assert deltas == sorted(deltas, reverse=True)
     assert all(len(row) == 3 for row in rep.scales)
@@ -123,8 +119,7 @@ def test_semismooth_star_on_a_smooth_graph_sees_curvature_decay():
                             grad=lambda X: (np.arange(len(X)), np.cos(X)[:, :, None]),
                             dim_x=1, dim_y=1, kind="l1", name="sin")
     base = GraphPoint(np.zeros(1), np.zeros(1))
-    ctx = NormContext(kind="l1", dim_x=1, dim_y=1)
-    rep = semismooth_star_test(F, base, ladder12(), ctx)
+    rep = semismooth_star_test(F, base, ladder12())
     assert rep.verdict == "pass"
 
 
@@ -143,7 +138,7 @@ _XSIN_SEMISMOOTH_PIN = [
 
 
 def test_semismooth_star_scales_are_pinned_on_xsin():
-    F, base, ctx = setup_map("xsin")
-    rep = semismooth_star_test(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7), ctx)
+    F, base = setup_map("xsin")
+    rep = semismooth_star_test(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7))
     got = [(float(d).hex(), float(w).hex(), n) for d, w, n in rep.scales]
     assert got == _XSIN_SEMISMOOTH_PIN
