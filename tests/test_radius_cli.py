@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -481,3 +483,79 @@ def test_a_moduli_run_takes_rg_and_srg_through_one_fallback_call(monkeypatch):
                                "ladder": {"depth": 4, "samples": 8}})
     assert cli.run(config).status == "ok"
     assert len(calls) == 1
+
+
+_OUTPUT_CONFIGS = {
+    "moduli/xsin": {"map": "xsin", "task": "moduli", "seed": 7,
+                    "ladder": {"depth": 4, "samples": 8}},
+    "relations/spiral/l2": {"map": "spiral", "task": "relations", "norm": "l2", "seed": 7,
+                            "ladder": {"depth": 4, "samples": 8}},
+    "verify_radius/identity": {"map": "identity", "task": "verify_radius", "seed": 7,
+                               "ladder": {"depth": 8, "samples": 16}},
+    "eckart_young/3": {"task": "eckart_young", "seed": 7, "matrices": 3},
+    "build_perturbation/spiral/lip/1.2/l1": {  # refused: bump supports overlap
+        "map": "spiral", "task": "build_perturbation", "kind": "lip", "gamma": 1.2,
+        "norm": "l1", "seed": 7, "ladder": {"depth": 6, "samples": 32}},
+}
+# exit code and the sha256 of the three texts a run writes: the indented JSON
+# payload (cache file, report.json without timings, stdout of --format full),
+# per_scale.csv (stdout of --format csv) and summary.txt (of --format summary)
+_OUTPUT_PINS = {
+    "moduli/xsin": (
+        0, "f03af83c2195fc58ecfef0a5c6ccbc0d80bae4a75998e728c9a835bebbe45b51",
+        "2aa1271530b26edb8ab23d498ec311eec019d9067b6c623a39dec9a15e2906c5",
+        "1558b8962b1472e20d907f6d813ca3df6e3c4f424dd3e1d1721d67e521b99990"),
+    "relations/spiral/l2": (
+        0, "e99dff571007c9857b58911781d6594f71b852bac3a6e8478949d44235f4b461",
+        "b8f62511078bb84baf9c1aa2dd28c04b9e2080dd305480e4ff982ec5ab77e840",
+        "f0d90e3cbc20a304f1a8f3a474ccad06e0fbd5c50daee463fbac2389fe234245"),
+    "verify_radius/identity": (
+        0, "29e967b9cb3eb3f79e583ff5f7590029a3c6c62b8128037226cb3212c9ed6358",
+        "417778f91835a3b1f891a0517b3e934cde904a475452525791e003025c0df02c",
+        "247c2fb42dfd7325b4cbe1beb43999a6049460ad5c2cef85ea3b8278b3cc45fa"),
+    "eckart_young/3": (
+        0, "3078d47d148f08460083ef8322f1a6cc6333f67906f31e80800c66002c235777",
+        "39cabcac01b23eeb6b9bf0b2a457a9367e7924e5c897ea53ad06d85fa37990ce",
+        "c7a10fedce1bde457d16644b1e51423cafe5a6286215fea18cbacf27aa9981a4"),
+    "build_perturbation/spiral/lip/1.2/l1": (
+        3, "07fb9efd2daec661ae15b4b00f70576a654fade9899bbcb12d2de1afe9b8573a",
+        "39cabcac01b23eeb6b9bf0b2a457a9367e7924e5c897ea53ad06d85fa37990ce",
+        "f6279f38a9763e76e836936c38b4092c44d91785462a51b853dbf30ae547da6c"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_OUTPUT_CONFIGS))
+@pytest.mark.parametrize("fmt", ["full", "csv", "summary"])
+def test_fresh_and_cached_output_bytes_are_pinned(tmp_path, capsys, name, fmt):
+    out = tmp_path / "out"
+    path = _write(tmp_path, "cfg.yaml", {**_OUTPUT_CONFIGS[name], "output": str(out)})
+    code, payload_sha, csv_sha, summary_sha = _OUTPUT_PINS[name]
+    for fresh in (True, False):
+        assert cli.main(["run", path, "--format", fmt]) == code
+        stdout = capsys.readouterr().out
+        (cache_file,) = (out / "cache").iterdir()
+        text = cache_file.read_text()
+        report = (out / "report.json").read_text()
+        csv_text = (out / "per_scale.csv").read_text()
+        summary = (out / "summary.txt").read_text()
+        if fresh:
+            full = json.loads(report)
+            assert report == json.dumps(full, indent=2, sort_keys=True) + "\n"
+            assert list(full)[-1] == "timings"
+            report = report[:report.rindex(',\n  "timings": ')] + "\n}\n"
+        else:
+            assert "timings" not in json.loads(report)
+        assert report == text
+        assert stdout == {"full": text, "csv": csv_text, "summary": summary}[fmt]
+        assert (_sha(text), _sha(csv_text), _sha(summary)) == (payload_sha, csv_sha, summary_sha)
+
+
+def test_every_payload_key_sorts_before_timings():
+    # a fresh report.json is the payload's text with timings as its last member
+    names = [f.name for f in dataclasses.fields(cli.RunReport)]
+    assert "timings" in names
+    assert all(n < "timings" for n in names if n != "timings")
