@@ -1154,10 +1154,15 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
     shifts each anchor's element by its own witness entry. Anchors,
     targets, gamma' and dimensions come from p.witness and
     p.anchor_entries; (d) reads firm calmness off the estimate of (c).
+    F must share the witness's norm and dimensions, or WitnessError is raised.
     """
-    yb = p.witness.base.y
+    w = p.witness
+    yb = w.base.y
+    if (F.kind, F.dim_x, F.dim_y) != (w.norm_kind, w.base.x.size, yb.size):
+        raise WitnessError(f"the witness is {w.norm_kind} on {w.base.x.size}->{yb.size}, "
+                           f"the map {F.name} is {F.kind} on {F.dim_x}->{F.dim_y}")
     rep = BuilderReport(class_tag=p.class_tag, gamma=p.gamma,
-                        gamma_prime=p.witness.gamma_prime, gamma_dp=p.gamma_dp,
+                        gamma_prime=w.gamma_prime, gamma_dp=p.gamma_dp,
                         case=p.case, n_witnesses=len(p.anchor_entries),
                         floor_radius=p.floor_radius)
     if not p.gamma_dp < p.gamma:

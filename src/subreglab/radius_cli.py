@@ -268,10 +268,10 @@ class RunReport:
     timings: dict = dataclasses.field(default_factory=dict)
 
     def payload(self) -> dict:
-        """Everything except wall-clock timings; the deterministic part."""
-        d = _sanitize(dataclasses.asdict(self))
-        d.pop("timings", None)
-        return d
+        """Everything except wall-clock timings; the deterministic part, as a
+        fresh tree (_sanitize copies every container)."""
+        return _sanitize({f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                          if f.name != "timings"})
 
 
 def _sanitize(obj):
@@ -692,38 +692,39 @@ def _read_cache(path: str, config: ExperimentConfig) -> dict | None:
     return payload if ok and keys <= payload.keys() else None
 
 
-def run_with_cache(config: ExperimentConfig) -> tuple[dict, bool]:
-    """Return (payload, from_cache); caches the deterministic payload.
+def run_with_cache(config: ExperimentConfig) -> tuple[dict, str, bool]:
+    """Return (payload, text, from_cache); caches the deterministic payload.
 
-    The three output files are (re)written on every call, cached or not, so
-    the artifacts always reflect the requested config. Timings appear in
-    report.json only for fresh runs; a cache hit did no numeric work. A
-    cache file that cannot be read as a payload is recomputed and rewritten.
+    text is the payload's one indented JSON encoding, which the cache file,
+    report.json and --format full share. The three output files are
+    (re)written on every call, cached or not, so the artifacts always
+    reflect the requested config. Timings appear in report.json only for
+    fresh runs; a cache hit did no numeric work. A cache file that cannot be
+    read as a payload is recomputed and rewritten.
     """
     cpath = _cache_path(config)
-    timings = None
     payload = _read_cache(cpath, config) if config.cache else None
     hit = payload is not None
     if not hit:
         report = run(config)
         payload = report.payload()
-        timings = _sanitize(report.timings)
+    text = full = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not hit:
         os.makedirs(os.path.dirname(cpath), exist_ok=True)
-        _atomic_write(cpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    full = dict(payload)
-    if timings is not None:
-        full["timings"] = timings
+        _atomic_write(cpath, text)
+        # "timings" sorts after every payload key: it joins as the last member
+        timings = json.dumps(_sanitize(report.timings), indent=2, sort_keys=True)
+        full = text[:-3] + ',\n  "timings": ' + timings.replace("\n", "\n  ") + "\n}\n"
     os.makedirs(config.output, exist_ok=True)
-    _atomic_write(os.path.join(config.output, "report.json"),
-                  json.dumps(full, indent=2, sort_keys=True) + "\n")
+    _atomic_write(os.path.join(config.output, "report.json"), full)
     _atomic_write(os.path.join(config.output, "per_scale.csv"), _csv_text(payload))
     _atomic_write(os.path.join(config.output, "summary.txt"), _summary_text(payload))
-    return payload, hit
+    return payload, text, hit
 
 
-def _emit(payload: dict, fmt: str):
+def _emit(payload: dict, text: str, fmt: str):
     if fmt == "full":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(text)
     elif fmt == "csv":
         sys.stdout.write(_csv_text(payload))
     else:
@@ -768,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        payload, _ = run_with_cache(config)
+        payload, text, _ = run_with_cache(config)
     except ConfigError as err:
         print(json.dumps({"error": {"kind": "config", "message": str(err)}}, indent=2))
         return 2
@@ -777,7 +778,7 @@ def main(argv: list[str] | None = None) -> int:
                                     "message": str(err)}}, indent=2))
         return 4
 
-    _emit(payload, config.format)
+    _emit(payload, text, config.format)
     status = payload.get("status", "ok")
     if status == "verification_fail":
         return 3

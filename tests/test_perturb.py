@@ -362,6 +362,19 @@ def test_reloaded_perturbation_verifies():
     assert rep.passed
 
 
+@pytest.mark.parametrize("mid,kind,fragment", [
+    ("spiral", "l1", "is l1 on 2->2"),  # same dimensions, another norm
+    ("xsin", "l2", "is l2 on 1->1"),  # same norm, 1-D
+])
+def test_verify_builder_refuses_a_map_unlike_the_witness(mid, kind, fragment):
+    F, base = setup_map("spiral", "l2")
+    lad = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
+    p = build_ssr_destabilizer(F, base, 1.1, lad)
+    G, base_g = setup_map(mid, kind)
+    with pytest.raises(WitnessError, match=fragment):
+        verify_builder(p, G, base_g, lad)
+
+
 def test_tampered_description_is_rejected():
     # replaying a witness with a stronger claim than it certifies must fail
     F, base, lad, p = _build("identity", "lip", 2.5)

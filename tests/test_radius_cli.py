@@ -559,3 +559,52 @@ def test_every_payload_key_sorts_before_timings():
     names = [f.name for f in dataclasses.fields(cli.RunReport)]
     assert "timings" in names
     assert all(n < "timings" for n in names if n != "timings")
+
+
+def test_payload_is_a_fresh_tree():
+    report = cli.run(cli.parse_config({"map": "abs", "task": "moduli", "seed": 7,
+                                       "ladder": {"depth": 4, "samples": 8}}))
+    before = report.payload()
+    mutated = report.payload()
+    mutated["estimates"][0]["per_scale"].append(["junk"])
+    mutated["estimates"][0]["witnesses"].clear()
+    mutated["config"]["ladder"]["depth"] = -1
+    mutated["provenance"]["junk"] = 1
+    assert report.payload() == before
+    assert report.estimates[0]["per_scale"] == before["estimates"][0]["per_scale"]
+    assert report.config["ladder"]["depth"] == 4
+
+
+def test_a_run_encodes_its_payload_once(tmp_path, capsys, monkeypatch):
+    encodes = []
+    dumps = cli.json.dumps
+
+    def counting(obj, *args, **kwargs):
+        if kwargs.get("indent") is not None and isinstance(obj, dict) and "config_hash" in obj:
+            encodes.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    cfg = {"map": "abs", "task": "moduli", "seed": 7, "ladder": {"depth": 4, "samples": 8},
+           "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    for fresh in (True, False):
+        encodes.clear()
+        assert cli.main(["run", path, "--format", "full"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert ("timings" in report) is fresh
+        assert len(encodes) == 1
+        assert json.loads(capsys.readouterr().out) == encodes[0]
+
+
+def test_a_cache_file_in_another_layout_is_served_in_the_canonical_one(tmp_path, capsys):
+    cfg = {"map": "abs", "task": "moduli", "seed": 7, "ladder": {"depth": 4, "samples": 8},
+           "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    assert cli.main(["run", path, "--format", "full"]) == 0
+    fresh = capsys.readouterr().out
+    (cache_file,) = (tmp_path / "out" / "cache").iterdir()
+    cache_file.write_text(json.dumps(json.loads(cache_file.read_text())))  # compact
+    assert cli.main(["run", path, "--format", "full"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert (tmp_path / "out" / "report.json").read_text() == fresh
