@@ -678,57 +678,57 @@ def _cache_path(config: ExperimentConfig) -> str:
     return os.path.join(config.output, "cache", name)
 
 
-def _read_cache(path: str, config: ExperimentConfig) -> dict | None:
-    """The cached payload of config, or None for a missing, unreadable or
-    corrupt file: one that is not a JSON object holding config's hash and
-    every key of a payload."""
+def _texts(payload: dict) -> dict[str, str]:
+    """A payload's texts by --format; "full" is the cache file's (no timings)."""
+    return {"full": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            "csv": _csv_text(payload), "summary": _summary_text(payload)}
+
+
+def _read_cache(path: str, config: ExperimentConfig) -> tuple[dict, dict] | None:
+    """The cached payload of config and its texts, or None for a missing,
+    unreadable or corrupt file: one that is not a JSON object holding
+    config's hash and every key of a payload, or whose texts cannot be built."""
+    keys = {f.name for f in dataclasses.fields(RunReport)} - {"timings"}
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    keys = {f.name for f in dataclasses.fields(RunReport)} - {"timings"}
-    ok = isinstance(payload, dict) and payload.get("config_hash") == config.digest()
-    return payload if ok and keys <= payload.keys() else None
+        ok = payload.get("config_hash") == config.digest() and keys <= payload.keys()
+        return (payload, _texts(payload)) if ok else None
+    except (OSError, LookupError, TypeError, ValueError, AttributeError):
+        return None  # a non-object has no .get; a field of the wrong type fails in _texts
 
 
-def run_with_cache(config: ExperimentConfig) -> tuple[dict, str, bool]:
-    """Return (payload, text, from_cache); caches the deterministic payload.
+def run_with_cache(config: ExperimentConfig) -> tuple[dict, dict[str, str], bool]:
+    """Return (payload, texts, from_cache); caches the deterministic payload.
 
-    text is the payload's one indented JSON encoding, which the cache file,
-    report.json and --format full share. The three output files are
-    (re)written on every call, cached or not, so the artifacts always
-    reflect the requested config. Timings appear in report.json only for
-    fresh runs; a cache hit did no numeric work. A cache file that cannot be
-    read as a payload is recomputed and rewritten.
+    texts are the payload's texts by --format (see _texts). The three output
+    files are rewritten on every call, so they always reflect the requested
+    config; timings appear in report.json only for fresh runs. A cache file
+    that _read_cache refuses is recomputed and rewritten.
     """
     cpath = _cache_path(config)
-    payload = _read_cache(cpath, config) if config.cache else None
-    hit = payload is not None
-    if not hit:
+    cached = _read_cache(cpath, config) if config.cache else None
+    if cached:
+        payload, texts = cached
+        full = texts["full"]
+    else:
         report = run(config)
         payload = report.payload()
-    text = full = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not hit:
+        texts = _texts(payload)
         os.makedirs(os.path.dirname(cpath), exist_ok=True)
-        _atomic_write(cpath, text)
+        _atomic_write(cpath, texts["full"])
         # "timings" sorts after every payload key: it joins as the last member
         timings = json.dumps(_sanitize(report.timings), indent=2, sort_keys=True)
-        full = text[:-3] + ',\n  "timings": ' + timings.replace("\n", "\n  ") + "\n}\n"
+        full = texts["full"][:-3] + ',\n  "timings": ' + timings.replace("\n", "\n  ") + "\n}\n"
     os.makedirs(config.output, exist_ok=True)
     _atomic_write(os.path.join(config.output, "report.json"), full)
-    _atomic_write(os.path.join(config.output, "per_scale.csv"), _csv_text(payload))
-    _atomic_write(os.path.join(config.output, "summary.txt"), _summary_text(payload))
-    return payload, text, hit
+    _atomic_write(os.path.join(config.output, "per_scale.csv"), texts["csv"])
+    _atomic_write(os.path.join(config.output, "summary.txt"), texts["summary"])
+    return payload, texts, cached is not None
 
 
-def _emit(payload: dict, text: str, fmt: str):
-    if fmt == "full":
-        sys.stdout.write(text)
-    elif fmt == "csv":
-        sys.stdout.write(_csv_text(payload))
-    else:
-        sys.stdout.write(_summary_text(payload))
+def _emit(text: str):
+    sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -769,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        payload, text, _ = run_with_cache(config)
+        payload, texts, _ = run_with_cache(config)
     except ConfigError as err:
         print(json.dumps({"error": {"kind": "config", "message": str(err)}}, indent=2))
         return 2
@@ -778,7 +778,7 @@ def main(argv: list[str] | None = None) -> int:
                                     "message": str(err)}}, indent=2))
         return 4
 
-    _emit(payload, text, config.format)
+    _emit(texts[config.format])
     status = payload.get("status", "ok")
     if status == "verification_fail":
         return 3

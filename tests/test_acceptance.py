@@ -8,11 +8,11 @@ form so "identical" means bit-identical, not approximately equal.
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import ladder12, setup_map
 from subreglab.geometry import derive_seed
 from subreglab.mappings import GraphPoint, catalog, make_function_graph, sum_with_function
@@ -42,26 +42,8 @@ SEED = 7
 # --- canonical serialization: reports compare bitwise or not at all
 
 
-def _canon(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canon(float(v)) for v in obj.ravel()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj.hex()
-    return obj
-
-
 def _dump(report: dict) -> str:
-    return json.dumps(_canon(report), sort_keys=True)
+    return json.dumps(pins.canon(report), sort_keys=True)
 
 
 def _est_snapshot(est) -> dict:
@@ -403,11 +385,22 @@ def test_criterion_8_semismooth_suite():
         assert rep["verdicts"][mid]["verdict"] == "pass", mid
     assert rep["verdicts"]["case1_cone"]["case"] == 1
     assert rep["verdicts"]["oscillating"]["verdict"] == "fail"
-    # every scale (delta, worst quotient, element count) and the worst
-    # witness of each case, floats as hex, in semismooth_pins.json
-    got = {mid: {k: v[k] for k in ("scales", "worst_witness")}
-           for mid, v in _canon(rep["verdicts"]).items()}
-    assert got == json.loads((Path(__file__).parent / "semismooth_pins.json").read_text())
+
+
+_SEMISMOOTH_CASES = ["abs", "case1_cone", "compl_angle", "oscillating", "square"]
+
+
+@pins.pinned("semismooth", _SEMISMOOTH_CASES)
+def _semismooth_scales(mid: str) -> dict:
+    """Every scale (delta, worst quotient, element count) and the worst
+    witness of a case of the semismooth suite, floats as hex."""
+    verdict = _report("semismooth")["verdicts"][mid]
+    return pins.canon({k: verdict[k] for k in ("scales", "worst_witness")})
+
+
+@pytest.mark.parametrize("mid", _SEMISMOOTH_CASES)
+def test_semismooth_suite_scales_are_pinned(mid):
+    assert _semismooth_scales(mid) == pins.stored("semismooth", mid)
 
 
 def test_criterion_9_eckart_young():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import pins
 import subreglab.moduli as moduli
 import subreglab.perturb as perturb
 import subreglab.radius_cli as cli
@@ -18,10 +19,6 @@ from subreglab.perturb import WitnessError, extract_witness
 from subreglab.variational import CoderivElement, element_quotient, elements_at_point
 
 _LADDER = ScaleLadder(depth=12, samples_per_scale=64, seed=7)
-
-
-def _hexes(vals):
-    return [float(v).hex() for v in np.atleast_1d(np.asarray(vals, dtype=float))]
 
 
 def _record_dump(records):
@@ -43,9 +40,9 @@ def test_pool_views_equal_fresh_pools_at_every_depth(mid, kind):
 
 
 def _witness_dump(seq):
-    return [seq.kind, seq.direction_mode, seq.k_hat, _hexes([seq.gamma, seq.gamma_prime])]\
-        + [(e.index, _hexes([e.t, e.eps, e.ratio, e.xn, e.q]), _hexes(e.x), _hexes(e.y),
-            _hexes(e.x_star), _hexes(e.y_star), _hexes(e.u)) for e in seq.entries]
+    return [seq.kind, seq.direction_mode, seq.k_hat, pins.hexes([seq.gamma, seq.gamma_prime])]\
+        + [(e.index, pins.hexes([e.t, e.eps, e.ratio, e.xn, e.q]),
+            *map(pins.hexes, (e.x, e.y, e.x_star, e.y_star, e.u))) for e in seq.entries]
 
 
 def _extraction(F, base, kind, gamma):
@@ -96,7 +93,7 @@ def test_deepening_appends_the_candidates_of_the_new_annuli(monkeypatch, mid, ki
     assert len(offered[-1]) == len(whole)
     for a, b in zip(offered[-1], whole):
         assert a.keys() == b.keys()
-        assert all(_hexes(a[k]) == _hexes(b[k]) for k in a)
+        assert all(pins.hexes(a[k]) == pins.hexes(b[k]) for k in a)
 
 
 def test_extras_follow_the_shared_records_and_are_not_memoized():
@@ -115,11 +112,11 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
         assert {name: vals[:n] for name, vals in whole.items()} == _fields(recs)
         added += [{name: vals[i] for name, vals in whole.items()} for i in range(n, len(more))]
         assert all(inner < t <= outer for t in more.t[n:])
-    assert [rec["x"] for rec in added] == [_hexes(e.x) for e in extras]
+    assert [rec["x"] for rec in added] == [pins.hexes(e.x) for e in extras]
     for rec, e in zip(added, extras):
         unit = CoderivElement(e.x, e.y, 0.5 * e.y_star, 0.5 * e.x_star)
-        assert rec["y_star"] == _hexes(unit.y_star)
-        assert rec["t"] + rec["xn"] + rec["q"] == _hexes(
+        assert rec["y_star"] == pins.hexes(unit.y_star)
+        assert rec["t"] + rec["xn"] + rec["q"] == pins.hexes(
             [norm(e.x - base.x, F.kind), dual_norm(unit.x_star, F.kind),
              element_quotient(unit, base, F.kind)])
     # nothing of the extras stays in the memo: a deeper ladder reads the
@@ -204,12 +201,12 @@ _FIELDS = ("t", "ratio", "xn", "q", "eps", "x", "y", "x_star", "y_star")
 
 
 def _reference_fields(recs):
-    return {name: [_hexes(rec[i]) for rec in recs] for i, name in enumerate(_FIELDS)}
+    return {name: [pins.hexes(rec[i]) for rec in recs] for i, name in enumerate(_FIELDS)}
 
 
 def _fields(annulus):
     """The records of one annulus of a pool, field by field, as hex floats."""
-    return {name: [_hexes(v) for v in getattr(annulus, name)] for name in _FIELDS}
+    return {name: [pins.hexes(v) for v in getattr(annulus, name)] for name in _FIELDS}
 
 
 def _reference_pool(F, base, ladder, extras=()):
@@ -281,7 +278,7 @@ def test_extras_are_the_per_element_loop_through_every_branch():
     extra_recs = [rec for recs in want for rec in recs if rec[5].tolist() in
                   [e.x.tolist() for e in extras]]
     assert len(extra_recs) == 6
-    assert _hexes([rec[3] for rec in extra_recs if math.isnan(rec[8][0])]) == \
+    assert pins.hexes([rec[3] for rec in extra_recs if math.isnan(rec[8][0])]) == \
         ["nan", "inf"]
     _assert_pool_is_the_reference(pool, want)
 

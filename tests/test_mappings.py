@@ -1,11 +1,10 @@
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import setup_map
 import subreglab.mappings as mappings
 from subreglab.geometry import (
@@ -143,7 +142,7 @@ _ROOT_CASES = {
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
 def test_nearest_root_cases_are_pinned(case):
     (fb, xv, yv, r0), want = _ROOT_CASES[case]
-    assert [float(d).hex() for d in _roots(fb, xv, yv, r0)] == want
+    assert pins.hexes(_roots(fb, xv, yv, r0)) == want
 
 
 def test_a_settled_bracket_leaves_the_refinement_loop():
@@ -153,7 +152,7 @@ def test_a_settled_bracket_leaves_the_refinement_loop():
     (f, xv, yv, r0), want = _ROOT_CASES["early fixed point"]
     calls = []
     d = _roots(lambda z: calls.append(len(z)) or f(z), xv, yv, r0)
-    assert [float(v).hex() for v in d] == want
+    assert pins.hexes(d) == want
     steps = calls[2:92]  # after the grid and the golden-section seed
     paired = steps.count(2)
     assert paired <= 8 and steps == [2] * paired + [1] * (90 - paired)
@@ -661,16 +660,17 @@ def test_feature_points_respect_the_cap():
 
 
 # the rows X and Y of graph_annuli (tag 61, depth 6, 32 samples, seed 7) as
-# hex floats, kept in sample_pins.json under "map/norm": every catalog map,
-# the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
+# hex floats, kept in the pin group "sample" under "map/norm": every catalog
+# map, the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
 _SAMPLE_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
-_SAMPLE_PIN = json.loads((Path(__file__).parent / "sample_pins.json").read_text())
+_SAMPLE_CASES = sorted(f"{mid}/{kind}" for kind in NORM_KINDS for mid in
+                       ALL_IDS + sorted(_WRAPS) + ["anchored", "square_off_origin"])
 # square with anchors in four of the six annuli, and one (0.9) beyond them
 _ANCHORS = [(np.array([x]), np.array([x * x])) for x in (0.3, -0.2, 0.04, -0.01, 0.9)]
 
 
 def _sample_map(mid, kind):
-    """(map, base) of a sample_pins.json key's map."""
+    """(map, base) of a sample case's map."""
     if mid == "anchored":
         return anchored(make_square(kind), _ANCHORS), GraphPoint([0.0], [0.0])
     if mid == "square_off_origin":
@@ -679,18 +679,16 @@ def _sample_map(mid, kind):
     return F, GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
 
 
-def _sample_dump(F, base):
-    out = []
-    for _, _, _, X, Y in graph_annuli(F, base, _SAMPLE_LADDER, 61):
-        out.append({"X": [[float(v).hex() for v in row] for row in X],
-                    "Y": [[float(v).hex() for v in row] for row in Y]})
-    return out
+@pins.pinned("sample", _SAMPLE_CASES)
+def _sample_dump(key: str) -> list:
+    F, base = _sample_map(*key.split("/"))
+    return [{"X": [pins.hexes(row) for row in X], "Y": [pins.hexes(row) for row in Y]}
+            for _, _, _, X, Y in graph_annuli(F, base, _SAMPLE_LADDER, 61)]
 
 
-@pytest.mark.parametrize("key", sorted(_SAMPLE_PIN))
+@pytest.mark.parametrize("key", _SAMPLE_CASES)
 def test_graph_samples_are_pinned(key):
-    mid, kind = key.split("/")
-    assert _sample_dump(*_sample_map(mid, kind)) == _SAMPLE_PIN[key]
+    assert _sample_dump(key) == pins.stored("sample", key)
 
 
 _FEATURE_ANNULI = [(0.0625, 0.125), (0.01, 0.02), (1e-4, 2e-4)]

@@ -1,12 +1,11 @@
 import dataclasses
-import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import ladder12, setup_map
 import subreglab.moduli as moduli
 from subreglab.geometry import ScaleLadder, derive_seed
@@ -319,260 +318,127 @@ def test_eckart_young_check_on_a_random_matrix():
     assert out["ok"], out
 
 
+_PIN_LADDER = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
+
+
+def _per_scale(est) -> list[str]:
+    return pins.hexes(v for _, v in est.per_scale)
+
+
 # per_scale values of rg and srg on the maps without a preimage oracle, as
 # hex floats, at ladder depth 8, 16 samples, seed 7. They pin the bits of
 # the preimage root finder (mappings._nearest_roots_1d) across code changes.
-_FALLBACK_PIN = {
-    ('xsin', 'rg'): [
-        '0x0.0p+0',
-        '0x0.0p+0',
-        '0x1.a6353a91ab894p-2',
-        '0x1.a6353a91ab894p-2',
-        '0x1.7bbbe2089aa11p-1',
-        '0x1.9ba3559f56bc6p-1',
-        '0x1.9ba3559f56bc6p-1',
-        '0x1.9ba3559f56bc6p-1',
-    ],
-    ('xsin', 'srg'): [
-        '0x1.42e5e8d966708p+1',
-        '0x1.80bf32bf4af04p+1',
-        '0x1.d6e98c399fa6fp+2',
-        '0x1.cc5d2002083c8p+3',
-        '0x1.b41bfa832c3a2p+4',
-        '0x1.a301ca3e47132p+5',
-        '0x1.c0653d282309ep+6',
-        '0x1.d52e293c71c90p+7',
-    ],
-    ('oscillating', 'rg'): [
-        '0x1.f95381e08a0c8p-6',
-        '0x1.0254d540cf52dp-5',
-        '0x1.0254d540cf52dp-5',
-        '0x1.0254d540cf52dp-5',
-        '0x1.0254d540cf52dp-5',
-        '0x1.5c9c39611c64cp-4',
-        '0x1.a0ec2198b62bdp-2',
-        '0x1.a0ec2198b62bdp-2',
-    ],
-    ('oscillating', 'srg'): [
-        '0x1.5be30a4b1377ap-1',
-        '0x1.5be30a4b1377ap-1',
-        '0x1.5be30a4b1377ap-1',
-        '0x1.5be30a4b1377ap-1',
-        '0x1.5be30a4b1377ap-1',
-        '0x1.0264f7f69cb9ap+0',
-        '0x1.18a1033f6c64dp+0',
-        '0x1.18a1033f6c64dp+0',
-    ],
-    ('square_plus_identity', 'rg'): [
-        '0x0.0p+0',
-        '0x1.8bac683dc7fe3p-2',
-        '0x1.7e30d40e06e77p-1',
-        '0x1.c69caf83b8c38p-1',
-        '0x1.e477aa15ce56fp-1',
-        '0x1.f361caca2ac6fp-1',
-        '0x1.f865a25eace6ep-1',
-        '0x1.fc55898227f29p-1',
-    ],
-    ('square_plus_identity', 'srg'): [
-        '0x1.04f8f80af3688p-1',
-        '0x1.8b376fdf8bc3dp-1',
-        '0x1.c315f8748f028p-1',
-        '0x1.e035772bad3e2p-1',
-        '0x1.f0c561456636fp-1',
-        '0x1.f88d1c3ba88fcp-1',
-        '0x1.fc596b31ff8d2p-1',
-        '0x1.fe0ea7109907bp-1',
-    ],
-}
+_FALLBACK_CASES = [(mid, name) for mid in ("oscillating", "square_plus_identity", "xsin")
+                   for name in ("rg", "srg")]
 
 
-@pytest.mark.parametrize("mid,name", sorted(_FALLBACK_PIN))
-def test_fallback_moduli_bits_are_pinned(mid, name):
+@pins.pinned("fallback", _FALLBACK_CASES)
+def _fallback_moduli(mid, name):
     F, base = setup_map(mid)
-    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
-    est = {"rg": estimate_rg, "srg": estimate_srg}[name](F, base, ladder)
-    assert [float(v).hex() for _, v in est.per_scale] == _FALLBACK_PIN[(mid, name)]
+    return _per_scale({"rg": estimate_rg, "srg": estimate_srg}[name](F, base, _PIN_LADDER))
+
+
+@pytest.mark.parametrize("mid,name", _FALLBACK_CASES)
+def test_fallback_moduli_bits_are_pinned(mid, name):
+    assert _fallback_moduli(mid, name) == pins.stored("fallback", (mid, name))
+
+
+def _pair_distances(F, base, ladder) -> list:
+    """The distances preimage_distances_fallback returns to estimate_rg and
+    then estimate_srg, one array a call."""
+    seen = []
+    batched = moduli.preimage_distances_fallback
+    moduli.preimage_distances_fallback = lambda *a: seen.append(batched(*a)) or seen[-1]
+    try:
+        estimate_rg(F, base, ladder)
+        estimate_srg(F, base, ladder)
+    finally:
+        moduli.preimage_distances_fallback = batched
+    return seen
 
 
 # sha256 of the hex floats, one a line, of every distance that
 # preimage_distances_fallback returns to estimate_rg and then estimate_srg
-# (256 pairs), at ladder depth 8, 16 samples, l1. _FALLBACK_PIN pins only
-# the pooled per-scale minima; these pin each pair's root-finder result.
-_FALLBACK_PAIR_DIGESTS = {
-    ("oscillating", 7): "3feef741d49ac7fdf59dfc5d27ebdd201f28b2a416dd9938d89aedb857adb1ab",
-    ("oscillating", 23): "847aa1bb5704572f9a8ee1bbeba14b1e049f256eaa16076284ca07ea59f0c922",
-    ("square_plus_identity", 7): "ce79de59a9487354b1a8a712ea1a9c9373886147fb299ab561ac5f63b44cfe5d",
-    ("square_plus_identity", 23): "ae7bf343041d0ab8a78773d321c7654d50985eb5f89d5bb872d7fbf86f454869",
-    ("xsin", 7): "e45c0229bf9fc2e9f1f71de8e9b837dcd139a54b771ea3a2da28fd1c1925a71c",
-    ("xsin", 23): "b1fa8a785199322c0b464fcad0dc2ad935f8c7b1bb14ceec8724312af456dc56",
-}
+# (256 pairs), at ladder depth 8, 16 samples, l1. The "fallback" pins hold
+# only the pooled per-scale minima; these pin each pair's root-finder result.
+_FALLBACK_PAIR_CASES = [(mid, seed) for mid in ("oscillating", "square_plus_identity", "xsin")
+                        for seed in (23, 7)]
 
 
-@pytest.mark.parametrize("mid,seed", sorted(_FALLBACK_PAIR_DIGESTS))
-def test_fallback_pair_distances_are_pinned(mid, seed, monkeypatch):
-    F, base = setup_map(mid)
-    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=seed)
-    seen = []
-    batched = moduli.preimage_distances_fallback
-    monkeypatch.setattr(moduli, "preimage_distances_fallback",
-                        lambda *a: seen.append(batched(*a)) or seen[-1])
-    estimate_rg(F, base, ladder)
-    estimate_srg(F, base, ladder)
+@pins.pinned("fallback_pairs", _FALLBACK_PAIR_CASES)
+def _fallback_pair_digest(mid, seed):
+    seen = _pair_distances(*setup_map(mid), ScaleLadder(depth=8, samples_per_scale=16, seed=seed))
     dist = np.concatenate(seen)
     assert len(seen) == 2 and len(dist) == 256
-    text = "\n".join(float(v).hex() for v in dist)
-    assert hashlib.sha256(text.encode()).hexdigest() == _FALLBACK_PAIR_DIGESTS[(mid, seed)]
+    return pins.sha256("\n".join(pins.hexes(dist)))
+
+
+@pytest.mark.parametrize("mid,seed", _FALLBACK_PAIR_CASES)
+def test_fallback_pair_distances_are_pinned(mid, seed):
+    assert _fallback_pair_digest(mid, seed) == pins.stored("fallback_pairs", (mid, seed))
 
 
 # The same digests on the 1-D maps mid + 0.5 x (_plus_half_x), which have no
 # func: their scan refines the touches of d(y, F(z)), and compl_angle's
 # empty preimages read nan. Ladder depth 6, 32 samples, l1 (384 pairs).
-_TOUCH_PAIR_DIGESTS = {
-    ("compl_angle", 7): "13b2210764b8452aab909e2febed8c7c0a36b8e67eed27b5288dab582cbac104",
-    ("compl_angle", 23): "e985e820e61e47925fe5ea75c8990501073d9ca6e734b13032d7a4e8dc49cf3a",
-    ("interval", 7): "6bb2808cf89ea7c0ce2ecf964bffc650980a3ddb09905d9839e5fc7ec513d419",
-    ("interval", 23): "e07840dfd718d02b474307dda6b5c5815cbe335ba1bff5fb355c611689852dce",
-}
+_TOUCH_PAIR_CASES = [(mid, seed) for mid in ("compl_angle", "interval") for seed in (23, 7)]
 
 
-@pytest.mark.parametrize("mid,seed", sorted(_TOUCH_PAIR_DIGESTS))
-def test_touch_only_pair_distances_are_pinned(mid, seed, monkeypatch):
-    F, base = _plus_half_x(mid)
+@pins.pinned("touch_pairs", _TOUCH_PAIR_CASES)
+def _touch_pair_digest(mid, seed):
     ladder = ScaleLadder(depth=6, samples_per_scale=32, seed=seed)
-    seen = []
-    batched = moduli.preimage_distances_fallback
-    monkeypatch.setattr(moduli, "preimage_distances_fallback",
-                        lambda *a: seen.append(batched(*a)) or seen[-1])
-    estimate_rg(F, base, ladder)
-    estimate_srg(F, base, ladder)
+    seen = _pair_distances(*_plus_half_x(mid), ladder)
     dist = np.concatenate(seen)
     assert len(dist) == 384
-    text = "\n".join(float(v).hex() for v in dist)
-    assert hashlib.sha256(text.encode()).hexdigest() == _TOUCH_PAIR_DIGESTS[(mid, seed)]
+    return pins.sha256("\n".join(pins.hexes(dist)))
+
+
+@pytest.mark.parametrize("mid,seed", _TOUCH_PAIR_CASES)
+def test_touch_only_pair_distances_are_pinned(mid, seed):
+    assert _touch_pair_digest(mid, seed) == pins.stored("touch_pairs", (mid, seed))
 
 
 # per_scale values of the graph-sampled moduli clm, lip and ssrg, as hex
 # floats, at ladder depth 8, 16 samples, seed 7: xsin and oscillating are 1-D
 # maps with feature points, spiral (l2) takes lip's stride-pair branch. They
 # pin the per-annulus graph sampler and the suffix pooling across code changes.
-_GRAPH_PIN = {
-    ('oscillating', 'clm'): [
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.f64971a1a16f5p-1',
-        '0x1.557fdfcd55281p-1',
-    ],
-    ('oscillating', 'lip'): [
-        '0x1.6a08c9f7fb8bbp+0',
-        '0x1.6a08c9f7fb8bbp+0',
-        '0x1.6a08c9f7fb8bbp+0',
-        '0x1.69c8391bd5277p+0',
-        '0x1.69c8391bd5277p+0',
-        '0x1.69c8391bd5277p+0',
-        '0x1.69c8391bd5277p+0',
-        '0x1.677395cfcb5bcp+0',
-    ],
-    ('oscillating', 'ssrg'): [
-        '0x1.1a62633145c07p-53',
-        '0x1.1a62633145c07p-53',
-        '0x1.1a62633145c07p-53',
-        '0x1.1a62633145c07p-53',
-        '0x1.19ac51fd123c9p-3',
-        '0x1.19ac51fd123c9p-3',
-        '0x1.19ac51fd123c9p-3',
-        '0x1.19ac51fd123c9p-3',
-    ],
-    ('spiral', 'clm'): [
-        '0x1.fd556ac6ba9edp-2',
-        '0x1.f590950149e08p-3',
-        '0x1.f98bfa48059f5p-4',
-        '0x1.ffb9fac9a34c4p-5',
-        '0x1.eff2ff5a6e4c2p-6',
-        '0x1.f048c275d1857p-7',
-        '0x1.f70b67a9a5a36p-8',
-        '0x1.f2714f01b1d5ap-9',
-    ],
-    ('spiral', 'lip'): [
-        '0x1.cc41fc9dbaf68p-1',
-        '0x1.93bdeccc595e4p-2',
-        '0x1.a595489dae760p-3',
-        '0x1.9cb6e816d7b9ap-4',
-        '0x1.b1950345c2c57p-5',
-        '0x1.7561c6ded496fp-6',
-        '0x1.4faffbc516c67p-7',
-        '0x1.88cd3d0cf0296p-8',
-    ],
-    ('spiral', 'ssrg'): [
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-        '0x1.14b778c3e8c20p-9',
-    ],
-    ('xsin', 'clm'): [
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-        '0x1.0000000000000p+0',
-    ],
-    ('xsin', 'lip'): [
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-        '0x1.4467675b33dc7p+8',
-    ],
-    ('xsin', 'ssrg'): [
-        '0x1.1a62633145c07p-53',
-        '0x1.1a62633145c07p-52',
-        '0x1.a79394c9e8a0ap-52',
-        '0x1.a79394c9e8a0ap-51',
-        '0x1.1abdbb9ea8e6ep-50',
-        '0x1.1abdbb9ea8e6ep-50',
-        '0x1.a7eeed374bc71p-48',
-        '0x1.1a7383c5c857ap-45',
-    ],
-}
+_GRAPH_CASES = [(mid, name) for mid in ("oscillating", "spiral", "xsin")
+                for name in ("clm", "lip", "ssrg")]
 
 
-@pytest.mark.parametrize("mid,name", sorted(_GRAPH_PIN))
-def test_graph_moduli_bits_are_pinned(mid, name):
+@pins.pinned("graph", _GRAPH_CASES)
+def _graph_moduli(mid, name):
     F, base = setup_map(mid, "l2" if mid == "spiral" else "l1")
-    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     fn = {"clm": estimate_clm, "lip": estimate_lip, "ssrg": estimate_ssrg}[name]
-    est = fn(F, base, ladder)
-    assert [float(v).hex() for _, v in est.per_scale] == _GRAPH_PIN[(mid, name)]
+    return _per_scale(fn(F, base, _PIN_LADDER))
+
+
+@pytest.mark.parametrize("mid,name", _GRAPH_CASES)
+def test_graph_moduli_bits_are_pinned(mid, name):
+    assert _graph_moduli(mid, name) == pins.stored("graph", (mid, name))
 
 
 # per_scale values of clm, lip, rg and srg on the maps whose image and
 # preimage oracles no other pin reaches (rg and srg alone on spiral, whose
-# graph moduli _GRAPH_PIN holds), as hex floats at ladder depth 8, 16
-# samples, seed 7, kept in oracle_pins.json under "map/norm/estimator"
-_ORACLE_PIN = json.loads((Path(__file__).parent / "oracle_pins.json").read_text())
+# graph moduli the "graph" pins hold), as hex floats at ladder depth 8, 16
+# samples, seed 7, kept under "map/norm/estimator"
+_ORACLE_CASES = sorted([f"{mid}/l1/{name}" for mid in ("abs", "compl_angle", "interval",
+                                                       "inverse_abs", "scale", "square", "zero")
+                        for name in ("clm", "lip", "rg", "srg")]
+                       + ["spiral/l2/rg", "spiral/l2/srg"])
 
 
-@pytest.mark.parametrize("key", sorted(_ORACLE_PIN))
-def test_oracle_moduli_bits_are_pinned(key):
+@pins.pinned("oracle", _ORACLE_CASES)
+def _oracle_moduli(key: str):
     mid, kind, name = key.split("/")
     F, base = setup_map(mid, kind)
-    ladder = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
     fn = {"clm": estimate_clm, "lip": estimate_lip, "rg": estimate_rg, "srg": estimate_srg}[name]
-    est = fn(F, base, ladder)
-    assert [float(v).hex() for _, v in est.per_scale] == _ORACLE_PIN[key]
+    return _per_scale(fn(F, base, _PIN_LADDER))
+
+
+@pytest.mark.parametrize("key", _ORACLE_CASES)
+def test_oracle_moduli_bits_are_pinned(key):
+    assert _oracle_moduli(key) == pins.stored("oracle", key)
 
 
 # per_scale values of estimate_rg and estimate_srg on linear maps, as hex
@@ -585,68 +451,8 @@ _EY_MATRIX = [[float.fromhex(v) for v in row] for row in (
     ('0x1.de0b0ff011ba0p-3', '0x1.8edcd8e761271p+0', '0x1.95783601a3910p-2'),
     ('0x1.29837f8cd514dp-3', '-0x1.46d5ef2f6bafcp-3', '0x1.cb51ccf243685p+0'),
 )]
-_LINEAR_PIN = {
-    ('linear', 'l1', 'rg'): [
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.000cae1b7fae4p-1',
-        '0x1.04cba7b84ea8ap-1',
-    ],
-    ('linear', 'l1', 'srg'): [
-        '0x1.00f119d01edb7p-1',
-        '0x1.00f119d01edb7p-1',
-        '0x1.00f119d01edb7p-1',
-        '0x1.00f119d01edb7p-1',
-        '0x1.00f119d01edb7p-1',
-        '0x1.00f119d01edb7p-1',
-        '0x1.07fc0ffbb0664p-1',
-        '0x1.16c1fa6ea47e6p-1',
-    ],
-    ('linear', 'l2', 'rg'): [
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00000160c222cp-1',
-        '0x1.00013f457bcc4p-1',
-    ],
-    ('linear', 'l2', 'srg'): [
-        '0x1.0000bdb005713p-1',
-        '0x1.0000bdb005713p-1',
-        '0x1.0000bdb005713p-1',
-        '0x1.0000bdb005713p-1',
-        '0x1.0000bdb005713p-1',
-        '0x1.0000bdb005713p-1',
-        '0x1.003638e31e4bfp-1',
-        '0x1.01c85760f8046p-1',
-    ],
-    ('eckart', 'l2', 'rg'): [
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.8897aab1841e0p+0',
-        '0x1.89a1cc4d3f1bbp+0',
-    ],
-    ('eckart', 'l2', 'srg'): [
-        '0x1.88a5b1c8a89b3p+0',
-        '0x1.88a5b1c8a89b3p+0',
-        '0x1.88c490c01847bp+0',
-        '0x1.88c490c01847bp+0',
-        '0x1.88c490c01847bp+0',
-        '0x1.88c490c01847bp+0',
-        '0x1.88c490c01847bp+0',
-        '0x1.88c490c01847bp+0',
-    ],
-}
+_LINEAR_CASES = [("eckart", "l2", "rg"), ("eckart", "l2", "srg"), ("linear", "l1", "rg"),
+                 ("linear", "l1", "srg"), ("linear", "l2", "rg"), ("linear", "l2", "srg")]
 
 
 def _linear_case(mid: str, kind: str):
@@ -660,12 +466,16 @@ def _linear_case(mid: str, kind: str):
     return F, base, ladder, 320
 
 
-@pytest.mark.parametrize("mid,kind,name", sorted(_LINEAR_PIN))
-def test_linear_rg_and_srg_bits_are_pinned(mid, kind, name):
+@pins.pinned("linear", _LINEAR_CASES)
+def _linear_moduli(mid, kind, name):
     F, base, ladder, pairs = _linear_case(mid, kind)
-    est = (estimate_rg(F, base, ladder, pairs_per_scale=pairs) if name == "rg"
-           else estimate_srg(F, base, ladder))
-    assert [float(v).hex() for _, v in est.per_scale] == _LINEAR_PIN[(mid, kind, name)]
+    return _per_scale(estimate_rg(F, base, ladder, pairs_per_scale=pairs) if name == "rg"
+                      else estimate_srg(F, base, ladder))
+
+
+@pytest.mark.parametrize("mid,kind,name", _LINEAR_CASES)
+def test_linear_rg_and_srg_bits_are_pinned(mid, kind, name):
+    assert _linear_moduli(mid, kind, name) == pins.stored("linear", (mid, kind, name))
 
 
 def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
@@ -695,38 +505,18 @@ def test_rg_and_srg_ask_a_linear_map_for_no_single_pair():
 # interval the exact zero quotients of the reciprocal fibers, up to four per
 # annulus; on spiral no quotient vanishes, so the one witness is the pooled
 # minimizer, the first one met from the innermost annulus outward
-_SSRG_WITNESS_PIN = {
-    ("interval", "l1"): [
-        ('0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.5555555555555p-2', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.999999999999ap-3', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.5555555555555p-3', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.2492492492492p-3', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.0000000000000p-3', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.c71c71c71c71cp-4', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.999999999999ap-4', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.745d1745d1746p-4', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.0000000000000p-4', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.e1e1e1e1e1e1ep-5', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.af286bca1af28p-5', '0x0.0p+0', '0x0.0p+0'),
-        ('0x1.999999999999ap-5', '0x0.0p+0', '0x0.0p+0'),
-    ],
-    ("spiral", "l2"): [
-        ('-0x1.e34a81467b521p-10', '-0x1.0da9cb65e0badp-10', '0x1.3a29f9b6557c8p-19', '0x1.fd15d602d0466p-19', '0x1.14b778c3e8c20p-9'),
-    ],
-}
+_SSRG_WITNESS_CASES = [("interval", "l1"), ("spiral", "l2")]
 
 
-@pytest.mark.parametrize("mid,kind", sorted(_SSRG_WITNESS_PIN))
+@pins.pinned("ssrg_witness", _SSRG_WITNESS_CASES)
+def _ssrg_witnesses(mid, kind):
+    est = estimate_ssrg(*setup_map(mid, kind), _PIN_LADDER)
+    return [pins.hexes(w["x"] + w["y"] + [w["ratio"]]) for w in est.witnesses]
+
+
+@pytest.mark.parametrize("mid,kind", _SSRG_WITNESS_CASES)
 def test_ssrg_witness_bits_are_pinned(mid, kind):
-    F, base = setup_map(mid, kind)
-    est = estimate_ssrg(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7))
-    got = [tuple(float(c).hex() for c in w["x"] + w["y"] + [w["ratio"]])
-           for w in est.witnesses]
-    assert got == _SSRG_WITNESS_PIN[(mid, kind)]
+    assert _ssrg_witnesses(mid, kind) == pins.stored("ssrg_witness", (mid, kind))
 
 
 @pytest.mark.parametrize("mid,theta", [("oscillating", 0.5), ("xsin", 0.04)])
@@ -801,7 +591,7 @@ def _check_quotients(ann, dimg, dpre, depth):
         lists = loop(ann.tolist(), dimg.tolist(), dpre.tolist(), depth)
         got_ann, got = _quotients(ann, dimg, dpre, drop_nan)
         assert got_ann.tolist() == [j for j, vals in enumerate(lists) for _ in vals]
-        assert [float(v).hex() for v in got] == [float(v).hex() for vals in lists for v in vals], \
+        assert pins.hexes(got) == pins.hexes(v for vals in lists for v in vals), \
             (ann, dimg, dpre, drop_nan)
 
 
@@ -818,8 +608,8 @@ def test_quotients_match_the_loops_they_replaced():
     # keeps the nan
     ann, dimg, dpre = np.array([0, 1]), np.array([math.nan, math.nan]), np.array([math.inf, 2.0])
     _check_quotients(ann, dimg, dpre, 2)
-    assert [float(v).hex() for v in _quotients(ann, dimg, dpre, True)[1]] == ["0x0.0p+0"]
-    assert [float(v).hex() for v in _quotients(ann, dimg, dpre, False)[1]] == ["0x0.0p+0", "nan"]
+    assert pins.hexes(_quotients(ann, dimg, dpre, True)[1]) == ["0x0.0p+0"]
+    assert pins.hexes(_quotients(ann, dimg, dpre, False)[1]) == ["0x0.0p+0", "nan"]
 
 
 # the five suffix loops that _pool_scales replaced, as they were written in
@@ -861,10 +651,6 @@ def _random_annuli(rng):
             for _ in range(int(rng.integers(1, 6)))]
 
 
-def _hex_list(vals):
-    return [float(v).hex() for v in vals]
-
-
 def _flat(lists):
     """Per-annulus lists flattened to values and their annuli."""
     vals = np.array([v for vs in lists for v in vs], dtype=float)
@@ -887,9 +673,10 @@ def _check_pool_scales(per_annulus):
         vals, ann = _flat(lists)
         got, own, win = _pool_scales(vals, ann, ladder, **kwargs)
         assert [r for r, _ in got] == [ladder.radius(j) for j in range(depth)]
-        assert _hex_list(v for _, v in got) == _hex_list(loop(per_annulus)), (per_annulus, kwargs)
+        assert pins.hexes(v for _, v in got) == pins.hexes(loop(per_annulus)), \
+            (per_annulus, kwargs)
         # each annulus's own extremum is what the loop reads from that annulus alone
-        assert _hex_list(own) == _hex_list(loop([vs])[0] for vs in per_annulus), \
+        assert pins.hexes(own) == pins.hexes(loop([vs])[0] for vs in per_annulus), \
             (per_annulus, kwargs)
     # the winner's index mapped back to its (annulus, index in the annulus)
     assert (None if win is None else (int(ann[win]), int(win - np.argmax(ann == ann[win])))
@@ -910,53 +697,46 @@ def test_pool_scales_matches_the_loops_it_replaced():
     for kwargs, want in ((dict(largest=True), [nan, nan, -0.0, 0.0, inf, 2.0]),
                          ({}, [inf, nan, -0.0, 0.0, inf, 1.0]),
                          (dict(empty=inf), [inf, inf, -0.0, 0.0, inf, 1.0])):
-        assert _hex_list(_pool_scales(vals, ann, ladder, **kwargs)[1]) == _hex_list(want), kwargs
+        assert pins.hexes(_pool_scales(vals, ann, ladder, **kwargs)[1]) == pins.hexes(want), kwargs
 
 
 # per_scale and witnesses of the nine constants as hex floats, at ladder
-# depth 8, 16 samples, seed 7, kept in constant_pins.json. They pin the
-# element pool build and the constant reductions across code changes.
-_PIN_LADDER = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
-_CONSTANT_PIN = json.loads((Path(__file__).parent / "constant_pins.json").read_text())
+# depth 8, 16 samples, seed 7, kept under "map/norm". They pin the element
+# pool build and the constant reductions across code changes.
+_CONSTANT_CASES = ["interval/l1", "linear/l1", "linear/l2", "linear/linf", "spiral/l1",
+                   "spiral/l2", "spiral/linf", "xsin/l1"]
 
 
-def _hexes(vals):
-    return [float(v).hex() for v in vals]
-
-
-def _constants_dump(mid, kind):
-    F, base = setup_map(mid, kind)
-    consts = estimate_all_constants(F, base, _PIN_LADDER)
-    return {name: {"per_scale": _hexes(v for _, v in est.per_scale),
-                   "witnesses": [_hexes(w["x"] + w["y"] + w["x_star"] + w["y_star"]
-                                        + [w["t"], w["ratio"], w["xn"], w["q"]])
+@pins.pinned("constant", _CONSTANT_CASES)
+def _constants_dump(key: str) -> dict:
+    consts = estimate_all_constants(*setup_map(*key.split("/")), _PIN_LADDER)
+    return {name: {"per_scale": _per_scale(est),
+                   "witnesses": [pins.hexes(w["x"] + w["y"] + w["x_star"] + w["y_star"]
+                                            + [w["t"], w["ratio"], w["xn"], w["q"]])
                                  for w in est.witnesses]}
             for name, est in consts.items()}
 
 
-@pytest.mark.parametrize("key", sorted(_CONSTANT_PIN))
+@pytest.mark.parametrize("key", _CONSTANT_CASES)
 def test_constant_bits_are_pinned(key):
-    mid, kind = key.split("/")
-    got = _constants_dump(mid, kind)
-    for name in CONSTANT_KINDS:
-        assert got[name] == _CONSTANT_PIN[key][name], name
+    assert _constants_dump(key) == pins.stored("constant", key)
 
 
 # pool ids of estimate_all_constants at the same ladder; the id hashes the
 # map name, the norm, the base point, the ladder and a fixed 8
-_POOL_ID_PIN = {
-    ("linear", "l1"): "91b8c6589d411aa9",
-    ("linear", "l2"): "d498473fbca5bdac",
-    ("xsin", "l1"): "c48fa9366ce5b1ff",
-    ("interval", "l1"): "c1f43dd0b8bc48b9",
-}
+_POOL_ID_CASES = [("interval", "l1"), ("linear", "l1"), ("linear", "l2"), ("xsin", "l1")]
 
 
-@pytest.mark.parametrize("mid,kind", sorted(_POOL_ID_PIN))
+@pins.pinned("pool_id", _POOL_ID_CASES)
+def _pool_id(mid, kind):
+    (pool_id,) = {est.pool_id for est in estimate_all_constants(*setup_map(mid, kind),
+                                                                _PIN_LADDER).values()}
+    return pool_id
+
+
+@pytest.mark.parametrize("mid,kind", _POOL_ID_CASES)
 def test_pool_ids_are_pinned(mid, kind):
-    F, base = setup_map(mid, kind)
-    consts = estimate_all_constants(F, base, _PIN_LADDER)
-    assert {est.pool_id for est in consts.values()} == {_POOL_ID_PIN[mid, kind]}
+    assert _pool_id(mid, kind) == pins.stored("pool_id", (mid, kind))
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
@@ -968,9 +748,8 @@ def test_all_constants_give_the_hat_kinds_of_direct_calls(mid, kind):
     for name in ("hatsrg", "hatsrgp"):
         got, want = consts[name], estimate_constant(name, pool, _PIN_LADDER, pool_id)
         assert got.name == name
-        assert [(r.hex(), v.hex()) for r, v in got.per_scale] == \
-            [(r.hex(), v.hex()) for r, v in want.per_scale]
-        assert float(got.reported).hex() == float(want.reported).hex()
+        assert pins.canon(got.per_scale) == pins.canon(want.per_scale)
+        assert pins.hexes(got.reported) == pins.hexes(want.reported)
         assert (got.trend, got.converged, got.note, got.pool_id) == \
             (want.trend, want.converged, want.note, want.pool_id)
         assert got.witnesses == want.witnesses == []
@@ -980,39 +759,24 @@ def test_all_constants_give_the_hat_kinds_of_direct_calls(mid, kind):
 # fclm, ss) or on the graph sample (ssr, whose y* are the norming
 # functionals of each norm kind): the candidate count and the sha256 of the
 # candidates with every float field hexed (annulus kept as an int), in order
-_CANDIDATE_PIN = {
-    ("spiral", "l2", "lip", 0.05):
-        (360, "14e679eab85bdcd565abd4e2ac77bd7b0a2d289dac910e39d5f60b1e897c11d7"),
-    ("interval", "l1", "fclm", 1.2):
-        (40, "362d0e6e83d01ba709831e465e54fb532edb80a25a87c748b9bbb1c4838d02c4"),
-    ("xsin", "l1", "ss", 1.05):
-        (60, "c45e110125799c14e130be70c70594971e21a5a50072836882f73d8ff8ab1be9"),
-    ("identity", "l1", "ssr", 1.1):
-        (16, "b85b4ac3d5478eecbbc1e59769a88bf1d5a779d97581a4e3e2a457cdaba4e880"),
-    ("square", "l2", "ssr", 0.6):
-        (16, "c51fb55040fa0f38e96dec4e45236a737e3e9b3749288fcec96a8d2c55c80ac7"),
-    ("spiral", "l1", "ssr", 1.1):
-        (119, "351c4743e9284fcd0b936912336b53295d595e187121b0b5e87cecb86633a4bb"),
-    ("spiral", "l2", "ssr", 1.1):
-        (118, "4be93233232a536832690e7c6b039f3f5b7d0c1f5140bce9a0285f006259438a"),
-    ("spiral", "linf", "ssr", 1.1):
-        (116, "4da39cc54d4387a6a35ca0f1ff91ae22db6c0b767144dbcef6fdf51b9822bdae"),
-    ("linear", "linf", "ssr", 2.5):
-        (109, "2641e0ce47eba2e3499d28184f893ea69d11224aa732b18271ad7e72930081b8"),
-}
+_CANDIDATE_CASES = [
+    ("identity", "l1", "ssr", 1.1), ("interval", "l1", "fclm", 1.2),
+    ("linear", "linf", "ssr", 2.5), ("spiral", "l1", "ssr", 1.1), ("spiral", "l2", "lip", 0.05),
+    ("spiral", "l2", "ssr", 1.1), ("spiral", "linf", "ssr", 1.1), ("square", "l2", "ssr", 0.6),
+    ("xsin", "l1", "ss", 1.05),
+]
 
 
+@pins.pinned("candidate", _CANDIDATE_CASES)
 def _candidates_digest(mid, kind, wkind, gamma):
-    F, base = setup_map(mid, kind)
-    cands = _collect_candidates(F, base, wkind, gamma, _PIN_LADDER)
-    dump = [{k: c[k] if k == "annulus" else _hexes(np.atleast_1d(c[k])) for k in sorted(c)}
-            for c in cands]
-    return len(cands), hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+    cands = _collect_candidates(*setup_map(mid, kind), wkind, gamma, _PIN_LADDER)
+    dump = [{k: c[k] if k == "annulus" else pins.hexes(c[k]) for k in sorted(c)} for c in cands]
+    return [len(cands), pins.sha256(json.dumps(dump))]
 
 
-@pytest.mark.parametrize("case", sorted(_CANDIDATE_PIN))
+@pytest.mark.parametrize("case", _CANDIDATE_CASES)
 def test_pool_candidate_bits_are_pinned(case):
-    assert _candidates_digest(*case) == _CANDIDATE_PIN[case]
+    assert _candidates_digest(*case) == pins.stored("candidate", case)
 
 
 # estimate_constant as it was written with per-record loops: the reference
@@ -1111,15 +875,15 @@ def _check_constant(kind, pool, ladder, base):
     want, witness = _ref_constant(kind, pool, ladder, base)
     est = estimate_constant(kind, [_columns(recs) for recs in pool], ladder)
     assert [r for r, _ in est.per_scale] == [r for r, _ in want]
-    assert _hexes(v for _, v in est.per_scale) == _hexes(v for _, v in want), (kind, pool)
+    assert _per_scale(est) == pins.hexes(v for _, v in want), (kind, pool)
     if witness is None or kind in ("hatsrg", "hatsrgp"):
         assert est.witnesses == []
     else:
         assert len(est.witnesses) == 1
         w = est.witnesses[0]
         assert w["x"] == witness.x.tolist()
-        assert _hexes([w["t"], w["ratio"], w["xn"], w["q"]]) == \
-            _hexes([witness.t, witness.ratio, witness.xn, witness.q])
+        assert pins.hexes([w["t"], w["ratio"], w["xn"], w["q"]]) == \
+            pins.hexes([witness.t, witness.ratio, witness.xn, witness.q])
 
 
 def test_estimate_constant_matches_the_loops_it_replaced():

@@ -1,45 +1,21 @@
 """Whole-run payload pins: the sha256 of run(parse_config(raw)).payload(),
-floats as hex, for a sweep of tasks, maps and norms, kept in
-payload_pins.json under a name per config.
+floats as hex, for a sweep of tasks, maps and norms, kept in the pin group
+"payload" under a name per config.
 
 The sweep reaches what the benchmark's workloads do not: 2-D builds, linf
 runs, and every catalog map under every task that estimates. A pin
 changes only when a payload bit does.
 """
 
-import hashlib
 import json
-import math
-from pathlib import Path
 
 import pytest
 
+import pins
 from subreglab.mappings import catalog
 from subreglab.radius_cli import parse_config, run
 
-_PINS = json.loads((Path(__file__).parent / "payload_pins.json").read_text())
 _NORMS = ("l1", "l2", "linf")
-
-
-def _canon(obj):
-    """Sorted keys, floats as exact hex strings, inf/nan as words."""
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj.hex()
-    return obj
-
-
-def _digest(raw: dict) -> str:
-    blob = json.dumps(_canon(run(parse_config(raw)).payload()), sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _configs() -> dict[str, dict]:
@@ -75,11 +51,13 @@ def _configs() -> dict[str, dict]:
 _CONFIGS = _configs()
 
 
-def test_every_config_has_a_pin():
-    assert sorted(_CONFIGS) == sorted(_PINS)
+@pins.pinned("payload", sorted(_CONFIGS))
+def _digest(name: str) -> str:
+    payload = pins.canon(run(parse_config(_CONFIGS[name])).payload())
+    return pins.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 @pytest.mark.parametrize("name", sorted(_CONFIGS))
 def test_payload_is_pinned(name):
-    assert _digest(_CONFIGS[name]) == _PINS[name]
+    assert _digest(name) == pins.stored("payload", name)
 

@@ -1,16 +1,15 @@
 import copy
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import perturb_reference
+import pins
 import subreglab.perturb as perturb
 from conftest import ladder12, setup_map
 from perturb_reference import annulus_candidates, component_count, reference
@@ -74,10 +73,6 @@ def _verified(mid, kind, gamma):
     return p, verify_builder(p, F, base, lad)
 
 
-def _hexes(v):
-    return [float(c).hex() for c in np.ravel(v)]
-
-
 def _anchor_xs(p):
     """The points x_k of the anchors (x_k, yb) of F + f, from the anchor entries."""
     return [e.x for e in p.anchor_entries]
@@ -87,17 +82,6 @@ def _dims(p):
     """(dim_x, dim_y) of a perturbation: the sizes of its witness entries' x and y."""
     e = p.witness.entries[0]
     return e.x.size, e.y.size
-
-
-def _canon(obj):
-    """obj with every float as its hex string."""
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    return obj.hex() if isinstance(obj, float) else obj
 
 
 def test_witness_extraction_invariants():
@@ -156,29 +140,40 @@ def test_builder_matrix_verifies(mid, kind, gamma):
     assert finite[-1] <= 0.05
 
 
-# every BUILD_MATRIX perturbation, kept in perturbation_pins.json under
-# "map/kind/gamma": its eval and derivative as hex floats (a derivative of
-# None on a seam) at the base, the anchors, the probes, points just inside,
-# on and just outside each bump support and cone cap, and the case-2 cell
-# and floor boundaries; and every field of its verify_builder report
-_PERTURBATION_PIN = json.loads((Path(__file__).parent / "perturbation_pins.json").read_text())
+def _probe_rows(mid, kind, gamma) -> np.ndarray:
+    """The recorded probe rows x of a BUILD_MATRIX pin: the base, the
+    anchors, the probes, points just inside, on and just outside each bump
+    support and cone cap, and the case-2 cell and floor boundaries."""
+    rows = pins.stored("perturbation", (mid, kind, gamma))["x"]
+    return np.array([[float.fromhex(c) for c in row] for row in rows])
+
+
+# every BUILD_MATRIX perturbation, kept under "map/kind/gamma": its eval and
+# derivative as hex floats (a derivative of None on a seam) at its probe
+# rows x, which the pin carries as they were first recorded, and every field
+# of its verify_builder report
+@pins.pinned("perturbation", BUILD_MATRIX)
+def _perturbation_pin(mid, kind, gamma) -> dict:
+    p, rep = _verified(mid, kind, gamma)
+    X = _probe_rows(mid, kind, gamma)
+    owner, G = p.derivative(X)
+    jac = dict(zip(owner.tolist(), G))
+    return {"case": p.case, "class_tag": p.class_tag, "x": [pins.hexes(x) for x in X],
+            "eval": [pins.hexes(v) for v in p.eval(X)],
+            "derivative": [pins.hexes(jac[k]) if k in jac else None for k in range(len(X))],
+            "report": pins.canon(dataclasses.asdict(rep))}
 
 
 @pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
 def test_perturbation_values_are_pinned(mid, kind, gamma):
-    pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
-    p, _ = _verified(mid, kind, gamma)
-    X = np.array([[float.fromhex(c) for c in row] for row in pin["x"]])
-    assert [_hexes(v) for v in p.eval(X)] == pin["eval"]
-    owner, G = p.derivative(X)
-    jac = dict(zip(owner.tolist(), G))
-    assert [_hexes(jac[k]) if k in jac else None for k in range(len(X))] == pin["derivative"]
+    got, pin = _perturbation_pin(mid, kind, gamma), pins.stored("perturbation", (mid, kind, gamma))
+    assert {**got, "report": None} == {**pin, "report": None}
 
 
 @pytest.mark.parametrize("mid,kind,gamma", BUILD_MATRIX)
 def test_builder_reports_are_pinned(mid, kind, gamma):
-    _, rep = _verified(mid, kind, gamma)
-    assert _canon(dataclasses.asdict(rep)) == _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]["report"]
+    got = _perturbation_pin(mid, kind, gamma)["report"]
+    assert got == pins.stored("perturbation", (mid, kind, gamma))["report"]
 
 
 def _bits(a) -> list:
@@ -194,14 +189,13 @@ def test_every_perturbation_takes_rows_and_row_k_is_the_one_row_call(mid, kind, 
     anchors at three widths, and points of the unit box."""
     p, _ = _verified(mid, kind, gamma)
     ref_eval, ref_derivative = reference(p)
-    pin = _PERTURBATION_PIN[f"{mid}/{kind}/{gamma}"]
+    pin = pins.stored("perturbation", (mid, kind, gamma))
     rng = np.random.default_rng(13)
     AX = np.array(_anchor_xs(p))
     dim_x, dim_y = _dims(p)
     near = AX[rng.integers(len(AX), size=(3, 24))]
     jitter = [1.0 + rng.uniform(-w, w, near.shape[1:]) for w in (0.3, 0.02, 1e-3)]
-    X = np.concatenate([np.array([[float.fromhex(c) for c in row] for row in pin["x"]])]
-                       + [a * j for a, j in zip(near, jitter)]
+    X = np.concatenate([_probe_rows(mid, kind, gamma)] + [a * j for a, j in zip(near, jitter)]
                        + [rng.uniform(-0.6, 0.6, (24, dim_x))])
     values = p.eval(X)
     owner, G = p.derivative(X)
@@ -673,38 +667,25 @@ def test_a_failed_class_check_is_named(monkeypatch):
 # (direction mode, k_hat, gamma', u, every entry field, in order), or the
 # exact refusal text
 _WITNESS_LADDER = ScaleLadder(depth=8, samples_per_scale=16, seed=7)
-_WITNESS_PIN = {
-    ('identity', 'l1', 'lip', 2.5, 'auto'):
-        'fb98db0e8facaf04523bb7cfb72b8a2f494a599227f7b958d32416f21b64dffc',
-    ('zero', 'l1', 'lip', 0.01, 'auto'):
-        'fb868a6da9d0fbcf44e7b787bdd9cabb2c9b79387e6e700e1a02a3399d4ab462',
-    ('spiral', 'l1', 'lip', 0.05, 'auto'):
-        'e7f60499f7820fcde7944e02a44eae843b7b879bea763e4c74dd556964b7be40',
-    ('xsin', 'l1', 'fclm', 0.1, 'auto'):
-        '6078b12c49b3dc560195c1ce564212b6778221e18d7837cd8704a840fb87d57d',
-    ('interval', 'l1', 'fclm', 1.2, 'auto'):
-        '4a53ecd965eee4919ff48a1ba50612cd7bc209034599c9ab4e93131113d81b7e',
-    ('interval', 'l1', 'fclm', 0.8, 'auto'):
-        'insufficient depth: fewer than 4 thinned fclm entries above the scale floor 1e-11',
-    ('xsin', 'l1', 'ss', 1.05, 'auto'):
-        '8ae18edf50367274d4835fe95f02e4ccfc12a0fba7679f07cae4bf71818535bf',
-    ('spiral', 'l2', 'ss', 0.5, 'auto'):
-        '1c5097530e4bf3af3ca0a6745af787622e5b16668169e9e43539dcb80b618870',
-    ('square', 'l1', 'ss', 0.5, 'stationary'):
-        'b67d30d5bdad3b4ac67ee01765f63b9b83fa10e854e4741fa47a1469587c942b',
-    ('abs', 'l1', 'ss', 1.5, 'distinct'):
-        'insufficient depth: fewer than 4 thinned ss entries above the scale floor 1e-11',
-    ('compl_angle', 'l1', 'ss', 0.5, 'auto'):
-        '68a48a58abe4cb183e3c3a8b1b46d76f37a712eeae36f92c8b615b59b15625ec',
-    ('identity', 'l1', 'ssr', 1.1, 'auto'):
-        '46722e189fd942a60db7abed85e41589ee6e3f294872cd746de61b23d3d549da',
-    ('identity', 'l1', 'ssr', 0.9, 'auto'):
-        'no witness below gamma: no ssr candidate beats 0.9 down to radius 4.547e-13',
-    ('square', 'l1', 'ssr', 0.6, 'auto'):
-        '667b2d1dee8791103be871048d44c53d9fa31f4f21de7abc2bf8c5241f8ae453',
-}
+_WITNESS_CASES = sorted([
+    ('identity', 'l1', 'lip', 2.5, 'auto'),
+    ('zero', 'l1', 'lip', 0.01, 'auto'),
+    ('spiral', 'l1', 'lip', 0.05, 'auto'),
+    ('xsin', 'l1', 'fclm', 0.1, 'auto'),
+    ('interval', 'l1', 'fclm', 1.2, 'auto'),
+    ('interval', 'l1', 'fclm', 0.8, 'auto'),
+    ('xsin', 'l1', 'ss', 1.05, 'auto'),
+    ('spiral', 'l2', 'ss', 0.5, 'auto'),
+    ('square', 'l1', 'ss', 0.5, 'stationary'),
+    ('abs', 'l1', 'ss', 1.5, 'distinct'),
+    ('compl_angle', 'l1', 'ss', 0.5, 'auto'),
+    ('identity', 'l1', 'ssr', 1.1, 'auto'),
+    ('identity', 'l1', 'ssr', 0.9, 'auto'),
+    ('square', 'l1', 'ssr', 0.6, 'auto'),
+])
 
 
+@pins.pinned("witness", _WITNESS_CASES)
 def _witness_digest(mid, norm_kind, kind, gamma, mode):
     F, base = setup_map(mid, norm_kind)
     try:
@@ -717,12 +698,12 @@ def _witness_digest(mid, norm_kind, kind, gamma, mode):
             [[e.index] + [hexes(getattr(e, name)) for name in
                           ("t", "x", "y", "x_star", "y_star", "eps", "ratio", "xn", "q", "u")]
              for e in w.entries]]
-    return hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+    return pins.sha256(json.dumps(dump))
 
 
-@pytest.mark.parametrize("case", sorted(_WITNESS_PIN))
+@pytest.mark.parametrize("case", _WITNESS_CASES)
 def test_witness_bits_are_pinned(case):
-    assert _witness_digest(*case) == _WITNESS_PIN[case]
+    assert _witness_digest(*case) == pins.stored("witness", case)
 
 
 # witnesses of every kind, in both direction modes, in one and two dimensions
@@ -802,7 +783,7 @@ def _random_annulus(rng, n, dim_x, dim_y):
 
 
 def _candidate_bits(cands):
-    return [{k: c[k] if k == "annulus" else _hexes(c[k]) for k in sorted(c)} for c in cands]
+    return [{k: c[k] if k == "annulus" else pins.hexes(c[k]) for k in sorted(c)} for c in cands]
 
 
 def test_columnar_candidates_are_the_per_record_loop():

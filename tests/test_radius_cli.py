@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
-import hashlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
 
+import pins
 import subreglab.moduli as moduli
 import subreglab.radius_cli as cli
 from subreglab.mappings import catalog
@@ -447,17 +451,6 @@ def test_verify_radius_reports_a_refused_build_as_a_failed_check(tmp_path, capsy
     assert payload.get("builder") is None
 
 
-def _bits(v):
-    """v with every float as its hex string, so nan, inf and -0.0 compare by bits."""
-    if isinstance(v, float):
-        return v.hex()
-    if isinstance(v, (list, tuple)):
-        return [_bits(u) for u in v]
-    if isinstance(v, dict):
-        return {k: _bits(u) for k, u in v.items()}
-    return v
-
-
 @pytest.mark.parametrize("spec,norm", [
     ("xsin", "l1"), ("oscillating", "l1"), ("square_plus_identity", "l1"),
     ({"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}]}, "l2"),
@@ -471,7 +464,7 @@ def test_moduli_rg_and_srg_rows_are_the_estimators_called_alone(spec, norm):
     F, _, base, ladder = cli._resolve(config)
     for est in (cli.estimate_rg(F, base, ladder), cli.estimate_srg(F, base, ladder)):
         alone = cli._est_row(est)
-        assert _bits({k: rows[est.name][k] for k in alone}) == _bits(alone), est.name
+        assert pins.canon({k: rows[est.name][k] for k in alone}) == pins.canon(alone), est.name
 
 
 def test_a_moduli_run_takes_rg_and_srg_through_one_fallback_call(monkeypatch):
@@ -497,61 +490,44 @@ _OUTPUT_CONFIGS = {
         "map": "spiral", "task": "build_perturbation", "kind": "lip", "gamma": 1.2,
         "norm": "l1", "seed": 7, "ladder": {"depth": 6, "samples": 32}},
 }
+
+
 # exit code and the sha256 of the three texts a run writes: the indented JSON
 # payload (cache file, report.json without timings, stdout of --format full),
 # per_scale.csv (stdout of --format csv) and summary.txt (of --format summary)
-_OUTPUT_PINS = {
-    "moduli/xsin": (
-        0, "f03af83c2195fc58ecfef0a5c6ccbc0d80bae4a75998e728c9a835bebbe45b51",
-        "2aa1271530b26edb8ab23d498ec311eec019d9067b6c623a39dec9a15e2906c5",
-        "1558b8962b1472e20d907f6d813ca3df6e3c4f424dd3e1d1721d67e521b99990"),
-    "relations/spiral/l2": (
-        0, "e99dff571007c9857b58911781d6594f71b852bac3a6e8478949d44235f4b461",
-        "b8f62511078bb84baf9c1aa2dd28c04b9e2080dd305480e4ff982ec5ab77e840",
-        "f0d90e3cbc20a304f1a8f3a474ccad06e0fbd5c50daee463fbac2389fe234245"),
-    "verify_radius/identity": (
-        0, "29e967b9cb3eb3f79e583ff5f7590029a3c6c62b8128037226cb3212c9ed6358",
-        "417778f91835a3b1f891a0517b3e934cde904a475452525791e003025c0df02c",
-        "247c2fb42dfd7325b4cbe1beb43999a6049460ad5c2cef85ea3b8278b3cc45fa"),
-    "eckart_young/3": (
-        0, "3078d47d148f08460083ef8322f1a6cc6333f67906f31e80800c66002c235777",
-        "39cabcac01b23eeb6b9bf0b2a457a9367e7924e5c897ea53ad06d85fa37990ce",
-        "c7a10fedce1bde457d16644b1e51423cafe5a6286215fea18cbacf27aa9981a4"),
-    "build_perturbation/spiral/lip/1.2/l1": (
-        3, "07fb9efd2daec661ae15b4b00f70576a654fade9899bbcb12d2de1afe9b8573a",
-        "39cabcac01b23eeb6b9bf0b2a457a9367e7924e5c897ea53ad06d85fa37990ce",
-        "f6279f38a9763e76e836936c38b4092c44d91785462a51b853dbf30ae547da6c"),
-}
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+@pins.pinned("output", sorted(_OUTPUT_CONFIGS))
+def _output_digests(name: str, fmt: str = "full") -> list:
+    """The pin of a config, the same fresh and from the cache under fmt."""
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = _write(Path(tmp), "cfg.yaml", {**_OUTPUT_CONFIGS[name], "output": str(out)})
+        for fresh in (True, False):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["run", path, "--format", fmt])
+            (cache_file,) = (out / "cache").iterdir()
+            text = cache_file.read_text()
+            report, csv_text, summary = ((out / f).read_text() for f in
+                                         ("report.json", "per_scale.csv", "summary.txt"))
+            if fresh:
+                full = json.loads(report)
+                assert report == json.dumps(full, indent=2, sort_keys=True) + "\n"
+                assert list(full)[-1] == "timings"
+                report = report[:report.rindex(',\n  "timings": ')] + "\n}\n"
+            else:
+                assert "timings" not in json.loads(report)
+            assert report == text
+            assert stdout.getvalue() == {"full": text, "csv": csv_text, "summary": summary}[fmt]
+            digests.append([code, *map(pins.sha256, (text, csv_text, summary))])
+    assert digests[0] == digests[1]
+    return digests[0]
 
 
 @pytest.mark.parametrize("name", sorted(_OUTPUT_CONFIGS))
 @pytest.mark.parametrize("fmt", ["full", "csv", "summary"])
-def test_fresh_and_cached_output_bytes_are_pinned(tmp_path, capsys, name, fmt):
-    out = tmp_path / "out"
-    path = _write(tmp_path, "cfg.yaml", {**_OUTPUT_CONFIGS[name], "output": str(out)})
-    code, payload_sha, csv_sha, summary_sha = _OUTPUT_PINS[name]
-    for fresh in (True, False):
-        assert cli.main(["run", path, "--format", fmt]) == code
-        stdout = capsys.readouterr().out
-        (cache_file,) = (out / "cache").iterdir()
-        text = cache_file.read_text()
-        report = (out / "report.json").read_text()
-        csv_text = (out / "per_scale.csv").read_text()
-        summary = (out / "summary.txt").read_text()
-        if fresh:
-            full = json.loads(report)
-            assert report == json.dumps(full, indent=2, sort_keys=True) + "\n"
-            assert list(full)[-1] == "timings"
-            report = report[:report.rindex(',\n  "timings": ')] + "\n}\n"
-        else:
-            assert "timings" not in json.loads(report)
-        assert report == text
-        assert stdout == {"full": text, "csv": csv_text, "summary": summary}[fmt]
-        assert (_sha(text), _sha(csv_text), _sha(summary)) == (payload_sha, csv_sha, summary_sha)
+def test_fresh_and_cached_output_bytes_are_pinned(name, fmt):
+    assert _output_digests(name, fmt) == pins.stored("output", name)
 
 
 def test_every_payload_key_sorts_before_timings():
@@ -608,3 +584,38 @@ def test_a_cache_file_in_another_layout_is_served_in_the_canonical_one(tmp_path,
     assert cli.main(["run", path, "--format", "full"]) == 0
     assert capsys.readouterr().out == fresh
     assert (tmp_path / "out" / "report.json").read_text() == fresh
+
+
+@pytest.mark.parametrize("fmt", ["csv", "summary"])
+def test_a_run_builds_each_output_text_once(tmp_path, capsys, monkeypatch, fmt):
+    calls = []
+    for name in ("_csv_text", "_summary_text"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, name=name, build=build:
+                            calls.append(name) or build(p))
+    cfg = {"map": "abs", "task": "moduli", "seed": 7, "ladder": {"depth": 4, "samples": 8},
+           "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    for _ in ("fresh", "hit"):
+        calls.clear()
+        assert cli.main(["run", path, "--format", fmt]) == 0
+        assert sorted(calls) == ["_csv_text", "_summary_text"]
+        name = {"csv": "per_scale.csv", "summary": "summary.txt"}[fmt]
+        assert capsys.readouterr().out == (tmp_path / "out" / name).read_text()
+
+
+@pytest.mark.parametrize("corrupt", [{"estimates": None}, {"checks": [{"passed": True}]},
+                                     {"relations": {"relations": 1}}])
+def test_a_cache_hit_whose_texts_cannot_be_built_is_recomputed(tmp_path, capsys, corrupt):
+    cfg = {"map": "abs", "task": "moduli", "seed": 7, "ladder": {"depth": 2, "samples": 8},
+           "output": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.yaml", cfg)
+    assert cli.main(["run", path, "--format", "summary"]) == 0
+    fresh = capsys.readouterr().out
+    (cache_file,) = (tmp_path / "out" / "cache").iterdir()
+    text = cache_file.read_text()
+    cache_file.write_text(json.dumps({**json.loads(text), **corrupt}))
+    assert cli.main(["run", path, "--format", "summary"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert cache_file.read_text() == text
+    assert "timings" in json.loads((tmp_path / "out" / "report.json").read_text())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pins
 from conftest import ladder12, setup_map
 from subreglab.geometry import ScaleLadder, dual_kind, norms
 from subreglab.mappings import GraphPoint, make_function_graph
@@ -125,20 +126,12 @@ def test_semismooth_star_on_a_smooth_graph_sees_curvature_decay():
 
 # semismooth_star_test rows on xsin as hex floats (delta, worst quotient,
 # element count) at ladder depth 8, 16 samples, seed 7
-_XSIN_SEMISMOOTH_PIN = [
-    ('0x1.0000000000000p-1', '0x1.ffffffffffffep-1', 500),
-    ('0x1.0000000000000p-2', '0x1.ffffffffffffep-1', 448),
-    ('0x1.0000000000000p-3', '0x1.ffffffffffffcp-1', 398),
-    ('0x1.0000000000000p-4', '0x1.ffffffffffff8p-1', 330),
-    ('0x1.0000000000000p-5', '0x1.ffffffffffff6p-1', 258),
-    ('0x1.0000000000000p-6', '0x1.ffffffffffff6p-1', 174),
-    ('0x1.0000000000000p-7', '0x1.fffffffffffcap-1', 104),
-    ('0x1.0000000000000p-8', '0x1.ffffffffffee2p-1', 22),
-]
+@pins.pinned("semismooth_xsin", ["xsin"])
+def _semismooth_rows(mid: str) -> list:
+    F, base = setup_map(mid)
+    rep = semismooth_star_test(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7))
+    return [[*pins.hexes([d, w]), n] for d, w, n in rep.scales]
 
 
 def test_semismooth_star_scales_are_pinned_on_xsin():
-    F, base = setup_map("xsin")
-    rep = semismooth_star_test(F, base, ScaleLadder(depth=8, samples_per_scale=16, seed=7))
-    got = [(float(d).hex(), float(w).hex(), n) for d, w, n in rep.scales]
-    assert got == _XSIN_SEMISMOOTH_PIN
+    assert _semismooth_rows("xsin") == pins.stored("semismooth_xsin", "xsin")
