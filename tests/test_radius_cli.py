@@ -596,12 +596,12 @@ def test_a_run_builds_each_output_text_once(tmp_path, capsys, monkeypatch, fmt):
     cfg = {"map": "abs", "task": "moduli", "seed": 7, "ladder": {"depth": 4, "samples": 8},
            "output": str(tmp_path / "out")}
     path = _write(tmp_path, "cfg.yaml", cfg)
+    written = tmp_path / "out" / {"csv": "per_scale.csv", "summary": "summary.txt"}[fmt]
     for _ in ("fresh", "hit"):
         calls.clear()
         assert cli.main(["run", path, "--format", fmt]) == 0
         assert sorted(calls) == ["_csv_text", "_summary_text"]
-        name = {"csv": "per_scale.csv", "summary": "summary.txt"}[fmt]
-        assert capsys.readouterr().out == (tmp_path / "out" / name).read_text()
+        assert capsys.readouterr().out == written.read_text()
 
 
 @pytest.mark.parametrize("corrupt", [{"estimates": None}, {"checks": [{"passed": True}]},
