@@ -591,6 +591,104 @@ def test_interval_map_preimage_prefers_the_nearest_fiber():
     assert d == pytest.approx(0.001, abs=1e-12)
 
 
+# the point-by-point oracles of the interval map and the complementarity
+# angle, in Python floats: the references for their row forms
+def _recip_k_reference(xv):
+    if xv <= 0.0:
+        return 0
+    q = 1.0 / xv
+    k = round(q)
+    if k >= 1 and abs(q - k) <= mappings._RECIP_TOL * q * q:
+        return int(k)
+    return 0
+
+
+def _interval_distance_reference(xv, yv):
+    if _recip_k_reference(xv):
+        return max(0.0, abs(yv) - xv)
+    return abs(yv - xv)
+
+
+def _interval_normals_reference(xv, yv):
+    if not _recip_k_reference(xv):
+        return [(1.0, 1.0), (-1.0, -1.0)]
+    if abs(abs(yv) - xv) <= 1e-12 * max(1.0, xv):
+        s = -1.0 if yv > 0 else 1.0
+        return [(s, s)]
+    return [(1.0, 0.0), (-1.0, 0.0)]
+
+
+def _angle_normals_reference(xv, yv):
+    if xv > 0.0 and abs(yv) <= 1e-15:
+        return [(0.0, 1.0), (0.0, -1.0)]
+    if abs(xv) <= 1e-15 and yv > 0.0:
+        return [(1.0, 0.0), (-1.0, 0.0)]
+    return [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]
+
+
+def _interval_rows():
+    """(X, Y) rows at and around the reciprocal windows and the fiber ends:
+    x = 1/k + d for d of 0, +-1e-12, +-3e-10 and the window's edge, ties of
+    round(1/x), +-0.0, negative x, x > 1, inf and 1e-300; for each x, y at +-x,
+    at +-(x +- 1e-12 max(1, x)) and a little past, +-0.0, inside and outside
+    the fiber, nan and +-inf."""
+    xs = [1.0 / k + d for k in (1, 2, 3, 7, 100, 1000, 10**5)
+          for d in (0.0, 1e-12, -1e-12, 3e-10, -3e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9)]
+    xs += [1.0 / 2.5, 1.0 / 3.5, 2.0 / 3.0, 0.0, -0.0, -0.25, -1.0, -1e-300, 1e-300,
+           1.5, 2.0, 2.5, 3.0, 1e300, math.inf, 0.3, 0.16]
+    rows = []
+    for x in xs:
+        e = 1e-12 * max(1.0, x)
+        ys = [x + d for d in (0.0, e, -e, 1.01 * e, -1.01 * e)]
+        ys += [-y for y in ys] + [0.0, -0.0, 0.5 * x, -0.5 * x, 2.0 * x, 0.1, math.nan,
+                                  math.inf, -math.inf]
+        rows += [(x, y) for y in ys]
+    return np.array(rows)[:, :1], np.array(rows)[:, 1:]
+
+
+def _angle_rows():
+    vals = [0.0, -0.0, 1e-15, -1e-15, 1.01e-15, -1.01e-15, 0.99e-15, 2e-15, 0.5, -0.5,
+            1e-300, -1e-300, math.nan, math.inf, -math.inf]
+    P = np.array([(x, y) for x in vals for y in vals])
+    return P[:, :1], P[:, 1:]
+
+
+def _lifted_reference(fn, X, Y):
+    pairs = [(k, xs, ys) for k, (x, y) in enumerate(zip(X[:, 0].tolist(), Y[:, 0].tolist()))
+             for xs, ys in fn(x, y)]
+    return ([k for k, _, _ in pairs], [[xs] for _, xs, _ in pairs], [[ys] for _, _, ys in pairs])
+
+
+@pytest.mark.parametrize("mid,rows,reference", [
+    ("interval", _interval_rows, _interval_normals_reference),
+    ("compl_angle", _angle_rows, _angle_normals_reference),
+])
+def test_interval_and_angle_normals_are_the_per_point_oracles(mid, rows, reference):
+    """owner, x* and y* bit for bit, signed zeros included, against the
+    point-by-point oracle, on every case's boundary, and on empty rows."""
+    F, _ = setup_map(mid)
+    X, Y = rows()
+    owner, X_star, Y_star = F.analytic_normals(X, Y)
+    want_owner, want_x, want_y = _lifted_reference(reference, X, Y)
+    assert owner.tolist() == want_owner
+    assert np.array_equal(_bits(X_star), _bits(want_x))
+    assert np.array_equal(_bits(Y_star), _bits(want_y))
+    assert len({len(reference(x, y)) for x, y in zip(X[:, 0].tolist(), Y[:, 0].tolist())}) > 1
+    empty = F.analytic_normals(X[:0], Y[:0])
+    assert [(a.shape, a.dtype.kind) for a in empty] == [((0,), "i"), ((0, 1), "f"),
+                                                        ((0, 1), "f")]
+
+
+def test_interval_image_distances_are_the_per_point_oracle():
+    F, _ = setup_map("interval")
+    X, Y = _interval_rows()
+    got = F.image_distance(X, Y)
+    want = [_interval_distance_reference(x, y) for x, y in zip(X[:, 0].tolist(), Y[:, 0].tolist())]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert {_recip_k_reference(x) > 0 for x in X[:, 0].tolist()} == {True, False}
+    assert F.image_distance(X[:0], Y[:0]).shape == (0,)
+
+
 def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
     G = sum_with_function(F, make_function_graph(
