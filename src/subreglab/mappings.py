@@ -254,17 +254,22 @@ def _logs(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.tolist()), dtype=float, count=len(v))
 
 
-def _pair_normals(fn: Callable, dim_x: int, dim_y: int) -> Callable:
-    """A normal oracle of one point, fn(x, y) -> [(x*, y*), ...], lifted to
-    rows (see SetValuedMap.analytic_normals)."""
+def _case_normals(case: Callable, table: list) -> Callable:
+    """The normal oracle of a map R => R whose pairs depend on a case per
+    point: case(x, y) gives the int case of each row of the columns x and
+    y, and row k has the pairs (x*, y*) of table[case[k]], in their order
+    (see SetValuedMap.analytic_normals)."""
+    width = max(map(len, table))
+    pairs = np.array([t + [(0.0, 0.0)] * (width - len(t)) for t in table], dtype=float)
+    counts = np.array([len(t) for t in table])
 
-    def lifted(X, Y):
-        pairs = [(k, xs, ys) for k, (x, y) in enumerate(zip(X, Y)) for xs, ys in fn(x, y)]
-        return (np.array([k for k, _, _ in pairs], dtype=int),
-                np.array([xs for _, xs, _ in pairs], dtype=float).reshape(len(pairs), dim_x),
-                np.array([ys for _, _, ys in pairs], dtype=float).reshape(len(pairs), dim_y))
+    def normals(X, Y):
+        c = case(X[:, 0], Y[:, 0])
+        keep = np.arange(width) < counts[c][:, None]  # row by row, each row's pairs in order
+        P = pairs[c][keep]
+        return np.nonzero(keep)[0], P[:, :1], P[:, 1:]
 
-    return lifted
+    return normals
 
 
 def make_linear_map(A, kind: str = "l1", name: str | None = None) -> SetValuedMap:
@@ -541,24 +546,27 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
     _RECIP_TOL * (1/x)^2, i.e. an absolute x-window of about _RECIP_TOL
     around each 1/k. That is unambiguous while the windows stay separated,
     which holds for x above roughly sqrt(2 * _RECIP_TOL); the catalog
-    ladders stay well inside that range.
+    ladders stay well inside that range. The image distance and the normal
+    oracle test every row at once; the preimage distance searches the
+    fibers near each row on its own.
     """
 
-    def recip_k(xv: float) -> int:
-        if xv <= 0.0:
-            return 0
-        q = 1.0 / xv
-        k = round(q)
-        if k >= 1 and abs(q - k) <= _RECIP_TOL * q * q:
-            return int(k)
-        return 0
+    def recip_k(x: np.ndarray) -> np.ndarray:
+        """The k with x = 1/k within the tolerance, else 0.0, for each x."""
+        # np.rint rounds half to even, as round does; 1/x and (1/x)^2 may
+        # overflow to inf, as they do in Python floats, and a nan x is no 1/k
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = 1.0 / x
+            k = np.rint(q)
+            hit = (x > 0.0) & (k >= 1.0) & (np.abs(q - k) <= _RECIP_TOL * q * q)
+        return np.where(hit, k, 0.0)
 
-    def image_distance(x, y):
-        xv = float(np.atleast_1d(x)[0])
-        yv = float(np.atleast_1d(y)[0])
-        if recip_k(xv):
-            return max(0.0, abs(yv) - xv)
-        return abs(yv - xv)
+    def image_distance(X, Y):
+        x, y = X[:, 0], Y[:, 0]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, as in Python floats
+            inside, off = np.abs(y) - x, np.abs(y - x)
+        # Python's max(0.0, v) is v only where v > 0.0
+        return np.where(recip_k(x) != 0.0, np.where(inside > 0.0, inside, 0.0), off)
 
     def preimage_distance(x, y):
         xv = float(np.atleast_1d(x)[0])
@@ -600,7 +608,7 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
                     yv = (2.0 * float(u[3 * i % len(u), 0] + 0.31 * j) % 2.0 - 1.0) * xk
                     xy.append((xk, yv))
         # same-x fiber around a vertical center
-        kc = recip_k(cx)
+        kc = recip_k(center.x)[0]
         if kc:
             xk = 1.0 / kc if abs(cx * kc - 1.0) < 1e-12 else cx
             u = r2_lattice(8, 1, derive_seed(seed, 11))
@@ -630,24 +638,20 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         P = np.array(xy, dtype=float).reshape(-1, 2)
         return P[:, :1], P[:, 1:]
 
-    def normals(x, y):
-        xv = float(x[0])
-        yv = float(y[0])
-        k = recip_k(xv)
-        if not k:
-            return [(1.0, 1.0), (-1.0, -1.0)]
-        if abs(abs(yv) - xv) <= 1e-12 * max(1.0, xv):
-            s = -1.0 if yv > 0 else 1.0
-            return [(s, s)]
-        return [(1.0, 0.0), (-1.0, 0.0)]
+    def case(x, y):
+        # off the 1/k; at a fiber end y = +-x, y > 0 or not; inside a fiber
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, as in Python floats
+            end = np.abs(np.abs(y) - x) <= 1e-12 * np.where(x > 1.0, x, 1.0)  # max(1.0, x)
+        return np.where(recip_k(x) == 0.0, 0, np.where(end, np.where(y > 0.0, 1, 2), 3))
 
     return SetValuedMap(
         dim_x=1,
         dim_y=1,
-        image_distance=_rows(image_distance),
+        image_distance=image_distance,
         preimage_distance=_rows(preimage_distance),
         sample_graph=sample,
-        analytic_normals=_pair_normals(normals, 1, 1),
+        analytic_normals=_case_normals(case, [[(1.0, 1.0), (-1.0, -1.0)], [(-1.0, -1.0)],
+                                              [(1.0, 1.0)], [(1.0, 0.0), (-1.0, 0.0)]]),
         feature_points=features,
         name="interval",
         kind=kind,
@@ -680,15 +684,11 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         return (np.concatenate([X, np.zeros((len(s), 1))]),
                 np.concatenate([np.zeros_like(X), s[:, None]]))
 
-    def normals(x, y):
-        xv = float(x[0])
-        yv = float(y[0])
-        if xv > 0.0 and abs(yv) <= 1e-15:
-            return [(0.0, 1.0), (0.0, -1.0)]
-        if abs(xv) <= 1e-15 and yv > 0.0:
-            return [(1.0, 0.0), (-1.0, 0.0)]
-        # origin: polar cone of the angle itself
-        return [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]
+    def case(x, y):
+        # the horizontal ray, the vertical ray, else the origin, whose pairs
+        # span the polar cone of the angle itself
+        return np.where((x > 0.0) & (np.abs(y) <= 1e-15), 0,
+                        np.where((np.abs(x) <= 1e-15) & (y > 0.0), 1, 2))
 
     return SetValuedMap(
         dim_x=1,
@@ -696,7 +696,8 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         image_distance=lambda X, Y: distance(X[:, 0], Y[:, 0]),
         preimage_distance=lambda X, Y: distance(Y[:, 0], X[:, 0]),
         sample_graph=sample,
-        analytic_normals=_pair_normals(normals, 1, 1),
+        analytic_normals=_case_normals(case, [[(0.0, 1.0), (0.0, -1.0)], [(1.0, 0.0), (-1.0, 0.0)],
+                                              [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]]),
         name="compl_angle",
         kind=kind,
     )
@@ -727,9 +728,13 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     def shifted(X, Y):
         return X, Y + fv(X)
 
+    centers = {}  # the shifted center of each center asked about: f once there, not per annulus
+
     def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        inner_center = GraphPoint(center.x, center.y - fv(center.x[None])[0])
-        return shifted(*F.sample_graph(inner_center, r_inner, r_outer, n, seed))
+        key = (center.x.tobytes(), center.y.tobytes())
+        if key not in centers:
+            centers[key] = GraphPoint(center.x, center.y - fv(center.x[None])[0])
+        return shifted(*F.sample_graph(centers[key], r_inner, r_outer, n, seed))
 
     def normals(X, Y):
         rows, G = gv(X)

@@ -43,9 +43,9 @@ from .mappings import (  # noqa: F401
     preimage_distances_fallback,
 )
 # element_quotient and elements_at_point are not called here (the pool asks
-# the normal oracle once per annulus and computes its quotients through
-# defect_quotients); they stay importable from moduli because perfbench's
-# layer trace wraps them there by name
+# the normal oracle once per build, for the rows of every annulus it lacks,
+# and computes its quotients through defect_quotients); they stay importable
+# from moduli because perfbench's layer trace wraps them there by name
 from .variational import (  # noqa: F401
     CoderivElement,
     defect_quotients,
@@ -445,12 +445,20 @@ class ElementRecords:
         """The records of parts, one after another."""
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
+    def split(self, cuts) -> list[ElementRecords]:
+        """The records before cuts[0], from cuts[0] to cuts[1], ..., from cuts[-1] on."""
+        ends = [0, *cuts, len(self)]
+        cols = [getattr(self, f.name) for f in fields(self)]
+        return [type(self)(*(c[a:b] for c in cols)) for a, b in zip(ends, ends[1:])]
+
 
 def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np.ndarray,
-                     Y_star: np.ndarray, eps: np.ndarray, inner: float, outer: float,
-                     base: GraphPoint, kind: str) -> ElementRecords:
+                     Y_star: np.ndarray, eps: np.ndarray, inner, outer, base: GraphPoint,
+                     kind: str) -> tuple[ElementRecords, np.ndarray]:
     """The records of the elements (X[owner], Y[owner], X_star, Y_star, eps)
-    whose x lies in the annulus, in element order.
+    whose x lies in the annulus, 0 < t, inner < t and t <= outer (1 +
+    1e-12), in element order, and the row of X that each record sits at.
+    inner and outer are floats, or the bounds of each row's own annulus.
 
     The elements of one graph point share x and y, so t, the ratio and the
     product distance of the quotient are computed once per point. Pairs
@@ -482,15 +490,15 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
     ratio, dist = yn / t, t + yn  # dist is the product norm ||du|| + ||dv||
     q = defect_quotients(X_star, Y_star, du[p], dv[p], xn, ysn, dist[p])
     return ElementRecords(t=t[p], ratio=ratio[p], xn=xn, q=q, eps=eps, x=X[p], y=Y[p],
-                          x_star=X_star, y_star=Y_star)
+                          x_star=X_star, y_star=Y_star), inside[p]
 
 
 def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int, what: str,
                  make) -> list:
     """F's memo of what on the tag's graph sample around base, one entry per
-    annulus of the ladder, grown by make(j, inner, outer, X, Y) for each
-    annulus it lacks, X and Y the rows of its graph points (see
-    graph_annuli).
+    annulus of the ladder. make gets the annuli it lacks, if any, in one
+    list of (j, inner, outer, X, Y), X and Y the rows of each one's graph
+    points (see graph_annuli), and returns their entries in that order.
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
@@ -500,8 +508,9 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: in
     """
     done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ladder.r0, ladder.theta,
                               ladder.samples_per_scale, ladder.seed, tag, what), [])
-    for j, inner, outer, X, Y in graph_annuli(F, base, ladder, tag, start=len(done)):
-        done.append(make(j, inner, outer, X, Y))
+    missing = list(graph_annuli(F, base, ladder, tag, start=len(done)))
+    if missing:
+        done.extend(make(missing))
     return done[:ladder.depth]
 
 
@@ -510,10 +519,11 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
                        ) -> tuple[list[ElementRecords], str]:
     """Coderivative element records per annulus, plus a pool identifier.
 
-    Elements come from the normal oracle, called once per annulus on its
-    sampled graph points and feature points; pairs are normalized to unit
-    dual y* (pairs with y* = 0 cannot be, and are excluded: the constants
-    quantify over unit y*).
+    Elements come from the normal oracle, called once per build on the
+    sampled graph points and feature points of every annulus that the
+    map's memo lacks; pairs are normalized to unit dual y* (pairs with
+    y* = 0 cannot be, and are excluded: the constants quantify over unit
+    y*).
     Estimates computed from the same pool share the pool id, which is what
     check_relations uses to refuse cross-pool comparisons. The id is hashed
     over the full ladder, depth included.
@@ -533,13 +543,20 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, 8)).encode())
 
-    def make(j, inner, outer, X, Y):
+    def make(annuli):
+        _, inner, outer, Xs, Ys = zip(*annuli)
+        ann = np.repeat(np.arange(len(Xs)), [len(X) for X in Xs])  # the annulus of each row
+        X, Y = np.concatenate(Xs), np.concatenate(Ys)
         if F.analytic_normals is None:
             owner, X_star, Y_star = np.zeros(0, dtype=int), X[:0], Y[:0]
         else:
             owner, X_star, Y_star = F.analytic_normals(X, Y)
-        return _annulus_records(X, Y, owner, X_star, Y_star, np.zeros(len(owner)),
-                                inner, outer, base, F.kind)
+        # each annulus's pairs in the oracle's order, whatever order it gives the rows
+        order = np.argsort(ann[owner], kind="stable")
+        recs, rows = _annulus_records(X, Y, owner[order], X_star[order], Y_star[order],
+                                      np.zeros(len(owner)), np.array(inner)[ann],
+                                      np.array(outer)[ann], base, F.kind)
+        return recs.split(np.searchsorted(ann[rows], np.arange(1, len(Xs))).tolist())
 
     pools = _memo_annuli(F, base, ladder, 61, "records", make)  # a new list
     if extra_elements:
@@ -550,8 +567,8 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
         for j, (inner, outer) in enumerate(ladder.annuli()):
             k = np.flatnonzero((inner < t) & (t <= outer))
             if len(k):
-                more = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k], Y_star[k],
-                                        eps[k], inner, outer, base, F.kind)
+                more, _ = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k],
+                                           Y_star[k], eps[k], inner, outer, base, F.kind)
                 pools[j] = ElementRecords.concat([pools[j], more])
     pool_id = h.hexdigest()[:16]
     return pools, pool_id

@@ -236,7 +236,7 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     """
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
-        graph = _memo_annuli(F, base, ladder, 71, "graph", lambda *annulus: annulus)
+        graph = _memo_annuli(F, base, ladder, 71, "graph", lambda annuli: annuli)
         annuli = [(j, _graph_records(base, F.kind, inner, outer, X, Y, cut))
                   for j, inner, outer, X, Y in graph[start:]]
     else:

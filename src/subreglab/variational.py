@@ -105,7 +105,7 @@ def elements_at_point(F: SetValuedMap, gp: GraphPoint) -> list[CoderivElement]:
     The oracle's pairs are not restricted to unit y*, so y* = 0 normals
     show. Returns [] when the map has no oracle or it disclaims knowledge
     at this point. The element pool and semismooth_star_test ask the
-    oracle once per annulus instead.
+    oracle once for the rows of many points instead.
     """
     if F.analytic_normals is None:
         return []

@@ -13,7 +13,14 @@ import subreglab.perturb as perturb
 import subreglab.radius_cli as cli
 from conftest import setup_map
 from subreglab.geometry import ScaleLadder, dual_norm, norm
-from subreglab.mappings import GraphPoint, catalog, graph_annuli
+from subreglab.mappings import (
+    GraphPoint,
+    catalog,
+    graph_annuli,
+    make_identity,
+    make_square,
+    sum_with_function,
+)
 from subreglab.moduli import build_element_pool
 from subreglab.perturb import WitnessError, extract_witness
 from subreglab.variational import CoderivElement, element_quotient, elements_at_point
@@ -294,7 +301,9 @@ def test_a_two_dimensional_pool_with_extras_is_the_per_element_loop():
 
 @pytest.mark.parametrize("mid,kind", [("xsin", "l1"), ("interval", "l1"), ("spiral", "l2"),
                                       ("square_plus_identity", "linf"), ("inverse_abs", "l2")])
-def test_the_pool_asks_the_normal_oracle_once_per_annulus(mid, kind):
+def test_the_pool_asks_the_normal_oracle_once_per_build(mid, kind):
+    """One call for the rows of every annulus of a fresh pool, none on a
+    memo hit, and one for the rows of the annuli a deepening adds."""
     F, base = setup_map(mid, kind)
     calls = []
     normals = F.analytic_normals
@@ -305,8 +314,49 @@ def test_the_pool_asks_the_normal_oracle_once_per_annulus(mid, kind):
 
     G = dataclasses.replace(F, analytic_normals=counted)
     build_element_pool(G, base, _LADDER)
-    assert len(calls) == _LADDER.depth
+    assert len(calls) == 1
+    build_element_pool(G, base, _LADDER)
+    assert len(calls) == 1
     build_element_pool(G, base, _LADDER.deepen(3), extra_elements=[
         CoderivElement(np.full(F.dim_x, 0.1), np.zeros(F.dim_y), np.ones(F.dim_y),
                        np.ones(F.dim_x))])
-    assert len(calls) == _LADDER.depth + 3  # the new annuli only; extras bring their pairs
+    assert len(calls) == 2  # the new annuli only; extras bring their pairs
+    rows = [len(X) for _, _, _, X, _ in graph_annuli(F, base, _LADDER.deepen(3), 61)]
+    assert calls == [sum(rows[:_LADDER.depth]), sum(rows[_LADDER.depth:])]
+
+
+def test_a_sum_shifts_its_sampler_center_once():
+    """A sum's pool build evaluates f at the center once, not once per
+    annulus, and a deepening does not evaluate it there again."""
+    F = make_square("l1")
+    ident = make_identity(1, "l1")
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return ident.func(X)
+
+    S = sum_with_function(F, dataclasses.replace(ident, func=counted))
+    base = GraphPoint([0.5], [0.75])
+    build_element_pool(S, base, _LADDER)
+    assert calls.count(1) == 1
+    build_element_pool(S, base, _LADDER.deepen(3))
+    assert calls.count(1) == 1
+    assert _record_dump(build_element_pool(S, base, _LADDER)[0]) == _record_dump(
+        build_element_pool(sum_with_function(F, ident), base, _LADDER)[0])
+
+
+def test_pairs_out_of_row_order_keep_each_annulus_in_the_oracle_order():
+    """An oracle that gives its pairs last row first gives each annulus's
+    records in the reverse of the pool order."""
+    F, base = setup_map("interval")
+    normals = F.analytic_normals
+
+    def reversed_normals(X, Y):
+        return tuple(a[::-1] for a in normals(X, Y))
+
+    pool, _ = build_element_pool(F, base, _LADDER)
+    rev, _ = build_element_pool(dataclasses.replace(F, analytic_normals=reversed_normals), base,
+                                _LADDER)
+    assert [{name: vals[::-1] for name, vals in _fields(recs).items()} for recs in pool] == \
+        _record_dump(rev)

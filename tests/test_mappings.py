@@ -689,6 +689,17 @@ def test_interval_image_distances_are_the_per_point_oracle():
     assert F.image_distance(X[:0], Y[:0]).shape == (0,)
 
 
+def test_interval_oracles_read_a_nan_or_overflowing_x_as_off_the_reciprocals():
+    """round(1/x) raised on a nan x, and on an x whose 1/x overflows; the
+    row forms read such an x as no 1/k: |y - x| and the diagonal's pairs."""
+    F, _ = setup_map("interval")
+    X, Y = np.array([[math.nan], [5e-324], [1e-310]]), np.array([[0.0], [0.0], [1e-310]])
+    assert pins.hexes(F.image_distance(X, Y)) == pins.hexes([math.nan, 5e-324, 0.0])
+    owner, X_star, Y_star = F.analytic_normals(X, Y)
+    assert owner.tolist() == [0, 0, 1, 1, 2, 2]
+    assert X_star[:, 0].tolist() == Y_star[:, 0].tolist() == [1.0, -1.0] * 3
+
+
 def test_sum_with_function_shifts_the_graph():
     F = make_square("l1")
     G = sum_with_function(F, make_function_graph(
