@@ -46,6 +46,16 @@ def _traced_names() -> set:
     return out
 
 
+def test_every_traced_name_resolves_on_the_package():
+    """perfbench's Tracer looks each (module, attribute) of TIMED and
+    COUNTED up with getattr and no default, so a traced name that a
+    refactor moves away breaks every --trace run."""
+    assert _traced_names()
+    missing = sorted(f"subreglab.{m}.{attr}" for m, attr in _traced_names()
+                     if not hasattr(importlib.import_module(f"subreglab.{m}"), attr))
+    assert not missing, missing
+
+
 def _references(tree) -> set:
     """Every name the tree reads, bare or as an attribute."""
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)

@@ -800,6 +800,35 @@ def test_graph_samples_are_pinned(key):
     assert _sample_dump(key) == pins.stored("sample", key)
 
 
+def _per_annulus_rows(F, base, ladder, tag):
+    """The reference for graph_rows: the map's sampler and feature oracle
+    asked one annulus at a time, the rows of each annulus after those of
+    the annulus outside it, as (ann, X, Y)."""
+    blocks = []
+    for j, (inner, outer) in enumerate(ladder.annuli()):
+        X, Y = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
+                              ladder.scale_seed(j, tag))
+        if F.feature_points is not None:
+            FX, FY = F.feature_points(base.x, inner, outer)
+            X, Y = np.concatenate([X, FX]), np.concatenate([Y, FY])
+        blocks.append((np.full(len(X), j), X, Y))
+    return tuple(np.concatenate(c) for c in zip(*blocks))
+
+
+@pytest.mark.parametrize("key", _SAMPLE_CASES)
+def test_graph_rows_are_the_per_annulus_loop(key):
+    """graph_rows gives every map (the sum, inverse and anchored wraps too)
+    the rows of the per-annulus loop, bit for bit, on a ladder that
+    reaches the fine scales where the feature oracles enumerate fibers."""
+    F, base = _sample_map(*key.split("/"))
+    ladder = ScaleLadder(theta=0.3, depth=10, samples_per_scale=24, seed=3)
+    got = mappings.graph_rows(F, base, ladder, 19)
+    want = _per_annulus_rows(_sample_map(*key.split("/"))[0], base, ladder, 19)
+    assert [a.shape for a in got] == [a.shape for a in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
 _FEATURE_ANNULI = [(0.0625, 0.125), (0.01, 0.02), (1e-4, 2e-4)]
 
 
