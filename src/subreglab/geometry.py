@@ -40,6 +40,7 @@ __all__ = [
     "pairing",
     "r2_lattice",
     "sample_annulus",
+    "sample_annuli",
     "derive_seed",
 ]
 
@@ -216,15 +217,21 @@ def _plastic(dim: int) -> float:
 
 
 def r2_lattice(n: int, dim: int, seed: int = 0) -> np.ndarray:
-    """n points of the seeded R2 additive recurrence in [0, 1)^dim."""
-    if n <= 0:
+    """n points of the seeded R2 additive recurrence in [0, 1)^dim: the
+    one-seed call of _r2_lattices."""
+    return _r2_lattices(n, dim, [seed])
+
+
+def _r2_lattices(n: int, dim: int, seeds) -> np.ndarray:
+    """r2_lattice(n, dim, s) for each s of seeds, stacked into (len(seeds) * n, dim)."""
+    if n <= 0 or not len(seeds):
         return np.zeros((0, dim))
     g = _plastic(dim)
     alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
-    nxt = _splitmix64(derive_seed(seed))
-    offs = np.array([nxt() / 2.0**64 for _ in range(dim)])
+    offs = np.array([[nxt() / 2.0**64 for _ in range(dim)]
+                     for nxt in (_splitmix64(derive_seed(seed)) for seed in seeds)])
     idx = np.arange(1, n + 1, dtype=float)[:, None]
-    return (offs[None, :] + idx * alpha[None, :]) % 1.0
+    return ((offs[:, None, :] + idx * alpha[None, :]) % 1.0).reshape(-1, dim)
 
 
 def _directions(u: np.ndarray, kind: str) -> np.ndarray:
@@ -250,19 +257,31 @@ def sample_annulus(
     seed: int = 0,
     kind: str = "l2",
 ) -> np.ndarray:
-    """n deterministic points p with r_inner < ||p - center||_kind <= r_outer.
+    """n deterministic points p with r_inner < ||p - center||_kind <= r_outer:
+    the one-annulus call of sample_annuli."""
+    return sample_annuli(center, [r_inner], [r_outer], n, [seed], kind)
 
-    Radii fill the annulus uniformly (the outer bound is attained, the inner
-    is not); directions come from an inverse-normal push of the same lattice.
-    Same arguments, same bits.
+
+def sample_annuli(center, inner, outer, n: int, seeds, kind: str = "l2") -> np.ndarray:
+    """n deterministic points p with inner[i] < ||p - center||_kind <= outer[i]
+    for each annulus i, drawn with seeds[i], the points of annulus i after
+    those of annulus i - 1: shape (len(seeds) * n, len(center)).
+
+    Radii fill each annulus uniformly (the outer bound is attained, the
+    inner is not); directions come from an inverse-normal push of the same
+    lattice. Every row depends on its annulus, seed and index alone, so
+    annulus i has the bits it has when drawn alone. Same arguments, same
+    bits.
     """
     _check_kind(kind)
-    if not (0.0 <= r_inner < r_outer):
-        raise ValueError(f"bad annulus radii ({r_inner}, {r_outer}]")
+    inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+    for a, b in zip(inner.tolist(), outer.tolist()):
+        if not (0.0 <= a < b):
+            raise ValueError(f"bad annulus radii ({a}, {b}]")
     c = _as_vec(center)
-    d = c.size
-    u = r2_lattice(n, d + 1, seed)
-    radii = r_outer - (r_outer - r_inner) * u[:, 0]
+    u = _r2_lattices(n, c.size + 1, seeds)
+    lo, hi = np.repeat(inner, max(n, 0)), np.repeat(outer, max(n, 0))
+    radii = hi - (hi - lo) * u[:, 0]
     dirs = _directions(u[:, 1:], kind)
     return c[None, :] + radii[:, None] * dirs
 

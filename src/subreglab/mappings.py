@@ -29,6 +29,7 @@ from .geometry import (
     norm,
     norms,
     r2_lattice,
+    sample_annuli,
     sample_annulus,
 )
 
@@ -53,7 +54,6 @@ __all__ = [
     "inverse",
     "catalog",
     "resolve_map_spec",
-    "graph_annuli",
     "graph_rows",
     "graph_tolerance",
     "preimage_distance_fallback",
@@ -86,13 +86,17 @@ class SetValuedMap:
     returns the (n, dim_y) values f(X[k]). Row k of every result depends on
     row k of the arguments alone, so it has the bits of the one-row call.
 
-    sample_graph(center, r_inner, r_outer, n, seed) returns graph points as
-    rows (X, Y), X of shape (m, dim_x) and Y of shape (m, dim_y), with X[k]
-    in the annulus around center.x (maps with vertical structure also
-    return same-x points with Y[k] in the annulus around center.y). A sample
-    with no point is a pair of arrays of shape (0, dim_x) and (0, dim_y).
-    Callers unpack the pair, X, Y = ..., and never test its type: a wrapper
-    of the sampler may hand it on as a two-item list.
+    sample_graph(center, inner, outer, n, seeds) samples every annulus
+    (inner[i], outer[i]] around center, annulus i with seeds[i], in one
+    call, and returns graph points as rows (ann, X, Y): X of shape (m,
+    dim_x), Y of shape (m, dim_y) and ann[k] the annulus of row k, in
+    ascending order. X[k] lies in its annulus around center.x (maps with
+    vertical structure also return same-x points with Y[k] in the annulus
+    around center.y). An annulus's rows depend on its bounds, n, its seed
+    and center alone, so they have the bits of the one-annulus call. A
+    sample with no point is arrays of shape (0,), (0, dim_x) and (0,
+    dim_y). Callers unpack the triple, ann, X, Y = ..., and never test its
+    type: a wrapper of the sampler may hand it on as a list.
 
     analytic_normals(X, Y) takes rows of graph points and returns (owner,
     X_star, Y_star): representative pairs (x*, y*), one per row of X_star
@@ -103,9 +107,9 @@ class SetValuedMap:
     restricted to the unit sphere, so purely horizontal normals (y* = 0)
     are expressible. Function graphs offer the y* of an 8-point
     dual_sphere_grid. It is the only source of coderivative elements, and
-    None on a map without one. feature_points(base_x, r_inner, r_outer)
+    None on a map without one. feature_points(base_x, inner, outer)
     enumerates at most _FEATURE_CAP = 24 structural graph points per
-    annulus, as rows (X, Y) like sample_graph's, empty ones included.
+    annulus, as rows (ann, X, Y) like sample_graph's, empty ones included.
     grad(X), for single-valued maps, takes rows and returns (owner, G):
     owner the ascending rows of X where the map is differentiable, G of
     shape (len(owner), dim_y, dim_x) their Jacobians, G[i] from row
@@ -144,29 +148,33 @@ class SetValuedMap:
         return self.func is not None
 
 
-def graph_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
-                 start: int = 0):
-    """Yield (j, inner, outer, X, Y) for each annulus j >= start of the ladder, outermost first.
+def graph_rows(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
+               start: int = 0):
+    """The graph sample of the ladder's annuli j >= start as one block (ann,
+    X, Y): row k is the graph point (X[k], Y[k]) of annulus ann[k], in
+    ladder order.
 
-    The rows X (m, dim_x) and Y (m, dim_y) are the map's graph sample of the
-    annulus, drawn with seed ladder.scale_seed(j, tag), followed by its
-    feature points. Neither depends on the ladder's depth, so a deepened
-    ladder yields the same annuli first. One annulus is held at a time.
+    Annulus j holds the map's sample drawn with seed ladder.scale_seed(j,
+    tag), followed by its feature points; the map gives each kind for every
+    annulus in one call. Neither depends on the ladder's depth, so a
+    deepened ladder gives the same rows first.
     """
-    for j, (inner, outer) in enumerate(ladder.annuli()[start:], start):
-        X, Y = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                              ladder.scale_seed(j, tag))
-        if F.feature_points is not None:
-            FX, FY = F.feature_points(base.x, inner, outer)
-            X, Y = np.concatenate([X, FX]), np.concatenate([Y, FY])
-        yield j, inner, outer, X, Y
+    js = range(start, ladder.depth)
+    inner, outer = [ladder.radius(j + 1) for j in js], [ladder.radius(j) for j in js]
+    rows = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
+                          [ladder.scale_seed(j, tag) for j in js])
+    if F.feature_points is not None:
+        rows = _merge(rows, F.feature_points(base.x, inner, outer))
+    ann, X, Y = rows
+    return ann + start, X, Y
 
 
-def graph_rows(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int):
-    """The rows that graph_annuli yields for every annulus, as one block (ann, X, Y):
-    row k is the graph point (X[k], Y[k]) of annulus ann[k], in ladder order."""
-    blocks = [(np.full(len(X), j), X, Y) for j, _, _, X, Y in graph_annuli(F, base, ladder, tag)]
-    return tuple(np.concatenate(c) for c in zip(*blocks))
+def _merge(first, then):
+    """Two blocks of rows (ann, X, Y) as one, annulus by annulus: the rows
+    of first, then those of then."""
+    ann, X, Y = (np.concatenate(c) for c in zip(first, then))
+    order = np.argsort(ann, kind="stable")
+    return ann[order], X[order], Y[order]
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +212,9 @@ def make_function_graph(
     def image_distance(X, Y):
         return norms(Y - f(X), kind)
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        X = sample_annulus(center.x, r_inner, r_outer, n, seed, kind)
-        return X, f(X)
+    def sample(center: GraphPoint, inner, outer, n, seeds):
+        X = sample_annuli(center.x, inner, outer, n, seeds, kind)
+        return np.repeat(np.arange(len(seeds)), n), X, f(X)
 
     etas = dual_sphere_grid(kind, dim_y, 8)
     etas.flags.writeable = False  # its rows are the y* of every call of normals
@@ -247,6 +255,40 @@ def _rows(fn: Callable, *shape: int) -> Callable:
         return np.array(out, dtype=float).reshape((len(out),) + shape)
 
     return lifted
+
+
+def _each_annulus(draw: Callable, *dims: int) -> Callable:
+    """draw of one annulus, lifted to a sequence of annuli, as _rows lifts a
+    function of one point.
+
+    draw(center, r_inner, r_outer[, n, seed]) returns rows of the given
+    widths; lifted(center, inner, outer[, n, seeds]) returns (ann, ...),
+    the rows draw gives annulus i (with seeds[i]) after those of annulus
+    i - 1 (see SetValuedMap.sample_graph).
+    """
+
+    def lifted(center, inner, outer, *n_seeds):
+        rest = [(n_seeds[0], seed) for seed in n_seeds[1]] if n_seeds else [()] * len(inner)
+        parts = [draw(center, a, b, *r) for a, b, r in zip(map(float, inner), map(float, outer),
+                                                            rest)]
+        ann = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+        return (ann, *(np.concatenate([p[i] for p in parts] + [np.zeros((0, d))])
+                       for i, d in enumerate(dims)))
+
+    return lifted
+
+
+def _fiber_features(fibers: Callable, f: Callable) -> Callable:
+    """The feature oracle of a graph R => R whose fibers(base_x, r_inner,
+    r_outer) lists the x of one annulus's feature points: every annulus's
+    x, then one f call."""
+    xs = _each_annulus(lambda *a: (np.array(fibers(*a), dtype=float).reshape(-1, 1),), 1)
+
+    def features(base_x, inner, outer):
+        ann, X = xs(base_x, inner, outer)
+        return ann, X, f(X)
+
+    return features
 
 
 def _logs(v: np.ndarray) -> np.ndarray:
@@ -453,11 +495,8 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
                     xs.append(sign / u)
         return xs
 
-    def features(base_x, r_inner, r_outer):
-        X = np.array(fibers(base_x, r_inner, r_outer), dtype=float).reshape(-1, 1)
-        return X, f(X)
-
-    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features)
+    return make_function_graph(f, grad=grad, kind=kind, name="xsin",
+                               features=_fiber_features(fibers, f))
 
 
 def make_oscillating(kind: str = "l1") -> SetValuedMap:
@@ -497,11 +536,8 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
                     xs.append(sign * math.exp(off + ms[i] * math.pi))
         return xs
 
-    def features(base_x, r_inner, r_outer):
-        X = np.array(fibers(base_x, r_inner, r_outer), dtype=float).reshape(-1, 1)
-        return X, f(X)
-
-    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features)
+    return make_function_graph(f, grad=grad, kind=kind, name="oscillating",
+                               features=_fiber_features(fibers, f))
 
 
 def make_spiral(kind: str = "l2") -> SetValuedMap:
@@ -649,10 +685,10 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         dim_y=1,
         image_distance=image_distance,
         preimage_distance=_rows(preimage_distance),
-        sample_graph=sample,
+        sample_graph=_each_annulus(sample, 1, 1),
         analytic_normals=_case_normals(case, [[(1.0, 1.0), (-1.0, -1.0)], [(-1.0, -1.0)],
                                               [(1.0, 1.0)], [(1.0, 0.0), (-1.0, 0.0)]]),
-        feature_points=features,
+        feature_points=_each_annulus(features, 1, 1),
         name="interval",
         kind=kind,
     )
@@ -695,7 +731,7 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         dim_y=1,
         image_distance=lambda X, Y: distance(X[:, 0], Y[:, 0]),
         preimage_distance=lambda X, Y: distance(Y[:, 0], X[:, 0]),
-        sample_graph=sample,
+        sample_graph=_each_annulus(sample, 1, 1),
         analytic_normals=_case_normals(case, [[(0.0, 1.0), (0.0, -1.0)], [(1.0, 0.0), (-1.0, 0.0)],
                                               [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]]),
         name="compl_angle",
@@ -725,16 +761,16 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
     def image_distance(X, Y):
         return F.image_distance(X, Y - fv(X))
 
-    def shifted(X, Y):
-        return X, Y + fv(X)
+    def shifted(ann, X, Y):
+        return ann, X, Y + fv(X)
 
-    centers = {}  # the shifted center of each center asked about: f once there, not per annulus
+    centers = {}  # the shifted center of each center asked about: f once there, not per call
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
+    def sample(center: GraphPoint, inner, outer, n, seeds):
         key = (center.x.tobytes(), center.y.tobytes())
         if key not in centers:
             centers[key] = GraphPoint(center.x, center.y - fv(center.x[None])[0])
-        return shifted(*F.sample_graph(centers[key], r_inner, r_outer, n, seed))
+        return shifted(*F.sample_graph(centers[key], inner, outer, n, seeds))
 
     def normals(X, Y):
         rows, G = gv(X)
@@ -742,8 +778,8 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
         shift = np.matmul(np.swapaxes(G[owner], 1, 2), Y_star[..., None])[..., 0]
         return rows[owner], X_star + shift, Y_star
 
-    def features(base_x, r_inner, r_outer):
-        return shifted(*F.feature_points(base_x, r_inner, r_outer))
+    def features(base_x, inner, outer):
+        return shifted(*F.feature_points(base_x, inner, outer))
 
     def func(X):
         return F.func(X) + fv(X)
@@ -771,7 +807,8 @@ def sum_with_function(F: SetValuedMap, f: SetValuedMap, name: str | None = None)
 
 def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
     """F whose sampler also returns the (x, y) graph points anchors whose x
-    lies in the requested annulus, after its own sample and in their order.
+    lies in a requested annulus, after that annulus's own sample and in
+    their order.
 
     Constructed witness points are measure-zero in their annuli; anchoring
     them keeps them visible to the estimators.
@@ -779,11 +816,11 @@ def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
     AX = np.array([a for a, _ in anchors], dtype=float).reshape(len(anchors), F.dim_x)
     AY = np.array([b for _, b in anchors], dtype=float).reshape(len(anchors), F.dim_y)
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        X, Y = F.sample_graph(center, r_inner, r_outer, n, seed)
+    def sample(center: GraphPoint, inner, outer, n, seeds):
         t = norms(AX - center.x, F.kind)
-        inside = (r_inner < t) & (t <= r_outer)
-        return np.concatenate([X, AX[inside]]), np.concatenate([Y, AY[inside]])
+        # the (annulus, anchor) pairs with the anchor inside, annulus by annulus
+        at, k = np.nonzero((np.asarray(inner)[:, None] < t) & (t <= np.asarray(outer)[:, None]))
+        return _merge(F.sample_graph(center, inner, outer, n, seeds), (at, AX[k], AY[k]))
 
     return replace(F, sample_graph=sample)
 
@@ -811,7 +848,8 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         shells = [(r_inner, r_outer), (r_inner * 0.25, r_outer), (r_inner, r_outer * 4.0),
                   (r_inner * 0.0625, r_outer * 2.0)]
         for i, (a, b) in enumerate(shells):
-            X, Y = F.sample_graph(inner_center, a, b, max(1, n // 2), derive_seed(seed, i))
+            _, X, Y = F.sample_graph(inner_center, [a], [b], max(1, n // 2),
+                                     [derive_seed(seed, i)])
             t = norms(Y - center.x, F.kind)
             inside = (r_inner < t) & (t <= r_outer)
             us.append(Y[inside])
@@ -831,7 +869,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         dim_y=F.dim_x,
         image_distance=image_distance,
         preimage_distance=preimage_distance,
-        sample_graph=sample,
+        sample_graph=_each_annulus(sample, F.dim_y, F.dim_x),
         analytic_normals=normals if F.analytic_normals is not None else None,
         name=name or f"inv({F.name})",
         kind=F.kind,

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import ScaleLadder, dual_kind, norms, sample_annulus
+# sample_annulus is not called here; perfbench's layer trace wraps it by name
+from .geometry import ScaleLadder, dual_kind, norms, sample_annuli, sample_annulus  # noqa: F401
 from .mappings import (  # noqa: F401
     GraphPoint,
     SetValuedMap,
-    graph_annuli,
     graph_rows,
     preimage_distance_fallback,  # not called here; perfbench's layer trace wraps it by name
     preimage_distances_fallback,
@@ -303,11 +303,16 @@ def _rg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str,
               pairs_per_scale: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) rows that estimate_rg draws, annulus by annulus."""
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
-    xs, ys = [], []
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        xs.append(sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 41), kind))
-        ys.append(sample_annulus(base.y, inner, outer, n, ladder.scale_seed(j, 43), kind))
-    return np.concatenate(xs), np.concatenate(ys)
+    return _annuli_draw(base.x, ladder, n, 41, kind), _annuli_draw(base.y, ladder, n, 43, kind)
+
+
+def _annuli_draw(center: np.ndarray, ladder: ScaleLadder, n: int, tag: int, kind: str
+                 ) -> np.ndarray:
+    """n points of every annulus of the ladder around center, annulus j drawn
+    with seed ladder.scale_seed(j, tag), in one sample_annuli call."""
+    inner, outer = zip(*ladder.annuli())
+    return sample_annuli(center, inner, outer, n,
+                         [ladder.scale_seed(j, tag) for j in range(ladder.depth)], kind)
 
 
 def _rg_estimate(F: SetValuedMap, ladder: ScaleLadder, ann: np.ndarray, dimg: np.ndarray,
@@ -355,9 +360,7 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Esti
 def _srg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str
                ) -> tuple[np.ndarray, np.ndarray]:
     """The (x, yb) rows that estimate_srg draws, annulus by annulus."""
-    n = min(ladder.samples_per_scale, 96)
-    xs = np.concatenate([sample_annulus(base.x, inner, outer, n, ladder.scale_seed(j, 47), kind)
-                         for j, (inner, outer) in enumerate(ladder.annuli())])
+    xs = _annuli_draw(base.x, ladder, min(ladder.samples_per_scale, 96), 47, kind)
     return xs, np.repeat(base.y[None, :], len(xs), 0)
 
 
@@ -496,9 +499,9 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
 def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int, what: str,
                  make) -> list:
     """F's memo of what on the tag's graph sample around base, one entry per
-    annulus of the ladder. make gets the annuli it lacks, if any, in one
-    list of (j, inner, outer, X, Y), X and Y the rows of each one's graph
-    points (see graph_annuli), and returns their entries in that order.
+    annulus of the ladder. make(ann, X, Y, js) gets the rows of every
+    annulus js the memo lacks, if any, as one block (see graph_rows), and
+    returns their entries in that order.
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
@@ -508,9 +511,9 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: in
     """
     done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ladder.r0, ladder.theta,
                               ladder.samples_per_scale, ladder.seed, tag, what), [])
-    missing = list(graph_annuli(F, base, ladder, tag, start=len(done)))
-    if missing:
-        done.extend(make(missing))
+    js = np.arange(len(done), ladder.depth)
+    if len(js):
+        done.extend(make(*graph_rows(F, base, ladder, tag, start=len(done)), js))
     return done[:ladder.depth]
 
 
@@ -543,10 +546,9 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, 8)).encode())
 
-    def make(annuli):
-        _, inner, outer, Xs, Ys = zip(*annuli)
-        ann = np.repeat(np.arange(len(Xs)), [len(X) for X in Xs])  # the annulus of each row
-        X, Y = np.concatenate(Xs), np.concatenate(Ys)
+    radii = np.array([ladder.radius(j) for j in range(ladder.depth + 1)])
+
+    def make(ann, X, Y, js):
         if F.analytic_normals is None:
             owner, X_star, Y_star = np.zeros(0, dtype=int), X[:0], Y[:0]
         else:
@@ -554,9 +556,9 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
         # each annulus's pairs in the oracle's order, whatever order it gives the rows
         order = np.argsort(ann[owner], kind="stable")
         recs, rows = _annulus_records(X, Y, owner[order], X_star[order], Y_star[order],
-                                      np.zeros(len(owner)), np.array(inner)[ann],
-                                      np.array(outer)[ann], base, F.kind)
-        return recs.split(np.searchsorted(ann[rows], np.arange(1, len(Xs))).tolist())
+                                      np.zeros(len(owner)), radii[ann + 1], radii[ann], base,
+                                      F.kind)
+        return recs.split(np.searchsorted(ann[rows], js[1:]).tolist())
 
     pools = _memo_annuli(F, base, ladder, 61, "records", make)  # a new list
     if extra_elements:

@@ -46,7 +46,8 @@ from .geometry import (
     norming_functionals,
     norming_vector,
     norms,
-    sample_annulus,
+    sample_annuli,
+    sample_annulus,  # not called here; perfbench's layer trace wraps it by name
 )
 from .mappings import (
     GraphPoint,
@@ -176,6 +177,13 @@ def _graph_records(base: GraphPoint, kind: str, inner: float, outer: float,
                           x_star=np.zeros_like(X), y_star=y_star)
 
 
+def _graph_annuli(ann: np.ndarray, X: np.ndarray, Y: np.ndarray, js: np.ndarray) -> list:
+    """The rows (X, Y) of each annulus js of a graph_rows block: the ssr
+    kind's memo entries."""
+    cuts = np.searchsorted(ann, js[1:])
+    return list(zip(np.split(X, cuts), np.split(Y, cuts)))
+
+
 def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray, j: int,
                         base: GraphPoint) -> list[dict]:
     """The candidates of annulus j: of the records keep, with objectives obj,
@@ -236,9 +244,9 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     """
     cut = gamma * (1.0 - 1e-9)
     if kind == "ssr":
-        graph = _memo_annuli(F, base, ladder, 71, "graph", lambda annuli: annuli)
-        annuli = [(j, _graph_records(base, F.kind, inner, outer, X, Y, cut))
-                  for j, inner, outer, X, Y in graph[start:]]
+        graph = _memo_annuli(F, base, ladder, 71, "graph", _graph_annuli)
+        annuli = [(j, _graph_records(base, F.kind, *ladder.annuli()[j], *graph[j], cut))
+                  for j in range(start, ladder.depth)]
     else:
         records, _ = build_element_pool(F, base, ladder)
         annuli = [(j, records[j]) for j in range(start, ladder.depth)]
@@ -1326,10 +1334,11 @@ def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, kind: str,
     extras = np.array(extra_xs or [], dtype=float).reshape(-1, dim)
     diverging = _diverging(clm.per_annulus)
 
-    annuli = ladder.annuli()
-    centers = np.concatenate(
-        [sample_annulus(base_x, *annuli[j], 6, ladder.scale_seed(j, 89), kind)
-         for j in (len(annuli) // 2, len(annuli) - 1)] + [extras[:12]])
+    js = (ladder.depth // 2, ladder.depth - 1)
+    inner, outer = zip(*(ladder.annuli()[j] for j in js))
+    centers = np.concatenate([sample_annuli(base_x, inner, outer, 6,
+                                            [ladder.scale_seed(j, 89) for j in js], kind),
+                              extras[:12]])
     t = norms(centers - base_x, kind)
     h = np.where(1e-12 > t, 1e-12, t)[:, None] * np.array([1e-2, 1e-3, 1e-4])
     # steps (center, step size, coordinate): h at that coordinate, 0.0 elsewhere

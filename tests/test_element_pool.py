@@ -16,7 +16,7 @@ from subreglab.geometry import ScaleLadder, dual_norm, norm
 from subreglab.mappings import (
     GraphPoint,
     catalog,
-    graph_annuli,
+    graph_rows,
     make_identity,
     make_square,
     sum_with_function,
@@ -218,8 +218,9 @@ def _fields(annulus):
 
 def _reference_pool(F, base, ladder, extras=()):
     pool = []
-    for j, inner, outer, X, Y in graph_annuli(F, base, ladder, 61):
-        pts = [GraphPoint(x, y) for x, y in zip(X, Y)]
+    ann, XS, YS = graph_rows(F, base, ladder, 61)
+    for j, (inner, outer) in enumerate(ladder.annuli()):
+        pts = [GraphPoint(x, y) for x, y in zip(XS[ann == j], YS[ann == j])]
         groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
                   for gp in pts]
         groups += [(e.x, e.y, [(e.x_star, e.y_star, e.eps)]) for e in extras
@@ -321,8 +322,8 @@ def test_the_pool_asks_the_normal_oracle_once_per_build(mid, kind):
         CoderivElement(np.full(F.dim_x, 0.1), np.zeros(F.dim_y), np.ones(F.dim_y),
                        np.ones(F.dim_x))])
     assert len(calls) == 2  # the new annuli only; extras bring their pairs
-    rows = [len(X) for _, _, _, X, _ in graph_annuli(F, base, _LADDER.deepen(3), 61)]
-    assert calls == [sum(rows[:_LADDER.depth]), sum(rows[_LADDER.depth:])]
+    ann, _, _ = graph_rows(F, base, _LADDER.deepen(3), 61)
+    assert calls == [int((ann < _LADDER.depth).sum()), int((ann >= _LADDER.depth).sum())]
 
 
 def test_a_sum_shifts_its_sampler_center_once():
@@ -344,6 +345,58 @@ def test_a_sum_shifts_its_sampler_center_once():
     assert calls.count(1) == 1
     assert _record_dump(build_element_pool(S, base, _LADDER)[0]) == _record_dump(
         build_element_pool(sum_with_function(F, ident), base, _LADDER)[0])
+
+
+@pytest.mark.parametrize("mid,kind", [("xsin", "l1"), ("interval", "l1"), ("spiral", "l2"),
+                                      ("square_plus_identity", "linf"), ("inverse_abs", "l2")])
+def test_a_graph_sample_asks_the_sampler_once_per_block(mid, kind):
+    """A pool build asks the sampler, and the feature oracle of a map that
+    has one, once for the rows of every annulus it lacks: once for a fresh
+    pool, not at all on a memo hit, once more for a deepening. graph_rows
+    asks each once per call."""
+    F, base = setup_map(mid, kind)
+    calls = []
+
+    def counted(name, oracle):
+        return lambda *args: calls.append((name, len(args[1]))) or oracle(*args)
+
+    G = dataclasses.replace(F, sample_graph=counted("sample", F.sample_graph), feature_points=(
+        None if F.feature_points is None else counted("features", F.feature_points)))
+    names = ["sample"] + (["features"] if F.feature_points is not None else [])
+    build_element_pool(G, base, _LADDER)
+    assert calls == [(name, _LADDER.depth) for name in names]
+    build_element_pool(G, base, _LADDER)
+    assert len(calls) == len(names)
+    build_element_pool(G, base, _LADDER.deepen(3))
+    assert calls[len(names):] == [(name, 3) for name in names]
+    del calls[:]
+    graph_rows(G, base, _LADDER, 31)
+    assert calls == [(name, _LADDER.depth) for name in names]
+
+
+def test_a_sum_evaluates_its_summand_once_per_block():
+    """A sum's sampler shifts the rows of every annulus with one summand
+    call, after the one call at the center; its normal oracle makes one
+    more per pool build. A memo hit makes none, a deepening one of each
+    for the annuli it adds."""
+    ident = make_identity(1, "l1")
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return ident.func(X)
+
+    S = sum_with_function(make_square("l1"), dataclasses.replace(ident, func=counted))
+    base = GraphPoint([0.5], [0.75])
+    n = _LADDER.samples_per_scale
+    build_element_pool(S, base, _LADDER)
+    assert calls == [1, _LADDER.depth * n, _LADDER.depth * n]  # center, sample, normals
+    build_element_pool(S, base, _LADDER)
+    build_element_pool(S, base, _LADDER.deepen(3))
+    assert calls[3:] == [3 * n, 3 * n]
+    del calls[:]
+    graph_rows(S, base, _LADDER, 31)
+    assert calls == [_LADDER.depth * n]
 
 
 def test_pairs_out_of_row_order_keep_each_annulus_in_the_oracle_order():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subreglab.geometry as geometry
 from subreglab.geometry import (
     ScaleLadder,
     derive_seed,
@@ -16,6 +17,7 @@ from subreglab.geometry import (
     norms,
     pairing,
     r2_lattice,
+    sample_annuli,
     sample_annulus,
 )
 
@@ -218,6 +220,48 @@ def test_sample_annulus_respects_the_shell(kind):
         assert np.all(r <= 0.25 + 1e-12)
     again = sample_annulus(center, 0.125, 0.25, 60, seed=2, kind=kind)
     assert np.array_equal(again, sample_annulus(center, 0.125, 0.25, 60, seed=2, kind=kind))
+
+
+def _one_annulus(center, r_inner, r_outer, n, seed, kind):
+    """The draw of one annulus as sample_annulus made it before sample_annuli
+    existed: its own lattice, directions and affine map."""
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    dim = c.size + 1
+    if n <= 0:
+        return np.zeros((0, c.size))
+    g = geometry._plastic(dim)
+    alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
+    nxt = geometry._splitmix64(derive_seed(seed))
+    offs = np.array([nxt() / 2.0**64 for _ in range(dim)])
+    u = (offs[None, :] + np.arange(1, n + 1, dtype=float)[:, None] * alpha[None, :]) % 1.0
+    radii = r_outer - (r_outer - r_inner) * u[:, 0]
+    return c[None, :] + radii[:, None] * geometry._directions(u[:, 1:], kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("n", [1, 64])
+def test_sample_annuli_are_the_one_annulus_draws_bit_for_bit(kind, dim, n):
+    """One block of annuli, one annulus, the annulus (0, r] and no annulus
+    at all give the rows of the per-annulus draws, concatenated."""
+    center = np.linspace(-0.5, 0.75, dim)
+    inner, outer = [0.0, 0.125, 0.0625, 1e-9], [0.5, 0.25, 0.125, 2e-9]
+    seeds = [derive_seed(7, j + 1, 61) for j in range(len(inner))]
+    for k in (4, 1, 0):
+        got = sample_annuli(center, inner[:k], outer[:k], n, seeds[:k], kind)
+        want = [_one_annulus(center, a, b, n, s, kind) for a, b, s in
+                zip(inner[:k], outer[:k], seeds[:k])]
+        want = np.concatenate(want) if want else np.zeros((0, dim))
+        assert got.shape == want.shape == (k * n, dim)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+    one = sample_annulus(center, inner[1], outer[1], n, seeds[1], kind)
+    assert np.array_equal(one.view(np.int64), _one_annulus(center, inner[1], outer[1], n,
+                                                           seeds[1], kind).view(np.int64))
+
+
+def test_sample_annuli_rejects_bad_radii_in_any_annulus():
+    with pytest.raises(ValueError, match="bad annulus radii"):
+        sample_annuli([0.0], [0.125, 0.5], [0.25, 0.25], 8, [1, 2])
 
 
 def test_sample_annulus_rejects_bad_radii():

@@ -21,7 +21,7 @@ from subreglab.mappings import (
     _rows,
     anchored,
     catalog,
-    graph_annuli,
+    graph_rows,
     inverse,
     make_function_graph,
     make_interval_map,
@@ -270,7 +270,7 @@ _WRAPS = {"sum": {"id": "spiral", "wrap": [{"op": "sum", "fn": {"id": "linear"}}
 def test_every_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
     F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
     base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    X, Y = F.sample_graph(base, 0.01, 0.5, 32, 5)
+    _, X, Y = F.sample_graph(base, [0.01], [0.5], 32, [5])
     X, Y = X[:32], Y[:32]  # pairs on the graph, then off it
     rng = np.random.default_rng(97)
     X = np.concatenate([X, rng.uniform(-0.5, 0.5, (64 - len(X), F.dim_x))])
@@ -356,7 +356,7 @@ def test_every_catalog_grad_takes_rows_and_row_k_is_the_one_row_call(mid):
 def test_every_normal_oracle_takes_rows_and_row_k_is_the_one_row_call(mid, kind):
     F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
     base = GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
-    X, Y = F.sample_graph(base, 0.01, 0.5, 32, 5)
+    _, X, Y = F.sample_graph(base, [0.01], [0.5], 32, [5])
     X = np.concatenate([X[:40], base.x[None]])  # abs has no pairs at the base
     Y = np.concatenate([Y[:40], base.y[None]])
     owner, X_star, Y_star = F.analytic_normals(X, Y)
@@ -557,7 +557,7 @@ def test_xsin_fallback_resolves_the_reciprocal_fiber():
 
 def test_xsin_feature_points_are_structural():
     F, _ = setup_map("xsin")
-    X, Y = F.feature_points(np.zeros(1), 0.01, 0.02)
+    _, X, Y = F.feature_points(np.zeros(1), [0.01], [0.02])
     assert 0 < len(X) <= 24
     xv = np.abs(X[:, 0])
     assert np.all((0.01 < xv) & (xv <= 0.02 + 1e-15))
@@ -719,7 +719,7 @@ def test_sum_with_perturbation_object_and_anchors():
                  [(np.array([0.5]), np.array([0.0]))])
     assert G.func(np.array([[0.5]]))[0, 0] == 0.0
     base = GraphPoint(np.zeros(1), np.zeros(1))
-    X, _ = G.sample_graph(base, 0.25, 1.0, 30, seed=1)
+    _, X, _ = G.sample_graph(base, [0.25], [1.0], 30, [1])
     assert 0.5 in X[:, 0]
 
 
@@ -729,11 +729,12 @@ def test_anchored_appends_the_anchors_of_the_annulus_to_the_sample():
     anchors = [(np.array([x]), np.array([x * x])) for x in (0.3, -0.6, 0.9, 0.5)]
     G = anchored(F, anchors)
     base = GraphPoint(np.zeros(1), np.zeros(1))
-    own = F.sample_graph(base, 0.25, 0.75, 30, 1)
-    X, Y = G.sample_graph(base, 0.25, 0.75, 30, 1)
+    _, OX, OY = F.sample_graph(base, [0.25], [0.75], 30, [1])
+    ann, X, Y = G.sample_graph(base, [0.25], [0.75], 30, [1])
     kept = [anchors[i] for i in (0, 1, 3)]  # 0.9 lies outside the annulus
-    assert X.tolist() == own[0].tolist() + [a.tolist() for a, _ in kept]
-    assert Y.tolist() == own[1].tolist() + [b.tolist() for _, b in kept]
+    assert X.tolist() == OX.tolist() + [a.tolist() for a, _ in kept]
+    assert Y.tolist() == OY.tolist() + [b.tolist() for _, b in kept]
+    assert ann.tolist() == [0] * len(X)
     assert not any(np.shares_memory(X, a) or np.shares_memory(Y, b) for a, b in anchors)
     assert (G.name, G.image_distance, G.analytic_normals) == (F.name, F.image_distance,
                                                               F.analytic_normals)
@@ -762,13 +763,13 @@ def test_resolve_map_spec_combinators_and_errors():
 
 def test_feature_points_respect_the_cap():
     F, _ = setup_map("xsin")
-    X, Y = F.feature_points(np.zeros(1), 1e-4, 2e-4)
+    _, X, Y = F.feature_points(np.zeros(1), [1e-4], [2e-4])
     assert len(X) == len(Y)
     assert len(X) <= 24
     assert len(X) > 0
 
 
-# the rows X and Y of graph_annuli (tag 61, depth 6, 32 samples, seed 7) as
+# the rows X and Y of graph_rows (tag 61, depth 6, 32 samples, seed 7), annulus by annulus, as
 # hex floats, kept in the pin group "sample" under "map/norm": every catalog
 # map, the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
 _SAMPLE_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
@@ -791,8 +792,9 @@ def _sample_map(mid, kind):
 @pins.pinned("sample", _SAMPLE_CASES)
 def _sample_dump(key: str) -> list:
     F, base = _sample_map(*key.split("/"))
-    return [{"X": [pins.hexes(row) for row in X], "Y": [pins.hexes(row) for row in Y]}
-            for _, _, _, X, Y in graph_annuli(F, base, _SAMPLE_LADDER, 61)]
+    ann, X, Y = graph_rows(F, base, _SAMPLE_LADDER, 61)
+    return [{"X": [pins.hexes(row) for row in X[ann == j]],
+             "Y": [pins.hexes(row) for row in Y[ann == j]]} for j in range(_SAMPLE_LADDER.depth)]
 
 
 @pytest.mark.parametrize("key", _SAMPLE_CASES)
@@ -800,16 +802,18 @@ def test_graph_samples_are_pinned(key):
     assert _sample_dump(key) == pins.stored("sample", key)
 
 
-def _per_annulus_rows(F, base, ladder, tag):
+def _per_annulus_rows(F, base, ladder, tag, start=0):
     """The reference for graph_rows: the map's sampler and feature oracle
     asked one annulus at a time, the rows of each annulus after those of
     the annulus outside it, as (ann, X, Y)."""
-    blocks = []
-    for j, (inner, outer) in enumerate(ladder.annuli()):
-        X, Y = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                              ladder.scale_seed(j, tag))
+    blocks = [(np.zeros(0, dtype=int), np.zeros((0, F.dim_x)), np.zeros((0, F.dim_y)))]
+    for j, (inner, outer) in enumerate(ladder.annuli()[start:], start):
+        ann, X, Y = F.sample_graph(base, [inner], [outer], ladder.samples_per_scale,
+                                   [ladder.scale_seed(j, tag)])
+        assert not ann.any()
         if F.feature_points is not None:
-            FX, FY = F.feature_points(base.x, inner, outer)
+            ann, FX, FY = F.feature_points(base.x, [inner], [outer])
+            assert not ann.any()
             X, Y = np.concatenate([X, FX]), np.concatenate([Y, FY])
         blocks.append((np.full(len(X), j), X, Y))
     return tuple(np.concatenate(c) for c in zip(*blocks))
@@ -822,11 +826,12 @@ def test_graph_rows_are_the_per_annulus_loop(key):
     reaches the fine scales where the feature oracles enumerate fibers."""
     F, base = _sample_map(*key.split("/"))
     ladder = ScaleLadder(theta=0.3, depth=10, samples_per_scale=24, seed=3)
-    got = mappings.graph_rows(F, base, ladder, 19)
-    want = _per_annulus_rows(_sample_map(*key.split("/"))[0], base, ladder, 19)
-    assert [a.shape for a in got] == [a.shape for a in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), _bits(b))
+    for start in (0, 7, 10):  # the whole ladder, the annuli a deepening adds, none
+        got = graph_rows(F, base, ladder, 19, start)
+        want = _per_annulus_rows(_sample_map(*key.split("/"))[0], base, ladder, 19, start)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b)), start
 
 
 _FEATURE_ANNULI = [(0.0625, 0.125), (0.01, 0.02), (1e-4, 2e-4)]
@@ -839,10 +844,10 @@ def test_catalog_sample_graph_returns_graph_points(mid):
     graph; feature rows lie in their annulus, at most 24 of them."""
     for kind in NORM_KINDS:
         F, base = _sample_map(mid, kind)
-        X, Y = F.sample_graph(base, 0.0625, 0.125, 40, 3)
-        assert len(X) > 0
-        features = [F.feature_points(base.x, *annulus) for annulus in _FEATURE_ANNULI
-                    if F.feature_points is not None]
+        ann, X, Y = F.sample_graph(base, [0.0625], [0.125], 40, [3])
+        assert len(X) > 0 and ann.tolist() == [0] * len(X)
+        features = [F.feature_points(base.x, [inner], [outer])[1:]
+                    for inner, outer in _FEATURE_ANNULI if F.feature_points is not None]
         for X, Y in [(X, Y)] + features:
             assert X.dtype == Y.dtype == np.float64
             assert X.shape == (len(X), F.dim_x) and Y.shape == (len(X), F.dim_y)
@@ -856,28 +861,32 @@ def test_catalog_sample_graph_returns_graph_points(mid):
                 assert np.any(np.abs(Y[:, 0]) <= 1e-12)
 
 
-def test_empty_samples_are_rows_that_graph_annuli_concatenates():
+def test_empty_samples_are_rows_that_graph_rows_concatenates():
     """Features off the origin, and at r_inner = 0 for xsin and
-    oscillating, are arrays of shape (0, 1), as are the anchors of an
-    annulus that holds none; graph_annuli then yields the sample alone."""
+    oscillating, are arrays of shape (0,) and (0, 1), as are the anchors of
+    an annulus that holds none, and a call for no annulus at all gives
+    them too; graph_rows then gives the sample alone."""
     for mid in ("xsin", "oscillating", "interval"):
         F, _ = setup_map(mid)
-        cases = [(np.array([0.5]), 0.0625, 0.125)]
+        cases = [(np.array([0.5]), [0.0625], [0.125]), (np.array([0.5]), [], [])]
         if mid != "interval":
-            cases.append((np.zeros(1), 0.0, 0.125))
+            cases.append((np.zeros(1), [0.0], [0.125]))
         for case in cases:
-            assert [a.shape for a in F.feature_points(*case)] == [(0, 1), (0, 1)], (mid, case)
+            assert [a.shape for a in F.feature_points(*case)] == [(0,), (0, 1), (0, 1)], \
+                (mid, case)
         base = GraphPoint([0.5], [0.0])  # the samplers read it as the annuli's center
         ladder = ScaleLadder(depth=3, samples_per_scale=16, seed=7)
-        for j, inner, outer, X, Y in graph_annuli(F, base, ladder, 61):
-            SX, SY = F.sample_graph(base, inner, outer, 16, ladder.scale_seed(j, 61))
-            assert X.tolist() == SX.tolist() and Y.tolist() == SY.tolist()
+        got = graph_rows(F, base, ladder, 61)
+        inner, outer = zip(*ladder.annuli())
+        want = F.sample_graph(base, inner, outer, 16, [ladder.scale_seed(j, 61) for j in range(3)])
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
     for kind in NORM_KINDS:
         G, base = _sample_map("anchored", kind)
         F = make_square(kind)  # no anchor lies in (0.0625, 0.125]
-        got = G.sample_graph(base, 0.0625, 0.125, 32, 5)
-        want = F.sample_graph(base, 0.0625, 0.125, 32, 5)
+        got = G.sample_graph(base, [0.0625], [0.125], 32, [5])
+        want = F.sample_graph(base, [0.0625], [0.125], 32, [5])
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert [a.shape for a in G.sample_graph(base, [], [], 32, [])] == [(0,), (0, 1), (0, 1)]
 
 
 def test_the_inverse_samples_at_one_point_per_scale():
@@ -887,5 +896,5 @@ def test_the_inverse_samples_at_one_point_per_scale():
     F, _ = resolve_map_spec(_WRAPS["inverse"])
     base = GraphPoint(np.zeros(1), np.zeros(1))
     ladder = ScaleLadder(depth=4, samples_per_scale=1, seed=7)
-    _, _, _, X, Y = next(graph_annuli(F, base, ladder, 31))
-    assert len(X) > 0
+    ann, _, _ = graph_rows(F, base, ladder, 31)
+    assert (ann == 0).any()

@@ -143,9 +143,21 @@ def test_builder_matrix_verifies(mid, kind, gamma):
 def _probe_rows(mid, kind, gamma) -> np.ndarray:
     """The recorded probe rows x of a BUILD_MATRIX pin: the base, the
     anchors, the probes, points just inside, on and just outside each bump
-    support and cone cap, and the case-2 cell and floor boundaries."""
-    rows = pins.stored("perturbation", (mid, kind, gamma))["x"]
+    support and cone cap, and the case-2 cell and floor boundaries. No code
+    makes these rows, so a build without them stops here, by name."""
+    case = pins.key((mid, kind, gamma))
+    if case not in pins.load("perturbation"):
+        raise LookupError(f"BUILD_MATRIX build {case} has no recorded probe rows: write its "
+                          f"rows x into tests/pin_data/perturbation.json first")
+    rows = pins.stored("perturbation", case)["x"]
     return np.array([[float.fromhex(c) for c in row] for row in rows])
+
+
+def test_a_build_without_recorded_probe_rows_is_named():
+    """A BUILD_MATRIX entry added without its probe rows stops the pin
+    writer with a message that names it, not with a bare KeyError."""
+    with pytest.raises(LookupError, match="build identity/lip/0.123 has no recorded probe rows"):
+        _probe_rows("identity", "lip", 0.123)
 
 
 # every BUILD_MATRIX perturbation, kept under "map/kind/gamma": its eval and
@@ -518,9 +530,9 @@ def test_phase_d_draws_no_sample_of_its_own(monkeypatch):
     sample of its own would use."""
     F, base, lad, p = _build("xsin", "fclm", 0.1)
     seeds = []
-    draw = perturb.sample_annulus
-    monkeypatch.setattr(perturb, "sample_annulus",
-                        lambda *a, **k: seeds.append(a[4]) or draw(*a, **k))
+    draw = perturb.sample_annuli
+    monkeypatch.setattr(perturb, "sample_annuli",
+                        lambda *a, **k: seeds.extend(a[4]) or draw(*a, **k))
     rep = verify_builder(p, F, base, lad)
     assert rep.firmly_calm_ok
     vlad = perturb._destab_ladder(p, lad)
