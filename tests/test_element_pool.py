@@ -328,7 +328,9 @@ def test_the_pool_asks_the_normal_oracle_once_per_build(mid, kind):
 
 def test_a_sum_shifts_its_sampler_center_once():
     """A sum's pool build evaluates f at the center once, not once per
-    annulus, and a deepening does not evaluate it there again."""
+    annulus, and a deepening does not evaluate it there again. Its sampler
+    shifts the rows of every annulus it draws with one more call, and its
+    normal oracle makes one per build; a memo hit makes none."""
     F = make_square("l1")
     ident = make_identity(1, "l1")
     calls = []
@@ -339,10 +341,16 @@ def test_a_sum_shifts_its_sampler_center_once():
 
     S = sum_with_function(F, dataclasses.replace(ident, func=counted))
     base = GraphPoint([0.5], [0.75])
+    n = _LADDER.samples_per_scale
     build_element_pool(S, base, _LADDER)
-    assert calls.count(1) == 1
+    assert calls == [1, _LADDER.depth * n, _LADDER.depth * n]  # center, sample, normals
+    build_element_pool(S, base, _LADDER)
     build_element_pool(S, base, _LADDER.deepen(3))
     assert calls.count(1) == 1
+    assert calls[3:] == [3 * n, 3 * n]
+    del calls[:]
+    graph_rows(S, base, _LADDER, 31)
+    assert calls == [_LADDER.depth * n]
     assert _record_dump(build_element_pool(S, base, _LADDER)[0]) == _record_dump(
         build_element_pool(sum_with_function(F, ident), base, _LADDER)[0])
 
@@ -372,31 +380,6 @@ def test_a_graph_sample_asks_the_sampler_once_per_block(mid, kind):
     del calls[:]
     graph_rows(G, base, _LADDER, 31)
     assert calls == [(name, _LADDER.depth) for name in names]
-
-
-def test_a_sum_evaluates_its_summand_once_per_block():
-    """A sum's sampler shifts the rows of every annulus with one summand
-    call, after the one call at the center; its normal oracle makes one
-    more per pool build. A memo hit makes none, a deepening one of each
-    for the annuli it adds."""
-    ident = make_identity(1, "l1")
-    calls = []
-
-    def counted(X):
-        calls.append(len(X))
-        return ident.func(X)
-
-    S = sum_with_function(make_square("l1"), dataclasses.replace(ident, func=counted))
-    base = GraphPoint([0.5], [0.75])
-    n = _LADDER.samples_per_scale
-    build_element_pool(S, base, _LADDER)
-    assert calls == [1, _LADDER.depth * n, _LADDER.depth * n]  # center, sample, normals
-    build_element_pool(S, base, _LADDER)
-    build_element_pool(S, base, _LADDER.deepen(3))
-    assert calls[3:] == [3 * n, 3 * n]
-    del calls[:]
-    graph_rows(S, base, _LADDER, 31)
-    assert calls == [_LADDER.depth * n]
 
 
 def test_pairs_out_of_row_order_keep_each_annulus_in_the_oracle_order():

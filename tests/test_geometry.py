@@ -259,16 +259,13 @@ def test_sample_annuli_are_the_one_annulus_draws_bit_for_bit(kind, dim, n):
                                                            seeds[1], kind).view(np.int64))
 
 
-def test_sample_annuli_rejects_bad_radii_in_any_annulus():
-    with pytest.raises(ValueError, match="bad annulus radii"):
-        sample_annuli([0.0], [0.125, 0.5], [0.25, 0.25], 8, [1, 2])
-
-
 def test_sample_annulus_rejects_bad_radii():
     with pytest.raises(ValueError):
         sample_annulus([0.0], 0.5, 0.25, 8)
     with pytest.raises(ValueError):
         sample_annulus([0.0], -1.0, 0.25, 8)
+    with pytest.raises(ValueError, match=r"bad annulus radii \(0.5, 0.25\]"):  # the second annulus
+        sample_annuli([0.0], [0.125, 0.5], [0.25, 0.25], 8, [1, 2])
 
 
 @pytest.mark.parametrize("kind", KINDS)
