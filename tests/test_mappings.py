@@ -771,10 +771,29 @@ def test_feature_points_respect_the_cap():
 
 # the rows X and Y of graph_rows (tag 61, depth 6, 32 samples, seed 7), annulus by annulus, as
 # hex floats, kept in the pin group "sample" under "map/norm": every catalog
-# map, the sum, inverse and anchored wraps, and square at the base (0.5, 0.25)
+# map, the sum, inverse and anchored wraps, square at the base (0.5, 0.25),
+# and the sampler branches of _BRANCHES
 _SAMPLE_LADDER = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
+# name: (map spec, base (x, y), ladder fields other than _SAMPLE_LADDER's).
+# interval on its fibers x = 1/2 and 1/3 draws the same-x fiber and the
+# vertical fibers left of the base; compl_angle on its vertical and its
+# horizontal ray; the inverse of square at 1 and 3 samples per scale
+# samples past its first shell; interval at r0 = 1e-30 counts its vertical
+# fibers where 1/x passes 1e15
+_BRANCHES = {
+    "interval_at_half": ({"id": "interval"}, (0.5, 0.0), {}),
+    "interval_at_third": ({"id": "interval"}, (1 / 3, 0.2), {}),
+    "compl_angle_on_y": ({"id": "compl_angle"}, (0.0, 0.25), {}),
+    "compl_angle_on_x": ({"id": "compl_angle"}, (0.2, 0.0), {}),
+    "inverse_square_1": ({"id": "square", "wrap": [{"op": "inverse"}]}, (0.0, 0.0),
+                         {"samples_per_scale": 1}),
+    "inverse_square_3": ({"id": "square", "wrap": [{"op": "inverse"}]}, (0.0, 0.0),
+                         {"samples_per_scale": 3}),
+    "interval_fine": ({"id": "interval"}, (0.0, 0.0), {"r0": 1e-30, "depth": 4}),
+}
 _SAMPLE_CASES = sorted(f"{mid}/{kind}" for kind in NORM_KINDS for mid in
-                       ALL_IDS + sorted(_WRAPS) + ["anchored", "square_off_origin"])
+                       ALL_IDS + sorted(_WRAPS) + ["anchored", "square_off_origin"]
+                       + sorted(_BRANCHES))
 # square with anchors in four of the six annuli, and one (0.9) beyond them
 _ANCHORS = [(np.array([x]), np.array([x * x])) for x in (0.3, -0.2, 0.04, -0.01, 0.9)]
 
@@ -785,16 +804,21 @@ def _sample_map(mid, kind):
         return anchored(make_square(kind), _ANCHORS), GraphPoint([0.0], [0.0])
     if mid == "square_off_origin":
         return make_square(kind), GraphPoint([0.5], [0.25])
+    if mid in _BRANCHES:
+        spec, (x, y), _ = _BRANCHES[mid]
+        return resolve_map_spec(spec, kind=kind)[0], GraphPoint([x], [y])
     F, _ = resolve_map_spec(_WRAPS.get(mid, {"id": mid}), kind=kind)
     return F, GraphPoint(np.zeros(F.dim_x), np.zeros(F.dim_y))
 
 
 @pins.pinned("sample", _SAMPLE_CASES)
 def _sample_dump(key: str) -> list:
-    F, base = _sample_map(*key.split("/"))
-    ann, X, Y = graph_rows(F, base, _SAMPLE_LADDER, 61)
+    mid, kind = key.split("/")
+    F, base = _sample_map(mid, kind)
+    ladder = dataclasses.replace(_SAMPLE_LADDER, **_BRANCHES.get(mid, (None, None, {}))[2])
+    ann, X, Y = graph_rows(F, base, ladder, 61)
     return [{"X": [pins.hexes(row) for row in X[ann == j]],
-             "Y": [pins.hexes(row) for row in Y[ann == j]]} for j in range(_SAMPLE_LADDER.depth)]
+             "Y": [pins.hexes(row) for row in Y[ann == j]]} for j in range(ladder.depth)]
 
 
 @pytest.mark.parametrize("key", _SAMPLE_CASES)
