@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pins
+import sampler_reference
 from conftest import setup_map
 import subreglab.mappings as mappings
 from subreglab.geometry import (
@@ -856,6 +857,54 @@ def test_graph_rows_are_the_per_annulus_loop(key):
         assert [a.shape for a in got] == [a.shape for a in want]
         for a, b in zip(got, want):
             assert np.array_equal(_bits(a), _bits(b)), start
+
+
+# (map spec, base (x, y)) of the maps whose samplers draw a block of annuli by
+# hand, at bases on and off their fibers
+_BLOCK_SAMPLER_CASES = [
+    ({"id": "interval"}, (0.0, 0.0)), ({"id": "interval"}, (0.5, 0.0)),
+    ({"id": "interval"}, (1 / 3, 0.2)), ({"id": "interval"}, (0.3, 0.3)),
+    ({"id": "compl_angle"}, (0.0, 0.0)), ({"id": "compl_angle"}, (0.0, 0.25)),
+    ({"id": "compl_angle"}, (0.2, 0.0)), ({"id": "compl_angle"}, (-0.1, 0.5)),
+    ({"id": "square", "wrap": [{"op": "inverse"}]}, (0.0, 0.0)),
+    ({"id": "square", "wrap": [{"op": "inverse"}]}, (0.25, 0.5)),
+    ({"id": "xsin", "wrap": [{"op": "inverse"}]}, (0.0, 0.0)),
+]
+
+
+def _reference_annulus(spec, F, base, inner, outer, n, seed):
+    """The rows (X, Y) of one annulus from the one-annulus reference of the
+    map's sampler, then of its feature oracle."""
+    if spec.get("wrap"):
+        inner_map, _ = resolve_map_spec({"id": spec["id"]}, kind=F.kind)
+        return sampler_reference.inverse_sample(inner_map, base, inner, outer, n, seed)
+    if spec["id"] == "compl_angle":
+        return sampler_reference.compl_angle_sample(base, inner, outer, n, seed, F.kind)
+    X, Y = sampler_reference.interval_sample(base, inner, outer, n, seed, F.kind)
+    FX, FY = sampler_reference.interval_features(base.x, inner, outer)
+    return np.concatenate([X, FX]), np.concatenate([Y, FY])
+
+
+@pytest.mark.parametrize("spec, xy", _BLOCK_SAMPLER_CASES)
+def test_block_samplers_are_the_one_annulus_reference(spec, xy):
+    """graph_rows gives the interval, compl_angle and inverse maps the rows
+    their one-annulus samplers gave (tests/sampler_reference.py), bit for
+    bit, at 1 to 64 samples per scale and from r0 = 2 down to 1e-30."""
+    base = GraphPoint([xy[0]], [xy[1]])
+    for kind in NORM_KINDS:
+        F, _ = resolve_map_spec(spec, kind=kind)
+        for r0 in (2.0, 0.5, 1e-3, 1e-12, 1e-30):
+            for n in (1, 2, 3, 16, 64):
+                ladder = ScaleLadder(r0=r0, depth=5, samples_per_scale=n, seed=11)
+                got = graph_rows(F, base, ladder, 29)
+                parts = [_reference_annulus(spec, F, base, inner, outer, n,
+                                            ladder.scale_seed(j, 29))
+                         for j, (inner, outer) in enumerate(ladder.annuli())]
+                want = (np.repeat(np.arange(ladder.depth), [len(X) for X, _ in parts]),
+                        *(np.concatenate([p[i] for p in parts]) for i in (0, 1)))
+                assert [a.shape for a in got] == [a.shape for a in want], (kind, r0, n)
+                for a, b in zip(got, want):
+                    assert np.array_equal(_bits(a), _bits(b)), (kind, r0, n)
 
 
 _FEATURE_ANNULI = [(0.0625, 0.125), (0.01, 0.02), (1e-4, 2e-4)]
