@@ -24,13 +24,13 @@ import numpy as np
 from .geometry import (
     ScaleLadder,
     _check_kind,
+    _r2_lattices,
     derive_seed,
     dual_sphere_grid,
     norm,
     norms,
-    r2_lattice,
     sample_annuli,
-    sample_annulus,
+    sample_annulus,  # not called here; perfbench's layer trace wraps it by name
 )
 
 __all__ = [
@@ -169,10 +169,10 @@ def graph_rows(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
     return ann + start, X, Y
 
 
-def _merge(first, then):
-    """Two blocks of rows (ann, X, Y) as one, annulus by annulus: the rows
-    of first, then those of then."""
-    ann, X, Y = (np.concatenate(c) for c in zip(first, then))
+def _merge(*blocks):
+    """Blocks of rows (ann, X, Y) as one, annulus by annulus: in each
+    annulus the rows of the first block, then those of the next."""
+    ann, X, Y = (np.concatenate(c) for c in zip(*blocks))
     order = np.argsort(ann, kind="stable")
     return ann[order], X[order], Y[order]
 
@@ -257,36 +257,19 @@ def _rows(fn: Callable, *shape: int) -> Callable:
     return lifted
 
 
-def _each_annulus(draw: Callable, *dims: int) -> Callable:
-    """draw of one annulus, lifted to a sequence of annuli, as _rows lifts a
-    function of one point.
-
-    draw(center, r_inner, r_outer[, n, seed]) returns rows of the given
-    widths; lifted(center, inner, outer[, n, seeds]) returns (ann, ...),
-    the rows draw gives annulus i (with seeds[i]) after those of annulus
-    i - 1 (see SetValuedMap.sample_graph).
-    """
-
-    def lifted(center, inner, outer, *n_seeds):
-        rest = [(n_seeds[0], seed) for seed in n_seeds[1]] if n_seeds else [()] * len(inner)
-        parts = [draw(center, a, b, *r) for a, b, r in zip(map(float, inner), map(float, outer),
-                                                            rest)]
-        ann = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
-        return (ann, *(np.concatenate([p[i] for p in parts] + [np.zeros((0, d))])
-                       for i, d in enumerate(dims)))
-
-    return lifted
-
-
-def _fiber_features(fibers: Callable, f: Callable) -> Callable:
-    """The feature oracle of a graph R => R whose fibers(base_x, r_inner,
-    r_outer) lists the x of one annulus's feature points: every annulus's
-    x, then one f call."""
-    xs = _each_annulus(lambda *a: (np.array(fibers(*a), dtype=float).reshape(-1, 1),), 1)
+def _fiber_features(fibers: Callable, rows: Callable) -> Callable:
+    """The feature oracle of a map R => R: fibers(base_x, r_inner, r_outer)
+    lists the x of one annulus's feature fibers, and rows(x) gives the r
+    graph points on each fiber x[i] of a column x as (X[i], Y[i]), X and Y
+    of shape (len(x), r). The fibers are listed annulus by annulus, the
+    samplers' one per-annulus loop, since their indices k pass 2^53 at fine
+    scales, where only Python ints keep them exact; rows is one call."""
 
     def features(base_x, inner, outer):
-        ann, X = xs(base_x, inner, outer)
-        return ann, X, f(X)
+        xs = [fibers(base_x, a, b) for a, b in zip(map(float, inner), map(float, outer))]
+        X, Y = rows(np.array([x for part in xs for x in part], dtype=float))
+        ann = np.repeat(np.arange(len(xs)), [len(part) * X.shape[1] for part in xs])
+        return ann, X.reshape(-1, 1), Y.reshape(-1, 1)
 
     return features
 
@@ -495,8 +478,8 @@ def make_xsin(kind: str = "l1") -> SetValuedMap:
                     xs.append(sign / u)
         return xs
 
-    return make_function_graph(f, grad=grad, kind=kind, name="xsin",
-                               features=_fiber_features(fibers, f))
+    features = _fiber_features(fibers, lambda x: (x[:, None], f(x[:, None])))
+    return make_function_graph(f, grad=grad, kind=kind, name="xsin", features=features)
 
 
 def make_oscillating(kind: str = "l1") -> SetValuedMap:
@@ -536,8 +519,8 @@ def make_oscillating(kind: str = "l1") -> SetValuedMap:
                     xs.append(sign * math.exp(off + ms[i] * math.pi))
         return xs
 
-    return make_function_graph(f, grad=grad, kind=kind, name="oscillating",
-                               features=_fiber_features(fibers, f))
+    features = _fiber_features(fibers, lambda x: (x[:, None], f(x[:, None])))
+    return make_function_graph(f, grad=grad, kind=kind, name="oscillating", features=features)
 
 
 def make_spiral(kind: str = "l2") -> SetValuedMap:
@@ -584,7 +567,9 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
     which holds for x above roughly sqrt(2 * _RECIP_TOL); the catalog
     ladders stay well inside that range. The image distance and the normal
     oracle test every row at once; the preimage distance searches the
-    fibers near each row on its own.
+    fibers near each row on its own. The sampler draws every annulus's
+    diagonal and vertical fibers at once; the feature oracle lists fibers
+    annulus by annulus (_fiber_features).
     """
 
     def recip_k(x: np.ndarray) -> np.ndarray:
@@ -622,57 +607,58 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
                     best = min(best, abs(xv - 1.0 / k))
         return best
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        cx = float(center.x[0])
-        cy = float(center.y[0])
-        diagonal = sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind)
-        xy: list[tuple[float, float]] = []  # the fiber points
-        # vertical fibers whose foot lies in the x-annulus
-        for lo, hi in ((cx + r_inner, cx + r_outer), (cx - r_outer, cx - r_inner)):
-            a, b = max(lo, 1e-300), hi
-            if b <= a:
-                continue
-            k_lo = int(math.ceil(1.0 / b))
-            k_hi = int(math.floor(1.0 / a)) if 1.0 / a < 1e15 else k_lo + 64
-            ks = [k for k in range(k_lo, min(k_hi, k_lo + 512) + 1) if k >= 1]
-            u = r2_lattice(4 * max(1, len(ks)), 1, derive_seed(seed, 7))
-            for i in _stride_indices(len(ks), 12):
-                k = ks[i]
-                xk = 1.0 / k
-                xy += [(xk, yv) for yv in (0.0, xk, -xk, 0.5 * xk, -0.5 * xk)]
-                for j in range(3):
-                    yv = (2.0 * float(u[3 * i % len(u), 0] + 0.31 * j) % 2.0 - 1.0) * xk
-                    xy.append((xk, yv))
+    def sample(center: GraphPoint, inner, outer, n, seeds):
+        cx, cy = float(center.x[0]), float(center.y[0])
+        inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+        D = sample_annuli(center.x, inner, outer, max(2, n // 2), seeds, kind)
+        # vertical fibers x = 1/k whose foot lies in the x-annulus: row 2i + s
+        # of lo and hi is side s of annulus i, right of cx (s = 0) or left
+        lo = np.stack([cx + inner, cx - outer], 1).ravel()
+        hi = np.stack([cx + outer, cx - inner], 1).ravel()
+        a = np.where(1e-300 > lo, 1e-300, lo)  # max(lo, 1e-300)
+        side = np.flatnonzero(hi > a)
+        # ceil(1/hi) is an integer float, so k_lo + i rounds as float(k) of the int k
+        k_lo, inv_a = np.ceil(1.0 / hi[side]), 1.0 / a[side]
+        # 65 fibers past 1/a >= 1e15, else those up to floor(1/a), at most 513
+        count = np.where(inv_a < 1e15,
+                         np.maximum(np.minimum(np.floor(inv_a) - k_lo, 512.0) + 1.0, 0.0), 65.0)
+        # _stride_indices(count, 12), one slot per column
+        idx = np.tile(np.arange(12.0), (len(side), 1))
+        big = count > 12
+        idx[big] = np.minimum(np.rint(_grids(np.zeros(big.sum()), count[big] - 1.0, 12)),
+                              (count[big] - 1.0)[:, None])
+        rows, slot = np.nonzero(idx < count[:, None])
+        i = idx[rows, slot]
+        xk = 1.0 / (k_lo[rows] + i)
+        ann = side[rows] // 2
+        width = 3 * int(i.max(initial=0.0)) + 1
+        u = _r2_lattices(width, 1, [derive_seed(seed, 7) for seed in seeds]).reshape(-1, width)
+        u = u[ann, 3 * i.astype(int)]
+        spread = (2.0 * (u[:, None] + 0.31 * np.arange(3)) % 2.0 - 1.0) * xk[:, None]
+        fiber_y = np.concatenate([xk[:, None] * [0.0, 1.0, -1.0, 0.5, -0.5], spread], 1)
+        blocks = [(np.arange(len(D)) // max(2, n // 2), D, D),
+                  (np.repeat(ann, 8), np.repeat(xk, 8)[:, None], fiber_y.reshape(-1, 1))]
         # same-x fiber around a vertical center
         kc = recip_k(center.x)[0]
         if kc:
             xk = 1.0 / kc if abs(cx * kc - 1.0) < 1e-12 else cx
-            u = r2_lattice(8, 1, derive_seed(seed, 11))
-            for j in range(8):
-                yv = cy + (r_outer - (r_outer - r_inner) * float(u[j, 0])) * (1 if j % 2 else -1)
-                if -xk <= yv <= xk:
-                    xy.append((cx, yv))
-        P = np.array(xy, dtype=float).reshape(-1, 2)
-        return np.concatenate([diagonal, P[:, :1]]), np.concatenate([diagonal, P[:, 1:]])
+            u = _r2_lattices(8, 1, [derive_seed(seed, 11) for seed in seeds]).reshape(-1, 8)
+            yv = cy + (outer[:, None] - (outer - inner)[:, None] * u) * np.resize([-1.0, 1.0], 8)
+            ann, j = np.nonzero((-xk <= yv) & (yv <= xk))
+            blocks.append((ann, np.full((len(ann), 1), cx), yv[ann, j][:, None]))
+        return _merge(*blocks)
 
-    def features(base_x, r_inner, r_outer):
-        bx = float(np.atleast_1d(base_x)[0])
-        if abs(bx) > 1e-12:
-            return np.zeros((0, 1)), np.zeros((0, 1))
-        xy: list[tuple[float, float]] = []
+    def fibers(base_x, r_inner, r_outer) -> list[float]:
+        if abs(float(np.atleast_1d(base_x)[0])) > 1e-12:
+            return []
         a, b = max(r_inner, 1e-300), r_outer
         # implicit index range: at fine scales floor(1/a) is astronomically
         # large and must never be turned into a list
         k_lo = max(1, int(math.ceil(1.0 / b)))
         k_hi = int(math.floor(min(1.0 / a, 1e18)))
         n_k = max(0, k_hi - k_lo + 1)
-        for i in _stride_indices(n_k, max(2, _FEATURE_CAP // 3)):
-            xk = 1.0 / (k_lo + i)
-            if not (a < xk <= b):
-                continue
-            xy += [(xk, yv) for yv in (0.0, xk, -xk)]
-        P = np.array(xy, dtype=float).reshape(-1, 2)
-        return P[:, :1], P[:, 1:]
+        xs = [1.0 / (k_lo + i) for i in _stride_indices(n_k, max(2, _FEATURE_CAP // 3))]
+        return [x for x in xs if a < x <= b]
 
     def case(x, y):
         # off the 1/k; at a fiber end y = +-x, y > 0 or not; inside a fiber
@@ -685,10 +671,12 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         dim_y=1,
         image_distance=image_distance,
         preimage_distance=_rows(preimage_distance),
-        sample_graph=_each_annulus(sample, 1, 1),
+        sample_graph=sample,
         analytic_normals=_case_normals(case, [[(1.0, 1.0), (-1.0, -1.0)], [(-1.0, -1.0)],
                                               [(1.0, 1.0)], [(1.0, 0.0), (-1.0, 0.0)]]),
-        feature_points=_each_annulus(features, 1, 1),
+        # (x, 0), (x, x) and (x, -x) on each fiber x = 1/k
+        feature_points=_fiber_features(fibers, lambda x: (np.repeat(x[:, None], 3, 1),
+                                                          x[:, None] * [0.0, 1.0, -1.0])),
         name="interval",
         kind=kind,
     )
@@ -706,19 +694,19 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         return np.where(s > 0.0, np.abs(v),
                         np.where(s == 0.0, np.where(-v > 0.0, -v, 0.0), math.inf))
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
-        cx = float(center.x[0])
-        cy = float(center.y[0])
-        X = sample_annulus(center.x, r_inner, r_outer, max(2, n // 2), seed, kind)
-        X = X[X[:, 0] > 0.0]  # the horizontal ray
-        s = np.zeros(0)  # the vertical ray's y
-        if abs(cx) <= r_outer:
-            u = r2_lattice(max(2, n // 2), 1, derive_seed(seed, 3))[:, 0]
-            sign = np.where(np.arange(len(u)) % 2, 1.0, -1.0)
-            s = cy + (r_outer - (r_outer - r_inner) * u) * sign
-            s = s[s >= 0.0]
-        return (np.concatenate([X, np.zeros((len(s), 1))]),
-                np.concatenate([np.zeros_like(X), s[:, None]]))
+    def sample(center: GraphPoint, inner, outer, n, seeds):
+        cx, cy = float(center.x[0]), float(center.y[0])
+        inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+        m = max(2, n // 2)
+        X = sample_annuli(center.x, inner, outer, m, seeds, kind)
+        ray = np.flatnonzero(X[:, 0] > 0.0)  # the horizontal ray
+        # the vertical ray's y, in the annuli that reach it
+        near = np.flatnonzero(abs(cx) <= outer)
+        u = _r2_lattices(m, 1, [derive_seed(seeds[j], 3) for j in near]).reshape(-1, m)
+        s = cy + (outer[near, None] - (outer - inner)[near, None] * u) * np.resize([-1.0, 1.0], m)
+        at, j = np.nonzero(s >= 0.0)
+        return _merge((ray // m, X[ray], np.zeros((len(ray), 1))),
+                      (near[at], np.zeros((len(at), 1)), s[at, j][:, None]))
 
     def case(x, y):
         # the horizontal ray, the vertical ray, else the origin, whose pairs
@@ -731,7 +719,7 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         dim_y=1,
         image_distance=lambda X, Y: distance(X[:, 0], Y[:, 0]),
         preimage_distance=lambda X, Y: distance(Y[:, 0], X[:, 0]),
-        sample_graph=_each_annulus(sample, 1, 1),
+        sample_graph=sample,
         analytic_normals=_case_normals(case, [[(0.0, 1.0), (0.0, -1.0)], [(1.0, 0.0), (-1.0, 0.0)],
                                               [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]]),
         name="compl_angle",
@@ -828,9 +816,10 @@ def anchored(F: SetValuedMap, anchors) -> SetValuedMap:
 def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     """The inverse map, with image/preimage distances swapped exactly.
 
-    The sampler reuses F's sampler over a spread of shells, asking each
-    for max(1, n // 2) points, and filters to the requested annulus in the
-    swapped coordinate, so annuli fill only approximately for strongly
+    The sampler asks F's sampler for a spread of up to four shells, one
+    call per shell for the annuli that hold fewer than n points, max(1, n
+    // 2) points each, and keeps the first 2n in the requested annulus in
+    the swapped coordinate, so annuli fill only approximately for strongly
     nonlinear maps.
     """
 
@@ -842,21 +831,27 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     def preimage_distance(U, V):
         return F.image_distance(V, U)
 
-    def sample(center: GraphPoint, r_inner, r_outer, n, seed):
+    def sample(center: GraphPoint, inner, outer, n, seeds):
         inner_center = GraphPoint(center.y, center.x)
-        us, vs = [], []  # the swapped rows (y, x) of each shell inside the annulus
-        shells = [(r_inner, r_outer), (r_inner * 0.25, r_outer), (r_inner, r_outer * 4.0),
-                  (r_inner * 0.0625, r_outer * 2.0)]
+        inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+        blocks, live = [], np.arange(len(seeds))  # the annuli that hold fewer than n rows
+        held = np.zeros(len(seeds), dtype=int)
+        shells = [(inner, outer), (inner * 0.25, outer), (inner, outer * 4.0),
+                  (inner * 0.0625, outer * 2.0)]
         for i, (a, b) in enumerate(shells):
-            _, X, Y = F.sample_graph(inner_center, [a], [b], max(1, n // 2),
-                                     [derive_seed(seed, i)])
+            ann, X, Y = F.sample_graph(inner_center, a[live], b[live], max(1, n // 2),
+                                       [derive_seed(seeds[j], i) for j in live])
+            ann = live[ann]
             t = norms(Y - center.x, F.kind)
-            inside = (r_inner < t) & (t <= r_outer)
-            us.append(Y[inside])
-            vs.append(X[inside])
-            if sum(map(len, us)) >= n:
+            inside = (inner[ann] < t) & (t <= outer[ann])
+            blocks.append((ann[inside], Y[inside], X[inside]))  # the swapped rows (y, x)
+            held += np.bincount(ann[inside], minlength=len(held))
+            live = np.flatnonzero(held < n)
+            if not live.size:
                 break
-        return np.concatenate(us)[:2 * n], np.concatenate(vs)[:2 * n]
+        ann, U, V = _merge(*blocks)
+        keep = np.arange(len(ann)) - np.searchsorted(ann, ann) < 2 * n  # an annulus's first 2n
+        return ann[keep], U[keep], V[keep]
 
     def normals(U, V):
         owner, X_star, Y_star = F.analytic_normals(V, U)
@@ -869,7 +864,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         dim_y=F.dim_x,
         image_distance=image_distance,
         preimage_distance=preimage_distance,
-        sample_graph=_each_annulus(sample, F.dim_y, F.dim_x),
+        sample_graph=sample,
         analytic_normals=normals if F.analytic_normals is not None else None,
         name=name or f"inv({F.name})",
         kind=F.kind,
