@@ -217,8 +217,10 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Esti
     Pairs are nearest neighbors in sample order after a 1-D sort (or a
     stride pattern in higher dimension), the first 400 per annulus, plus
     pairs against the base, so the estimate dominates calmness by
-    construction. An innermost annulus without a graph point reads nan,
-    and the note names it.
+    construction. A pair at most 1e-14 t apart, t its first point's
+    distance from the base, is left out: a floor relative to the annulus.
+    An innermost annulus without a graph point reads nan, and the note
+    names it.
     """
     ann, X, Y = graph_rows(F, base, ladder, 37)
     t = norms(X - base.x, F.kind)
@@ -234,7 +236,7 @@ def estimate_lip(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Esti
         pairs.append((p[:400], q[:400]))
     p, q = (np.concatenate(c) for c in zip(*pairs))
     sep = norms(X[p] - X[q], F.kind)
-    keep = ~(sep <= 1e-14 * np.maximum(1.0, t[p]))
+    keep = ~(sep <= 1e-14 * t[p])
     p, q, sep = p[keep], q[keep], sep[keep]
     # the base pairs, then for each pair d(y_p, F(x_q)) and d(y_q, F(x_p))
     qp, pq = np.stack([q, p], 1).ravel(), np.stack([p, q], 1).ravel()

@@ -202,6 +202,16 @@ def test_an_empty_innermost_annulus_is_named_in_the_note():
     assert estimate_lip(F, base, ScaleLadder(depth=4, samples_per_scale=1, seed=7)).note == ""
 
 
+def test_lip_keeps_its_neighbour_pairs_at_fine_scales():
+    """estimate_lip drops a pair only when its separation is at most 1e-14
+    times its distance from the base: with the floor 1e-14 max(1, t), every
+    neighbour pair at r0 = 1e-12 was dropped and lip read clm, 1.0, where
+    its true value is sqrt(2)."""
+    F, base = setup_map("oscillating")
+    ladder = ScaleLadder(r0=1e-12, depth=4, samples_per_scale=64, seed=7)
+    assert estimate_lip(F, base, ladder).reported > 1.2
+
+
 def test_linear_map_rg_matches_the_smallest_singular_value():
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     F = make_linear_map(A, kind="l2")
