@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import seed_reference
 import subreglab.geometry as geometry
 from subreglab.geometry import (
     ScaleLadder,
@@ -202,6 +203,63 @@ def test_derive_seed_is_deterministic_and_tag_sensitive():
     assert all(isinstance(s, int) and s >= 0 for s in seen)
 
 
+# every seed tag of the package: graph samples and draws (17 to 89), the
+# interval, compl_angle and inverse sampler streams (3, 7, 11 and shells 0-3),
+# the calm perturbations (131, 173) and eckart_young (151)
+_TAGS = (0, 1, 2, 3, 7, 11, 17, 31, 37, 41, 43, 47, 53, 61, 71, 83, 89, 131, 151, 173)
+# ladder seeds: small ones, and ints that only arithmetic modulo 2**64 keeps
+_SEEDS = list(range(64)) + [-1, 2**63 - 1, 2**64 - 1, 2**64 + 5, 2**70]
+
+
+def _reference_lattice(n, dim, seed):
+    """r2_lattice(n, dim, seed) from the scalar splitmix64 offsets."""
+    g = geometry._plastic(dim)
+    alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
+    offs = np.array(seed_reference.r2_offsets(seed, dim))
+    return (offs[None, :] + np.arange(1, n + 1, dtype=float)[:, None] * alpha[None, :]) % 1.0
+
+
+def test_derive_seed_is_the_scalar_splitmix64():
+    """derive_seed gives the scalar reference's seed for every tag of the
+    package, on the annuli j < 97 of every ladder seed of _SEEDS, and for
+    the stream tags on each of those annulus seeds."""
+    for seed in _SEEDS:
+        for tag in _TAGS:
+            got = [derive_seed(seed, j + 1, tag) for j in range(97)]
+            assert got == [seed_reference.derive_seed(seed, j + 1, tag) for j in range(97)]
+            assert all(type(s) is int for s in got)
+        assert derive_seed(seed) == seed_reference.derive_seed(seed)
+        col = [seed_reference.derive_seed(seed, j + 1, 61) for j in range(97)]
+        for tag in (0, 1, 2, 3, 7, 11, 131, 151, 173):
+            assert ([derive_seed(s, tag) for s in col]
+                    == [seed_reference.derive_seed(s, tag) for s in col]), (seed, tag)
+
+
+def test_uint64_to_float_conversion_rounds_as_python_ints_do():
+    """A uint64 state divided by 2.0**64 in numpy is the Python int state
+    divided by 2.0**64: the state rounds to the nearest float, ties to
+    even, at the largest state and at the ties and their neighbours."""
+    states = [2**64 - 1, 2**63 + 1024, 2**63 + 1025, 2**53 + 1, 2**53 + 3, 2**63 - 1, 0, 1]
+    got = (np.array(states, dtype=np.uint64) / 2.0**64).tolist()
+    assert got == [s / 2.0**64 for s in states]
+    assert got[:4] == [1.0, 0.5, 0.5 + 2.0**-53, 2.0**-11]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_r2_lattice_offsets_are_the_scalar_splitmix64(dim):
+    """Every seed's lattice, drawn alone and in one block of every seed,
+    has the bits of the scalar reference's offsets, at the ladder seeds of
+    _SEEDS and at annulus seeds derived from them."""
+    seeds = _SEEDS + [seed_reference.derive_seed(s, j + 1, 61) for s in _SEEDS[60:]
+                      for j in range(97)]
+    want = np.concatenate([_reference_lattice(3, dim, s) for s in seeds])
+    got = geometry._r2_lattices(3, dim, seeds)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for s in _SEEDS[60:]:
+        assert np.array_equal(r2_lattice(3, dim, s).view(np.int64),
+                              _reference_lattice(3, dim, s).view(np.int64)), s
+
+
 def test_r2_lattice_deterministic_unit_cube():
     pts = r2_lattice(64, 3, seed=9)
     assert pts.shape == (64, 3)
@@ -229,11 +287,7 @@ def _one_annulus(center, r_inner, r_outer, n, seed, kind):
     dim = c.size + 1
     if n <= 0:
         return np.zeros((0, c.size))
-    g = geometry._plastic(dim)
-    alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
-    nxt = geometry._splitmix64(derive_seed(seed))
-    offs = np.array([nxt() / 2.0**64 for _ in range(dim)])
-    u = (offs[None, :] + np.arange(1, n + 1, dtype=float)[:, None] * alpha[None, :]) % 1.0
+    u = _reference_lattice(n, dim, seed)
     radii = r_outer - (r_outer - r_inner) * u[:, 0]
     return c[None, :] + radii[:, None] * geometry._directions(u[:, 1:], kind)
 

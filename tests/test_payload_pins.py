@@ -3,7 +3,8 @@ floats as hex, for a sweep of tasks, maps and norms, kept in the pin group
 "payload" under a name per config.
 
 The sweep reaches what the benchmark's workloads do not: 2-D builds, linf
-runs, and every catalog map under every task that estimates. A pin
+runs, every catalog map under every task that estimates, and seeds outside
+0 <= seed < 2**64. A pin
 changes only when a payload bit does.
 """
 
@@ -44,6 +45,11 @@ def _configs() -> dict[str, dict]:
         "map": {"id": "interval",
                 "wrap": [{"op": "sum", "fn": {"id": "scale", "params": {"lam": 0.5}}}]},
         "task": "moduli", "norm": "l1", **small}
+    # seeds that only arithmetic modulo 2**64 keeps: -1 and 2**64 + 5
+    for mid in ("abs", "xsin"):
+        for seed in (-1, 2**64 + 5):
+            out[f"moduli/{mid}/l1/seed={seed}"] = {"map": mid, "task": "moduli", "norm": "l1",
+                                                   **small, "seed": seed}
     out["eckart_young/3"] = {"task": "eckart_young", "seed": 7, "matrices": 3}
     return out
 
