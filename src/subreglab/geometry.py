@@ -181,39 +181,47 @@ def norming_vector(y_star, kind: str = "l2") -> np.ndarray:
 # seeded low-discrepancy lattice
 
 
-def _splitmix64(state: int):
-    """Deterministic 64-bit mixer used to derive per-stream offsets."""
-    mask = (1 << 64) - 1
-    x = state & mask
-
-    def nxt() -> int:
-        nonlocal x
-        x = (x + 0x9E3779B97F4A7C15) & mask
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
-    return nxt
+_GOLDEN, _M1, _M2, _LOW63 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                           0x94D049BB133111EB, (1 << 63) - 1))
 
 
-def derive_seed(seed: int, *tags: int) -> int:
-    """Fold integer tags into a seed, giving independent deterministic streams."""
-    nxt = _splitmix64(seed)
-    acc = nxt()
+def _u64(x) -> np.ndarray:
+    """x (ints, or an integer array) as a 1-D uint64 column, each int modulo 2**64."""
+    a = np.asarray(x).reshape(-1)
+    if a.dtype.kind not in "iu":  # ints past int64 or uint64, a mix of both, or none
+        a = np.array(x, dtype=object).reshape(-1) & ((1 << 64) - 1)
+    return a.astype(np.uint64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output of each state of the uint64 array z. Array
+    arithmetic wraps modulo 2**64 silently, where numpy scalars would warn."""
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seed(seed, *tags):
+    """Fold integer tags into a seed, giving independent deterministic streams
+    (splitmix64). Ints and integer arrays broadcast, modulo 2**64, to an
+    int64 column of seeds; ints alone give the one seed as a Python int."""
+    acc = _mix(_u64(seed) + _GOLDEN)
     for t in tags:
-        nxt2 = _splitmix64(acc ^ (t & ((1 << 64) - 1)))
-        acc = nxt2()
-    return acc & ((1 << 63) - 1)
+        acc = _mix((acc ^ _u64(t)) + _GOLDEN)
+    acc = (acc & _LOW63).astype(np.int64)
+    return acc if np.ndim(seed) or any(map(np.ndim, tags)) else int(acc[0])
 
 
 @cache
-def _plastic(dim: int) -> float:
-    # unique real root > 1 of x**(dim+1) = x + 1, by fixed-point iteration
-    x = 2.0
+def _alpha(dim: int) -> np.ndarray:
+    """The R2 recurrence's step: (1/g)**k mod 1 for k = 1 .. dim, g the real
+    root > 1 of x**(dim+1) = x + 1, by fixed-point iteration."""
+    g = 2.0
     for _ in range(64):
-        x = (1.0 + x) ** (1.0 / (dim + 1))
-    return x
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
+    alpha.flags.writeable = False
+    return alpha
 
 
 def r2_lattice(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -226,12 +234,11 @@ def _r2_lattices(n: int, dim: int, seeds) -> np.ndarray:
     """r2_lattice(n, dim, s) for each s of seeds, stacked into (len(seeds) * n, dim)."""
     if n <= 0 or not len(seeds):
         return np.zeros((0, dim))
-    g = _plastic(dim)
-    alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
-    offs = np.array([[nxt() / 2.0**64 for _ in range(dim)]
-                     for nxt in (_splitmix64(derive_seed(seed)) for seed in seeds)])
+    # offset k of a seed: the k-th splitmix64 output after derive_seed(seed), over 2**64
+    k = np.tile(np.arange(1, dim + 1, dtype=np.uint64), len(seeds))
+    offs = _mix(np.repeat(derive_seed(_u64(seeds)).astype(np.uint64), dim) + _GOLDEN * k)
     idx = np.arange(1, n + 1, dtype=float)[:, None]
-    return ((offs[:, None, :] + idx * alpha[None, :]) % 1.0).reshape(-1, dim)
+    return ((offs.reshape(-1, 1, dim) / 2.0**64 + idx * _alpha(dim)) % 1.0).reshape(-1, dim)
 
 
 def _directions(u: np.ndarray, kind: str) -> np.ndarray:
@@ -275,9 +282,9 @@ def sample_annuli(center, inner, outer, n: int, seeds, kind: str = "l2") -> np.n
     """
     _check_kind(kind)
     inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
-    for a, b in zip(inner.tolist(), outer.tolist()):
-        if not (0.0 <= a < b):
-            raise ValueError(f"bad annulus radii ({a}, {b}]")
+    bad = np.flatnonzero(~((0.0 <= inner) & (inner < outer)))  # nan is bad too
+    if bad.size:
+        raise ValueError(f"bad annulus radii ({float(inner[bad[0]])}, {float(outer[bad[0]])}]")
     c = _as_vec(center)
     u = _r2_lattices(n, c.size + 1, seeds)
     lo, hi = np.repeat(inner, max(n, 0)), np.repeat(outer, max(n, 0))
@@ -345,20 +352,26 @@ class ScaleLadder:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for j, (inner, outer) in enumerate(self.annuli()):
-            if not inner < outer:  # rounded or underflowed to the next radius
-                raise ValueError(f"annulus {j} ({inner!r}, {outer!r}] is empty: "
-                                 f"r0 * theta**{j + 1} is not below r0 * theta**{j}")
+        inner, outer = self.annuli()
+        j = np.argmin(inner < outer)  # the first annulus rounded or underflowed to empty, if any
+        if not inner[j] < outer[j]:
+            raise ValueError(f"annulus {j} ({float(inner[j])!r}, {float(outer[j])!r}] is empty: "
+                             f"r0 * theta**{j + 1} is not below r0 * theta**{j}")
 
     def radius(self, j: int) -> float:
         return self.r0 * self.theta**j
 
-    def annuli(self) -> list[tuple[float, float]]:
-        """(inner, outer] bounds for each scale, outermost first."""
-        return [(self.radius(j + 1), self.radius(j)) for j in range(self.depth)]
+    def annuli(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The (inner, outer] bounds of the annuli j >= start, outermost
+        first, as two float columns. The radii have the bits of radius(j):
+        np.power rounds differently from Python's **."""
+        r = np.array([self.r0 * self.theta**j for j in range(start, self.depth + 1)])
+        return r[1:], r[:-1]
 
-    def scale_seed(self, j: int, tag: int = 0) -> int:
-        return derive_seed(self.seed, j + 1, tag)
+    def seeds(self, tag: int = 0, start: int = 0) -> np.ndarray:
+        """The seed of the tag's stream on each annulus j >= start, as an int64
+        column: annulus j's is derive_seed(seed, j + 1, tag)."""
+        return derive_seed(self.seed, np.arange(start + 1, self.depth + 1), tag)
 
     def deepen(self, extra: int) -> "ScaleLadder":
         return replace(self, depth=self.depth + extra)

@@ -154,15 +154,13 @@ def graph_rows(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int,
     X, Y): row k is the graph point (X[k], Y[k]) of annulus ann[k], in
     ladder order.
 
-    Annulus j holds the map's sample drawn with seed ladder.scale_seed(j,
-    tag), followed by its feature points; the map gives each kind for every
+    Annulus j holds the map's sample drawn with seed ladder.seeds(tag)[j],
+    followed by its feature points; the map gives each kind for every
     annulus in one call. Neither depends on the ladder's depth, so a
     deepened ladder gives the same rows first.
     """
-    js = range(start, ladder.depth)
-    inner, outer = [ladder.radius(j + 1) for j in js], [ladder.radius(j) for j in js]
-    rows = F.sample_graph(base, inner, outer, ladder.samples_per_scale,
-                          [ladder.scale_seed(j, tag) for j in js])
+    inner, outer = ladder.annuli(start)
+    rows = F.sample_graph(base, inner, outer, ladder.samples_per_scale, ladder.seeds(tag, start))
     if F.feature_points is not None:
         rows = _merge(rows, F.feature_points(base.x, inner, outer))
     ann, X, Y = rows
@@ -632,7 +630,7 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         xk = 1.0 / (k_lo[rows] + i)
         ann = side[rows] // 2
         width = 3 * int(i.max(initial=0.0)) + 1
-        u = _r2_lattices(width, 1, [derive_seed(seed, 7) for seed in seeds]).reshape(-1, width)
+        u = _r2_lattices(width, 1, derive_seed(seeds, 7)).reshape(-1, width)
         u = u[ann, 3 * i.astype(int)]
         spread = (2.0 * (u[:, None] + 0.31 * np.arange(3)) % 2.0 - 1.0) * xk[:, None]
         fiber_y = np.concatenate([xk[:, None] * [0.0, 1.0, -1.0, 0.5, -0.5], spread], 1)
@@ -642,7 +640,7 @@ def make_interval_map(kind: str = "l1") -> SetValuedMap:
         kc = recip_k(center.x)[0]
         if kc:
             xk = 1.0 / kc if abs(cx * kc - 1.0) < 1e-12 else cx
-            u = _r2_lattices(8, 1, [derive_seed(seed, 11) for seed in seeds]).reshape(-1, 8)
+            u = _r2_lattices(8, 1, derive_seed(seeds, 11)).reshape(-1, 8)
             yv = cy + (outer[:, None] - (outer - inner)[:, None] * u) * np.resize([-1.0, 1.0], 8)
             ann, j = np.nonzero((-xk <= yv) & (yv <= xk))
             blocks.append((ann, np.full((len(ann), 1), cx), yv[ann, j][:, None]))
@@ -702,7 +700,7 @@ def make_complementarity_angle(kind: str = "l1") -> SetValuedMap:
         ray = np.flatnonzero(X[:, 0] > 0.0)  # the horizontal ray
         # the vertical ray's y, in the annuli that reach it
         near = np.flatnonzero(abs(cx) <= outer)
-        u = _r2_lattices(m, 1, [derive_seed(seeds[j], 3) for j in near]).reshape(-1, m)
+        u = _r2_lattices(m, 1, derive_seed(seeds, 3)[near]).reshape(-1, m)
         s = cy + (outer[near, None] - (outer - inner)[near, None] * u) * np.resize([-1.0, 1.0], m)
         at, j = np.nonzero(s >= 0.0)
         return _merge((ray // m, X[ray], np.zeros((len(ray), 1))),
@@ -840,7 +838,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
                   (inner * 0.0625, outer * 2.0)]
         for i, (a, b) in enumerate(shells):
             ann, X, Y = F.sample_graph(inner_center, a[live], b[live], max(1, n // 2),
-                                       [derive_seed(seeds[j], i) for j in live])
+                                       derive_seed(seeds, i)[live])
             ann = live[ann]
             t = norms(Y - center.x, F.kind)
             inside = (inner[ann] < t) & (t <= outer[ann])

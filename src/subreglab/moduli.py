@@ -167,7 +167,7 @@ def _pool_scales(vals: np.ndarray, ann: np.ndarray, ladder: ScaleLadder, largest
         met = met or (win is not None if largest else bool(at.any()))
         if met:
             pooled[j] = acc
-    return [(ladder.radius(j), pooled[j]) for j in range(ladder.depth)], own, win
+    return list(zip(ladder.annuli()[1].tolist(), pooled)), own, win
 
 
 def _diverging(per_annulus: list[float]) -> bool:
@@ -187,7 +187,7 @@ def _empty_note(ann: np.ndarray, ladder: ScaleLadder) -> str:
     the innermost annulus held a point."""
     if (ann == ladder.depth - 1).any():
         return ""
-    inner, outer = ladder.annuli()[-1]
+    (inner,), (outer,) = ladder.annuli(ladder.depth - 1)
     return (f"annulus {ladder.depth - 1} ({inner:.3g}, {outer:.3g}] held no graph point, "
             f"so the innermost scale reads nan")
 
@@ -260,7 +260,7 @@ def _admissible_pairs(F: SetValuedMap, ladder: ScaleLadder, pair_sets
     pairs of every set from one more: the map's oracle if it has one, else
     the batched fallback, whose rows each depend on their own pair alone.
     """
-    outer = np.array([ladder.radius(j) for j in range(ladder.depth)])
+    outer = ladder.annuli()[1]
     kept = []
     for xs, ys in pair_sets:
         annulus = np.repeat(np.arange(ladder.depth), len(xs) // ladder.depth)
@@ -305,16 +305,8 @@ def _rg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str,
               pairs_per_scale: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) rows that estimate_rg draws, annulus by annulus."""
     n = pairs_per_scale or min(ladder.samples_per_scale, 96)
-    return _annuli_draw(base.x, ladder, n, 41, kind), _annuli_draw(base.y, ladder, n, 43, kind)
-
-
-def _annuli_draw(center: np.ndarray, ladder: ScaleLadder, n: int, tag: int, kind: str
-                 ) -> np.ndarray:
-    """n points of every annulus of the ladder around center, annulus j drawn
-    with seed ladder.scale_seed(j, tag), in one sample_annuli call."""
-    inner, outer = zip(*ladder.annuli())
-    return sample_annuli(center, inner, outer, n,
-                         [ladder.scale_seed(j, tag) for j in range(ladder.depth)], kind)
+    return (sample_annuli(base.x, *ladder.annuli(), n, ladder.seeds(41), kind),
+            sample_annuli(base.y, *ladder.annuli(), n, ladder.seeds(43), kind))
 
 
 def _rg_estimate(F: SetValuedMap, ladder: ScaleLadder, ann: np.ndarray, dimg: np.ndarray,
@@ -362,7 +354,8 @@ def estimate_srg(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder) -> Esti
 def _srg_pairs(base: GraphPoint, ladder: ScaleLadder, kind: str
                ) -> tuple[np.ndarray, np.ndarray]:
     """The (x, yb) rows that estimate_srg draws, annulus by annulus."""
-    xs = _annuli_draw(base.x, ladder, min(ladder.samples_per_scale, 96), 47, kind)
+    xs = sample_annuli(base.x, *ladder.annuli(), min(ladder.samples_per_scale, 96),
+                       ladder.seeds(47), kind)
     return xs, np.repeat(base.y[None, :], len(xs), 0)
 
 
@@ -548,7 +541,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
     h.update(repr((ladder.r0, ladder.theta, ladder.depth, ladder.samples_per_scale,
                    ladder.seed, 8)).encode())
 
-    radii = np.array([ladder.radius(j) for j in range(ladder.depth + 1)])
+    inner, outer = ladder.annuli()
 
     def make(ann, X, Y, js):
         if F.analytic_normals is None:
@@ -558,7 +551,7 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
         # each annulus's pairs in the oracle's order, whatever order it gives the rows
         order = np.argsort(ann[owner], kind="stable")
         recs, rows = _annulus_records(X, Y, owner[order], X_star[order], Y_star[order],
-                                      np.zeros(len(owner)), radii[ann + 1], radii[ann], base,
+                                      np.zeros(len(owner)), inner[ann], outer[ann], base,
                                       F.kind)
         return recs.split(np.searchsorted(ann[rows], js[1:]).tolist())
 
@@ -568,12 +561,11 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
                                 for a in ("x", "y", "x_star", "y_star"))
         eps = np.array([e.eps for e in extra_elements], dtype=float)
         t = norms(X - base.x, F.kind)
-        for j, (inner, outer) in enumerate(ladder.annuli()):
-            k = np.flatnonzero((inner < t) & (t <= outer))
-            if len(k):
-                more, _ = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k],
-                                           Y_star[k], eps[k], inner, outer, base, F.kind)
-                pools[j] = ElementRecords.concat([pools[j], more])
+        at, k = np.nonzero((inner[:, None] < t) & (t <= outer[:, None]))  # annulus by annulus
+        more, rows = _annulus_records(X[k], Y[k], np.arange(len(k)), X_star[k], Y_star[k],
+                                      eps[k], inner[at], outer[at], base, F.kind)
+        parts = more.split(np.searchsorted(at[rows], np.arange(1, ladder.depth)).tolist())
+        pools = [ElementRecords.concat([p, m]) if len(m) else p for p, m in zip(pools, parts)]
     pool_id = h.hexdigest()[:16]
     return pools, pool_id
 
@@ -613,8 +605,7 @@ def estimate_constant(kind: str, pool: list[ElementRecords], ladder: ScaleLadder
         eps_xn = eps * xn
     valid = ~np.isnan(obj)
     win = None  # the witness's index
-    for j in range(depth):
-        r = ladder.radius(j)
+    for j, r in enumerate(ladder.annuli()[1].tolist()):
         # each test negates a rejection, so a NaN t, q or eps passes it
         ok = valid & ~(t > r * (1 + 1e-12)) & ~(eps > r)
         if kind in ("srg3", "srg4", "srg4p"):

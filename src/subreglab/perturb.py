@@ -46,6 +46,7 @@ from .geometry import (
     norming_functionals,
     norming_vector,
     norms,
+    r2_lattice,
     sample_annuli,
     sample_annulus,  # not called here; perfbench's layer trace wraps it by name
 )
@@ -243,19 +244,19 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     holds once drawn or built.
     """
     cut = gamma * (1.0 - 1e-9)
+    inner, outer = (c.tolist() for c in ladder.annuli(start))
     if kind == "ssr":
-        graph = _memo_annuli(F, base, ladder, 71, "graph", _graph_annuli)
-        annuli = [(j, _graph_records(base, F.kind, *ladder.annuli()[j], *graph[j], cut))
-                  for j in range(start, ladder.depth)]
+        graph = _memo_annuli(F, base, ladder, 71, "graph", _graph_annuli)[start:]
+        annuli = [_graph_records(base, F.kind, a, b, *g, cut)
+                  for a, b, g in zip(inner, outer, graph)]
     else:
-        records, _ = build_element_pool(F, base, ladder)
-        annuli = [(j, records[j]) for j in range(start, ladder.depth)]
+        annuli = build_element_pool(F, base, ladder)[0][start:]
     cands: list[dict] = []
-    for j, recs in annuli:
+    for j, recs, r in zip(range(start, ladder.depth), annuli, outer):
         obj = _objective(kind, recs.ratio, recs.xn)
         drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
         if kind == "ss":
-            drop |= recs.q > min(0.5, 8.0 * ladder.radius(j))
+            drop |= recs.q > min(0.5, 8.0 * r)
         cands.extend(_annulus_candidates(recs, obj, np.flatnonzero(~drop), j, base))
     return cands
 
@@ -1334,10 +1335,9 @@ def firmly_calm_test(f, base_x, clm: Estimate, ladder: ScaleLadder, kind: str,
     extras = np.array(extra_xs or [], dtype=float).reshape(-1, dim)
     diverging = _diverging(clm.per_annulus)
 
-    js = (ladder.depth // 2, ladder.depth - 1)
-    inner, outer = zip(*(ladder.annuli()[j] for j in js))
-    centers = np.concatenate([sample_annuli(base_x, inner, outer, 6,
-                                            [ladder.scale_seed(j, 89) for j in js], kind),
+    js = [ladder.depth // 2, ladder.depth - 1]
+    inner, outer = (c[js] for c in ladder.annuli())
+    centers = np.concatenate([sample_annuli(base_x, inner, outer, 6, ladder.seeds(89)[js], kind),
                               extras[:12]])
     t = norms(centers - base_x, kind)
     h = np.where(1e-12 > t, 1e-12, t)[:, None] * np.array([1e-2, 1e-3, 1e-4])
@@ -1370,8 +1370,6 @@ def random_calm_perturbation(seed: int):
     calmness modulus is |a| + |b|, so the perturbed identity keeps its
     strong subregularity quotient at or above 0.15 at every graph point.
     """
-    from .geometry import r2_lattice
-
     u = r2_lattice(2, 2, derive_seed(seed, 131))
     a = (2.0 * float(u[0, 0]) - 1.0) * 0.5 * 0.85
     b = (2.0 * float(u[1, 1]) - 1.0) * (0.85 - abs(a))

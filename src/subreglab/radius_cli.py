@@ -428,13 +428,13 @@ def _task_eckart_young(config: ExperimentConfig, report: RunReport):
     worst_b = 0.0
     worst_det = 0.0
     failures = 0
-    for i in range(config.matrices):
+    for seed in derive_seed(config.seed, 151, np.arange(config.matrices)).tolist():
         # well-conditioned 3x3: orthogonal factors, log-uniform spectrum
         q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         s = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=3))
         A = q1 @ np.diag(np.sort(s)[::-1]) @ q2.T
-        res = eckart_young_check(A, seed=derive_seed(config.seed, 151, i))
+        res = eckart_young_check(A, seed=seed)
         worst_rel = max(worst_rel, res["rg_rel_error"])
         worst_b = max(worst_b, res["b_norm_error"])
         worst_det = max(worst_det, abs(res["det_after"]))
@@ -510,8 +510,8 @@ def _pipeline_identity(config, F, base, ladder, report: RunReport):
                    "no destabilizer below gamma")
 
     worst = math.inf
-    for i in range(5):
-        fe, fg, a, b = random_calm_perturbation(derive_seed(config.seed, 173, i))
+    for seed in derive_seed(config.seed, 173, np.arange(5)).tolist():
+        fe, fg, a, b = random_calm_perturbation(seed)
         G = sum_with_function(F, make_function_graph(fe, grad=fg), name="identity+calm")
         est = estimate_ssrg(G, base, ladder)
         worst = min(worst, est.reported)

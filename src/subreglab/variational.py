@@ -140,8 +140,7 @@ def semismooth_star_test(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder
                              norms(EX_star, dual), norms(EY_star, dual), dists)
     report = SemismoothReport()
     worst_idx_finest = None
-    for j in range(ladder.depth):
-        delta = ladder.radius(j)
+    for j, delta in enumerate(ladder.annuli()[1].tolist()):
         within = dists <= delta
         count = int(within.sum())
         # the scan "worst = q if q >= worst" from worst = 0.0 ends at the

@@ -114,7 +114,7 @@ def test_extras_follow_the_shared_records_and_are_not_memoized():
     with_extras, extras_id = build_element_pool(F, base, _LADDER, extra_elements=extras)
     assert extras_id == plain_id
     added = []  # the records after the shared ones, annulus by annulus
-    for (inner, outer), recs, more in zip(_LADDER.annuli(), plain, with_extras):
+    for inner, outer, recs, more in zip(*_LADDER.annuli(), plain, with_extras):
         n, whole = len(recs), _fields(more)
         assert {name: vals[:n] for name, vals in whole.items()} == _fields(recs)
         added += [{name: vals[i] for name, vals in whole.items()} for i in range(n, len(more))]
@@ -219,7 +219,7 @@ def _fields(annulus):
 def _reference_pool(F, base, ladder, extras=()):
     pool = []
     ann, XS, YS = graph_rows(F, base, ladder, 61)
-    for j, (inner, outer) in enumerate(ladder.annuli()):
+    for j, (inner, outer) in enumerate(zip(*(c.tolist() for c in ladder.annuli()))):
         pts = [GraphPoint(x, y) for x, y in zip(XS[ann == j], YS[ann == j])]
         groups = [(gp.x, gp.y, [(e.x_star, e.y_star, e.eps) for e in elements_at_point(F, gp)])
                   for gp in pts]
@@ -271,7 +271,7 @@ def test_extras_are_the_per_element_loop_through_every_branch():
     max(0.0, nan) = 0.0 and q = inf, which pins max's NaN rule (np.maximum
     would give nan and q = nan)."""
     F, base = setup_map("xsin")
-    r = [outer for _, outer in _REF_LADDER.annuli()]
+    r = _REF_LADDER.annuli()[1].tolist()
     extras = [_extra([0.9 * r[0]], [0.1], [2.0], [3.0], eps=0.25),
               _extra([-0.9 * r[1]], [0.0], [0.0], [1.0]),
               _extra([0.8 * r[1]], [0.2], [1.0 + 1e-9], [0.5], eps=1e-3),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,26 +214,38 @@ _SEEDS = list(range(64)) + [-1, 2**63 - 1, 2**64 - 1, 2**64 + 5, 2**70]
 
 def _reference_lattice(n, dim, seed):
     """r2_lattice(n, dim, seed) from the scalar splitmix64 offsets."""
-    g = geometry._plastic(dim)
+    g = 2.0  # the real root > 1 of x**(dim+1) = x + 1
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (dim + 1))
     alpha = np.array([((1.0 / g) ** (k + 1)) % 1.0 for k in range(dim)])
     offs = np.array(seed_reference.r2_offsets(seed, dim))
     return (offs[None, :] + np.arange(1, n + 1, dtype=float)[:, None] * alpha[None, :]) % 1.0
 
 
 def test_derive_seed_is_the_scalar_splitmix64():
-    """derive_seed gives the scalar reference's seed for every tag of the
-    package, on the annuli j < 97 of every ladder seed of _SEEDS, and for
-    the stream tags on each of those annulus seeds."""
+    """derive_seed, called with ints (a Python int) or with columns (an
+    int64 column, as ScaleLadder.seeds calls it), gives the scalar
+    reference's seed for every tag of the package, on the annuli j < 97 of
+    every ladder seed of _SEEDS, and for the stream tags on each of those
+    annulus seeds."""
     for seed in _SEEDS:
         for tag in _TAGS:
-            got = [derive_seed(seed, j + 1, tag) for j in range(97)]
-            assert got == [seed_reference.derive_seed(seed, j + 1, tag) for j in range(97)]
-            assert all(type(s) is int for s in got)
+            got = [seed_reference.derive_seed(seed, j + 1, tag) for j in range(97)]
+            assert [derive_seed(seed, j + 1, tag) for j in (0, 96)] == [got[0], got[96]]
+            assert all(type(derive_seed(seed, j + 1, tag)) is int for j in (0, 96))
+            assert ScaleLadder(depth=97, seed=seed).seeds(tag).tolist() == got
+            assert ScaleLadder(depth=97, seed=seed).seeds(tag, start=90).tolist() == got[90:]
+            assert derive_seed(seed, np.arange(1, 98), tag).tolist() == got
         assert derive_seed(seed) == seed_reference.derive_seed(seed)
         col = [seed_reference.derive_seed(seed, j + 1, 61) for j in range(97)]
         for tag in (0, 1, 2, 3, 7, 11, 131, 151, 173):
-            assert ([derive_seed(s, tag) for s in col]
-                    == [seed_reference.derive_seed(s, tag) for s in col]), (seed, tag)
+            want = [seed_reference.derive_seed(s, tag) for s in col]
+            assert [derive_seed(s, tag) for s in col[:3]] == want[:3], (seed, tag)
+            assert derive_seed(np.array(col), tag).tolist() == want, (seed, tag)
+    # a column of ladder seeds, the ints beyond int64 and uint64 among them
+    got = derive_seed(_SEEDS, np.array([5]), 17)
+    assert got.dtype == np.int64
+    assert got.tolist() == [seed_reference.derive_seed(s, 5, 17) for s in _SEEDS]
 
 
 def test_uint64_to_float_conversion_rounds_as_python_ints_do():
@@ -320,6 +333,11 @@ def test_sample_annulus_rejects_bad_radii():
         sample_annulus([0.0], -1.0, 0.25, 8)
     with pytest.raises(ValueError, match=r"bad annulus radii \(0.5, 0.25\]"):  # the second annulus
         sample_annuli([0.0], [0.125, 0.5], [0.25, 0.25], 8, [1, 2])
+    # nan is a bad radius, inner or outer; the first bad annulus is named
+    with pytest.raises(ValueError, match=r"bad annulus radii \(nan, 0.5\]"):
+        sample_annuli([0.0], [0.125, math.nan, 0.0], [0.25, 0.5, math.nan], 8, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"bad annulus radii \(0.0, nan\]"):
+        sample_annuli([0.0], [0.125, 0.0], [0.25, math.nan], 8, [1, 2])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -344,10 +362,14 @@ def test_scale_ladder_radii_and_annuli():
     assert lad.radius(0) == 0.5
     assert lad.radius(3) == 0.0625
     assert [lad.radius(j) for j in range(4)] == [0.5, 0.25, 0.125, 0.0625]
-    shells = lad.annuli()
-    assert len(shells) == 4
-    assert shells[0] == (0.25, 0.5)
-    assert shells[-1] == (0.03125, 0.0625)
+    inner, outer = lad.annuli()
+    assert inner.tolist() == [0.25, 0.125, 0.0625, 0.03125]
+    assert outer.tolist() == [0.5, 0.25, 0.125, 0.0625]
+    assert [c.tolist() for c in lad.annuli(2)] == [[0.0625, 0.03125], [0.125, 0.0625]]
+    assert [c.tolist() for c in lad.annuli(4)] == [[], []]
+    # the radii of r0 * theta**j, where np.power rounds differently
+    odd = ScaleLadder(r0=0.7, theta=0.3, depth=40)
+    assert odd.annuli()[1].tolist() == [0.7 * 0.3**j for j in range(40)]
 
 
 def test_scale_ladder_deepen_preserves_the_prefix():
@@ -356,7 +378,9 @@ def test_scale_ladder_deepen_preserves_the_prefix():
     assert deeper.depth == 10
     assert [deeper.radius(j) for j in range(6)] == [lad.radius(j) for j in range(6)]
     assert deeper.seed == lad.seed
-    assert deeper.scale_seed(2, tag=41) == lad.scale_seed(2, tag=41)
+    assert np.array_equal(deeper.seeds(41)[:6], lad.seeds(41))
+    assert np.array_equal(deeper.seeds(41, start=6), deeper.seeds(41)[6:])
+    assert lad.seeds(41).dtype == np.int64
 
 
 def test_scale_ladder_validation():
@@ -373,4 +397,7 @@ def test_scale_ladder_validation():
         ScaleLadder(theta=1e-200, depth=4)
     with pytest.raises(ValueError, match="annulus 0"):
         ScaleLadder(r0=1e-323, theta=0.9)
-    assert ScaleLadder(theta=1e-200, depth=2).annuli()[-1] == (0.0, 1e-200 * 0.5)
+    with pytest.raises(ValueError, match=re.escape("annulus 0 (inf, inf] is empty: "
+                                                   "r0 * theta**1 is not below r0 * theta**0")):
+        ScaleLadder(r0=math.inf, theta=1e-200, depth=3)  # annulus 1 is (nan, inf]
+    assert [c[-1] for c in ScaleLadder(theta=1e-200, depth=2).annuli()] == [0.0, 1e-200 * 0.5]

@@ -832,9 +832,9 @@ def _per_annulus_rows(F, base, ladder, tag, start=0):
     asked one annulus at a time, the rows of each annulus after those of
     the annulus outside it, as (ann, X, Y)."""
     blocks = [(np.zeros(0, dtype=int), np.zeros((0, F.dim_x)), np.zeros((0, F.dim_y)))]
-    for j, (inner, outer) in enumerate(ladder.annuli()[start:], start):
-        ann, X, Y = F.sample_graph(base, [inner], [outer], ladder.samples_per_scale,
-                                   [ladder.scale_seed(j, tag)])
+    seeds = ladder.seeds(tag).tolist()
+    for j, (inner, outer) in enumerate(zip(*(c.tolist() for c in ladder.annuli(start))), start):
+        ann, X, Y = F.sample_graph(base, [inner], [outer], ladder.samples_per_scale, [seeds[j]])
         assert not ann.any()
         if F.feature_points is not None:
             ann, FX, FY = F.feature_points(base.x, [inner], [outer])
@@ -897,9 +897,9 @@ def test_block_samplers_are_the_one_annulus_reference(spec, xy):
             for n in (1, 2, 3, 16, 64):
                 ladder = ScaleLadder(r0=r0, depth=5, samples_per_scale=n, seed=11)
                 got = graph_rows(F, base, ladder, 29)
-                parts = [_reference_annulus(spec, F, base, inner, outer, n,
-                                            ladder.scale_seed(j, 29))
-                         for j, (inner, outer) in enumerate(ladder.annuli())]
+                parts = [_reference_annulus(spec, F, base, inner, outer, n, seed)
+                         for inner, outer, seed in zip(*(c.tolist() for c in ladder.annuli()),
+                                                       ladder.seeds(29).tolist())]
                 want = (np.repeat(np.arange(ladder.depth), [len(X) for X, _ in parts]),
                         *(np.concatenate([p[i] for p in parts]) for i in (0, 1)))
                 assert [a.shape for a in got] == [a.shape for a in want], (kind, r0, n)
@@ -950,8 +950,7 @@ def test_empty_samples_are_rows_that_graph_rows_concatenates():
         base = GraphPoint([0.5], [0.0])  # the samplers read it as the annuli's center
         ladder = ScaleLadder(depth=3, samples_per_scale=16, seed=7)
         got = graph_rows(F, base, ladder, 61)
-        inner, outer = zip(*ladder.annuli())
-        want = F.sample_graph(base, inner, outer, 16, [ladder.scale_seed(j, 61) for j in range(3)])
+        want = F.sample_graph(base, *ladder.annuli(), 16, ladder.seeds(61))
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
     for kind in NORM_KINDS:
         G, base = _sample_map("anchored", kind)
