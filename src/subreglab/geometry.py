@@ -236,7 +236,7 @@ def _r2_lattices(n: int, dim: int, seeds) -> np.ndarray:
         return np.zeros((0, dim))
     # offset k of a seed: the k-th splitmix64 output after derive_seed(seed), over 2**64
     k = np.tile(np.arange(1, dim + 1, dtype=np.uint64), len(seeds))
-    offs = _mix(np.repeat(derive_seed(_u64(seeds)).astype(np.uint64), dim) + _GOLDEN * k)
+    offs = _mix(np.repeat(derive_seed(seeds).astype(np.uint64), dim) + _GOLDEN * k)
     idx = np.arange(1, n + 1, dtype=float)[:, None]
     return ((offs.reshape(-1, 1, dim) / 2.0**64 + idx * _alpha(dim)) % 1.0).reshape(-1, dim)
 
@@ -362,9 +362,8 @@ class ScaleLadder:
         return self.r0 * self.theta**j
 
     def annuli(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """The (inner, outer] bounds of the annuli j >= start, outermost
-        first, as two float columns. The radii have the bits of radius(j):
-        np.power rounds differently from Python's **."""
+        """The (inner, outer] float columns of the annuli j >= start, outermost
+        first, with the bits of radius(j) (np.power rounds differently)."""
         r = np.array([self.r0 * self.theta**j for j in range(start, self.depth + 1)])
         return r[1:], r[:-1]
 

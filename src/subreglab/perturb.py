@@ -245,14 +245,12 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     """
     cut = gamma * (1.0 - 1e-9)
     inner, outer = (c.tolist() for c in ladder.annuli(start))
-    if kind == "ssr":
-        graph = _memo_annuli(F, base, ladder, 71, "graph", _graph_annuli)[start:]
-        annuli = [_graph_records(base, F.kind, a, b, *g, cut)
-                  for a, b, g in zip(inner, outer, graph)]
-    else:
-        annuli = build_element_pool(F, base, ladder)[0][start:]
+    annuli = (_memo_annuli(F, base, ladder, 71, "graph", _graph_annuli) if kind == "ssr"
+              else build_element_pool(F, base, ladder)[0])[start:]
     cands: list[dict] = []
-    for j, recs, r in zip(range(start, ladder.depth), annuli, outer):
+    for j, a, r, recs in zip(range(start, ladder.depth), inner, outer, annuli):
+        if kind == "ssr":  # the annulus's graph rows (X, Y)
+            recs = _graph_records(base, F.kind, a, r, *recs, cut)
         obj = _objective(kind, recs.ratio, recs.xn)
         drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
         if kind == "ss":
