@@ -818,7 +818,9 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
     call per shell for the annuli that hold fewer than n points, max(1, n
     // 2) points each, and keeps the first 2n in the requested annulus in
     the swapped coordinate, so annuli fill only approximately for strongly
-    nonlinear maps.
+    nonlinear maps. An annulus still empty then (F flat at the base: inv(x^2)
+    needs x near sqrt(r_outer)) takes the shells (4^k r_outer, 4^(k+1)
+    r_outer], k = 1 .. 16, until one holds a point.
     """
 
     def image_distance(U, V):
@@ -836,6 +838,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         held = np.zeros(len(seeds), dtype=int)
         shells = [(inner, outer), (inner * 0.25, outer), (inner, outer * 4.0),
                   (inner * 0.0625, outer * 2.0)]
+        shells += [(outer * 4.0**k, outer * 4.0**(k + 1)) for k in range(1, 17)]
         for i, (a, b) in enumerate(shells):
             ann, X, Y = F.sample_graph(inner_center, a[live], b[live], max(1, n // 2),
                                        derive_seed(seeds, i)[live])
@@ -844,7 +847,7 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
             inside = (inner[ann] < t) & (t <= outer[ann])
             blocks.append((ann[inside], Y[inside], X[inside]))  # the swapped rows (y, x)
             held += np.bincount(ann[inside], minlength=len(held))
-            live = np.flatnonzero(held < n)
+            live = np.flatnonzero(held < n if i < 3 else held == 0)
             if not live.size:
                 break
         ann, U, V = _merge(*blocks)

@@ -92,17 +92,19 @@ def compl_angle_sample(center, r_inner, r_outer, n, seed, kind):
 
 def inverse_sample(F, center, r_inner, r_outer, n, seed):
     """The sample of the inverse of F: F's sampler asked for one annulus of
-    each shell in turn, until the annulus holds n points."""
+    each shell in turn, until the annulus holds n points; past the fourth
+    shell, until it holds one."""
     inner_center = GraphPoint(center.y, center.x)
     us, vs = [], []  # the swapped rows (y, x) of each shell inside the annulus
     shells = [(r_inner, r_outer), (r_inner * 0.25, r_outer), (r_inner, r_outer * 4.0),
               (r_inner * 0.0625, r_outer * 2.0)]
+    shells += [(r_outer * 4.0**k, r_outer * 4.0**(k + 1)) for k in range(1, 17)]
     for i, (a, b) in enumerate(shells):
         _, X, Y = F.sample_graph(inner_center, [a], [b], max(1, n // 2), [derive_seed(seed, i)])
         t = norms(Y - center.x, F.kind)
         inside = (r_inner < t) & (t <= r_outer)
         us.append(Y[inside])
         vs.append(X[inside])
-        if sum(map(len, us)) >= n:
+        if sum(map(len, us)) >= (n if i < 3 else 1):
             break
     return np.concatenate(us)[:2 * n], np.concatenate(vs)[:2 * n]

@@ -970,3 +970,18 @@ def test_the_inverse_samples_at_one_point_per_scale():
     ladder = ScaleLadder(depth=4, samples_per_scale=1, seed=7)
     ann, _, _ = graph_rows(F, base, ladder, 31)
     assert (ann == 0).any()
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+def test_the_inverse_of_a_flat_map_reaches_every_annulus(depth):
+    """The inverse of square at the origin needs x near sqrt(r_outer), far
+    outside the four shells around an inner annulus; the shells that grow
+    by 4 give every annulus a row, so calmness reads a number."""
+    from subreglab.moduli import estimate_clm
+
+    F, _ = resolve_map_spec({"id": "square", "wrap": [{"op": "inverse"}]}, kind="l1")
+    base = GraphPoint([0.0], [0.0])
+    ladder = ScaleLadder(depth=depth, samples_per_scale=512, seed=7)
+    ann, _, _ = graph_rows(F, base, ladder, 31)
+    assert np.bincount(ann, minlength=depth).min() > 0
+    assert not math.isnan(estimate_clm(F, base, ladder).reported)
