@@ -838,8 +838,10 @@ def inverse(F: SetValuedMap, name: str | None = None) -> SetValuedMap:
         held = np.zeros(len(seeds), dtype=int)
         shells = [(inner, outer), (inner * 0.25, outer), (inner, outer * 4.0),
                   (inner * 0.0625, outer * 2.0)]
-        shells += [(outer * 4.0**k, outer * 4.0**(k + 1)) for k in range(1, 17)]
+        with np.errstate(over="ignore"):  # a shell past the largest float is left out
+            shells += [(outer * 4.0**k, outer * 4.0**(k + 1)) for k in range(1, 17)]
         for i, (a, b) in enumerate(shells):
+            live = live[b[live] < math.inf]
             ann, X, Y = F.sample_graph(inner_center, a[live], b[live], max(1, n // 2),
                                        derive_seed(seeds, i)[live])
             ann = live[ann]

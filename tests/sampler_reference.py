@@ -100,6 +100,8 @@ def inverse_sample(F, center, r_inner, r_outer, n, seed):
               (r_inner * 0.0625, r_outer * 2.0)]
     shells += [(r_outer * 4.0**k, r_outer * 4.0**(k + 1)) for k in range(1, 17)]
     for i, (a, b) in enumerate(shells):
+        if not b < math.inf:  # a shell past the largest float is left out
+            continue
         _, X, Y = F.sample_graph(inner_center, [a], [b], max(1, n // 2), [derive_seed(seed, i)])
         t = norms(Y - center.x, F.kind)
         inside = (r_inner < t) & (t <= r_outer)

@@ -985,3 +985,22 @@ def test_the_inverse_of_a_flat_map_reaches_every_annulus(depth):
     ann, _, _ = graph_rows(F, base, ladder, 31)
     assert np.bincount(ann, minlength=depth).min() > 0
     assert not math.isnan(estimate_clm(F, base, ladder).reported)
+
+
+def test_the_inverse_leaves_out_shells_past_the_largest_float():
+    """The inverse of zero has no graph point off u = 0, so every annulus
+    takes every growing shell; at r0 = 1e300 those shells pass the largest
+    float and are left out, without an overflow warning, as the one-annulus
+    reference leaves them out."""
+    spec = {"id": "zero", "wrap": [{"op": "inverse"}]}
+    F, _ = resolve_map_spec(spec, kind="l1")
+    base = GraphPoint([0.0], [0.0])
+    ladder = ScaleLadder(r0=1e300, depth=3, samples_per_scale=8, seed=7)
+    got = graph_rows(F, base, ladder, 29)
+    parts = [_reference_annulus(spec, F, base, inner, outer, 8, seed)
+             for inner, outer, seed in zip(*(c.tolist() for c in ladder.annuli()),
+                                           ladder.seeds(29).tolist())]
+    want = (np.repeat(np.arange(3), [len(X) for X, _ in parts]),
+            *(np.concatenate([p[i] for p in parts]) for i in (0, 1)))
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
