@@ -181,6 +181,7 @@ def norming_vector(y_star, kind: str = "l2") -> np.ndarray:
 # seeded low-discrepancy lattice
 
 
+_MASK = (1 << 64) - 1
 _GOLDEN, _M1, _M2, _LOW63 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                            0x94D049BB133111EB, (1 << 63) - 1))
 
@@ -189,8 +190,8 @@ def _u64(x) -> np.ndarray:
     """x (ints, or an integer array) as a 1-D uint64 column, each int modulo 2**64."""
     a = np.asarray(x).reshape(-1)
     if a.dtype.kind not in "iu":  # ints past int64 or uint64, a mix of both, or none
-        a = np.array(x, dtype=object).reshape(-1) & ((1 << 64) - 1)
-    return a.astype(np.uint64)
+        a = np.array(x, dtype=object).reshape(-1) & _MASK
+    return a.astype(np.uint64, copy=False)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -209,7 +210,7 @@ def derive_seed(seed, *tags):
     for t in tags:
         acc = _mix((acc ^ _u64(t)) + _GOLDEN)
     acc = (acc & _LOW63).astype(np.int64)
-    return acc if np.ndim(seed) or any(map(np.ndim, tags)) else int(acc[0])
+    return int(acc[0]) if all(isinstance(v, (int, np.integer)) for v in (seed, *tags)) else acc
 
 
 @cache
@@ -235,8 +236,8 @@ def _r2_lattices(n: int, dim: int, seeds) -> np.ndarray:
     if n <= 0 or not len(seeds):
         return np.zeros((0, dim))
     # offset k of a seed: the k-th splitmix64 output after derive_seed(seed), over 2**64
-    k = np.tile(np.arange(1, dim + 1, dtype=np.uint64), len(seeds))
-    offs = _mix(np.repeat(derive_seed(seeds).astype(np.uint64), dim) + _GOLDEN * k)
+    steps = _GOLDEN * np.arange(1, dim + 1, dtype=np.uint64)
+    offs = _mix((derive_seed(seeds).astype(np.uint64)[:, None] + steps).ravel())
     idx = np.arange(1, n + 1, dtype=float)[:, None]
     return ((offs.reshape(-1, 1, dim) / 2.0**64 + idx * _alpha(dim)) % 1.0).reshape(-1, dim)
 

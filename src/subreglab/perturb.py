@@ -1248,12 +1248,9 @@ def verify_builder(p: Perturbation, F: SetValuedMap, base: GraphPoint,
         # at the base because f vanishes identically below the floor,
         # so the decay test has to sample that region before its tail
         ss_lad = vlad
-        if p.floor_radius > 0.0:
-            deeper = 0
-            while (vlad.radius(vlad.depth - 1 + deeper) > 0.125 * p.floor_radius
-                   and vlad.depth + deeper < 96):
-                deeper += 1
-            ss_lad = vlad.deepen(deeper)
+        while (p.floor_radius > 0.0 and ss_lad.depth < 96
+               and ss_lad.annuli(ss_lad.depth - 1)[1][0] > 0.125 * p.floor_radius):
+            ss_lad = ss_lad.deepen(1)
         ss = semismooth_star_test(fgraph, fbase, ss_lad)
         rep.semismooth_verdict = ss.verdict
 
