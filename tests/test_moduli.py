@@ -768,25 +768,44 @@ def test_all_constants_give_the_hat_kinds_of_direct_calls(mid, kind):
 # perturb._collect_candidates at the same ladder, on the element pool (lip,
 # fclm, ss) or on the graph sample (ssr, whose y* are the norming
 # functionals of each norm kind): the candidate count and the sha256 of the
-# candidates with every float field hexed (annulus kept as an int), in order
+# candidates with every float field hexed (annulus kept as an int), in order.
+# A case with a fifth part collects from that annulus on, on the pin ladder
+# deepened by 8, as extract_witness collects the annuli a deepening appends.
 _CANDIDATE_CASES = [
+    ("compl_angle", "l1", "ss", 0.5),
     ("identity", "l1", "ssr", 1.1), ("interval", "l1", "fclm", 1.2),
     ("linear", "linf", "ssr", 2.5), ("spiral", "l1", "ssr", 1.1), ("spiral", "l2", "lip", 0.05),
-    ("spiral", "l2", "ssr", 1.1), ("spiral", "linf", "ssr", 1.1), ("square", "l2", "ssr", 0.6),
-    ("xsin", "l1", "ss", 1.05),
+    ("spiral", "l2", "ssr", 1.1), ("spiral", "l2", "ssr", 1.1, 12),
+    ("spiral", "linf", "ssr", 1.1), ("square", "l2", "ssr", 0.6),
+    ("xsin", "l1", "ss", 1.05), ("xsin", "l1", "ss", 1.05, 12),
 ]
 
 
+def _candidate_dump(cands) -> list:
+    return [{k: c[k] if k == "annulus" else pins.hexes(c[k]) for k in sorted(c)} for c in cands]
+
+
 @pins.pinned("candidate", _CANDIDATE_CASES)
-def _candidates_digest(mid, kind, wkind, gamma):
-    cands = _collect_candidates(*setup_map(mid, kind), wkind, gamma, _PIN_LADDER)
-    dump = [{k: c[k] if k == "annulus" else pins.hexes(c[k]) for k in sorted(c)} for c in cands]
-    return [len(cands), pins.sha256(json.dumps(dump))]
+def _candidates_digest(mid, kind, wkind, gamma, start=0):
+    ladder = _PIN_LADDER.deepen(8) if start else _PIN_LADDER
+    cands = _collect_candidates(*setup_map(mid, kind), wkind, gamma, ladder, start)
+    return [len(cands), pins.sha256(json.dumps(_candidate_dump(cands)))]
 
 
 @pytest.mark.parametrize("case", _CANDIDATE_CASES)
 def test_pool_candidate_bits_are_pinned(case):
     assert _candidates_digest(*case) == pins.stored("candidate", case)
+
+
+@pytest.mark.parametrize("kind", ["l1", "linf"])
+def test_ssr_candidates_do_not_depend_on_an_earlier_gamma(kind):
+    # the map's memo serves the second collection; it must hold nothing that
+    # the first one's gamma decided
+    F, base = setup_map("linear", kind)
+    _collect_candidates(F, base, "ssr", 1.1, _PIN_LADDER)
+    got = _collect_candidates(F, base, "ssr", 0.9, _PIN_LADDER)
+    want = _collect_candidates(*setup_map("linear", kind), "ssr", 0.9, _PIN_LADDER)
+    assert got and _candidate_dump(got) == _candidate_dump(want)
 
 
 # estimate_constant as it was written with per-record loops: the reference
