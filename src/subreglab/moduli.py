@@ -493,10 +493,11 @@ def _annulus_records(X: np.ndarray, Y: np.ndarray, owner: np.ndarray, X_star: np
 
 def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: int, what: str,
                  make) -> list:
-    """F's memo of what on the tag's graph sample around base, one entry per
-    annulus of the ladder. make(ann, X, Y, js) gets the rows of every
-    annulus js the memo lacks, if any, as one block (see graph_rows), and
-    returns their entries in that order.
+    """F's memo of what on the tag's graph sample around base, the
+    ElementRecords of each annulus of the ladder. make(ann, X, Y) gets the
+    rows of every annulus the memo lacks, if any, as one block (see
+    graph_rows), and returns their records, annulus by annulus, with the
+    row of X each record sits at.
 
     Annulus j of a ladder depends on r0, theta, the samples per scale, the
     seed and j, never on the depth; ScaleLadder.deepen keeps all of them.
@@ -506,9 +507,11 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: in
     """
     done = F.memo.setdefault((base.x.tobytes(), base.y.tobytes(), ladder.r0, ladder.theta,
                               ladder.samples_per_scale, ladder.seed, tag, what), [])
-    js = np.arange(len(done), ladder.depth)
-    if len(js):
-        done.extend(make(*graph_rows(F, base, ladder, tag, start=len(done)), js))
+    if len(done) < ladder.depth:
+        ann, X, Y = graph_rows(F, base, ladder, tag, start=len(done))
+        recs, rows = make(ann, X, Y)
+        done.extend(recs.split(np.searchsorted(ann[rows], np.arange(len(done) + 1,
+                                                                    ladder.depth)).tolist()))
     return done[:ladder.depth]
 
 
@@ -543,17 +546,15 @@ def build_element_pool(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, *
 
     inner, outer = ladder.annuli()
 
-    def make(ann, X, Y, js):
+    def make(ann, X, Y):
         if F.analytic_normals is None:
             owner, X_star, Y_star = np.zeros(0, dtype=int), X[:0], Y[:0]
         else:
             owner, X_star, Y_star = F.analytic_normals(X, Y)
         # each annulus's pairs in the oracle's order, whatever order it gives the rows
         order = np.argsort(ann[owner], kind="stable")
-        recs, rows = _annulus_records(X, Y, owner[order], X_star[order], Y_star[order],
-                                      np.zeros(len(owner)), inner[ann], outer[ann], base,
-                                      F.kind)
-        return recs.split(np.searchsorted(ann[rows], js[1:]).tolist())
+        return _annulus_records(X, Y, owner[order], X_star[order], Y_star[order],
+                                np.zeros(len(owner)), inner[ann], outer[ann], base, F.kind)
 
     pools = _memo_annuli(F, base, ladder, 61, "records", make)  # a new list
     if extra_elements:

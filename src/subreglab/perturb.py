@@ -32,6 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -156,50 +159,45 @@ def _cand_order(c: dict) -> tuple:
     return (c["obj"], -float(c["u"][0]), -c["t"])
 
 
-def _graph_records(base: GraphPoint, kind: str, inner: float, outer: float,
-                   X: np.ndarray, Y: np.ndarray, cut: float) -> ElementRecords:
-    """The ssr records of one annulus: its graph points (X, Y) with ratio
-    at most cut, x* = 0 and y* the norming functional of y - yb (e_1 at y =
-    yb)."""
+def _graph_records(base: GraphPoint, kind: str, inner: np.ndarray, outer: np.ndarray,
+                   ann: np.ndarray, X: np.ndarray, Y: np.ndarray
+                   ) -> tuple[ElementRecords, np.ndarray]:
+    """The ssr records of a graph_rows block (ann, X, Y), annulus by annulus,
+    and the row of X each sits at: the graph points inside their annulus
+    (inner and outer index by annulus), with x* = 0 and y* the norming
+    functional of y - yb (e_1 at y = yb). No gamma cuts them, so the map's
+    memo serves every gamma."""
     t = norms(X - base.x, kind)
-    inside = (inner < t) & (t <= outer) & (t > 0.0)
-    X, Y, t = X[inside], Y[inside], t[inside]
+    rows = np.flatnonzero((inner[ann] < t) & (t <= outer[ann]) & (t > 0.0))
+    X, Y, t = X[rows], Y[rows], t[rows]
     dy = Y - base.y
     yn = norms(dy, kind)
-    ratio = yn / t
-    keep = ~(ratio > cut)  # before the norming functionals, which cost more
-    X, Y, t, dy, yn, ratio = X[keep], Y[keep], t[keep], dy[keep], yn[keep], ratio[keep]
     y_star = np.zeros_like(Y)
     y_star[:, 0] = 1.0
     on = yn > 0.0
     y_star[on] = norming_functionals(dy[on], kind)
     zero = np.zeros(len(t))
-    return ElementRecords(t=t, ratio=ratio, xn=zero, q=zero, eps=zero, x=X, y=Y,
-                          x_star=np.zeros_like(X), y_star=y_star)
+    return ElementRecords(t=t, ratio=yn / t, xn=zero, q=zero, eps=zero, x=X, y=Y,
+                          x_star=np.zeros_like(X), y_star=y_star), rows
 
 
-def _graph_annuli(ann: np.ndarray, X: np.ndarray, Y: np.ndarray, js: np.ndarray) -> list:
-    """The rows (X, Y) of each annulus js of a graph_rows block: the ssr
-    kind's memo entries."""
-    cuts = np.searchsorted(ann, js[1:])
-    return list(zip(np.split(X, cuts), np.split(Y, cuts)))
+def _candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray, ann: np.ndarray,
+                base: GraphPoint) -> list[dict]:
+    """The candidates of the records keep, with objectives obj and annuli
+    ann (ascending in record order): the best per orientation key, each
+    annulus's in _cand_order.
 
-
-def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray, j: int,
-                        base: GraphPoint) -> list[dict]:
-    """The candidates of annulus j: of the records keep, with objectives obj,
-    the best per orientation key, in _cand_order.
-
-    A record's key is its direction u = (x - xb)/t, payload direction
-    (y - yb scaled to unit max norm) and y*, each coordinate rounded to a
-    multiple of 0.25 (half to even, as round does; -0.0 keys as 0.0). A
-    later record of a key replaces the best so far only when it comes first
-    in _cand_order, strictly: on ties the earlier record stays, and a NaN
-    objective neither replaces nor is replaced, so it wins only as its
-    key's first record. A NaN in u, the payload or y* raises ValueError and
-    an infinite one OverflowError, as rounding it to an int does. Only the
-    winners become dicts; they enter the sort in the order their keys first
-    appear, so ties and NaNs sort as they did when each record was a dict.
+    A record's key is its annulus, its direction u = (x - xb)/t, payload
+    direction (y - yb scaled to unit max norm) and y*, each coordinate of
+    the last three rounded to a multiple of 0.25 (half to even, as round
+    does; -0.0 keys as 0.0). A later record of a key replaces the best so
+    far only when it comes first in _cand_order, strictly: on ties the
+    earlier record stays, and a NaN objective neither replaces nor is
+    replaced, so it wins only as its key's first record. A NaN in u, the
+    payload or y* raises ValueError and an infinite one OverflowError, as
+    rounding it to an int does. Only the winners become dicts; within an
+    annulus they enter the sort in the order their keys first appear, so
+    ties and NaNs sort as they did when each record was a dict.
     """
     if not len(keep):
         return []
@@ -215,7 +213,8 @@ def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray,
         v = K.flat[np.argmax(bad)]  # the first in record order, then u, payload, y*
         raise (ValueError if np.isnan(v) else OverflowError)(
             f"no orientation key for the non-finite coordinate {v}")
-    _, first, key = np.unique(np.rint(K) + 0.0, axis=0, return_index=True, return_inverse=True)
+    _, first, key = np.unique(np.hstack([ann[keep, None], np.rint(K) + 0.0]), axis=0,
+                              return_index=True, return_inverse=True)
     key = key.reshape(-1)
     ob = obj[keep]
     order = np.lexsort((-t, -U[:, 0], ob, key))  # stable: ties keep the earlier record
@@ -223,11 +222,12 @@ def _annulus_candidates(recs: ElementRecords, obj: np.ndarray, keep: np.ndarray,
     lead = order[np.r_[True, key[order[1:]] != key[order[:-1]]]]
     win = np.where(np.isnan(ob[first]), first, lead)[np.argsort(first)]
     w = keep[win]
-    cols = {"u": U[win], "pay": PAY[win], "obj": ob[win].tolist()}
+    cols = {"annulus": ann[w].tolist(), "u": U[win], "pay": PAY[win], "obj": ob[win].tolist()}
     cols.update((f, getattr(recs, f)[w].tolist()) for f in ("t", "eps", "ratio", "xn", "q"))
     cols.update((f, getattr(recs, f)[w]) for f in ("x", "y", "x_star", "y_star"))
-    cands = [{"annulus": j, **{f: col[i] for f, col in cols.items()}} for i in range(len(w))]
-    return sorted(cands, key=_cand_order)
+    cands = [{f: col[i] for f, col in cols.items()} for i in range(len(w))]
+    return [c for _, group in groupby(cands, key=itemgetter("annulus"))
+            for c in sorted(group, key=_cand_order)]
 
 
 def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
@@ -235,28 +235,27 @@ def _collect_candidates(F: SetValuedMap, base: GraphPoint, kind: str, gamma: flo
     """Per-annulus candidates with objective strictly below gamma, annuli start and inward.
 
     A candidate comes from a record: an element record, or for the ssr
-    kind a graph point. The objective and the ss defect guard are tested
-    on the columns. Each annulus keeps its best candidate per coarse
-    (direction, payload, y*) orientation key (_annulus_candidates), so that
-    both the stationary clustering and the distinct-direction selection
-    see every available family. An annulus's candidates depend only on
-    gamma, its radius and its graph sample or records, which F's memo
-    holds once drawn or built.
+    kind a graph point (_graph_records). The records of the annuli form
+    one block, with an annulus column; the objective and the ss defect
+    guard are tested on its columns, and one _candidates call keeps each
+    annulus's best candidate per coarse (direction, payload, y*)
+    orientation key, so that both the stationary clustering and the
+    distinct-direction selection see every available family. An annulus's
+    candidates depend only on gamma, its radius and its records, which F's
+    memo holds once built.
     """
     cut = gamma * (1.0 - 1e-9)
-    inner, outer = (c.tolist() for c in ladder.annuli(start))
-    annuli = (_memo_annuli(F, base, ladder, 71, "graph", _graph_annuli) if kind == "ssr"
-              else build_element_pool(F, base, ladder)[0])[start:]
-    cands: list[dict] = []
-    for j, a, r, recs in zip(range(start, ladder.depth), inner, outer, annuli):
-        if kind == "ssr":  # the annulus's graph rows (X, Y)
-            recs = _graph_records(base, F.kind, a, r, *recs, cut)
-        obj = _objective(kind, recs.ratio, recs.xn)
-        drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
-        if kind == "ss":
-            drop |= recs.q > min(0.5, 8.0 * r)
-        cands.extend(_annulus_candidates(recs, obj, np.flatnonzero(~drop), j, base))
-    return cands
+    inner, outer = ladder.annuli()
+    pool = (_memo_annuli(F, base, ladder, 71, "graph",
+                         partial(_graph_records, base, F.kind, inner, outer))
+            if kind == "ssr" else build_element_pool(F, base, ladder)[0])[start:]
+    recs = ElementRecords.concat(pool)
+    ann = np.repeat(np.arange(start, ladder.depth), [len(p) for p in pool])
+    obj = _objective(kind, recs.ratio, recs.xn)
+    drop = obj > cut  # a NaN objective is kept, as a float comparison keeps it
+    if kind == "ss":
+        drop |= recs.q > np.minimum(0.5, 8.0 * outer[ann])
+    return _candidates(recs, obj, np.flatnonzero(~drop), ann, base)
 
 
 def extract_witness(F: SetValuedMap, base: GraphPoint, kind: str, gamma: float,
@@ -331,15 +330,8 @@ def _try_select(cands: list[dict], kind: str, gamma: float, direction_mode: str,
     if len(picked) < _MIN_ENTRIES:
         return None
 
-    entries = []
-    for pos, c in enumerate(picked):
-        entries.append(WitnessEntry(
-            index=k_hat + pos, t=c["t"],
-            x=np.array(c["x"], dtype=float), y=np.array(c["y"], dtype=float),
-            x_star=np.array(c["x_star"], dtype=float),
-            y_star=np.array(c["y_star"], dtype=float),
-            eps=c["eps"], ratio=c["ratio"], xn=c["xn"], q=c["q"],
-            u=np.array(c["u"], dtype=float)))
+    entries = [WitnessEntry(index=k_hat + pos, **{f: c[f] for f in _ENTRY_FIELDS if f != "index"})
+               for pos, c in enumerate(picked)]
     gamma_prime = max(c["obj"] for c in picked)
     if kind in ("ss", "ssr") and mode == "stationary":
         u = entries[-1].u.copy()
@@ -545,26 +537,9 @@ class Perturbation:
             "class_tag": self.class_tag,
             "gamma": float(self.gamma).hex(),
             "witness": {
-                "kind": w.kind,
-                "gamma": float(w.gamma).hex(),
-                "gamma_prime": float(w.gamma_prime).hex(),
-                "direction_mode": w.direction_mode,
-                "k_hat": w.k_hat,
-                "norm_kind": w.norm_kind,
-                "u": _hex_vec(w.u) if w.u is not None else None,
-                "base_x": _hex_vec(w.base.x),
-                "base_y": _hex_vec(w.base.y),
-                "entries": [
-                    {
-                        "index": e.index, "t": float(e.t).hex(),
-                        "x": _hex_vec(e.x), "y": _hex_vec(e.y),
-                        "x_star": _hex_vec(e.x_star), "y_star": _hex_vec(e.y_star),
-                        "eps": float(e.eps).hex(), "ratio": float(e.ratio).hex(),
-                        "xn": float(e.xn).hex(), "q": float(e.q).hex(),
-                        "u": _hex_vec(e.u),
-                    }
-                    for e in w.entries
-                ],
+                **_write(_WITNESS_FIELDS, w),
+                **{key: _hex_vec(v) for key, v in zip(_BASE_FIELDS, (w.base.x, w.base.y))},
+                "entries": [_write(_ENTRY_FIELDS, e) for e in w.entries],
             },
         }
 
@@ -578,15 +553,23 @@ def _one_of(*options) -> Callable:
     return read
 
 
-# how load_perturbation reads each field that describe() writes
-_ENTRY_FIELDS = {"index": int, "t": float.fromhex, "x": _unhex_vec, "y": _unhex_vec,
-                 "x_star": _unhex_vec, "y_star": _unhex_vec, "eps": float.fromhex,
-                 "ratio": float.fromhex, "xn": float.fromhex, "q": float.fromhex,
-                 "u": _unhex_vec}
-_WITNESS_FIELDS = {"kind": _one_of("lip", "fclm", "ss", "ssr"), "gamma": float.fromhex,
-                   "gamma_prime": float.fromhex, "k_hat": int, "norm_kind": _one_of(*NORM_KINDS),
-                   "direction_mode": _one_of("distinct", "stationary"),
-                   "u": lambda h: None if h is None else _unhex_vec(h)}
+# how describe() writes and load_perturbation reads each field of a witness
+# entry and of a witness: (write, read)
+_HEX = (lambda v: float(v).hex(), float.fromhex)
+_VEC = (_hex_vec, _unhex_vec)
+_ENTRY_FIELDS = {"index": (int, int), "t": _HEX, "x": _VEC, "y": _VEC, "x_star": _VEC,
+                 "y_star": _VEC, "eps": _HEX, "ratio": _HEX, "xn": _HEX, "q": _HEX, "u": _VEC}
+_WITNESS_FIELDS = {"kind": (str, _one_of("lip", "fclm", "ss", "ssr")), "gamma": _HEX,
+                   "gamma_prime": _HEX, "direction_mode": (str, _one_of("distinct", "stationary")),
+                   "k_hat": (int, int), "norm_kind": (str, _one_of(*NORM_KINDS)),
+                   "u": (lambda v: None if v is None else _hex_vec(v),
+                         lambda h: None if h is None else _unhex_vec(h))}
+_BASE_FIELDS = ("base_x", "base_y")  # the witness's base point, x then y
+
+
+def _write(fields: dict, obj) -> dict:
+    """The description of obj: each field of the table, as it writes it."""
+    return {key: write(getattr(obj, key)) for key, (write, _) in fields.items()}
 
 
 def _field(d, key: str, read: Callable, where: str):
@@ -615,12 +598,12 @@ def load_perturbation(desc: dict) -> "Perturbation":
     """
     wd = _field(desc, "witness", dict, "description")
     entries = [WitnessEntry(**{key: _field(d, key, read, f"entries[{k}]")
-                               for key, read in _ENTRY_FIELDS.items()})
+                               for key, (_, read) in _ENTRY_FIELDS.items()})
                for k, d in enumerate(_field(wd, "entries", list, "witness"))]
     w = WitnessSequence(
         entries=entries,
-        base=GraphPoint(*(_field(wd, key, _unhex_vec, "witness") for key in ("base_x", "base_y"))),
-        **{key: _field(wd, key, read, "witness") for key, read in _WITNESS_FIELDS.items()},
+        base=GraphPoint(*(_field(wd, key, _unhex_vec, "witness") for key in _BASE_FIELDS)),
+        **{key: _field(wd, key, read, "witness") for key, (_, read) in _WITNESS_FIELDS.items()},
     )
     problems = validate_witness(w)
     if problems:

@@ -798,15 +798,39 @@ def _candidate_bits(cands):
     return [{k: c[k] if k == "annulus" else pins.hexes(c[k]) for k in sorted(c)} for c in cands]
 
 
+def _share_a_key(a, b):
+    """b with its first record's t, x, y and y* those of a's first record,
+    so that the two records share an orientation key."""
+    cols = {f: getattr(b, f).copy() for f in ("t", "x", "y", "y_star")}
+    for f, col in cols.items():
+        col[0] = getattr(a, f)[0]
+    return dataclasses.replace(b, **cols)
+
+
 def test_columnar_candidates_are_the_per_record_loop():
+    # 1-4 annuli per trial, each against the loop on its own; when annuli
+    # hold records, the first two share a kept record's orientation key
     rng = np.random.default_rng(16)
     for trial in range(300):
-        n = int(rng.integers(0, 40))
-        recs, obj, keep, base = _random_annulus(rng, n, *rng.integers(1, 3, 2))
+        dims = rng.integers(1, 3, 2)
+        js = np.sort(rng.choice(16, int(rng.integers(1, 5)), replace=False)).tolist()
+        parts = [_random_annulus(rng, int(rng.integers(0, 40)), *dims) for _ in js]
+        if len(parts) > 1 and len(parts[0][0]) and len(parts[1][0]):
+            for k in (0, 1):
+                recs, obj, keep, base = parts[k]
+                parts[k] = (_share_a_key(parts[0][0], recs) if k else recs, obj,
+                            np.union1d(keep, [0]), base)
         if trial % 10 == 0:
-            keep = keep[:0]  # an annulus with no kept record
-        got = perturb._annulus_candidates(recs, obj, keep, trial, base)
-        want = annulus_candidates(recs, obj, keep, trial, base)
+            parts[-1] = (*parts[-1][:2], parts[-1][2][:0], parts[-1][3])  # no kept record
+        base = parts[0][3]
+        want = [c for j, (recs, obj, keep, _) in zip(js, parts)
+                for c in annulus_candidates(recs, obj, keep, j, base)]
+        sizes = [len(p[0]) for p in parts]
+        offsets = np.cumsum([0] + sizes[:-1])
+        got = perturb._candidates(ElementRecords.concat([p[0] for p in parts]),
+                                  np.concatenate([p[1] for p in parts]),
+                                  np.concatenate([p[2] + o for p, o in zip(parts, offsets)]),
+                                  np.repeat(js, sizes), base)
         assert _candidate_bits(got) == _candidate_bits(want), trial
 
 
@@ -824,9 +848,10 @@ def test_a_non_finite_key_coordinate_raises_as_the_loop_did(col, value, exc):
     cols = {f.name: getattr(recs, f.name).copy() for f in dataclasses.fields(recs)}
     cols[col][7, 1] = value
     recs, keep = ElementRecords(**cols), np.arange(12)
-    for collect in (annulus_candidates, perturb._annulus_candidates):
-        with pytest.raises(exc):
-            collect(recs, obj, keep, 0, base)
+    with pytest.raises(exc):
+        annulus_candidates(recs, obj, keep, 0, base)
+    with pytest.raises(exc):
+        perturb._candidates(recs, obj, keep, np.zeros(12, dtype=int), base)
 
 
 def test_bump_supports_are_placed_in_the_norm_they_use():
