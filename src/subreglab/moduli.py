@@ -688,27 +688,15 @@ def check_relations(consts: dict[str, Estimate]) -> dict:
     ids = {e.pool_id for e in consts.values() if e.pool_id}
     if len(ids) > 1:
         raise ValueError(f"constants come from different pools: {sorted(ids)}")
-    c = consts
+    # srg1p <= 2 srg1, scale by scale; 2 inf is inf
+    doubled = replace(consts["srg1"], name="2*srg1", reported=2.0 * consts["srg1"].reported,
+                      per_scale=[(r, 2.0 * v) for r, v in consts["srg1"].per_scale])
+    c = {**consts, "2*srg1": doubled}
     rows = []
-
-    def rel(name, a, b):
+    for a, b in (("srg2", "srg1"), ("srg1", "srg3"), ("srg2", "srg4"), ("srg4", "srg3"),
+                 ("srg2p", "srg4p"), ("srg1", "srg1p"), ("srg4", "srg4p"), ("srg1p", "2*srg1")):
         ok, worst = _pair_le(c[a], c[b])
-        rows.append({"relation": name, "ok": ok, "violation": worst})
-
-    rel("srg2 <= srg1", "srg2", "srg1")
-    rel("srg1 <= srg3", "srg1", "srg3")
-    rel("srg2 <= srg4", "srg2", "srg4")
-    rel("srg4 <= srg3", "srg4", "srg3")
-    rel("srg2p <= srg4p", "srg2p", "srg4p")
-    rel("srg1 <= srg1p", "srg1", "srg1p")
-    rel("srg4 <= srg4p", "srg4", "srg4p")
-    # srg1p <= 2 srg1, scale by scale
-    doubled = Estimate(name="2*srg1", pool_id=c["srg1"].pool_id)
-    doubled.per_scale = [(r, (2.0 * v if not math.isinf(v) else v)) for r, v in c["srg1"].per_scale]
-    doubled.reported = (2.0 * c["srg1"].reported
-                        if not math.isinf(c["srg1"].reported) else c["srg1"].reported)
-    ok, worst = _pair_le(c["srg1p"], doubled)
-    rows.append({"relation": "srg1p <= 2*srg1", "ok": ok, "violation": worst})
+        rows.append({"relation": f"{a} <= {b}", "ok": ok, "violation": worst})
     # equality srg2p = srg2 on exact pools
     eq_ok = True
     eq_worst = 0.0
