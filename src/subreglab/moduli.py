@@ -510,8 +510,8 @@ def _memo_annuli(F: SetValuedMap, base: GraphPoint, ladder: ScaleLadder, tag: in
     if len(done) < ladder.depth:
         ann, X, Y = graph_rows(F, base, ladder, tag, start=len(done))
         recs, rows = make(ann, X, Y)
-        done.extend(recs.split(np.searchsorted(ann[rows], np.arange(len(done) + 1,
-                                                                    ladder.depth)).tolist()))
+        cuts = np.searchsorted(ann[rows], np.arange(len(done) + 1, ladder.depth))
+        done.extend(recs.split(cuts.tolist()))
     return done[:ladder.depth]
 
 

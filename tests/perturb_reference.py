@@ -307,8 +307,9 @@ def _cone_case2(seq, gamma, with_dual):
 
 
 def annulus_candidates(recs, obj, keep, j, base):
-    """perturb._annulus_candidates as it was written with one dict per kept
-    record, each key's best kept by tuple comparison in record order."""
+    """perturb._candidates on the records of one annulus j, as it was
+    written with one dict per kept record, each key's best kept by tuple
+    comparison in record order."""
     best = {}
     for t, x, y, x_star, y_star, eps, ratio, xn, q, ob in zip(
             recs.t[keep].tolist(), recs.x[keep], recs.y[keep], recs.x_star[keep],

@@ -797,14 +797,15 @@ def test_pool_candidate_bits_are_pinned(case):
     assert _candidates_digest(*case) == pins.stored("candidate", case)
 
 
+@pytest.mark.parametrize("first, then", [(1.1, 0.9), (0.9, 1.1)])
 @pytest.mark.parametrize("kind", ["l1", "linf"])
-def test_ssr_candidates_do_not_depend_on_an_earlier_gamma(kind):
+def test_ssr_candidates_do_not_depend_on_an_earlier_gamma(kind, first, then):
     # the map's memo serves the second collection; it must hold nothing that
-    # the first one's gamma decided
+    # the first one's gamma decided (a memo cut at 0.9 would starve 1.1)
     F, base = setup_map("linear", kind)
-    _collect_candidates(F, base, "ssr", 1.1, _PIN_LADDER)
-    got = _collect_candidates(F, base, "ssr", 0.9, _PIN_LADDER)
-    want = _collect_candidates(*setup_map("linear", kind), "ssr", 0.9, _PIN_LADDER)
+    _collect_candidates(F, base, "ssr", first, _PIN_LADDER)
+    got = _collect_candidates(F, base, "ssr", then, _PIN_LADDER)
+    want = _collect_candidates(*setup_map("linear", kind), "ssr", then, _PIN_LADDER)
     assert got and _candidate_dump(got) == _candidate_dump(want)
 
 
