@@ -46,6 +46,7 @@ BUILD_MATRIX = [
     ("xsin", "ss", 1.05),
     ("identity", "ssr", 1.1),
     ("square", "ssr", 0.6),
+    ("spiral", "ssr", 1.1),
 ]
 
 BUILDERS = {
@@ -344,7 +345,9 @@ def test_case2_takes_one_log_pass_per_call(monkeypatch):
     ("identity", "lip", 2.5),
     ("xsin", "fclm", 0.1),
     ("square", "ss", 0.5),
+    ("spiral", "ss", 0.5),
     ("identity", "ssr", 1.1),
+    ("spiral", "ssr", 1.1),
 ])
 def test_serialization_round_trip_is_bit_identical(mid, kind, gamma):
     F, base, lad, p = _build(mid, kind, gamma)
