@@ -856,199 +856,165 @@ def _stack_shells(shells: list[dict]) -> dict:
     return {key: np.array([s[key] for s in shells]) for key in ("a", "dy", "xh", "c", "v", "grad")}
 
 
-def _build_cone_case1(seq: WitnessSequence, gamma: float, with_dual: bool,
-                      tag: str) -> Perturbation:
-    """One positively homogeneous cone per witness direction (case 1)."""
+def _build_cone(seq: WitnessSequence, gamma: float, with_dual: bool, tag: str) -> Perturbation:
+    """The cone destabilizer of an ss or ssr witness: f = -s P in the first
+    cone that holds a row (_cone_rows), with s its cap factor (_smooth_cap)
+    and P the payload there, and 0 in no cone. The cap half-width tau keeps
+    tau ||x*_k|| <= (gamma'' - gamma')/8 when the payloads carry the dual
+    term (_cone_tau).
+
+    Each case sets up its cone axes (u*, w) and interpolate(k, DX, alpha),
+    the payload of each row in cone k and its gradient; one locate,
+    evaluate and derivative serve both. Distinct directions give case 1:
+    one positively homogeneous cone per direction, with its witness shell's
+    payload, floor 0. The stationary mode gives case 2: a single cone along
+    the finest entry, whose payload at scale alpha between consecutive
+    witness shells blends their payloads with weight
+    ln(alpha/b_k)/ln(b_{k-1}/b_k); a phantom shell at b_K e^{-(K+1)} ramps
+    the innermost payload to zero, and f vanishes below that floor
+    (reported as floor_radius). The weights take math.log per element, as
+    np.log may round differently, in one pass over the rows of a call: the
+    shells are stacked into columns at build time, with each cell's lower
+    bound and log width, and each row gathers its two shells by index, so
+    it gets the operations, and the bits, of a row evaluated alone.
+    """
     base = seq.base
     gamma_dp = 0.5 * (gamma + seq.gamma_prime)
-    reps: dict[tuple, WitnessEntry] = {}
-    for e in seq.entries:
-        key = _dir_key(e.u, _CLUSTER_TOL)
-        cur = reps.get(key)
-        if cur is None or e.t < cur.t:
-            reps[key] = e
-    entries = sorted(reps.values(), key=lambda e: -e.t)
-    dmin = min([math.inf] + _pair_gaps([e.u for e in entries]))  # a NaN gap never wins
-    tau = _cone_tau(min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45, seq, gamma_dp,
-                    max(e.xn for e in entries), with_dual)
-
-    cones = []
-    for e in entries:
-        u_star = norming_functional(e.x - base.x, seq.norm_kind)
-        a = float(u_star @ (e.x - base.x))
-        w_dir = (e.x - base.x) / a
-        shell = _cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual)
-        shell["u_star"] = u_star
-        shell["w"] = w_dir
-        cones.append(shell)
-    cols = _stack_shells(cones)
-
     dim_x, dim_y = base.x.size, base.y.size
+
+    def axis(e):
+        """(u*, w) of the cone along entry e: u* norms x_k - xb, and <u*, w> = 1."""
+        d = e.x - base.x
+        u_star = norming_functional(d, seq.norm_kind)
+        return u_star, d / float(u_star @ d)
+
+    if seq.direction_mode == "stationary":
+        case, es = 2, seq.entries
+        axes = [axis(es[-1])]
+        u_star, w_dir = axes[0]
+        tau = _cone_tau(0.45, seq, gamma_dp, max(e.xn for e in es), with_dual)
+        shells = [_cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual) for e in es]
+        shells.sort(key=lambda s: -s["a"])
+        bs = [s["a"] for s in shells]
+        for i in range(len(bs) - 1):
+            if not bs[i + 1] < bs[i]:
+                raise WitnessError("insufficient depth: projected scales collide")
+        floor = bs[-1] * math.exp(-(len(bs) + 1.0))
+        bs_asc = bs[::-1]
+        cols = _stack_shells(shells)
+        # at k - 1, for each cell k >= 1: its lower bound (the floor for the ramp
+        # cell) and the log of its width, b_{k-1} over that bound
+        lows = bs[1:] + [floor]
+        big_ls = np.array([math.log(b / lo) for b, lo in zip(bs, lows)])
+        lows = np.array(lows)
+
+        def interpolate(k, DX, alpha):
+            """The interpolated payload of each row and its gradient."""
+            # cell k of a row: bs[k] <= alpha < bs[k-1]; len(bs) in the ramp region
+            cell = len(bs) - np.searchsorted(bs_asc, alpha, side="right")
+            T, GT = np.empty((len(DX), dim_y)), np.empty((len(DX), dim_y, dim_x))
+            r = np.flatnonzero(cell == 0)
+            T[r], GT[r] = _payload(cols, cell[r], DX[r], alpha[r]), cols["grad"][0]
+            r = np.flatnonzero(cell > 0)
+            up, dx, a = cell[r] - 1, DX[r], alpha[r]  # the shell above each row
+            big_l = big_ls[up]
+            lam = (_logs(a / lows[up]) / big_l)[:, None]
+            # the ramp cell's lam P and lam grad; 0 + lam (P - 0) can differ in the sign of a zero
+            tilt = _payload(cols, up, dx, a)
+            t, grad_t = lam * tilt, lam[:, :, None] * cols["grad"][up]
+            # rows between two shells: P_k + lam (P_{k-1} - P_k), and the same for grad
+            mid = np.flatnonzero(up < len(bs) - 1)
+            lo = up[mid] + 1
+            pk, gk = _payload(cols, lo, dx[mid], a[mid]), cols["grad"][lo]
+            tilt[mid] -= pk
+            t[mid] = pk + lam[mid] * tilt[mid]
+            grad_t[mid] = gk + lam[mid, :, None] * (cols["grad"][up[mid]] - gk)
+            T[r] = t
+            GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
+            return T, GT
+
+        # one-sided derivative gap at each anchor: the log-interpolation kink
+        i = np.arange(1, len(shells))
+        DXa, A = np.array([s["entry"].x - base.x for s in shells[1:]]), cols["a"][1:]
+        gaps = _payload(cols, i - 1, DXa, A) - _payload(cols, i, DXa, A)
+        anchor_eps = [0.0] + [g / (b * math.log(b_up / b)) for g, b_up, b
+                              in zip(norms(gaps, seq.norm_kind).tolist(), bs, bs[1:])]
+        probes = [base.x + math.sqrt(s["a"] * s_next["a"]) * w_dir
+                  for s, s_next in zip(shells, shells[1:])]
+        probes += [base.x + 1.3 * bs[0] * w_dir, base.x + math.sqrt(floor * bs[-1]) * w_dir]
+    else:
+        case, floor = 1, 0.0
+        reps: dict[tuple, WitnessEntry] = {}
+        for e in seq.entries:
+            key = _dir_key(e.u, _CLUSTER_TOL)
+            cur = reps.get(key)
+            if cur is None or e.t < cur.t:
+                reps[key] = e
+        entries = sorted(reps.values(), key=lambda e: -e.t)
+        dmin = min([math.inf] + _pair_gaps([e.u for e in entries]))  # a NaN gap never wins
+        tau = _cone_tau(min(0.45, dmin / 4.0) if math.isfinite(dmin) else 0.45, seq, gamma_dp,
+                        max(e.xn for e in entries), with_dual)
+        axes = [axis(e) for e in entries]
+        shells = [_cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual)
+                  for e, (u_star, w_dir) in zip(entries, axes)]
+        cols = _stack_shells(shells)
+
+        def interpolate(k, DX, alpha):
+            return _payload(cols, k, DX, alpha), cols["grad"][k]
+
+        anchor_eps = [0.0] * len(shells)
+        probes = [base.x + cfac * (s["entry"].x - base.x)
+                  for s in shells for cfac in (0.6, 0.85, 1.3)]
 
     def locate(X):
         """The first cone that holds each row (-1 for none), with the rows'
-        dx, and alpha and m in that cone."""
+        dx, and alpha and m in that cone (in cone 0 for the rows no cone holds)."""
         DX = X - base.x
-        k, alpha, m = np.full(len(X), -1), np.zeros(len(X)), np.zeros(len(X))
-        for i, cone in enumerate(cones):
-            a_i, m_i, held = _cone_rows(DX, cone["u_star"], cone["w"], 0.0, tau)
+        alpha, m, held = _cone_rows(DX, *axes[0], floor, tau)
+        k = np.where(held, 0, -1)
+        for i, (u_star, w_dir) in enumerate(axes[1:], start=1):
+            a_i, m_i, held = _cone_rows(DX, u_star, w_dir, floor, tau)
             hit = (k < 0) & held
             k[hit], alpha[hit], m[hit] = i, a_i[hit], m_i[hit]
         return k, DX, alpha, m
 
     def evaluate(X):
         k, DX, alpha, m = locate(X)
+        s = _smooth_cap(m, tau)
+        r = np.flatnonzero((k >= 0) & (s != 0.0))
         out = np.zeros((len(X), dim_y))
-        r = np.flatnonzero(k >= 0)
-        out[r] = -_smooth_cap(m[r], tau)[:, None] * _payload(cols, k[r], DX[r], alpha[r])
+        out[r] = -s[r, None] * interpolate(k[r], DX[r], alpha[r])[0]
         return out
 
     def derivative(X):
         k, DX, alpha, m = locate(X)
         owner = np.flatnonzero(~((k >= 0) & (np.abs(m - (_DEAD_ZONE + tau)) <= 1e-9)))  # cap kink
         J = np.zeros((len(owner), dim_y, dim_x))
-        for i, cone in enumerate(cones):
+        for i, (u_star, w_dir) in enumerate(axes):
             at = np.flatnonzero(k[owner] == i)
             r = owner[at]
-            jac = -_smooth_cap(m[r], tau)[:, None, None] * cone["grad"]
-            J[at] = _cap_slope_term(jac, _payload(cols, k[r], DX[r], alpha[r]), DX[r], alpha[r],
-                                    m[r], tau, cone["w"], cone["u_star"])
+            T, GT = interpolate(k[r], DX[r], alpha[r])
+            J[at] = _cap_slope_term(-_smooth_cap(m[r], tau)[:, None, None] * GT, T, DX[r],
+                                    alpha[r], m[r], tau, w_dir, u_star)
         return owner, J
-
-    probes = []
-    for cone in cones:
-        for cfac in (0.6, 0.85, 1.3):
-            probes.append(base.x + cfac * (cone["entry"].x - base.x))
-
-    return Perturbation(
-        eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma, gamma_dp=gamma_dp,
-        witness=seq, anchor_entries=[c["entry"] for c in cones], anchor_eps=[0.0] * len(cones),
-        probes=probes, floor_radius=0.0, case=1, name=f"{tag} destabilizer (cones)",
-    )
-
-
-def _build_cone_case2(seq: WitnessSequence, gamma: float, with_dual: bool,
-                      tag: str) -> Perturbation:
-    """Single cone along the stationary direction, log-interpolated (case 2).
-
-    The payload at scale alpha between consecutive witness shells blends
-    their payloads with weight ln(alpha/b_k)/ln(b_{k-1}/b_k); a phantom
-    shell at b_K e^{-(K+1)} ramps the innermost payload to zero, and f
-    vanishes below that floor (reported as floor_radius). The weights take
-    math.log per element, as np.log may round differently.
-
-    The shells are stacked into columns once, at build time, with each
-    cell's lower bound and log width. A batch of rows then gathers each
-    row's two shells by index and takes its weights in one math.log pass,
-    with no loop over cells; each row gets the operations, and the bits, of
-    a row evaluated alone.
-    """
-    base = seq.base
-    gamma_dp = 0.5 * (gamma + seq.gamma_prime)
-    es = seq.entries
-    fin = es[-1]
-    u_star = norming_functional(fin.x - base.x, seq.norm_kind)
-    a_fin = float(u_star @ (fin.x - base.x))
-    w_dir = (fin.x - base.x) / a_fin
-    tau = _cone_tau(0.45, seq, gamma_dp, max(e.xn for e in es), with_dual)
-
-    shells = [_cone_shell(e, base, seq.norm_kind, u_star, w_dir, with_dual) for e in es]
-    shells.sort(key=lambda s: -s["a"])
-    bs = [s["a"] for s in shells]
-    for i in range(len(bs) - 1):
-        if not bs[i + 1] < bs[i]:
-            raise WitnessError("insufficient depth: projected scales collide")
-    floor = bs[-1] * math.exp(-(len(bs) + 1.0))
-    bs_asc = bs[::-1]
-    cols = _stack_shells(shells)
-    # at k - 1, for each cell k >= 1: its lower bound (the floor for the ramp
-    # cell) and the log of its width, b_{k-1} over that bound
-    lows = bs[1:] + [floor]
-    big_ls = np.array([math.log(b / lo) for b, lo in zip(bs, lows)])
-    lows = np.array(lows)
-    dim_x, dim_y = base.x.size, base.y.size
-
-    def interpolate(DX, alpha):
-        """The interpolated payload of each row and its gradient."""
-        # cell k of a row: bs[k] <= alpha < bs[k-1]; len(bs) in the ramp region
-        cell = len(bs) - np.searchsorted(bs_asc, alpha, side="right")
-        T, GT = np.empty((len(DX), dim_y)), np.empty((len(DX), dim_y, dim_x))
-        r = np.flatnonzero(cell == 0)
-        T[r], GT[r] = _payload(cols, cell[r], DX[r], alpha[r]), cols["grad"][0]
-        r = np.flatnonzero(cell > 0)
-        up, dx, a = cell[r] - 1, DX[r], alpha[r]  # the shell above each row
-        big_l = big_ls[up]
-        lam = (_logs(a / lows[up]) / big_l)[:, None]
-        # the ramp cell's lam P and lam grad; 0 + lam (P - 0) can differ in the sign of a zero
-        tilt = _payload(cols, up, dx, a)
-        t, grad_t = lam * tilt, lam[:, :, None] * cols["grad"][up]
-        # rows between two shells: P_k + lam (P_{k-1} - P_k), and the same for grad
-        mid = np.flatnonzero(up < len(bs) - 1)
-        lo = up[mid] + 1
-        pk, gk = _payload(cols, lo, dx[mid], a[mid]), cols["grad"][lo]
-        tilt[mid] -= pk
-        t[mid] = pk + lam[mid] * tilt[mid]
-        grad_t[mid] = gk + lam[mid, :, None] * (cols["grad"][up[mid]] - gk)
-        T[r] = t
-        GT[r] = grad_t + tilt[:, :, None] * (u_star / (a * big_l)[:, None])[:, None, :]
-        return T, GT
-
-    def evaluate(X):
-        DX = X - base.x
-        alpha, m, held = _cone_rows(DX, u_star, w_dir, floor, tau)
-        s = _smooth_cap(m, tau)
-        r = np.flatnonzero(held & (s != 0.0))
-        out = np.zeros((len(X), dim_y))
-        out[r] = -s[r, None] * interpolate(DX[r], alpha[r])[0]
-        return out
-
-    def derivative(X):
-        DX = X - base.x
-        alpha, m, held = _cone_rows(DX, u_star, w_dir, floor, tau)
-        owner = np.flatnonzero(~(held & (np.abs(m - (_DEAD_ZONE + tau)) <= 1e-9)))  # cap kink
-        at = np.flatnonzero(held[owner])
-        r = owner[at]
-        T, GT = interpolate(DX[r], alpha[r])
-        J = np.zeros((len(owner), dim_y, dim_x))
-        J[at] = _cap_slope_term(-_smooth_cap(m[r], tau)[:, None, None] * GT, T, DX[r], alpha[r],
-                                m[r], tau, w_dir, u_star)
-        return owner, J
-
-    # one-sided derivative gap at each anchor: the log-interpolation kink
-    i = np.arange(1, len(shells))
-    DXa, A = np.array([s["entry"].x - base.x for s in shells[1:]]), cols["a"][1:]
-    gaps = _payload(cols, i - 1, DXa, A) - _payload(cols, i, DXa, A)
-    anchor_eps = [0.0] + [g / (b * math.log(b_up / b))
-                          for g, b_up, b in zip(norms(gaps, seq.norm_kind).tolist(), bs, bs[1:])]
-
-    probes = []
-    for s, s_next in zip(shells, shells[1:]):
-        probes.append(base.x + math.sqrt(s["a"] * s_next["a"]) * w_dir)
-    probes.append(base.x + 1.3 * bs[0] * w_dir)
-    probes.append(base.x + math.sqrt(floor * bs[-1]) * w_dir)
 
     return Perturbation(
         eval=evaluate, derivative=derivative, class_tag=tag, gamma=gamma, gamma_dp=gamma_dp,
         witness=seq, anchor_entries=[s["entry"] for s in shells], anchor_eps=anchor_eps,
-        probes=probes, floor_radius=floor, case=2, name=f"{tag} destabilizer (log cone)",
+        probes=probes, floor_radius=floor, case=case,
+        name=f"{tag} destabilizer ({'cones' if case == 1 else 'log cone'})",
     )
 
 
 def build_ss_perturbation(w: WitnessSequence, gamma: float) -> Perturbation:
-    """Firmly calm, graphically semismooth destabilizer from an ss witness.
-
-    Distinct directions dispatch to case 1 (one homogeneous cone per
-    direction), the stationary mode to case 2 (log interpolation). The cone
-    half-width obeys tau_k ||x*_k|| < (gamma'' - gamma')/4.
-    """
+    """Firmly calm, graphically semismooth destabilizer from an ss witness:
+    the cones of _build_cone, with the dual term in their payloads."""
     if w.kind != "ss":
         raise ValueError("build_ss_perturbation needs an ss witness")
     if not w.gamma_prime < gamma:
         raise WitnessError("no witness below gamma: certified constant too large")
     _check_eps_decay(w)
-    if w.direction_mode == "stationary":
-        return _build_cone_case2(w, gamma, True, "fclm_ss")
-    return _build_cone_case1(w, gamma, True, "fclm_ss")
+    return _build_cone(w, gamma, True, "fclm_ss")
 
 
 def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
@@ -1056,9 +1022,7 @@ def _build_ssr(w: WitnessSequence, gamma: float) -> Perturbation:
         raise ValueError("ssr builder needs an ssr witness")
     if not w.gamma_prime < gamma:
         raise WitnessError("no destabilizer below gamma: certified quotient too large")
-    if w.direction_mode == "stationary":
-        return _build_cone_case2(w, gamma, False, "ssr")
-    return _build_cone_case1(w, gamma, False, "ssr")
+    return _build_cone(w, gamma, False, "ssr")
 
 
 def build_ssr_destabilizer(F: SetValuedMap, base: GraphPoint, gamma: float,
