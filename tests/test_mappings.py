@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import pins
+import rootfinder_reference
 import sampler_reference
-from conftest import setup_map
+from conftest import plus_half_x, setup_map
 import subreglab.mappings as mappings
 from subreglab.geometry import (
     NORM_KINDS,
@@ -33,6 +35,7 @@ from subreglab.mappings import (
     resolve_map_spec,
     sum_with_function,
 )
+from subreglab.moduli import estimate_rg_srg
 
 ALL_IDS = sorted(catalog().keys())
 
@@ -96,12 +99,17 @@ def test_square_preimage_closed_form():
     assert d == pytest.approx(0.4, abs=1e-9)
 
 
-def _roots(f, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12):
-    """The batched root finder on pairs (xv[p], yv[p]) of the residual
-    f(z) - y, with common settings."""
+def _root_args(f, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12) -> tuple:
+    """The root finder's arguments for the pairs (xv[p], yv[p]) of the
+    residual f(z) - y, with common settings."""
     xv = np.asarray(xv, dtype=float)
-    return _nearest_roots_1d(lambda z, y: f(z) - y, xv, np.asarray(yv, dtype=float),
-                             np.full(len(xv), r0), np.full(len(xv), tol), n_grid, max_doublings)
+    return (lambda z, y: f(z) - y, xv, np.asarray(yv, dtype=float),
+            np.full(len(xv), r0), np.full(len(xv), tol), n_grid, max_doublings)
+
+
+def _roots(f, xv, yv, r0, **settings):
+    """The batched root finder on pairs (xv[p], yv[p]) of the residual f(z) - y."""
+    return _nearest_roots_1d(*_root_args(f, xv, yv, r0, **settings))
 
 
 def _sin_recip(z):
@@ -157,6 +165,52 @@ def test_a_settled_bracket_leaves_the_refinement_loop():
     steps = calls[2:92]  # after the grid and the golden-section seed
     paired = steps.count(2)
     assert paired <= 8 and steps == [2] * paired + [1] * (90 - paired)
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+@pytest.mark.parametrize("max_doublings", [0, 1, 8])
+def test_root_cases_match_the_one_width_per_round_reference(case, max_doublings):
+    (f, xv, yv, r0), _ = _ROOT_CASES[case]
+    args = _root_args(f, xv, yv, r0, max_doublings=max_doublings)
+    want = rootfinder_reference.nearest_roots_1d(*args)
+    assert np.array_equal(_bits(_nearest_roots_1d(*args)), _bits(want))
+
+
+def _finder_calls(F, base, ladder) -> list:
+    """The argument tuple of every _nearest_roots_1d call that
+    estimate_rg_srg makes."""
+    seen = []
+    finder = mappings._nearest_roots_1d
+    mappings._nearest_roots_1d = lambda *a: seen.append(a) or finder(*a)
+    try:
+        estimate_rg_srg(F, base, ladder)
+    finally:
+        mappings._nearest_roots_1d = finder
+    return seen
+
+
+# The pair sets estimate_rg_srg hands the root finder: the signed residuals
+# f(z) - y of the maps without a preimage oracle, and the touch-only
+# residuals d(y, F(z)) of mid + 0.5 x, at two depths, seeds and outer radii
+_FINDER_MAPS = ({mid: functools.partial(setup_map, mid)
+                 for mid in ("oscillating", "square_plus_identity", "xsin")}
+                | {f"{mid}+0.5x": functools.partial(plus_half_x, mid)
+                   for mid in ("compl_angle", "interval")})
+_FINDER_CASES = [(mid, depth, seed, r0) for mid in _FINDER_MAPS
+                 for depth in (4, 8) for seed in (7, 23) for r0 in (0.5, 1e-6)]
+
+
+@pytest.mark.parametrize("mid,depth,seed,r0", _FINDER_CASES)
+def test_root_finder_matches_the_one_width_per_round_reference(mid, depth, seed, r0):
+    F, base = _FINDER_MAPS[mid]()
+    calls = _finder_calls(F, base, ScaleLadder(r0=r0, depth=depth, samples_per_scale=16,
+                                               seed=seed))
+    assert len(calls) == 1 and len(calls[0][1]) > 0
+    args = calls[0]
+    for max_doublings in (0, 1, 8):
+        got = _nearest_roots_1d(*args[:6], max_doublings, *args[7:])
+        want = rootfinder_reference.nearest_roots_1d(*args[:6], max_doublings)
+        assert np.array_equal(_bits(got), _bits(want)), max_doublings
 
 
 def test_one_scan_makes_one_func_call_per_refinement_step():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pins
-from conftest import ladder12, setup_map
+from conftest import ladder12, plus_half_x, setup_map
 import subreglab.moduli as moduli
 from subreglab.geometry import ScaleLadder, derive_seed
 from subreglab.mappings import (
@@ -158,18 +158,9 @@ def test_newton_projection_estimates_rg_and_srg_of_spiral_plus_linear(kind):
         assert est.note == _NEWTON_NOTE
 
 
-def _plus_half_x(mid: str):
-    """The catalog map mid plus x -> 0.5 x (l1) and its base: a 1-D map
-    without func or preimage oracle."""
-    F, _ = resolve_map_spec({"id": mid, "wrap": [{"op": "sum", "fn": {
-        "id": "scale", "params": {"lam": 0.5}}}]})
-    assert F.func is None and F.preimage_distance is None
-    return F, GraphPoint(np.zeros(1), np.zeros(1))
-
-
 def test_interval_plus_scale_finds_every_preimage_point():
     # the scan refines the touches of d(y, F(z)): every pair gets a point
-    F, base = _plus_half_x("interval")
+    F, base = plus_half_x("interval")
     est = estimate_srg(F, base, ScaleLadder(depth=6, samples_per_scale=32, seed=7))
     assert "no preimage point found" not in est.note
     assert est.reported == pytest.approx(1.5, rel=1e-9)
@@ -180,7 +171,7 @@ def test_complementarity_angle_plus_scale_takes_infinite_image_distances():
     # (warnings are errors here). F(x) = {x / 2} for x > 0, so srg = 0.5;
     # y < 0 has an empty preimage, which a scan of touches cannot tell from
     # a missed one, so rg leaves those pairs out with a note
-    F, base = _plus_half_x("compl_angle")
+    F, base = plus_half_x("compl_angle")
     lad = ScaleLadder(depth=6, samples_per_scale=32, seed=7)
     srg = estimate_srg(F, base, lad)
     assert srg.reported == pytest.approx(0.5, rel=1e-9) and srg.note == ""
@@ -388,7 +379,7 @@ def test_fallback_pair_distances_are_pinned(mid, seed):
     assert _fallback_pair_digest(mid, seed) == pins.stored("fallback_pairs", (mid, seed))
 
 
-# The same digests on the 1-D maps mid + 0.5 x (_plus_half_x), which have no
+# The same digests on the 1-D maps mid + 0.5 x (plus_half_x), which have no
 # func: their scan refines the touches of d(y, F(z)), and compl_angle's
 # empty preimages read nan. Ladder depth 6, 32 samples, l1 (384 pairs).
 _TOUCH_PAIR_CASES = [(mid, seed) for mid in ("compl_angle", "interval") for seed in (23, 7)]
@@ -397,7 +388,7 @@ _TOUCH_PAIR_CASES = [(mid, seed) for mid in ("compl_angle", "interval") for seed
 @pins.pinned("touch_pairs", _TOUCH_PAIR_CASES)
 def _touch_pair_digest(mid, seed):
     ladder = ScaleLadder(depth=6, samples_per_scale=32, seed=seed)
-    seen = _pair_distances(*_plus_half_x(mid), ladder)
+    seen = _pair_distances(*plus_half_x(mid), ladder)
     dist = np.concatenate(seen)
     assert len(dist) == 384
     return pins.sha256("\n".join(pins.hexes(dist)))
