@@ -942,47 +942,73 @@ def _reach(xv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
     return np.where(inside, 0.0, np.minimum(dlo, dhi)), np.maximum(dlo, dhi)
 
 
-def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
-          tol: np.ndarray, n_grid: int) -> np.ndarray:
-    """Per row p, the distance from xv[p] to the nearest zero of the
-    residual g(z) = fb(z, yv[p]) found on a grid of half width half[p], or inf.
-
-    Grid zeros count as they are; sign changes are bisected to machine
-    accuracy; interior minima of |g| are golden-section refined and count
-    when |g| <= tol[p] there, which catches even-order touches like z**2.
-    The result is a minimum, so a bracket or minimum whose points all lie
-    farther from xv[p] than an assured distance (a grid zero, or the far
-    end of a bracket, which its bisected root is never beyond) cannot
-    change it and is not refined. Both kinds are picked before either is
-    refined, and _refine advances them together: one fb call for the grid,
-    one to seed golden section, one per refinement step and one for the
-    hit check.
-    """
-    m = len(xv)
+def _grid(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
+          n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row p of both: the grid of n_grid points and half width half[p] about
+    xv[p], and the residual g(z) = fb(z, yv[p]) on it, from one fb call."""
     grid = _grids(xv - half, xv + half, n_grid)
-    vals = fb(grid.ravel(), np.repeat(yv, n_grid)).reshape(m, n_grid)
-    found = np.full(m, math.inf)
+    return grid, fb(grid.ravel(), np.repeat(yv, n_grid)).reshape(grid.shape)
 
-    rows, cols = np.nonzero(vals == 0.0)
-    np.fmin.at(found, rows, np.abs(xv[rows] - grid[rows, cols]))
 
+def _marks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid zeros of each row of residuals, its sign changes between
+    neighbours (column c for the pair c, c+1) and its interior minima of |g|
+    (column c for the point c+1)."""
     g0, g1 = vals[:, :-1], vals[:, 1:]
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, which is no sign change
-        rows, cols = np.nonzero((g0 != 0.0) & (g0 * g1 < 0.0))
+        sign = (g0 != 0.0) & (g0 * g1 < 0.0)
+    mag = np.abs(vals)
+    return vals == 0.0, sign, (mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:])
+
+
+def _pick(xv: np.ndarray, grid: np.ndarray, vals: np.ndarray, marks: tuple,
+          first: int) -> tuple[np.ndarray, ...]:
+    """What the grids of _grid show before any refinement, for slots first,
+    first + 1, ... (one per row p): the distance from xv[p] to the nearest
+    grid zero, or inf; the sign changes to bisect, as slots, ends lo and hi
+    and g(lo); and the interior minima of |g| to refine, as slots and ends
+    a and b. marks is _marks(vals). A bracket or minimum whose points all
+    lie farther from xv[p] than an assured distance (a grid zero, or the
+    far end of a bracket, which its bisected root is never beyond) cannot
+    lower the distance _scan returns, and is left out.
+    """
+    zero, sign, minima = marks
+    found = np.full(len(xv), math.inf)
+    rows, cols = np.nonzero(zero)
+    np.fmin.at(found, rows, np.abs(xv[rows] - grid[rows, cols]))
+
+    rows, cols = np.nonzero(sign)
     near, far = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 1])
     assured = found.copy()
     np.fmin.at(assured, rows, far)
     keep = near <= assured[rows]
     br, bc = rows[keep], cols[keep]
 
-    mag = np.abs(vals)
-    rows, cols = np.nonzero((mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:]))
+    rows, cols = np.nonzero(minima)
     near, _ = _reach(xv[rows], grid[rows, cols], grid[rows, cols + 2])
     keep = near <= assured[rows]
     mr, mc = rows[keep], cols[keep]
+    return (found, first + br, grid[br, bc], grid[br, bc + 1], vals[br, bc],
+            first + mr, grid[mr, mc], grid[mr, mc + 2])
 
-    mids, zm = _refine(fb, grid[br, bc], grid[br, bc + 1], g0[br, bc], yv[br],
-                       grid[mr, mc], grid[mr, mc + 2], yv[mr])
+
+def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, tol: np.ndarray,
+          found: np.ndarray, br: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+          glo: np.ndarray, mr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per slot s, the distance from xv[s] to the nearest zero of the
+    residual g(z) = fb(z, yv[s]) on its grid, or inf, from what _pick
+    found there: the grid zeros' distance found[s], the brackets [lo, hi]
+    of slots br and the intervals [a, b] of slots mr.
+
+    Grid zeros count as they are; sign changes are bisected to machine
+    accuracy; interior minima of |g| are golden-section refined and count
+    when |g| <= tol[s] there, which catches even-order touches like z**2.
+    _refine advances both kinds together, so a scan makes one fb call to
+    seed golden section, one per refinement step and one for the hit
+    check, 92 in all, however many slots and grids it takes.
+    """
+    found = found.copy()
+    mids, zm = _refine(fb, lo, hi, glo, yv[br], a, b, yv[mr])
     np.fmin.at(found, br, np.abs(xv[br] - mids))
     hit = np.abs(fb(zm, yv[mr])) <= tol[mr]
     np.fmin.at(found, mr[hit], np.abs(xv[mr[hit]] - zm[hit]))
@@ -990,20 +1016,38 @@ def _scan(fb: Callable, xv: np.ndarray, yv: np.ndarray, half: np.ndarray,
 
 
 def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarray,
-                      tol: np.ndarray, n_grid: int, max_doublings: int) -> np.ndarray:
+                      tol: np.ndarray, n_grid: int, max_doublings: int,
+                      touch_only: bool) -> np.ndarray:
     """Per pair p, the distance from xv[p] to the nearest zero of the
     residual z -> fb(z, yv[p]), or inf when none is found.
 
-    Each pair scans grids of doubling half width from r0[p] (see _scan).
+    Each pair scans grids of doubling half width from r0[p], up to
+    max_doublings of them (see _scan), and keeps the first with a root.
     Once a root is found the grid is re-centered on the remaining interval,
     up to three times, so a closer crossing between two same-sign grid
-    points is not missed. Every round advances each unfinished pair by one
-    scan, and the scans of a round run together: their brackets and minima
-    share one refinement loop (_refine), which the brackets leave once they
-    settle, so a round makes at most 93 fb calls, whatever the number of
-    pairs. A pair's distance does not depend on the pairs beside it, so a
-    caller may batch the pairs of several estimators: a moduli run takes
-    those of rg and srg in one call (moduli.estimate_rg_srg).
+    points is not missed.
+
+    Every round advances each unfinished pair. A re-centred pair takes one
+    grid. A pair without a root probes: it evaluates the grid of its next
+    width and, while that grid holds no zero and no sign change, the grids
+    of the widths after it, one fb call per probe level over every pair
+    still probing. It stops at a grid with a zero or a sign change, which
+    is sure to give a root, or at its last width. Every grid of the round
+    is then scanned at once: their brackets and minima share one
+    refinement loop (_refine), which the brackets leave once they settle,
+    so a round makes at most max_doublings probe calls plus 92 fb calls,
+    whatever the number of pairs. A pair keeps its first width, in doubling
+    order, whose scan is not inf, which is the width a round of one grid
+    per pair stops at, so the probing moves no distance. A probed grid past
+    that width is wasted: on a signed residual, only when a minima-only
+    grid before it touches 0, which is rare. On a touch-only residual
+    (touch_only: d(y, F(z)), never negative) every root is such a touch, so
+    probing past a grid with minima would refine the widths beyond most of
+    the roots it finds; a grid with minima stops the probe there too.
+
+    A pair's distance does not depend on the pairs beside it, so a caller
+    may batch the pairs of several estimators: a moduli run takes those of
+    rg and srg in one call (moduli.estimate_rg_srg).
     """
     out = np.full(len(xv), math.inf)
     half = np.array(r0, dtype=float)
@@ -1012,7 +1056,31 @@ def _nearest_roots_1d(fb: Callable, xv: np.ndarray, yv: np.ndarray, r0: np.ndarr
     refines = np.zeros(len(xv), dtype=int)
     live = np.arange(len(xv) if max_doublings > 0 else 0)
     while live.size:
-        found = _scan(fb, xv[live], yv[live], half[live], tol[live], n_grid)
+        # slot s of the round is pair own[s]'s grid at lev[s] doublings
+        # past its half width, slots in doubling order
+        own, picks = [], []
+        at, width = live, half[live]
+        while at.size:
+            grid, vals = _grid(fb, xv[at], yv[at], width, n_grid)
+            zero, sign, minima = marks = _marks(vals)
+            picks.append(_pick(xv[at], grid, vals, marks, sum(map(len, own))))
+            own.append(at)
+            blank = ~(zero.any(axis=1) | sign.any(axis=1) | (touch_only & minima.any(axis=1)))
+            on = blank & np.isinf(best[at]) & (doublings[at] + len(own) < max_doublings)
+            at, width = at[on], 2.0 * width[on]
+        lev = np.repeat(np.arange(len(own)), [len(a) for a in own])
+        own = np.concatenate(own)
+        hits = _scan(fb, xv[own], yv[own], tol[own], *map(np.concatenate, zip(*picks)))
+        # each pair's first grid whose scan is not inf, else its last grid
+        first, last = np.full(len(xv), len(own)), np.zeros(len(xv), dtype=int)
+        kept = np.flatnonzero(~np.isinf(hits))
+        np.minimum.at(first, own[kept], kept)
+        np.maximum.at(last, own, np.arange(len(own)))
+        slot = np.where(first < len(own), first, last)[live]
+        found = hits[slot]
+        half[live] *= 2.0 ** lev[slot]  # a power of two: the probed width, exactly
+        doublings[live] += lev[slot]
+
         searching = np.isinf(best[live])
         grow = searching & np.isinf(found)
         closer = found < best[live] * (1.0 - 1e-9)  # the first root is closer than inf
@@ -1045,13 +1113,16 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
     accuracy. On a function graph the residual is f(z) - y, whose crossings
     are exactly the fiber, and a pair without a root reads inf. On a map
     without func it is d(y, F(z)), which only touches 0, so the scan cannot
-    tell an empty preimage from a missed one. A single-valued map of higher
-    dimension takes Gauss-Newton steps z -= pinv(G) (f(z) - y) from z = x,
-    all rows in lockstep with one func and one grad call per step, until
-    ||f(z) - y|| is at most the tolerance; z need not be the nearest point
-    of the fiber, so the distance bounds d(x, F^{-1}(y)) from above. A row
-    without a finite Jacobian or with a non-finite step stops. Each result
-    depends on its own pair alone, however many pairs a call takes.
+    tell an empty preimage from a missed one. Each of its roots is a
+    minimum of the residual, so the root finder is told the residual is
+    touch-only (touch_only) and stops probing wider grids at one that holds
+    a minimum. A single-valued map of higher dimension takes Gauss-Newton
+    steps z -= pinv(G) (f(z) - y) from z = x, all rows in lockstep with one
+    func and one grad call per step, until ||f(z) - y|| is at most the
+    tolerance; z need not be the nearest point of the fiber, so the
+    distance bounds d(x, F^{-1}(y)) from above. A row without a finite
+    Jacobian or with a non-finite step stops. Each result depends on its
+    own pair alone, however many pairs a call takes.
     """
     X = np.asarray(xs, dtype=float).reshape(len(xs), F.dim_x)
     Y = np.asarray(ys, dtype=float).reshape(len(ys), F.dim_y)
@@ -1066,7 +1137,7 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
         fb = ((lambda z, y: f(z[:, None])[:, 0] - y) if f is not None
               else lambda z, y: F.image_distance(z[:, None], y[:, None]))
         d = _nearest_roots_1d(fb, X[off, 0], Y[off, 0], r0[off], tol[off],
-                              48, 8)  # grid points per scan, doublings
+                              48, 8, f is None)  # grid points per scan, doublings
         out[off] = np.where(np.isinf(d) & (f is None), math.nan, d)
     elif F.grad is not None:
         Z, live = X.copy(), np.flatnonzero(off)

@@ -109,7 +109,7 @@ def _root_args(f, xv, yv, r0, n_grid=64, max_doublings=24, tol=1e-12) -> tuple:
 
 def _roots(f, xv, yv, r0, **settings):
     """The batched root finder on pairs (xv[p], yv[p]) of the residual f(z) - y."""
-    return _nearest_roots_1d(*_root_args(f, xv, yv, r0, **settings))
+    return _nearest_roots_1d(*_root_args(f, xv, yv, r0, **settings), False)
 
 
 def _sin_recip(z):
@@ -173,7 +173,8 @@ def test_root_cases_match_the_one_width_per_round_reference(case, max_doublings)
     (f, xv, yv, r0), _ = _ROOT_CASES[case]
     args = _root_args(f, xv, yv, r0, max_doublings=max_doublings)
     want = rootfinder_reference.nearest_roots_1d(*args)
-    assert np.array_equal(_bits(_nearest_roots_1d(*args)), _bits(want))
+    for touch_only in (False, True):  # the probe's stop rule moves no bit
+        assert np.array_equal(_bits(_nearest_roots_1d(*args, touch_only)), _bits(want))
 
 
 def _finder_calls(F, base, ladder) -> list:
@@ -213,9 +214,57 @@ def test_root_finder_matches_the_one_width_per_round_reference(mid, depth, seed,
         assert np.array_equal(_bits(got), _bits(want)), max_doublings
 
 
+def _count_work(monkeypatch) -> dict:
+    """Wrap _refine and every fb handed to _nearest_roots_1d, so that the
+    returned dict counts the refinement loops and the points fb evaluates."""
+    work = {"refines": 0, "points": 0}
+    refine, finder = mappings._refine, mappings._nearest_roots_1d
+
+    def counted_refine(*args):
+        work["refines"] += 1
+        return refine(*args)
+
+    def counted_finder(fb, *rest):
+        def counted_fb(z, y):
+            work["points"] += len(z)
+            return fb(z, y)
+        return finder(counted_fb, *rest)
+
+    monkeypatch.setattr(mappings, "_refine", counted_refine)
+    monkeypatch.setattr(mappings, "_nearest_roots_1d", counted_finder)
+    return work
+
+
+def test_a_pair_without_a_root_refines_its_widths_in_one_loop(monkeypatch):
+    # (z - 0.3)**2 + 0.01 has no zero: each width from 0.05 on to 6.4 holds
+    # no sign change, so the pair probes all 8 and one loop refines them,
+    # where a round per width made 8 loops
+    work = _count_work(monkeypatch)
+    d = _roots(lambda z: (z - 0.3) ** 2, [0.1], [-0.01], 0.05, max_doublings=8)
+    assert pins.hexes(d) == ["inf"] and work["refines"] == 1
+
+
+# fb points per estimate_rg_srg call of the root finder that scanned one
+# width per round, at ladder depth 8, 16 samples, l1
+_ONE_WIDTH_POINTS = {("xsin", 7): 181_388, ("oscillating", 7): 123_972,
+                     ("square_plus_identity", 7): 71_940, ("xsin", 23): 249_757,
+                     ("oscillating", 23): 118_537, ("square_plus_identity", 23): 75_034}
+
+
+@pytest.mark.parametrize("mid,seed", sorted(_ONE_WIDTH_POINTS))
+def test_probing_bounds_the_refinement_loops_and_the_wasted_points(mid, seed, monkeypatch):
+    # a round per width made 7-8 loops on these maps; probing past the
+    # blank grids makes 2-4, and evaluates at most 5% more points
+    work = _count_work(monkeypatch)
+    estimate_rg_srg(*setup_map(mid), ScaleLadder(depth=8, samples_per_scale=16, seed=seed))
+    assert work["refines"] <= 4
+    assert _ONE_WIDTH_POINTS[mid, seed] <= work["points"] <= 1.05 * _ONE_WIDTH_POINTS[mid, seed]
+
+
 def test_one_scan_makes_one_func_call_per_refinement_step():
-    # at most 1 call for the grid, 2 to seed golden section, 90 refinement
-    # steps and 1 hit check, however many brackets and minima the scan has
+    # at most 1 call for the grid (_grid), 1 to seed golden section, 90
+    # refinement steps and 1 hit check (_scan), however many brackets and
+    # minima the grid shows (_pick)
     calls = []
 
     def fb(z, y):
@@ -223,10 +272,12 @@ def test_one_scan_makes_one_func_call_per_refinement_step():
         return (z - 0.3) ** 2 - y
 
     # sign changes at 0.2 and 0.4, and minima of |g| beside them
-    found = mappings._scan(fb, np.array([0.1]), np.array([0.01]), np.array([0.5]),
-                           np.array([1e-12]), 48)
+    xv, yv = np.array([0.1]), np.array([0.01])
+    grid, vals = mappings._grid(fb, xv, yv, np.array([0.5]), 48)
+    picks = mappings._pick(xv, grid, vals, mappings._marks(vals), 0)
+    found = mappings._scan(fb, xv, yv, np.array([1e-12]), *picks)
     assert found[0] == pytest.approx(0.1, abs=1e-12)
-    assert len(calls) <= 94
+    assert len(calls) <= 93
 
 
 def test_nearest_root_accumulating_zeros():
