@@ -1137,7 +1137,7 @@ def preimage_distances_fallback(F: SetValuedMap, xs, ys) -> np.ndarray:
         fb = ((lambda z, y: f(z[:, None])[:, 0] - y) if f is not None
               else lambda z, y: F.image_distance(z[:, None], y[:, None]))
         d = _nearest_roots_1d(fb, X[off, 0], Y[off, 0], r0[off], tol[off],
-                              48, 8, f is None)  # grid points per scan, doublings
+                              48, 8, f is None)  # grid points, widths, touch-only
         out[off] = np.where(np.isinf(d) & (f is None), math.nan, d)
     elif F.grad is not None:
         Z, live = X.copy(), np.flatnonzero(off)

@@ -261,6 +261,22 @@ def test_probing_bounds_the_refinement_loops_and_the_wasted_points(mid, seed, mo
     assert _ONE_WIDTH_POINTS[mid, seed] <= work["points"] <= 1.05 * _ONE_WIDTH_POINTS[mid, seed]
 
 
+# the same counts on the touch-only residuals d(y, F(z)) of mid + 0.5 x
+_ONE_WIDTH_TOUCH_POINTS = {("compl_angle+0.5x", 7): 96_624, ("interval+0.5x", 7): 60_555,
+                           ("compl_angle+0.5x", 23): 94_092, ("interval+0.5x", 23): 62_679}
+
+
+@pytest.mark.parametrize("mid,seed", sorted(_ONE_WIDTH_TOUCH_POINTS))
+def test_a_minimum_stops_the_probe_on_a_touch_only_residual(mid, seed, monkeypatch):
+    # every root of d(y, F(z)) is a touch, so a grid with a minimum stops
+    # the probe: the probed grids are the ones a round per width scans, and
+    # golden section takes its 90 steps either way, so the points match
+    # exactly (probing on past minima evaluated up to 2.5 times as many)
+    work = _count_work(monkeypatch)
+    estimate_rg_srg(*_FINDER_MAPS[mid](), ScaleLadder(depth=8, samples_per_scale=16, seed=seed))
+    assert work["points"] == _ONE_WIDTH_TOUCH_POINTS[mid, seed]
+
+
 def test_one_scan_makes_one_func_call_per_refinement_step():
     # at most 1 call for the grid (_grid), 1 to seed golden section, 90
     # refinement steps and 1 hit check (_scan), however many brackets and
